@@ -29,6 +29,8 @@
 
 use pf_graph::{bfs, EdgeId, Graph, RootedTree, VertexId};
 use pf_topo::{PolarFly, Singer};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Resource budget handed to a construction.
 #[derive(Debug, Clone, Copy, Default)]
@@ -334,6 +336,157 @@ impl KaryMultitree {
     fn natural_count(g: &Graph) -> usize {
         g.min_degree().max(1) as usize
     }
+
+    /// The effective arity (`k ≥ 2`) and one root per tree, spread across
+    /// the vertex range; an explicit budget root is the first tree's.
+    fn arity_and_roots(&self, g: &Graph, budget: &Budget) -> (u32, Vec<VertexId>) {
+        let n = g.num_vertices();
+        let count = budget
+            .max_trees
+            .unwrap_or_else(|| Self::natural_count(g))
+            .clamp(1, n as usize);
+        let stride = (n as usize / count).max(1) as u32;
+        let roots = (0..count as u32)
+            .map(|i| match (i, budget.root) {
+                (0, Some(r)) => r.min(n - 1),
+                _ => (i * stride) % n,
+            })
+            .collect();
+        (self.k.max(2), roots)
+    }
+}
+
+/// Packs a frontier candidate as `(link use << 32) | edge id`, so `u64`
+/// order is exactly the `(use, edge id)` preference order.
+fn frontier_key(uses: u32, e: EdgeId) -> Reverse<u64> {
+    Reverse((u64::from(uses) << 32) | u64::from(e))
+}
+
+/// One tree under construction, with its frontier: a min-heap of
+/// candidate edges from members to non-members, keyed by the link use
+/// recorded when the entry was pushed.
+struct GrowingTree {
+    root: VertexId,
+    parents: Vec<Option<VertexId>>,
+    in_tree: Vec<bool>,
+    members: Vec<VertexId>,
+    children: Vec<u32>,
+    /// Whether the `k − 1` children cap still applies.
+    capped: bool,
+    frontier: BinaryHeap<Reverse<u64>>,
+}
+
+impl GrowingTree {
+    fn new(g: &Graph, root: VertexId, link_use: &[u32]) -> Self {
+        let n = g.num_vertices() as usize;
+        let mut t = GrowingTree {
+            root,
+            parents: vec![None; n],
+            in_tree: vec![false; n],
+            members: Vec::new(),
+            children: vec![0; n],
+            capped: true,
+            frontier: BinaryHeap::new(),
+        };
+        t.in_tree[root as usize] = true;
+        t.members.push(root);
+        t.push_edges(g, root, link_use);
+        t
+    }
+
+    fn is_spanning(&self) -> bool {
+        self.members.len() == self.in_tree.len()
+    }
+
+    fn push_edges(&mut self, g: &Graph, u: VertexId, link_use: &[u32]) {
+        for &(v, e) in g.neighbors_with_edges(u) {
+            if !self.in_tree[v as usize] {
+                self.frontier.push(frontier_key(link_use[e as usize], e));
+            }
+        }
+    }
+
+    /// Pops the frontier edge with the lowest current `(link use, edge
+    /// id)` among members with spare child capacity, as
+    /// `(edge, member, non-member)`. Link use only grows, so a stored key
+    /// never exceeds the current one: an entry whose key is current is the
+    /// true minimum, and a stale one is re-pushed at its current use.
+    fn pop_best(
+        &mut self,
+        g: &Graph,
+        k: u32,
+        link_use: &[u32],
+    ) -> Option<(EdgeId, VertexId, VertexId)> {
+        while let Some(Reverse(key)) = self.frontier.pop() {
+            let (uses, e) = ((key >> 32) as u32, key as EdgeId);
+            let (a, b) = g.endpoints(e);
+            let (u, v) = if self.in_tree[a as usize] { (a, b) } else { (b, a) };
+            let cap = if u == self.root { k } else { k - 1 };
+            // Both checks only ever turn true (until the cap is lifted,
+            // which rebuilds the frontier), so dropped entries stay dead.
+            if self.in_tree[v as usize] || (self.capped && self.children[u as usize] >= cap) {
+                continue;
+            }
+            if uses != link_use[e as usize] {
+                self.frontier.push(frontier_key(link_use[e as usize], e));
+                continue;
+            }
+            return Some((e, u, v));
+        }
+        None
+    }
+
+    /// Lifts the children cap and refills the frontier from every member.
+    fn lift_cap(&mut self, g: &Graph, link_use: &[u32]) {
+        self.capped = false;
+        self.frontier.clear();
+        for i in 0..self.members.len() {
+            self.push_edges(g, self.members[i], link_use);
+        }
+    }
+}
+
+/// Round-robin growth of one tree per root: each round, every unfinished
+/// tree attaches the non-member reachable over the least-used link (ties
+/// to the lowest edge id) from a member under the children cap, or lifts
+/// the cap if it wedged the tree. Returns each tree's parent array.
+fn grow_trees(g: &Graph, k: u32, roots: &[VertexId]) -> Vec<Vec<Option<VertexId>>> {
+    let mut link_use = vec![0u32; g.num_edges() as usize];
+    let mut trees: Vec<GrowingTree> =
+        roots.iter().map(|&r| GrowingTree::new(g, r, &link_use)).collect();
+    while trees.iter().any(|t| !t.is_spanning()) {
+        for t in trees.iter_mut().filter(|t| !t.is_spanning()) {
+            match t.pop_best(g, k, &link_use) {
+                Some((e, u, v)) => {
+                    t.parents[v as usize] = Some(u);
+                    t.in_tree[v as usize] = true;
+                    t.members.push(v);
+                    t.children[u as usize] += 1;
+                    link_use[e as usize] += 1;
+                    t.push_edges(g, v, &link_use);
+                }
+                // The children cap wedged this tree: lift it and let the
+                // next round finish the job.
+                None if t.capped => t.lift_cap(g, &link_use),
+                None => unreachable!("connected substrate: some frontier edge must exist"),
+            }
+        }
+    }
+    trees.into_iter().map(|t| t.parents).collect()
+}
+
+/// Roots each parent array into a [`RootedTree`].
+fn rooted(
+    roots: Vec<VertexId>,
+    parents: Vec<Vec<Option<VertexId>>>,
+) -> Result<Vec<RootedTree>, ConstructError> {
+    roots
+        .into_iter()
+        .zip(parents)
+        .map(|(r, p)| {
+            RootedTree::from_parents(r, p).map_err(|e| ConstructError::NoTrees(e.to_string()))
+        })
+        .collect()
 }
 
 impl TreeConstruction for KaryMultitree {
@@ -343,94 +496,9 @@ impl TreeConstruction for KaryMultitree {
 
     fn build(&self, g: &Graph, budget: &Budget) -> Result<Vec<RootedTree>, ConstructError> {
         check_substrate(g)?;
-        let n = g.num_vertices();
-        let k = self.k.max(2);
-        let count = budget
-            .max_trees
-            .unwrap_or_else(|| Self::natural_count(g))
-            .clamp(1, n as usize);
-
-        // Spread roots across the vertex range; honor an explicit root for
-        // the first tree.
-        let stride = (n as usize / count).max(1) as u32;
-        let roots: Vec<VertexId> = (0..count as u32)
-            .map(|i| match (i, budget.root) {
-                (0, Some(r)) => r.min(n - 1),
-                _ => (i * stride) % n,
-            })
-            .collect();
-
-        let mut link_use = vec![0u32; g.num_edges() as usize];
-        let mut parents: Vec<Vec<Option<VertexId>>> = vec![vec![None; n as usize]; count];
-        let mut in_tree: Vec<Vec<bool>> = vec![vec![false; n as usize]; count];
-        let mut members: Vec<Vec<VertexId>> = vec![Vec::new(); count];
-        let mut child_cnt: Vec<Vec<u32>> = vec![vec![0; n as usize]; count];
-        let mut covered: Vec<u32> = vec![1; count];
-        let mut capped: Vec<bool> = vec![true; count];
-        for (ti, &r) in roots.iter().enumerate() {
-            in_tree[ti][r as usize] = true;
-            members[ti].push(r);
-        }
-
-        let mut remaining = count;
-        while remaining > 0 {
-            let mut progress = false;
-            for ti in 0..count {
-                if covered[ti] == n {
-                    continue;
-                }
-                // Best attachment: lowest (link use, edge id) over tree
-                // vertices with spare child capacity.
-                let mut best: Option<(u32, EdgeId, VertexId, VertexId)> = None;
-                for &u in &members[ti] {
-                    let cap = if u == roots[ti] { k } else { k - 1 };
-                    if capped[ti] && child_cnt[ti][u as usize] >= cap {
-                        continue;
-                    }
-                    for &(v, e) in g.neighbors_with_edges(u) {
-                        if in_tree[ti][v as usize] {
-                            continue;
-                        }
-                        let key = (link_use[e as usize], e, u, v);
-                        if best.is_none_or(|b| (key.0, key.1) < (b.0, b.1)) {
-                            best = Some(key);
-                        }
-                    }
-                }
-                match best {
-                    Some((_, e, u, v)) => {
-                        parents[ti][v as usize] = Some(u);
-                        in_tree[ti][v as usize] = true;
-                        members[ti].push(v);
-                        child_cnt[ti][u as usize] += 1;
-                        link_use[e as usize] += 1;
-                        covered[ti] += 1;
-                        if covered[ti] == n {
-                            remaining -= 1;
-                        }
-                        progress = true;
-                    }
-                    None if capped[ti] => {
-                        // The children cap wedged this tree: lift it and
-                        // let the next round finish the job.
-                        capped[ti] = false;
-                        progress = true;
-                    }
-                    None => unreachable!("connected substrate: some frontier edge must exist"),
-                }
-            }
-            debug_assert!(progress, "round-robin growth must advance");
-        }
-
-        let trees = roots
-            .into_iter()
-            .zip(parents)
-            .map(|(r, p)| {
-                RootedTree::from_parents(r, p)
-                    .map_err(|e| ConstructError::NoTrees(e.to_string()))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(trees)
+        let (k, roots) = self.arity_and_roots(g, budget);
+        let parents = grow_trees(g, k, &roots);
+        rooted(roots, parents)
     }
 }
 
@@ -439,6 +507,7 @@ mod tests {
     use super::*;
     use pf_graph::builders;
     use pf_graph::tree::{edge_congestion, pairwise_edge_disjoint};
+    use proptest::prelude::*;
 
     fn spans(trees: &[RootedTree], g: &Graph) {
         assert!(!trees.is_empty());
@@ -533,6 +602,104 @@ mod tests {
         let g = builders::star(8);
         let trees = KaryMultitree { k: 2 }.build(&g, &Budget::trees(1)).unwrap();
         spans(&trees, &g);
+    }
+
+    /// Reference for [`grow_trees`]: the quadratic builder it replaced,
+    /// which rescans every member × neighbor for the lowest `(link use,
+    /// edge id)` frontier edge each time a tree attaches one vertex.
+    fn grow_trees_by_scan(g: &Graph, k: u32, roots: &[VertexId]) -> Vec<Vec<Option<VertexId>>> {
+        let n = g.num_vertices();
+        let count = roots.len();
+        let mut link_use = vec![0u32; g.num_edges() as usize];
+        let mut parents: Vec<Vec<Option<VertexId>>> = vec![vec![None; n as usize]; count];
+        let mut in_tree: Vec<Vec<bool>> = vec![vec![false; n as usize]; count];
+        let mut members: Vec<Vec<VertexId>> = vec![Vec::new(); count];
+        let mut child_cnt: Vec<Vec<u32>> = vec![vec![0; n as usize]; count];
+        let mut capped: Vec<bool> = vec![true; count];
+        for (ti, &r) in roots.iter().enumerate() {
+            in_tree[ti][r as usize] = true;
+            members[ti].push(r);
+        }
+        while members.iter().any(|m| m.len() < n as usize) {
+            for ti in 0..count {
+                if members[ti].len() == n as usize {
+                    continue;
+                }
+                let mut best: Option<(u32, EdgeId, VertexId, VertexId)> = None;
+                for &u in &members[ti] {
+                    let cap = if u == roots[ti] { k } else { k - 1 };
+                    if capped[ti] && child_cnt[ti][u as usize] >= cap {
+                        continue;
+                    }
+                    for &(v, e) in g.neighbors_with_edges(u) {
+                        if in_tree[ti][v as usize] {
+                            continue;
+                        }
+                        let key = (link_use[e as usize], e, u, v);
+                        if best.is_none_or(|b| (key.0, key.1) < (b.0, b.1)) {
+                            best = Some(key);
+                        }
+                    }
+                }
+                match best {
+                    Some((_, e, u, v)) => {
+                        parents[ti][v as usize] = Some(u);
+                        in_tree[ti][v as usize] = true;
+                        members[ti].push(v);
+                        child_cnt[ti][u as usize] += 1;
+                        link_use[e as usize] += 1;
+                    }
+                    None if capped[ti] => capped[ti] = false,
+                    None => unreachable!("connected substrate: some frontier edge must exist"),
+                }
+            }
+        }
+        parents
+    }
+
+    /// The heap builder and the scan oracle agree tree for tree on `g`
+    /// under every arity and budget shape the backend distinguishes.
+    fn assert_kary_matches_scan(name: &str, g: &Graph) {
+        let n = g.num_vertices();
+        let mut budgets = vec![Budget::unlimited()];
+        budgets.extend((1..=3).map(Budget::trees));
+        budgets.push(Budget { max_trees: None, root: Some(n / 2) });
+        budgets.push(Budget { max_trees: Some(2), root: Some(n - 1) });
+        for k in [2u32, 3, 4] {
+            let kary = KaryMultitree { k };
+            for budget in &budgets {
+                let (arity, roots) = kary.arity_and_roots(g, budget);
+                let oracle = rooted(roots.clone(), grow_trees_by_scan(g, arity, &roots)).unwrap();
+                let built = kary.build(g, budget).unwrap();
+                assert_eq!(built, oracle, "{name} k={k} {budget:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn kary_heap_growth_matches_the_scan_oracle() {
+        for s in crate::substrates::quick_catalog() {
+            assert_kary_matches_scan(&s.name, &s.graph);
+        }
+        // The children cap wedges both of these: a star's hub and a
+        // path's interior can adopt far fewer children than needed.
+        assert_kary_matches_scan("star-8", &builders::star(8));
+        assert_kary_matches_scan("path-9", &builders::path(9));
+        assert_kary_matches_scan("bridged-k4", &crate::substrates::bridged_cliques(4));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn kary_heap_growth_matches_the_scan_oracle_on_random_graphs(
+            n in 2u32..40,
+            density in 0u32..6,
+            seed in any::<u64>(),
+        ) {
+            let g = crate::substrates::erdos_renyi_connected(n, density * n / 2, seed);
+            assert_kary_matches_scan(&format!("er n={n} density={density} seed={seed}"), &g);
+        }
     }
 
     #[test]
