@@ -51,16 +51,15 @@ fn bench_engine_comparison(c: &mut Criterion) {
         g.throughput(Throughput::Elements(m));
         g.bench_with_input(BenchmarkId::new("optimized", q), &emb, |b, emb| {
             b.iter(|| {
-                let (r, _, _) = Simulator::new(&plan.graph, black_box(emb), SimConfig::default())
-                    .run_optimized(&w, Collective::Allreduce);
-                r.cycles
+                Simulator::new(&plan.graph, black_box(emb), SimConfig::default()).run(&w).cycles
             })
         });
         g.bench_with_input(BenchmarkId::new("reference", q), &emb, |b, emb| {
             b.iter(|| {
-                let (r, _, _) = Simulator::new(&plan.graph, black_box(emb), SimConfig::default())
-                    .run_reference(&w, Collective::Allreduce);
-                r.cycles
+                Simulator::new(&plan.graph, black_box(emb), SimConfig::default())
+                    .run_reference(&w, Collective::Allreduce)
+                    .report
+                    .cycles
             })
         });
     }

@@ -31,6 +31,7 @@ use pf_allreduce::rational::Rational;
 use pf_allreduce::{rebuild_degraded, Budget, FaultSet, KaryMultitree};
 use pf_fabric::PoissonJobs;
 use pf_sched::{SchedConfig, Scheduler};
+use pf_simnet::trace::json_f64;
 use std::path::Path;
 
 /// One named job mix: a seeded Poisson arrival process and a size band.
@@ -249,17 +250,6 @@ fn recommend(cells: &[CapacityCell], mix: &'static str) -> Recommendation {
         construction: best.construction,
         policy: best.policy,
         goodput: best.goodput,
-    }
-}
-
-/// Prints an f64 so that it parses back to the identical bits (shortest
-/// round-trip `Display`), with a decimal point guaranteed.
-fn json_f64(x: f64) -> String {
-    let s = format!("{x}");
-    if s.contains('.') || s.contains('e') || s.contains("inf") || s.contains("NaN") {
-        s
-    } else {
-        format!("{s}.0")
     }
 }
 

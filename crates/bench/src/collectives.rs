@@ -69,7 +69,9 @@ pub fn collect(qs: &[u64], m: u64) -> Vec<CollectivePoint> {
         let hp = HostParams { hop_latency: cfg.link_latency as u64, phase_overhead: 0 };
         let hop = cfg.link_latency as u64;
         for kind in KINDS {
-            let r = Simulator::new(&plan.graph, &emb, cfg).run_collective(&w, kind);
+            let r = Simulator::new(&plan.graph, &emb, cfg)
+                .run_jobs_collective(&w, &[], kind)
+                .report;
             assert!(
                 r.completed && r.mismatches == 0,
                 "collectives q={q} {}: run must complete cleanly",

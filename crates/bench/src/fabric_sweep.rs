@@ -29,6 +29,7 @@ use crate::print_header;
 use crate::sched_sweep::{LoadLevel, LOADS};
 use pf_allreduce::AllreducePlan;
 use pf_fabric::{FabricConfig, FabricEvent, FabricManager, FabricReport, PoissonJobs};
+use pf_simnet::trace::json_f64;
 use std::path::Path;
 
 /// Memory-flatness bound for the soak: live-byte growth between the
@@ -170,17 +171,6 @@ pub fn soak(plan: &AllreducePlan, n: usize, seed: u64) -> SoakResult {
 #[must_use]
 pub fn jobs_per_kilocycle(r: &FabricReport) -> f64 {
     r.completed as f64 * 1000.0 / r.makespan.max(1) as f64
-}
-
-/// Prints an f64 so that it parses back to the identical bits (shortest
-/// round-trip `Display`), with a decimal point guaranteed.
-fn json_f64(x: f64) -> String {
-    let s = format!("{x}");
-    if s.contains('.') || s.contains('e') || s.contains("inf") || s.contains("NaN") {
-        s
-    } else {
-        format!("{s}.0")
-    }
 }
 
 fn report_json(r: &FabricReport, indent: &str) -> String {

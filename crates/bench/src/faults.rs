@@ -7,7 +7,7 @@
 //! goodput including the aborted attempt and the re-run.
 
 use pf_allreduce::AllreducePlan;
-use pf_simnet::{run_with_recovery, FaultSchedule, SimConfig};
+use pf_simnet::{run_with_recovery, Collective, FaultSchedule, SimConfig};
 
 /// One sweep point: `k` failed links on the `q` low-depth plan.
 #[derive(Debug, Clone)]
@@ -41,8 +41,9 @@ pub fn fault_sweep_rows(qs: &[u64], ks: &[usize], m: u64, seed: u64) -> Vec<Faul
             } else {
                 FaultSchedule::random_links(&plan.graph, k, 20, 200, seed ^ (q << 8) ^ k as u64)
             };
-            let out = run_with_recovery(&plan, m, SimConfig::default(), &schedule)
-                .expect("recovery must complete (random faults cannot partition ER_q here)");
+            let out =
+                run_with_recovery(&plan, m, SimConfig::default(), &schedule, Collective::Allreduce)
+                    .expect("recovery must complete (random faults cannot partition ER_q here)");
             let (trees, intact, retention) = match &out.degraded {
                 None => (plan.trees.len(), plan.trees.len(), 1.0),
                 Some(d) => (d.trees.len(), d.intact(), d.bandwidth_retention().to_f64()),

@@ -30,7 +30,7 @@
 //!   instead of a full engine/channel/stream scan.
 //! * **contention** — two tenants share the fabric on disjoint halves of
 //!   the tree set (the `sched-sweep` regime), exercising the multi-job
-//!   accounting path (`Simulator::run_jobs`). The reference stepper has
+//!   accounting path (`Simulator::run_jobs_collective`). The reference stepper has
 //!   no job support, so it runs the identical embedding as one plain
 //!   collective; with both tenants released at cycle 0 the engine
 //!   decisions coincide and simulated cycles must agree exactly.
@@ -203,10 +203,10 @@ fn measure_point(
         if let Some(f) = faults {
             sim = sim.with_faults(&plan.graph, f.clone());
         }
-        let (r, _, _) = if optimized {
-            sim.run_optimized(&w, Collective::Allreduce)
+        let r = if optimized {
+            sim.run(&w)
         } else {
-            sim.run_reference(&w, Collective::Allreduce)
+            sim.run_reference(&w, Collective::Allreduce).report
         };
         assert!(
             r.completed && r.mismatches == 0,
@@ -226,7 +226,7 @@ fn measure_point(
 
 /// Measures the two-tenant contention regime: the plan's trees split in
 /// half between two concurrent jobs of `m / 2` elements each, executed
-/// through [`Simulator::run_jobs`] (optimized) and as one plain
+/// through [`Simulator::run_jobs_collective`] (optimized) and as one plain
 /// collective on the identical embedding (reference).
 fn measure_contention(q: u64, plan: &AllreducePlan, m: u64, cfg: SimConfig) -> PerfPoint {
     use pf_simnet::{JobBinding, JobSegment, ReduceKind};
@@ -268,7 +268,11 @@ fn measure_contention(q: u64, plan: &AllreducePlan, m: u64, cfg: SimConfig) -> P
     ];
     let runs = 3;
     let optimized = measure("optimized", runs, || {
-        let run = Simulator::new(&plan.graph, &emb, cfg).run_jobs(&w, &bindings);
+        let run = Simulator::new(&plan.graph, &emb, cfg).run_jobs_collective(
+            &w,
+            &bindings,
+            Collective::Allreduce,
+        );
         assert!(
             run.report.completed && run.report.mismatches == 0,
             "contention q={q}: run must complete cleanly"
@@ -277,8 +281,9 @@ fn measure_contention(q: u64, plan: &AllreducePlan, m: u64, cfg: SimConfig) -> P
         run.report.cycles
     });
     let reference = measure("reference", runs, || {
-        let (r, _, _) = Simulator::new(&plan.graph, &emb, cfg)
-            .run_reference(&w, Collective::Allreduce);
+        let r = Simulator::new(&plan.graph, &emb, cfg)
+            .run_reference(&w, Collective::Allreduce)
+            .report;
         assert!(r.completed && r.mismatches == 0);
         r.cycles
     });

@@ -18,6 +18,7 @@
 use crate::print_header;
 use pf_allreduce::AllreducePlan;
 use pf_sched::{FairnessStats, JobSpec, Policy, SchedConfig, SchedReport, Scheduler};
+use pf_simnet::trace::json_f64;
 use pf_simnet::ReduceKind;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -126,17 +127,6 @@ pub fn collect(plan: &AllreducePlan, n: u32, seed: u64) -> Vec<SweepPoint> {
         }
     }
     points
-}
-
-/// Prints an f64 so that it parses back to the identical bits (shortest
-/// round-trip `Display`), with a decimal point guaranteed.
-fn json_f64(x: f64) -> String {
-    let s = format!("{x}");
-    if s.contains('.') || s.contains('e') || s.contains("inf") || s.contains("NaN") {
-        s
-    } else {
-        format!("{s}.0")
-    }
 }
 
 /// Serializes the sweep as `pf-bench-sched-v1` JSON (schema in

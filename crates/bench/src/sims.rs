@@ -8,7 +8,8 @@ use pf_simnet::hostbased::{
 };
 use pf_simnet::routing::Routing;
 use pf_simnet::{
-    MultiTreeEmbedding, SimConfig, SimReport, Simulator, TraceConfig, TraceReport, Workload,
+    Collective, MultiTreeEmbedding, SimConfig, SimReport, Simulator, TraceConfig, TraceReport,
+    Workload,
 };
 
 /// Runs one plan through the cycle-level simulator.
@@ -25,9 +26,10 @@ pub fn simulate_plan_traced(plan: &AllreducePlan, m: u64, cfg: SimConfig) -> (Si
     let sizes = plan.split(m);
     let emb = MultiTreeEmbedding::new(&plan.graph, &plan.trees, &sizes);
     let w = Workload::new(plan.graph.num_vertices(), m);
-    let (r, t) =
-        Simulator::new(&plan.graph, &emb, cfg).with_trace(TraceConfig::counters()).run_traced(&w);
-    (r, t.expect("tracing was enabled"))
+    let run = Simulator::new(&plan.graph, &emb, cfg)
+        .with_trace(TraceConfig::counters())
+        .run_jobs_collective(&w, &[], Collective::Allreduce);
+    (run.report, run.trace.expect("tracing was enabled"))
 }
 
 /// Runs a plan with an explicit (possibly suboptimal) split.
@@ -381,7 +383,6 @@ pub fn print_starters(q: u64) {
 /// Collective variants on the same embedding: allreduce vs reduce vs
 /// broadcast vs the sharded-training halves (reduce-scatter, allgather).
 pub fn print_sim_collectives(q: u64, m: u64) {
-    use pf_simnet::engine::Collective;
     crate::print_header(&format!("SIM: collective variants on the edge-disjoint trees, q = {q}"));
     let plan = AllreducePlan::edge_disjoint(q, 30, 0xC011).unwrap();
     let sizes = plan.split(m);
@@ -389,7 +390,9 @@ pub fn print_sim_collectives(q: u64, m: u64) {
     let w = Workload::new(plan.graph.num_vertices(), m);
     println!("{:>15} {:>10} {:>12} {:>10}", "collective", "cycles", "el/cycle", "latency");
     for kind in Collective::ALL {
-        let r = Simulator::new(&plan.graph, &emb, SimConfig::default()).run_collective(&w, kind);
+        let r = Simulator::new(&plan.graph, &emb, SimConfig::default())
+            .run_jobs_collective(&w, &[], kind)
+            .report;
         assert!(r.completed && r.mismatches == 0, "{}", kind.name());
         println!(
             "{:>15} {:>10} {:>12.3} {:>10}",

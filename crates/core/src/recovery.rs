@@ -201,6 +201,62 @@ pub fn rebuild_degraded(
     plan: &AllreducePlan,
     faults: &FaultSet,
 ) -> Result<DegradedPlan, RebuildError> {
+    degrade(plan, faults, None)
+}
+
+/// Incrementally extends a previous degraded plan with a new batch of
+/// link faults, recomputing only the trees `delta` actually touches.
+///
+/// `prev` must be `rebuild_degraded(plan, prev_faults)` (or a previous
+/// `extend_degraded` result, which is the same thing by induction). The
+/// result is **structurally identical** to
+/// `rebuild_degraded(plan, &prev_faults.union(delta))` — the incremental
+/// path is an optimization, never a semantic fork — which the equivalence
+/// suite in `tests/incremental_repair.rs` asserts field by field.
+///
+/// Returns `None` when the patch would be unsound and the caller must fall
+/// back to the full rebuild:
+///
+/// * `delta` kills routers — the vertex labeling changes, so no previous
+///   tree can be reused verbatim;
+/// * `prev` resorted to the BFS fallback — there is no per-tree candidate
+///   structure to patch;
+/// * the combined faults disconnect (or would fully rebuild) the subgraph —
+///   the full path owns error reporting.
+///
+/// Why reuse is sound: with an unchanged router set the surviving vertex
+/// labeling is unchanged, and a previously repaired tree was built by
+/// Kruskal-style completion (forest first, then smallest-id edges). If all
+/// of its edges survive `delta`, re-running the completion on the smaller
+/// graph walks the same edges in the same relative order and selects the
+/// same set — deleting never-selected edges cannot change a greedy
+/// smallest-id selection — so cloning the previous tree equals recomputing
+/// it. A candidate that lost an edge is recomputed from the healthy tree's
+/// surviving forest, exactly as the full rebuild would.
+pub fn extend_degraded(
+    plan: &AllreducePlan,
+    prev_faults: &FaultSet,
+    prev: &DegradedPlan,
+    delta: &FaultSet,
+) -> Option<DegradedPlan> {
+    if !delta.routers.is_empty() || !prev_faults.routers.is_empty() {
+        return None;
+    }
+    if prev.origins.iter().any(|o| matches!(o, TreeOrigin::Fallback)) {
+        return None;
+    }
+    degrade(plan, &prev_faults.union(delta), Some(prev)).ok()
+}
+
+/// The one repair path behind [`rebuild_degraded`] and
+/// [`extend_degraded`]: degrade `plan` under `faults`, reusing a repaired
+/// tree from `prev` (same router set, fewer faults) whenever all its edges
+/// survive.
+fn degrade(
+    plan: &AllreducePlan,
+    faults: &FaultSet,
+    prev: Option<&DegradedPlan>,
+) -> Result<DegradedPlan, RebuildError> {
     let g = &plan.graph;
 
     // Surviving subgraph: vertices first, then the explicitly failed links
@@ -219,7 +275,9 @@ pub fn rebuild_degraded(
         return Err(RebuildError::Partitioned { components });
     }
 
-    // Compose the id maps (healthy <-> degraded).
+    // Compose the id maps (healthy <-> degraded). The clones are
+    // exact-capacity, so a cached plan's heap footprint (which the fabric
+    // soak's live-bytes gauge records) does not depend on how `vd` grew.
     let orig_vertex = vd.orig_vertex.clone();
     let new_vertex = vd.new_vertex.clone();
     let orig_edge: Vec<EdgeId> =
@@ -229,8 +287,16 @@ pub fn rebuild_degraded(
         new_edge[old as usize] = Some(new as EdgeId);
     }
 
-    let n_new = degraded.num_vertices();
-    let identity_vertices = n_new == g.num_vertices();
+    let identity_vertices = degraded.num_vertices() == g.num_vertices();
+
+    // Previous candidate per healthy tree index. Trees the previous round
+    // dropped have no candidate and are recomputed from scratch below.
+    let mut prev_tree: Vec<Option<&RootedTree>> = vec![None; plan.trees.len()];
+    for (t, o) in prev.into_iter().flat_map(|p| p.trees.iter().zip(&p.origins)) {
+        if let TreeOrigin::Intact(i) | TreeOrigin::Repaired(i) = *o {
+            prev_tree[i] = Some(t);
+        }
+    }
 
     // Classify and translate each healthy tree.
     let mut candidates: Vec<(RootedTree, TreeOrigin)> = Vec::new();
@@ -248,6 +314,17 @@ pub fn rebuild_degraded(
         if !broken {
             candidates.push((tree.clone(), TreeOrigin::Intact(ti)));
             continue;
+        }
+        // A previous candidate whose edges all survive is reused verbatim
+        // (see `extend_degraded` for why). `edge_id` on the degraded graph
+        // doubles as the survival check because a candidate tree edge is
+        // physical in the previous degraded graph, and the new graph is
+        // the previous one minus the new faults.
+        if let Some(pt) = prev_tree[ti] {
+            if pt.edges().all(|(c, p)| degraded.edge_id(c, p).is_some()) {
+                candidates.push((pt.clone(), TreeOrigin::Repaired(ti)));
+                continue;
+            }
         }
         // Repair: complete the surviving forest to a spanning tree, rooted
         // at the original root when it survived.
@@ -295,170 +372,6 @@ pub fn rebuild_degraded(
     let aggregate = a.aggregate();
     let depth = trees.iter().map(|t| t.depth()).max().unwrap_or(0);
     Ok(DegradedPlan {
-        graph: degraded,
-        trees,
-        origins,
-        dropped,
-        bandwidths: a.per_tree,
-        aggregate,
-        healthy_aggregate: plan.aggregate,
-        congestion_bound: bound,
-        edge_congestion: a.per_edge,
-        max_congestion: a.max_congestion,
-        depth,
-        orig_vertex,
-        new_vertex,
-        orig_edge,
-        new_edge,
-    })
-}
-
-/// Incrementally extends a previous degraded plan with a new batch of
-/// link faults, recomputing only the trees `delta` actually touches.
-///
-/// `prev` must be `rebuild_degraded(plan, prev_faults)` (or a previous
-/// `extend_degraded` result, which is the same thing by induction). The
-/// result is **structurally identical** to
-/// `rebuild_degraded(plan, &prev_faults.union(delta))` — the incremental
-/// path is an optimization, never a semantic fork — which the equivalence
-/// suite in `tests/incremental_repair.rs` asserts field by field.
-///
-/// Returns `None` when the patch would be unsound and the caller must fall
-/// back to the full rebuild:
-///
-/// * `delta` kills routers — the vertex labeling changes, so no previous
-///   tree can be reused verbatim;
-/// * `prev` resorted to the BFS fallback — there is no per-tree candidate
-///   structure to patch;
-/// * the combined faults disconnect (or would fully rebuild) the subgraph —
-///   the full path owns error reporting.
-///
-/// Why reuse is sound: with an unchanged router set the surviving vertex
-/// labeling is unchanged, and a previously repaired tree was built by
-/// Kruskal-style completion (forest first, then smallest-id edges). If all
-/// of its edges survive `delta`, re-running the completion on the smaller
-/// graph walks the same edges in the same relative order and selects the
-/// same set — deleting never-selected edges cannot change a greedy
-/// smallest-id selection — so cloning the previous tree equals recomputing
-/// it. A candidate that lost an edge is recomputed from the healthy tree's
-/// surviving forest, exactly as the full rebuild would.
-pub fn extend_degraded(
-    plan: &AllreducePlan,
-    prev_faults: &FaultSet,
-    prev: &DegradedPlan,
-    delta: &FaultSet,
-) -> Option<DegradedPlan> {
-    if !delta.routers.is_empty() || !prev_faults.routers.is_empty() {
-        return None;
-    }
-    if prev.origins.iter().any(|o| matches!(o, TreeOrigin::Fallback)) {
-        return None;
-    }
-    let g = &plan.graph;
-    let combined = prev_faults.union(delta);
-
-    // Same subgraph chain as the full rebuild. With no router faults the
-    // vertex-deleted stage is the identity, so this is one edge filter.
-    let vd = subgraph::vertex_deleted(g, &combined.routers);
-    if vd.graph.num_vertices() == 0 {
-        return None;
-    }
-    let edges_in_vd: Vec<EdgeId> =
-        combined.edges.iter().filter_map(|&e| vd.new_edge[e as usize]).collect();
-    let ed = subgraph::edge_deleted(&vd.graph, &edges_in_vd);
-    let degraded = ed.graph;
-    if !bfs::is_connected(&degraded) {
-        return None;
-    }
-
-    let orig_vertex = vd.orig_vertex.clone();
-    let new_vertex = vd.new_vertex.clone();
-    let orig_edge: Vec<EdgeId> =
-        ed.orig_edge.iter().map(|&mid| vd.orig_edge[mid as usize]).collect();
-    let mut new_edge = vec![None; g.num_edges() as usize];
-    for (new, &old) in orig_edge.iter().enumerate() {
-        new_edge[old as usize] = Some(new as EdgeId);
-    }
-    let identity_vertices = degraded.num_vertices() == g.num_vertices();
-    debug_assert!(identity_vertices, "link-only faults keep the vertex set");
-
-    // Previous candidate per healthy tree index. Trees the previous round
-    // dropped have no candidate and are recomputed from scratch below.
-    let mut prev_tree: Vec<Option<&RootedTree>> = vec![None; plan.trees.len()];
-    for (t, o) in prev.trees.iter().zip(&prev.origins) {
-        match o {
-            TreeOrigin::Intact(i) | TreeOrigin::Repaired(i) => prev_tree[*i] = Some(t),
-            TreeOrigin::Fallback => unreachable!("fallback plans bail out above"),
-        }
-    }
-
-    let mut candidates: Vec<(RootedTree, TreeOrigin)> = Vec::new();
-    for (ti, tree) in plan.trees.iter().enumerate() {
-        let mut forest: Vec<EdgeId> = Vec::new();
-        let mut broken = !identity_vertices;
-        for (child, parent) in tree.edges() {
-            let old = g.edge_id(child, parent).expect("plan tree edge must be physical");
-            match new_edge[old as usize] {
-                Some(id) => forest.push(id),
-                None => broken = true,
-            }
-        }
-        if !broken {
-            candidates.push((tree.clone(), TreeOrigin::Intact(ti)));
-            continue;
-        }
-        // A previous candidate whose edges all survive `delta` is reused
-        // verbatim (see the soundness argument above). `edge_id` on the
-        // degraded graph doubles as the survival check because a candidate
-        // tree edge is physical in the previous degraded graph, and the
-        // new graph is the previous one minus `delta`.
-        if let Some(pt) = prev_tree[ti] {
-            if pt.edges().all(|(c, p)| degraded.edge_id(c, p).is_some()) {
-                candidates.push(((*pt).clone(), TreeOrigin::Repaired(ti)));
-                continue;
-            }
-        }
-        let root = new_vertex[tree.root() as usize].unwrap_or(0);
-        let repaired = complete_forest(&degraded, &forest, root);
-        candidates.push((repaired, TreeOrigin::Repaired(ti)));
-    }
-
-    // Identical greedy acceptance to the full rebuild: intact first, then
-    // repairs, in tree order, under the healthy congestion bound.
-    let bound = plan.max_congestion.max(1);
-    let mut congestion = vec![0u32; degraded.num_edges() as usize];
-    let mut trees: Vec<RootedTree> = Vec::new();
-    let mut origins: Vec<TreeOrigin> = Vec::new();
-    let mut dropped = 0usize;
-    for pass in [true, false] {
-        for (tree, origin) in &candidates {
-            if matches!(origin, TreeOrigin::Intact(_)) != pass {
-                continue;
-            }
-            let ids = tree.edge_ids(&degraded);
-            if ids.iter().any(|&e| congestion[e as usize] + 1 > bound) {
-                dropped += 1;
-                continue;
-            }
-            for &e in &ids {
-                congestion[e as usize] += 1;
-            }
-            trees.push(tree.clone());
-            origins.push(*origin);
-        }
-    }
-    if trees.is_empty() {
-        let (_, parents) = bfs::tree(&degraded, 0);
-        let t = RootedTree::from_parents(0, parents)
-            .expect("BFS of a connected graph yields a spanning tree");
-        trees.push(t);
-        origins.push(TreeOrigin::Fallback);
-    }
-
-    let a = assign_unit_bandwidth(&degraded, &trees);
-    let aggregate = a.aggregate();
-    let depth = trees.iter().map(|t| t.depth()).max().unwrap_or(0);
-    Some(DegradedPlan {
         graph: degraded,
         trees,
         origins,

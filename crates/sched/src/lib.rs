@@ -8,7 +8,7 @@
 //! pluggable policy ([`Policy`]: FIFO, shortest-job-first, priority with
 //! aging), each admitted job receives a *disjoint subset* of the trees
 //! from the [`TreeAllocator`], and the concurrent jobs execute in one
-//! cycle-accurate `pf-simnet` run ([`pf_simnet::Simulator::run_jobs`])
+//! cycle-accurate `pf-simnet` run ([`pf_simnet::Simulator::run_jobs_collective`])
 //! where they contend for the shared physical channels exactly like the
 //! streams of a single collective.
 //!

@@ -16,8 +16,8 @@ use pf_allreduce::fingerprint::{fnv1a_u64, FNV_OFFSET};
 use pf_allreduce::AllreducePlan;
 use pf_graph::RootedTree;
 use pf_simnet::{
-    run_collective_with_recovery, Collective, FaultSchedule, JobBinding, JobSegment, JobTraceRow,
-    SimConfig, Simulator, TraceConfig, TraceReport, Workload,
+    run_with_recovery, Collective, FaultSchedule, JobBinding, JobSegment, JobTraceRow, SimConfig,
+    Simulator, TraceConfig, TraceReport, Workload,
 };
 
 use crate::alloc::TreeAllocator;
@@ -235,7 +235,7 @@ impl<'a> Scheduler<'a> {
     /// When detection aborts a wave, the unaffected tenants re-run
     /// untouched on their original tree subsets and releases, and only
     /// the tenants whose trees use a detected link (or any tenant, on a
-    /// router fault) go through [`run_collective_with_recovery`].
+    /// router fault) go through [`run_with_recovery`].
     pub fn run_faulted(
         &self,
         specs: &[JobSpec],
@@ -505,12 +505,8 @@ impl<'a> Scheduler<'a> {
                 .expect("detection implies an attached schedule");
             for adm in hit {
                 let sub = plans.subset(self.plan, &adm.trees);
-                let outcome =
-                    run_collective_with_recovery(&sub, specs[adm.idx].elems, cfg.sim, ws, kind)
-                        .map_err(|e| SchedError::Recovery {
-                            job: specs[adm.idx].id,
-                            source: e,
-                        })?;
+                let outcome = run_with_recovery(&sub, specs[adm.idx].elems, cfg.sim, ws, kind)
+                    .map_err(|e| SchedError::Recovery { job: specs[adm.idx].id, source: e })?;
                 let cost = adm.release + outcome.total_cycles;
                 wave_cycles = wave_cycles.max(cost);
                 records[adm.idx] = Some(JobRecord {

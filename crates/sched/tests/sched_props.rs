@@ -15,7 +15,7 @@
 use pf_allreduce::AllreducePlan;
 use pf_sched::{JobSpec, SchedConfig, Scheduler};
 use pf_simnet::{
-    JobBinding, MultiTreeEmbedding, ReduceKind, SimConfig, Simulator, Workload,
+    Collective, JobBinding, MultiTreeEmbedding, ReduceKind, SimConfig, Simulator, Workload,
 };
 use proptest::prelude::*;
 
@@ -52,7 +52,11 @@ fn run_solo(
     }
     let emb = MultiTreeEmbedding::with_offsets(&plan.graph, &sub.trees, &split, &offsets);
     let run = Simulator::new(&plan.graph, &emb, SimConfig::default())
-        .run_jobs(w, &[JobBinding { trees: 0..sub.trees.len(), release: 0 }]);
+        .run_jobs_collective(
+            w,
+            &[JobBinding { trees: 0..sub.trees.len(), release: 0 }],
+            Collective::Allreduce,
+        );
     assert!(run.report.completed);
     assert_eq!(run.jobs[0].mismatches, 0);
     run.jobs[0].value_hash

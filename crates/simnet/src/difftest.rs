@@ -2,7 +2,7 @@
 //! reference stepper.
 //!
 //! Every test builds two identically-configured simulators over the same
-//! embedding and workload, runs one through the optimized `run_inner` and
+//! embedding and workload, runs one through the optimized engine and
 //! the other through [`crate::engine::reference`], and asserts the outputs
 //! are *byte-identical*: `SimReport` by `PartialEq` (covers every counter
 //! including floats, which must come from the same integer arithmetic),
@@ -57,11 +57,11 @@ impl Case {
         let sizes = self.plan.split(self.m);
         let emb = MultiTreeEmbedding::new(&self.plan.graph, &self.plan.trees, &sizes);
         let w = Workload::new(self.plan.graph.num_vertices(), self.m);
-        let (opt_report, opt_trace, opt_faults) = self.sim(&emb).run_optimized(&w, kind);
-        let (ref_report, ref_trace, ref_faults) = self.sim(&emb).run_reference(&w, kind);
+        let opt = self.sim(&emb).run_jobs_collective(&w, &[], kind);
+        let refr = self.sim(&emb).run_reference(&w, kind);
 
-        assert_eq!(opt_report, ref_report, "{label}: SimReport diverged");
-        match (&opt_trace, &ref_trace) {
+        assert_eq!(opt.report, refr.report, "{label}: SimReport diverged");
+        match (&opt.trace, &refr.trace) {
             (None, None) => {}
             (Some(a), Some(b)) => {
                 assert_eq!(a, b, "{label}: TraceReport diverged");
@@ -69,7 +69,7 @@ impl Case {
             }
             _ => panic!("{label}: one engine produced a trace, the other did not"),
         }
-        assert_eq!(opt_faults, ref_faults, "{label}: FaultReport diverged");
+        assert_eq!(opt.faults, refr.faults, "{label}: FaultReport diverged");
     }
 }
 
@@ -370,13 +370,13 @@ fn batched_steady_state_matches_at_scale() {
         let emb = MultiTreeEmbedding::new(&plan.graph, &plan.trees, &sizes);
         let w = Workload::new(plan.graph.num_vertices(), m);
         let kind = Collective::Allreduce;
-        let (ref_report, _, _) =
-            Simulator::new(&plan.graph, &emb, SimConfig::default()).run_reference(&w, kind);
+        let ref_report =
+            Simulator::new(&plan.graph, &emb, SimConfig::default()).run_reference(&w, kind).report;
         assert!(ref_report.completed && ref_report.mismatches == 0);
         for threads in [1usize, 2, 4, 8] {
             let cfg = SimConfig { threads, ..SimConfig::default() };
-            let (report, _, _) =
-                Simulator::new(&plan.graph, &emb, cfg).run_optimized(&w, kind);
+            let report =
+                Simulator::new(&plan.graph, &emb, cfg).run_jobs_collective(&w, &[], kind).report;
             assert_eq!(
                 report, ref_report,
                 "batched saturated q={q} threads={threads}: SimReport diverged"
@@ -432,11 +432,12 @@ fn batched_contention_jobs_match_across_threads() {
             JobBinding { trees: half..trees.len(), release: 0 },
         ];
         let base = Simulator::new(&plan.graph, &emb, SimConfig::default())
-            .run_jobs(&w, &bindings);
+            .run_jobs_collective(&w, &bindings, Collective::Allreduce);
         assert!(base.report.completed && base.report.mismatches == 0);
         for threads in [2usize, 4, 8] {
             let cfg = SimConfig { threads, ..SimConfig::default() };
-            let run = Simulator::new(&plan.graph, &emb, cfg).run_jobs(&w, &bindings);
+            let run = Simulator::new(&plan.graph, &emb, cfg)
+                .run_jobs_collective(&w, &bindings, Collective::Allreduce);
             assert_eq!(
                 run.report, base.report,
                 "contention q={q} threads={threads}: SimReport diverged"
@@ -446,8 +447,9 @@ fn batched_contention_jobs_match_across_threads() {
                 "contention q={q} threads={threads}: job outcomes diverged"
             );
         }
-        let (ref_report, _, _) = Simulator::new(&plan.graph, &emb, SimConfig::default())
-            .run_reference(&w, Collective::Allreduce);
+        let ref_report = Simulator::new(&plan.graph, &emb, SimConfig::default())
+            .run_reference(&w, Collective::Allreduce)
+            .report;
         assert_eq!(
             base.report, ref_report,
             "contention q={q}: jobs run diverged from reference collective"

@@ -260,7 +260,7 @@ pub struct SimReport {
     pub max_vc_occupancy: usize,
 }
 
-/// One tenant's slice of a multi-job run ([`Simulator::run_jobs`]): which
+/// One tenant's slice of a multi-job run ([`Simulator::run_jobs_collective`]): which
 /// contiguous range of the embedding's trees it owns and when it is
 /// released into the fabric.
 #[derive(Debug, Clone)]
@@ -294,32 +294,23 @@ pub struct JobOutcome {
     pub mismatches: u64,
 }
 
-/// Result of [`Simulator::run_jobs`]: the fabric-wide report plus one
-/// [`JobOutcome`] per binding.
+/// Result of [`Simulator::run_jobs_collective`]: the fabric-wide report,
+/// the trace and fault observations when those layers are attached, and
+/// one [`JobOutcome`] per binding.
 #[derive(Debug, Clone)]
-pub struct JobsRun {
-    /// The ordinary fabric-wide simulation report.
+pub struct RunReport {
+    /// The ordinary fabric-wide simulation report. `completed` is `false`
+    /// when fault detection aborted the run.
     pub report: SimReport,
     /// The trace, when one was enabled via [`Simulator::with_trace`].
+    /// Tracing is purely observational: `report` is identical whether or
+    /// not a tracer is attached.
     pub trace: Option<TraceReport>,
     /// What the fault layer injected and detected (quiet when no layer
-    /// was attached).
+    /// was attached via [`Simulator::with_faults`]).
     pub faults: FaultReport,
-    /// Per-job outcomes, in binding order.
+    /// Per-job outcomes, in binding order (empty for an untracked run).
     pub jobs: Vec<JobOutcome>,
-}
-
-/// Result of a run with a fault layer attached
-/// ([`Simulator::with_faults`]).
-#[derive(Debug, Clone)]
-pub struct FaultedRun {
-    /// The ordinary simulation report. `completed` is `false` when
-    /// detection aborted the run.
-    pub report: SimReport,
-    /// The trace, when one was also enabled via [`Simulator::with_trace`].
-    pub trace: Option<TraceReport>,
-    /// What the fault layer injected and detected.
-    pub faults: FaultReport,
 }
 
 /// The cycle-level simulator. Construct once per embedding, then
@@ -369,77 +360,39 @@ impl<'a> Simulator<'a> {
     }
 
     /// Runs the allreduce of `w` (which must match the embedding's node
-    /// count and total length) to completion and reports.
+    /// count and total length) to completion and reports. Shorthand for
+    /// [`Simulator::run_jobs_collective`] with no bindings.
     pub fn run(self, w: &Workload) -> SimReport {
-        self.run_collective(w, Collective::Allreduce)
+        self.run_jobs_collective(w, &[], Collective::Allreduce).report
     }
 
-    /// Runs an arbitrary tree collective of `w` to completion and reports.
-    pub fn run_collective(self, w: &Workload, kind: Collective) -> SimReport {
-        self.run_collective_traced(w, kind).0
-    }
-
-    /// Like [`Simulator::run`], additionally returning the trace when one
-    /// was enabled via [`Simulator::with_trace`].
-    pub fn run_traced(self, w: &Workload) -> (SimReport, Option<TraceReport>) {
-        self.run_collective_traced(w, Collective::Allreduce)
-    }
-
-    /// Like [`Simulator::run_collective`], additionally returning the
-    /// trace when one was enabled via [`Simulator::with_trace`].
+    /// Runs the collective `kind` of `w` to completion: the one general
+    /// entry point, returning the report plus whatever the attached trace
+    /// and fault layers observed.
     ///
-    /// Tracing is purely observational: the `SimReport` is identical
-    /// whether or not a tracer is attached.
-    pub fn run_collective_traced(
-        self,
-        w: &Workload,
-        kind: Collective,
-    ) -> (SimReport, Option<TraceReport>) {
-        let (report, trace, _) = self.run_inner(w, kind);
-        (report, trace)
-    }
-
-    /// Runs the allreduce of `w` under the attached fault layer (or a
-    /// quiet one) and reports the fault layer's observations alongside.
-    pub fn run_faulted(self, w: &Workload) -> FaultedRun {
-        self.run_collective_faulted(w, Collective::Allreduce)
-    }
-
-    /// Like [`Simulator::run_faulted`] for an arbitrary collective.
-    pub fn run_collective_faulted(self, w: &Workload, kind: Collective) -> FaultedRun {
-        let (report, trace, faults) = self.run_inner(w, kind);
-        FaultedRun { report, trace, faults: faults.unwrap_or_else(FaultReport::quiet) }
-    }
-
-    /// Runs several independent allreduce jobs concurrently on one fabric.
-    ///
-    /// Each [`JobBinding`] owns a contiguous range of the embedding's
+    /// With no `bindings` the whole embedding is one untracked job. With
+    /// bindings, several independent jobs run concurrently on one fabric:
+    /// each [`JobBinding`] owns a contiguous range of the embedding's
     /// trees (the bindings must partition `0..emb.trees.len()` in order)
-    /// and an optional release cycle. The jobs contend for the shared
-    /// directed channels exactly like the streams of a single collective
-    /// — the active-set engine arbitrates them with no scheduler in the
-    /// loop — while reductions, validation and completion are tracked per
-    /// job. The workload must cover every tree slice's global element
-    /// range (build it with [`Workload::concat`] so each job owns a
-    /// distinct segment; `w.len() >= emb.elem_end()`).
+    /// and an optional release cycle, and every job executes the same
+    /// `kind` over its own tree range (the scheduler groups admissions so
+    /// a wave is homogeneous). The jobs contend for the shared directed
+    /// channels exactly like the streams of a single collective — the
+    /// active-set engine arbitrates them with no scheduler in the loop —
+    /// while reductions, validation and completion are tracked per job.
+    /// The workload must cover every tree slice's global element range
+    /// (build it with [`Workload::concat`] so each job owns a distinct
+    /// segment; `w.len() >= emb.elem_end()`).
     ///
-    /// With a single binding released at 0 this is exactly
-    /// [`Simulator::run`] plus per-job accounting: same `SimReport`,
-    /// byte-identical engine decisions.
-    pub fn run_jobs(self, w: &Workload, bindings: &[JobBinding]) -> JobsRun {
-        self.run_jobs_collective(w, bindings, Collective::Allreduce)
-    }
-
-    /// Like [`Simulator::run_jobs`] for an arbitrary collective: every job
-    /// in the wave executes the same `kind` over its own tree range (the
-    /// scheduler groups admissions so a wave is homogeneous).
+    /// A single binding released at 0 is exactly the unbound run plus
+    /// per-job accounting: same `SimReport`, byte-identical engine
+    /// decisions.
     pub fn run_jobs_collective(
         self,
         w: &Workload,
         bindings: &[JobBinding],
         kind: Collective,
-    ) -> JobsRun {
-        assert!(!bindings.is_empty(), "at least one job binding");
+    ) -> RunReport {
         let ntrees = self.emb.trees.len();
         let mut next = 0usize;
         for b in bindings {
@@ -449,43 +402,24 @@ impl<'a> Simulator<'a> {
             );
             next = b.trees.end;
         }
-        assert_eq!(next, ntrees, "job bindings must cover every embedded tree");
-        let (report, trace, faults, jobs) = self.run_inner_jobs(w, kind, Some(bindings));
-        JobsRun { report, trace, faults: faults.unwrap_or_else(FaultReport::quiet), jobs }
+        assert!(
+            bindings.is_empty() || next == ntrees,
+            "job bindings must cover every embedded tree"
+        );
+        let bindings = (!bindings.is_empty()).then_some(bindings);
+        let (report, trace, faults, jobs) = self.run_inner_jobs(w, kind, bindings);
+        RunReport { report, trace, faults: faults.unwrap_or_else(FaultReport::quiet), jobs }
     }
 
     /// Runs `w` on the retained pre-optimization stepper (see
     /// [`mod@reference`]). Kept solely so differential tests and the
     /// `experiments perf-snapshot` harness can compare the optimized
-    /// engine against it — new code should call [`Simulator::run`].
+    /// engine against it — new code should call [`Simulator::run`]. The
+    /// reference stepper has no job accounting, so `jobs` is empty.
     #[cfg(any(test, feature = "reference-engine"))]
-    pub fn run_reference(
-        self,
-        w: &Workload,
-        kind: Collective,
-    ) -> (SimReport, Option<TraceReport>, Option<FaultReport>) {
-        reference::run(self, w, kind)
-    }
-
-    /// The optimized engine's raw `(report, trace, faults)` triple — the
-    /// exact counterpart of [`Simulator::run_reference`], exposed with the
-    /// same gating so differential harnesses compare like with like.
-    #[cfg(any(test, feature = "reference-engine"))]
-    pub fn run_optimized(
-        self,
-        w: &Workload,
-        kind: Collective,
-    ) -> (SimReport, Option<TraceReport>, Option<FaultReport>) {
-        self.run_inner(w, kind)
-    }
-
-    fn run_inner(
-        self,
-        w: &Workload,
-        kind: Collective,
-    ) -> (SimReport, Option<TraceReport>, Option<FaultReport>) {
-        let (report, trace, faults, _) = self.run_inner_jobs(w, kind, None);
-        (report, trace, faults)
+    pub fn run_reference(self, w: &Workload, kind: Collective) -> RunReport {
+        let (report, trace, faults) = reference::run(self, w, kind);
+        RunReport { report, trace, faults: faults.unwrap_or_else(FaultReport::quiet), jobs: vec![] }
     }
 
     fn run_inner_jobs(
@@ -2673,8 +2607,9 @@ mod tests {
         let emb = MultiTreeEmbedding::new(&g, &[t], &[m]);
         let w = Workload::new(6, m);
         let full = Simulator::new(&g, &emb, SimConfig::default()).run(&w);
-        let reduce =
-            Simulator::new(&g, &emb, SimConfig::default()).run_collective(&w, Collective::Reduce);
+        let reduce = Simulator::new(&g, &emb, SimConfig::default())
+            .run_jobs_collective(&w, &[], Collective::Reduce)
+            .report;
         assert!(reduce.completed);
         assert_eq!(reduce.mismatches, 0);
         // No broadcast phase: strictly faster than the full allreduce.
@@ -2689,7 +2624,7 @@ mod tests {
         let emb = MultiTreeEmbedding::new(&g, &[t], &[m]);
         let w = Workload::new(6, m);
         let r = Simulator::new(&g, &emb, SimConfig::default())
-            .run_collective(&w, Collective::Broadcast);
+            .run_jobs_collective(&w, &[], Collective::Broadcast).report;
         assert!(r.completed);
         assert_eq!(r.mismatches, 0);
         // Streams at link rate like the reduce direction.
@@ -2772,9 +2707,10 @@ mod tests {
         let emb = MultiTreeEmbedding::new(&g, &[t], &[m]);
         let w = Workload::new(8, m);
         let cfg = SimConfig::default(); // L = 4
-        let bc = Simulator::new(&g, &emb, cfg).run_collective(&w, Collective::Broadcast);
-        let rd = Simulator::new(&g, &emb, cfg).run_collective(&w, Collective::Reduce);
-        let ar = Simulator::new(&g, &emb, cfg).run_collective(&w, Collective::Allreduce);
+        let run = |kind| Simulator::new(&g, &emb, cfg).run_jobs_collective(&w, &[], kind).report;
+        let bc = run(Collective::Broadcast);
+        let rd = run(Collective::Reduce);
+        let ar = run(Collective::Allreduce);
         assert_eq!(bc.first_element_latency, 7 * 4 + 1);
         assert_eq!(rd.first_element_latency, 7 * 4 + 1);
         assert_eq!(ar.first_element_latency, 2 * 7 * 4 + 1);
@@ -2884,22 +2820,39 @@ mod tests {
 
     #[test]
     fn run_jobs_single_binding_matches_plain_run() {
-        // One binding released at 0 is exactly run() plus job accounting.
+        // One binding released at 0 is exactly the unbound run plus job
+        // accounting: same report and trace bytes for every collective.
         let g = cycle_graph(6);
         let path: Vec<u32> = (0..6).collect();
         let t = RootedTree::from_path(&path, 3).unwrap();
         let m = 300;
         let emb = MultiTreeEmbedding::new(&g, &[t], &[m]);
         let w = Workload::new(6, m);
+        let full = [JobBinding { trees: 0..emb.trees.len(), release: 0 }];
         let plain = Simulator::new(&g, &emb, SimConfig::default()).run(&w);
         let jr = Simulator::new(&g, &emb, SimConfig::default())
-            .run_jobs(&w, &[JobBinding { trees: 0..1, release: 0 }]);
+            .run_jobs_collective(&w, &full, Collective::Allreduce);
         assert_eq!(jr.report, plain);
         assert_eq!(jr.jobs.len(), 1);
         assert_eq!(jr.jobs[0].elems, m);
         assert_eq!(jr.jobs[0].deliveries, m * 6);
         assert_eq!(jr.jobs[0].completion, plain.cycles);
         assert_eq!(jr.jobs[0].mismatches, 0);
+        for kind in Collective::ALL {
+            let traced = |bindings: &[JobBinding]| {
+                Simulator::new(&g, &emb, SimConfig::default())
+                    .with_trace(TraceConfig::counters())
+                    .run_jobs_collective(&w, bindings, kind)
+            };
+            let (unbound, bound) = (traced(&[]), traced(&full));
+            assert_eq!(unbound.report, bound.report, "{kind:?}");
+            assert_eq!(
+                unbound.trace.expect("traced").to_json(),
+                bound.trace.expect("traced").to_json(),
+                "{kind:?}"
+            );
+            assert!(unbound.jobs.is_empty() && bound.jobs.len() == 1);
+        }
     }
 
     #[test]
@@ -2908,12 +2861,13 @@ mod tests {
         let (g, trees, w) = two_tenant_setup(m1, m2);
         let emb =
             MultiTreeEmbedding::with_offsets(&g, &trees, &[m1, m2], &[0, m1]);
-        let jr = Simulator::new(&g, &emb, SimConfig::default()).run_jobs(
+        let jr = Simulator::new(&g, &emb, SimConfig::default()).run_jobs_collective(
             &w,
             &[
                 JobBinding { trees: 0..1, release: 0 },
                 JobBinding { trees: 1..2, release: 0 },
             ],
+            Collective::Allreduce,
         );
         assert!(jr.report.completed);
         assert_eq!(jr.report.mismatches, 0);
@@ -2935,19 +2889,28 @@ mod tests {
         let (m1, m2) = (250u64, 130u64);
         let (g, trees, w) = two_tenant_setup(m1, m2);
         let emb = MultiTreeEmbedding::with_offsets(&g, &trees, &[m1, m2], &[0, m1]);
-        let both = Simulator::new(&g, &emb, SimConfig::default()).run_jobs(
+        let both = Simulator::new(&g, &emb, SimConfig::default()).run_jobs_collective(
             &w,
             &[
                 JobBinding { trees: 0..1, release: 0 },
                 JobBinding { trees: 1..2, release: 0 },
             ],
+            Collective::Allreduce,
         );
         let solo1 = MultiTreeEmbedding::with_offsets(&g, &trees[..1], &[m1], &[0]);
         let solo2 = MultiTreeEmbedding::with_offsets(&g, &trees[1..], &[m2], &[m1]);
         let r1 = Simulator::new(&g, &solo1, SimConfig::default())
-            .run_jobs(&w, &[JobBinding { trees: 0..1, release: 0 }]);
+            .run_jobs_collective(
+                &w,
+                &[JobBinding { trees: 0..1, release: 0 }],
+                Collective::Allreduce,
+            );
         let r2 = Simulator::new(&g, &solo2, SimConfig::default())
-            .run_jobs(&w, &[JobBinding { trees: 0..1, release: 0 }]);
+            .run_jobs_collective(
+                &w,
+                &[JobBinding { trees: 0..1, release: 0 }],
+                Collective::Allreduce,
+            );
         assert_eq!(both.jobs[0].value_hash, r1.jobs[0].value_hash);
         assert_eq!(both.jobs[1].value_hash, r2.jobs[0].value_hash);
         assert_ne!(both.jobs[0].value_hash, both.jobs[1].value_hash);
@@ -2960,12 +2923,13 @@ mod tests {
         let (g, trees, w) = two_tenant_setup(m1, m2);
         let emb = MultiTreeEmbedding::with_offsets(&g, &trees, &[m1, m2], &[0, m1]);
         let release = 5000u64; // far after job 0 would finish alone
-        let jr = Simulator::new(&g, &emb, SimConfig::default()).run_jobs(
+        let jr = Simulator::new(&g, &emb, SimConfig::default()).run_jobs_collective(
             &w,
             &[
                 JobBinding { trees: 0..1, release: 0 },
                 JobBinding { trees: 1..2, release },
             ],
+            Collective::Allreduce,
         );
         assert!(jr.report.completed);
         assert_eq!(jr.report.mismatches, 0);
@@ -2983,6 +2947,10 @@ mod tests {
         let (g, trees, w) = two_tenant_setup(m1, m2);
         let emb = MultiTreeEmbedding::with_offsets(&g, &trees, &[m1, m2], &[0, m1]);
         let _ = Simulator::new(&g, &emb, SimConfig::default())
-            .run_jobs(&w, &[JobBinding { trees: 1..2, release: 0 }]);
+            .run_jobs_collective(
+                &w,
+                &[JobBinding { trees: 1..2, release: 0 }],
+                Collective::Allreduce,
+            );
     }
 }

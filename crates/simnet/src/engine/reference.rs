@@ -42,7 +42,7 @@ struct StreamState {
 }
 
 /// Runs `w` on the reference stepper, consuming the simulator (including
-/// its tracer and fault layer, exactly like the optimized `run_inner`).
+/// its tracer and fault layer, exactly like the optimized `run_inner_jobs`).
 pub(super) fn run(
     sim: Simulator<'_>,
     w: &Workload,

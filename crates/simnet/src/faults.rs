@@ -26,7 +26,7 @@
 //! as the fault-free build (property-tested, like tracing).
 
 use crate::embedding::MultiTreeEmbedding;
-use crate::engine::{SimConfig, SimReport, Simulator};
+use crate::engine::{Collective, SimConfig, SimReport, Simulator};
 use crate::trace::FaultTraceRow;
 use crate::workload::Workload;
 use pf_allreduce::recovery::{rebuild_degraded, DegradedPlan, FaultSet, RebuildError};
@@ -680,9 +680,10 @@ impl From<RebuildError> for RecoveryError {
     }
 }
 
-/// Runs the allreduce of an `m`-element vector under `schedule`,
+/// Runs the collective `kind` of an `m`-element vector under `schedule`,
 /// rebuilding a degraded plan and re-running on every detection, until an
-/// attempt completes (see module docs).
+/// attempt completes (see module docs). Every attempt (on the healthy and
+/// each degraded plan) re-runs the same collective kind.
 ///
 /// Router faults shrink the collective to the surviving routers: the
 /// re-run reduces the survivors' contributions (the dead router's input is
@@ -696,19 +697,7 @@ pub fn run_with_recovery(
     m: u64,
     cfg: SimConfig,
     schedule: &FaultSchedule,
-) -> Result<RecoveryOutcome, RecoveryError> {
-    run_collective_with_recovery(plan, m, cfg, schedule, crate::engine::Collective::Allreduce)
-}
-
-/// Like [`run_with_recovery`] for an arbitrary collective: every recovery
-/// attempt (on the healthy and each degraded plan) re-runs the same
-/// collective kind.
-pub fn run_collective_with_recovery(
-    plan: &AllreducePlan,
-    m: u64,
-    cfg: SimConfig,
-    schedule: &FaultSchedule,
-    kind: crate::engine::Collective,
+    kind: Collective,
 ) -> Result<RecoveryOutcome, RecoveryError> {
     let mut fault_set = FaultSet::none();
     let mut degraded: Option<DegradedPlan> = None;
@@ -726,7 +715,7 @@ pub fn run_collective_with_recovery(
         let w = Workload::new(graph.num_vertices(), m);
         let run = Simulator::new(graph, &emb, cfg)
             .with_faults(graph, round_schedule)
-            .run_collective_faulted(&w, kind);
+            .run_jobs_collective(&w, &[], kind);
 
         total_cycles += run.report.cycles;
 
@@ -776,7 +765,6 @@ pub fn run_collective_with_recovery(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::Collective;
     use crate::trace::TraceConfig;
 
     fn low7() -> AllreducePlan {
@@ -800,7 +788,7 @@ mod tests {
         let w = Workload::new(plan.graph.num_vertices(), m);
         let faulted = Simulator::new(&plan.graph, &emb, SimConfig::default())
             .with_faults(&plan.graph, FaultSchedule::none())
-            .run_faulted(&w);
+            .run_jobs_collective(&w, &[], Collective::Allreduce);
         assert_eq!(faulted.report, plain);
         assert_eq!(faulted.faults, FaultReport::quiet());
     }
@@ -816,7 +804,7 @@ mod tests {
         let schedule = FaultSchedule::permanent_links(&[0, 1], 1_000_000_000);
         let faulted = Simulator::new(&plan.graph, &emb, SimConfig::default())
             .with_faults(&plan.graph, schedule)
-            .run_faulted(&w);
+            .run_jobs_collective(&w, &[], Collective::Allreduce);
         assert_eq!(faulted.report, plain);
         assert_eq!(faulted.faults.injected, 0);
     }
@@ -834,7 +822,7 @@ mod tests {
         let schedule = FaultSchedule::permanent_links(&[e], 50);
         let run = Simulator::new(&plan.graph, &emb, SimConfig::default())
             .with_faults(&plan.graph, schedule.clone())
-            .run_faulted(&w);
+            .run_jobs_collective(&w, &[], Collective::Allreduce);
         assert!(!run.report.completed);
         assert!(run.faults.aborted);
         assert_eq!(run.faults.failed_edges, vec![e]);
@@ -867,7 +855,7 @@ mod tests {
         let plain = run_plain(&plan, m);
         let run = Simulator::new(&plan.graph, &emb, SimConfig::default())
             .with_faults(&plan.graph, schedule)
-            .run_faulted(&w);
+            .run_jobs_collective(&w, &[], Collective::Allreduce);
         assert!(run.report.completed, "transient fault must heal");
         assert_eq!(run.report.mismatches, 0);
         assert!(run.faults.failed_edges.is_empty());
@@ -896,7 +884,7 @@ mod tests {
         let plain = run_plain(&plan, m);
         let run = Simulator::new(&plan.graph, &emb, SimConfig::default())
             .with_faults(&plan.graph, schedule)
-            .run_faulted(&w);
+            .run_jobs_collective(&w, &[], Collective::Allreduce);
         assert!(run.report.completed);
         assert_eq!(run.report.mismatches, 0);
         assert!(run.faults.failed_edges.is_empty(), "degrades never trip detection");
@@ -909,7 +897,9 @@ mod tests {
         let m = 2000;
         let e = plan.edge_congestion.iter().position(|&c| c > 0).unwrap() as u32;
         let schedule = FaultSchedule::permanent_links(&[e], 50);
-        let out = run_with_recovery(&plan, m, SimConfig::default(), &schedule).unwrap();
+        let out =
+            run_with_recovery(&plan, m, SimConfig::default(), &schedule, Collective::Allreduce)
+                .unwrap();
         assert_eq!(out.rounds.len(), 2, "abort then completed re-run");
         assert!(out.final_report().completed);
         assert_eq!(out.final_report().mismatches, 0);
@@ -934,7 +924,9 @@ mod tests {
             }],
             detection: DetectionConfig::default(),
         };
-        let out = run_with_recovery(&plan, m, SimConfig::default(), &schedule).unwrap();
+        let out =
+            run_with_recovery(&plan, m, SimConfig::default(), &schedule, Collective::Allreduce)
+                .unwrap();
         assert!(out.final_report().completed);
         assert_eq!(out.final_report().mismatches, 0);
         assert_eq!(out.fault_set.routers, vec![7]);
@@ -950,8 +942,10 @@ mod tests {
             let s1 = FaultSchedule::random_links(&plan.graph, 2, 10, 400, seed);
             let s2 = FaultSchedule::random_links(&plan.graph, 2, 10, 400, seed);
             assert_eq!(s1, s2, "schedule generation is a pure function of the seed");
-            let a = run_with_recovery(&plan, m, SimConfig::default(), &s1).unwrap();
-            let b = run_with_recovery(&plan, m, SimConfig::default(), &s2).unwrap();
+            let a = run_with_recovery(&plan, m, SimConfig::default(), &s1, Collective::Allreduce)
+                .unwrap();
+            let b = run_with_recovery(&plan, m, SimConfig::default(), &s2, Collective::Allreduce)
+                .unwrap();
             assert_eq!(a.rounds.len(), b.rounds.len());
             for (ra, rb) in a.rounds.iter().zip(&b.rounds) {
                 assert_eq!(ra.report, rb.report);
@@ -973,7 +967,7 @@ mod tests {
         let run = Simulator::new(&plan.graph, &emb, SimConfig::default())
             .with_trace(TraceConfig::counters())
             .with_faults(&plan.graph, schedule)
-            .run_collective_faulted(&w, Collective::Allreduce);
+            .run_jobs_collective(&w, &[], Collective::Allreduce);
         let trace = run.trace.expect("tracing enabled");
         assert!(!trace.faults.is_empty());
         assert_eq!(trace.faults, run.faults.records);

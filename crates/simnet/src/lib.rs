@@ -56,11 +56,11 @@ pub mod workload;
 
 pub use embedding::MultiTreeEmbedding;
 pub use engine::{
-    delivery_digest_entry, Collective, FaultedRun, JobBinding, JobOutcome, JobsRun, SimConfig,
-    SimReport, Simulator,
+    delivery_digest_entry, Collective, JobBinding, JobOutcome, RunReport, SimConfig, SimReport,
+    Simulator,
 };
 pub use faults::{
-    run_collective_with_recovery, run_with_recovery, DetectionConfig, FaultEvent, FaultKind,
+    run_with_recovery, DetectionConfig, FaultEvent, FaultKind,
     FaultReport, FaultSchedule, FaultTarget, RecoveryError, RecoveryOutcome, RecoveryRound,
 };
 pub use trace::{FaultTraceRow, JobTraceRow, TraceConfig, TraceReport};

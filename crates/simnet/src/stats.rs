@@ -109,7 +109,7 @@ pub fn stall_summary(trace: &TraceReport) -> StallSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{MultiTreeEmbedding, SimConfig, Simulator, TraceConfig, Workload};
+    use crate::{Collective, MultiTreeEmbedding, SimConfig, Simulator, TraceConfig, Workload};
     use pf_graph::{Graph, RootedTree};
 
     fn run() -> (SimReport, Vec<u64>) {
@@ -159,11 +159,11 @@ mod tests {
         let t2 = RootedTree::from_path(&[0, 1, 2, 3], 3).unwrap();
         let emb = MultiTreeEmbedding::new(&g, &[t1, t2], &[500, 500]);
         let w = Workload::new(4, 1000);
-        let (r, trace) = Simulator::new(&g, &emb, SimConfig::default())
+        let run = Simulator::new(&g, &emb, SimConfig::default())
             .with_trace(TraceConfig::counters())
-            .run_traced(&w);
-        assert!(r.completed);
-        let trace = trace.unwrap();
+            .run_jobs_collective(&w, &[], Collective::Allreduce);
+        assert!(run.report.completed);
+        let trace = run.trace.unwrap();
 
         let c = congestion_vs_bound(&trace, 2);
         assert_eq!(c.max_measured, 2);

@@ -626,8 +626,9 @@ impl TraceReport {
 }
 
 /// Prints an f64 so that it parses back to the identical bits (Rust's
-/// shortest round-trip `Display`), with a decimal point guaranteed.
-fn json_f64(x: f64) -> String {
+/// shortest round-trip `Display`), with a decimal point guaranteed. Every
+/// hand-written `pf-bench-*` JSON file formats its floats through this.
+pub fn json_f64(x: f64) -> String {
     let s = format!("{x}");
     if s.contains('.') || s.contains('e') || s.contains("inf") || s.contains("NaN") {
         s

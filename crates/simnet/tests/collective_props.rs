@@ -36,7 +36,7 @@ use proptest::test_runner::TestCaseError;
 fn run(plan: &AllreducePlan, w: &Workload, kind: Collective) -> SimReport {
     let sizes = plan.split(w.len());
     let emb = MultiTreeEmbedding::new(&plan.graph, &plan.trees, &sizes);
-    Simulator::new(&plan.graph, &emb, SimConfig::default()).run_collective(w, kind)
+    Simulator::new(&plan.graph, &emb, SimConfig::default()).run_jobs_collective(w, &[], kind).report
 }
 
 /// The digest of a full broadcast-style delivery of the expected vector:

@@ -59,7 +59,7 @@ proptest! {
         let (g, emb, w) = build(n, r1, r2, m);
         let cfg = SimConfig { link_latency: latency, vc_buffer, ..Default::default() };
 
-        let plain = Simulator::new(&g, &emb, cfg).run_collective(&w, kind);
+        let plain = Simulator::new(&g, &emb, cfg).run_jobs_collective(&w, &[], kind).report;
         let schedule = if never {
             // Real events scheduled far past any completion cycle.
             FaultSchedule::permanent_links(&[0, g.num_edges() - 1], u64::MAX / 2)
@@ -68,7 +68,7 @@ proptest! {
         };
         let faulted = Simulator::new(&g, &emb, cfg)
             .with_faults(&g, schedule)
-            .run_collective_faulted(&w, kind);
+            .run_jobs_collective(&w, &[], kind);
 
         prop_assert_eq!(&plain, &faulted.report);
         prop_assert_eq!(faulted.faults.injected, 0);
@@ -106,7 +106,7 @@ proptest! {
             Simulator::new(&g, &emb, cfg)
                 .with_trace(TraceConfig::with_timeline(64))
                 .with_faults(&g, schedule)
-                .run_faulted(&w)
+                .run_jobs_collective(&w, &[], Collective::Allreduce)
         };
         let a = run(schedule.clone());
         let b = run(schedule);
@@ -142,7 +142,9 @@ proptest! {
             }],
             detection: DetectionConfig::default(),
         };
-        let run = Simulator::new(&g, &emb, cfg).with_faults(&g, schedule).run_faulted(&w);
+        let run = Simulator::new(&g, &emb, cfg)
+            .with_faults(&g, schedule)
+            .run_jobs_collective(&w, &[], Collective::Allreduce);
 
         prop_assert!(run.report.completed);
         prop_assert_eq!(run.report.mismatches, 0);
@@ -172,7 +174,9 @@ proptest! {
             }],
             detection: DetectionConfig::default(),
         };
-        let run = Simulator::new(&g, &emb, cfg).with_faults(&g, schedule).run_faulted(&w);
+        let run = Simulator::new(&g, &emb, cfg)
+            .with_faults(&g, schedule)
+            .run_jobs_collective(&w, &[], Collective::Allreduce);
         prop_assert!(run.report.completed);
         prop_assert_eq!(run.report.mismatches, 0);
         prop_assert!(run.faults.failed_edges.is_empty());

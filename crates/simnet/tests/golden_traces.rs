@@ -32,25 +32,25 @@ fn golden_dir() -> PathBuf {
 
 fn golden_trace(kind: Collective) -> TraceReport {
     let plan = AllreducePlan::low_depth(3).expect("q = 3");
-    run_traced(&plan, kind)
+    traced_run(&plan, kind)
 }
 
 fn golden_torus_trace(kind: Collective) -> TraceReport {
     let g = pf_topo::torus::Torus::new(&[4, 4]).graph().clone();
     let plan = AllreducePlan::construct(&g, &KaryMultitree { k: 3 }, &Budget::unlimited())
         .expect("kary plan on the 4x4 torus");
-    run_traced(&plan, kind)
+    traced_run(&plan, kind)
 }
 
-fn run_traced(plan: &AllreducePlan, kind: Collective) -> TraceReport {
+fn traced_run(plan: &AllreducePlan, kind: Collective) -> TraceReport {
     let sizes = plan.split(M);
     let emb = MultiTreeEmbedding::new(&plan.graph, &plan.trees, &sizes);
     let w = Workload::new(plan.graph.num_vertices(), M);
-    let (report, trace) = Simulator::new(&plan.graph, &emb, SimConfig::default())
+    let run = Simulator::new(&plan.graph, &emb, SimConfig::default())
         .with_trace(TraceConfig::with_timeline(32))
-        .run_collective_traced(&w, kind);
-    assert!(report.completed && report.mismatches == 0, "{}", kind.name());
-    trace.expect("tracing was enabled")
+        .run_jobs_collective(&w, &[], kind);
+    assert!(run.report.completed && run.report.mismatches == 0, "{}", kind.name());
+    run.trace.expect("tracing was enabled")
 }
 
 fn check(kind: Collective, file: &str) {

@@ -60,11 +60,13 @@ proptest! {
         let emb = MultiTreeEmbedding::new(&plan.graph, &plan.trees, &sizes);
         let w = Workload::concat(n, &segs);
         let base = Simulator::new(&plan.graph, &emb, SimConfig::default())
-            .run_collective(&w, kind);
+            .run_jobs_collective(&w, &[], kind).report;
         prop_assert!(base.completed, "q={} {:?} did not complete", q, kind);
         for threads in 2usize..=8 {
             let cfg = SimConfig { threads, ..SimConfig::default() };
-            let r = Simulator::new(&plan.graph, &emb, cfg).run_collective(&w, kind);
+            let r = Simulator::new(&plan.graph, &emb, cfg)
+                .run_jobs_collective(&w, &[], kind)
+                .report;
             prop_assert_eq!(
                 &r, &base,
                 "q={} {:?} threads={}: SimReport diverged", q, kind, threads
@@ -89,10 +91,10 @@ proptest! {
         let w = Workload::concat(n, &segs);
         let run_traced = |threads: usize| {
             let cfg = SimConfig { threads, ..SimConfig::default() };
-            let (r, trace) = Simulator::new(&plan.graph, &emb, cfg)
+            let run = Simulator::new(&plan.graph, &emb, cfg)
                 .with_trace(TraceConfig::counters())
-                .run_collective_traced(&w, kind);
-            (r, trace.expect("trace requested").to_json())
+                .run_jobs_collective(&w, &[], kind);
+            (run.report, run.trace.expect("trace requested").to_json())
         };
         let (base, base_bytes) = run_traced(1);
         for threads in [2usize, 5, 8] {
@@ -120,13 +122,11 @@ fn saturated_allreduce_matches_across_thread_ladder() {
         let sizes = plan.split(m);
         let emb = MultiTreeEmbedding::new(&plan.graph, &plan.trees, &sizes);
         let w = Workload::new(plan.graph.num_vertices(), m);
-        let base = Simulator::new(&plan.graph, &emb, SimConfig::default())
-            .run_collective(&w, Collective::Allreduce);
+        let base = Simulator::new(&plan.graph, &emb, SimConfig::default()).run(&w);
         assert!(base.completed && base.mismatches == 0);
         for threads in 2usize..=8 {
             let cfg = SimConfig { threads, ..SimConfig::default() };
-            let r = Simulator::new(&plan.graph, &emb, cfg)
-                .run_collective(&w, Collective::Allreduce);
+            let r = Simulator::new(&plan.graph, &emb, cfg).run(&w);
             assert_eq!(r, base, "q={q} threads={threads}: SimReport diverged");
         }
     }

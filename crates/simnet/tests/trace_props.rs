@@ -46,18 +46,18 @@ proptest! {
         let (g, emb, w) = build(n, r1, r2, m);
         let cfg = SimConfig { link_latency: latency, vc_buffer, ..Default::default() };
 
-        let plain = Simulator::new(&g, &emb, cfg).run_collective(&w, kind);
-        let (traced, trace) = Simulator::new(&g, &emb, cfg)
+        let plain = Simulator::new(&g, &emb, cfg).run_jobs_collective(&w, &[], kind).report;
+        let traced = Simulator::new(&g, &emb, cfg)
             .with_trace(TraceConfig::with_timeline(64))
-            .run_collective_traced(&w, kind);
+            .run_jobs_collective(&w, &[], kind);
 
-        prop_assert_eq!(&plain, &traced);
+        prop_assert_eq!(&plain, &traced.report);
         prop_assert!(plain.completed);
         prop_assert_eq!(plain.mismatches, 0);
 
         // The trace must agree with the untraced report wherever they
         // overlap, and be internally consistent.
-        let trace = trace.expect("tracer was attached");
+        let trace = traced.trace.expect("tracer was attached");
         prop_assert_eq!(trace.cycles, plain.cycles);
         let flits: u64 = plain.channel_flits.iter().sum();
         prop_assert_eq!(trace.total_flits, flits);
@@ -111,10 +111,11 @@ proptest! {
         m in 1u64..120,
     ) {
         let (g, emb, w) = build(n, 0, n / 2, m);
-        let (_, trace) = Simulator::new(&g, &emb, SimConfig::default())
+        let trace = Simulator::new(&g, &emb, SimConfig::default())
             .with_trace(TraceConfig::with_timeline(32))
-            .run_traced(&w);
-        let trace = trace.unwrap();
+            .run_jobs_collective(&w, &[], Collective::Allreduce)
+            .trace
+            .unwrap();
         let parsed = pf_simnet::TraceReport::from_json(&trace.to_json()).unwrap();
         prop_assert_eq!(parsed, trace);
     }
@@ -124,21 +125,22 @@ proptest! {
 #[test]
 fn off_config_returns_no_trace() {
     let (g, emb, w) = build(5, 0, 2, 40);
-    let (report, trace) = Simulator::new(&g, &emb, SimConfig::default())
+    let run = Simulator::new(&g, &emb, SimConfig::default())
         .with_trace(TraceConfig::off())
-        .run_traced(&w);
-    assert!(report.completed);
-    assert!(trace.is_none());
+        .run_jobs_collective(&w, &[], Collective::Allreduce);
+    assert!(run.report.completed);
+    assert!(run.trace.is_none());
 }
 
 /// Counter-only tracing (no timeline) leaves the timeline empty.
 #[test]
 fn counters_config_has_empty_timeline() {
     let (g, emb, w) = build(5, 0, 2, 40);
-    let (_, trace) = Simulator::new(&g, &emb, SimConfig::default())
+    let trace = Simulator::new(&g, &emb, SimConfig::default())
         .with_trace(TraceConfig::counters())
-        .run_traced(&w);
-    let trace = trace.unwrap();
+        .run_jobs_collective(&w, &[], Collective::Allreduce)
+        .trace
+        .unwrap();
     assert!(trace.timeline.is_empty());
     assert!(trace.total_flits > 0);
 }

@@ -13,7 +13,7 @@
 
 use pf_allreduce::recovery::TreeOrigin;
 use pf_allreduce::AllreducePlan;
-use pf_simnet::{run_with_recovery, FaultSchedule, SimConfig};
+use pf_simnet::{run_with_recovery, Collective, FaultSchedule, SimConfig};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -41,7 +41,7 @@ fn main() {
         FaultSchedule::random_links(&plan.graph, k, 20, 200, seed)
     };
 
-    let out = run_with_recovery(&plan, m, SimConfig::default(), &schedule)
+    let out = run_with_recovery(&plan, m, SimConfig::default(), &schedule, Collective::Allreduce)
         .expect("recovery completes unless the faults partition the network");
 
     // --- Round-by-round: abort on detection, rebuild, retry ---

@@ -20,7 +20,9 @@ use pf_simnet::hostbased::{
 };
 use pf_simnet::routing::Routing;
 use pf_simnet::stats::congestion_vs_bound;
-use pf_simnet::{MultiTreeEmbedding, SimConfig, Simulator, TraceConfig, Workload};
+use pf_simnet::{
+    Collective, MultiTreeEmbedding, RunReport, SimConfig, Simulator, TraceConfig, Workload,
+};
 
 fn simulate(plan: &AllreducePlan, m: u64, trace_on: bool) -> (u64, f64) {
     let cfg = SimConfig::default();
@@ -28,7 +30,9 @@ fn simulate(plan: &AllreducePlan, m: u64, trace_on: bool) -> (u64, f64) {
     let emb = MultiTreeEmbedding::new(&plan.graph, &plan.trees, &sizes);
     let w = Workload::new(plan.graph.num_vertices(), m);
     let tcfg = if trace_on { TraceConfig::counters() } else { TraceConfig::off() };
-    let (r, trace) = Simulator::new(&plan.graph, &emb, cfg).with_trace(tcfg).run_traced(&w);
+    let RunReport { report: r, trace, .. } = Simulator::new(&plan.graph, &emb, cfg)
+        .with_trace(tcfg)
+        .run_jobs_collective(&w, &[], Collective::Allreduce);
     assert!(r.completed && r.mismatches == 0, "simulation must validate");
     if let Some(trace) = trace {
         let cong = congestion_vs_bound(&trace, plan.max_congestion);

@@ -11,7 +11,9 @@
 
 use pf_allreduce::{AllreducePlan, Rational};
 use pf_simnet::stats::{congestion_vs_bound, stall_summary};
-use pf_simnet::{MultiTreeEmbedding, SimConfig, Simulator, TraceConfig, Workload};
+use pf_simnet::{
+    Collective, MultiTreeEmbedding, RunReport, SimConfig, Simulator, TraceConfig, Workload,
+};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -68,8 +70,9 @@ fn main() {
     let emb = MultiTreeEmbedding::new(&plan.graph, &plan.trees, &sizes);
     let workload = Workload::new(plan.graph.num_vertices(), m);
     let tcfg = if trace_on { TraceConfig::counters() } else { TraceConfig::off() };
-    let (report, trace) =
-        Simulator::new(&plan.graph, &emb, cfg).with_trace(tcfg).run_traced(&workload);
+    let RunReport { report, trace, .. } = Simulator::new(&plan.graph, &emb, cfg)
+        .with_trace(tcfg)
+        .run_jobs_collective(&workload, &[], Collective::Allreduce);
 
     println!("simulated allreduce of {m} elements:");
     println!("  completed: {} | wrong elements: {}", report.completed, report.mismatches);

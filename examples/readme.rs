@@ -6,7 +6,7 @@
 //! ```
 
 use pf_allreduce::AllreducePlan;
-use pf_simnet::{MultiTreeEmbedding, SimConfig, Simulator, Workload};
+use pf_simnet::{Collective, MultiTreeEmbedding, SimConfig, Simulator, TraceConfig, Workload};
 
 fn main() {
     let plan = AllreducePlan::edge_disjoint(11, 30, 42).unwrap();
@@ -18,6 +18,14 @@ fn main() {
     let w = Workload::new(plan.graph.num_vertices(), m);
     let report = Simulator::new(&plan.graph, &emb, SimConfig::default()).run(&w);
     assert_eq!(report.mismatches, 0); // numerically exact allreduce
+
+    // `run` is the allreduce shorthand. Every other variant (collective kind,
+    // tracing, fault injection, concurrent jobs) is a setting of the one
+    // general entry point, which returns report, trace, faults and jobs.
+    let rs = Simulator::new(&plan.graph, &emb, SimConfig::default())
+        .with_trace(TraceConfig::counters())
+        .run_jobs_collective(&w, &[], Collective::ReduceScatter);
+    assert!(rs.report.completed && rs.trace.is_some());
 
     println!(
         "q = 11 edge-disjoint allreduce of {m} elements: {} cycles, {:.2} el/cycle",

@@ -30,7 +30,7 @@ fn run(plan: &AllreducePlan, m: u64, kind: Collective) -> SimReport {
     let sizes = plan.split(m);
     let emb = MultiTreeEmbedding::new(&plan.graph, &plan.trees, &sizes);
     let w = Workload::new(plan.graph.num_vertices(), m);
-    let r = Simulator::new(&plan.graph, &emb, cfg).run_collective(&w, kind);
+    let r = Simulator::new(&plan.graph, &emb, cfg).run_jobs_collective(&w, &[], kind).report;
     assert!(r.completed && r.mismatches == 0, "{} must validate", kind.name());
     r
 }

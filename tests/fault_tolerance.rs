@@ -22,8 +22,8 @@ use pf_allreduce::recovery::TreeOrigin;
 use pf_allreduce::{rebuild_degraded, AllreducePlan, FaultSet, RebuildError};
 use pf_graph::{bfs, subgraph, EdgeId};
 use pf_simnet::{
-    run_with_recovery, FaultSchedule, MultiTreeEmbedding, SimConfig, Simulator, TraceConfig,
-    Workload,
+    run_with_recovery, Collective, FaultSchedule, MultiTreeEmbedding, SimConfig, Simulator,
+    TraceConfig, Workload,
 };
 use proptest::prelude::*;
 
@@ -71,7 +71,7 @@ fn random_link_faults_recover_on_paper_radixes() {
             let seed = 0xACCE97 ^ (q << 16) ^ k as u64;
             let schedule = FaultSchedule::random_links(&plan.graph, k, 20, 400, seed);
             let run = || {
-                run_with_recovery(plan, m, SimConfig::default(), &schedule)
+                run_with_recovery(plan, m, SimConfig::default(), &schedule, Collective::Allreduce)
                     .unwrap_or_else(|e| panic!("q={q} k={k}: {e}"))
             };
             let a = run();
@@ -117,7 +117,7 @@ fn same_seed_reproduces_identical_trace_bytes() {
         Simulator::new(&plan.graph, &emb, SimConfig::default())
             .with_trace(TraceConfig::counters())
             .with_faults(&plan.graph, schedule.clone())
-            .run_faulted(&w)
+            .run_jobs_collective(&w, &[], Collective::Allreduce)
     };
     let a = run();
     let b = run();
@@ -285,7 +285,7 @@ fn recovery_surfaces_partition_as_error() {
     let cut: Vec<EdgeId> =
         plan.graph.neighbors_with_edges(0).iter().map(|&(_, e)| e).collect();
     let schedule = FaultSchedule::permanent_links(&cut, 30);
-    let err = run_with_recovery(plan, 400, SimConfig::default(), &schedule)
+    let err = run_with_recovery(plan, 400, SimConfig::default(), &schedule, Collective::Allreduce)
         .expect_err("an isolated router can never complete the collective");
     assert!(err.to_string().contains("partition"), "unexpected recovery error: {err}");
 }

@@ -346,17 +346,17 @@ fn theorems_7_6_and_7_19_congestion_holds_at_runtime() {
     // Hamiltonian trees (Theorem 7.19).
     use pf_allreduce::AllreducePlan;
     use pf_simnet::stats::congestion_vs_bound;
-    use pf_simnet::{MultiTreeEmbedding, SimConfig, Simulator, TraceConfig, Workload};
+    use pf_simnet::{Collective, MultiTreeEmbedding, SimConfig, Simulator, TraceConfig, Workload};
 
     let run = |plan: &AllreducePlan, m: u64| {
         let sizes = plan.split(m);
         let emb = MultiTreeEmbedding::new(&plan.graph, &plan.trees, &sizes);
         let w = Workload::new(plan.graph.num_vertices(), m);
-        let (r, trace) = Simulator::new(&plan.graph, &emb, SimConfig::default())
+        let run = Simulator::new(&plan.graph, &emb, SimConfig::default())
             .with_trace(TraceConfig::counters())
-            .run_traced(&w);
-        assert!(r.completed && r.mismatches == 0);
-        trace.expect("tracing was enabled")
+            .run_jobs_collective(&w, &[], Collective::Allreduce);
+        assert!(run.report.completed && run.report.mismatches == 0);
+        run.trace.expect("tracing was enabled")
     };
 
     for q in [3u64, 7, 11] {
