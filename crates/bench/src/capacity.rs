@@ -31,7 +31,7 @@ use pf_allreduce::rational::Rational;
 use pf_allreduce::{rebuild_degraded, Budget, FaultSet, KaryMultitree};
 use pf_fabric::PoissonJobs;
 use pf_sched::{SchedConfig, Scheduler};
-use pf_simnet::trace::json_f64;
+use pf_simnet::json::Value;
 use std::path::Path;
 
 /// One named job mix: a seeded Poisson arrival process and a size band.
@@ -257,52 +257,33 @@ fn recommend(cells: &[CapacityCell], mix: &'static str) -> Recommendation {
 /// `docs/RATES.md`). Exact rationals are strings; goodput is a
 /// round-trippable float.
 pub fn to_json(p: &CapacityParams, cells: &[CapacityCell], recs: &[Recommendation]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n  \"schema\": \"pf-bench-capacity-v1\",\n");
-    out.push_str(&format!(
-        "  \"fleet_min\": {}, \"fleet_max\": {}, \"fault_budget\": {}, \"jobs\": {}, \"seed\": {},\n",
-        p.fleet_min, p.fleet_max, p.fault_budget, p.jobs, p.seed
-    ));
-    out.push_str("  \"cells\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"mix\": \"{}\", \"q\": {}, \"fleet\": {}, \"construction\": \"{}\", \
-             \"policy\": \"{}\", \"trees\": {}, \"makespan\": {}, \"goodput\": {}, \
-             \"aggregate\": \"{}\", \"rate_bound\": \"{}\", \"gap\": \"{}\", \"gap_float\": {}, \
-             \"max_combined_congestion\": {}, \"congestion_bound\": {}}}{}\n",
-            c.mix,
-            c.q,
-            c.fleet,
-            c.construction,
-            c.policy,
-            c.trees,
-            c.makespan,
-            json_f64(c.goodput),
-            c.aggregate,
-            c.rate_bound,
-            c.gap,
-            json_f64(c.gap.to_f64()),
-            c.max_combined_congestion,
-            c.congestion_bound,
-            if i + 1 < cells.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n  \"recommendations\": [\n");
-    for (i, r) in recs.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"mix\": \"{}\", \"q\": {}, \"fleet\": {}, \"construction\": \"{}\", \
-             \"policy\": \"{}\", \"goodput\": {}}}{}\n",
-            r.mix,
-            r.q,
-            r.fleet,
-            r.construction,
-            r.policy,
-            json_f64(r.goodput),
-            if i + 1 < recs.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+    let cell = |c: &CapacityCell| {
+        Value::object([
+            ("mix", c.mix.into()), ("q", c.q.into()), ("fleet", c.fleet.into()),
+            ("construction", c.construction.into()), ("policy", c.policy.into()),
+            ("trees", c.trees.into()), ("makespan", c.makespan.into()),
+            ("goodput", c.goodput.into()), ("aggregate", c.aggregate.to_string().into()),
+            ("rate_bound", c.rate_bound.to_string().into()), ("gap", c.gap.to_string().into()),
+            ("gap_float", c.gap.to_f64().into()),
+            ("max_combined_congestion", c.max_combined_congestion.into()),
+            ("congestion_bound", c.congestion_bound.into()),
+        ])
+    };
+    let rec = |r: &Recommendation| {
+        Value::object([
+            ("mix", r.mix.into()), ("q", r.q.into()), ("fleet", r.fleet.into()),
+            ("construction", r.construction.into()), ("policy", r.policy.into()),
+            ("goodput", r.goodput.into()),
+        ])
+    };
+    Value::object([
+        ("schema", "pf-bench-capacity-v1".into()), ("fleet_min", p.fleet_min.into()),
+        ("fleet_max", p.fleet_max.into()), ("fault_budget", p.fault_budget.into()),
+        ("jobs", p.jobs.into()), ("seed", p.seed.into()),
+        ("cells", cells.iter().map(cell).collect()),
+        ("recommendations", recs.iter().map(rec).collect()),
+    ])
+    .pretty()
 }
 
 /// The `experiments capacity` entry point: sweeps, prints the cell table

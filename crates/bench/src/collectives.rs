@@ -25,6 +25,7 @@ use pf_simnet::engine::Collective;
 use pf_simnet::hostbased::{
     ring_allgather_time, ring_allreduce_time, ring_reduce_scatter_time, HostParams,
 };
+use pf_simnet::json::Value;
 use pf_simnet::routing::Routing;
 use pf_simnet::{MultiTreeEmbedding, SimConfig, Simulator, Workload};
 use std::path::Path;
@@ -111,37 +112,27 @@ pub fn collect(qs: &[u64], m: u64) -> Vec<CollectivePoint> {
     points
 }
 
-/// Serializes the rows as a JSON array body, one row per line, each
-/// prefixed with `indent`. Shared between the standalone file and the
-/// `BENCH_simnet.json` embedding so the bytes agree.
-pub fn rows_json(points: &[CollectivePoint], indent: &str) -> String {
-    let mut out = String::new();
-    for (i, p) in points.iter().enumerate() {
-        out.push_str(&format!(
-            "{indent}{{\"q\": {}, \"m\": {}, \"collective\": \"{}\", \"cycles\": {}, \
-             \"predicted_cycles\": {}, \"first_element_latency\": {}, \
-             \"host_ring_cycles\": {}}}{}\n",
-            p.q,
-            p.m,
-            p.collective,
-            p.cycles,
-            p.predicted_cycles,
-            p.first_element_latency,
-            p.host_ring_cycles,
-            if i + 1 < points.len() { "," } else { "" }
-        ));
+impl CollectivePoint {
+    /// The row as a JSON object — shared by the standalone file and the
+    /// `BENCH_simnet.json` embedding, so the two agree.
+    pub(crate) fn to_value(&self) -> Value {
+        Value::object([
+            ("q", self.q.into()), ("m", self.m.into()), ("collective", self.collective.into()),
+            ("cycles", self.cycles.into()), ("predicted_cycles", self.predicted_cycles.into()),
+            ("first_element_latency", self.first_element_latency.into()),
+            ("host_ring_cycles", self.host_ring_cycles.into()),
+        ])
     }
-    out
 }
 
 /// Serializes the regime as a standalone `pf-bench-simnet-collectives-v1`
 /// document (byte-deterministic — CI double-runs and `cmp`s it).
 pub fn to_json(points: &[CollectivePoint]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n  \"schema\": \"pf-bench-simnet-collectives-v1\",\n  \"points\": [\n");
-    out.push_str(&rows_json(points, "    "));
-    out.push_str("  ]\n}\n");
-    out
+    Value::object([
+        ("schema", "pf-bench-simnet-collectives-v1".into()),
+        ("points", points.iter().map(CollectivePoint::to_value).collect()),
+    ])
+    .pretty()
 }
 
 /// The `experiments collectives` entry point: measures, prints a table,

@@ -29,7 +29,7 @@ use crate::print_header;
 use crate::sched_sweep::{LoadLevel, LOADS};
 use pf_allreduce::AllreducePlan;
 use pf_fabric::{FabricConfig, FabricEvent, FabricManager, FabricReport, PoissonJobs};
-use pf_simnet::trace::json_f64;
+use pf_simnet::json::Value;
 use std::path::Path;
 
 /// Memory-flatness bound for the soak: live-byte growth between the
@@ -173,64 +173,49 @@ pub fn jobs_per_kilocycle(r: &FabricReport) -> f64 {
     r.completed as f64 * 1000.0 / r.makespan.max(1) as f64
 }
 
-fn report_json(r: &FabricReport, indent: &str) -> String {
-    format!(
-        "{indent}\"submitted\": {}, \"completed\": {}, \"deferred\": {}, \"rejected\": {}, \
-         \"epochs\": {}, \"waves\": {}, \"makespan\": {},\n\
-         {indent}\"jobs_per_kilocycle\": {}, \"p50_latency\": {}, \"p99_latency\": {}, \
-         \"max_latency\": {}, \"mean_latency\": {}, \"mean_queueing_delay\": {},\n\
-         {indent}\"max_combined_congestion\": {}, \"congestion_bound\": {}, \
-         \"cache_hits\": {}, \"cache_misses\": {}, \"cache_evictions\": {}, \
-         \"incremental_repairs\": {}, \"full_rebuilds\": {}, \"digest\": {}",
-        r.submitted,
-        r.completed,
-        r.deferred,
-        r.rejected,
-        r.epochs,
-        r.waves,
-        r.makespan,
-        json_f64(jobs_per_kilocycle(r)),
-        r.p50_latency,
-        r.p99_latency,
-        r.max_latency,
-        json_f64(r.mean_latency),
-        json_f64(r.mean_queueing_delay),
-        r.max_combined_congestion,
-        r.congestion_bound,
-        r.cache.hits,
-        r.cache.misses,
-        r.cache.evictions,
-        r.incremental_repairs,
-        r.full_rebuilds,
-        r.digest
-    )
+fn report_members(r: &FabricReport) -> [(&'static str, Value); 21] {
+    [
+        ("submitted", r.submitted.into()), ("completed", r.completed.into()),
+        ("deferred", r.deferred.into()), ("rejected", r.rejected.into()),
+        ("epochs", r.epochs.into()), ("waves", r.waves.into()), ("makespan", r.makespan.into()),
+        ("jobs_per_kilocycle", jobs_per_kilocycle(r).into()), ("p50_latency", r.p50_latency.into()),
+        ("p99_latency", r.p99_latency.into()), ("max_latency", r.max_latency.into()),
+        ("mean_latency", r.mean_latency.into()),
+        ("mean_queueing_delay", r.mean_queueing_delay.into()),
+        ("max_combined_congestion", r.max_combined_congestion.into()),
+        ("congestion_bound", r.congestion_bound.into()), ("cache_hits", r.cache.hits.into()),
+        ("cache_misses", r.cache.misses.into()), ("cache_evictions", r.cache.evictions.into()),
+        ("incremental_repairs", r.incremental_repairs.into()),
+        ("full_rebuilds", r.full_rebuilds.into()), ("digest", r.digest.into()),
+    ]
+}
+
+/// The sweep cells as a JSON array — the `points` of the bench file.
+pub fn points_value(cells: &[FabricCell]) -> Value {
+    cells
+        .iter()
+        .map(|c| {
+            let head = [("load", c.load.into()), ("mean_gap", c.mean_gap.into())];
+            Value::object(head.into_iter().chain(report_members(&c.report)))
+        })
+        .collect()
 }
 
 /// Serializes the sweep + soak as `pf-bench-fabric-v1` JSON (schema in
 /// `docs/FABRIC.md`). Virtual-time quantities only — byte-deterministic.
 pub fn to_json(q: u64, n: usize, seed: u64, cells: &[FabricCell], soak: &SoakResult) -> String {
-    let mut out = String::new();
-    out.push_str("{\n  \"schema\": \"pf-bench-fabric-v1\",\n");
-    out.push_str(&format!("  \"q\": {q},\n  \"jobs\": {n},\n  \"seed\": {seed},\n"));
-    out.push_str("  \"points\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"load\": \"{}\", \"mean_gap\": {},\n{}}}{}\n",
-            c.load,
-            c.mean_gap,
-            report_json(&c.report, "     "),
-            if i + 1 < cells.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n  \"soak\": {\n");
-    out.push_str(&format!("    \"jobs\": {},\n", soak.jobs));
-    out.push_str(&format!("{},\n", report_json(&soak.report, "    ")));
-    out.push_str(&format!(
-        "    \"live_bytes_early\": {}, \"live_bytes_mid\": {}, \"live_bytes_end\": {}\n",
-        soak.live_bytes_early, soak.live_bytes_mid, soak.live_bytes_end
-    ));
-    out.push_str("  }\n}\n");
-    out
+    let live = [
+        ("live_bytes_early", soak.live_bytes_early.into()),
+        ("live_bytes_mid", soak.live_bytes_mid.into()),
+        ("live_bytes_end", soak.live_bytes_end.into()),
+    ];
+    let soak_members = [("jobs", soak.jobs.into())].into_iter().chain(report_members(&soak.report));
+    Value::object([
+        ("schema", "pf-bench-fabric-v1".into()), ("q", q.into()), ("jobs", n.into()),
+        ("seed", seed.into()), ("points", points_value(cells)),
+        ("soak", Value::object(soak_members.chain(live))),
+    ])
+    .pretty()
 }
 
 /// The `experiments fabric-sweep` entry point: sweeps, soaks, prints a
@@ -322,7 +307,7 @@ mod tests {
         assert_eq!(s.report.incremental_repairs, 1);
         let json = to_json(3, 30, 7, &cells, &s);
         assert!(json.contains("pf-bench-fabric-v1"));
-        assert!(json.contains("\"soak\": {"));
+        assert!(json.contains("\"soak\": {\n"));
         // Byte-determinism: a second identical run serializes identically.
         let json2 = to_json(3, 30, 7, &collect(&plan, 30, 7), &soak(&plan, 120, 7));
         assert_eq!(json, json2);

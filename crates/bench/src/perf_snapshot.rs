@@ -48,6 +48,7 @@ use crate::print_header;
 use pf_allreduce::AllreducePlan;
 use pf_simnet::engine::Collective;
 use pf_simnet::faults::{DetectionConfig, FaultEvent, FaultKind, FaultTarget};
+use pf_simnet::json::Value;
 use pf_simnet::{FaultSchedule, MultiTreeEmbedding, SimConfig, Simulator, Workload};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::path::Path;
@@ -474,68 +475,44 @@ pub fn to_json(
     collectives: &[crate::collectives::CollectivePoint],
     scaling: &[ScalingPoint],
 ) -> String {
-    let mut out = String::new();
-    out.push_str("{\n  \"schema\": \"pf-bench-simnet-perf-v2\",\n  \"summary\": [\n");
-    let summary = summarize(points);
-    for (i, s) in summary.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"q\": {}, \"allreduce_speedup\": {:.3}}}{}\n",
-            s.q,
-            s.allreduce_speedup,
-            if i + 1 < summary.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n  \"points\": [\n");
-    for (i, p) in points.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"label\": \"{}\", \"regime\": \"{}\", \"q\": {}, \"m\": {}, \
-             \"speedup\": {:.3}, \"engines\": [\n",
-            p.label, p.regime, p.q, p.m, p.speedup
-        ));
-        for (j, e) in p.engines.iter().enumerate() {
-            out.push_str(&format!(
-                "      {{\"engine\": \"{}\", \"cycles\": {}, \"wall_seconds\": {:.6}, \
-                 \"cycles_per_sec\": {:.0}, \"allocations\": {}, \"allocated_bytes\": {}}}{}\n",
-                e.engine,
-                e.cycles,
-                e.wall_seconds,
-                e.cycles_per_sec,
-                e.allocations,
-                e.allocated_bytes,
-                if j + 1 < p.engines.len() { "," } else { "" }
-            ));
-        }
-        out.push_str(&format!("    ]}}{}\n", if i + 1 < points.len() { "," } else { "" }));
-    }
-    out.push_str("  ],\n  \"regime_geomeans\": [\n");
-    let geo = regime_geomeans(points);
-    for (i, (regime, g)) in geo.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"regime\": \"{}\", \"speedup\": {:.3}}}{}\n",
-            regime,
-            g,
-            if i + 1 < geo.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n  \"scaling\": [\n");
-    for (i, s) in scaling.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"q\": {}, \"routers\": {}, \"threads\": {}, \"m\": {}, \"cycles\": {}, \
-             \"wall_seconds\": {:.6}, \"routers_per_sec\": {:.0}}}{}\n",
-            s.q,
-            s.routers,
-            s.threads,
-            s.m,
-            s.cycles,
-            s.wall_seconds,
-            s.routers_per_sec,
-            if i + 1 < scaling.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n  \"collectives\": [\n");
-    out.push_str(&crate::collectives::rows_json(collectives, "    "));
-    out.push_str("  ]\n}\n");
-    out
+    let engine = |e: &EngineMeasurement| {
+        Value::object([
+            ("engine", e.engine.into()), ("cycles", e.cycles.into()),
+            ("wall_seconds", Value::fixed(e.wall_seconds, 6)),
+            ("cycles_per_sec", Value::fixed(e.cycles_per_sec, 0)),
+            ("allocations", e.allocations.into()), ("allocated_bytes", e.allocated_bytes.into()),
+        ])
+    };
+    let point = |p: &PerfPoint| {
+        Value::object([
+            ("label", p.label.into()), ("regime", p.regime.into()), ("q", p.q.into()),
+            ("m", p.m.into()), ("speedup", Value::fixed(p.speedup, 3)),
+            ("engines", p.engines.iter().map(engine).collect()),
+        ])
+    };
+    let summary = |s: &QSummary| {
+        Value::object([("q", s.q.into()), ("allreduce_speedup", Value::fixed(s.allreduce_speedup, 3))])
+    };
+    let geomean = |&(regime, g): &(&str, f64)| {
+        Value::object([("regime", regime.into()), ("speedup", Value::fixed(g, 3))])
+    };
+    let scaling_cell = |s: &ScalingPoint| {
+        Value::object([
+            ("q", s.q.into()), ("routers", s.routers.into()), ("threads", s.threads.into()),
+            ("m", s.m.into()), ("cycles", s.cycles.into()),
+            ("wall_seconds", Value::fixed(s.wall_seconds, 6)),
+            ("routers_per_sec", Value::fixed(s.routers_per_sec, 0)),
+        ])
+    };
+    Value::object([
+        ("schema", "pf-bench-simnet-perf-v2".into()),
+        ("summary", summarize(points).iter().map(summary).collect()),
+        ("points", points.iter().map(point).collect()),
+        ("regime_geomeans", regime_geomeans(points).iter().map(geomean).collect()),
+        ("scaling", scaling.iter().map(scaling_cell).collect()),
+        ("collectives", collectives.iter().map(crate::collectives::CollectivePoint::to_value).collect()),
+    ])
+    .pretty()
 }
 
 /// Options for [`print_perf_snapshot`], wired from the `experiments`

@@ -18,7 +18,7 @@
 use crate::print_header;
 use pf_allreduce::AllreducePlan;
 use pf_sched::{FairnessStats, JobSpec, Policy, SchedConfig, SchedReport, Scheduler};
-use pf_simnet::trace::json_f64;
+use pf_simnet::json::Value;
 use pf_simnet::ReduceKind;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -132,33 +132,24 @@ pub fn collect(plan: &AllreducePlan, n: u32, seed: u64) -> Vec<SweepPoint> {
 /// Serializes the sweep as `pf-bench-sched-v1` JSON (schema in
 /// `docs/SCHEDULER.md`).
 pub fn to_json(q: u64, n: u32, seed: u64, points: &[SweepPoint]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n  \"schema\": \"pf-bench-sched-v1\",\n");
-    out.push_str(&format!("  \"q\": {q},\n  \"jobs\": {n},\n  \"seed\": {seed},\n"));
-    out.push_str("  \"points\": [\n");
-    for (i, p) in points.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"policy\": \"{}\", \"load\": \"{}\", \"jobs\": {}, \"waves\": {}, \
-             \"makespan\": {}, \"goodput\": {}, \"max_combined_congestion\": {}, \
-             \"congestion_bound\": {}, \"jain_index\": {}, \"p50_latency\": {}, \
-             \"p99_latency\": {}, \"mean_queueing_delay\": {}}}{}\n",
-            p.policy,
-            p.load,
-            p.jobs,
-            p.waves,
-            p.makespan,
-            json_f64(p.goodput),
-            p.max_combined_congestion,
-            p.congestion_bound,
-            json_f64(p.fairness.jain_index),
-            p.fairness.p50_latency,
-            p.fairness.p99_latency,
-            json_f64(p.fairness.mean_queueing_delay),
-            if i + 1 < points.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+    let point = |p: &SweepPoint| {
+        Value::object([
+            ("policy", p.policy.into()), ("load", p.load.into()), ("jobs", p.jobs.into()),
+            ("waves", p.waves.into()), ("makespan", p.makespan.into()),
+            ("goodput", p.goodput.into()),
+            ("max_combined_congestion", p.max_combined_congestion.into()),
+            ("congestion_bound", p.congestion_bound.into()),
+            ("jain_index", p.fairness.jain_index.into()),
+            ("p50_latency", p.fairness.p50_latency.into()),
+            ("p99_latency", p.fairness.p99_latency.into()),
+            ("mean_queueing_delay", p.fairness.mean_queueing_delay.into()),
+        ])
+    };
+    Value::object([
+        ("schema", "pf-bench-sched-v1".into()), ("q", q.into()), ("jobs", n.into()),
+        ("seed", seed.into()), ("points", points.iter().map(point).collect()),
+    ])
+    .pretty()
 }
 
 /// The `experiments sched-sweep` entry point: sweeps, prints a table,

@@ -8,9 +8,7 @@
 //!
 //! * trees found and maximum tree depth;
 //! * the Algorithm 1 aggregate bandwidth `Σ B_i`, in exact rationals;
-//! * the substrate-generic bound `min(|E|/(n−1), δ_min)`
-//!   ([`pf_allreduce::perf::substrate_bandwidth_bound`]) it must respect;
-//! * the exact rate bound `min(|E|/(n−1), λ(G))`
+//! * the exact rate bound `min(|E|/(n−1), λ(G))` it must respect
 //!   ([`pf_allreduce::rate::allreduce_rate_bound`], see `docs/RATES.md`)
 //!   and the optimality gap `Σ B_i / rate bound` — as an exact rational
 //!   and a float rendering (`1` = the construction is certified
@@ -50,9 +48,7 @@ pub struct TopoCompareRow {
     pub depth: u32,
     /// Algorithm 1 aggregate bandwidth `Σ B_i`.
     pub aggregate: Rational,
-    /// The substrate-generic aggregate bound `min(|E|/(n−1), δ_min)`.
-    pub bound: Rational,
-    /// The exact rate bound `min(|E|/(n−1), λ(G))` — never above `bound`.
+    /// The exact rate bound `min(|E|/(n−1), λ(G))`.
     pub rate_bound: Rational,
     /// Optimality gap `aggregate / rate_bound ∈ (0, 1]`, exact.
     pub gap: Rational,
@@ -93,11 +89,6 @@ pub fn topo_compare_rows(full: bool) -> Vec<TopoCompareRow> {
                 backend.name(),
                 sub.name
             );
-            assert!(
-                rate.bound <= plan.substrate_bound(),
-                "{}: rate bound must refine the substrate bound",
-                sub.name
-            );
             if let Some(bound) = backend.congestion_bound() {
                 assert!(
                     plan.max_congestion <= bound,
@@ -114,7 +105,6 @@ pub fn topo_compare_rows(full: bool) -> Vec<TopoCompareRow> {
                 trees: plan.trees.len(),
                 depth: plan.depth,
                 aggregate: plan.aggregate,
-                bound: plan.substrate_bound(),
                 rate_bound: rate.bound,
                 gap: rate.gap(plan.aggregate),
                 max_congestion: plan.max_congestion,
@@ -133,15 +123,15 @@ pub fn render_topo_compare(full: bool) -> String {
     let mut out = String::new();
     writeln!(
         out,
-        "{:<16} {:>5} {:>5}  {:<14} {:>5} {:>5} {:>10} {:>10} {:>8} {:>9} {:>7} {:>5} {:>6}",
-        "substrate", "n", "|E|", "construction", "trees", "depth", "agg bw", "bound", "rate bd",
-        "gap", "gap~", "cong", "claim"
+        "{:<16} {:>5} {:>5}  {:<14} {:>5} {:>5} {:>10} {:>8} {:>9} {:>7} {:>5} {:>6}",
+        "substrate", "n", "|E|", "construction", "trees", "depth", "agg bw", "rate bd", "gap",
+        "gap~", "cong", "claim"
     )
     .unwrap();
     for r in &rows {
         writeln!(
             out,
-            "{:<16} {:>5} {:>5}  {:<14} {:>5} {:>5} {:>10} {:>10} {:>8} {:>9} {:>7.4} {:>5} {:>6}",
+            "{:<16} {:>5} {:>5}  {:<14} {:>5} {:>5} {:>10} {:>8} {:>9} {:>7.4} {:>5} {:>6}",
             r.substrate,
             r.vertices,
             r.edges,
@@ -149,7 +139,6 @@ pub fn render_topo_compare(full: bool) -> String {
             r.trees,
             r.depth,
             r.aggregate.to_string(),
-            r.bound.to_string(),
             r.rate_bound.to_string(),
             r.gap.to_string(),
             r.gap.to_f64(),
@@ -158,10 +147,7 @@ pub fn render_topo_compare(full: bool) -> String {
         )
         .unwrap();
     }
-    out.push_str(
-        "\n(agg bw = Algorithm 1 aggregate Σ B_i in exact rationals; \
-         bound = min(|E|/(n−1), δ_min);\n",
-    );
+    out.push_str("\n(agg bw = Algorithm 1 aggregate Σ B_i in exact rationals;\n");
     out.push_str(
         " rate bd = min(|E|/(n−1), λ(G)) — the exact rate upper bound, docs/RATES.md; \
          gap = agg bw / rate bd\n",
@@ -214,7 +200,6 @@ mod tests {
     #[test]
     fn gap_columns_are_well_formed() {
         for r in topo_compare_rows(false) {
-            assert!(r.rate_bound <= r.bound, "{}: rate bound must refine", r.substrate);
             assert!(r.gap.is_positive(), "{}/{}", r.substrate, r.backend);
             assert!(r.gap <= Rational::ONE, "{}/{}", r.substrate, r.backend);
             assert_eq!(r.gap * r.rate_bound, r.aggregate, "{}/{}", r.substrate, r.backend);

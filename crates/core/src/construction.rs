@@ -331,8 +331,8 @@ pub struct KaryMultitree {
 
 impl KaryMultitree {
     /// Natural tree count for `g`: its minimum degree (the vertex-capacity
-    /// bound on how many trees can help — see
-    /// [`crate::perf::substrate_bandwidth_bound`]).
+    /// bound on how many trees can help; the min cut behind
+    /// [`crate::rate::allreduce_rate_bound`] is never above it).
     fn natural_count(g: &Graph) -> usize {
         g.min_degree().max(1) as usize
     }

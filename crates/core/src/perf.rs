@@ -8,40 +8,6 @@
 //! Hamiltonian trees.
 
 use crate::rational::Rational;
-use pf_graph::Graph;
-
-/// Substrate-generic upper bound on the aggregate Algorithm 1 bandwidth of
-/// *any* spanning-tree set over `g` (unit link bandwidth), in exact
-/// rationals:
-///
-/// `Σ B_i ≤ min(|E| / (n − 1), δ_min)`.
-///
-/// Both terms follow from the per-edge constraint `Σ_{i ∋ e} B_i ≤ 1`:
-/// every spanning tree uses at least `n − 1` edges (so the weighted edge
-/// budget `|E|` caps the aggregate at `|E|/(n − 1)`), and every spanning
-/// tree touches each vertex with at least one edge (so the capacity of a
-/// minimum-degree vertex caps it at `δ_min`). This generalizes the shape
-/// of Corollary 7.1 to arbitrary substrates — on PolarFly it is slightly
-/// looser than the paper's `(q + 1)/2`, so it is safe as a standing
-/// "achieved ≤ bound" invariant for every construction
-/// (`tests/paper_claims.rs`). Returns zero for graphs with fewer than two
-/// vertices (no plan exists there; see
-/// [`crate::construction::ConstructError::TooSmall`]).
-///
-/// [`crate::rate::allreduce_rate_bound`] tightens this bound by replacing
-/// the singleton-cut term `δ_min` with the true global min cut `λ(G)`
-/// (and reports typed errors instead of zero on degenerate graphs); the
-/// rate bound is never above this one, so invariants asserted here
-/// transfer.
-pub fn substrate_bandwidth_bound(g: &Graph) -> Rational {
-    let n = g.num_vertices() as i64;
-    if n < 2 {
-        return Rational::ZERO;
-    }
-    let edge_bound = Rational::new(g.num_edges() as i64, n - 1);
-    let degree_bound = Rational::from_int(g.min_degree() as i64);
-    edge_bound.min(degree_bound)
-}
 
 /// Corollary 7.1: optimal bidirectional in-network allreduce bandwidth of
 /// `ER_q` with link bandwidth `b`: `(q + 1)·b / 2`.
@@ -313,34 +279,6 @@ mod tests {
             predicted_tree_cycles(28, 4, 2500, Rational::ONE),
         );
         assert_eq!(predicted_reduce_scatter_tree_cycles(5, 4, 0, Rational::ONE), 0);
-    }
-
-    #[test]
-    fn substrate_bound_values() {
-        use pf_graph::builders;
-        // Cycle: n edges over n−1 per tree, but min degree 2 is larger.
-        assert_eq!(substrate_bandwidth_bound(&builders::cycle(5)), Rational::new(5, 4));
-        // Path: the single bridge-limited tree.
-        assert_eq!(substrate_bandwidth_bound(&builders::path(4)), Rational::ONE);
-        // K4: 6 edges / 3 = 2 < min degree 3.
-        assert_eq!(substrate_bandwidth_bound(&builders::complete(4)), Rational::from_int(2));
-        // Star: the leaves cap it at their degree.
-        assert_eq!(substrate_bandwidth_bound(&builders::star(6)), Rational::ONE);
-        // Degenerate graphs price to zero.
-        assert_eq!(substrate_bandwidth_bound(&Graph::new(1)), Rational::ZERO);
-        assert_eq!(substrate_bandwidth_bound(&Graph::new(0)), Rational::ZERO);
-    }
-
-    #[test]
-    fn substrate_bound_dominates_the_paper_bounds_on_polarfly() {
-        // On ER_q the generic bound sits at or above Corollary 7.1, so
-        // "achieved ≤ generic bound" is implied by the paper's own claims
-        // and safe to assert for every construction.
-        for q in [3u64, 5, 7, 9, 11] {
-            let pf = pf_topo::PolarFly::new(q);
-            let generic = substrate_bandwidth_bound(pf.graph());
-            assert!(generic >= optimal_bandwidth(q, Rational::ONE), "q={q}");
-        }
     }
 
     #[test]

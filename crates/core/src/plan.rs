@@ -134,7 +134,7 @@ impl AllreducePlan {
     /// ([`Solution::Constructed`]); `q` is 0, so the PolarFly-specific
     /// [`AllreducePlan::optimal_bandwidth`] /
     /// [`AllreducePlan::normalized_bandwidth`] do not apply — compare
-    /// against [`AllreducePlan::substrate_bound`] instead. Everything
+    /// against [`AllreducePlan::rate_bound`] instead. Everything
     /// downstream (simulator embedding, faults/recovery, scheduler
     /// subsets) works on these plans unchanged.
     pub fn construct(
@@ -159,19 +159,11 @@ impl AllreducePlan {
         self.graph.num_vertices() as u64
     }
 
-    /// Substrate-generic aggregate-bandwidth upper bound
-    /// ([`perf::substrate_bandwidth_bound`]): `min(|E|/(n−1), δ_min)`.
-    /// Holds for every plan, on every substrate, in exact rationals.
-    pub fn substrate_bound(&self) -> Rational {
-        perf::substrate_bandwidth_bound(&self.graph)
-    }
-
     /// Exact allreduce rate upper bound for this plan's substrate
     /// ([`crate::rate::allreduce_rate_bound`]): `min(|E|/(n−1), λ(G))` in
-    /// exact rationals. Tightens [`AllreducePlan::substrate_bound`]
-    /// (global min cut instead of `δ_min`); `aggregate ≤ rate_bound()` is
-    /// the standing paper-claims invariant for every plan on every
-    /// substrate (see `docs/RATES.md`).
+    /// exact rationals. `aggregate ≤ rate_bound()` is the standing
+    /// paper-claims invariant for every plan on every substrate (see
+    /// `docs/RATES.md`).
     pub fn rate_bound(&self) -> Rational {
         crate::rate::allreduce_rate_bound(&self.graph)
             .expect("plans only exist on connected substrates with >= 2 vertices")
@@ -480,7 +472,7 @@ mod tests {
         assert_eq!(plan.num_nodes(), 16);
         assert_eq!(plan.solution.label(), "kary-multitree");
         assert!(plan.aggregate.is_positive());
-        assert!(plan.aggregate <= plan.substrate_bound());
+        assert!(plan.aggregate <= plan.rate_bound());
         // The generic plan drives the same downstream machinery.
         let sizes = plan.split(1000);
         assert_eq!(sizes.iter().sum::<u64>(), 1000);

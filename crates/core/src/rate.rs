@@ -20,9 +20,9 @@
 //!
 //! [`allreduce_rate_bound`] computes `min` of the two in exact rationals
 //! ([`Rational`]) via an exact contraction-based min cut ([`global_min_cut`]).
-//! It refines [`crate::perf::substrate_bandwidth_bound`]
-//! (`min(|E|/(n−1), δ_min)`): always at or below it, so every invariant the
-//! repo already asserts against the looser bound transfers for free.
+//! Since `λ(G) ≤ δ_min`, it is never above the degree-based
+//! `min(|E|/(n−1), δ_min)`, and it is the one aggregate-bandwidth ceiling
+//! the repo asserts.
 //!
 //! Known substrate families have closed forms ([`polarfly_bound`],
 //! [`torus_bound`], [`hypercube_bound`], [`complete_bound`]); the property
@@ -521,9 +521,9 @@ mod tests {
     fn lopsided_barbell_cut_beats_the_degree_bound() {
         // Two K5s joined by TWO bridges: δ_min = 4 (every vertex sits in a
         // K5; the bridge endpoints have degree 5), |E|/(n−1) = 22/9 > 2,
-        // but the min cut is the 2-edge waist. The old
-        // substrate_bandwidth_bound = min(22/9, 4) = 22/9 misses it; the
-        // rate bound finds 2.
+        // but the min cut is the 2-edge waist. The degree-based
+        // min(|E|/(n−1), δ_min) = min(22/9, 4) = 22/9 misses it; the rate
+        // bound finds 2.
         let mut g = Graph::new(10);
         for side in [0u32, 5] {
             for u in side..side + 5 {
@@ -540,13 +540,14 @@ mod tests {
         assert_eq!(b.edge_budget, Rational::new(22, 9));
         assert_eq!(b.bound, Rational::from_int(2));
         assert_eq!(b.limiter(), RateLimiter::MinCut);
-        assert!(b.bound < crate::perf::substrate_bandwidth_bound(&g));
+        let edges_per_tree = Rational::new(g.num_edges() as i64, g.num_vertices() as i64 - 1);
+        assert!(b.bound < edges_per_tree.min(Rational::from_int(g.min_degree() as i64)));
     }
 
     #[test]
     fn rate_bound_refines_the_substrate_bound() {
         // λ ≤ δ_min always, so the rate bound never exceeds the
-        // substrate-generic bound — on any graph.
+        // degree-based min(|E|/(n−1), δ_min) — on any graph.
         for g in [
             builders::cycle(7),
             builders::complete(9),
@@ -557,7 +558,7 @@ mod tests {
             crate::substrates::bridged_cliques(5),
         ] {
             let b = allreduce_rate_bound(&g).unwrap();
-            assert!(b.bound <= crate::perf::substrate_bandwidth_bound(&g));
+            assert!(b.bound <= b.edge_budget.min(Rational::from_int(b.min_degree as i64)));
             assert!(b.min_cut <= b.min_degree as u64);
             assert!(b.bound.is_positive());
         }

@@ -11,13 +11,11 @@
 //! * **congestion**: no edge is used by more than `congestion_bound()`
 //!   trees (or more than `trees.len()` when no bound is claimed);
 //! * **water-filling**: Algorithm 1 shares in exact rationals — per-edge
-//!   load `Σ B_i ≤ 1`, every tree saturates some link, and the aggregate
-//!   respects the substrate-generic bound `min(|E|/(n−1), δ_min)`;
-//! * **rate bound**: the aggregate also respects the tighter exact rate
-//!   bound `min(|E|/(n−1), λ(G))` (`pf_allreduce::rate`, docs/RATES.md),
-//!   the rate bound refines the substrate bound, and on substrate
-//!   families with a published closed form the generic computation
-//!   reproduces it exactly;
+//!   load `Σ B_i ≤ 1` and every tree saturates some link;
+//! * **rate bound**: the aggregate respects the exact rate bound
+//!   `min(|E|/(n−1), λ(G))` (`pf_allreduce::rate`, docs/RATES.md), and on
+//!   substrate families with a published closed form the generic
+//!   computation reproduces it exactly;
 //! * **budget & determinism**: tree caps are honored and rebuilding is
 //!   byte-identical.
 //!
@@ -27,7 +25,6 @@
 //! `--include-ignored` job.
 
 use pf_allreduce::congestion::assign_unit_bandwidth;
-use pf_allreduce::perf::substrate_bandwidth_bound;
 use pf_allreduce::plan::AllreducePlan;
 use pf_allreduce::rational::Rational;
 use pf_allreduce::rate::{allreduce_rate_bound, RateError};
@@ -113,28 +110,14 @@ fn check_pair(b: &dyn TreeConstruction, sub: &Substrate) -> bool {
             "{ctx}: tree {ti} saturates no link"
         );
     }
-    assert!(
-        a.aggregate() <= substrate_bandwidth_bound(g),
-        "{ctx}: aggregate {} beats the substrate bound {}",
-        a.aggregate(),
-        substrate_bandwidth_bound(g)
-    );
-
-    // The exact rate bound (edge budget ∧ global min cut) must also hold,
-    // refine the substrate bound, and agree with the family's closed form
-    // where one is known.
+    // The exact rate bound (edge budget ∧ global min cut) must hold and
+    // agree with the family's closed form where one is known.
     let rate = allreduce_rate_bound(g).unwrap_or_else(|e| panic!("{ctx}: {e}"));
     assert!(
         rate.certifies(a.aggregate()),
         "{ctx}: aggregate {} beats the rate bound {}",
         a.aggregate(),
         rate.bound
-    );
-    assert!(
-        rate.bound <= substrate_bandwidth_bound(g),
-        "{ctx}: rate bound {} must refine the substrate bound {}",
-        rate.bound,
-        substrate_bandwidth_bound(g)
     );
     if let Some(closed) = closed_form_rate_bound(&sub.name) {
         assert_eq!(rate.bound, closed, "{ctx}: closed-form rate bound mismatch");

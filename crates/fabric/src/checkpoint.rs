@@ -1,48 +1,44 @@
 //! Checkpoint / restore for the fabric manager.
 //!
-//! Format `pf-fabric-ckpt-v1`: versioned, line-based ASCII, integers only
-//! (the digest and fingerprints are decimal `u64`s) — like the bench JSON
-//! files it is byte-deterministic, so a round trip through
+//! Format `pf-fabric-ckpt-v2`: one compact JSON document written and read
+//! through [`pf_simnet::json`], the same layer as the traces and the bench
+//! files. Integers are exact (the digest and fingerprints are full
+//! `u64`s) and the output is byte-deterministic, so a round trip through
 //! [`FabricManager::checkpoint`] → [`FabricManager::restore`] →
 //! [`FabricManager::checkpoint`] is byte-identical, and two managers fed
 //! the same trace checkpoint identically.
 //!
-//! What is saved: the virtual clock, every aggregate counter, the latency
-//! histogram, the rolling digest, the active fault set, and both job
-//! queues (full specs, ingestion order). What is deliberately *not*
-//! saved: the plan cache and the degraded plan. Both are pure functions
-//! of `(healthy plan, fault set)` — restore re-derives the degraded plan
-//! from the saved fault set (without counting a repair event; the saved
-//! counters already account for it) and starts with a cold cache, whose
-//! stats are the only report fields a restored manager may differ in.
+//! What is saved: the virtual clock, every aggregate counter (by name),
+//! the latency histogram, the rolling digest, the active fault set, and
+//! both job queues (full specs, ingestion order). What is deliberately
+//! *not* saved: the plan cache and the degraded plan. Both are pure
+//! functions of `(healthy plan, fault set)` — restore re-derives the
+//! degraded plan from the saved fault set (without counting a repair
+//! event; the saved counters already account for it) and starts with a
+//! cold cache, whose stats are the only report fields a restored manager
+//! may differ in.
 
-use crate::manager::{FabricConfig, FabricManager, LATENCY_BUCKETS};
+use crate::manager::{FabricConfig, FabricManager};
 use pf_allreduce::recovery::rebuild_degraded;
 use pf_allreduce::{AllreducePlan, FaultSet};
 use pf_sched::{validate_spec, JobSpec};
+use pf_simnet::json::{self, JsonError, Obj, Value};
 use pf_simnet::{Collective, ReduceKind};
 use std::collections::VecDeque;
 use std::fmt;
-use std::fmt::Write as _;
 use std::sync::Arc;
 
-/// The checkpoint format's magic first line.
-pub const CHECKPOINT_MAGIC: &str = "pf-fabric-ckpt-v1";
+/// The checkpoint format's schema tag.
+pub const CHECKPOINT_SCHEMA: &str = "pf-fabric-ckpt-v2";
 
 /// Why a checkpoint could not be restored.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CheckpointError {
-    /// The first line is not [`CHECKPOINT_MAGIC`].
-    BadMagic,
-    /// The text ended before the `end` marker.
-    Truncated,
-    /// A line did not parse (1-based line number and what was expected).
-    Malformed {
-        /// 1-based line number in the checkpoint text.
-        line: usize,
-        /// What the parser expected there.
-        expected: &'static str,
-    },
+    /// The document's schema tag names another format (the tag found).
+    Schema(String),
+    /// The text is not JSON, or a field is missing, mistyped or out of
+    /// range.
+    Malformed(JsonError),
     /// The saved fault set does not apply to the given plan (wrong plan,
     /// or it would partition the fabric).
     FaultMismatch,
@@ -50,19 +46,21 @@ pub enum CheckpointError {
     BadJob(u32),
 }
 
+impl From<JsonError> for CheckpointError {
+    fn from(e: JsonError) -> Self {
+        match e {
+            JsonError::Schema { found, .. } => CheckpointError::Schema(found),
+            e => CheckpointError::Malformed(e),
+        }
+    }
+}
+
 impl fmt::Display for CheckpointError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            CheckpointError::BadMagic => {
-                write!(f, "checkpoint does not start with {CHECKPOINT_MAGIC}")
-            }
-            CheckpointError::Truncated => write!(f, "checkpoint ends before the end marker"),
-            CheckpointError::Malformed { line, expected } => {
-                write!(f, "checkpoint line {line}: expected {expected}")
-            }
-            CheckpointError::FaultMismatch => {
-                write!(f, "saved fault set does not apply to this plan")
-            }
+            CheckpointError::Schema(found) => write!(f, "schema {found:?} is not {CHECKPOINT_SCHEMA}"),
+            CheckpointError::Malformed(e) => write!(f, "malformed checkpoint: {e}"),
+            CheckpointError::FaultMismatch => write!(f, "saved fault set does not apply to this plan"),
             CheckpointError::BadJob(id) => write!(f, "saved job {id} is invalid for this plan"),
         }
     }
@@ -70,80 +68,89 @@ impl fmt::Display for CheckpointError {
 
 impl std::error::Error for CheckpointError {}
 
-fn push_job(out: &mut String, s: &JobSpec) {
+/// The aggregate counters, saved by name under `"counters"`.
+macro_rules! counters {
+    ($($field:ident),+ $(,)?) => {
+        fn counters_value(m: &FabricManager) -> Value {
+            Value::object([$((stringify!($field), Value::from(m.$field))),+])
+        }
+
+        fn restore_counters(m: &mut FabricManager, o: Obj<'_>) -> Result<(), JsonError> {
+            $(m.$field = o.get(stringify!($field))?;)+
+            Ok(())
+        }
+    };
+}
+
+counters!(
+    submitted, accepted, deferred, rejected, invalid, completed, total_elems, epochs, waves,
+    makespan, mismatches, max_comb, incremental_repairs, full_rebuilds, heals, fault_events,
+    latency_sum, queueing_sum, max_latency, digest,
+);
+
+/// A job spec; `participants` is omitted when every node takes part.
+fn job_value(s: &JobSpec) -> Value {
     let kind = match s.kind {
         ReduceKind::WrappingU64 => "u64",
         ReduceKind::FloatF64 => "f64",
     };
-    let participants = match &s.participants {
-        None => "-".to_string(),
-        Some(p) => {
-            p.iter().map(u32::to_string).collect::<Vec<_>>().join(",")
-        }
+    let mut members = vec![
+        ("id", s.id.into()), ("arrival", s.arrival.into()), ("elems", s.elems.into()),
+        ("kind", kind.into()), ("priority", s.priority.into()),
+        ("collective", s.collective.name().into()),
+    ];
+    if let Some(p) = &s.participants {
+        members.push(("participants", p.iter().map(|&v| v.into()).collect()));
+    }
+    Value::object(members)
+}
+
+fn job_from(o: Obj<'_>) -> Result<JobSpec, JsonError> {
+    let mistyped = |key: &str, expected| JsonError::Type { key: key.to_string(), expected };
+    let kind = match o.get_str("kind")? {
+        "u64" => ReduceKind::WrappingU64,
+        "f64" => ReduceKind::FloatF64,
+        _ => return Err(mistyped("kind", "reduce kind")),
     };
-    writeln!(
-        out,
-        "job {} {} {} {kind} {} {} {participants}",
-        s.id,
-        s.arrival,
-        s.elems,
-        s.priority,
-        s.collective.name()
-    )
-    .expect("writing to a String cannot fail");
+    let collective = Collective::from_name(o.get_str("collective")?)
+        .ok_or_else(|| mistyped("collective", "collective name"))?;
+    let participants = o.get_opt::<&[Value]>("participants")?.map(|_| o.get_list("participants"));
+    Ok(JobSpec {
+        id: o.get_u32("id")?,
+        arrival: o.get_u64("arrival")?,
+        elems: o.get_u64("elems")?,
+        kind,
+        priority: o.get_u32("priority")?,
+        participants: participants.transpose()?,
+        collective,
+    })
+}
+
+/// Queue `key`, every spec validated against `plan`.
+fn queue(o: Obj<'_>, key: &str, plan: &AllreducePlan) -> Result<VecDeque<JobSpec>, CheckpointError> {
+    o.get_list(key)?
+        .into_iter()
+        .map(|j| {
+            let spec = job_from(j)?;
+            validate_spec(&spec, plan).map_err(|_| CheckpointError::BadJob(spec.id))?;
+            Ok(spec)
+        })
+        .collect()
 }
 
 impl FabricManager {
     /// Serializes the manager's resumable state (see module docs).
     #[must_use]
     pub fn checkpoint(&self) -> String {
-        let mut out = String::new();
-        let w = &mut out;
-        writeln!(w, "{CHECKPOINT_MAGIC}").unwrap();
-        writeln!(w, "now {} {}", self.now, self.last_event).unwrap();
-        writeln!(
-            w,
-            "counters {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {}",
-            self.submitted,
-            self.accepted,
-            self.deferred,
-            self.rejected,
-            self.invalid,
-            self.completed,
-            self.total_elems,
-            self.epochs,
-            self.waves,
-            self.makespan,
-            self.mismatches,
-            self.max_comb,
-            self.incremental_repairs,
-            self.full_rebuilds,
-            self.heals,
-            self.fault_events
-        )
-        .unwrap();
-        writeln!(
-            w,
-            "sums {} {} {} {}",
-            self.latency_sum, self.queueing_sum, self.max_latency, self.digest
-        )
-        .unwrap();
-        let hist =
-            self.latency_hist.iter().map(u64::to_string).collect::<Vec<_>>().join(" ");
-        writeln!(w, "hist {hist}").unwrap();
-        let faults =
-            self.faults.edges.iter().map(u32::to_string).collect::<Vec<_>>().join(" ");
-        writeln!(w, "faults {}{}{faults}", self.faults.edges.len(), if faults.is_empty() { "" } else { " " }).unwrap();
-        writeln!(w, "ready {}", self.ready.len()).unwrap();
-        for s in &self.ready {
-            push_job(w, s);
-        }
-        writeln!(w, "deferred {}", self.deferred_q.len()).unwrap();
-        for s in &self.deferred_q {
-            push_job(w, s);
-        }
-        writeln!(w, "end").unwrap();
-        out
+        Value::object([
+            ("schema", CHECKPOINT_SCHEMA.into()), ("now", self.now.into()),
+            ("last_event", self.last_event.into()), ("counters", counters_value(self)),
+            ("latency_hist", self.latency_hist.iter().map(|&x| x.into()).collect()),
+            ("faults", self.faults.edges.iter().map(|&e| e.into()).collect()),
+            ("ready", self.ready.iter().map(job_value).collect()),
+            ("deferred", self.deferred_q.iter().map(job_value).collect()),
+        ])
+        .compact()
     }
 
     /// Reconstructs a manager from a checkpoint taken on the same healthy
@@ -155,53 +162,17 @@ impl FabricManager {
         cfg: FabricConfig,
         text: &str,
     ) -> Result<FabricManager, CheckpointError> {
-        let mut p = Parser { lines: text.lines().enumerate() };
-        if p.next_line()?.1 != CHECKPOINT_MAGIC {
-            return Err(CheckpointError::BadMagic);
-        }
+        let doc = json::parse(text)?;
+        let o = doc.document(CHECKPOINT_SCHEMA)?;
         let mut m = FabricManager::new(plan, cfg);
+        m.now = o.get_u64("now")?;
+        m.last_event = o.get_u64("last_event")?;
+        restore_counters(&mut m, o.get_object("counters")?)?;
+        m.latency_hist = o.get_list("latency_hist")?.try_into().map_err(|_| {
+            JsonError::Type { key: "latency_hist".to_string(), expected: "one u64 per latency bucket" }
+        })?;
 
-        let now = p.fields("now", 2)?;
-        (m.now, m.last_event) = (now[0], now[1]);
-        let c = p.fields("counters", 16)?;
-        m.submitted = c[0];
-        m.accepted = c[1];
-        m.deferred = c[2];
-        m.rejected = c[3];
-        m.invalid = c[4];
-        m.completed = c[5];
-        m.total_elems = c[6];
-        m.epochs = c[7];
-        m.waves = c[8];
-        m.makespan = c[9];
-        m.mismatches = c[10];
-        m.max_comb = u32::try_from(c[11])
-            .map_err(|_| CheckpointError::Malformed { line: 3, expected: "u32 max_comb" })?;
-        m.incremental_repairs = c[12];
-        m.full_rebuilds = c[13];
-        m.heals = c[14];
-        m.fault_events = c[15];
-        let s = p.fields("sums", 4)?;
-        (m.latency_sum, m.queueing_sum, m.max_latency, m.digest) = (s[0], s[1], s[2], s[3]);
-        let hist = p.fields("hist", LATENCY_BUCKETS)?;
-        m.latency_hist.copy_from_slice(&hist);
-
-        let (line, text) = p.next_line()?;
-        let mut it = text.split_whitespace();
-        if it.next() != Some("faults") {
-            return Err(CheckpointError::Malformed { line, expected: "faults <n> <edges...>" });
-        }
-        let n: usize = it
-            .next()
-            .and_then(|t| t.parse().ok())
-            .ok_or(CheckpointError::Malformed { line, expected: "fault count" })?;
-        let edges: Vec<u32> = it
-            .map(str::parse)
-            .collect::<Result<_, _>>()
-            .map_err(|_| CheckpointError::Malformed { line, expected: "u32 edge ids" })?;
-        if edges.len() != n {
-            return Err(CheckpointError::Malformed { line, expected: "matching fault count" });
-        }
+        let edges: Vec<u32> = o.get_list("faults")?;
         if edges.iter().any(|&e| e >= m.healthy.graph.num_edges()) {
             return Err(CheckpointError::FaultMismatch);
         }
@@ -215,91 +186,10 @@ impl FabricManager {
             m.faults = faults;
         }
 
-        m.ready = p.queue(&m.healthy)?;
-        m.deferred_q = p.queue(&m.healthy)?;
+        m.ready = queue(o, "ready", &m.healthy)?;
+        m.deferred_q = queue(o, "deferred", &m.healthy)?;
         m.queued_ids = m.ready.iter().chain(&m.deferred_q).map(|s| s.id).collect();
         m.ready_elems = m.ready.iter().map(|s| s.elems).sum();
-        if p.next_line()?.1 != "end" {
-            return Err(CheckpointError::Truncated);
-        }
         Ok(m)
     }
-}
-
-struct Parser<'t> {
-    lines: std::iter::Enumerate<std::str::Lines<'t>>,
-}
-
-impl<'t> Parser<'t> {
-    /// Current 1-based line number of the last line returned.
-    fn next_line(&mut self) -> Result<(usize, &'t str), CheckpointError> {
-        self.lines.next().map(|(i, l)| (i + 1, l)).ok_or(CheckpointError::Truncated)
-    }
-
-    /// `<tag> <u64>{count}` lines.
-    fn fields(&mut self, tag: &'static str, count: usize) -> Result<Vec<u64>, CheckpointError> {
-        let (line, text) = self.next_line()?;
-        let mut it = text.split_whitespace();
-        if it.next() != Some(tag) {
-            return Err(CheckpointError::Malformed { line, expected: tag });
-        }
-        let vals: Vec<u64> = it
-            .map(str::parse)
-            .collect::<Result<_, _>>()
-            .map_err(|_| CheckpointError::Malformed { line, expected: "u64 fields" })?;
-        if vals.len() != count {
-            return Err(CheckpointError::Malformed { line, expected: "exact field count" });
-        }
-        Ok(vals)
-    }
-
-    /// `ready <n>` / `deferred <n>` followed by n `job` lines.
-    fn queue(&mut self, plan: &AllreducePlan) -> Result<VecDeque<JobSpec>, CheckpointError> {
-        let (line, text) = self.next_line()?;
-        let mut it = text.split_whitespace();
-        let tag = it.next();
-        if tag != Some("ready") && tag != Some("deferred") {
-            return Err(CheckpointError::Malformed { line, expected: "ready/deferred header" });
-        }
-        let n: usize = it
-            .next()
-            .and_then(|t| t.parse().ok())
-            .ok_or(CheckpointError::Malformed { line, expected: "queue length" })?;
-        let mut q = VecDeque::with_capacity(n);
-        for _ in 0..n {
-            let (line, text) = self.next_line()?;
-            let spec = parse_job(text)
-                .ok_or(CheckpointError::Malformed { line, expected: "job line" })?;
-            validate_spec(&spec, plan).map_err(|_| CheckpointError::BadJob(spec.id))?;
-            q.push_back(spec);
-        }
-        Ok(q)
-    }
-}
-
-fn parse_job(text: &str) -> Option<JobSpec> {
-    let mut it = text.split_whitespace();
-    if it.next() != Some("job") {
-        return None;
-    }
-    let id: u32 = it.next()?.parse().ok()?;
-    let arrival: u64 = it.next()?.parse().ok()?;
-    let elems: u64 = it.next()?.parse().ok()?;
-    let kind = match it.next()? {
-        "u64" => ReduceKind::WrappingU64,
-        "f64" => ReduceKind::FloatF64,
-        _ => return None,
-    };
-    let priority: u32 = it.next()?.parse().ok()?;
-    let collective = Collective::from_name(it.next()?)?;
-    let participants = match it.next()? {
-        "-" => None,
-        list => Some(
-            list.split(',').map(str::parse).collect::<Result<Vec<u32>, _>>().ok()?,
-        ),
-    };
-    if it.next().is_some() {
-        return None;
-    }
-    Some(JobSpec { id, arrival, elems, kind, priority, participants, collective })
 }

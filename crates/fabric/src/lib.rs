@@ -20,8 +20,9 @@
 //!   adapter that routes scheduler subset requests through it.
 //! * [`events`] — seeded virtual-time event sources ([`PoissonJobs`])
 //!   and the [`FabricEvent`] trace vocabulary.
-//! * [`checkpoint`] — versioned `pf-fabric-ckpt-v1` checkpoint/restore;
-//!   round trips are byte-identical.
+//! * [`checkpoint`] — versioned `pf-fabric-ckpt-v2` checkpoint/restore,
+//!   compact JSON through `pf_simnet::json`; round trips are
+//!   byte-identical.
 //!
 //! See `docs/FABRIC.md` for the service design and the
 //! `experiments fabric-sweep` benchmark it feeds.
@@ -35,6 +36,6 @@ pub mod events;
 pub mod manager;
 
 pub use cache::{CacheKey, CacheStats, CachingProvider, PlanCache};
-pub use checkpoint::{CheckpointError, CHECKPOINT_MAGIC};
+pub use checkpoint::{CheckpointError, CHECKPOINT_SCHEMA};
 pub use events::{FabricEvent, PoissonJobs};
 pub use manager::{Admission, FabricConfig, FabricManager, FabricReport, LATENCY_BUCKETS};

@@ -1,7 +1,7 @@
 //! Checkpoint/restore: round trips are byte-identical and a restored
 //! manager resumes exactly where the original left off.
 //!
-//! `pf-fabric-ckpt-v1` saves the clock, the aggregates, the fault set
+//! `pf-fabric-ckpt-v2` saves the clock, the aggregates, the fault set
 //! and both queues; the degraded plan and the cache are re-derived /
 //! cold on restore. So the contract is: `checkpoint(restore(c)) == c`
 //! byte for byte, and feeding the *same remaining trace* to the original
@@ -11,8 +11,10 @@
 use pf_allreduce::AllreducePlan;
 use pf_fabric::{
     CacheStats, CheckpointError, FabricConfig, FabricEvent, FabricManager, PoissonJobs,
+    CHECKPOINT_SCHEMA,
 };
 use pf_sched::JobSpec;
+use pf_simnet::json::JsonError;
 use proptest::prelude::*;
 
 fn cfg() -> FabricConfig {
@@ -110,20 +112,23 @@ fn malformed_checkpoints_are_refused() {
     let m = FabricManager::new(plan(), cfg());
     let good = m.checkpoint();
 
+    let refused = |text: &str| FabricManager::restore(plan(), cfg(), text).unwrap_err();
+
+    assert!(matches!(refused("nonsense\n"), CheckpointError::Malformed(JsonError::Syntax { .. })));
+    assert!(matches!(
+        refused(&good[..good.len() - 5]),
+        CheckpointError::Malformed(JsonError::Syntax { .. })
+    ));
     assert_eq!(
-        FabricManager::restore(plan(), cfg(), "nonsense\n").unwrap_err(),
-        CheckpointError::BadMagic
+        refused(&good.replace("counters", "confetti")),
+        CheckpointError::Malformed(JsonError::Missing("counters".into()))
     );
-    let truncated = &good[..good.len() - 5];
-    assert!(matches!(
-        FabricManager::restore(plan(), cfg(), truncated).unwrap_err(),
-        CheckpointError::Truncated | CheckpointError::Malformed { .. }
-    ));
-    let mangled = good.replace("counters", "confetti");
-    assert!(matches!(
-        FabricManager::restore(plan(), cfg(), &mangled).unwrap_err(),
-        CheckpointError::Malformed { .. }
-    ));
+    assert_eq!(
+        refused(&good.replace(CHECKPOINT_SCHEMA, "pf-fabric-ckpt-v1")),
+        CheckpointError::Schema("pf-fabric-ckpt-v1".into())
+    );
+    let empty_job = r#""ready":[{"id":7,"arrival":0,"elems":0,"kind":"u64","priority":0,"collective":"allreduce"}]"#;
+    assert_eq!(refused(&good.replace(r#""ready":[]"#, empty_job)), CheckpointError::BadJob(7));
 
     // A fault set that does not apply to the plan (a q=7 edge id far
     // beyond the q=3 fabric's edge range).

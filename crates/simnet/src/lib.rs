@@ -29,7 +29,8 @@
 //! [`trace`] module adds opt-in cycle-level observability — per-link,
 //! per-stream and per-router counters with a documented JSON/CSV schema
 //! (see `docs/OBSERVABILITY.md`) — used to verify the paper's per-link
-//! congestion bounds at runtime.
+//! congestion bounds at runtime. Traces, the bench files and the fabric
+//! checkpoint are all written and read through the one [`json`] module.
 //!
 //! [`hostbased`] adds congestion-aware phase models of classical host-based
 //! allreduce algorithms (ring, recursive doubling, Rabenseifner) as the
@@ -47,6 +48,7 @@ pub mod embedding;
 pub mod engine;
 pub mod faults;
 pub mod hostbased;
+pub mod json;
 pub mod p2p;
 pub mod par;
 pub mod routing;

@@ -23,6 +23,7 @@
 //! check and allocates nothing.
 
 use crate::embedding::{MultiTreeEmbedding, Phase};
+use crate::json::{self, JsonError, Obj, Value};
 
 /// What the simulator should record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,154 +61,206 @@ impl Default for TraceConfig {
     }
 }
 
-/// Where a directed channel's cycles went. One row per directed channel
-/// (`2*e` is the `u → v` direction of edge `e = (u, v)` with `u < v`,
-/// `2*e + 1` the reverse, as in [`crate::embedding::channel_id`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ChannelTrace {
-    /// Directed channel id.
-    pub channel: u32,
-    /// Undirected edge id (`channel / 2`).
-    pub edge: u32,
-    /// Transmitting router.
-    pub src: u32,
-    /// Receiving router.
-    pub dst: u32,
-    /// Streams mapped onto this channel by the embedding.
-    pub streams: u32,
-    /// Streams that actually carried at least one flit — the *measured*
-    /// per-direction congestion (compare `AllreducePlan::edge_congestion`).
-    pub active_streams: u32,
-    /// Flits transmitted.
-    pub flits: u64,
-    /// Cycles in which a flit was transmitted (`flits`, kept separate for
-    /// schema clarity).
-    pub busy_cycles: u64,
-    /// Cycles in which some resident stream had a flit staged but every
-    /// such stream was out of downstream credit — back-pressure.
-    pub credit_stall_cycles: u64,
-    /// Cycles with no staged flit on any resident stream (includes all
-    /// cycles for channels no tree uses).
-    pub idle_cycles: u64,
-    /// `flits / cycles`.
-    pub utilization: f64,
+/// A table of the trace. Each row type lists its fields once, in its
+/// struct definition; the JSON object and the CSV line both follow that
+/// list.
+trait Row: Sized {
+    /// Field names: JSON member and CSV column order.
+    const FIELDS: &'static [&'static str];
+    /// The field values, in [`Row::FIELDS`] order.
+    fn values(&self) -> Vec<Value>;
+    /// Reads a row back from its JSON object.
+    fn from_object(o: Obj<'_>) -> Result<Self, JsonError>;
 }
 
-/// Per-logical-stream counters (one stream = one directed tree edge in one
-/// phase).
-#[derive(Debug, Clone, PartialEq)]
-pub struct StreamTrace {
-    /// Stream index in the embedding.
-    pub stream: u32,
-    /// Owning tree.
-    pub tree: u32,
-    /// `"reduce"` or `"broadcast"`.
-    pub phase: String,
-    /// Sending router.
-    pub src: u32,
-    /// Receiving router.
-    pub dst: u32,
-    /// Directed channel the stream is mapped to.
-    pub channel: u32,
-    /// Flits transmitted.
-    pub flits: u64,
-    /// Cycles with a staged flit but no downstream credit.
-    pub credit_stall_cycles: u64,
-    /// Cycles with a staged flit *and* credit, lost to round-robin
-    /// arbitration — bandwidth sharing under congestion made visible.
-    pub arb_loss_cycles: u64,
-    /// High-water mark of the sender-side staging queue, in flits.
-    pub max_sendq: u64,
-    /// High-water mark of receiver occupancy (buffered + in flight) —
-    /// bounded by `vc_buffer`; saturated streams sit at the
-    /// latency-bandwidth product.
-    pub max_vc_occupancy: u64,
+/// Defines trace row structs and derives each one's [`Row`] from its
+/// field list. A field written `name: Type = "default"` postdates the
+/// schema's first release: it is optional on parse.
+macro_rules! trace_rows {
+    ($(
+        $(#[$meta:meta])*
+        pub struct $name:ident {
+            $( $(#[$fmeta:meta])* pub $field:ident: $ty:ty $(= $default:literal)?, )+
+        }
+    )+) => {$(
+        $(#[$meta])*
+        pub struct $name {
+            $( $(#[$fmeta])* pub $field: $ty, )+
+        }
+
+        impl Row for $name {
+            const FIELDS: &'static [&'static str] = &[$(stringify!($field)),+];
+
+            fn values(&self) -> Vec<Value> {
+                vec![$(Value::from(self.$field.clone())),+]
+            }
+
+            fn from_object(o: Obj<'_>) -> Result<Self, JsonError> {
+                Ok($name { $($field: row_field!(o, $field $(, $default)?),)+ })
+            }
+        }
+    )+};
 }
 
-/// Per-router reduction/broadcast engine counters, summed over trees.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RouterTrace {
-    /// Router id.
-    pub router: u32,
-    /// Reduction-engine firings (one element combined + forwarded each).
-    pub reductions: u64,
-    /// Broadcast-relay firings (one element forwarded down each).
-    pub relays: u64,
-    /// Engine-cycles stalled waiting for a child or upstream input
-    /// (per tree with work remaining, summed).
-    pub input_starved_cycles: u64,
-    /// Engine-cycles stalled on a full output staging queue.
-    pub output_blocked_cycles: u64,
-    /// Engine-cycles stalled on the router's shared reduction/injection
-    /// budget (`max_reductions_per_router` / `max_injections_per_node`).
-    pub budget_stall_cycles: u64,
+macro_rules! row_field {
+    ($o:ident, $field:ident) => {
+        $o.get(stringify!($field))?
+    };
+    ($o:ident, $field:ident, $default:literal) => {
+        $o.get_opt(stringify!($field))?.unwrap_or_else(|| $default.to_string())
+    };
 }
 
-/// One fault-layer action (injection, heal, retry expiration, or
-/// dead-declaration), as recorded by [`crate::faults`]. Appears in the
-/// trace's `faults` table; the table is absent from fault-free traces
-/// written before fault support and optional on parse, so the
-/// `pf-simnet-trace-v1` schema tag is unchanged.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FaultTraceRow {
-    /// Cycle the action happened at.
-    pub cycle: u64,
-    /// `"fail"`, `"degrade"`, `"heal"`, `"retry"`, or `"detected"`.
-    pub action: String,
-    /// `"link"`, `"router"`, or `"stream"` (retries are per stream).
-    pub target_kind: String,
-    /// Edge, router, or stream id, per `target_kind`.
-    pub target: u32,
-    /// Action-specific payload: fault duration (0 = permanent) for
-    /// `"fail"`, degrade period for `"degrade"`, the retry ordinal for
-    /// `"retry"`, 0 otherwise.
-    pub detail: u64,
-}
+trace_rows! {
+    /// Where a directed channel's cycles went. One row per directed channel
+    /// (`2*e` is the `u → v` direction of edge `e = (u, v)` with `u < v`,
+    /// `2*e + 1` the reverse, as in [`crate::embedding::channel_id`]).
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct ChannelTrace {
+        /// Directed channel id.
+        pub channel: u32,
+        /// Undirected edge id (`channel / 2`).
+        pub edge: u32,
+        /// Transmitting router.
+        pub src: u32,
+        /// Receiving router.
+        pub dst: u32,
+        /// Streams mapped onto this channel by the embedding.
+        pub streams: u32,
+        /// Streams that actually carried at least one flit — the *measured*
+        /// per-direction congestion (compare `AllreducePlan::edge_congestion`).
+        pub active_streams: u32,
+        /// Flits transmitted.
+        pub flits: u64,
+        /// Cycles in which a flit was transmitted (`flits`, kept separate for
+        /// schema clarity).
+        pub busy_cycles: u64,
+        /// Cycles in which some resident stream had a flit staged but every
+        /// such stream was out of downstream credit — back-pressure.
+        pub credit_stall_cycles: u64,
+        /// Cycles with no staged flit on any resident stream (includes all
+        /// cycles for channels no tree uses).
+        pub idle_cycles: u64,
+        /// `flits / cycles`.
+        pub utilization: f64,
+    }
 
-/// One tenant's scheduling record in a multi-job run, as filled in by the
-/// `pf-sched` scheduler. Appears in the trace's `jobs` table; like the
-/// `faults` table it postdates the original v1 writer, is absent from
-/// single-job traces and optional on parse, so the `pf-simnet-trace-v1`
-/// schema tag is unchanged.
-#[derive(Debug, Clone, PartialEq)]
-pub struct JobTraceRow {
-    /// Job id (unique within the scheduler run).
-    pub job: u32,
-    /// Cycle the job entered the arrival queue.
-    pub arrival: u64,
-    /// Cycle the admission controller admitted it into a wave.
-    pub admit: u64,
-    /// Cycle its engines were released (work could begin).
-    pub start: u64,
-    /// Cycle its last element was delivered to every sink.
-    pub finish: u64,
-    /// The job's vector length.
-    pub elems: u64,
-    /// Number of spanning trees allocated to it.
-    pub trees: u32,
-    /// `start - arrival`.
-    pub queueing_delay: u64,
-    /// `elems / (finish - start)` in elements per cycle.
-    pub achieved_bandwidth: f64,
-    /// The collective this job executed ([`crate::Collective::name`]:
-    /// `"allreduce"`, `"reduce"`, `"broadcast"`, `"reduce_scatter"` or
-    /// `"allgather"`). Absent in pre-collective traces and optional on
-    /// parse, defaulting to `"allreduce"`.
-    pub collective: String,
-}
+    /// Per-logical-stream counters (one stream = one directed tree edge in one
+    /// phase).
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct StreamTrace {
+        /// Stream index in the embedding.
+        pub stream: u32,
+        /// Owning tree.
+        pub tree: u32,
+        /// `"reduce"` or `"broadcast"`.
+        pub phase: String,
+        /// Sending router.
+        pub src: u32,
+        /// Receiving router.
+        pub dst: u32,
+        /// Directed channel the stream is mapped to.
+        pub channel: u32,
+        /// Flits transmitted.
+        pub flits: u64,
+        /// Cycles with a staged flit but no downstream credit.
+        pub credit_stall_cycles: u64,
+        /// Cycles with a staged flit *and* credit, lost to round-robin
+        /// arbitration — bandwidth sharing under congestion made visible.
+        pub arb_loss_cycles: u64,
+        /// High-water mark of the sender-side staging queue, in flits.
+        pub max_sendq: u64,
+        /// High-water mark of receiver occupancy (buffered + in flight) —
+        /// bounded by `vc_buffer`; saturated streams sit at the
+        /// latency-bandwidth product.
+        pub max_vc_occupancy: u64,
+    }
 
-/// One sample of global progress (taken every
-/// [`TraceConfig::timeline_interval`] cycles and at completion).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TimelineSample {
-    /// Cycle the sample was taken at.
-    pub cycle: u64,
-    /// Cumulative element deliveries across all trees and sinks.
-    pub deliveries: u64,
-    /// Cumulative flits transmitted on all channels.
-    pub flits: u64,
-    /// Channels that have carried at least one flit so far.
-    pub active_channels: u64,
+    /// Per-router reduction/broadcast engine counters, summed over trees.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct RouterTrace {
+        /// Router id.
+        pub router: u32,
+        /// Reduction-engine firings (one element combined + forwarded each).
+        pub reductions: u64,
+        /// Broadcast-relay firings (one element forwarded down each).
+        pub relays: u64,
+        /// Engine-cycles stalled waiting for a child or upstream input
+        /// (per tree with work remaining, summed).
+        pub input_starved_cycles: u64,
+        /// Engine-cycles stalled on a full output staging queue.
+        pub output_blocked_cycles: u64,
+        /// Engine-cycles stalled on the router's shared reduction/injection
+        /// budget (`max_reductions_per_router` / `max_injections_per_node`).
+        pub budget_stall_cycles: u64,
+    }
+
+    /// One fault-layer action (injection, heal, retry expiration, or
+    /// dead-declaration), as recorded by [`crate::faults`]. Appears in the
+    /// trace's `faults` table; the table is absent from fault-free traces
+    /// written before fault support and optional on parse, so the
+    /// `pf-simnet-trace-v1` schema tag is unchanged.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct FaultTraceRow {
+        /// Cycle the action happened at.
+        pub cycle: u64,
+        /// `"fail"`, `"degrade"`, `"heal"`, `"retry"`, or `"detected"`.
+        pub action: String,
+        /// `"link"`, `"router"`, or `"stream"` (retries are per stream).
+        pub target_kind: String,
+        /// Edge, router, or stream id, per `target_kind`.
+        pub target: u32,
+        /// Action-specific payload: fault duration (0 = permanent) for
+        /// `"fail"`, degrade period for `"degrade"`, the retry ordinal for
+        /// `"retry"`, 0 otherwise.
+        pub detail: u64,
+    }
+
+    /// One tenant's scheduling record in a multi-job run, as filled in by the
+    /// `pf-sched` scheduler. Appears in the trace's `jobs` table; like the
+    /// `faults` table it postdates the original v1 writer, is absent from
+    /// single-job traces and optional on parse, so the `pf-simnet-trace-v1`
+    /// schema tag is unchanged.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct JobTraceRow {
+        /// Job id (unique within the scheduler run).
+        pub job: u32,
+        /// Cycle the job entered the arrival queue.
+        pub arrival: u64,
+        /// Cycle the admission controller admitted it into a wave.
+        pub admit: u64,
+        /// Cycle its engines were released (work could begin).
+        pub start: u64,
+        /// Cycle its last element was delivered to every sink.
+        pub finish: u64,
+        /// The job's vector length.
+        pub elems: u64,
+        /// Number of spanning trees allocated to it.
+        pub trees: u32,
+        /// `start - arrival`.
+        pub queueing_delay: u64,
+        /// `elems / (finish - start)` in elements per cycle.
+        pub achieved_bandwidth: f64,
+        /// The collective this job executed ([`crate::Collective::name`]:
+        /// `"allreduce"`, `"reduce"`, `"broadcast"`, `"reduce_scatter"` or
+        /// `"allgather"`). Absent in pre-collective traces and optional on
+        /// parse, defaulting to `"allreduce"`.
+        pub collective: String = "allreduce",
+    }
+
+    /// One sample of global progress (taken every
+    /// [`TraceConfig::timeline_interval`] cycles and at completion).
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct TimelineSample {
+        /// Cycle the sample was taken at.
+        pub cycle: u64,
+        /// Cumulative element deliveries across all trees and sinks.
+        pub deliveries: u64,
+        /// Cumulative flits transmitted on all channels.
+        pub flits: u64,
+        /// Channels that have carried at least one flit so far.
+        pub active_channels: u64,
+    }
 }
 
 /// The full structured trace of one run. Schema documented field by field
@@ -265,376 +318,90 @@ impl TraceReport {
     /// Serializes the full trace as compact JSON (schema
     /// `pf-simnet-trace-v1`; see `docs/OBSERVABILITY.md`).
     pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(4096);
-        s.push_str("{\"schema\":\"pf-simnet-trace-v1\"");
-        s.push_str(&format!(",\"cycles\":{}", self.cycles));
-        s.push_str(&format!(",\"total_flits\":{}", self.total_flits));
-        s.push_str(&format!(",\"collective\":\"{}\"", self.collective));
-        s.push_str(",\"channels\":[");
-        for (i, c) in self.channels.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "{{\"channel\":{},\"edge\":{},\"src\":{},\"dst\":{},\"streams\":{},\
-                 \"active_streams\":{},\"flits\":{},\"busy_cycles\":{},\
-                 \"credit_stall_cycles\":{},\"idle_cycles\":{},\"utilization\":{}}}",
-                c.channel,
-                c.edge,
-                c.src,
-                c.dst,
-                c.streams,
-                c.active_streams,
-                c.flits,
-                c.busy_cycles,
-                c.credit_stall_cycles,
-                c.idle_cycles,
-                json_f64(c.utilization),
-            ));
-        }
-        s.push_str("],\"streams\":[");
-        for (i, t) in self.streams.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "{{\"stream\":{},\"tree\":{},\"phase\":\"{}\",\"src\":{},\"dst\":{},\
-                 \"channel\":{},\"flits\":{},\"credit_stall_cycles\":{},\
-                 \"arb_loss_cycles\":{},\"max_sendq\":{},\"max_vc_occupancy\":{}}}",
-                t.stream,
-                t.tree,
-                t.phase,
-                t.src,
-                t.dst,
-                t.channel,
-                t.flits,
-                t.credit_stall_cycles,
-                t.arb_loss_cycles,
-                t.max_sendq,
-                t.max_vc_occupancy,
-            ));
-        }
-        s.push_str("],\"routers\":[");
-        for (i, r) in self.routers.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "{{\"router\":{},\"reductions\":{},\"relays\":{},\
-                 \"input_starved_cycles\":{},\"output_blocked_cycles\":{},\
-                 \"budget_stall_cycles\":{}}}",
-                r.router,
-                r.reductions,
-                r.relays,
-                r.input_starved_cycles,
-                r.output_blocked_cycles,
-                r.budget_stall_cycles,
-            ));
-        }
-        s.push_str("],\"timeline\":[");
-        for (i, t) in self.timeline.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "{{\"cycle\":{},\"deliveries\":{},\"flits\":{},\"active_channels\":{}}}",
-                t.cycle, t.deliveries, t.flits, t.active_channels,
-            ));
-        }
-        s.push_str("],\"faults\":[");
-        for (i, f) in self.faults.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "{{\"cycle\":{},\"action\":\"{}\",\"target_kind\":\"{}\",\
-                 \"target\":{},\"detail\":{}}}",
-                f.cycle, f.action, f.target_kind, f.target, f.detail,
-            ));
-        }
-        s.push_str("],\"jobs\":[");
-        for (i, j) in self.jobs.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "{{\"job\":{},\"arrival\":{},\"admit\":{},\"start\":{},\"finish\":{},\
-                 \"elems\":{},\"trees\":{},\"queueing_delay\":{},\"achieved_bandwidth\":{},\
-                 \"collective\":\"{}\"}}",
-                j.job,
-                j.arrival,
-                j.admit,
-                j.start,
-                j.finish,
-                j.elems,
-                j.trees,
-                j.queueing_delay,
-                json_f64(j.achieved_bandwidth),
-                j.collective,
-            ));
-        }
-        s.push_str("]}");
-        s
+        Value::object([
+            ("schema", Value::from(TRACE_SCHEMA)), ("cycles", self.cycles.into()),
+            ("total_flits", self.total_flits.into()),
+            ("collective", self.collective.as_str().into()),
+            ("channels", table_value(&self.channels)), ("streams", table_value(&self.streams)),
+            ("routers", table_value(&self.routers)), ("timeline", table_value(&self.timeline)),
+            ("faults", table_value(&self.faults)), ("jobs", table_value(&self.jobs)),
+        ])
+        .compact()
     }
 
-    /// Parses a trace serialized by [`TraceReport::to_json`].
-    pub fn from_json(text: &str) -> Result<TraceReport, String> {
-        let v = json::parse(text)?;
-        let obj = v.as_object()?;
-        let schema = obj.get_str("schema")?;
-        if schema != "pf-simnet-trace-v1" {
-            return Err(format!("unknown trace schema {schema:?}"));
-        }
-        let channels = obj
-            .get_array("channels")?
-            .iter()
-            .map(|c| {
-                let c = c.as_object()?;
-                Ok(ChannelTrace {
-                    channel: c.get_u64("channel")? as u32,
-                    edge: c.get_u64("edge")? as u32,
-                    src: c.get_u64("src")? as u32,
-                    dst: c.get_u64("dst")? as u32,
-                    streams: c.get_u64("streams")? as u32,
-                    active_streams: c.get_u64("active_streams")? as u32,
-                    flits: c.get_u64("flits")?,
-                    busy_cycles: c.get_u64("busy_cycles")?,
-                    credit_stall_cycles: c.get_u64("credit_stall_cycles")?,
-                    idle_cycles: c.get_u64("idle_cycles")?,
-                    utilization: c.get_f64("utilization")?,
-                })
-            })
-            .collect::<Result<_, String>>()?;
-        let streams = obj
-            .get_array("streams")?
-            .iter()
-            .map(|t| {
-                let t = t.as_object()?;
-                Ok(StreamTrace {
-                    stream: t.get_u64("stream")? as u32,
-                    tree: t.get_u64("tree")? as u32,
-                    phase: t.get_str("phase")?.to_string(),
-                    src: t.get_u64("src")? as u32,
-                    dst: t.get_u64("dst")? as u32,
-                    channel: t.get_u64("channel")? as u32,
-                    flits: t.get_u64("flits")?,
-                    credit_stall_cycles: t.get_u64("credit_stall_cycles")?,
-                    arb_loss_cycles: t.get_u64("arb_loss_cycles")?,
-                    max_sendq: t.get_u64("max_sendq")?,
-                    max_vc_occupancy: t.get_u64("max_vc_occupancy")?,
-                })
-            })
-            .collect::<Result<_, String>>()?;
-        let routers = obj
-            .get_array("routers")?
-            .iter()
-            .map(|r| {
-                let r = r.as_object()?;
-                Ok(RouterTrace {
-                    router: r.get_u64("router")? as u32,
-                    reductions: r.get_u64("reductions")?,
-                    relays: r.get_u64("relays")?,
-                    input_starved_cycles: r.get_u64("input_starved_cycles")?,
-                    output_blocked_cycles: r.get_u64("output_blocked_cycles")?,
-                    budget_stall_cycles: r.get_u64("budget_stall_cycles")?,
-                })
-            })
-            .collect::<Result<_, String>>()?;
-        let timeline = obj
-            .get_array("timeline")?
-            .iter()
-            .map(|t| {
-                let t = t.as_object()?;
-                Ok(TimelineSample {
-                    cycle: t.get_u64("cycle")?,
-                    deliveries: t.get_u64("deliveries")?,
-                    flits: t.get_u64("flits")?,
-                    active_channels: t.get_u64("active_channels")?,
-                })
-            })
-            .collect::<Result<_, String>>()?;
-        // The faults table postdates the original v1 writer: absent means
-        // no fault layer was attached (or an older producer) — not an error.
-        let faults = obj
-            .get_array_opt("faults")?
-            .unwrap_or(&[])
-            .iter()
-            .map(|f| {
-                let f = f.as_object()?;
-                Ok(FaultTraceRow {
-                    cycle: f.get_u64("cycle")?,
-                    action: f.get_str("action")?.to_string(),
-                    target_kind: f.get_str("target_kind")?.to_string(),
-                    target: f.get_u64("target")? as u32,
-                    detail: f.get_u64("detail")?,
-                })
-            })
-            .collect::<Result<_, String>>()?;
-        // The jobs table likewise postdates the original v1 writer: absent
-        // means the trace came from a single-job run — not an error.
-        let jobs = obj
-            .get_array_opt("jobs")?
-            .unwrap_or(&[])
-            .iter()
-            .map(|j| {
-                let j = j.as_object()?;
-                Ok(JobTraceRow {
-                    job: j.get_u64("job")? as u32,
-                    arrival: j.get_u64("arrival")?,
-                    admit: j.get_u64("admit")?,
-                    start: j.get_u64("start")?,
-                    finish: j.get_u64("finish")?,
-                    elems: j.get_u64("elems")?,
-                    trees: j.get_u64("trees")? as u32,
-                    queueing_delay: j.get_u64("queueing_delay")?,
-                    achieved_bandwidth: j.get_f64("achieved_bandwidth")?,
-                    collective: j.get_str_opt("collective")?.unwrap_or("allreduce").to_string(),
-                })
-            })
-            .collect::<Result<_, String>>()?;
+    /// Parses a trace serialized by [`TraceReport::to_json`]. The
+    /// `collective` field and the `faults` and `jobs` tables postdate the
+    /// original v1 writer: absent, they default to `"allreduce"` and empty.
+    pub fn from_json(text: &str) -> Result<TraceReport, JsonError> {
+        let doc = json::parse(text)?;
+        let o = doc.document(TRACE_SCHEMA)?;
         Ok(TraceReport {
-            cycles: obj.get_u64("cycles")?,
-            total_flits: obj.get_u64("total_flits")?,
-            // Absent in pre-collective traces: default, don't error.
-            collective: obj.get_str_opt("collective")?.unwrap_or("allreduce").to_string(),
-            channels,
-            streams,
-            routers,
-            timeline,
-            faults,
-            jobs,
+            cycles: o.get_u64("cycles")?,
+            total_flits: o.get_u64("total_flits")?,
+            collective: o.get_opt("collective")?.unwrap_or_else(|| "allreduce".to_string()),
+            channels: table(o, "channels", false)?,
+            streams: table(o, "streams", false)?,
+            routers: table(o, "routers", false)?,
+            timeline: table(o, "timeline", false)?,
+            faults: table(o, "faults", true)?,
+            jobs: table(o, "jobs", true)?,
         })
     }
 
     /// Per-channel counters as CSV (header included).
     pub fn channels_csv(&self) -> String {
-        let mut s = String::from(
-            "channel,edge,src,dst,streams,active_streams,flits,busy_cycles,\
-             credit_stall_cycles,idle_cycles,utilization\n",
-        );
-        for c in &self.channels {
-            s.push_str(&format!(
-                "{},{},{},{},{},{},{},{},{},{},{}\n",
-                c.channel,
-                c.edge,
-                c.src,
-                c.dst,
-                c.streams,
-                c.active_streams,
-                c.flits,
-                c.busy_cycles,
-                c.credit_stall_cycles,
-                c.idle_cycles,
-                json_f64(c.utilization),
-            ));
-        }
-        s
+        csv(&self.channels)
     }
 
     /// Per-stream counters as CSV (header included).
     pub fn streams_csv(&self) -> String {
-        let mut s = String::from(
-            "stream,tree,phase,src,dst,channel,flits,credit_stall_cycles,\
-             arb_loss_cycles,max_sendq,max_vc_occupancy\n",
-        );
-        for t in &self.streams {
-            s.push_str(&format!(
-                "{},{},{},{},{},{},{},{},{},{},{}\n",
-                t.stream,
-                t.tree,
-                t.phase,
-                t.src,
-                t.dst,
-                t.channel,
-                t.flits,
-                t.credit_stall_cycles,
-                t.arb_loss_cycles,
-                t.max_sendq,
-                t.max_vc_occupancy,
-            ));
-        }
-        s
+        csv(&self.streams)
     }
 
     /// Per-router counters as CSV (header included).
     pub fn routers_csv(&self) -> String {
-        let mut s = String::from(
-            "router,reductions,relays,input_starved_cycles,output_blocked_cycles,\
-             budget_stall_cycles\n",
-        );
-        for r in &self.routers {
-            s.push_str(&format!(
-                "{},{},{},{},{},{}\n",
-                r.router,
-                r.reductions,
-                r.relays,
-                r.input_starved_cycles,
-                r.output_blocked_cycles,
-                r.budget_stall_cycles,
-            ));
-        }
-        s
+        csv(&self.routers)
     }
 
     /// Timeline samples as CSV (header included).
     pub fn timeline_csv(&self) -> String {
-        let mut s = String::from("cycle,deliveries,flits,active_channels\n");
-        for t in &self.timeline {
-            s.push_str(&format!(
-                "{},{},{},{}\n",
-                t.cycle, t.deliveries, t.flits, t.active_channels
-            ));
-        }
-        s
+        csv(&self.timeline)
     }
 
     /// Fault-layer actions as CSV (header included).
     pub fn faults_csv(&self) -> String {
-        let mut s = String::from("cycle,action,target_kind,target,detail\n");
-        for f in &self.faults {
-            s.push_str(&format!(
-                "{},{},{},{},{}\n",
-                f.cycle, f.action, f.target_kind, f.target, f.detail
-            ));
-        }
-        s
+        csv(&self.faults)
     }
 
     /// Per-tenant scheduling records as CSV (header included).
     pub fn jobs_csv(&self) -> String {
-        let mut s = String::from(
-            "job,arrival,admit,start,finish,elems,trees,queueing_delay,achieved_bandwidth,\
-             collective\n",
-        );
-        for j in &self.jobs {
-            s.push_str(&format!(
-                "{},{},{},{},{},{},{},{},{},{}\n",
-                j.job,
-                j.arrival,
-                j.admit,
-                j.start,
-                j.finish,
-                j.elems,
-                j.trees,
-                j.queueing_delay,
-                json_f64(j.achieved_bandwidth),
-                j.collective,
-            ));
-        }
-        s
+        csv(&self.jobs)
     }
 }
 
-/// Prints an f64 so that it parses back to the identical bits (Rust's
-/// shortest round-trip `Display`), with a decimal point guaranteed. Every
-/// hand-written `pf-bench-*` JSON file formats its floats through this.
-pub fn json_f64(x: f64) -> String {
-    let s = format!("{x}");
-    if s.contains('.') || s.contains('e') || s.contains("inf") || s.contains("NaN") {
-        s
-    } else {
-        format!("{s}.0")
+/// The trace format's schema tag.
+const TRACE_SCHEMA: &str = "pf-simnet-trace-v1";
+
+fn table_value<R: Row>(rows: &[R]) -> Value {
+    rows.iter().map(|r| Value::object(R::FIELDS.iter().copied().zip(r.values()))).collect()
+}
+
+/// Reads table `key`; an `optional` table may be absent (empty).
+fn table<R: Row>(o: Obj<'_>, key: &str, optional: bool) -> Result<Vec<R>, JsonError> {
+    if optional && o.get_opt::<&[Value]>(key)?.is_none() {
+        return Ok(Vec::new());
     }
+    o.get_list(key)?.into_iter().map(R::from_object).collect()
+}
+
+/// One header line, then one line per row; strings go unquoted.
+fn csv<R: Row>(rows: &[R]) -> String {
+    let cell = |v: Value| match v {
+        Value::Str(text) => text,
+        other => other.compact(),
+    };
+    let lines = rows.iter().map(|r| r.values().into_iter().map(cell).collect::<Vec<_>>().join(","));
+    std::iter::once(R::FIELDS.join(",")).chain(lines).map(|line| line + "\n").collect()
 }
 
 /// The in-flight counter store the engine writes into. Struct-of-arrays;
@@ -864,197 +631,6 @@ impl Tracer {
     }
 }
 
-mod json {
-    //! A minimal JSON reader — just enough to round-trip [`super::TraceReport`].
-
-    use std::collections::BTreeMap;
-
-    #[derive(Debug, Clone, PartialEq)]
-    pub enum Value {
-        Num(f64),
-        Str(String),
-        Array(Vec<Value>),
-        Object(BTreeMap<String, Value>),
-    }
-
-    impl Value {
-        pub fn as_object(&self) -> Result<Obj<'_>, String> {
-            match self {
-                Value::Object(m) => Ok(Obj(m)),
-                other => Err(format!("expected object, got {other:?}")),
-            }
-        }
-    }
-
-    /// Typed field access over a parsed object.
-    pub struct Obj<'a>(&'a BTreeMap<String, Value>);
-
-    impl<'a> Obj<'a> {
-        fn get(&self, key: &str) -> Result<&'a Value, String> {
-            self.0.get(key).ok_or_else(|| format!("missing field {key:?}"))
-        }
-        pub fn get_u64(&self, key: &str) -> Result<u64, String> {
-            match self.get(key)? {
-                Value::Num(x) if *x >= 0.0 && x.fract() == 0.0 => Ok(*x as u64),
-                other => Err(format!("field {key:?} is not a u64: {other:?}")),
-            }
-        }
-        pub fn get_f64(&self, key: &str) -> Result<f64, String> {
-            match self.get(key)? {
-                Value::Num(x) => Ok(*x),
-                other => Err(format!("field {key:?} is not a number: {other:?}")),
-            }
-        }
-        pub fn get_str(&self, key: &str) -> Result<&'a str, String> {
-            match self.get(key)? {
-                Value::Str(s) => Ok(s),
-                other => Err(format!("field {key:?} is not a string: {other:?}")),
-            }
-        }
-        /// Like [`Obj::get_str`], but a missing key is `Ok(None)` — for
-        /// fields added to the schema after its first release.
-        pub fn get_str_opt(&self, key: &str) -> Result<Option<&'a str>, String> {
-            match self.0.get(key) {
-                None => Ok(None),
-                Some(Value::Str(s)) => Ok(Some(s)),
-                Some(other) => Err(format!("field {key:?} is not a string: {other:?}")),
-            }
-        }
-        pub fn get_array(&self, key: &str) -> Result<&'a [Value], String> {
-            match self.get(key)? {
-                Value::Array(v) => Ok(v),
-                other => Err(format!("field {key:?} is not an array: {other:?}")),
-            }
-        }
-        /// Like [`Obj::get_array`], but a missing key is `Ok(None)` — for
-        /// tables added to the schema after its first release.
-        pub fn get_array_opt(&self, key: &str) -> Result<Option<&'a [Value]>, String> {
-            match self.0.get(key) {
-                None => Ok(None),
-                Some(Value::Array(v)) => Ok(Some(v)),
-                Some(other) => Err(format!("field {key:?} is not an array: {other:?}")),
-            }
-        }
-    }
-
-    pub fn parse(text: &str) -> Result<Value, String> {
-        let bytes = text.as_bytes();
-        let mut pos = 0usize;
-        let v = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing characters at byte {pos}"));
-        }
-        Ok(v)
-    }
-
-    fn skip_ws(b: &[u8], pos: &mut usize) {
-        while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-            *pos += 1;
-        }
-    }
-
-    fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
-        skip_ws(b, pos);
-        if *pos < b.len() && b[*pos] == c {
-            *pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected {:?} at byte {}", c as char, pos))
-        }
-    }
-
-    fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b'{') => parse_object(b, pos),
-            Some(b'[') => parse_array(b, pos),
-            Some(b'"') => Ok(Value::Str(parse_string(b, pos)?)),
-            Some(c) if c.is_ascii_digit() || *c == b'-' => parse_number(b, pos),
-            other => Err(format!("unexpected {other:?} at byte {pos}")),
-        }
-    }
-
-    fn parse_object(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-        expect(b, pos, b'{')?;
-        let mut map = BTreeMap::new();
-        skip_ws(b, pos);
-        if b.get(*pos) == Some(&b'}') {
-            *pos += 1;
-            return Ok(Value::Object(map));
-        }
-        loop {
-            skip_ws(b, pos);
-            let key = parse_string(b, pos)?;
-            expect(b, pos, b':')?;
-            let val = parse_value(b, pos)?;
-            map.insert(key, val);
-            skip_ws(b, pos);
-            match b.get(*pos) {
-                Some(b',') => *pos += 1,
-                Some(b'}') => {
-                    *pos += 1;
-                    return Ok(Value::Object(map));
-                }
-                other => return Err(format!("expected ',' or '}}', got {other:?}")),
-            }
-        }
-    }
-
-    fn parse_array(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-        expect(b, pos, b'[')?;
-        let mut out = Vec::new();
-        skip_ws(b, pos);
-        if b.get(*pos) == Some(&b']') {
-            *pos += 1;
-            return Ok(Value::Array(out));
-        }
-        loop {
-            out.push(parse_value(b, pos)?);
-            skip_ws(b, pos);
-            match b.get(*pos) {
-                Some(b',') => *pos += 1,
-                Some(b']') => {
-                    *pos += 1;
-                    return Ok(Value::Array(out));
-                }
-                other => return Err(format!("expected ',' or ']', got {other:?}")),
-            }
-        }
-    }
-
-    fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
-        if b.get(*pos) != Some(&b'"') {
-            return Err(format!("expected string at byte {pos}"));
-        }
-        *pos += 1;
-        let start = *pos;
-        while *pos < b.len() && b[*pos] != b'"' {
-            if b[*pos] == b'\\' {
-                return Err("escape sequences are not used by this schema".to_string());
-            }
-            *pos += 1;
-        }
-        if *pos >= b.len() {
-            return Err("unterminated string".to_string());
-        }
-        let s = std::str::from_utf8(&b[start..*pos]).map_err(|e| e.to_string())?.to_string();
-        *pos += 1;
-        Ok(s)
-    }
-
-    fn parse_number(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-        let start = *pos;
-        while *pos < b.len()
-            && matches!(b[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-        {
-            *pos += 1;
-        }
-        let s = std::str::from_utf8(&b[start..*pos]).map_err(|e| e.to_string())?;
-        s.parse::<f64>().map(Value::Num).map_err(|e| format!("bad number {s:?}: {e}"))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1181,6 +757,15 @@ mod tests {
         let mut j = r.to_json();
         j.push('x');
         assert!(TraceReport::from_json(&j).is_err());
+    }
+
+    #[test]
+    fn out_of_range_ids_are_typed_errors() {
+        let j = sample_report().to_json().replacen("\"channel\":0", "\"channel\":4294967296", 1);
+        assert_eq!(
+            TraceReport::from_json(&j),
+            Err(JsonError::Type { key: "channel".into(), expected: "u32" })
+        );
     }
 
     #[test]

@@ -424,67 +424,15 @@ fn theorem_5_1_pipeline_model_predicts_simulated_cycles() {
 }
 
 #[test]
-fn every_construction_respects_the_substrate_bandwidth_bound() {
-    // The cross-backend generalization of Corollary 7.1: on *any*
-    // substrate, the Algorithm 1 aggregate of *any* construction's trees
-    // is capped by min(|E|/(n−1), δ_min) — the edge-count argument (every
-    // spanning tree consumes n−1 of the |E| unit links) meets the
-    // vertex-capacity argument (a minimum-degree vertex can absorb at most
-    // δ_min concurrent streams). On PolarFly this bound dominates the
-    // Corollary 7.1 optimum (q+1)/2, so it also re-checks the paper's
-    // plans. All comparisons in exact rationals.
-    use pf_allreduce::perf::substrate_bandwidth_bound;
-    use pf_allreduce::plan::AllreducePlan;
-    use pf_allreduce::substrates::{backends_for, quick_catalog};
-    use pf_allreduce::{Budget, ConstructError};
-
-    let mut checked = 0;
-    for sub in &quick_catalog() {
-        let bound = substrate_bandwidth_bound(&sub.graph);
-        for backend in backends_for(&sub.name) {
-            let plan =
-                match AllreducePlan::construct(&sub.graph, backend.as_ref(), &Budget::unlimited())
-                {
-                    Ok(plan) => plan,
-                    Err(ConstructError::UnsupportedSubstrate(_)) => continue,
-                    Err(e) => panic!("{} on {}: {e}", backend.name(), sub.name),
-                };
-            assert!(
-                plan.aggregate <= bound,
-                "{} on {}: aggregate {} beats the bound {}",
-                backend.name(),
-                sub.name,
-                plan.aggregate,
-                bound
-            );
-            assert_eq!(plan.substrate_bound(), bound, "{}", sub.name);
-            checked += 1;
-        }
-    }
-    assert!(checked >= 15, "only {checked} backend × substrate pairs ran");
-
-    // And on the paper's own plans the generic bound sits at or above the
-    // Corollary 7.1 optimum, so it never contradicts the tighter
-    // PolarFly-specific statement.
-    for q in [3u64, 7, 11] {
-        let low = AllreducePlan::low_depth(q).unwrap();
-        let optimum = perf::optimal_bandwidth(q, Rational::ONE);
-        assert!(low.substrate_bound() >= optimum, "q={q}");
-        assert!(low.aggregate <= low.substrate_bound(), "q={q}");
-    }
-}
-
-#[test]
 fn every_construction_respects_the_exact_rate_bound() {
     // The standing rate-optimality invariant (docs/RATES.md): on every
     // catalog substrate, the Algorithm 1 aggregate of every construction
     // is capped by the exact rate upper bound min(|E|/(n−1), λ(G)) — the
     // edge-budget argument meets the cut-set argument (every spanning
     // tree crosses every cut, so Σ B_i ≤ |∂S| for all S, hence ≤ the
-    // global min cut). This refines the δ_min-based substrate bound
-    // above; all comparisons in exact rationals. The nightly full-catalog
-    // sweep runs the same clause over all paper radices via the tree
-    // harness.
+    // global min cut). All comparisons in exact rationals. The nightly
+    // full-catalog sweep runs the same clause over all paper radices via
+    // the tree harness.
     use pf_allreduce::plan::AllreducePlan;
     use pf_allreduce::rate::allreduce_rate_bound;
     use pf_allreduce::substrates::{backends_for, closed_form_rate_bound, quick_catalog};
@@ -512,7 +460,6 @@ fn every_construction_respects_the_exact_rate_bound() {
                 plan.aggregate,
                 rate.bound
             );
-            assert!(rate.bound <= plan.substrate_bound(), "{}", sub.name);
             assert_eq!(plan.rate_bound(), rate.bound, "{}", sub.name);
             let gap = plan.optimality_gap();
             assert!(gap.is_positive() && gap <= Rational::ONE, "{}: gap {gap}", sub.name);
