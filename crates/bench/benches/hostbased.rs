@@ -1,11 +1,9 @@
-//! Host-based baseline benchmarks: analytic phase models vs flit-level
-//! executed schedules.
+//! Host-based baseline benchmarks: each schedule built and priced by the
+//! α–β model, and executed flit by flit.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use pf_simnet::hostbased::{
-    blueconnect_time, rabenseifner_time, recursive_doubling_time, ring_allreduce_time, HostParams,
-};
-use pf_simnet::p2p::{recursive_doubling_sim, ring_allreduce_sim};
+use pf_simnet::hostbased::{self, price, HostParams};
+use pf_simnet::p2p::simulate_schedule;
 use pf_simnet::routing::Routing;
 use pf_simnet::SimConfig;
 use pf_topo::PolarFly;
@@ -16,19 +14,20 @@ fn bench_models(c: &mut Criterion) {
     let g = pf.graph().clone();
     let r = Routing::new(&g);
     let hp = HostParams::default();
+    let n = g.num_vertices();
     let m = 10_000u64;
     let mut grp = c.benchmark_group("hostbased_models");
     grp.bench_function("ring", |b| {
-        b.iter(|| ring_allreduce_time(black_box(&g), &r, m, hp))
+        b.iter(|| price(black_box(&g), &r, &hostbased::ring(n, m, 2), hp).total)
     });
     grp.bench_function("recursive_doubling", |b| {
-        b.iter(|| recursive_doubling_time(black_box(&g), &r, m, hp))
+        b.iter(|| price(black_box(&g), &r, &hostbased::recursive_doubling(n, m), hp).total)
     });
     grp.bench_function("rabenseifner", |b| {
-        b.iter(|| rabenseifner_time(black_box(&g), &r, m, hp))
+        b.iter(|| price(black_box(&g), &r, &hostbased::rabenseifner(n, m), hp).total)
     });
     grp.bench_function("blueconnect", |b| {
-        b.iter(|| blueconnect_time(black_box(&g), &r, m, hp))
+        b.iter(|| price(black_box(&g), &r, &hostbased::blueconnect(n, m), hp).total)
     });
     grp.finish();
 }
@@ -38,14 +37,18 @@ fn bench_flit_level(c: &mut Criterion) {
     let g = pf.graph().clone();
     let r = Routing::new(&g);
     let cfg = SimConfig::default();
+    let n = g.num_vertices();
     let mut grp = c.benchmark_group("hostbased_flit");
     grp.sample_size(10);
-    grp.bench_with_input(BenchmarkId::new("ring_sim", 5), &g, |b, g| {
-        b.iter(|| ring_allreduce_sim(black_box(g), &r, 3100, cfg, 0).unwrap())
-    });
-    grp.bench_with_input(BenchmarkId::new("doubling_sim", 5), &g, |b, g| {
-        b.iter(|| recursive_doubling_sim(black_box(g), &r, 500, cfg, 0).unwrap())
-    });
+    for (name, s) in [
+        ("ring_sim", hostbased::ring(n, 3100, 2)),
+        ("doubling_sim", hostbased::recursive_doubling(n, 500)),
+        ("blueconnect_sim", hostbased::blueconnect(n, 3100)),
+    ] {
+        grp.bench_with_input(BenchmarkId::new(name, 5), &g, |b, g| {
+            b.iter(|| simulate_schedule(black_box(g), &r, &s, cfg, 0).unwrap())
+        });
+    }
     grp.finish();
 }
 

@@ -22,9 +22,7 @@
 use crate::print_header;
 use pf_allreduce::AllreducePlan;
 use pf_simnet::engine::Collective;
-use pf_simnet::hostbased::{
-    ring_allgather_time, ring_allreduce_time, ring_reduce_scatter_time, HostParams,
-};
+use pf_simnet::hostbased::{self, HostParams};
 use pf_simnet::json::Value;
 use pf_simnet::routing::Routing;
 use pf_simnet::{MultiTreeEmbedding, SimConfig, Simulator, Workload};
@@ -78,20 +76,14 @@ pub fn collect(qs: &[u64], m: u64) -> Vec<CollectivePoint> {
                 "collectives q={q} {}: run must complete cleanly",
                 kind.name()
             );
-            let (predicted, host) = match kind {
-                Collective::Allreduce => (
-                    plan.predicted_cycles(m, hop),
-                    ring_allreduce_time(&plan.graph, &routing, m, hp),
-                ),
-                Collective::ReduceScatter => (
-                    plan.predicted_reduce_scatter_cycles(m, hop),
-                    ring_reduce_scatter_time(&plan.graph, &routing, m, hp),
-                ),
-                _ => (
-                    plan.predicted_allgather_cycles(m, hop),
-                    ring_allgather_time(&plan.graph, &routing, m, hp),
-                ),
+            // The allreduce runs both ring phases, either half one.
+            let (predicted, ring_phases) = match kind {
+                Collective::Allreduce => (plan.predicted_cycles(m, hop), 2),
+                Collective::ReduceScatter => (plan.predicted_reduce_scatter_cycles(m, hop), 1),
+                _ => (plan.predicted_allgather_cycles(m, hop), 1),
             };
+            let ring = hostbased::ring(plan.graph.num_vertices(), m, ring_phases);
+            let host = hostbased::price(&plan.graph, &routing, &ring, hp).total;
             assert!(
                 r.cycles <= predicted,
                 "collectives q={q} {}: measured {} above the fill-plus-drain model {predicted}",

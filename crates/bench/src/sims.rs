@@ -3,9 +3,7 @@
 //! ablations called out in DESIGN.md.
 
 use pf_allreduce::{AllreducePlan, Rational};
-use pf_simnet::hostbased::{
-    blueconnect_time, rabenseifner_time, recursive_doubling_time, ring_allreduce_time, HostParams,
-};
+use pf_simnet::hostbased::{self, HostParams};
 use pf_simnet::routing::Routing;
 use pf_simnet::{
     Collective, MultiTreeEmbedding, SimConfig, SimReport, Simulator, TraceConfig, TraceReport,
@@ -137,7 +135,8 @@ pub fn crossover_rows(q: u64, ms: &[u64]) -> Vec<CrossoverRow> {
     let ham = AllreducePlan::edge_disjoint(q, 30, 0xC0DE ^ q).unwrap();
     let single = AllreducePlan::single_tree(q).unwrap();
     let routing = Routing::new(&single.graph);
-    let hp = HostParams::default();
+    let n = single.graph.num_vertices();
+    let model = |s| hostbased::price(&single.graph, &routing, &s, HostParams::default()).total;
     let cfg = SimConfig::default();
 
     ms.iter()
@@ -162,10 +161,10 @@ pub fn crossover_rows(q: u64, ms: &[u64]) -> Vec<CrossoverRow> {
                 low_depth: ld,
                 edge_disjoint: ed,
                 single_tree: st,
-                ring: ring_allreduce_time(&single.graph, &routing, m, hp),
-                recursive_doubling: recursive_doubling_time(&single.graph, &routing, m, hp),
-                rabenseifner: rabenseifner_time(&single.graph, &routing, m, hp),
-                blueconnect: blueconnect_time(&single.graph, &routing, m, hp),
+                ring: model(hostbased::ring(n, m, 2)),
+                recursive_doubling: model(hostbased::recursive_doubling(n, m)),
+                rabenseifner: model(hostbased::rabenseifner(n, m)),
+                blueconnect: model(hostbased::blueconnect(n, m)),
             }
         })
         .collect()
@@ -499,7 +498,7 @@ pub fn print_torus_compare(m: u64) {
         innet_mem
     );
 
-    let hp = pf_simnet::hostbased::HostParams {
+    let hp = HostParams {
         hop_latency: cfg.link_latency as u64,
         phase_overhead: 200,
     };
@@ -606,9 +605,10 @@ pub fn print_vc_report(qs: &[u64]) {
 }
 
 /// Flit-level host-based baselines vs the analytic phase model — a
-/// methodology cross-check for SIM2's baseline numbers.
+/// methodology cross-check for SIM2's baseline numbers. Both columns of a
+/// pair price the one schedule value, so they compare the same rounds.
 pub fn print_sim_hostbased(q: u64, ms: &[u64]) {
-    use pf_simnet::p2p::{recursive_doubling_sim, ring_allreduce_sim};
+    use pf_simnet::p2p::simulate_schedule;
     use pf_topo::PolarFly;
 
     crate::print_header(&format!(
@@ -623,11 +623,13 @@ pub fn print_sim_hostbased(q: u64, ms: &[u64]) {
         "{:>9} {:>12} {:>12} {:>8} {:>12} {:>12} {:>8}",
         "m", "ring(flit)", "ring(model)", "ratio", "rdbl(flit)", "rdbl(model)", "ratio"
     );
+    let flit_and_model = |s| {
+        let flit = simulate_schedule(g, &routing, &s, cfg, 0).expect("completes");
+        (flit, hostbased::price(g, &routing, &s, hp).total)
+    };
     for &m in ms {
-        let rf = ring_allreduce_sim(g, &routing, m, cfg, 0).expect("completes");
-        let rm = ring_allreduce_time(g, &routing, m, hp);
-        let df = recursive_doubling_sim(g, &routing, m, cfg, 0).expect("completes");
-        let dm = recursive_doubling_time(g, &routing, m, hp);
+        let (rf, rm) = flit_and_model(hostbased::ring(g.num_vertices(), m, 2));
+        let (df, dm) = flit_and_model(hostbased::recursive_doubling(g.num_vertices(), m));
         println!(
             "{:>9} {:>12} {:>12} {:>8.3} {:>12} {:>12} {:>8.3}",
             m,

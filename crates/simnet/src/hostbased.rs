@@ -1,23 +1,31 @@
-//! Congestion-aware phase models of host-based allreduce baselines (§4.2,
-//! §8 of the paper).
+//! Host-based allreduce baselines (§4.2, §8 of the paper): one schedule
+//! per algorithm, priced by the congestion-aware α–β model here and
+//! executed flit by flit by [`crate::p2p::simulate_schedule`].
 //!
-//! Host-based algorithms proceed in synchronous communication rounds; each
-//! round's point-to-point messages are routed minimally over the physical
-//! topology, and contended channels serialize (see
-//! [`crate::routing::phase_time`]). On top of link time, every round pays a
-//! per-phase software overhead — the protocol/memory-copy cost that
-//! in-network computing eliminates (§4.3: a single transfer from
-//! application memory to the network).
+//! Host-based algorithms proceed in synchronous communication rounds. A
+//! [`Schedule`] lists them, each as point-to-point messages with a repeat
+//! count. [`price`] routes every round's messages minimally over the
+//! physical topology and lets contended channels serialize (see
+//! [`crate::routing::phase_profile`]). On top of link time, every executed
+//! round pays a per-phase software overhead — the protocol/memory-copy
+//! cost that in-network computing eliminates (§4.3: a single transfer from
+//! application memory to the network). Both pricers read the same value,
+//! so the model and the executor always compare the same rounds.
 //!
-//! Implemented baselines:
-//! * **Ring allreduce** (reduce-scatter + allgather around a ring) —
-//!   bandwidth-optimal per node, `2(N-1)` rounds,
-//! * **Recursive doubling** — latency-optimal, `log2 N` rounds of
+//! Schedules:
+//! * [`ring`] (reduce-scatter + allgather around a ring) —
+//!   bandwidth-optimal per node, `2(N-1)` rounds, or either half alone,
+//! * [`recursive_doubling`] — latency-optimal, `log2 N` rounds of
 //!   full-vector exchanges,
-//! * **Rabenseifner** (recursive halving reduce-scatter + recursive
-//!   doubling allgather) — bandwidth-optimal on powers of two.
+//! * [`rabenseifner`] (recursive halving reduce-scatter + recursive
+//!   doubling allgather) — bandwidth-optimal on powers of two,
+//! * [`blueconnect`] — hierarchical rings over `≈ √N` groups.
+//!
+//! The multiported torus ([`multiported_torus_time`]) stays a closed form:
+//! its dimension rings run concurrently with unequal round counts, so its
+//! time is a max over dimensions, not a sum of rounds.
 
-use crate::routing::{phase_profile, phase_time, PhaseProfile, Routing};
+use crate::routing::{phase_profile, PhaseProfile, Routing};
 use pf_graph::{Graph, VertexId};
 
 /// Cost parameters of the host-based models.
@@ -36,192 +44,173 @@ impl Default for HostParams {
     }
 }
 
-fn ceil_div(a: u64, b: u64) -> u64 {
-    a.div_ceil(b)
+/// One synchronous round of concurrent point-to-point messages.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Round {
+    /// `(src, dst, len)`: `len` elements from `src` to `dst`. Self-messages
+    /// and empty messages move nothing.
+    pub messages: Vec<(VertexId, VertexId, u64)>,
+    /// How many times the round runs back to back.
+    pub repeat: u64,
 }
 
-/// Ring allreduce: `2(N-1)` rounds, each node passing a `⌈m/N⌉` chunk to
-/// its ring successor (node ids in order).
-pub fn ring_allreduce_time(g: &Graph, routing: &Routing, m: u64, p: HostParams) -> u64 {
-    let n = g.num_vertices() as u64;
-    if n <= 1 || m == 0 {
-        return 0;
+/// A host-based collective: its rounds, in execution order.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Schedule {
+    pub rounds: Vec<Round>,
+}
+
+impl Schedule {
+    /// Rounds executed, repeats included; each pays the per-round
+    /// overhead once.
+    pub fn num_rounds(&self) -> u64 {
+        self.rounds.iter().map(|r| r.repeat).sum()
     }
-    let chunk = ceil_div(m, n);
-    let messages: Vec<(VertexId, VertexId, u64)> =
-        (0..n as u32).map(|i| (i, (i + 1) % n as u32, chunk)).collect();
-    let round = phase_time(g, routing, &messages, p.hop_latency) + p.phase_overhead;
-    2 * (n - 1) * round
+
+    /// Appends `repeat` runs of a round; a round without messages or runs
+    /// is no round at all.
+    fn push(&mut self, repeat: u64, messages: Vec<(VertexId, VertexId, u64)>) {
+        if repeat > 0 && !messages.is_empty() {
+            self.rounds.push(Round { messages, repeat });
+        }
+    }
 }
 
-/// Observability breakdown of [`ring_allreduce_time`]: every round shares
-/// one message pattern, so a single round's [`PhaseProfile`] explains the
-/// whole schedule.
+/// The α–β price of a [`Schedule`], round by round.
 #[derive(Debug, Clone, PartialEq)]
-pub struct RingProfile {
-    /// Number of rounds: `2(N-1)` for the full allreduce, `(N-1)` for a
-    /// lone reduce-scatter or allgather phase.
-    pub rounds: u64,
-    /// Congestion profile of the representative round.
-    pub round: PhaseProfile,
-    /// Software overhead charged per round.
+pub struct Pricing {
+    /// Congestion profile of each schedule round, in schedule order.
+    pub rounds: Vec<PhaseProfile>,
+    /// Software overhead charged per executed round.
     pub round_overhead: u64,
-    /// Total cycles — always equals [`ring_allreduce_time`].
+    /// Total cycles: `Σ repeat · (round time + round_overhead)`.
     pub total: u64,
 }
 
-/// Profiled variant of [`ring_allreduce_time`] (identical arithmetic).
-/// Returns `None` for degenerate inputs where the time is 0.
-pub fn ring_allreduce_profile(
-    g: &Graph,
-    routing: &Routing,
-    m: u64,
-    p: HostParams,
-) -> Option<RingProfile> {
-    ring_phase_profile(g, routing, m, p, 2)
+/// Prices `s` under the congestion-aware α–β model: within a round every
+/// message proceeds concurrently and the round ends when its most loaded
+/// channel drains, plus the deepest path's pipeline latency; rounds run
+/// back to back, each paying `p.phase_overhead`.
+pub fn price(g: &Graph, routing: &Routing, s: &Schedule, p: HostParams) -> Pricing {
+    let rounds: Vec<PhaseProfile> = s
+        .rounds
+        .iter()
+        .map(|r| phase_profile(g, routing, &r.messages, p.hop_latency))
+        .collect();
+    let total = s
+        .rounds
+        .iter()
+        .zip(&rounds)
+        .map(|(r, prof)| r.repeat * (prof.time() + p.phase_overhead))
+        .sum();
+    Pricing { rounds, round_overhead: p.phase_overhead, total }
 }
 
-/// The shared ring-phase arithmetic: every round of a ring collective
-/// moves the same `⌈m/N⌉`-chunk neighbor pattern, and a full allreduce is
-/// two back-to-back `(N-1)`-round phases (`rounds_per_phase` 1 for a
-/// single phase, 2 for the allreduce).
-fn ring_phase_profile(
-    g: &Graph,
-    routing: &Routing,
-    m: u64,
-    p: HostParams,
-    phases: u64,
-) -> Option<RingProfile> {
-    let n = g.num_vertices() as u64;
-    if n <= 1 || m == 0 {
-        return None;
+/// Ring collectives on nodes `0..n` in id order: `phases` back-to-back
+/// `(N-1)`-round phases in which every node passes a `⌈m/N⌉` chunk to its
+/// ring successor. `phases = 2` is the allreduce: a reduce-scatter, after
+/// which node `i` holds slice `i` of the global reduction, then an
+/// allgather circulating the reduced slices until every node holds all
+/// `m` elements. `phases = 1` is either half alone — the two are mirror
+/// images with one round pattern, so each costs exactly half the
+/// allreduce, which makes the ring the like-for-like host-based baseline
+/// for the in-network `Collective::ReduceScatter` and
+/// `Collective::Allgather`.
+pub fn ring(n: u32, m: u64, phases: u64) -> Schedule {
+    let mut s = Schedule::default();
+    if n > 1 && m > 0 {
+        let chunk = m.div_ceil(u64::from(n));
+        s.push(phases * u64::from(n - 1), (0..n).map(|i| (i, (i + 1) % n, chunk)).collect());
     }
-    let chunk = ceil_div(m, n);
-    let messages: Vec<(VertexId, VertexId, u64)> =
-        (0..n as u32).map(|i| (i, (i + 1) % n as u32, chunk)).collect();
-    let round = phase_profile(g, routing, &messages, p.hop_latency);
-    let rounds = phases * (n - 1);
-    let total = rounds * (round.time() + p.phase_overhead);
-    Some(RingProfile { rounds, round, round_overhead: p.phase_overhead, total })
+    s
 }
 
-/// Ring reduce-scatter: the first phase of [`ring_allreduce_time`] on its
-/// own — `(N-1)` rounds, each node passing a reduced `⌈m/N⌉` chunk to its
-/// ring successor, after which node `i` holds slice `i` of the global
-/// reduction. Exactly half the allreduce's rounds (and, round pattern
-/// being identical, exactly half its time), which is what makes the ring
-/// the like-for-like host-based baseline for the in-network
-/// `Collective::ReduceScatter`.
-pub fn ring_reduce_scatter_time(g: &Graph, routing: &Routing, m: u64, p: HostParams) -> u64 {
-    ring_reduce_scatter_profile(g, routing, m, p).map_or(0, |pr| pr.total)
-}
-
-/// Profiled variant of [`ring_reduce_scatter_time`] (identical
-/// arithmetic). Returns `None` for degenerate inputs where the time is 0.
-pub fn ring_reduce_scatter_profile(
-    g: &Graph,
-    routing: &Routing,
-    m: u64,
-    p: HostParams,
-) -> Option<RingProfile> {
-    ring_phase_profile(g, routing, m, p, 1)
-}
-
-/// Ring allgather: the second phase of [`ring_allreduce_time`] on its own
-/// — `(N-1)` rounds circulating the already-reduced slices until every
-/// node holds the full `m`-element result. The round pattern is the
-/// mirror image of the reduce-scatter's and costs the same, so
-/// `ring_reduce_scatter_time + ring_allgather_time == ring_allreduce_time`
-/// (pinned by a unit test).
-pub fn ring_allgather_time(g: &Graph, routing: &Routing, m: u64, p: HostParams) -> u64 {
-    ring_allgather_profile(g, routing, m, p).map_or(0, |pr| pr.total)
-}
-
-/// Profiled variant of [`ring_allgather_time`] (identical arithmetic).
-/// Returns `None` for degenerate inputs where the time is 0.
-pub fn ring_allgather_profile(
-    g: &Graph,
-    routing: &Routing,
-    m: u64,
-    p: HostParams,
-) -> Option<RingProfile> {
-    ring_phase_profile(g, routing, m, p, 1)
-}
-
-/// Recursive doubling: pre/post rounds fold non-power-of-two stragglers
-/// onto the power-of-two core, then `log2(p)` rounds of full-`m` pairwise
-/// exchanges with partner `i XOR 2^k`.
-pub fn recursive_doubling_time(g: &Graph, routing: &Routing, m: u64, p: HostParams) -> u64 {
-    let n = g.num_vertices() as u64;
-    if n <= 1 || m == 0 {
-        return 0;
-    }
-    let pow = 1u64 << (63 - n.leading_zeros() as u64); // largest power of two <= n
-    let extras = n - pow;
-    let mut total = 0u64;
-
-    if extras > 0 {
-        // Stragglers send their vector down, and receive the result back.
-        let pre: Vec<(VertexId, VertexId, u64)> =
-            (0..extras as u32).map(|i| (pow as u32 + i, i, m)).collect();
-        let post: Vec<(VertexId, VertexId, u64)> =
-            (0..extras as u32).map(|i| (i, pow as u32 + i, m)).collect();
-        total += phase_time(g, routing, &pre, p.hop_latency) + p.phase_overhead;
-        total += phase_time(g, routing, &post, p.hop_latency) + p.phase_overhead;
-    }
-    let mut k = 1u64;
-    while k < pow {
-        let messages: Vec<(VertexId, VertexId, u64)> =
-            (0..pow as u32).map(|i| (i, i ^ k as u32, m)).collect();
-        total += phase_time(g, routing, &messages, p.hop_latency) + p.phase_overhead;
-        k <<= 1;
-    }
-    total
-}
-
-/// Rabenseifner's algorithm: recursive-halving reduce-scatter (message
-/// sizes `m/2, m/4, …`) followed by a recursive-doubling allgather
-/// (mirrored sizes), with the same straggler pre/post folding.
-pub fn rabenseifner_time(g: &Graph, routing: &Routing, m: u64, p: HostParams) -> u64 {
-    let n = g.num_vertices() as u64;
-    if n <= 1 || m == 0 {
-        return 0;
-    }
-    let pow = 1u64 << (63 - n.leading_zeros() as u64);
-    let extras = n - pow;
-    let mut total = 0u64;
-    if extras > 0 {
-        let pre: Vec<(VertexId, VertexId, u64)> =
-            (0..extras as u32).map(|i| (pow as u32 + i, i, m)).collect();
-        let post: Vec<(VertexId, VertexId, u64)> =
-            (0..extras as u32).map(|i| (i, pow as u32 + i, m)).collect();
-        total += phase_time(g, routing, &pre, p.hop_latency) + p.phase_overhead;
-        total += phase_time(g, routing, &post, p.hop_latency) + p.phase_overhead;
-    }
-    // Reduce-scatter: halving distances pow/2, pow/4, ..., 1 with sizes m/2, m/4, ...
-    let mut dist = pow / 2;
-    let mut size = ceil_div(m, 2);
-    while dist >= 1 {
-        let messages: Vec<(VertexId, VertexId, u64)> =
-            (0..pow as u32).map(|i| (i, i ^ dist as u32, size)).collect();
-        total += phase_time(g, routing, &messages, p.hop_latency) + p.phase_overhead;
-        if dist == 1 {
-            break;
+/// Recursive doubling: `log2(p)` rounds of full-`m` pairwise exchanges
+/// with partner `i XOR 2^k` on the power-of-two core, stragglers folded.
+pub fn recursive_doubling(n: u32, m: u64) -> Schedule {
+    fold_stragglers(n, m, |pow, s| {
+        for k in 0..pow.trailing_zeros() {
+            s.push(1, exchange(pow, 1 << k, m));
         }
-        dist /= 2;
-        size = ceil_div(size, 2);
+    })
+}
+
+/// Rabenseifner's algorithm: recursive-halving reduce-scatter (partner
+/// distances `p/2, …, 1`, sizes `⌈m/2⌉, ⌈⌈m/2⌉/2⌉, …`) followed by a
+/// recursive-doubling allgather (distances `1, …, p/2`, sizes
+/// `⌈m/p⌉, 2⌈m/p⌉, …`), stragglers folded.
+pub fn rabenseifner(n: u32, m: u64) -> Schedule {
+    fold_stragglers(n, m, |pow, s| {
+        let log = pow.trailing_zeros();
+        let mut size = m;
+        for k in (0..log).rev() {
+            size = size.div_ceil(2);
+            s.push(1, exchange(pow, 1 << k, size));
+        }
+        let size = m.div_ceil(u64::from(pow));
+        for k in 0..log {
+            s.push(1, exchange(pow, 1 << k, size << k));
+        }
+    })
+}
+
+/// The power-of-two algorithms run on the largest power of two `p ≤ n`:
+/// the `n - p` stragglers first send their full vector down to nodes
+/// `0..n-p`, `core(p, s)` appends the power-of-two rounds, and the
+/// stragglers get the result back last.
+fn fold_stragglers(n: u32, m: u64, core: impl FnOnce(u32, &mut Schedule)) -> Schedule {
+    let mut s = Schedule::default();
+    if n <= 1 || m == 0 {
+        return s;
     }
-    // Allgather mirrors the reduce-scatter.
-    let mut dist = 1u64;
-    let mut size = ceil_div(m, pow);
-    while dist < pow {
-        let messages: Vec<(VertexId, VertexId, u64)> =
-            (0..pow as u32).map(|i| (i, i ^ dist as u32, size)).collect();
-        total += phase_time(g, routing, &messages, p.hop_latency) + p.phase_overhead;
-        dist *= 2;
-        size *= 2;
+    let pow = 1u32 << n.ilog2();
+    s.push(1, (0..n - pow).map(|i| (pow + i, i, m)).collect());
+    core(pow, &mut s);
+    s.push(1, (0..n - pow).map(|i| (i, pow + i, m)).collect());
+    s
+}
+
+/// One pairwise-exchange round on `0..pow`: node `i` sends `len` elements
+/// to partner `i XOR dist`.
+fn exchange(pow: u32, dist: u32, len: u64) -> Vec<(VertexId, VertexId, u64)> {
+    (0..pow).map(|i| (i, i ^ dist, len)).collect()
+}
+
+/// BlueConnect-style hierarchical allreduce (§8): split the nodes into
+/// `g = ⌊√N⌋` contiguous groups; run reduce-scatter rings inside every
+/// group concurrently, an allreduce ring across same-rank members of the
+/// groups per chunk, then the mirrored allgather rings inside each group.
+/// On a *flat* network with uniform links this stays gated by a single
+/// link's bandwidth — the §8 point the multi-tree solutions overcome.
+pub fn blueconnect(n: u32, m: u64) -> Schedule {
+    let mut s = Schedule::default();
+    if n <= 1 || m == 0 {
+        return s;
     }
-    total
+    let ids: Vec<VertexId> = (0..n).collect();
+    // Every group but possibly the last has the full size.
+    let max_group = n.div_ceil(n.isqrt()) as usize;
+    let groups: Vec<&[VertexId]> = ids.chunks(max_group).collect();
+    let chunk = m.div_ceil(max_group as u64);
+    let intra: Vec<_> = groups
+        .iter()
+        .flat_map(|ms| (0..ms.len()).map(move |i| (ms[i], ms[(i + 1) % ms.len()], chunk)))
+        .collect();
+    let cross_chunk = chunk.div_ceil(groups.len() as u64);
+    let cross = (0..max_group)
+        .flat_map(|rank| {
+            let groups = &groups;
+            (0..groups.len()).filter_map(move |gi| {
+                let next = groups[(gi + 1) % groups.len()];
+                Some((*groups[gi].get(rank)?, *next.get(rank)?, cross_chunk))
+            })
+        })
+        .collect();
+    let intra_rounds = max_group as u64 - 1;
+    s.push(intra_rounds, intra.clone());
+    s.push(2 * (groups.len() as u64 - 1), cross);
+    s.push(intra_rounds, intra);
+    s
 }
 
 /// Multiported torus allreduce (§1.2's prior work [25, 30, 53]): the
@@ -236,30 +225,23 @@ pub fn rabenseifner_time(g: &Graph, routing: &Routing, m: u64, p: HostParams) ->
 /// computation" footprint the paper contrasts with the
 /// latency-bandwidth-product buffers of pipelined trees.
 pub fn multiported_torus_time(t: &pf_topo::torus::Torus, m: u64, p: HostParams) -> u64 {
-    let g = t.graph();
-    let routing = Routing::new(g);
-    let ports = t.radix() as u64;
-    if m == 0 || g.num_vertices() <= 1 {
+    if m == 0 {
         return 0;
     }
-    let slice = ceil_div(m, ports);
-    let mut worst = 0u64;
-    for (d, &k) in t.dims().iter().enumerate() {
-        if k <= 1 {
-            continue;
-        }
+    let g = t.graph();
+    let routing = Routing::new(g);
+    let slice = m.div_ceil(u64::from(t.radix()));
+    let dimension_time = |(d, &k): (usize, &u32)| {
         // One ring round along dimension d: every node sends its chunk of
         // the slice to its +1 neighbor (the -1 direction's slice uses the
-        // opposite channels of the same links, also concurrently).
-        let chunk = ceil_div(slice, k as u64);
-        let msgs: Vec<(VertexId, VertexId, u64)> =
-            g.vertices().map(|v| (v, t.step(v, d), chunk)).collect();
-        let round = phase_time(g, &routing, &msgs, p.hop_latency) + p.phase_overhead;
-        // Reduce-scatter + allgather: 2(k - 1) rounds.
-        let total = 2 * (k as u64 - 1) * round;
-        worst = worst.max(total);
-    }
-    worst
+        // opposite channels of the same links, also concurrently);
+        // reduce-scatter + allgather take 2(k - 1) rounds.
+        let chunk = slice.div_ceil(u64::from(k));
+        let mut s = Schedule::default();
+        s.push(2 * u64::from(k - 1), g.vertices().map(|v| (v, t.step(v, d), chunk)).collect());
+        price(g, &routing, &s, p).total
+    };
+    t.dims().iter().enumerate().map(dimension_time).max().unwrap_or(0)
 }
 
 /// Host-side working-memory footprint of the multiported torus schedule:
@@ -267,86 +249,14 @@ pub fn multiported_torus_time(t: &pf_topo::torus::Torus, m: u64, p: HostParams) 
 /// the largest in-flight chunk per port — `Θ(m)` overall.
 pub fn multiported_torus_memory_elems(t: &pf_topo::torus::Torus, m: u64) -> u64 {
     let ports = t.radix() as u64;
-    let slice = ceil_div(m, ports.max(1));
+    let slice = m.div_ceil(ports.max(1));
     let max_chunk = t
         .dims()
         .iter()
-        .map(|&k| ceil_div(slice, k as u64))
+        .map(|&k| slice.div_ceil(k as u64))
         .max()
         .unwrap_or(0);
     m + ports * max_chunk
-}
-
-/// BlueConnect-style hierarchical allreduce (§8): split the nodes into
-/// `g ≈ √N` groups; run reduce-scatter rings inside each group
-/// concurrently, an allreduce ring across group leaders per chunk, then
-/// allgather rings inside each group. On a *flat* network with uniform
-/// links this stays gated by a single link's bandwidth — the §8 point the
-/// multi-tree solutions overcome.
-pub fn blueconnect_time(g: &Graph, routing: &Routing, m: u64, p: HostParams) -> u64 {
-    let n = g.num_vertices() as u64;
-    if n <= 1 || m == 0 {
-        return 0;
-    }
-    let groups = (1..=n).rev().find(|&x| x * x <= n).unwrap_or(1);
-    let group_size = n.div_ceil(groups);
-    let group_of = |v: u64| (v / group_size).min(groups - 1);
-    let members = |gi: u64| -> Vec<u32> {
-        (0..n).filter(|&v| group_of(v) == gi).map(|v| v as u32).collect()
-    };
-    let mut total = 0u64;
-
-    // Phase set 1: intra-group ring reduce-scatter (all groups concurrent).
-    let max_group = (0..groups).map(|gi| members(gi).len() as u64).max().unwrap();
-    let chunk1 = ceil_div(m, max_group.max(1));
-    for _round in 0..max_group.saturating_sub(1) {
-        let msgs: Vec<(VertexId, VertexId, u64)> = (0..groups)
-            .flat_map(|gi| {
-                let ms = members(gi);
-                let k = ms.len();
-                (0..k).map(move |i| (ms[i], ms[(i + 1) % k], chunk1)).collect::<Vec<_>>()
-            })
-            .filter(|&(s, d, _)| s != d)
-            .collect();
-        total += phase_time(g, routing, &msgs, p.hop_latency) + p.phase_overhead;
-    }
-
-    // Phase set 2: cross-group allreduce ring over same-rank members.
-    let chunk2 = ceil_div(chunk1, groups.max(1));
-    for _round in 0..2 * groups.saturating_sub(1) {
-        let msgs: Vec<(VertexId, VertexId, u64)> = (0..max_group)
-            .flat_map(|rank| {
-                (0..groups)
-                    .filter_map(|gi| {
-                        let ms = members(gi);
-                        let next = members((gi + 1) % groups);
-                        let s = *ms.get(rank as usize)?;
-                        let d = *next.get(rank as usize)?;
-                        Some((s, d, chunk2))
-                    })
-                    .collect::<Vec<_>>()
-            })
-            .filter(|&(s, d, _)| s != d)
-            .collect();
-        if msgs.is_empty() {
-            break;
-        }
-        total += phase_time(g, routing, &msgs, p.hop_latency) + p.phase_overhead;
-    }
-
-    // Phase set 3: intra-group ring allgather (mirror of phase set 1).
-    for _round in 0..max_group.saturating_sub(1) {
-        let msgs: Vec<(VertexId, VertexId, u64)> = (0..groups)
-            .flat_map(|gi| {
-                let ms = members(gi);
-                let k = ms.len();
-                (0..k).map(move |i| (ms[i], ms[(i + 1) % k], chunk1)).collect::<Vec<_>>()
-            })
-            .filter(|&(s, d, _)| s != d)
-            .collect();
-        total += phase_time(g, routing, &msgs, p.hop_latency) + p.phase_overhead;
-    }
-    total
 }
 
 #[cfg(test)]
@@ -361,20 +271,26 @@ mod tests {
         (g, r)
     }
 
+    fn time(g: &Graph, r: &Routing, s: &Schedule, p: HostParams) -> u64 {
+        price(g, r, s, p).total
+    }
+
     #[test]
     fn zero_cases() {
+        for (n, m) in [(0, 100), (1, 100), (13, 0)] {
+            for s in [ring(n, m, 2), recursive_doubling(n, m), rabenseifner(n, m)] {
+                assert_eq!(s, Schedule::default(), "n={n} m={m}");
+            }
+        }
         let (g, r) = setup(3);
-        let p = HostParams::default();
-        assert_eq!(ring_allreduce_time(&g, &r, 0, p), 0);
-        assert_eq!(recursive_doubling_time(&g, &r, 0, p), 0);
-        assert_eq!(rabenseifner_time(&g, &r, 0, p), 0);
+        assert_eq!(time(&g, &r, &Schedule::default(), HostParams::default()), 0);
     }
 
     #[test]
     fn ring_scales_linearly_in_n_rounds() {
         let (g, r) = setup(3); // N = 13
         let p = HostParams { hop_latency: 1, phase_overhead: 0 };
-        let t = ring_allreduce_time(&g, &r, 1300, p);
+        let t = time(&g, &r, &ring(13, 1300, 2), p);
         // 24 rounds; chunk 100. Each round's bottleneck channel carries at
         // least one chunk.
         assert!(t >= 24 * 100, "t = {t}");
@@ -386,8 +302,8 @@ mod tests {
         let p = HostParams { hop_latency: 1, phase_overhead: 0 };
         let small = 16;
         // For small vectors, recursive doubling beats ring (fewer rounds).
-        let rd = recursive_doubling_time(&g, &r, small, p);
-        let ring = ring_allreduce_time(&g, &r, small, p);
+        let rd = time(&g, &r, &recursive_doubling(13, small), p);
+        let ring = time(&g, &r, &ring(13, small, 2), p);
         assert!(rd < ring, "rd {rd} vs ring {ring}");
     }
 
@@ -396,8 +312,8 @@ mod tests {
         let (g, r) = setup(5); // N = 31
         let p = HostParams { hop_latency: 1, phase_overhead: 0 };
         let big = 1_000_000;
-        let rd = recursive_doubling_time(&g, &r, big, p);
-        let ring = ring_allreduce_time(&g, &r, big, p);
+        let rd = time(&g, &r, &recursive_doubling(31, big), p);
+        let ring = time(&g, &r, &ring(31, big, 2), p);
         assert!(ring < rd, "ring {ring} vs rd {rd}");
     }
 
@@ -406,9 +322,28 @@ mod tests {
         let (g, r) = setup(5);
         let p = HostParams { hop_latency: 1, phase_overhead: 0 };
         let big = 1_000_000;
-        let rab = rabenseifner_time(&g, &r, big, p);
-        let rd = recursive_doubling_time(&g, &r, big, p);
+        let rab = time(&g, &r, &rabenseifner(31, big), p);
+        let rd = time(&g, &r, &recursive_doubling(31, big), p);
         assert!(rab < rd, "rab {rab} vs rd {rd}");
+    }
+
+    #[test]
+    fn straggler_fold_brackets_the_power_of_two_core() {
+        // N = 13: 5 stragglers above the core of 8, folded first and last.
+        for s in [recursive_doubling(13, 40), rabenseifner(13, 40)] {
+            let first = &s.rounds[0].messages;
+            let last = &s.rounds[s.rounds.len() - 1].messages;
+            assert_eq!(first, &(0..5).map(|i| (8 + i, i, 40)).collect::<Vec<_>>());
+            assert_eq!(last, &(0..5).map(|i| (i, 8 + i, 40)).collect::<Vec<_>>());
+        }
+        assert_eq!(recursive_doubling(13, 40).num_rounds(), 2 + 3);
+        assert_eq!(rabenseifner(13, 40).num_rounds(), 2 + 2 * 3);
+        // A power of two folds nothing.
+        assert_eq!(recursive_doubling(16, 40).num_rounds(), 4);
+        // Halving sizes on the way down, doubling on the way up.
+        let sizes: Vec<u64> =
+            rabenseifner(8, 100).rounds.iter().map(|r| r.messages[0].2).collect();
+        assert_eq!(sizes, [50, 25, 13, 13, 26, 52]);
     }
 
     #[test]
@@ -457,8 +392,8 @@ mod tests {
 
     #[test]
     fn blueconnect_zero_cases() {
-        let (g, r) = setup(3);
-        assert_eq!(blueconnect_time(&g, &r, 0, HostParams::default()), 0);
+        assert_eq!(blueconnect(13, 0), Schedule::default());
+        assert_eq!(blueconnect(1, 100), Schedule::default());
     }
 
     #[test]
@@ -469,25 +404,31 @@ mod tests {
         let (g, r) = setup(5); // N = 31
         let p = HostParams { hop_latency: 1, phase_overhead: 100 };
         let m = 100_000u64;
-        let bc = blueconnect_time(&g, &r, m, p);
-        let ring = ring_allreduce_time(&g, &r, m, p);
+        let bc = time(&g, &r, &blueconnect(31, m), p);
+        let ring = time(&g, &r, &ring(31, m, 2), p);
         assert!(bc < ring, "blueconnect {bc} vs ring {ring}");
         // Still gated near/below one element per cycle per node: total time
         // can't beat m cycles by more than a small constant factor.
         assert!(bc as f64 > 0.5 * m as f64, "bc {bc} too fast for a flat network");
+        // 5 groups of at most 7: 6 + 8 + 6 rounds, the intra-group rings
+        // mirrored around the cross-group ring.
+        let s = blueconnect(31, m);
+        assert_eq!(s.rounds.iter().map(|r| r.repeat).collect::<Vec<_>>(), [6, 8, 6]);
+        assert_eq!(s.rounds[0], s.rounds[2]);
     }
 
     #[test]
     fn ring_profile_explains_ring_time() {
         let (g, r) = setup(3);
         let p = HostParams::default();
-        let m = 1300;
-        let prof = ring_allreduce_profile(&g, &r, m, p).unwrap();
-        assert_eq!(prof.total, ring_allreduce_time(&g, &r, m, p));
-        assert_eq!(prof.rounds, 2 * (g.num_vertices() as u64 - 1));
-        assert_eq!(prof.total, prof.rounds * (prof.round.time() + prof.round_overhead));
-        assert!(prof.round.active_channels() > 0);
-        assert!(ring_allreduce_profile(&g, &r, 0, p).is_none());
+        let s = ring(13, 1300, 2);
+        let priced = price(&g, &r, &s, p);
+        assert_eq!(s.num_rounds(), 2 * (g.num_vertices() as u64 - 1));
+        assert_eq!(priced.rounds.len(), 1, "every ring round shares one pattern");
+        let round = &priced.rounds[0];
+        assert_eq!(priced.total, s.num_rounds() * (round.time() + priced.round_overhead));
+        assert!(round.active_channels() > 0);
+        assert!(ring(13, 0, 2).rounds.is_empty());
     }
 
     #[test]
@@ -495,10 +436,11 @@ mod tests {
         let (g, r) = setup(3);
         let p0 = HostParams { hop_latency: 1, phase_overhead: 0 };
         let p1 = HostParams { hop_latency: 1, phase_overhead: 1000 };
-        let n = g.num_vertices() as u64;
-        let m = 130;
-        let diff = ring_allreduce_time(&g, &r, m, p1) - ring_allreduce_time(&g, &r, m, p0);
-        assert_eq!(diff, 2 * (n - 1) * 1000);
+        for s in [ring(13, 130, 2), recursive_doubling(13, 130), rabenseifner(13, 130), blueconnect(13, 130)] {
+            let diff = time(&g, &r, &s, p1) - time(&g, &r, &s, p0);
+            assert_eq!(diff, s.num_rounds() * 1000);
+        }
+        assert_eq!(ring(13, 130, 2).num_rounds(), 2 * 12);
     }
 
     #[test]
@@ -508,13 +450,12 @@ mod tests {
         // identical per-round pattern, so their times sum exactly.
         for q in [3u64, 5] {
             let (g, r) = setup(q);
+            let n = g.num_vertices();
             let p = HostParams::default();
             for m in [1u64, 130, 1300, 99_991] {
-                let rs = ring_reduce_scatter_time(&g, &r, m, p);
-                let ag = ring_allgather_time(&g, &r, m, p);
-                let ar = ring_allreduce_time(&g, &r, m, p);
-                assert_eq!(rs + ag, ar, "q={q} m={m}");
-                assert_eq!(rs, ag, "mirrored phases cost the same");
+                let half = time(&g, &r, &ring(n, m, 1), p);
+                let ar = time(&g, &r, &ring(n, m, 2), p);
+                assert_eq!(2 * half, ar, "q={q} m={m}");
             }
         }
     }
@@ -524,23 +465,18 @@ mod tests {
         let (g, r) = setup(3); // N = 13
         let n = g.num_vertices() as u64;
         let p = HostParams::default();
-        let m = 1300;
-        for (prof, time) in [
-            (ring_reduce_scatter_profile(&g, &r, m, p), ring_reduce_scatter_time(&g, &r, m, p)),
-            (ring_allgather_profile(&g, &r, m, p), ring_allgather_time(&g, &r, m, p)),
-        ] {
-            let prof = prof.unwrap();
-            assert_eq!(prof.rounds, n - 1);
-            assert_eq!(prof.total, time);
-            assert_eq!(prof.total, prof.rounds * (prof.round.time() + prof.round_overhead));
-            assert_eq!(prof.round_overhead, p.phase_overhead);
-            assert!(prof.round.active_channels() > 0);
-        }
-        // Degenerate inputs profile to None / time 0.
-        assert!(ring_reduce_scatter_profile(&g, &r, 0, p).is_none());
-        assert!(ring_allgather_profile(&g, &r, 0, p).is_none());
-        assert_eq!(ring_reduce_scatter_time(&g, &r, 0, p), 0);
-        assert_eq!(ring_allgather_time(&g, &r, 0, p), 0);
+        let s = ring(13, 1300, 1);
+        let priced = price(&g, &r, &s, p);
+        assert_eq!(s.num_rounds(), n - 1);
+        assert_eq!(priced.total, (n - 1) * (priced.rounds[0].time() + priced.round_overhead));
+        assert_eq!(priced.round_overhead, p.phase_overhead);
+        // Chunk ⌈1300/13⌉ = 100 to the ring successor: one hop or two on
+        // ER_3, so the round's time is its bottleneck load plus two hops.
+        assert_eq!(s.rounds[0].messages[0], (0, 1, 100));
+        assert_eq!(priced.rounds[0].time(), priced.rounds[0].serial + 2 * p.hop_latency);
+        // Degenerate inputs schedule nothing and cost nothing.
+        assert!(ring(13, 0, 1).rounds.is_empty());
+        assert_eq!(time(&g, &r, &ring(1, 1300, 1), p), 0);
     }
 
     #[test]
@@ -549,11 +485,7 @@ mod tests {
         let p0 = HostParams { hop_latency: 1, phase_overhead: 0 };
         let p1 = HostParams { hop_latency: 1, phase_overhead: 1000 };
         let n = g.num_vertices() as u64;
-        let m = 130;
-        let diff =
-            ring_reduce_scatter_time(&g, &r, m, p1) - ring_reduce_scatter_time(&g, &r, m, p0);
-        assert_eq!(diff, (n - 1) * 1000);
-        let diff = ring_allgather_time(&g, &r, m, p1) - ring_allgather_time(&g, &r, m, p0);
-        assert_eq!(diff, (n - 1) * 1000);
+        let half = ring(13, 130, 1);
+        assert_eq!(time(&g, &r, &half, p1) - time(&g, &r, &half, p0), (n - 1) * 1000);
     }
 }

@@ -1,29 +1,22 @@
-//! Flit-level point-to-point phase simulation — the executed counterpart
-//! of the analytic [`crate::routing::phase_time`] model.
+//! Flit-level point-to-point execution of host-based schedules — the
+//! executed counterpart of the analytic [`crate::hostbased::price`] model.
 //!
 //! Host-based allreduce algorithms (§4.2) run in synchronous rounds of
-//! point-to-point messages. Here each message is streamed flit by flit
-//! along its minimal route with per-hop relay buffers and credit flow
-//! control, and contended channels arbitrate round-robin — exactly the
-//! machinery the in-network engine uses, so in-network and host-based
-//! numbers are directly comparable. Phases execute back to back with a
-//! per-phase software overhead (the protocol/staging cost in-network
-//! computing avoids).
+//! point-to-point messages ([`crate::hostbased::Schedule`]). Here each
+//! message is streamed flit by flit along its minimal route with per-hop
+//! relay buffers and credit flow control, and contended channels
+//! arbitrate round-robin — exactly the machinery the in-network engine
+//! uses, so in-network and host-based numbers are directly comparable.
+//! Rounds execute back to back with a per-round software overhead (the
+//! protocol/staging cost in-network computing avoids).
 
 use crate::engine::SimConfig;
+use crate::hostbased::Schedule;
 use crate::routing::Routing;
 use pf_graph::{Graph, VertexId};
 use std::collections::VecDeque;
 
-/// One point-to-point transfer of `len` elements.
-#[derive(Debug, Clone, Copy)]
-pub struct Message {
-    pub src: VertexId,
-    pub dst: VertexId,
-    pub len: u64,
-}
-
-/// Result of one simulated phase (or phase schedule).
+/// Result of one simulated phase.
 #[derive(Debug, Clone)]
 pub struct P2PReport {
     /// Cycles until the last flit of the last message arrived.
@@ -32,6 +25,8 @@ pub struct P2PReport {
     pub completed: bool,
     /// Flits carried per directed channel.
     pub channel_flits: Vec<u64>,
+    /// Per-channel cycle attribution, when the phase ran traced.
+    pub trace: Option<P2PTrace>,
 }
 
 /// Per-hop stream state of one message.
@@ -67,76 +62,48 @@ impl P2PTrace {
     }
 }
 
-/// Simulates one phase of concurrent messages at flit granularity.
-/// Payloads are not modeled (host-based reductions happen in host memory
-/// between rounds); the flit *count* and congestion behavior are.
+/// Simulates one phase of concurrent `(src, dst, len)` messages at flit
+/// granularity. Payloads are not modeled (host-based reductions happen in
+/// host memory between rounds); the flit *count* and congestion behavior
+/// are. With `traced`, every channel-cycle is also attributed as busy,
+/// credit-stalled, or idle; tracing is observational, so the rest of the
+/// report is identical to the untraced run's.
 pub fn simulate_phase(
     g: &Graph,
     routing: &Routing,
-    messages: &[Message],
+    messages: &[(VertexId, VertexId, u64)],
     cfg: SimConfig,
+    traced: bool,
 ) -> P2PReport {
-    simulate_phase_inner(g, routing, messages, cfg, None)
-}
-
-/// Like [`simulate_phase`], additionally attributing every channel-cycle
-/// as busy, credit-stalled, or idle. Tracing is observational: the
-/// returned `P2PReport` is identical to the untraced run's.
-pub fn simulate_phase_traced(
-    g: &Graph,
-    routing: &Routing,
-    messages: &[Message],
-    cfg: SimConfig,
-) -> (P2PReport, P2PTrace) {
     let nc = 2 * g.num_edges() as usize;
-    let mut trace =
-        P2PTrace { cycles: 0, busy_cycles: vec![0; nc], credit_stall_cycles: vec![0; nc] };
-    let report = simulate_phase_inner(g, routing, messages, cfg, Some(&mut trace));
-    trace.cycles = report.cycles;
-    (report, trace)
-}
-
-fn simulate_phase_inner(
-    g: &Graph,
-    routing: &Routing,
-    messages: &[Message],
-    cfg: SimConfig,
-    mut trace: Option<&mut P2PTrace>,
-) -> P2PReport {
-    let mut channel_flits = vec![0u64; 2 * g.num_edges() as usize];
-    // Build hop chains.
-    let mut chains: Vec<Vec<HopState>> = Vec::with_capacity(messages.len());
-    let mut pending: Vec<u64> = Vec::with_capacity(messages.len()); // to inject
-    let mut delivered: Vec<u64> = vec![0; messages.len()];
-    for msg in messages {
-        if msg.src == msg.dst || msg.len == 0 {
-            chains.push(Vec::new());
-            pending.push(0);
-            continue;
-        }
-        let path = routing.path(msg.src, msg.dst);
-        let hops = path
-            .windows(2)
-            .map(|w| HopState {
-                channel: crate::embedding::channel_id(g, w[0], w[1]),
-                sendq: 0,
-                inflight: VecDeque::new(),
-                recvq: 0,
-            })
-            .collect();
-        chains.push(hops);
-        pending.push(msg.len);
-    }
-    let total: u64 = messages
+    let mut trace = traced
+        .then(|| P2PTrace { cycles: 0, busy_cycles: vec![0; nc], credit_stall_cycles: vec![0; nc] });
+    let mut channel_flits = vec![0u64; nc];
+    // Hop chains, and the flits each message has left to inject.
+    let (mut chains, mut pending): (Vec<Vec<HopState>>, Vec<u64>) = messages
         .iter()
-        .map(|m| if m.src == m.dst { 0 } else { m.len })
-        .collect::<Vec<_>>()
-        .iter()
-        .sum();
+        .map(|&(src, dst, len)| {
+            if src == dst || len == 0 {
+                return (Vec::new(), 0);
+            }
+            let hops = routing
+                .path(src, dst)
+                .windows(2)
+                .map(|w| HopState {
+                    channel: crate::embedding::channel_id(g, w[0], w[1]),
+                    sendq: 0,
+                    inflight: VecDeque::new(),
+                    recvq: 0,
+                })
+                .collect();
+            (hops, len)
+        })
+        .unzip();
+    let total: u64 = pending.iter().sum();
     let mut done: u64 = 0;
 
     // Per-channel membership: (message index, hop index).
-    let mut members: Vec<Vec<(u32, u32)>> = vec![Vec::new(); channel_flits.len()];
+    let mut members: Vec<Vec<(u32, u32)>> = vec![Vec::new(); nc];
     for (mi, hops) in chains.iter().enumerate() {
         for (hi, h) in hops.iter().enumerate() {
             members[h.channel as usize].push((mi as u32, hi as u32));
@@ -165,7 +132,6 @@ fn simulate_phase_inner(
             let last = hops.len() - 1;
             if hops[last].recvq > 0 {
                 hops[last].recvq -= 1;
-                delivered[mi] += 1;
                 done += 1;
             }
             // Relay between hops (front to back so a flit moves one stage
@@ -182,10 +148,9 @@ fn simulate_phase_inner(
                 hops[0].sendq += 1;
             }
         }
-        // 3. Transmit: one flit per channel, round-robin with credits.
-        // Winner first, move after — so the tracer can observe all members
-        // without altering arbitration (untraced runs stop at the winner,
-        // the identical decision).
+        // 3. Transmit: one flit per channel, round-robin with credits. The
+        // scan stops at the winner; when there is none it has seen every
+        // member, so the tracer can tell a credit stall from an idle cycle.
         for (c, mem) in members.iter().enumerate() {
             if mem.is_empty() {
                 continue;
@@ -193,33 +158,23 @@ fn simulate_phase_inner(
             let k = mem.len();
             let start = rr[c];
             let mut winner: Option<(usize, u32, u32)> = None; // (offset, msg, hop)
-            if let Some(tr) = trace.as_deref_mut() {
-                let mut any_data = false;
-                for off in 0..k {
-                    let (mi, hi) = mem[(start + off) % k];
-                    let h = &chains[mi as usize][hi as usize];
-                    let has_data = h.sendq > 0;
-                    let has_credit =
-                        h.recvq + (h.inflight.len() as u64) < cfg.vc_buffer as u64;
-                    any_data |= has_data;
-                    if winner.is_none() && has_data && has_credit {
+            let mut any_data = false;
+            for off in 0..k {
+                let (mi, hi) = mem[(start + off) % k];
+                let h = &chains[mi as usize][hi as usize];
+                if h.sendq > 0 {
+                    any_data = true;
+                    if h.recvq + (h.inflight.len() as u64) < cfg.vc_buffer as u64 {
                         winner = Some((off, mi, hi));
+                        break;
                     }
                 }
+            }
+            if let Some(tr) = trace.as_mut() {
                 if winner.is_some() {
                     tr.busy_cycles[c] += 1;
                 } else if any_data {
                     tr.credit_stall_cycles[c] += 1;
-                }
-            } else {
-                for off in 0..k {
-                    let (mi, hi) = mem[(start + off) % k];
-                    let h = &chains[mi as usize][hi as usize];
-                    if h.sendq > 0 && h.recvq + (h.inflight.len() as u64) < cfg.vc_buffer as u64
-                    {
-                        winner = Some((off, mi, hi));
-                        break;
-                    }
                 }
             }
             if let Some((off, mi, hi)) = winner {
@@ -232,147 +187,39 @@ fn simulate_phase_inner(
         }
     }
 
-    P2PReport { cycles: cycle, completed: done == total, channel_flits }
+    if let Some(tr) = trace.as_mut() {
+        tr.cycles = cycle;
+    }
+    P2PReport { cycles: cycle, completed: done == total, channel_flits, trace }
 }
 
-/// Simulates a schedule of phases back to back, charging `phase_overhead`
-/// cycles per phase (software/protocol cost). Returns total cycles, or
-/// `None` if any phase failed to complete.
+/// Executes a host-based schedule round by round, charging
+/// `phase_overhead` cycles per executed round (software/protocol cost).
+/// A repeated round is simulated once: its runs are identical. Returns
+/// total cycles, or `None` if any round failed to complete.
 pub fn simulate_schedule(
     g: &Graph,
     routing: &Routing,
-    phases: &[Vec<Message>],
+    s: &Schedule,
     cfg: SimConfig,
     phase_overhead: u64,
 ) -> Option<u64> {
     let mut total = 0u64;
-    for phase in phases {
-        let r = simulate_phase(g, routing, phase, cfg);
+    for round in &s.rounds {
+        let r = simulate_phase(g, routing, &round.messages, cfg, false);
         if !r.completed {
             return None;
         }
-        total += r.cycles + phase_overhead;
+        total += round.repeat * (r.cycles + phase_overhead);
     }
     Some(total)
-}
-
-/// Flit-level ring allreduce: `2(N-1)` identical rounds of neighbor
-/// chunks. All rounds share the message pattern, so one round is
-/// simulated and scaled.
-pub fn ring_allreduce_sim(
-    g: &Graph,
-    routing: &Routing,
-    m: u64,
-    cfg: SimConfig,
-    phase_overhead: u64,
-) -> Option<u64> {
-    let n = g.num_vertices() as u64;
-    if n <= 1 || m == 0 {
-        return Some(0);
-    }
-    let chunk = m.div_ceil(n);
-    let phase: Vec<Message> = (0..n as u32)
-        .map(|i| Message { src: i, dst: (i + 1) % n as u32, len: chunk })
-        .collect();
-    let r = simulate_phase(g, routing, &phase, cfg);
-    if !r.completed {
-        return None;
-    }
-    Some(2 * (n - 1) * (r.cycles + phase_overhead))
-}
-
-/// Flit-level recursive doubling (pairwise exchange of full vectors, with
-/// straggler folding for non-powers of two).
-pub fn recursive_doubling_sim(
-    g: &Graph,
-    routing: &Routing,
-    m: u64,
-    cfg: SimConfig,
-    phase_overhead: u64,
-) -> Option<u64> {
-    let n = g.num_vertices() as u64;
-    if n <= 1 || m == 0 {
-        return Some(0);
-    }
-    let pow = 1u64 << (63 - n.leading_zeros() as u64);
-    let extras = n - pow;
-    let mut phases: Vec<Vec<Message>> = Vec::new();
-    if extras > 0 {
-        phases.push(
-            (0..extras as u32).map(|i| Message { src: pow as u32 + i, dst: i, len: m }).collect(),
-        );
-    }
-    let mut k = 1u64;
-    while k < pow {
-        phases.push(
-            (0..pow as u32).map(|i| Message { src: i, dst: i ^ k as u32, len: m }).collect(),
-        );
-        k <<= 1;
-    }
-    if extras > 0 {
-        phases.push(
-            (0..extras as u32).map(|i| Message { src: i, dst: pow as u32 + i, len: m }).collect(),
-        );
-    }
-    simulate_schedule(g, routing, &phases, cfg, phase_overhead)
-}
-
-/// Flit-level Rabenseifner: recursive-halving reduce-scatter then
-/// recursive-doubling allgather, with straggler folding.
-pub fn rabenseifner_sim(
-    g: &Graph,
-    routing: &Routing,
-    m: u64,
-    cfg: SimConfig,
-    phase_overhead: u64,
-) -> Option<u64> {
-    let n = g.num_vertices() as u64;
-    if n <= 1 || m == 0 {
-        return Some(0);
-    }
-    let pow = 1u64 << (63 - n.leading_zeros() as u64);
-    let extras = n - pow;
-    let mut phases: Vec<Vec<Message>> = Vec::new();
-    if extras > 0 {
-        phases.push(
-            (0..extras as u32).map(|i| Message { src: pow as u32 + i, dst: i, len: m }).collect(),
-        );
-    }
-    let mut dist = pow / 2;
-    let mut size = m.div_ceil(2);
-    while dist >= 1 {
-        phases.push(
-            (0..pow as u32).map(|i| Message { src: i, dst: i ^ dist as u32, len: size }).collect(),
-        );
-        if dist == 1 {
-            break;
-        }
-        dist /= 2;
-        size = size.div_ceil(2);
-    }
-    let mut dist = 1u64;
-    let mut size = m.div_ceil(pow);
-    while dist < pow {
-        phases.push(
-            (0..pow as u32).map(|i| Message { src: i, dst: i ^ dist as u32, len: size }).collect(),
-        );
-        dist *= 2;
-        size *= 2;
-    }
-    if extras > 0 {
-        phases.push(
-            (0..extras as u32).map(|i| Message { src: i, dst: pow as u32 + i, len: m }).collect(),
-        );
-    }
-    simulate_schedule(g, routing, &phases, cfg, phase_overhead)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hostbased::{
-        rabenseifner_time, recursive_doubling_time, ring_allreduce_time, HostParams,
-    };
+    use crate::hostbased::{self, price, HostParams};
+    use proptest::prelude::*;
 
     fn path_graph(n: u32) -> Graph {
         let mut g = Graph::new(n);
@@ -382,16 +229,24 @@ mod tests {
         g
     }
 
+    fn phase(g: &Graph, msgs: &[(VertexId, VertexId, u64)], cfg: SimConfig) -> P2PReport {
+        simulate_phase(g, &Routing::new(g), msgs, cfg, false)
+    }
+
+    /// Flit-level and α–β cycles of one schedule on PolarFly `ER_q`, with
+    /// no per-round overhead.
+    fn flit_and_model(q: u64, s: &Schedule) -> (u64, u64) {
+        let pf = pf_topo::PolarFly::new(q);
+        let g = pf.graph();
+        let r = Routing::new(g);
+        let cfg = SimConfig::default();
+        let hp = HostParams { hop_latency: cfg.link_latency as u64, phase_overhead: 0 };
+        (simulate_schedule(g, &r, s, cfg, 0).unwrap(), price(g, &r, s, hp).total)
+    }
+
     #[test]
     fn single_message_streams_at_link_rate() {
-        let g = path_graph(3);
-        let r = Routing::new(&g);
-        let rep = simulate_phase(
-            &g,
-            &r,
-            &[Message { src: 0, dst: 2, len: 1000 }],
-            SimConfig::default(),
-        );
+        let rep = phase(&path_graph(3), &[(0, 2, 1000)], SimConfig::default());
         assert!(rep.completed);
         // Two hops of latency 4 plus ~1000 cycles of streaming.
         assert!(rep.cycles >= 1000 && rep.cycles < 1100, "cycles {}", rep.cycles);
@@ -400,62 +255,28 @@ mod tests {
     #[test]
     fn contended_channel_halves_throughput() {
         // Two messages into the same directed channel 1 -> 2.
-        let g = path_graph(4);
-        let r = Routing::new(&g);
-        let rep = simulate_phase(
-            &g,
-            &r,
-            &[
-                Message { src: 0, dst: 2, len: 1000 },
-                Message { src: 1, dst: 3, len: 1000 },
-            ],
-            SimConfig::default(),
-        );
+        let rep = phase(&path_graph(4), &[(0, 2, 1000), (1, 3, 1000)], SimConfig::default());
         assert!(rep.completed);
         assert!(rep.cycles >= 2000 && rep.cycles < 2200, "cycles {}", rep.cycles);
     }
 
     #[test]
     fn opposite_directions_do_not_contend() {
-        let g = path_graph(3);
-        let r = Routing::new(&g);
-        let rep = simulate_phase(
-            &g,
-            &r,
-            &[
-                Message { src: 0, dst: 2, len: 1000 },
-                Message { src: 2, dst: 0, len: 1000 },
-            ],
-            SimConfig::default(),
-        );
+        let rep = phase(&path_graph(3), &[(0, 2, 1000), (2, 0, 1000)], SimConfig::default());
         assert!(rep.completed);
         assert!(rep.cycles < 1100, "cycles {}", rep.cycles);
     }
 
     #[test]
     fn degenerate_messages_ignored() {
-        let g = path_graph(2);
-        let r = Routing::new(&g);
-        let rep = simulate_phase(
-            &g,
-            &r,
-            &[Message { src: 0, dst: 0, len: 50 }, Message { src: 1, dst: 0, len: 0 }],
-            SimConfig::default(),
-        );
+        let rep = phase(&path_graph(2), &[(0, 0, 50), (1, 0, 0)], SimConfig::default());
         assert!(rep.completed);
         assert_eq!(rep.cycles, 0);
     }
 
     #[test]
     fn flit_level_ring_matches_phase_model_shape() {
-        let pf = pf_topo::PolarFly::new(5);
-        let g = pf.graph();
-        let r = Routing::new(g);
-        let m = 3100; // 100 per node
-        let cfg = SimConfig::default();
-        let sim = ring_allreduce_sim(g, &r, m, cfg, 0).unwrap();
-        let model =
-            ring_allreduce_time(g, &r, m, HostParams { hop_latency: 4, phase_overhead: 0 });
+        let (sim, model) = flit_and_model(5, &hostbased::ring(31, 3100, 2)); // 100 per node
         // The analytic model charges serialized load + path latency per
         // phase; the flit simulation pipelines within a phase, so it is
         // close but not identical. Within 35%.
@@ -465,32 +286,18 @@ mod tests {
 
     #[test]
     fn flit_level_doubling_matches_phase_model_shape() {
-        let pf = pf_topo::PolarFly::new(3);
-        let g = pf.graph();
-        let r = Routing::new(g);
-        let m = 500;
-        let cfg = SimConfig::default();
-        let sim = recursive_doubling_sim(g, &r, m, cfg, 0).unwrap();
-        let model =
-            recursive_doubling_time(g, &r, m, HostParams { hop_latency: 4, phase_overhead: 0 });
+        let (sim, model) = flit_and_model(3, &hostbased::recursive_doubling(13, 500));
         let ratio = sim as f64 / model as f64;
         assert!((0.5..=1.5).contains(&ratio), "sim {sim} vs model {model}");
     }
 
     #[test]
     fn flit_level_rabenseifner_matches_phase_model_shape() {
-        let pf = pf_topo::PolarFly::new(3);
-        let g = pf.graph();
-        let r = Routing::new(g);
-        let m = 2000;
-        let cfg = SimConfig::default();
-        let sim = rabenseifner_sim(g, &r, m, cfg, 0).unwrap();
-        let model =
-            rabenseifner_time(g, &r, m, HostParams { hop_latency: 4, phase_overhead: 0 });
+        let (sim, model) = flit_and_model(3, &hostbased::rabenseifner(13, 2000));
         let ratio = sim as f64 / model as f64;
         assert!((0.5..=1.5).contains(&ratio), "sim {sim} vs model {model}");
         // Bandwidth-optimal: beats recursive doubling at this size.
-        let rd = recursive_doubling_sim(g, &r, m, cfg, 0).unwrap();
+        let (rd, _) = flit_and_model(3, &hostbased::recursive_doubling(13, 2000));
         assert!(sim < rd, "rab {sim} vs rdbl {rd}");
     }
 
@@ -498,12 +305,10 @@ mod tests {
     fn schedule_adds_overhead_per_phase() {
         let g = path_graph(3);
         let r = Routing::new(&g);
-        let phase: Vec<Message> = vec![Message { src: 0, dst: 2, len: 10 }];
-        let base =
-            simulate_schedule(&g, &r, &[phase.clone(), phase.clone()], SimConfig::default(), 0)
-                .unwrap();
-        let with =
-            simulate_schedule(&g, &r, &[phase.clone(), phase], SimConfig::default(), 500).unwrap();
+        let round = hostbased::Round { messages: vec![(0, 2, 10)], repeat: 1 };
+        let s = Schedule { rounds: vec![round.clone(), round] };
+        let base = simulate_schedule(&g, &r, &s, SimConfig::default(), 0).unwrap();
+        let with = simulate_schedule(&g, &r, &s, SimConfig::default(), 500).unwrap();
         assert_eq!(with - base, 1000);
     }
 
@@ -511,16 +316,15 @@ mod tests {
     fn traced_phase_matches_untraced_and_accounts_every_cycle() {
         let g = path_graph(4);
         let r = Routing::new(&g);
-        let msgs = [
-            Message { src: 0, dst: 2, len: 500 },
-            Message { src: 1, dst: 3, len: 500 },
-        ];
+        let msgs = [(0, 2, 500), (1, 3, 500)];
         let cfg = SimConfig::default();
-        let plain = simulate_phase(&g, &r, &msgs, cfg);
-        let (traced, trace) = simulate_phase_traced(&g, &r, &msgs, cfg);
+        let plain = simulate_phase(&g, &r, &msgs, cfg, false);
+        let traced = simulate_phase(&g, &r, &msgs, cfg, true);
+        assert!(plain.trace.is_none());
         assert_eq!(plain.cycles, traced.cycles);
         assert_eq!(plain.completed, traced.completed);
         assert_eq!(plain.channel_flits, traced.channel_flits);
+        let trace = traced.trace.expect("traced run");
         assert_eq!(trace.cycles, traced.cycles);
         for (c, &flits) in traced.channel_flits.iter().enumerate() {
             // A channel is busy exactly when it moves a flit.
@@ -538,10 +342,46 @@ mod tests {
 
     #[test]
     fn incomplete_on_cycle_cap() {
-        let g = path_graph(3);
-        let r = Routing::new(&g);
         let cfg = SimConfig { max_cycles: 5, ..Default::default() };
-        let rep = simulate_phase(&g, &r, &[Message { src: 0, dst: 2, len: 1000 }], cfg);
+        let rep = phase(&path_graph(3), &[(0, 2, 1000)], cfg);
         assert!(!rep.completed);
+        let s = hostbased::ring(3, 3000, 2);
+        assert_eq!(simulate_schedule(&path_graph(3), &Routing::new(&path_graph(3)), &s, cfg, 0), None);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+
+        /// Both pricers see the same rounds: raising the per-round
+        /// overhead by `o` raises the α–β time and the executed time by
+        /// exactly `rounds × o`, for every algorithm.
+        #[test]
+        fn overhead_costs_rounds_times_o_in_model_and_executor(
+            q in proptest::sample::select(vec![3u64, 5]),
+            m in 1u64..2000,
+            o in 1u64..1000,
+        ) {
+            let pf = pf_topo::PolarFly::new(q);
+            let g = pf.graph();
+            let r = Routing::new(g);
+            let n = g.num_vertices();
+            let cfg = SimConfig::default();
+            let hop = cfg.link_latency as u64;
+            let p0 = HostParams { hop_latency: hop, phase_overhead: 0 };
+            let p1 = HostParams { hop_latency: hop, phase_overhead: o };
+            for s in [
+                hostbased::ring(n, m, 2),
+                hostbased::ring(n, m, 1),
+                hostbased::recursive_doubling(n, m),
+                hostbased::rabenseifner(n, m),
+                hostbased::blueconnect(n, m),
+            ] {
+                let extra = s.num_rounds() * o;
+                prop_assert!(s.num_rounds() > 0);
+                prop_assert_eq!(price(g, &r, &s, p1).total, price(g, &r, &s, p0).total + extra);
+                let run = |o| simulate_schedule(g, &r, &s, cfg, o).expect("completes");
+                prop_assert_eq!(run(o), run(0) + extra);
+            }
+        }
     }
 }

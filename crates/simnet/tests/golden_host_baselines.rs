@@ -15,11 +15,9 @@
 //! test stays fast.
 
 use pf_simnet::hostbased::{
-    blueconnect_time, multiported_torus_memory_elems, multiported_torus_time, rabenseifner_time,
-    recursive_doubling_time, ring_allgather_time, ring_allreduce_time, ring_reduce_scatter_time,
-    HostParams,
+    self, multiported_torus_memory_elems, multiported_torus_time, price, HostParams, Schedule,
 };
-use pf_simnet::p2p::{rabenseifner_sim, recursive_doubling_sim, ring_allreduce_sim};
+use pf_simnet::p2p::simulate_schedule;
 use pf_simnet::routing::Routing;
 use pf_simnet::SimConfig;
 use pf_topo::torus::Torus;
@@ -42,18 +40,22 @@ fn render() -> String {
         let pf = PolarFly::new(q);
         let g = pf.graph();
         let r = Routing::new(g);
+        let n = g.num_vertices();
         for o in OVERHEADS {
             let p = HostParams { hop_latency: hop, phase_overhead: o };
+            let model = |s: Schedule| price(g, &r, &s, p).total;
             for m in MS {
+                // The reduce-scatter and the allgather are one ring phase
+                // each, the allreduce both.
                 writeln!(
                     out,
                     "model q={q} o={o} m={m} ring={} rs={} ag={} rd={} rab={} bc={}",
-                    ring_allreduce_time(g, &r, m, p),
-                    ring_reduce_scatter_time(g, &r, m, p),
-                    ring_allgather_time(g, &r, m, p),
-                    recursive_doubling_time(g, &r, m, p),
-                    rabenseifner_time(g, &r, m, p),
-                    blueconnect_time(g, &r, m, p),
+                    model(hostbased::ring(n, m, 2)),
+                    model(hostbased::ring(n, m, 1)),
+                    model(hostbased::ring(n, m, 1)),
+                    model(hostbased::recursive_doubling(n, m)),
+                    model(hostbased::rabenseifner(n, m)),
+                    model(hostbased::blueconnect(n, m)),
                 )
                 .unwrap();
             }
@@ -78,15 +80,18 @@ fn render() -> String {
         let pf = PolarFly::new(q);
         let g = pf.graph();
         let r = Routing::new(g);
+        let n = g.num_vertices();
         for o in OVERHEADS {
+            let run = |s: Schedule| {
+                simulate_schedule(g, &r, &s, cfg, o).expect("flit-level schedule completes")
+            };
             for m in MS.into_iter().filter(|&m| m <= 4000) {
-                let run = |t: Option<u64>| t.expect("flit-level schedule completes");
                 writeln!(
                     out,
                     "flit q={q} o={o} m={m} ring={} rd={} rab={}",
-                    run(ring_allreduce_sim(g, &r, m, cfg, o)),
-                    run(recursive_doubling_sim(g, &r, m, cfg, o)),
-                    run(rabenseifner_sim(g, &r, m, cfg, o)),
+                    run(hostbased::ring(n, m, 2)),
+                    run(hostbased::recursive_doubling(n, m)),
+                    run(hostbased::rabenseifner(n, m)),
                 )
                 .unwrap();
             }

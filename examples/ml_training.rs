@@ -15,9 +15,7 @@
 //! predicted step time (see `docs/OBSERVABILITY.md`).
 
 use pf_allreduce::AllreducePlan;
-use pf_simnet::hostbased::{
-    rabenseifner_time, recursive_doubling_time, ring_allreduce_time, HostParams,
-};
+use pf_simnet::hostbased::{self, price, HostParams};
 use pf_simnet::routing::Routing;
 use pf_simnet::stats::congestion_vs_bound;
 use pf_simnet::{
@@ -81,10 +79,13 @@ fn main() {
 
     let routing = Routing::new(&single.graph);
     let hp = HostParams::default();
+    let n_ranks = single.graph.num_vertices();
+    let host = |s| price(&single.graph, &routing, &s, hp).total;
+    let ring = host(hostbased::ring(n_ranks, m, 2));
     println!("\nhost-based baselines (phase model, per-round software overhead {}):", hp.phase_overhead);
-    println!("ring allreduce          : {:>9} cycles", ring_allreduce_time(&single.graph, &routing, m, hp));
-    println!("recursive doubling      : {:>9} cycles", recursive_doubling_time(&single.graph, &routing, m, hp));
-    println!("rabenseifner            : {:>9} cycles", rabenseifner_time(&single.graph, &routing, m, hp));
+    println!("ring allreduce          : {:>9} cycles", ring);
+    println!("recursive doubling      : {:>9} cycles", host(hostbased::recursive_doubling(n_ranks, m)));
+    println!("rabenseifner            : {:>9} cycles", host(hostbased::rabenseifner(n_ranks, m)));
 
     println!(
         "\nmulti-tree speedup over single in-network tree: {:.2}x (theory: {})",
@@ -93,6 +94,6 @@ fn main() {
     );
     println!(
         "multi-tree speedup over ring allreduce:         {:.2}x",
-        ring_allreduce_time(&single.graph, &routing, m, hp) as f64 / ham_cycles as f64
+        ring as f64 / ham_cycles as f64
     );
 }

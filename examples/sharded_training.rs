@@ -19,9 +19,7 @@
 
 use pf_allreduce::AllreducePlan;
 use pf_simnet::engine::Collective;
-use pf_simnet::hostbased::{
-    ring_allgather_time, ring_allreduce_time, ring_reduce_scatter_time, HostParams,
-};
+use pf_simnet::hostbased::{self, price, HostParams};
 use pf_simnet::routing::Routing;
 use pf_simnet::{MultiTreeEmbedding, SimConfig, SimReport, Simulator, Workload};
 
@@ -72,10 +70,11 @@ fn main() {
     // Host-based rings on the same fabric: each round sends one chunk
     // around the ring over multi-hop routed paths.
     let routing = Routing::new(&plan.graph);
+    // The reduce-scatter and the allgather are one ring phase each, the
+    // allreduce both.
     let hp = HostParams { hop_latency: hop, phase_overhead: 0 };
-    let ring_rs = ring_reduce_scatter_time(&plan.graph, &routing, m, hp);
-    let ring_ag = ring_allgather_time(&plan.graph, &routing, m, hp);
-    let ring_ar = ring_allreduce_time(&plan.graph, &routing, m, hp);
+    let ring = |phases| price(&plan.graph, &routing, &hostbased::ring(n, m, phases), hp).total;
+    let (ring_rs, ring_ag, ring_ar) = (ring(1), ring(1), ring(2));
     assert_eq!(ring_rs + ring_ag, ring_ar, "ring halves compose exactly");
     println!("\nhost-based rings ({} ranks):", n);
     println!("  reduce-scatter {ring_rs:>9} cycles");
