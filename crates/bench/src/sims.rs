@@ -272,9 +272,10 @@ pub fn print_sim_buffers(q: u64, m: u64) {
 /// Ablation: the paper's structured trees vs naive multi-tree embeddings
 /// (§1.2's congestion argument), all evaluated through Algorithm 1.
 pub fn print_ablation_naive(qs: &[u64]) {
-    use pf_allreduce::baselines::{greedy_edge_disjoint, k_bfs_trees};
+    use pf_allreduce::baselines::k_bfs_trees;
     use pf_allreduce::congestion::assign_unit_bandwidth;
     use pf_allreduce::lowdepth::low_depth_trees;
+    use pf_allreduce::{Budget, GreedyPeel, TreeConstruction};
     use pf_topo::{PolarFly, Singer};
 
     crate::print_header("Ablation: structured trees vs naive embeddings (Algorithm 1 bandwidth)");
@@ -301,7 +302,9 @@ pub fn print_ablation_naive(qs: &[u64]) {
         let a = assign_unit_bandwidth(pf.graph(), &naive);
         rows.push((format!("{} random BFS", q), naive.len(), a.aggregate(), a.max_congestion));
 
-        let greedy = greedy_edge_disjoint(s.graph(), 0x62EE ^ q);
+        let greedy = GreedyPeel { seed: 0x62EE ^ q }
+            .build(s.graph(), &Budget::unlimited())
+            .expect("Singer graphs are connected");
         let a = assign_unit_bandwidth(s.graph(), &greedy);
         rows.push(("greedy disjoint".into(), greedy.len(), a.aggregate(), a.max_congestion));
 

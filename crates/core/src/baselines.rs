@@ -8,9 +8,10 @@
 //! * [`k_bfs_trees`] — `k` BFS spanning trees from random roots, the kind
 //!   of "logically defined" trees SHARP-style systems produce with no
 //!   congestion guarantee (§1.1);
-//! * [`greedy_edge_disjoint`] — peel spanning trees off the graph greedily
+//! * [`crate::GreedyPeel`] — peel spanning trees off the graph greedily
 //!   using only so-far-unused edges, a natural but structure-blind way to
-//!   chase edge-disjointness.
+//!   chase edge-disjointness (a [`crate::TreeConstruction`] backend, so
+//!   it runs on any substrate).
 //!
 //! Run through Algorithm 1, these show the bandwidth gap to the
 //! structured solutions (the `ablation-naive` experiment).
@@ -18,7 +19,7 @@
 use pf_graph::{bfs, Graph, RootedTree, VertexId};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 /// `k` BFS spanning trees rooted at distinct random vertices. No
 /// congestion control whatsoever: overlapping edges are the norm.
@@ -37,79 +38,11 @@ pub fn k_bfs_trees(g: &Graph, k: usize, seed: u64) -> Vec<RootedTree> {
         .collect()
 }
 
-/// Greedily peels edge-disjoint spanning trees: each round runs a
-/// randomized Kruskal pass (random edge order + union-find) over the
-/// still-unused edges; stops when the residual graph no longer spans.
-/// Returns the trees found (each is a spanning tree of `g`, pairwise
-/// edge-disjoint).
-///
-/// Randomized Kruskal spreads tree degree across vertices (unlike a BFS
-/// tree, which consumes *every* edge of its root and instantly isolates it
-/// in the residual graph), so it peels several trees — but, lacking the
-/// Hamiltonian structure, it still stalls before the `⌊(q+1)/2⌋` optimum
-/// on most instances. That gap is the point of the ablation.
-pub fn greedy_edge_disjoint(g: &Graph, seed: u64) -> Vec<RootedTree> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut used = vec![false; g.num_edges() as usize];
-    let mut trees = Vec::new();
-    loop {
-        match random_kruskal_avoiding(g, &used, &mut rng) {
-            Some(t) => {
-                for id in t.edge_ids(g) {
-                    used[id as usize] = true;
-                }
-                trees.push(t);
-            }
-            None => return trees,
-        }
-    }
-}
-
-/// Randomized Kruskal spanning tree over the unused edges, or `None` if
-/// the residual graph is disconnected.
-fn random_kruskal_avoiding(g: &Graph, used: &[bool], rng: &mut impl Rng) -> Option<RootedTree> {
-    let n = g.num_vertices();
-    let mut edges: Vec<(u32, VertexId, VertexId)> = g
-        .edges()
-        .filter(|&(e, _, _)| !used[e as usize])
-        .collect();
-    edges.shuffle(rng);
-    let mut dsu = pf_graph::dsu::Dsu::new(n);
-    let mut adj: Vec<Vec<VertexId>> = vec![Vec::new(); n as usize];
-    for (_, u, v) in edges {
-        if dsu.union(u, v) {
-            adj[u as usize].push(v);
-            adj[v as usize].push(u);
-            if dsu.components() == 1 {
-                break;
-            }
-        }
-    }
-    if dsu.components() != 1 {
-        return None;
-    }
-    // Orient the forest into a rooted tree at a random root.
-    let root = rng.random_range(0..n);
-    let mut parent: Vec<Option<VertexId>> = vec![None; n as usize];
-    let mut seen = vec![false; n as usize];
-    seen[root as usize] = true;
-    let mut stack = vec![root];
-    while let Some(u) = stack.pop() {
-        for &v in &adj[u as usize] {
-            if !seen[v as usize] {
-                seen[v as usize] = true;
-                parent[v as usize] = Some(u);
-                stack.push(v);
-            }
-        }
-    }
-    RootedTree::from_parents(root, parent).ok()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::congestion::assign_unit_bandwidth;
+    use crate::{Budget, GreedyPeel, TreeConstruction};
     use crate::disjoint::find_edge_disjoint;
     use crate::lowdepth::low_depth_trees;
     use pf_graph::tree::pairwise_edge_disjoint;
@@ -153,7 +86,7 @@ mod tests {
     #[test]
     fn greedy_trees_are_edge_disjoint_but_fewer_or_deeper() {
         let s = Singer::new(7);
-        let greedy = greedy_edge_disjoint(s.graph(), 3);
+        let greedy = GreedyPeel { seed: 3 }.build(s.graph(), &Budget::unlimited()).unwrap();
         assert!(!greedy.is_empty());
         for t in &greedy {
             t.validate_spanning(s.graph()).unwrap();
@@ -172,7 +105,7 @@ mod tests {
     fn greedy_respects_upper_bound() {
         for q in [3u64, 5, 7] {
             let s = Singer::new(q);
-            let greedy = greedy_edge_disjoint(s.graph(), q);
+            let greedy = GreedyPeel { seed: q }.build(s.graph(), &Budget::unlimited()).unwrap();
             assert!(greedy.len() as u64 <= q.div_ceil(2), "q={q}");
         }
     }

@@ -19,8 +19,8 @@
 //!   children cap of `k − 1` — works on arbitrary connected substrates;
 //! * [`BfsSingle`] — one BFS spanning tree, the "current practice"
 //!   baseline on any substrate;
-//! * [`GreedyPeel`] — randomized-Kruskal edge-disjoint peeling
-//!   ([`crate::baselines::greedy_edge_disjoint`]) behind the trait.
+//! * [`GreedyPeel`] — randomized-Kruskal edge-disjoint peeling, the
+//!   structure-blind strawman of the `ablation-naive` experiment.
 //!
 //! The star-product edge-disjoint construction lives in
 //! [`crate::starprod`]; the property harness that keeps every backend
@@ -29,6 +29,9 @@
 
 use pf_graph::{bfs, EdgeId, Graph, RootedTree, VertexId};
 use pf_topo::{PolarFly, Singer};
+use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
+use rand::{Rng, SeedableRng};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -276,8 +279,19 @@ impl TreeConstruction for BfsSingle {
     }
 }
 
-/// Greedy randomized-Kruskal edge-disjoint peeling behind the trait —
-/// the structure-blind way to chase disjointness on any substrate.
+/// Greedy randomized-Kruskal edge-disjoint peeling — the structure-blind
+/// way to chase disjointness on any substrate. Each round runs a
+/// randomized Kruskal pass (random edge order + union-find) over the
+/// still-unused edges and roots the tree at a random vertex; peeling stops
+/// when the residual graph no longer spans. The trees come out pairwise
+/// edge-disjoint.
+///
+/// Randomized Kruskal spreads tree degree across vertices (unlike a BFS
+/// tree, which consumes *every* edge of its root and instantly isolates it
+/// in the residual graph), so it peels several trees — but, lacking the
+/// Hamiltonian structure, it still stalls before the `⌊(q+1)/2⌋` optimum
+/// on most PolarFly instances. That gap is the point of the
+/// `ablation-naive` experiment.
 #[derive(Debug, Clone, Copy)]
 pub struct GreedyPeel {
     /// Shuffle seed (the output is deterministic given the seed).
@@ -298,15 +312,60 @@ impl TreeConstruction for GreedyPeel {
     }
 
     fn build(&self, g: &Graph, budget: &Budget) -> Result<Vec<RootedTree>, ConstructError> {
+        // A connected substrate always yields the first tree.
         check_substrate(g)?;
-        let trees = crate::baselines::greedy_edge_disjoint(g, self.seed);
-        if trees.is_empty() {
-            return Err(ConstructError::NoTrees(
-                "greedy peeling found no spanning tree".to_string(),
-            ));
+        let mut rng = StdRng::seed_from_u64(self.seed);
+        let mut used = vec![false; g.num_edges() as usize];
+        let mut trees = Vec::new();
+        while let Some(t) = random_kruskal_avoiding(g, &used, &mut rng) {
+            for id in t.edge_ids(g) {
+                used[id as usize] = true;
+            }
+            trees.push(t);
         }
         Ok(apply_budget(trees, budget))
     }
+}
+
+/// Randomized Kruskal spanning tree over the unused edges, or `None` if
+/// the residual graph is disconnected.
+fn random_kruskal_avoiding(g: &Graph, used: &[bool], rng: &mut impl Rng) -> Option<RootedTree> {
+    let n = g.num_vertices();
+    let mut edges: Vec<(u32, VertexId, VertexId)> = g
+        .edges()
+        .filter(|&(e, _, _)| !used[e as usize])
+        .collect();
+    edges.shuffle(rng);
+    let mut dsu = pf_graph::dsu::Dsu::new(n);
+    let mut adj: Vec<Vec<VertexId>> = vec![Vec::new(); n as usize];
+    for (_, u, v) in edges {
+        if dsu.union(u, v) {
+            adj[u as usize].push(v);
+            adj[v as usize].push(u);
+            if dsu.components() == 1 {
+                break;
+            }
+        }
+    }
+    if dsu.components() != 1 {
+        return None;
+    }
+    // Orient the forest into a rooted tree at a random root.
+    let root = rng.random_range(0..n);
+    let mut parent: Vec<Option<VertexId>> = vec![None; n as usize];
+    let mut seen = vec![false; n as usize];
+    seen[root as usize] = true;
+    let mut stack = vec![root];
+    while let Some(u) = stack.pop() {
+        for &v in &adj[u as usize] {
+            if !seen[v as usize] {
+                seen[v as usize] = true;
+                parent[v as usize] = Some(u);
+                stack.push(v);
+            }
+        }
+    }
+    RootedTree::from_parents(root, parent).ok()
 }
 
 /// Iterative kary multitree construction for arbitrary substrates.

@@ -31,7 +31,7 @@
 //! bound). On edge-rich products a final deterministic Kruskal pass peels
 //! additional disjoint trees from the unused edges.
 
-use crate::construction::{check_substrate, Budget, ConstructError, TreeConstruction};
+use crate::construction::{check_substrate, Budget, ConstructError, GreedyPeel, TreeConstruction};
 use pf_graph::dsu::Dsu;
 use pf_graph::{Graph, RootedTree, StarProduct, VertexId};
 
@@ -47,8 +47,8 @@ pub struct StarProductDisjoint {
 }
 
 impl StarProductDisjoint {
-    /// Wraps a product. Factor trees are peeled with
-    /// [`crate::baselines::greedy_edge_disjoint`] on each factor.
+    /// Wraps a product. Factor trees are peeled with [`GreedyPeel`] on
+    /// each factor.
     pub fn new(sp: StarProduct, seed: u64) -> Self {
         StarProductDisjoint { sp, seed }
     }
@@ -87,9 +87,14 @@ impl TreeConstruction for StarProductDisjoint {
                 p.num_edges()
             )));
         }
+        // A factor the peel rejects (disconnected, or a single vertex)
+        // contributes no trees.
+        let peel = |f: &Graph, seed| {
+            GreedyPeel { seed }.build(f, &Budget::unlimited()).unwrap_or_default()
+        };
         let (fg, fh) = self.sp.factors();
-        let g_trees = crate::baselines::greedy_edge_disjoint(fg, self.seed);
-        let h_trees = crate::baselines::greedy_edge_disjoint(fh, self.seed.wrapping_add(1));
+        let g_trees = peel(fg, self.seed);
+        let h_trees = peel(fh, self.seed.wrapping_add(1));
         let mut trees = star_product_disjoint_trees(&self.sp, &g_trees, &h_trees)?;
         if let Some(cap) = budget.max_trees {
             trees.truncate(cap);
@@ -314,6 +319,10 @@ mod tests {
     use pf_graph::tree::pairwise_edge_disjoint;
     use pf_graph::{builders, cartesian_product, shifted_product};
 
+    fn peel(f: &Graph, seed: u64) -> Vec<RootedTree> {
+        GreedyPeel { seed }.build(f, &Budget::unlimited()).unwrap()
+    }
+
     fn check_disjoint_spanning(sp: &StarProduct, trees: &[RootedTree]) {
         assert!(!trees.is_empty());
         for t in trees {
@@ -348,8 +357,8 @@ mod tests {
         // Cycles have exactly one disjoint spanning tree each: s = t = 1,
         // so the construction must still produce s + t − 1 = 1 tree.
         let sp = cartesian_product(&builders::cycle(5), &builders::cycle(4));
-        let g_trees = crate::baselines::greedy_edge_disjoint(&builders::cycle(5), 1);
-        let h_trees = crate::baselines::greedy_edge_disjoint(&builders::cycle(4), 2);
+        let g_trees = peel(&builders::cycle(5), 1);
+        let h_trees = peel(&builders::cycle(4), 2);
         assert_eq!((g_trees.len(), h_trees.len()), (1, 1));
         let trees = star_product_disjoint_trees(&sp, &g_trees, &h_trees).unwrap();
         // s + t − 1 = 1 guaranteed; the residual pass may peel more
@@ -366,8 +375,8 @@ mod tests {
         let c4 = builders::cycle(4);
         for (g, h) in [(&k4, &c4), (&c4, &k4)] {
             let sp = shifted_product(g, h);
-            let gt = crate::baselines::greedy_edge_disjoint(g, 3);
-            let ht = crate::baselines::greedy_edge_disjoint(h, 4);
+            let gt = peel(g, 3);
+            let ht = peel(h, 4);
             let trees = star_product_disjoint_trees(&sp, &gt, &ht).unwrap();
             assert!(trees.len() >= gt.len() + ht.len() - 1);
             check_disjoint_spanning(&sp, &trees);
@@ -397,7 +406,7 @@ mod tests {
     #[test]
     fn degenerate_single_vertex_factor_collapses_to_the_other() {
         let sp = cartesian_product(&builders::path(1), &builders::complete(4));
-        let h_trees = crate::baselines::greedy_edge_disjoint(&builders::complete(4), 1);
+        let h_trees = peel(&builders::complete(4), 1);
         // A 1-vertex factor has one (empty) spanning tree.
         let g_trees = vec![RootedTree::from_parents(0, vec![None]).unwrap()];
         let trees = star_product_disjoint_trees(&sp, &g_trees, &h_trees).unwrap();
