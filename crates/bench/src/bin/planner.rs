@@ -65,7 +65,7 @@ fn main() {
     println!(
         "  aggregate bandwidth: {} x link ({} of the (q+1)/2 optimum)",
         plan.aggregate,
-        plan.normalized_bandwidth()
+        plan.normalized_bandwidth().expect("PolarFly plan")
     );
 
     let sizes = plan.split(m);

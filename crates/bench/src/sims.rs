@@ -284,7 +284,7 @@ pub fn print_ablation_naive(qs: &[u64]) {
         "q", "embedding", "trees", "aggregate", "normalized", "maxcong"
     );
     for &q in qs {
-        let opt = pf_allreduce::perf::optimal_bandwidth(q, Rational::ONE);
+        let opt = pf_allreduce::rate::polarfly_bound(q);
         let mut rows: Vec<(String, usize, Rational, u32)> = Vec::new();
 
         let pf = PolarFly::new(q);
@@ -424,7 +424,7 @@ pub fn print_ablation_logical(qs: &[u64]) {
         let pf = PolarFly::new(q);
         let g = pf.graph();
         let n = g.num_vertices();
-        let opt = pf_allreduce::perf::optimal_bandwidth(q, Rational::ONE);
+        let opt = pf_allreduce::rate::polarfly_bound(q);
 
         let low = low_depth_trees(&pf, None).unwrap();
         let a = assign_unit_bandwidth(g, &low.trees);

@@ -30,7 +30,7 @@ pub struct Fig5Point {
 /// Computes one Figure 5 point. `attempts`/`seed` parameterize the §7.3
 /// random search.
 pub fn fig5_point(q: u64, attempts: usize, seed: u64) -> Fig5Point {
-    let opt = perf::optimal_bandwidth(q, Rational::ONE);
+    let opt = pf_allreduce::rate::polarfly_bound(q);
 
     let (low_norm, low_formula, low_depth) = if q % 2 == 1 {
         let pf = PolarFly::new(q);

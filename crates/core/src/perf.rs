@@ -3,17 +3,12 @@
 //! With trees running concurrently on sub-vectors, the optimal split gives
 //! every tree equal finish time, and the aggregate allreduce bandwidth is
 //! the sum of per-tree bandwidths. Corollary 7.1 bounds the aggregate for
-//! PolarFly at `(q+1)·B/2`; Corollary 7.7 guarantees at least `q·B/2` for
-//! the low-depth trees; Theorem 7.19 gives `t·B` for `t` edge-disjoint
-//! Hamiltonian trees.
+//! PolarFly at `(q+1)·B/2` ([`crate::rate::polarfly_bound`], the one
+//! ceiling); Corollary 7.7 guarantees at least `q·B/2` for the low-depth
+//! trees; Theorem 7.19 gives `t·B` for `t` edge-disjoint Hamiltonian
+//! trees.
 
 use crate::rational::Rational;
-
-/// Corollary 7.1: optimal bidirectional in-network allreduce bandwidth of
-/// `ER_q` with link bandwidth `b`: `(q + 1)·b / 2`.
-pub fn optimal_bandwidth(q: u64, b: Rational) -> Rational {
-    Rational::new(q as i64 + 1, 2) * b
-}
 
 /// Corollary 7.7: the low-depth solution's guaranteed aggregate bandwidth,
 /// `q·b/2` for odd `q` (the paper states `(q+1)·b/2` for its even-`q`
@@ -154,25 +149,9 @@ pub fn predicted_allgather_tree_cycles(
     predicted_tree_phase_cycles(1, depth, hop_latency, m_i, b_i)
 }
 
-/// Normalizes an aggregate bandwidth against the Corollary 7.1 optimum.
-pub fn normalized_bandwidth(aggregate: Rational, q: u64, b: Rational) -> Rational {
-    aggregate / optimal_bandwidth(q, b)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn optimal_bandwidth_values() {
-        assert_eq!(optimal_bandwidth(7, Rational::ONE), Rational::from_int(4));
-        assert_eq!(optimal_bandwidth(11, Rational::ONE), Rational::from_int(6));
-        assert_eq!(optimal_bandwidth(4, Rational::ONE), Rational::new(5, 2));
-        assert_eq!(
-            optimal_bandwidth(3, Rational::from_int(100)),
-            Rational::from_int(200)
-        );
-    }
 
     #[test]
     fn low_depth_bound_values() {
@@ -284,7 +263,7 @@ mod tests {
     #[test]
     fn normalization() {
         // Low-depth vs optimal: (q/2) / ((q+1)/2) = q / (q+1).
-        let norm = normalized_bandwidth(low_depth_bound(7, Rational::ONE), 7, Rational::ONE);
+        let norm = low_depth_bound(7, Rational::ONE) / crate::rate::polarfly_bound(7);
         assert_eq!(norm, Rational::new(7, 8));
     }
 }

@@ -133,7 +133,7 @@ impl AllreducePlan {
     /// Algorithm 1 on `g`. The plan's `solution` carries the backend name
     /// ([`Solution::Constructed`]); `q` is 0, so the PolarFly-specific
     /// [`AllreducePlan::optimal_bandwidth`] /
-    /// [`AllreducePlan::normalized_bandwidth`] do not apply — compare
+    /// [`AllreducePlan::normalized_bandwidth`] return `None` — compare
     /// against [`AllreducePlan::rate_bound`] instead. Everything
     /// downstream (simulator embedding, faults/recovery, scheduler
     /// subsets) works on these plans unchanged.
@@ -204,15 +204,17 @@ impl AllreducePlan {
         Self::from_parts(self.q, self.solution, self.graph.clone(), trees)
     }
 
-    /// Corollary 7.1 optimum for this radix (unit link bandwidth).
-    pub fn optimal_bandwidth(&self) -> Rational {
-        perf::optimal_bandwidth(self.q, Rational::ONE)
+    /// Corollary 7.1 optimum for this radix (unit link bandwidth), or
+    /// `None` on a [`AllreducePlan::construct`] plan (`q == 0`), where it
+    /// does not apply — compare against [`AllreducePlan::rate_bound`].
+    pub fn optimal_bandwidth(&self) -> Option<Rational> {
+        (self.q > 0).then(|| crate::rate::polarfly_bound(self.q))
     }
 
-    /// Aggregate bandwidth normalized against the optimum (Figure 5a's
-    /// y-axis).
-    pub fn normalized_bandwidth(&self) -> Rational {
-        perf::normalized_bandwidth(self.aggregate, self.q, Rational::ONE)
+    /// Aggregate bandwidth normalized against the Corollary 7.1 optimum
+    /// (Figure 5a's y-axis); `None` where the optimum does not apply.
+    pub fn normalized_bandwidth(&self) -> Option<Rational> {
+        self.optimal_bandwidth().map(|opt| self.aggregate / opt)
     }
 
     /// Theorem 5.1 optimal sub-vector split of an `m`-element vector.
@@ -307,7 +309,7 @@ mod tests {
         // Corollary 7.7: aggregate >= 11/2; Corollary 7.1: <= 6.
         assert!(p.aggregate >= Rational::new(11, 2));
         assert!(p.aggregate <= Rational::from_int(6));
-        assert_eq!(p.optimal_bandwidth(), Rational::from_int(6));
+        assert_eq!(p.optimal_bandwidth(), Some(Rational::from_int(6)));
     }
 
     #[test]
@@ -316,7 +318,7 @@ mod tests {
         assert_eq!(p.trees.len(), 6); // floor((11+1)/2)
         assert_eq!(p.max_congestion, 1);
         assert_eq!(p.aggregate, Rational::from_int(6));
-        assert_eq!(p.normalized_bandwidth(), Rational::ONE);
+        assert_eq!(p.normalized_bandwidth(), Some(Rational::ONE));
         assert_eq!(p.depth as u64, (p.num_nodes() - 1) / 2);
     }
 
@@ -473,6 +475,9 @@ mod tests {
         assert_eq!(plan.solution.label(), "kary-multitree");
         assert!(plan.aggregate.is_positive());
         assert!(plan.aggregate <= plan.rate_bound());
+        // Corollary 7.1 is PolarFly's optimum, not this torus's.
+        assert_eq!(plan.optimal_bandwidth(), None);
+        assert_eq!(plan.normalized_bandwidth(), None);
         // The generic plan drives the same downstream machinery.
         let sizes = plan.split(1000);
         assert_eq!(sizes.iter().sum::<u64>(), 1000);

@@ -602,9 +602,12 @@ mod tests {
 
     #[test]
     fn polarfly_bound_is_the_corollary_7_1_optimum() {
-        for q in [3u64, 5, 7, 9, 11] {
-            assert_eq!(polarfly_bound(q), crate::perf::optimal_bandwidth(q, Rational::ONE));
-        }
+        // (q + 1)/2 link bandwidths, even radices included; it scales
+        // linearly with the link bandwidth.
+        assert_eq!(polarfly_bound(7), Rational::from_int(4));
+        assert_eq!(polarfly_bound(11), Rational::from_int(6));
+        assert_eq!(polarfly_bound(4), Rational::new(5, 2));
+        assert_eq!(polarfly_bound(3) * Rational::from_int(100), Rational::from_int(200));
     }
 
     #[test]

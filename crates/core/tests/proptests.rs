@@ -7,7 +7,7 @@ use pf_allreduce::hamiltonian::{alternating_path, hamiltonian_pairs_unordered};
 use pf_allreduce::lowdepth::low_depth_trees;
 use pf_allreduce::rate::allreduce_rate_bound;
 use pf_allreduce::recovery::{extend_degraded, rebuild_degraded, FaultSet};
-use pf_allreduce::{perf, verify, AllreducePlan, Rational};
+use pf_allreduce::{rate, verify, AllreducePlan, Rational};
 use pf_graph::tree::pairwise_edge_disjoint;
 use pf_topo::{PolarFly, Singer};
 use proptest::prelude::*;
@@ -85,7 +85,7 @@ proptest! {
         let pf = PolarFly::new(q);
         let trees = pf_allreduce::baselines::k_bfs_trees(pf.graph(), k, seed);
         let a = assign_unit_bandwidth(pf.graph(), &trees);
-        prop_assert!(a.aggregate() <= perf::optimal_bandwidth(q, Rational::ONE));
+        prop_assert!(a.aggregate() <= rate::polarfly_bound(q));
     }
 
     #[test]

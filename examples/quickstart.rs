@@ -9,7 +9,7 @@
 //! measured-vs-theory congestion table documented in
 //! `docs/OBSERVABILITY.md`.
 
-use pf_allreduce::{AllreducePlan, Rational};
+use pf_allreduce::AllreducePlan;
 use pf_simnet::stats::{congestion_vs_bound, stall_summary};
 use pf_simnet::{
     Collective, MultiTreeEmbedding, RunReport, SimConfig, Simulator, TraceConfig, Workload,
@@ -26,7 +26,7 @@ fn main() {
     println!("PolarFly ER_{q}: {} routers of radix {}", q * q + q + 1, q + 1);
     println!(
         "optimal allreduce bandwidth (Corollary 7.1): {} x link bandwidth\n",
-        pf_allreduce::perf::optimal_bandwidth(q, Rational::ONE)
+        pf_allreduce::rate::polarfly_bound(q)
     );
 
     // --- Solution 1: low-depth trees (Algorithm 3) ---
@@ -42,7 +42,7 @@ fn main() {
             println!(
                 "  aggregate bandwidth: {} ({} of optimal)\n",
                 plan.aggregate,
-                plan.normalized_bandwidth()
+                plan.normalized_bandwidth().expect("PolarFly plan")
             );
         }
         Err(e) => println!("low-depth solution unavailable: {e}\n"),
@@ -60,7 +60,7 @@ fn main() {
     println!(
         "  aggregate bandwidth: {} ({} of optimal)\n",
         plan.aggregate,
-        plan.normalized_bandwidth()
+        plan.normalized_bandwidth().expect("PolarFly plan")
     );
 
     // --- Execute one allreduce on the cycle-level simulator ---

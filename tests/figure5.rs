@@ -9,7 +9,7 @@
 use pf_allreduce::congestion::assign_unit_bandwidth;
 use pf_allreduce::disjoint::{find_edge_disjoint, DisjointSolution};
 use pf_allreduce::lowdepth::low_depth_trees;
-use pf_allreduce::{perf, Rational};
+use pf_allreduce::{rate, Rational};
 use pf_galois::prime_powers_in;
 use pf_topo::{PolarFly, Singer};
 
@@ -23,7 +23,7 @@ fn figure5a_low_depth_exact_values() {
         let a = assign_unit_bandwidth(pf.graph(), &out.trees);
         // Every tree gets exactly 1/2; aggregate exactly q/2.
         assert_eq!(a.aggregate(), Rational::new(q as i64, 2), "q={q}");
-        let norm = a.aggregate() / perf::optimal_bandwidth(q, Rational::ONE);
+        let norm = a.aggregate() / rate::polarfly_bound(q);
         assert_eq!(norm, Rational::new(q as i64, q as i64 + 1), "q={q}");
     }
 }
@@ -36,7 +36,7 @@ fn figure5a_hamiltonian_exact_values() {
         assert_eq!(sol.pairs.len(), DisjointSolution::upper_bound(q), "q={q}");
         let a = assign_unit_bandwidth(s.graph(), &sol.trees);
         assert_eq!(a.aggregate(), Rational::from_int(sol.trees.len() as i64), "q={q}");
-        let norm = a.aggregate() / perf::optimal_bandwidth(q, Rational::ONE);
+        let norm = a.aggregate() / rate::polarfly_bound(q);
         let expect = if q % 2 == 1 {
             Rational::ONE
         } else {

@@ -10,7 +10,7 @@ use pf_allreduce::hamiltonian::{
     alternating_path, hamiltonian_pairs, non_hamiltonian_paths,
 };
 use pf_allreduce::lowdepth::low_depth_trees;
-use pf_allreduce::{perf, verify, Rational};
+use pf_allreduce::{perf, rate, verify, Rational};
 use pf_galois::zmod::{gcd, sub_mod};
 use pf_galois::{euler_totient, prime_powers_in};
 use pf_graph::bfs;
@@ -117,7 +117,7 @@ fn corollary_7_7_low_depth_bandwidth() {
             .unwrap_or_else(|e| panic!("q={q}: {e}"));
         // And bounded by the Corollary 7.1 optimum.
         let a = assign_unit_bandwidth(pf.graph(), &out.trees);
-        assert!(a.aggregate() <= perf::optimal_bandwidth(q, Rational::ONE), "q={q}");
+        assert!(a.aggregate() <= rate::polarfly_bound(q), "q={q}");
     }
 }
 
@@ -265,7 +265,7 @@ fn theorem_7_19_disjoint_bandwidth() {
         );
         // Odd q: this equals the Corollary 7.1 optimum.
         if q % 2 == 1 {
-            assert_eq!(a.aggregate(), perf::optimal_bandwidth(q, Rational::ONE), "q={q}");
+            assert_eq!(a.aggregate(), rate::polarfly_bound(q), "q={q}");
         }
     }
 }
@@ -484,7 +484,6 @@ fn polarfly_rate_bound_is_the_corollary_7_1_optimum_and_disjoint_plans_reach_it(
         let pf = PolarFly::new(q);
         let rate = allreduce_rate_bound(pf.graph()).unwrap();
         assert_eq!(rate.bound, polarfly_bound(q), "q={q}");
-        assert_eq!(rate.bound, perf::optimal_bandwidth(q, Rational::ONE), "q={q}");
         assert_eq!(rate.min_cut, q, "q={q}: min cut is the quadric degree");
 
         let ham = AllreducePlan::edge_disjoint(q, 30, 0xC0FFEE).unwrap();
