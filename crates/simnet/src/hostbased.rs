@@ -54,9 +54,10 @@ pub struct Round {
     pub repeat: u64,
 }
 
-/// A host-based collective: its rounds, in execution order.
+/// A host-based collective as synchronous rounds.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Schedule {
+    /// The rounds, in execution order.
     pub rounds: Vec<Round>,
 }
 
@@ -199,11 +200,11 @@ pub fn blueconnect(n: u32, m: u64) -> Schedule {
     let cross_chunk = chunk.div_ceil(groups.len() as u64);
     let cross = (0..max_group)
         .flat_map(|rank| {
-            let groups = &groups;
-            (0..groups.len()).filter_map(move |gi| {
-                let next = groups[(gi + 1) % groups.len()];
-                Some((*groups[gi].get(rank)?, *next.get(rank)?, cross_chunk))
-            })
+            let next = groups.iter().cycle().skip(1);
+            groups
+                .iter()
+                .zip(next)
+                .filter_map(move |(a, b)| Some((*a.get(rank)?, *b.get(rank)?, cross_chunk)))
         })
         .collect();
     let intra_rounds = max_group as u64 - 1;

@@ -32,9 +32,11 @@
 //! congestion bounds at runtime. Traces, the bench files and the fabric
 //! checkpoint are all written and read through the one [`json`] module.
 //!
-//! [`hostbased`] adds congestion-aware phase models of classical host-based
-//! allreduce algorithms (ring, recursive doubling, Rabenseifner) as the
-//! baselines of the paper's §8 comparison.
+//! [`hostbased`] builds the classical host-based allreduce algorithms
+//! (ring, recursive doubling, Rabenseifner, BlueConnect) as one schedule
+//! each — the baselines of the paper's §8 comparison — and prices them
+//! with a congestion-aware α–β model; [`p2p`] executes the same schedules
+//! flit by flit.
 //!
 //! The [`faults`] module injects deterministic, seed-reproducible link and
 //! router faults (transient or permanent), models per-channel
