@@ -87,10 +87,12 @@ impl TreeConstruction for StarProductDisjoint {
                 p.num_edges()
             )));
         }
-        // A factor the peel rejects (disconnected, or a single vertex)
+        // A single vertex is spanned by its empty tree, which the peel (a
+        // backend for real substrates) rejects; a disconnected factor
         // contributes no trees.
-        let peel = |f: &Graph, seed| {
-            GreedyPeel { seed }.build(f, &Budget::unlimited()).unwrap_or_default()
+        let peel = |f: &Graph, seed| match f.num_vertices() {
+            1 => vec![RootedTree::from_parents(0, vec![None]).expect("one-vertex tree")],
+            _ => GreedyPeel { seed }.build(f, &Budget::unlimited()).unwrap_or_default(),
         };
         let (fg, fh) = self.sp.factors();
         let g_trees = peel(fg, self.seed);
@@ -401,6 +403,16 @@ mod tests {
         let trees = backend.build(sp.graph(), &Budget::trees(2)).unwrap();
         assert_eq!(trees.len(), 2);
         check_disjoint_spanning(&sp, &trees);
+    }
+
+    #[test]
+    fn backend_spans_a_product_with_a_single_vertex_factor() {
+        let sp = cartesian_product(&builders::path(1), &builders::complete(4));
+        let trees = StarProductDisjoint::new(sp.clone(), 1)
+            .build(sp.graph(), &Budget::unlimited())
+            .unwrap();
+        check_disjoint_spanning(&sp, &trees);
+        assert_eq!(trees, peel(&builders::complete(4), 2));
     }
 
     #[test]

@@ -437,11 +437,9 @@ mod tests {
         let (g, r) = setup(3);
         let p0 = HostParams { hop_latency: 1, phase_overhead: 0 };
         let p1 = HostParams { hop_latency: 1, phase_overhead: 1000 };
-        for s in [ring(13, 130, 2), recursive_doubling(13, 130), rabenseifner(13, 130), blueconnect(13, 130)] {
-            let diff = time(&g, &r, &s, p1) - time(&g, &r, &s, p0);
-            assert_eq!(diff, s.num_rounds() * 1000);
-        }
-        assert_eq!(ring(13, 130, 2).num_rounds(), 2 * 12);
+        let n = g.num_vertices() as u64;
+        let s = ring(13, 130, 2);
+        assert_eq!(time(&g, &r, &s, p1) - time(&g, &r, &s, p0), 2 * (n - 1) * 1000);
     }
 
     #[test]
@@ -462,7 +460,7 @@ mod tests {
     }
 
     #[test]
-    fn ring_phase_profiles_pin_the_cycle_formula() {
+    fn ring_half_pins_the_cycle_formula() {
         let (g, r) = setup(3); // N = 13
         let n = g.num_vertices() as u64;
         let p = HostParams::default();

@@ -74,8 +74,8 @@ pub fn channel_loads(g: &Graph, routing: &Routing, messages: &[(VertexId, Vertex
     load
 }
 
-/// Observability breakdown of one α–β phase: where [`phase_time`]'s cycles
-/// come from, channel by channel.
+/// Observability breakdown of one α–β phase: where its cycles
+/// ([`PhaseProfile::time`]) come from, channel by channel.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PhaseProfile {
     /// Per-directed-channel load in elements ([`channel_loads`]).
@@ -89,7 +89,11 @@ pub struct PhaseProfile {
 }
 
 impl PhaseProfile {
-    /// The phase time this profile explains: `serial + depth·hop_latency`.
+    /// The phase time under the congestion-aware α–β model: every message
+    /// proceeds concurrently; each directed channel serializes its total
+    /// load at one element per cycle; the phase ends when the most loaded
+    /// channel drains, plus the deepest path's pipeline latency —
+    /// `serial + depth·hop_latency`.
     pub fn time(&self) -> u64 {
         self.serial + self.depth * self.hop_latency
     }
@@ -118,19 +122,6 @@ pub fn phase_profile(
         .max()
         .unwrap_or(0);
     PhaseProfile { loads, serial, depth, hop_latency }
-}
-
-/// Time for one communication phase under the congestion-aware α–β model:
-/// every message proceeds concurrently; each directed channel serializes
-/// its total load at one element per cycle; the phase ends when the most
-/// loaded channel drains, plus the deepest path's pipeline latency.
-pub fn phase_time(
-    g: &Graph,
-    routing: &Routing,
-    messages: &[(VertexId, VertexId, u64)],
-    hop_latency: u64,
-) -> u64 {
-    phase_profile(g, routing, messages, hop_latency).time()
 }
 
 #[cfg(test)]
@@ -181,7 +172,7 @@ mod tests {
         // In C4, 3 -> 1 routes via 0 (3-0-1) or 3-2-1; BFS from 3 with
         // smallest-parent tie-break: dist(1)=2 via parent 0 or 2; neighbors
         // of 3 are 0 and 2 -> 0 first, so path 3-0-1.
-        let t = phase_time(&g, &r, &[(0, 1, 100), (3, 1, 100)], 5);
+        let t = phase_profile(&g, &r, &[(0, 1, 100), (3, 1, 100)], 5).time();
         assert_eq!(t, 200 + 2 * 5);
     }
 
@@ -191,7 +182,7 @@ mod tests {
         let r = Routing::new(&g);
         let msgs = [(0u32, 1u32, 100u64), (3, 1, 100)];
         let p = phase_profile(&g, &r, &msgs, 5);
-        assert_eq!(p.time(), phase_time(&g, &r, &msgs, 5));
+        assert_eq!(p.time(), 200 + 2 * 5);
         assert_eq!(p.serial, 200);
         assert_eq!(p.depth, 2);
         assert!(p.active_channels() >= 2);
@@ -202,8 +193,8 @@ mod tests {
     fn phase_time_empty() {
         let g = cycle(3);
         let r = Routing::new(&g);
-        assert_eq!(phase_time(&g, &r, &[], 5), 0);
-        assert_eq!(phase_time(&g, &r, &[(1, 1, 50)], 5), 0);
+        assert_eq!(phase_profile(&g, &r, &[], 5).time(), 0);
+        assert_eq!(phase_profile(&g, &r, &[(1, 1, 50)], 5).time(), 0);
     }
 
     #[test]
