@@ -63,18 +63,12 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let cmd = args.first().map(String::as_str).unwrap_or("all");
     let flag = |name: &str| args.iter().any(|a| a == name);
-    let opt_u64 = |name: &str, default: u64| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
-    };
+    // The argument after flag `name`, if any.
+    let value = |name: &str| args.iter().position(|a| a == name).and_then(|i| args.get(i + 1));
+    let opt_u64 =
+        |name: &str, default: u64| value(name).and_then(|v| v.parse().ok()).unwrap_or(default);
     // Output file (or directory) of the commands that write one.
-    let out = |default: &str| {
-        let path = args.iter().position(|a| a == "--out").and_then(|i| args.get(i + 1));
-        PathBuf::from(path.map_or(default, String::as_str))
-    };
+    let out = |default: &str| PathBuf::from(value("--out").map_or(default, String::as_str));
     // Sweep ceiling: the paper uses q in [3, 128]; trim with --max-q for a
     // quick run.
     let max_q = opt_u64("--max-q", 128);
