@@ -154,6 +154,25 @@ mod tests {
     use super::*;
 
     #[test]
+    fn optimal_bandwidth_values() {
+        // Corollary 7.1's optimum (q+1)·b/2 is `rate::polarfly_bound` scaled
+        // by the link bandwidth b: ⌊(q+1)/2⌋ edge-disjoint Hamiltonian trees
+        // reach it at odd q, and the low-depth trees get q/(q+1) of it.
+        let optimum = |q: u64, b: Rational| crate::rate::polarfly_bound(q) * b;
+        assert_eq!(optimum(7, Rational::ONE), Rational::from_int(4));
+        assert_eq!(optimum(3, Rational::from_int(100)), Rational::from_int(200));
+        for q in [3u64, 5, 7, 9, 11] {
+            for b in [Rational::ONE, Rational::new(5, 2), Rational::from_int(100)] {
+                let opt = optimum(q, b);
+                let ham = edge_disjoint_bandwidth(hamiltonian_upper_bound(q), b);
+                assert_eq!(ham, opt, "q={q}");
+                let low = low_depth_bound(q, b);
+                assert_eq!(low, opt * Rational::new(q as i64, q as i64 + 1), "q={q}");
+            }
+        }
+    }
+
+    #[test]
     fn low_depth_bound_values() {
         assert_eq!(low_depth_bound(7, Rational::ONE), Rational::new(7, 2));
         assert_eq!(low_depth_bound(11, Rational::ONE), Rational::new(11, 2));
