@@ -36,7 +36,11 @@
 //!   decisions coincide and simulated cycles must agree exactly.
 //!
 //! The per-q summary reports the geometric mean across the four
-//! regimes — the standard cross-workload aggregate.
+//! regimes — the standard cross-workload aggregate. Each radix also
+//! measures the edge-disjoint plan saturated: its contention-free trees
+//! take the engine's closed form instead of the cycle loop, and its
+//! geomean across radixes is gated under its own key,
+//! [`EDGE_DISJOINT_SATURATED`].
 //!
 //! Allocation counts come from [`CountingAllocator`], which the
 //! `experiments` binary installs as its `#[global_allocator]`; the
@@ -60,6 +64,10 @@ use std::time::Instant;
 /// regression check and the tests, so adding a regime is a one-line
 /// change that every consumer picks up.
 pub const REGIMES: [&str; 4] = ["latency", "saturated", "fault_retention", "contention"];
+
+/// The `regime_geomeans` key of the edge-disjoint saturated points — the
+/// deep-tree regime, gated beside the four low-depth [`REGIMES`].
+pub const EDGE_DISJOINT_SATURATED: &str = "edge_disjoint_saturated";
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 static ALLOCATED_BYTES: AtomicU64 = AtomicU64::new(0);
@@ -309,9 +317,9 @@ fn used_edge(plan: &AllreducePlan) -> u32 {
     plan.edge_congestion.iter().position(|&c| c > 0).expect("plan uses an edge") as u32
 }
 
-/// Runs the sweep: the four [`REGIMES`] of the low-depth plan at every
-/// radix, plus the edge-disjoint set at the largest radix, at saturated
-/// vector length `m`.
+/// Runs the sweep: the four [`REGIMES`] of the low-depth plan and the
+/// edge-disjoint set saturated, at every radix, with saturated vector
+/// length `m`.
 pub fn collect(qs: &[u64], m: u64) -> Vec<PerfPoint> {
     // Small-message latency regime: long links and a vector short enough
     // that wire time dominates. Buffers stay small — a few-element slice
@@ -346,8 +354,6 @@ pub fn collect(qs: &[u64], m: u64) -> Vec<PerfPoint> {
             Some(&outage),
         ));
         points.push(measure_contention(q, &plan, m, SimConfig::default()));
-    }
-    if let Some(&q) = qs.last() {
         if let Ok(plan) = AllreducePlan::edge_disjoint(q, 30, 1) {
             points.push(measure_point("edge_disjoint", "saturated", q, &plan, m, SimConfig::default(), None));
         }
@@ -373,23 +379,25 @@ pub fn summarize(points: &[PerfPoint]) -> Vec<QSummary> {
     out
 }
 
-/// Aggregates the low-depth points into one speedup per regime
-/// (geometric mean across radixes) — the quantity the `--gate`
-/// regression check compares against 1.0.
+/// Aggregates the points into one speedup per regime (geometric mean
+/// across radixes) — the quantity the `--gate` regression check compares
+/// against 1.0: the four low-depth [`REGIMES`] under their own names,
+/// then the edge-disjoint saturated points under
+/// [`EDGE_DISJOINT_SATURATED`].
 pub fn regime_geomeans(points: &[PerfPoint]) -> Vec<(&'static str, f64)> {
-    REGIMES
-        .iter()
-        .filter_map(|&regime| {
+    let keys = REGIMES.iter().map(|&r| (r, "low_depth", r));
+    keys.chain([(EDGE_DISJOINT_SATURATED, "edge_disjoint", "saturated")])
+        .filter_map(|(key, label, regime)| {
             let speedups: Vec<f64> = points
                 .iter()
-                .filter(|p| p.label == "low_depth" && p.regime == regime)
+                .filter(|p| p.label == label && p.regime == regime)
                 .map(|p| p.speedup)
                 .collect();
             if speedups.is_empty() {
                 return None;
             }
             let g = speedups.iter().product::<f64>().powf(1.0 / speedups.len() as f64);
-            Some((regime, g))
+            Some((key, g))
         })
         .collect()
 }
@@ -625,8 +633,8 @@ mod tests {
 
     #[test]
     fn snapshot_points_are_consistent() {
-        let points = collect(&[3], 400);
-        assert_eq!(points.len(), 5, "4 low_depth regimes + edge_disjoint");
+        let points = collect(&[3, 5], 400);
+        assert_eq!(points.len(), 10, "per q: 4 low_depth regimes + edge_disjoint");
         for p in &points {
             assert_eq!(p.engines.len(), 2);
             assert_eq!(p.engines[0].engine, "optimized");
@@ -634,20 +642,22 @@ mod tests {
             assert_eq!(p.engines[0].cycles, p.engines[1].cycles);
             assert!(p.speedup > 0.0);
         }
-        let regimes: Vec<&str> = points.iter().map(|p| p.regime).collect();
-        let mut expected: Vec<&str> = REGIMES.to_vec();
-        expected.push("saturated");
-        assert_eq!(regimes, expected);
-        let summary = summarize(&points);
-        assert_eq!(summary.len(), 1);
-        assert_eq!(summary[0].q, 3);
-        assert!(summary[0].allreduce_speedup > 0.0);
-        let geo = regime_geomeans(&points);
-        assert_eq!(geo.len(), REGIMES.len());
-        for ((regime, g), want) in geo.iter().zip(REGIMES) {
-            assert_eq!(*regime, want);
-            assert!(*g > 0.0);
+        let cells: Vec<(&str, &str, u64)> =
+            points.iter().map(|p| (p.label, p.regime, p.q)).collect();
+        let mut expected = Vec::new();
+        for q in [3, 5] {
+            expected.extend(REGIMES.iter().map(|&r| ("low_depth", r, q)));
+            expected.push(("edge_disjoint", "saturated", q));
         }
+        assert_eq!(cells, expected);
+        let summary = summarize(&points);
+        assert_eq!(summary.iter().map(|s| s.q).collect::<Vec<_>>(), [3, 5]);
+        assert!(summary.iter().all(|s| s.allreduce_speedup > 0.0));
+        let geo = regime_geomeans(&points);
+        let mut keys = REGIMES.to_vec();
+        keys.push(EDGE_DISJOINT_SATURATED);
+        assert_eq!(geo.iter().map(|&(k, _)| k).collect::<Vec<_>>(), keys);
+        assert!(geo.iter().all(|&(_, g)| g > 0.0));
         let scaling = collect_scaling(&[3], &[1, 2], 400);
         assert_eq!(scaling.len(), 2);
         for s in &scaling {

@@ -16,7 +16,9 @@
 //! per-router / per-node caps, tracing on/off, and fault schedules
 //! (permanent, transient-healing, degraded, router) — the cases where
 //! cycle skipping, active sets and lazy budgets could plausibly diverge
-//! from the per-cycle full-scan semantics.
+//! from the per-cycle full-scan semantics — and the closed form that
+//! reports contention-free trees without stepping, with each of its
+//! fallbacks.
 
 use crate::embedding::MultiTreeEmbedding;
 use crate::engine::{Collective, SimConfig, Simulator};
@@ -52,13 +54,27 @@ impl Case {
         sim
     }
 
+    /// The plan's embedding of an `m`-element vector.
+    fn embedding(&self) -> MultiTreeEmbedding {
+        MultiTreeEmbedding::new(&self.plan.graph, &self.plan.trees, &self.plan.split(self.m))
+    }
+
     /// Runs the case through both engines and asserts byte identity.
     fn assert_identical(&self, kind: Collective, label: &str) {
-        let sizes = self.plan.split(self.m);
-        let emb = MultiTreeEmbedding::new(&self.plan.graph, &self.plan.trees, &sizes);
         let w = Workload::new(self.plan.graph.num_vertices(), self.m);
-        let opt = self.sim(&emb).run_jobs_collective(&w, &[], kind);
-        let refr = self.sim(&emb).run_reference(&w, kind);
+        self.assert_identical_on(&self.embedding(), &w, kind, label);
+    }
+
+    /// [`Case::assert_identical`] on an explicit embedding and workload.
+    fn assert_identical_on(
+        &self,
+        emb: &MultiTreeEmbedding,
+        w: &Workload,
+        kind: Collective,
+        label: &str,
+    ) {
+        let opt = self.sim(emb).run_jobs_collective(w, &[], kind);
+        let refr = self.sim(emb).run_reference(w, kind);
 
         assert_eq!(opt.report, refr.report, "{label}: SimReport diverged");
         match (&opt.trace, &refr.trace) {
@@ -490,6 +506,345 @@ fn zero_length_and_tiny_vectors_match() {
     for m in [0u64, 1, 2, 13] {
         for kind in COLLECTIVES {
             Case::new(plan.clone(), m).assert_identical(kind, &format!("m={m} {kind:?}"));
+        }
+    }
+}
+
+// -- closed form ----------------------------------------------------------
+//
+// Contention-free trees skip the cycle loop (`engine/closed_form.rs`).
+// Edge-disjoint plans take that path whole, so these cases pin its timing
+// and values against the reference, and pin every fallback back onto the
+// stepper.
+
+/// The edge-disjoint plans of the closed-form matrix.
+fn edge_disjoint(q: u64) -> AllreducePlan {
+    AllreducePlan::edge_disjoint(q, 40, 0xD1FF).unwrap()
+}
+
+/// Every collective at `m` and link latency 1 and 4 on `plan`: one
+/// reference run each, and the optimized engine at threads 1 and 2 must
+/// reproduce its report byte for byte.
+fn closed_form_matrix(plan: &AllreducePlan, q: u64) {
+    for m in [0u64, 1, 2, 13, 4_000] {
+        for link_latency in [1u32, 4] {
+            let mut case = Case::new(plan.clone(), m);
+            let emb = case.embedding();
+            let w = Workload::new(plan.graph.num_vertices(), m);
+            for kind in COLLECTIVES {
+                case.cfg = SimConfig { link_latency, ..SimConfig::default() };
+                let refr = case.sim(&emb).run_reference(&w, kind).report;
+                for threads in [1usize, 2] {
+                    case.cfg.threads = threads;
+                    let opt = case.sim(&emb).run_jobs_collective(&w, &[], kind).report;
+                    assert_eq!(
+                        opt, refr,
+                        "closed form q={q} m={m} L={link_latency} threads={threads} {kind:?}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn closed_form_edge_disjoint_matches_reference() {
+    for q in [3u64, 5, 7, 9, 11] {
+        closed_form_matrix(&edge_disjoint(q), q);
+    }
+}
+
+#[test]
+#[ignore = "q = 13 reference runs are slow in debug builds; nightly --include-ignored"]
+fn closed_form_edge_disjoint_matches_reference_q13() {
+    closed_form_matrix(&edge_disjoint(13), 13);
+}
+
+#[test]
+fn closed_form_float_and_participant_workloads_match() {
+    // f64 sums must combine children in the engine's CSR order to stay
+    // bit-exact; a participant set makes non-members contribute the
+    // identity on a segment boundary inside a tree slice.
+    use crate::workload::{JobSegment, ReduceKind};
+    let plan = edge_disjoint(7);
+    let n = plan.graph.num_vertices();
+    let m = 3_000;
+    let case = Case::new(plan, m);
+    let emb = case.embedding();
+    let float = Workload::new_float(n, m);
+    let segmented = Workload::concat(
+        n,
+        &[
+            JobSegment::full(1_100, ReduceKind::FloatF64),
+            JobSegment {
+                elems: m - 1_100,
+                kind: ReduceKind::WrappingU64,
+                participants: Some((0..n).filter(|v| v % 3 != 1).collect()),
+            },
+        ],
+    );
+    for kind in COLLECTIVES {
+        case.assert_identical_on(&emb, &float, kind, &format!("closed form f64 {kind:?}"));
+        let label = format!("closed form segments {kind:?}");
+        case.assert_identical_on(&emb, &segmented, kind, &label);
+    }
+}
+
+/// An edge-disjoint plan's trees plus copies of the trees in `dup`: each
+/// copy shares every channel with its original, so those trees step and
+/// the rest take the closed form.
+fn mixed_embedding(plan: &AllreducePlan, dup: &[usize], m: u64) -> MultiTreeEmbedding {
+    let mut trees = plan.trees.clone();
+    trees.extend(dup.iter().map(|&t| plan.trees[t].clone()));
+    let k = trees.len() as u64;
+    let sizes: Vec<u64> = (0..k).map(|i| m / k + u64::from(i < m % k)).collect();
+    MultiTreeEmbedding::new(&plan.graph, &trees, &sizes)
+}
+
+#[test]
+fn closed_form_mixed_embeddings_match() {
+    // One shared pair steps single-threaded beside the closed-form trees;
+    // two shared pairs also shard at threads 2. Either way the parts merge
+    // into the reference report.
+    let plan = edge_disjoint(7);
+    let m = 4_000;
+    let w = Workload::new(plan.graph.num_vertices(), m);
+    for dup in [&[0usize][..], &[0, 1]] {
+        let emb = mixed_embedding(&plan, dup, m);
+        for kind in COLLECTIVES {
+            let mut case = Case::new(plan.clone(), m);
+            for threads in [1usize, 2] {
+                case.cfg.threads = threads;
+                case.assert_identical_on(
+                    &emb,
+                    &w,
+                    kind,
+                    &format!("mixed dup={dup:?} threads={threads} {kind:?}"),
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn closed_form_jobs_with_releases_match_traced_stepping() {
+    // The reference stepper has no job accounting and no releases; a
+    // tracer pins every tree to the stepper and only observes, so the
+    // traced run is the oracle for staggered bindings. The mixed
+    // embedding splits jobs across the stepped and closed-form parts.
+    use crate::engine::JobBinding;
+    let plan = edge_disjoint(9);
+    let m = 2_000;
+    let w = Workload::new(plan.graph.num_vertices(), m);
+    let plain = MultiTreeEmbedding::new(&plan.graph, &plan.trees, &plan.split(m));
+    let mixed = mixed_embedding(&plan, &[0, 2], m);
+    for (emb, label) in [(&plain, "edge-disjoint"), (&mixed, "mixed")] {
+        let t = emb.trees.len();
+        let bindings = [
+            JobBinding { trees: 0..1, release: 0 },
+            JobBinding { trees: 1..3, release: 37 },
+            JobBinding { trees: 3..t - 1, release: 900 },
+            JobBinding { trees: t - 1..t, release: 5 },
+        ];
+        for kind in COLLECTIVES {
+            let traced = Simulator::new(&plan.graph, emb, SimConfig::default())
+                .with_trace(TraceConfig::counters())
+                .run_jobs_collective(&w, &bindings, kind);
+            assert!(traced.report.completed && traced.report.mismatches == 0);
+            for threads in [1usize, 2] {
+                let cfg = SimConfig { threads, ..SimConfig::default() };
+                let run =
+                    Simulator::new(&plan.graph, emb, cfg).run_jobs_collective(&w, &bindings, kind);
+                let at = format!("{label} threads={threads} {kind:?}");
+                assert_eq!(run.report, traced.report, "{at}: report diverged");
+                assert_eq!(run.jobs, traced.jobs, "{at}: job outcomes diverged");
+            }
+        }
+    }
+}
+
+/// Configurations the closed-form gate must refuse, on plans whose trees
+/// it otherwise accepts (edge-disjoint at `m` = 2 000), each with the
+/// collectives it refuses under. The unbalanced low-depth tree is refused
+/// on shape alone, and only where the reduce phase runs: a broadcast
+/// never waits on sibling heights. Every case must keep matching the
+/// reference under every collective.
+fn closed_form_fallbacks() -> Vec<(Case, String, &'static [Collective])> {
+    let plan = edge_disjoint(5);
+    let m = 2_000;
+    let base = || Case::new(plan.clone(), m);
+    let mut out: Vec<(Case, String, &'static [Collective])> = Vec::new();
+    for link_latency in [4u32, 9] {
+        for vc_buffer in [1usize, link_latency as usize - 1] {
+            let mut c = base();
+            c.cfg = SimConfig { link_latency, vc_buffer, ..SimConfig::default() };
+            out.push((c, format!("L={link_latency} vc={vc_buffer}"), &COLLECTIVES));
+        }
+    }
+    let mut c = base();
+    c.trace = Some(TraceConfig::counters());
+    out.push((c, "tracer".into(), &COLLECTIVES));
+    let mut c = base();
+    c.faults = Some(FaultSchedule::none());
+    out.push((c, "quiet fault layer".into(), &COLLECTIVES));
+    let mut c = base();
+    c.cfg.max_reductions_per_router = Some(2);
+    out.push((c, "engine cap".into(), &COLLECTIVES));
+    let mut c = base();
+    c.cfg.max_injections_per_node = Some(2);
+    out.push((c, "injection cap".into(), &COLLECTIVES));
+    let mut c = base();
+    // Every slice holds over 600 elements, so no tree completes by 300.
+    c.cfg.max_cycles = 300;
+    out.push((c, "max_cycles below completion".into(), &COLLECTIVES));
+    let unbalanced = AllreducePlan::low_depth(7).unwrap().tree_subset(&[0]);
+    out.push((
+        Case::new(unbalanced, m),
+        "unbalanced low-depth tree".into(),
+        &[Collective::Allreduce, Collective::Reduce, Collective::ReduceScatter],
+    ));
+    out
+}
+
+#[test]
+fn closed_form_fallbacks_match() {
+    for (case, label, _) in closed_form_fallbacks() {
+        for kind in COLLECTIVES {
+            case.assert_identical(kind, &format!("fallback {label} {kind:?}"));
+        }
+    }
+}
+
+#[test]
+fn closed_form_gate_accepts_edge_disjoint_and_refuses_fallbacks() {
+    use crate::engine::closed_form::ClosedForm;
+    // Every live tree of every edge-disjoint plan qualifies under the
+    // default config: N = q² + q + 1 is odd, so the midpoint-rooted
+    // Hamiltonian path has two equal arms.
+    for q in [3u64, 5, 7, 9, 11, 13] {
+        let plan = edge_disjoint(q);
+        for m in [1u64, 2, 13, 4_000] {
+            let case = Case::new(plan.clone(), m);
+            let emb = case.embedding();
+            for kind in COLLECTIVES {
+                let cf = ClosedForm::select(&case.sim(&emb), kind, None)
+                    .unwrap_or_else(|| panic!("q={q} m={m} {kind:?}: no tree qualifies"));
+                for (ti, t) in emb.trees.iter().enumerate() {
+                    assert_eq!(cf.takes(ti), t.len > 0, "q={q} m={m} {kind:?} tree {ti}");
+                }
+            }
+        }
+    }
+    for (case, label, refused) in closed_form_fallbacks() {
+        let emb = case.embedding();
+        for kind in COLLECTIVES {
+            assert_eq!(
+                ClosedForm::select(&case.sim(&emb), kind, None).is_none(),
+                refused.contains(&kind),
+                "{label} {kind:?}"
+            );
+        }
+    }
+}
+
+#[test]
+fn closed_form_credit_condition_is_exact() {
+    // Path 1 - 0 - 2 - 3 rooted at 0: leaf 1 sits two levels below the
+    // root's height, so its reduce stream holds up to min(len, 2·L) flits.
+    // The gate takes the tree at vc_buffer = 2·L and refuses it one flit
+    // below; both sides match the reference.
+    use crate::engine::closed_form::ClosedForm;
+    use pf_graph::{Graph, RootedTree};
+    let mut g = Graph::new(4);
+    for (u, v) in [(0, 1), (0, 2), (2, 3)] {
+        g.add_edge(u, v);
+    }
+    let tree = RootedTree::from_path(&[1, 0, 2, 3], 1).unwrap();
+    let link_latency = 4u32;
+    for (m, vc_buffer, takes) in [(4_000u64, 8usize, true), (4_000, 7, false), (7, 7, true)] {
+        let emb = MultiTreeEmbedding::new(&g, std::slice::from_ref(&tree), &[m]);
+        let w = Workload::new(4, m);
+        let cfg = SimConfig { link_latency, vc_buffer, ..SimConfig::default() };
+        for kind in [Collective::Allreduce, Collective::Reduce] {
+            let sim = || Simulator::new(&g, &emb, cfg);
+            let label = format!("m={m} vc={vc_buffer} {kind:?}");
+            assert_eq!(ClosedForm::select(&sim(), kind, None).is_some(), takes, "{label}");
+            let opt = sim().run_jobs_collective(&w, &[], kind).report;
+            assert_eq!(opt, sim().run_reference(&w, kind).report, "{label}");
+        }
+        // Broadcast streams have slack 1: they never need more than L.
+        let sim = Simulator::new(&g, &emb, cfg);
+        assert!(ClosedForm::select(&sim, Collective::Broadcast, None).is_some());
+    }
+}
+
+#[test]
+fn closed_form_cycle_cap_is_exact() {
+    // A tree takes the closed form iff its last delivery fits inside
+    // max_cycles: at the run's own length every tree does; one cycle less
+    // refuses exactly the trees finishing last, which then step to the
+    // same incomplete report as the reference.
+    use crate::engine::closed_form::ClosedForm;
+    let case = Case::new(edge_disjoint(5), 4_000);
+    let emb = case.embedding();
+    let w = Workload::new(case.plan.graph.num_vertices(), case.m);
+    for kind in COLLECTIVES {
+        let full = Simulator::new(&case.plan.graph, &emb, SimConfig::default())
+            .run_reference(&w, kind)
+            .report;
+        for max_cycles in [full.cycles, full.cycles - 1] {
+            let mut capped = Case::new(case.plan.clone(), case.m);
+            capped.cfg.max_cycles = max_cycles;
+            let cf = ClosedForm::select(&capped.sim(&emb), kind, None).expect("some tree fits");
+            for (ti, &done) in full.tree_completion.iter().enumerate() {
+                let at = format!("{kind:?} cap {max_cycles} tree {ti}");
+                assert_eq!(cf.takes(ti), done <= max_cycles, "{at}");
+            }
+            capped.assert_identical_on(&emb, &w, kind, &format!("{kind:?} cap {max_cycles}"));
+        }
+    }
+}
+
+mod closed_form_props {
+    use super::*;
+    use pf_graph::{builders, RootedTree};
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// A random tree alone on a complete graph is contention-free, and
+        /// its random shape and root make sibling heights differ, so the
+        /// credit condition `min(len, slack·L) ≤ vc_buffer` lands on either
+        /// side as L, the buffer and the slice length vary. Whichever path
+        /// the gate picks, the report must be the reference's. The gate
+        /// ignores the source queue: a flit staged in a cycle leaves in it.
+        #[test]
+        fn random_trees_match_the_reference_on_both_sides_of_the_gate(
+            n in 1u32..12,
+            picks in prop::collection::vec(any::<u32>(), 11),
+            shift in 0u32..12,
+            link_latency in 1u32..6,
+            vc_buffer in 1usize..16,
+            source_queue in 1usize..3,
+            m in 1u64..300,
+            kind in prop::sample::select(COLLECTIVES.to_vec()),
+        ) {
+            // A random recursive tree, relabeled so the root is not
+            // always vertex 0.
+            let label = |v: u32| (v + shift) % n;
+            let mut parent = vec![None; n as usize];
+            for v in 1..n {
+                parent[label(v) as usize] = Some(label(picks[v as usize - 1] % v));
+            }
+            let tree = RootedTree::from_parents(label(0), parent).unwrap();
+            let g = builders::complete(n);
+            let emb = MultiTreeEmbedding::new(&g, &[tree], &[m]);
+            let w = Workload::new(n, m);
+            let cfg = SimConfig { link_latency, vc_buffer, source_queue, ..SimConfig::default() };
+            let opt = Simulator::new(&g, &emb, cfg).run_jobs_collective(&w, &[], kind).report;
+            let refr = Simulator::new(&g, &emb, cfg).run_reference(&w, kind).report;
+            prop_assert_eq!(opt, refr);
         }
     }
 }

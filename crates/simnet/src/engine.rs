@@ -37,10 +37,19 @@
 //!   to the earliest in-flight arrival or fault-schedule transition instead
 //!   of ticking idly (latency tails, drain phases, fault-frozen fabrics).
 //!
-//! Two further layers sit on top of the active sets (both introduced for
+//! Three further layers sit on top of the active sets (all introduced for
 //! the saturated/contention regimes, where every cycle makes progress and
 //! idle-skip never fires — see `docs/PERFORMANCE.md` for the derivations):
 //!
+//! * **Closed form** (`engine/closed_form.rs`) — a tree that is the only live
+//!   stream on every directed channel it uses, whose credit window cannot
+//!   back-pressure and which completes inside `max_cycles`, with no
+//!   tracer, fault layer or per-node cap attached, is never stepped: each
+//!   flit's cycle is an affine function of its element index and its
+//!   node's height and depth, so its report follows from that timing plus
+//!   the blockwise value pass the batch replay uses. Edge-disjoint plans
+//!   take this path whole; in a mixed plan the other trees step as below
+//!   and the parts merge like shards.
 //! * **Batch spans** — when the run is in steady state, consecutive cycles
 //!   repeat the same fire/drain/arrival pattern exactly. The engine arms a
 //!   full *shape* snapshot (queue lengths, active sets, round-robin
@@ -59,7 +68,7 @@
 //!   components of the tree/channel sharing graph are simulated on worker
 //!   threads and their reports merged in a fixed order; every digest is an
 //!   order-independent wrapping sum, so the merge is byte-identical to the
-//!   single-threaded run.
+//!   single-threaded run. The closed-form trees join the same merge.
 //!
 //! All queue state lives in flat, pre-sized ring-buffer arenas — the steady
 //! state allocates nothing. The pre-optimization stepper is retained as
@@ -76,8 +85,11 @@ use crate::trace::{EngineStall, TraceConfig, TraceReport, Tracer};
 use crate::workload::Workload;
 use pf_graph::Graph;
 
+pub(crate) mod closed_form;
 #[cfg(any(test, feature = "reference-engine"))]
 pub mod reference;
+
+use closed_form::ClosedForm;
 
 /// Simulator knobs.
 #[derive(Debug, Clone, Copy)]
@@ -85,8 +97,10 @@ pub struct SimConfig {
     /// Pipeline latency of every physical hop, in cycles (≥ 1).
     pub link_latency: u32,
     /// Virtual-channel buffer capacity per stream at the receiver, in
-    /// flits. Full throughput needs `link_latency + 1` or more (the
-    /// latency–bandwidth product).
+    /// flits. Full throughput needs `link_latency` or more (the
+    /// latency–bandwidth product): the receiver returns a credit in the
+    /// cycle it consumes a flit, and the sender may spend it that same
+    /// cycle, so `link_latency` flits in flight keep the link busy.
     pub vc_buffer: usize,
     /// Sender-side staging queue per stream, in flits.
     pub source_queue: usize,
@@ -275,7 +289,7 @@ pub struct JobBinding {
 }
 
 /// Per-job results of a multi-job run.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct JobOutcome {
     /// Cycle of this job's first delivered element (0 if none).
     pub first_delivery: u64,
@@ -434,37 +448,61 @@ impl<'a> Simulator<'a> {
             "workload must cover every tree slice's global element range"
         );
 
+        // Contention-free trees take the closed form, and the rest split
+        // into channel-disjoint shards when threads allow: both need trees
+        // with fully independent state. Anything that couples them — a
+        // tracer (global timeline), a fault layer (global detector clock),
+        // or per-node caps (budgets shared across trees) — forces one
+        // stepped run over the whole fabric.
+        let closed = ClosedForm::select(&self, kind, bindings);
+        let coupled = self.couples_trees();
         let Simulator { emb, cfg, tracer, faults } = self;
-        // Deterministic sharded mode: channel-disjoint tree components have
-        // fully independent state, so they can be simulated concurrently
-        // and merged. Anything that couples components — a tracer (global
-        // timeline), a fault layer (global detector clock), or per-node
-        // caps (budgets shared across trees) — forces the single run.
-        if cfg.threads > 1
-            && tracer.is_none()
-            && faults.is_none()
-            && cfg.max_reductions_per_router.is_none()
-            && cfg.max_injections_per_node.is_none()
-        {
-            if let Some(masks) = shard_masks(emb, cfg.threads) {
-                return run_sharded(emb, cfg, w, kind, bindings, &masks);
-            }
+        let stepped: Vec<bool> = emb
+            .trees
+            .iter()
+            .enumerate()
+            .map(|(ti, t)| t.len > 0 && !closed.as_ref().is_some_and(|c| c.takes(ti)))
+            .collect();
+        let shards = if coupled { None } else { shard_masks(emb, cfg.threads, &stepped) };
+        if closed.is_none() && shards.is_none() {
+            let single = run_single(emb, cfg, tracer, faults, w, kind, bindings, None);
+            return (single.report, single.trace, single.faults, single.jobs);
         }
-        let single = run_single(emb, cfg, tracer, faults, w, kind, bindings, None);
-        (single.report, single.trace, single.faults, single.jobs)
+        // The stepped trees run as shards, or as one masked run beside the
+        // closed form (none at all when every tree takes it).
+        let masks =
+            shards.unwrap_or_else(|| if stepped.contains(&true) { vec![stepped] } else { vec![] });
+        let mut parts = crate::par::parallel_map_workers(cfg.threads, &masks, |mask| {
+            run_single(emb, cfg, None, None, w, kind, bindings, Some(mask))
+        });
+        if let Some(cf) = &closed {
+            parts.push(cf.run(emb, w, kind, bindings));
+        }
+        let (report, jobs) = merge(emb, kind, bindings, &parts);
+        (report, None, None, jobs)
+    }
+
+    /// Does anything attached couple the trees' timing? A tracer keeps one
+    /// global timeline, a fault layer one detector clock, and per-node
+    /// caps share budgets across trees.
+    fn couples_trees(&self) -> bool {
+        self.tracer.is_some()
+            || self.faults.is_some()
+            || self.cfg.max_reductions_per_router.is_some()
+            || self.cfg.max_injections_per_node.is_some()
     }
 }
 
-/// Result of one [`run_single`] invocation (one shard of a sharded run, or
-/// the whole fabric).
+/// Result of one part of a run: a [`run_single`] invocation (one shard,
+/// or the whole fabric) or the closed-form trees.
 struct SingleRun {
     report: SimReport,
     trace: Option<TraceReport>,
     faults: Option<FaultReport>,
     jobs: Vec<JobOutcome>,
-    /// Pairs that must deliver a first element in this shard's mask — the
-    /// merge needs it to reconstruct `first_element_latency` (a shard that
-    /// owns no live pairs reports 0 without meaning "incomplete").
+    /// Pairs that must deliver a first element in this part — the merge
+    /// needs it to reconstruct `first_element_latency` (a part that owns
+    /// no live pairs reports 0 without meaning "incomplete").
     live_pairs: u64,
 }
 
@@ -610,14 +648,18 @@ fn run_single(
     SingleRun { report, trace, faults: fault_report, jobs, live_pairs: st.live_pairs }
 }
 
-/// Partitions the embedding's live trees into channel-disjoint components
-/// and packs the components into at most `threads` shard masks (longest
-/// processing time first, by total slice length). Returns `None` when the
-/// fabric does not decompose (fewer than two components) — the caller
-/// falls back to the single-threaded run.
-fn shard_masks(emb: &MultiTreeEmbedding, threads: usize) -> Option<Vec<Vec<bool>>> {
+/// Partitions the `stepped` trees into channel-disjoint components and
+/// packs the components into at most `threads` shard masks (longest
+/// processing time first, by total slice length). Returns `None` when
+/// there is one thread or those trees do not decompose (fewer than two
+/// components).
+fn shard_masks(
+    emb: &MultiTreeEmbedding,
+    threads: usize,
+    stepped: &[bool],
+) -> Option<Vec<Vec<bool>>> {
     let ntrees = emb.trees.len();
-    if ntrees < 2 {
+    if threads < 2 || ntrees < 2 {
         return None;
     }
     // Union-find over trees: two trees sharing any directed channel are
@@ -645,12 +687,13 @@ fn shard_masks(emb: &MultiTreeEmbedding, threads: usize) -> Option<Vec<Vec<bool>
             }
         }
     }
-    // Components over live trees only (an empty tree has no state at all).
+    // Components over stepped trees only (an empty tree has no state at
+    // all, and a closed-form tree is not stepped).
     let mut comp_idx = vec![usize::MAX; ntrees];
     let mut components: Vec<Vec<usize>> = Vec::new();
     let mut weights: Vec<u64> = Vec::new();
     for (ti, t) in emb.trees.iter().enumerate() {
-        if t.len == 0 {
+        if !stepped[ti] {
             continue;
         }
         let root = find(&mut parent, ti as u32) as usize;
@@ -686,24 +729,18 @@ fn shard_masks(emb: &MultiTreeEmbedding, threads: usize) -> Option<Vec<Vec<bool>
     Some(masks)
 }
 
-/// Runs one shard per mask on the worker pool and merges the shard
-/// reports into exactly what the single-threaded run would have produced.
-/// Every cross-shard aggregate is either a wrapping sum of
-/// order-independent digest entries, an elementwise sum/max over disjoint
-/// supports, or recomputed from merged integers — so the merge is
-/// byte-identical regardless of scheduling.
-fn run_sharded(
+/// Merges the parts of one run — channel-disjoint shards and the
+/// closed-form trees, each owning disjoint trees — into exactly what the
+/// single stepped run would have produced. Every cross-part aggregate is
+/// either a wrapping sum of order-independent digest entries, an
+/// elementwise sum/max over disjoint supports, or recomputed from merged
+/// integers — so the merge is byte-identical regardless of scheduling.
+fn merge(
     emb: &MultiTreeEmbedding,
-    cfg: SimConfig,
-    w: &Workload,
     kind: Collective,
     bindings: Option<&[JobBinding]>,
-    masks: &[Vec<bool>],
-) -> (SimReport, Option<TraceReport>, Option<FaultReport>, Vec<JobOutcome>) {
-    let shards = crate::par::parallel_map_workers(masks.len(), masks, |mask| {
-        run_single(emb, cfg, None, None, w, kind, bindings, Some(mask))
-    });
-
+    parts: &[SingleRun],
+) -> (SimReport, Vec<JobOutcome>) {
     let ntrees = emb.trees.len();
     let nchans = emb.channel_streams.len();
     let mut cycles = 0u64;
@@ -715,23 +752,23 @@ fn run_sharded(
     let mut max_vc_occupancy = 0usize;
     let mut fel = 0u64;
     let mut fel_all = true;
-    for sh in &shards {
-        cycles = cycles.max(sh.report.cycles);
-        completed &= sh.report.completed;
-        mismatches += sh.report.mismatches;
-        value_digest = value_digest.wrapping_add(sh.report.value_digest);
-        for (tc, &shc) in tree_completion.iter_mut().zip(&sh.report.tree_completion) {
-            *tc = (*tc).max(shc);
+    for part in parts {
+        cycles = cycles.max(part.report.cycles);
+        completed &= part.report.completed;
+        mismatches += part.report.mismatches;
+        value_digest = value_digest.wrapping_add(part.report.value_digest);
+        for (tc, &pc) in tree_completion.iter_mut().zip(&part.report.tree_completion) {
+            *tc = (*tc).max(pc);
         }
-        for (cf, &shf) in channel_flits.iter_mut().zip(&sh.report.channel_flits) {
-            *cf += shf;
+        for (cf, &pf) in channel_flits.iter_mut().zip(&part.report.channel_flits) {
+            *cf += pf;
         }
-        max_vc_occupancy = max_vc_occupancy.max(sh.report.max_vc_occupancy);
-        if sh.live_pairs > 0 {
-            if sh.report.first_element_latency == 0 {
+        max_vc_occupancy = max_vc_occupancy.max(part.report.max_vc_occupancy);
+        if part.live_pairs > 0 {
+            if part.report.first_element_latency == 0 {
                 fel_all = false;
             } else {
-                fel = fel.max(sh.report.first_element_latency);
+                fel = fel.max(part.report.first_element_latency);
             }
         }
     }
@@ -752,10 +789,10 @@ fn run_sharded(
     };
 
     // Per-job merge. A job's deliveries/elems/hash/mismatches are plain
-    // sums over the shards that own its trees; first delivery is the
-    // earliest nonzero; completion is the latest shard completion, and
+    // sums over the parts that own its trees; first delivery is the
+    // earliest nonzero; completion is the latest part completion, and
     // only counts once the *merged* deliveries reach the full job total
-    // (a shard completing its portion is not the job completing).
+    // (a part completing its portion is not the job completing).
     let njobs = bindings.map_or(0, <[JobBinding]>::len);
     let per_tree_sinks = kind.sinks_per_tree(emb.num_nodes as u64);
     let mut job_total = vec![0u64; njobs];
@@ -766,19 +803,9 @@ fn run_sharded(
             }
         }
     }
-    let mut jobs = vec![
-        JobOutcome {
-            first_delivery: 0,
-            completion: 0,
-            deliveries: 0,
-            elems: 0,
-            value_hash: 0,
-            mismatches: 0,
-        };
-        njobs
-    ];
-    for sh in &shards {
-        for (j, o) in sh.jobs.iter().enumerate() {
+    let mut jobs = vec![JobOutcome::default(); njobs];
+    for part in parts {
+        for (j, o) in part.jobs.iter().enumerate() {
             jobs[j].deliveries += o.deliveries;
             jobs[j].elems += o.elems;
             jobs[j].value_hash = jobs[j].value_hash.wrapping_add(o.value_hash);
@@ -795,10 +822,10 @@ fn run_sharded(
     for j in 0..njobs {
         if job_total[j] > 0 && jobs[j].deliveries == job_total[j] {
             jobs[j].completion =
-                shards.iter().map(|sh| sh.jobs[j].completion).max().unwrap_or(0);
+                parts.iter().map(|part| part.jobs[j].completion).max().unwrap_or(0);
         }
     }
-    (report, None, None, jobs)
+    (report, jobs)
 }
 
 /// Order-independent digest entry for one root-reduced element: a
@@ -952,6 +979,112 @@ fn two_rows(buf: &mut [u64], a: usize, b: usize, bw: usize) -> (&mut [u64], &[u6
     }
 }
 
+/// Children-first node order of the selected trees, each node with its
+/// children in the engine's reduce-input (CSR) order — the schedule of the
+/// blockwise value pass that the batch replay and the closed form share.
+struct TreeOrder {
+    /// Per tree: its positions in `nodes` (empty when not selected).
+    tree_off: Vec<u32>,
+    /// Nodes, children before parents; a tree's root comes last.
+    nodes: Vec<u32>,
+    /// Per position: its range in `children`.
+    child_off: Vec<u32>,
+    children: Vec<u32>,
+}
+
+impl TreeOrder {
+    /// Orders every tree `select` accepts (a preorder DFS from the root,
+    /// reversed). `TreeConfig::children` lists each node's children in
+    /// the order their reduce streams were created, which is the order the
+    /// per-cycle engine pops them in.
+    fn new(emb: &MultiTreeEmbedding, select: impl Fn(usize) -> bool) -> Self {
+        let n = emb.num_nodes as usize;
+        let selected = (0..emb.trees.len()).filter(|&ti| select(ti)).count();
+        let mut tree_off = vec![0u32; emb.trees.len() + 1];
+        let mut nodes: Vec<u32> = Vec::with_capacity(selected * n);
+        let mut stack: Vec<u32> = Vec::new();
+        for (ti, t) in emb.trees.iter().enumerate() {
+            if select(ti) {
+                let before = nodes.len();
+                stack.push(t.root);
+                while let Some(v) = stack.pop() {
+                    nodes.push(v);
+                    stack.extend_from_slice(&t.children[v as usize]);
+                }
+                nodes[before..].reverse();
+            }
+            tree_off[ti + 1] = nodes.len() as u32;
+        }
+        let mut child_off = Vec::with_capacity(nodes.len() + 1);
+        let mut children = Vec::with_capacity(nodes.len());
+        child_off.push(0);
+        for (ti, t) in emb.trees.iter().enumerate() {
+            for &v in &nodes[tree_off[ti] as usize..tree_off[ti + 1] as usize] {
+                children.extend_from_slice(&t.children[v as usize]);
+                child_off.push(children.len() as u32);
+            }
+        }
+        TreeOrder { tree_off, nodes, child_off, children }
+    }
+
+    /// Tree `ti`'s positions in [`TreeOrder::nodes`].
+    fn span(&self, ti: usize) -> std::ops::Range<usize> {
+        self.tree_off[ti] as usize..self.tree_off[ti + 1] as usize
+    }
+
+    /// The children of the node at position `i`.
+    fn children(&self, i: usize) -> &[u32] {
+        &self.children[self.child_off[i] as usize..self.child_off[i + 1] as usize]
+    }
+
+    /// The blockwise value pass over global elements `ge..ge + bw` of
+    /// tree `ti`. When the collective reduces, row `v` of `rows` (stride
+    /// `BATCH_BLOCK`) becomes R(v), the value node `v` pushes up: its
+    /// input combined with each child's row in CSR order, bit-identical to
+    /// the per-cycle engine, which combines the same inputs in the same
+    /// order. Either way the root's row ends up holding the value every
+    /// sink receives — R(root), the root's own input for a broadcast, the
+    /// expected reduction for an allgather. The last row gets each
+    /// element's digest key `hash_entry(element, root value)`: the job
+    /// hash adds it once, and each sink's delivery digest nests it once
+    /// more.
+    fn fill_block(
+        &self,
+        ti: usize,
+        w: &Workload,
+        kind: Collective,
+        ge: u64,
+        bw: usize,
+        rows: &mut [u64],
+    ) {
+        let span = self.span(ti);
+        let root = self.nodes[span.end - 1] as usize;
+        if kind.reduces() {
+            for i in span {
+                let v = self.nodes[i] as usize;
+                w.input_run(v as u32, ge, &mut rows[v * BATCH_BLOCK..v * BATCH_BLOCK + bw]);
+                for &c in self.children(i) {
+                    let (acc, xs) = two_rows(rows, v, c as usize, bw);
+                    w.combine_run(ge, acc, xs);
+                }
+            }
+        } else {
+            let row = &mut rows[root * BATCH_BLOCK..root * BATCH_BLOCK + bw];
+            if kind == Collective::Broadcast {
+                w.input_run(root as u32, ge, row);
+            } else {
+                for (k, x) in row.iter_mut().enumerate() {
+                    *x = w.expected(ge + k as u64);
+                }
+            }
+        }
+        let (vals, keys) = rows.split_at_mut(rows.len() - BATCH_BLOCK);
+        for (k, key) in keys[..bw].iter_mut().enumerate() {
+            *key = hash_entry(ge + k as u64, vals[root * BATCH_BLOCK + k]);
+        }
+    }
+}
+
 /// All mutable state of one optimized run: flat arenas, active sets, and
 /// the progress counters folded into the final [`SimReport`].
 ///
@@ -1014,15 +1147,13 @@ struct RunState {
 
     // Stream -> owning channel (for channel activation on staging).
     stream_chan: Vec<u32>,
-    // Stream endpoint metadata for the bulk replay: source node and the
-    // (tree·n + node) pair ids of both endpoints.
-    stream_src_node: Vec<u32>,
+    // Stream endpoint metadata for the bulk replay: the (tree·n + node)
+    // pair ids of both endpoints.
     stream_src_pair: Vec<u32>,
     stream_dst_pair: Vec<u32>,
-    // Per-tree children-first topological order (CSR): the bulk value
-    // pass combines each node after all of its children.
-    topo_off: Vec<u32>,
-    topo_nodes: Vec<u32>,
+    // Per-tree children-first order: the bulk value pass combines each
+    // node after all of its children.
+    order: TreeOrder,
     // Precomputed wake targets: the absolute `pair_active` word index and
     // bit mask of each stream's endpoint engines, so a flit event re-arms
     // an engine with a single indexed OR (no division on the hot path).
@@ -1079,7 +1210,7 @@ struct RunState {
     // Batch-span machinery (see the module doc and `BatchCtl`).
     bat: BatchCtl,
     // Scratch for the bulk value pass: one row of `BATCH_BLOCK` element
-    // values per node.
+    // values per node, plus the row of digest keys.
     rblock: Vec<u64>,
     // Scratch: per-node queue-rewrite rectangles for the tree being bulked
     // (reduce-out stream / broadcast-in stream of each node).
@@ -1219,24 +1350,9 @@ impl RunState {
             }
         }
 
-        // Per-tree children-first topological order for the bulk value
-        // pass (a preorder DFS from the root, reversed). Only live trees
-        // get an order; an empty/masked tree's slice stays empty.
-        let mut topo_off = vec![0u32; ntrees + 1];
-        let mut topo_nodes: Vec<u32> = Vec::new();
-        let mut stack: Vec<u32> = Vec::new();
-        for (ti, t) in emb.trees.iter().enumerate() {
-            if tree_len_eff[ti] > 0 {
-                let before = topo_nodes.len();
-                stack.push(t.root);
-                while let Some(v) = stack.pop() {
-                    topo_nodes.push(v);
-                    stack.extend_from_slice(&t.children[v as usize]);
-                }
-                topo_nodes[before..].reverse();
-            }
-            topo_off[ti + 1] = topo_nodes.len() as u32;
-        }
+        // Only live trees get a value-pass order; an empty/masked tree's
+        // slice stays empty.
+        let order = TreeOrder::new(emb, |ti| tree_len_eff[ti] > 0);
 
         // Every engine of a non-empty tree starts active: leaves can fire
         // on cycle 1, everything else stalls once and deactivates.
@@ -1295,11 +1411,9 @@ impl RunState {
             vc_arrived: vec![0; nstreams],
             vc_inflight: vec![0; nstreams],
             stream_chan,
-            stream_src_node: emb.streams.iter().map(|s| s.src).collect(),
             stream_src_pair: src_pair,
             stream_dst_pair: dst_pair,
-            topo_off,
-            topo_nodes,
+            order,
             wake_src_word,
             wake_src_mask,
             wake_dst_word,
@@ -1348,7 +1462,7 @@ impl RunState {
                     words_per_tree,
                 ),
             },
-            rblock: vec![0; n * BATCH_BLOCK],
+            rblock: vec![0; (n + 1) * BATCH_BLOCK],
             rect_r: vec![QRECT_NONE; n],
             rect_b: vec![QRECT_NONE; n],
         }
@@ -2205,8 +2319,8 @@ impl RunState {
     /// Replays the value-carrying side effects of tree `ti` over `j`
     /// periods: root digests/validation, delivery digests, and the values
     /// of elements still queued at the window end — all recomputed per
-    /// element in `BATCH_BLOCK`-wide passes with the combine vectorized
-    /// over contiguous runs.
+    /// element by the blockwise value pass ([`TreeOrder::fill_block`]),
+    /// with the combine vectorized over contiguous runs.
     fn bulk_tree(&mut self, ti: usize, j: u64, w: &Workload) {
         let len = self.tree_len[ti];
         if len == 0 {
@@ -2307,8 +2421,7 @@ impl RunState {
         let offset = self.tree_off[ti];
         let root = self.tree_root[ti] as usize;
         let rp = ti * n + root;
-        let topo_lo = self.topo_off[ti] as usize;
-        let topo_hi = self.topo_off[ti + 1] as usize;
+        let keys = n * BATCH_BLOCK;
         let track = self.track_jobs;
         let job = self.tree_job[ti] as usize;
         let root_fire_lo = self.reduced[rp];
@@ -2318,29 +2431,9 @@ impl RunState {
         while blk < hi {
             let bw = ((hi - blk) as usize).min(BATCH_BLOCK);
             let b_end = blk + bw as u64;
+            self.order.fill_block(ti, w, kind, offset + blk, bw, &mut self.rblock);
 
             if kind.reduces() {
-                // Pass A: recompute R(v) = combine(local input, children)
-                // bottom-up for the whole block — bit-identical to the
-                // per-cycle engine, which combines the same inputs in the
-                // same CSR order.
-                for t_idx in topo_lo..topo_hi {
-                    let v = self.topo_nodes[t_idx] as usize;
-                    let p = ti * n + v;
-                    {
-                        let row =
-                            &mut self.rblock[v * BATCH_BLOCK..v * BATCH_BLOCK + bw];
-                        w.input_run(v as u32, offset + blk, row);
-                    }
-                    let in_lo = self.reduce_in_off[p] as usize;
-                    let in_hi = self.reduce_in_off[p + 1] as usize;
-                    for i in in_lo..in_hi {
-                        let s = self.in_ids[i] as usize;
-                        let c = self.stream_src_node[s] as usize;
-                        let (acc, xs) = two_rows(&mut self.rblock, v, c, bw);
-                        w.combine_run(offset + blk, acc, xs);
-                    }
-                }
                 // Root side effects for fires in this block: validation,
                 // job hash, delivery digest (reduce-family roots deliver
                 // at the fire).
@@ -2348,7 +2441,8 @@ impl RunState {
                 let fhi = root_fire_hi.min(b_end);
                 for e in flo..fhi {
                     let ge = offset + e;
-                    let acc = self.rblock[root * BATCH_BLOCK + (e - blk) as usize];
+                    let k = (e - blk) as usize;
+                    let (acc, key) = (self.rblock[root * BATCH_BLOCK + k], self.rblock[keys + k]);
                     if !w.value_close_at(ge, acc, w.expected(ge)) {
                         self.mismatches += 1;
                         if track {
@@ -2356,17 +2450,14 @@ impl RunState {
                         }
                     }
                     if track {
-                        self.job_hash[job] =
-                            self.job_hash[job].wrapping_add(hash_entry(ge, acc));
+                        self.job_hash[job] = self.job_hash[job].wrapping_add(key);
                     }
-                    self.value_digest = self
-                        .value_digest
-                        .wrapping_add(delivery_digest_entry(root as u64, ge, acc));
+                    self.value_digest =
+                        self.value_digest.wrapping_add(hash_entry(root as u64, key));
                 }
                 // Reduce-stream queue rewrites: the value a node pushed for
                 // element e is R(node) at e.
-                for t_idx in topo_lo..topo_hi {
-                    let v = self.topo_nodes[t_idx] as usize;
+                for v in 0..n {
                     let rect = self.rect_r[v];
                     if rect.stream != NONE {
                         self.write_rect_from_row(&rect, blk, b_end, v);
@@ -2375,47 +2466,32 @@ impl RunState {
             }
 
             if kind.broadcasts() {
-                // Pass B: the broadcast value B(e) lands in the root's
-                // scratch row — the allreduce turnaround already put it
-                // there (B = R(root)); root-sourced collectives fill it
-                // from the workload.
-                match kind {
-                    Collective::Allreduce => {}
-                    Collective::Broadcast => {
-                        let row =
-                            &mut self.rblock[root * BATCH_BLOCK..root * BATCH_BLOCK + bw];
-                        w.input_run(root as u32, offset + blk, row);
-                    }
-                    _ => {
-                        for k in 0..bw {
-                            self.rblock[root * BATCH_BLOCK + k] =
-                                w.expected(offset + blk + k as u64);
-                        }
-                    }
-                }
+                // The broadcast value B(e) sits in the root's row.
                 for v in 0..n {
                     let p = ti * n + v;
                     let dl = self.delivered[p] - self.bat.snap.delivered[p];
                     // The allreduce root's deliveries were already replayed
-                    // in pass A (it delivers at the fire, not as a relay).
+                    // with its fires (it delivers at the fire, not as a
+                    // relay).
                     if dl > 0 && (v != root || kind.root_sources_broadcast()) {
                         let dlo = self.delivered[p].max(blk);
                         let dhi = (self.delivered[p] + j * dl).min(b_end);
                         for e in dlo..dhi {
                             let ge = offset + e;
-                            let val = self.rblock[root * BATCH_BLOCK + (e - blk) as usize];
+                            let k = (e - blk) as usize;
+                            let key = self.rblock[keys + k];
                             if v == root {
                                 // Broadcast/allgather source: hash + digest,
                                 // no validation (it emits, it doesn't check).
                                 if track {
-                                    self.job_hash[job] =
-                                        self.job_hash[job].wrapping_add(hash_entry(ge, val));
+                                    self.job_hash[job] = self.job_hash[job].wrapping_add(key);
                                 }
                             } else {
                                 let expect = match kind {
                                     Collective::Broadcast => w.input(root as u32, ge),
                                     _ => w.expected(ge),
                                 };
+                                let val = self.rblock[root * BATCH_BLOCK + k];
                                 if !w.value_close_at(ge, val, expect) {
                                     self.mismatches += 1;
                                     if track {
@@ -2423,9 +2499,8 @@ impl RunState {
                                     }
                                 }
                             }
-                            self.value_digest = self
-                                .value_digest
-                                .wrapping_add(delivery_digest_entry(v as u64, ge, val));
+                            self.value_digest =
+                                self.value_digest.wrapping_add(hash_entry(v as u64, key));
                         }
                     }
                     let rect = self.rect_b[v];

@@ -8,9 +8,10 @@
 //!   ("flit") per cycle with a configurable pipeline latency,
 //! * each tree edge is a logical *stream* with its own virtual-channel
 //!   buffer at the receiver and credit-based flow control (buffers sized in
-//!   flits; full throughput needs `buffer ≥ latency + 1`, the
+//!   flits; full throughput needs `buffer ≥ latency`, the
 //!   latency–bandwidth product the paper cites as the in-network memory
-//!   footprint),
+//!   footprint, because a credit returns in the cycle its flit is
+//!   consumed),
 //! * overlapping streams on a directed channel share its bandwidth through
 //!   work-conserving round-robin arbitration — the physical realization of
 //!   the congestion model behind Algorithm 1,

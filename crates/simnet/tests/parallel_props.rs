@@ -4,7 +4,7 @@
 //! collective, and thread count the engine must produce byte-identical
 //! results — the sharded mode partitions channel-disjoint tree components
 //! across workers and merges per-shard reports with integer arithmetic
-//! only (`engine.rs run_sharded`), and configurations it cannot shard
+//! only (`engine.rs merge`), and configurations it cannot shard
 //! (traces, faults, caps, single components) must fall back to the serial
 //! path silently. These properties drive random segmented workloads and
 //! every collective through threads ∈ {1..8} and require the `SimReport`

@@ -394,7 +394,16 @@ fn theorem_5_1_pipeline_model_predicts_simulated_cycles() {
     // the model charges a full fill and drain while the simulator
     // overlaps them with the steady-state stream (docs/OBSERVABILITY.md
     // derives the model; at m = 10_000 the gap is a single cycle).
-    use pf_allreduce::AllreducePlan;
+    //
+    // On the edge-disjoint plan the model is exact per tree: every channel
+    // carries one stream and each Hamiltonian path's midpoint root has two
+    // equal arms, so nothing waits on arbitration or credits. Tree t then
+    // completes one cycle before `predicted_tree_cycles(depth, L, m_t, 1)`
+    // (the model counts the first element in both the fill and the
+    // drain), and element 0 lands everywhere after exactly one fill.
+    use pf_allreduce::perf::predicted_tree_cycles;
+    use pf_allreduce::rational::Rational;
+    use pf_allreduce::{AllreducePlan, Solution};
     use pf_simnet::{MultiTreeEmbedding, SimConfig, Simulator, Workload};
 
     let cfg = SimConfig::default();
@@ -419,6 +428,18 @@ fn theorem_5_1_pipeline_model_predicts_simulated_cycles() {
                 plan.solution.label(),
                 r.cycles,
             );
+            if plan.solution == Solution::EdgeDisjoint {
+                for (t, (tree, &m_t)) in plan.trees.iter().zip(&sizes).enumerate() {
+                    if m_t > 0 {
+                        assert_eq!(
+                            r.tree_completion[t] + 1,
+                            predicted_tree_cycles(tree.depth(), hop, m_t, Rational::ONE),
+                            "q={q} edge-disjoint tree {t}"
+                        );
+                    }
+                }
+                assert_eq!(r.first_element_latency, 2 * plan.depth as u64 * hop + 1, "q={q}");
+            }
         }
     }
 }
