@@ -37,10 +37,11 @@
 //!
 //! The per-q summary reports the geometric mean across the four
 //! regimes — the standard cross-workload aggregate. Each radix also
-//! measures the edge-disjoint plan saturated: its contention-free trees
-//! take the engine's closed form instead of the cycle loop, and its
-//! geomean across radixes is gated under its own key,
-//! [`EDGE_DISJOINT_SATURATED`].
+//! measures the edge-disjoint plan saturated: its trees never share a
+//! channel, so they take the engine's closed form instead of the cycle
+//! loop, and its geomean across radixes is gated under its own key,
+//! [`EDGE_DISJOINT_SATURATED`]. The latency regime takes the closed form
+//! too wherever its slices fit the buffer (q ≥ 9).
 //!
 //! Allocation counts come from [`CountingAllocator`], which the
 //! `experiments` binary installs as its `#[global_allocator]`; the

@@ -17,7 +17,7 @@
 //! (permanent, transient-healing, degraded, router) — the cases where
 //! cycle skipping, active sets and lazy budgets could plausibly diverge
 //! from the per-cycle full-scan semantics — and the closed form that
-//! reports contention-free trees without stepping, with each of its
+//! reports trees that never meet without stepping, with each of its
 //! fallbacks.
 
 use crate::embedding::MultiTreeEmbedding;
@@ -510,12 +510,30 @@ fn zero_length_and_tiny_vectors_match() {
     }
 }
 
+#[test]
+fn batch_replay_leaves_a_staged_tail_out_of_the_ring() {
+    // Two copies of one tree contend on every channel with a one-flit
+    // buffer, so the batch window is shorter than the source queue: some
+    // flits staged when it opens are still staged when it closes. Their
+    // values must stay in the queue and not wrap into the one-slot ring.
+    let plan = AllreducePlan::low_depth(3).unwrap();
+    let trees = [plan.trees[0].clone(), plan.trees[0].clone()];
+    let emb = MultiTreeEmbedding::new(&plan.graph, &trees, &[16, 15]);
+    let w = Workload::new(plan.graph.num_vertices(), 31);
+    let mut case = Case::new(plan, 31);
+    case.cfg = SimConfig { link_latency: 3, vc_buffer: 1, source_queue: 2, ..SimConfig::default() };
+    for kind in COLLECTIVES {
+        case.assert_identical_on(&emb, &w, kind, &format!("staged tail {kind:?}"));
+    }
+}
+
 // -- closed form ----------------------------------------------------------
 //
-// Contention-free trees skip the cycle loop (`engine/closed_form.rs`).
-// Edge-disjoint plans take that path whole, so these cases pin its timing
-// and values against the reference, and pin every fallback back onto the
-// stepper.
+// Trees that never meet another live stream in time skip the cycle loop
+// (`engine/closed_form.rs`). Edge-disjoint plans take that path whole and
+// low-depth plans on short vectors, so these cases pin its timing and
+// values against the reference on both, and pin every fallback back onto
+// the stepper.
 
 /// The edge-disjoint plans of the closed-form matrix.
 fn edge_disjoint(q: u64) -> AllreducePlan {
@@ -665,9 +683,10 @@ fn closed_form_jobs_with_releases_match_traced_stepping() {
 
 /// Configurations the closed-form gate must refuse, on plans whose trees
 /// it otherwise accepts (edge-disjoint at `m` = 2 000), each with the
-/// collectives it refuses under. The unbalanced low-depth tree is refused
-/// on shape alone, and only where the reduce phase runs: a broadcast
-/// never waits on sibling heights. Every case must keep matching the
+/// collectives it refuses under. The low-depth plan at `m` = 71 is refused
+/// on timing alone, and only under allreduce: its trees share channels
+/// only between a reduce and a broadcast stream, and from a slice of 11
+/// elements those windows overlap. Every case must keep matching the
 /// reference under every collective.
 fn closed_form_fallbacks() -> Vec<(Case, String, &'static [Collective])> {
     let plan = edge_disjoint(5);
@@ -697,13 +716,26 @@ fn closed_form_fallbacks() -> Vec<(Case, String, &'static [Collective])> {
     // Every slice holds over 600 elements, so no tree completes by 300.
     c.cfg.max_cycles = 300;
     out.push((c, "max_cycles below completion".into(), &COLLECTIVES));
-    let unbalanced = AllreducePlan::low_depth(7).unwrap().tree_subset(&[0]);
     out.push((
-        Case::new(unbalanced, m),
-        "unbalanced low-depth tree".into(),
-        &[Collective::Allreduce, Collective::Reduce, Collective::ReduceScatter],
+        Case::new(AllreducePlan::low_depth(7).unwrap(), 71),
+        "low-depth windows overlap".into(),
+        &[Collective::Allreduce],
     ));
     out
+}
+
+/// Plans the gate takes whole that the contention-free gate refused, each
+/// with its `m`: an unbalanced low-depth tree (its shorter children stall
+/// on credits, which never delays their parent), and the whole low-depth
+/// plan while its slices are short enough that no two windows on a
+/// channel overlap — up to 10 elements a tree at q = 7.
+fn closed_form_never_meet() -> Vec<(Case, String)> {
+    let low_depth = AllreducePlan::low_depth(7).unwrap();
+    vec![
+        (Case::new(low_depth.tree_subset(&[0]), 2_000), "unbalanced low-depth tree".into()),
+        (Case::new(low_depth.clone(), 40), "low-depth m=40".into()),
+        (Case::new(low_depth, 70), "low-depth m=70".into()),
+    ]
 }
 
 #[test]
@@ -713,36 +745,154 @@ fn closed_form_fallbacks_match() {
             case.assert_identical(kind, &format!("fallback {label} {kind:?}"));
         }
     }
+    for (case, label) in closed_form_never_meet() {
+        for kind in COLLECTIVES {
+            case.assert_identical(kind, &format!("taken {label} {kind:?}"));
+        }
+    }
+}
+
+/// The plans a fabric runs at radix `q`: the healthy low-depth plan and
+/// its `rebuild_degraded` repairs after one and after two link faults on
+/// edges it uses.
+fn fabric_plans(q: u64) -> Vec<(AllreducePlan, String)> {
+    use pf_allreduce::{rebuild_degraded, FaultSet};
+    let plan = AllreducePlan::low_depth(q).unwrap();
+    let used: Vec<u32> = (0..plan.edge_congestion.len() as u32)
+        .filter(|&e| plan.edge_congestion[e as usize] > 0)
+        .collect();
+    let (a, b) = (used[0], used[used.len() / 2]);
+    let degraded = |edges: Vec<u32>| {
+        let label = format!("low_depth({q}) without links {edges:?}");
+        (rebuild_degraded(&plan, &FaultSet::links(edges)).unwrap().to_plan(q), label)
+    };
+    vec![degraded(vec![a]), degraded(vec![a, b]), (plan.clone(), format!("low_depth({q})"))]
+}
+
+#[test]
+fn closed_form_fabric_shapes_match_reference() {
+    // Every fabric wave runs one of these plans on a short vector, where
+    // the healthy plan takes the closed form whole and a degraded plan
+    // often steps (a repair may put two reduce streams on one channel). The
+    // closed form, the stepper and the sharded mode must all reproduce
+    // the reference at every size the short-job stream draws.
+    for q in [5u64, 7] {
+        for (plan, label) in fabric_plans(q) {
+            let n = plan.graph.num_vertices();
+            for m in 16u64..=64 {
+                let mut case = Case::new(plan.clone(), m);
+                let emb = case.embedding();
+                let w = Workload::new(n, m);
+                for kind in COLLECTIVES {
+                    case.cfg.threads = 1;
+                    let refr = case.sim(&emb).run_reference(&w, kind).report;
+                    for threads in [1usize, 2] {
+                        case.cfg.threads = threads;
+                        let opt = case.sim(&emb).run_jobs_collective(&w, &[], kind).report;
+                        assert_eq!(opt, refr, "{label} m={m} threads={threads} {kind:?}");
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn closed_form_stalled_subtrees_match_reference() {
+    // Longer links and tighter buffers make shorter children wait on
+    // credits, which stretches their streams' windows (the ψ bound of
+    // `engine/closed_form.rs`) into cycles another tree may use. A repair
+    // reshapes trees, so degraded plans meet this most: the gate must
+    // widen each window by exactly the stall, or a delayed flit meets a
+    // neighbour's stream unseen.
+    for q in [3u64, 5] {
+        for (plan, label) in fabric_plans(q) {
+            let n = plan.graph.num_vertices();
+            for m in [8u64, 16, 27, 42] {
+                let mut case = Case::new(plan.clone(), m);
+                let emb = case.embedding();
+                let w = Workload::new(n, m);
+                for link_latency in [3u32, 5, 7] {
+                    for vc_buffer in [link_latency as usize, link_latency as usize + 2] {
+                        case.cfg = SimConfig { link_latency, vc_buffer, ..SimConfig::default() };
+                        for kind in COLLECTIVES {
+                            let at = format!("{label} m={m} L={link_latency} vc={vc_buffer}");
+                            case.assert_identical_on(&emb, &w, kind, &format!("{at} {kind:?}"));
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn closed_form_fabric_shapes_with_releases_match_traced_stepping() {
+    // A multi-tenant wave: three jobs on consecutive tree ranges, released
+    // at staggered cycles, so the windows of different jobs shift against
+    // each other. Traced stepping is the oracle, as the reference has no
+    // releases.
+    use crate::engine::JobBinding;
+    for q in [5u64, 7] {
+        for (plan, label) in fabric_plans(q) {
+            let n = plan.graph.num_vertices();
+            let (t, mid) = (plan.trees.len(), (plan.trees.len() / 2).max(2));
+            assert!(t > mid, "{label}: {t} trees");
+            let bindings = [
+                JobBinding { trees: 0..1, release: 0 },
+                JobBinding { trees: 1..mid, release: 7 },
+                JobBinding { trees: mid..t, release: 23 },
+            ];
+            for m in [16u64, 40, 64] {
+                let emb = Case::new(plan.clone(), m).embedding();
+                let w = Workload::new(n, m);
+                for kind in COLLECTIVES {
+                    let traced = Simulator::new(&plan.graph, &emb, SimConfig::default())
+                        .with_trace(TraceConfig::counters())
+                        .run_jobs_collective(&w, &bindings, kind);
+                    for threads in [1usize, 2] {
+                        let cfg = SimConfig { threads, ..SimConfig::default() };
+                        let run = Simulator::new(&plan.graph, &emb, cfg)
+                            .run_jobs_collective(&w, &bindings, kind);
+                        let at = format!("{label} m={m} threads={threads} {kind:?}");
+                        assert_eq!(run.report, traced.report, "{at}: report diverged");
+                        assert_eq!(run.jobs, traced.jobs, "{at}: job outcomes diverged");
+                    }
+                }
+            }
+        }
+    }
 }
 
 #[test]
 fn closed_form_gate_accepts_edge_disjoint_and_refuses_fallbacks() {
-    use crate::engine::closed_form::ClosedForm;
     // Every live tree of every edge-disjoint plan qualifies under the
-    // default config: N = q² + q + 1 is odd, so the midpoint-rooted
-    // Hamiltonian path has two equal arms.
+    // default config: no two of its trees share a channel.
     for q in [3u64, 5, 7, 9, 11, 13] {
         let plan = edge_disjoint(q);
         for m in [1u64, 2, 13, 4_000] {
             let case = Case::new(plan.clone(), m);
             let emb = case.embedding();
             for kind in COLLECTIVES {
-                let cf = ClosedForm::select(&case.sim(&emb), kind, None)
-                    .unwrap_or_else(|| panic!("q={q} m={m} {kind:?}: no tree qualifies"));
+                let cf = case.sim(&emb).closed_form_trees(kind, &[]);
                 for (ti, t) in emb.trees.iter().enumerate() {
-                    assert_eq!(cf.takes(ti), t.len > 0, "q={q} m={m} {kind:?} tree {ti}");
+                    assert_eq!(cf[ti], t.len > 0, "q={q} m={m} {kind:?} tree {ti}");
                 }
             }
+        }
+    }
+    for (case, label) in closed_form_never_meet() {
+        let emb = case.embedding();
+        for kind in COLLECTIVES {
+            let cf = case.sim(&emb).closed_form_trees(kind, &[]);
+            assert!(cf.iter().all(|&t| t), "{label} {kind:?}: {cf:?}");
         }
     }
     for (case, label, refused) in closed_form_fallbacks() {
         let emb = case.embedding();
         for kind in COLLECTIVES {
-            assert_eq!(
-                ClosedForm::select(&case.sim(&emb), kind, None).is_none(),
-                refused.contains(&kind),
-                "{label} {kind:?}"
-            );
+            let cf = case.sim(&emb).closed_form_trees(kind, &[]);
+            assert_eq!(!cf.contains(&true), refused.contains(&kind), "{label} {kind:?}");
         }
     }
 }
@@ -750,10 +900,13 @@ fn closed_form_gate_accepts_edge_disjoint_and_refuses_fallbacks() {
 #[test]
 fn closed_form_credit_condition_is_exact() {
     // Path 1 - 0 - 2 - 3 rooted at 0: leaf 1 sits two levels below the
-    // root's height, so its reduce stream holds up to min(len, 2·L) flits.
-    // The gate takes the tree at vc_buffer = 2·L and refuses it one flit
-    // below; both sides match the reference.
-    use crate::engine::closed_form::ClosedForm;
+    // root's height, so its reduce stream would hold min(len, 2·L) flits.
+    // Below that it stalls on credits, which never delays the root while
+    // vc_buffer ≥ L: the credit for element e returns when the root fires
+    // e − vc_buffer, at least L cycles before the root needs element e.
+    // The gate takes the tree down to vc_buffer = L, or any buffer that
+    // holds the whole slice, and refuses it one flit below; both sides
+    // match the reference, peak occupancy included.
     use pf_graph::{Graph, RootedTree};
     let mut g = Graph::new(4);
     for (u, v) in [(0, 1), (0, 2), (2, 3)] {
@@ -761,20 +914,73 @@ fn closed_form_credit_condition_is_exact() {
     }
     let tree = RootedTree::from_path(&[1, 0, 2, 3], 1).unwrap();
     let link_latency = 4u32;
-    for (m, vc_buffer, takes) in [(4_000u64, 8usize, true), (4_000, 7, false), (7, 7, true)] {
+    for (m, vc_buffer, takes) in [
+        (4_000u64, 8usize, true),
+        (4_000, 7, true),
+        (4_000, 4, true),
+        (4_000, 3, false),
+        (7, 7, true),
+        (3, 3, true),
+        (4, 3, false),
+    ] {
         let emb = MultiTreeEmbedding::new(&g, std::slice::from_ref(&tree), &[m]);
         let w = Workload::new(4, m);
         let cfg = SimConfig { link_latency, vc_buffer, ..SimConfig::default() };
-        for kind in [Collective::Allreduce, Collective::Reduce] {
+        for kind in COLLECTIVES {
             let sim = || Simulator::new(&g, &emb, cfg);
             let label = format!("m={m} vc={vc_buffer} {kind:?}");
-            assert_eq!(ClosedForm::select(&sim(), kind, None).is_some(), takes, "{label}");
+            assert_eq!(sim().closed_form_trees(kind, &[]), [takes], "{label}");
             let opt = sim().run_jobs_collective(&w, &[], kind).report;
             assert_eq!(opt, sim().run_reference(&w, kind).report, "{label}");
         }
-        // Broadcast streams have slack 1: they never need more than L.
-        let sim = Simulator::new(&g, &emb, cfg);
-        assert!(ClosedForm::select(&sim, Collective::Broadcast, None).is_some());
+    }
+}
+
+#[test]
+fn closed_form_overlap_condition_is_exact() {
+    // Two paths on K4 share one directed channel, 1 -> 0, under reduce:
+    // tree A (0-1-2-3 rooted at 0) sends on it from height 2, tree B
+    // (2-0-1-3 rooted at 2) from height 1. Both are paths, so each stream
+    // holds a flit exactly within [s + h·L, s + len − 1 + h·L]. The gate
+    // takes both trees when the windows touch and refuses both when they
+    // overlap by one cycle, where the two flits meet at the arbiter.
+    use crate::engine::JobBinding;
+    use pf_graph::{builders, RootedTree};
+    let g = builders::complete(4);
+    let a = RootedTree::from_path(&[0, 1, 2, 3], 0).unwrap();
+    let b = RootedTree::from_path(&[2, 0, 1, 3], 0).unwrap();
+    let trees = [a, b];
+    let cfg = SimConfig::default();
+    let l = u64::from(cfg.link_latency);
+    let kind = Collective::Reduce;
+    // Lengths, against the reference: A holds the channel from 1 + 2L,
+    // B up to 1 + len_b − 1 + L.
+    let len_a = 20u64;
+    for (len_b, takes) in [(l, true), (l + 1, false)] {
+        let emb = MultiTreeEmbedding::new(&g, &trees, &[len_a, len_b]);
+        let w = Workload::new(4, len_a + len_b);
+        let sim = || Simulator::new(&g, &emb, cfg);
+        let label = format!("len_b={len_b}");
+        assert_eq!(sim().closed_form_trees(kind, &[]), [takes, takes], "{label}");
+        let opt = sim().run_jobs_collective(&w, &[], kind).report;
+        assert_eq!(opt, sim().run_reference(&w, kind).report, "{label}");
+    }
+    // Releases, against traced stepping (the reference has none): B
+    // released at r holds the channel from r + L, A up to len_a + 2L.
+    let len_b = 20u64;
+    let emb = MultiTreeEmbedding::new(&g, &trees, &[len_a, len_b]);
+    let w = Workload::new(4, len_a + len_b);
+    for (release, takes) in [(len_a + l + 1, true), (len_a + l, false)] {
+        let bindings =
+            [JobBinding { trees: 0..1, release: 0 }, JobBinding { trees: 1..2, release }];
+        let label = format!("release={release}");
+        let sim = || Simulator::new(&g, &emb, cfg);
+        assert_eq!(sim().closed_form_trees(kind, &bindings), [takes, takes], "{label}");
+        let run = sim().run_jobs_collective(&w, &bindings, kind);
+        let traced =
+            sim().with_trace(TraceConfig::counters()).run_jobs_collective(&w, &bindings, kind);
+        assert_eq!(run.report, traced.report, "{label}");
+        assert_eq!(run.jobs, traced.jobs, "{label}");
     }
 }
 
@@ -784,7 +990,6 @@ fn closed_form_cycle_cap_is_exact() {
     // max_cycles: at the run's own length every tree does; one cycle less
     // refuses exactly the trees finishing last, which then step to the
     // same incomplete report as the reference.
-    use crate::engine::closed_form::ClosedForm;
     let case = Case::new(edge_disjoint(5), 4_000);
     let emb = case.embedding();
     let w = Workload::new(case.plan.graph.num_vertices(), case.m);
@@ -795,13 +1000,54 @@ fn closed_form_cycle_cap_is_exact() {
         for max_cycles in [full.cycles, full.cycles - 1] {
             let mut capped = Case::new(case.plan.clone(), case.m);
             capped.cfg.max_cycles = max_cycles;
-            let cf = ClosedForm::select(&capped.sim(&emb), kind, None).expect("some tree fits");
+            let cf = capped.sim(&emb).closed_form_trees(kind, &[]);
             for (ti, &done) in full.tree_completion.iter().enumerate() {
                 let at = format!("{kind:?} cap {max_cycles} tree {ti}");
-                assert_eq!(cf.takes(ti), done <= max_cycles, "{at}");
+                assert_eq!(cf[ti], done <= max_cycles, "{at}");
             }
             capped.assert_identical_on(&emb, &w, kind, &format!("{kind:?} cap {max_cycles}"));
         }
+    }
+}
+
+#[test]
+fn closed_form_window_of_a_stalled_parents_child_is_exact() {
+    // Tree A on K6: a longest path 0 <- 1 <- 2 <- 3 (H = 3) and a short
+    // branch 0 <- 4 <- 5. With L = vc_buffer = 4, a one-flit staging queue
+    // and 20 elements, node 4 stalls on credits (slack 2·L > vc_buffer),
+    // so it fires late, and leaf 5 then waits on credits too: its stream
+    // on 5 -> 4 holds flits until s + len − 1 + ψ(5) = 24, not only until
+    // the parent's nominal deadline s + len − 1 + (h(4) − 1)·L = 20.
+    // Tree B's leaf-side stream on the same channel opens at its release
+    // plus L. The gate must refuse B released at 20 (opening at 24) and
+    // take both trees at 21; traced stepping is the oracle.
+    use crate::engine::JobBinding;
+    use pf_graph::{builders, RootedTree};
+    let tree = |root: u32, edges: &[(u32, u32)]| {
+        let mut parent = vec![None; 6];
+        for &(c, v) in edges {
+            parent[c as usize] = Some(v);
+        }
+        RootedTree::from_parents(root, parent).unwrap()
+    };
+    let a = tree(0, &[(1, 0), (2, 1), (3, 2), (4, 0), (5, 4)]);
+    let b = tree(4, &[(5, 4), (0, 4), (1, 5), (2, 5), (3, 0)]);
+    let g = builders::complete(6);
+    let cfg = SimConfig { link_latency: 4, vc_buffer: 4, source_queue: 1, ..SimConfig::default() };
+    let emb = MultiTreeEmbedding::new(&g, &[a, b], &[20, 6]);
+    let w = Workload::new(6, 26);
+    let kind = Collective::Reduce;
+    for (release, takes) in [(20u64, false), (21, true)] {
+        let bindings =
+            [JobBinding { trees: 0..1, release: 0 }, JobBinding { trees: 1..2, release }];
+        let sim = || Simulator::new(&g, &emb, cfg);
+        let label = format!("release={release}");
+        assert_eq!(sim().closed_form_trees(kind, &bindings), [takes, takes], "{label}");
+        let run = sim().run_jobs_collective(&w, &bindings, kind);
+        let traced =
+            sim().with_trace(TraceConfig::counters()).run_jobs_collective(&w, &bindings, kind);
+        assert_eq!(run.report, traced.report, "{label}");
+        assert_eq!(run.jobs, traced.jobs, "{label}");
     }
 }
 
@@ -810,37 +1056,48 @@ mod closed_form_props {
     use pf_graph::{builders, RootedTree};
     use proptest::prelude::*;
 
+    /// A random recursive tree on `n` vertices, relabeled by `shift` so the
+    /// root is not always vertex 0.
+    fn random_tree(n: u32, picks: &[u32], shift: u32) -> RootedTree {
+        let label = |v: u32| (v + shift) % n;
+        let mut parent = vec![None; n as usize];
+        for v in 1..n {
+            parent[label(v) as usize] = Some(label(picks[v as usize - 1] % v));
+        }
+        RootedTree::from_parents(label(0), parent).unwrap()
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
-        /// A random tree alone on a complete graph is contention-free, and
-        /// its random shape and root make sibling heights differ, so the
-        /// credit condition `min(len, slack·L) ≤ vc_buffer` lands on either
-        /// side as L, the buffer and the slice length vary. Whichever path
-        /// the gate picks, the report must be the reference's. The gate
-        /// ignores the source queue: a flit staged in a cycle leaves in it.
+        /// One or two random trees on a complete graph. Random shapes and
+        /// roots make sibling heights differ, so shorter children stall on
+        /// credits as L, the buffer and the slice lengths vary; a second
+        /// tree shares some channels with the first, and its windows on
+        /// them overlap or not. Whichever path the gate picks, the report
+        /// must be the reference's. The gate ignores the source queue: a
+        /// flit staged in a cycle leaves in it.
         #[test]
         fn random_trees_match_the_reference_on_both_sides_of_the_gate(
             n in 1u32..12,
-            picks in prop::collection::vec(any::<u32>(), 11),
-            shift in 0u32..12,
+            picks in prop::collection::vec(any::<u32>(), 22),
+            shifts in (0u32..12, 0u32..12),
+            second in any::<bool>(),
             link_latency in 1u32..6,
             vc_buffer in 1usize..16,
             source_queue in 1usize..3,
-            m in 1u64..300,
+            lens in (1u64..300, 0u64..300),
             kind in prop::sample::select(COLLECTIVES.to_vec()),
         ) {
-            // A random recursive tree, relabeled so the root is not
-            // always vertex 0.
-            let label = |v: u32| (v + shift) % n;
-            let mut parent = vec![None; n as usize];
-            for v in 1..n {
-                parent[label(v) as usize] = Some(label(picks[v as usize - 1] % v));
+            let mut trees = vec![random_tree(n, &picks[..11], shifts.0)];
+            let mut sizes = vec![lens.0];
+            if second {
+                trees.push(random_tree(n, &picks[11..], shifts.1));
+                sizes.push(lens.1);
             }
-            let tree = RootedTree::from_parents(label(0), parent).unwrap();
             let g = builders::complete(n);
-            let emb = MultiTreeEmbedding::new(&g, &[tree], &[m]);
-            let w = Workload::new(n, m);
+            let emb = MultiTreeEmbedding::new(&g, &trees, &sizes);
+            let w = Workload::new(n, sizes.iter().sum());
             let cfg = SimConfig { link_latency, vc_buffer, source_queue, ..SimConfig::default() };
             let opt = Simulator::new(&g, &emb, cfg).run_jobs_collective(&w, &[], kind).report;
             let refr = Simulator::new(&g, &emb, cfg).run_reference(&w, kind).report;

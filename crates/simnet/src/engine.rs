@@ -41,15 +41,18 @@
 //! the saturated/contention regimes, where every cycle makes progress and
 //! idle-skip never fires — see `docs/PERFORMANCE.md` for the derivations):
 //!
-//! * **Closed form** (`engine/closed_form.rs`) — a tree that is the only live
-//!   stream on every directed channel it uses, whose credit window cannot
-//!   back-pressure and which completes inside `max_cycles`, with no
-//!   tracer, fault layer or per-node cap attached, is never stepped: each
-//!   flit's cycle is an affine function of its element index and its
-//!   node's height and depth, so its report follows from that timing plus
-//!   the blockwise value pass the batch replay uses. Edge-disjoint plans
-//!   take this path whole; in a mixed plan the other trees step as below
-//!   and the parts merge like shards.
+//! * **Closed form** (`engine/closed_form.rs`) — trees that never meet
+//!   another live stream in time are never stepped. Trees linked by a
+//!   shared channel form a component; a component takes the closed form
+//!   whole when every tree in it has `min(len, L) ≤ vc_buffer` and
+//!   completes inside `max_cycles`, no two live streams on any of its
+//!   channels have overlapping transmit windows, and no tracer, fault
+//!   layer or per-node cap is attached. Each delivery's cycle is then an
+//!   affine function of its element index and its sink's depth, so the
+//!   report follows from that timing plus the blockwise value pass the
+//!   batch replay uses. Edge-disjoint plans take this path at any length,
+//!   low-depth plans while their vectors are short; the other trees step
+//!   as below and the parts merge like shards.
 //! * **Batch spans** — when the run is in steady state, consecutive cycles
 //!   repeat the same fire/drain/arrival pattern exactly. The engine arms a
 //!   full *shape* snapshot (queue lengths, active sets, round-robin
@@ -64,7 +67,7 @@
 //!   "skip when nothing happens" to "skip when the same thing happens
 //!   every cycle".
 //! * **Deterministic sharding** ([`SimConfig::threads`]) — trees that share
-//!   no directed channel have fully independent state, so connected
+//!   no live directed channel have fully independent state, so connected
 //!   components of the tree/channel sharing graph are simulated on worker
 //!   threads and their reports merged in a fixed order; every digest is an
 //!   order-independent wrapping sum, so the merge is byte-identical to the
@@ -200,6 +203,14 @@ impl Collective {
     #[must_use]
     pub fn root_sources_broadcast(self) -> bool {
         matches!(self, Collective::Broadcast | Collective::Allgather)
+    }
+
+    /// Does stream phase `phase` carry flits under this collective?
+    pub(crate) fn runs(self, phase: Phase) -> bool {
+        match phase {
+            Phase::Reduce => self.reduces(),
+            Phase::Broadcast => self.broadcasts(),
+        }
     }
 
     /// How many sinks each tree's slice is delivered to: every node, or
@@ -436,6 +447,19 @@ impl<'a> Simulator<'a> {
         RunReport { report, trace, faults: faults.unwrap_or_else(FaultReport::quiet), jobs: vec![] }
     }
 
+    /// Which trees a run of `kind` under `bindings` (as for
+    /// [`Simulator::run_jobs_collective`]) reports in closed form instead
+    /// of stepping: the trees whose flits provably never wait for
+    /// arbitration (`docs/PERFORMANCE.md`, "Trees that never meet"). All
+    /// `false` while a tracer, fault layer or per-node cap is attached.
+    /// The report is the same either way; this only says how it is
+    /// computed.
+    #[must_use]
+    pub fn closed_form_trees(&self, kind: Collective, bindings: &[JobBinding]) -> Vec<bool> {
+        let closed = ClosedForm::select(self, kind, (!bindings.is_empty()).then_some(bindings));
+        (0..self.emb.trees.len()).map(|ti| closed.as_ref().is_some_and(|c| c.takes(ti))).collect()
+    }
+
     fn run_inner_jobs(
         self,
         w: &Workload,
@@ -448,12 +472,12 @@ impl<'a> Simulator<'a> {
             "workload must cover every tree slice's global element range"
         );
 
-        // Contention-free trees take the closed form, and the rest split
-        // into channel-disjoint shards when threads allow: both need trees
-        // with fully independent state. Anything that couples them — a
-        // tracer (global timeline), a fault layer (global detector clock),
-        // or per-node caps (budgets shared across trees) — forces one
-        // stepped run over the whole fabric.
+        // Trees that never meet another live stream take the closed form,
+        // and the rest split into channel-disjoint shards when threads
+        // allow: both need trees with fully independent state. Anything
+        // that couples them — a tracer (global timeline), a fault layer
+        // (global detector clock), or per-node caps (budgets shared across
+        // trees) — forces one stepped run over the whole fabric.
         let closed = ClosedForm::select(&self, kind, bindings);
         let coupled = self.couples_trees();
         let Simulator { emb, cfg, tracer, faults } = self;
@@ -463,7 +487,7 @@ impl<'a> Simulator<'a> {
             .enumerate()
             .map(|(ti, t)| t.len > 0 && !closed.as_ref().is_some_and(|c| c.takes(ti)))
             .collect();
-        let shards = if coupled { None } else { shard_masks(emb, cfg.threads, &stepped) };
+        let shards = if coupled { None } else { shard_masks(emb, kind, cfg.threads, &stepped) };
         if closed.is_none() && shards.is_none() {
             let single = run_single(emb, cfg, tracer, faults, w, kind, bindings, None);
             return (single.report, single.trace, single.faults, single.jobs);
@@ -648,22 +672,13 @@ fn run_single(
     SingleRun { report, trace, faults: fault_report, jobs, live_pairs: st.live_pairs }
 }
 
-/// Partitions the `stepped` trees into channel-disjoint components and
-/// packs the components into at most `threads` shard masks (longest
-/// processing time first, by total slice length). Returns `None` when
-/// there is one thread or those trees do not decompose (fewer than two
-/// components).
-fn shard_masks(
-    emb: &MultiTreeEmbedding,
-    threads: usize,
-    stepped: &[bool],
-) -> Option<Vec<Vec<bool>>> {
-    let ntrees = emb.trees.len();
-    if threads < 2 || ntrees < 2 {
-        return None;
-    }
-    // Union-find over trees: two trees sharing any directed channel are
-    // coupled (their streams contend for its bandwidth).
+/// The components of the channel-sharing graph: two trees are linked when
+/// a directed channel carries a live stream of each — a stream of a
+/// non-empty tree in a phase `kind` runs, the only streams that ever hold
+/// a flit. Returns each tree's component representative. Trees in
+/// different components never meet, so they can be stepped apart (the
+/// sharded mode) and reported apart (the closed form).
+fn tree_components(emb: &MultiTreeEmbedding, kind: Collective) -> Vec<u32> {
     fn find(parent: &mut [u32], mut x: u32) -> u32 {
         while parent[x as usize] != x {
             parent[x as usize] = parent[parent[x as usize] as usize];
@@ -671,24 +686,42 @@ fn shard_masks(
         }
         x
     }
-    let mut parent: Vec<u32> = (0..ntrees as u32).collect();
+    let mut parent: Vec<u32> = (0..emb.trees.len() as u32).collect();
     for members in &emb.channel_streams {
         let mut first: Option<u32> = None;
-        for &s in members {
-            let t = emb.streams[s as usize].tree;
+        for s in members.iter().map(|&s| &emb.streams[s as usize]) {
+            if emb.trees[s.tree as usize].len == 0 || !kind.runs(s.phase) {
+                continue;
+            }
+            let r = find(&mut parent, s.tree);
             match first {
-                None => first = Some(find(&mut parent, t)),
-                Some(f) => {
-                    let r = find(&mut parent, t);
-                    if r != f {
-                        parent[r as usize] = f;
-                    }
-                }
+                None => first = Some(r),
+                Some(f) if r != f => parent[r as usize] = f,
+                Some(_) => {}
             }
         }
     }
-    // Components over stepped trees only (an empty tree has no state at
-    // all, and a closed-form tree is not stepped).
+    for t in 0..parent.len() {
+        parent[t] = find(&mut parent, t as u32);
+    }
+    parent
+}
+
+/// Packs the `stepped` trees' components (see [`tree_components`]) into
+/// at most `threads` shard masks (longest processing time first, by total
+/// slice length). Returns `None` when there is one thread or those trees
+/// do not decompose (fewer than two components).
+fn shard_masks(
+    emb: &MultiTreeEmbedding,
+    kind: Collective,
+    threads: usize,
+    stepped: &[bool],
+) -> Option<Vec<Vec<bool>>> {
+    let ntrees = emb.trees.len();
+    if threads < 2 || ntrees < 2 {
+        return None;
+    }
+    let comp = tree_components(emb, kind);
     let mut comp_idx = vec![usize::MAX; ntrees];
     let mut components: Vec<Vec<usize>> = Vec::new();
     let mut weights: Vec<u64> = Vec::new();
@@ -696,17 +729,14 @@ fn shard_masks(
         if !stepped[ti] {
             continue;
         }
-        let root = find(&mut parent, ti as u32) as usize;
-        let ci = if comp_idx[root] == usize::MAX {
+        let root = comp[ti] as usize;
+        if comp_idx[root] == usize::MAX {
             comp_idx[root] = components.len();
             components.push(Vec::new());
             weights.push(0);
-            comp_idx[root]
-        } else {
-            comp_idx[root]
-        };
-        components[ci].push(ti);
-        weights[ci] += t.len;
+        }
+        components[comp_idx[root]].push(ti);
+        weights[comp_idx[root]] += t.len;
     }
     if components.len() < 2 {
         return None;
@@ -2287,10 +2317,13 @@ impl RunState {
             // unconsumed at the window end — must carry their values across
             // the array boundary, exactly as the per-cycle transmit does.
             // (Flits produced *during* the window are rewritten later by the
-            // rectangle pass; this covers only pre-window stragglers.)
+            // rectangle pass; this covers only pre-window stragglers.) A
+            // window shorter than the queue leaves its tail staged: those
+            // flits keep their queue slots and never reach the ring.
             let dp_end = dp_c1 + adv;
             let sq = self.sendq_len[s] as u64;
-            for e in (sp_c1 - sq).max(dp_end)..sp_c1 {
+            let ring_end = dp_end + u64::from(self.occupancy(s));
+            for e in (sp_c1 - sq).max(dp_end)..sp_c1.min(ring_end) {
                 let sq_slot = ((self.sendq_head[s] as u64 + (e - (sp_c1 - sq)))
                     & self.sq_mask as u64) as usize;
                 let vc_slot = ((self.vc_head[s] as u64 + adv + (e - dp_end))

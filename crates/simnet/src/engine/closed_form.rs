@@ -1,17 +1,16 @@
-//! Contention-free trees in closed form: reports without stepping.
+//! Trees that never meet, in closed form: reports without stepping.
 //!
-//! When a tree is the only live stream on every directed channel it uses,
-//! nothing arbitrates its flits, and when its credit window cannot
-//! back-pressure, nothing delays them either. Every flit then moves on a
-//! cycle that is an affine function of its element index `e` and of its
-//! node's height `h(v)` (above the deepest leaf below it) and depth `d`.
-//! With `s = max(release, 1)` the tree's first cycle, `L` the link
-//! latency and `H` the root's height — which is also the tree's maximum
-//! depth, both being its longest root-to-leaf path:
+//! When no flit of a tree ever waits for arbitration, every flit it
+//! delivers moves on a cycle that is an affine function of its element
+//! index `e` and of its sink's depth `d`. With `s = max(release, 1)` the
+//! tree's first cycle, `L` the link latency, `h(v)` a node's height
+//! (above the deepest leaf below it) and `H` the root's height — which is
+//! also the tree's maximum depth, both being its longest root-to-leaf
+//! path:
 //!
-//! * reduce family: node `v` fires element `e` at `s + e + h(v)·L` (each
-//!   node fires once its slowest child's flit has crossed one more link),
-//!   and the root delivers at its own fire;
+//! * reduce family: node `v` fires element `e` no earlier than
+//!   `s + e + h(v)·L` (its slowest child's flit must cross one more link),
+//!   and the root fires — and delivers — exactly then, at `s + e + H·L`;
 //! * allreduce: the root's fire turns around into the broadcast, so a node
 //!   at depth `d` receives element `e` at `s + e + (H + d)·L`;
 //! * broadcast and allgather: the root emits element `e` at `s + e` and a
@@ -24,30 +23,56 @@
 //! from the blockwise value pass the batch replay uses, run over the whole
 //! slice.
 //!
+//! # Stalled children never delay their parent
+//!
+//! A child `c` lower than its tallest sibling fires `slack·L` cycles
+//! before its parent `v` consumes, `slack = h(v) − h(c)`, so its stream
+//! would hold `min(len, slack·L)` flits, and the buffer may hold fewer.
+//! The child then waits for credits, and its own staging queue may stall
+//! its subtree, but the root's times hold as long as `L ≤ vc_buffer`.
+//! Give every node a latest fire offset: `ψ(root) = H·L` and, going down,
+//! `ψ(c) = max(h(c)·L, ψ(v) − vc_buffer)` when `len > vc_buffer`, else
+//! `h(c)·L`. Firing element `e` at `s + e + ψ(c)` and sending it at once
+//! meets every rule of the stepper: the flit arrives by `s + e + ψ(v)`
+//! (`ψ(c) + L ≤ ψ(v)`, because `ψ(v) ≥ h(v)·L` and `vc_buffer ≥ L`), the
+//! credit it needs returns when `v` fires element `e − vc_buffer`, at
+//! `s + e − vc_buffer + ψ(v) ≤ s + e + ψ(c)`, and a staging queue that
+//! drains the cycle it fills never blocks. The stepper fires each node as
+//! early as its inputs, credits and queue allow, so it fires no later
+//! than that schedule and no earlier than `s + e + h(v)·L`; at the root
+//! the two bounds coincide. A stream's peak occupancy is
+//! `min(len, slack·L, vc_buffer)`: a stream that reaches the buffer was
+//! credit-bound, and if none does every node fires at its lower bound.
+//!
 //! # The gate
 //!
-//! [`ClosedForm::select`] admits a tree when all of these hold:
+//! Trees linked by a channel that carries a live stream of each (a stream
+//! of a non-empty tree in a phase the collective runs) form a component.
+//! [`ClosedForm::select`] admits a component, whole, when all of these
+//! hold:
 //!
 //! * no tracer, fault layer or per-node cap is attached (they couple the
 //!   trees, exactly as for sharding);
-//! * the tree is the only live stream — a stream of a non-empty tree in a
-//!   phase the collective runs — on every directed channel it uses;
-//! * its credit window cannot back-pressure. The receiver returns a credit
-//!   in the cycle it consumes a flit and the sender may spend it that
-//!   cycle, so a stream whose receiver consumes element `e` `slack·L`
-//!   cycles after the sender fires it holds at most `min(len, slack·L)`
-//!   flits. That must not exceed `vc_buffer`. A broadcast stream has
-//!   slack 1; a reduce stream from child `c` to parent `v` has slack
-//!   `h(v) − h(c)`, so a child lower than its tallest sibling waits for
-//!   credits unless the buffer covers the gap;
-//! * its last delivery fits inside `max_cycles`.
+//! * every tree in it has `min(len, L) ≤ vc_buffer` and its last delivery
+//!   fits inside `max_cycles`;
+//! * no two live streams on any of its channels have overlapping transmit
+//!   windows. A reduce stream from `c` holds flits only within
+//!   `[s + h(c)·L, s + len − 1 + ψ(c)]`, exact for a child on a longest
+//!   path. A broadcast stream from a node at depth `d` holds them within
+//!   `[s + b + d·L, s + len − 1 + b + d·L]`, with `b = H·L` under
+//!   allreduce and `0` under broadcast and allgather. Windows that do not
+//!   overlap mean a channel never has two streams with staged flits in
+//!   one cycle, so arbitration never runs and each tree moves as if
+//!   alone.
 //!
-//! Every other tree steps as before; the closed-form trees join the run
-//! as one more part of the shard merge.
+//! A whole component is needed because a stepped tree that contention
+//! delays could move into the window of a closed-form neighbour. Every
+//! other tree steps as before; the closed-form trees join the run as one
+//! more part of the shard merge.
 
 use super::{
-    hash_entry, Collective, JobBinding, JobOutcome, SimReport, Simulator, SingleRun, TreeOrder,
-    BATCH_BLOCK,
+    hash_entry, tree_components, Collective, JobBinding, JobOutcome, SimReport, Simulator,
+    SingleRun, TreeOrder, BATCH_BLOCK,
 };
 use crate::embedding::{MultiTreeEmbedding, Phase};
 use crate::workload::Workload;
@@ -60,6 +85,22 @@ struct Timing {
     /// Cycle of element 0's last delivery; element `e`'s last delivery
     /// is `e` cycles later.
     last0: u64,
+    /// Peak receiver occupancy over the tree's live streams.
+    peak: u64,
+}
+
+/// The first and last cycle in which a stream can hold a staged flit.
+#[derive(Debug, Clone, Copy, Default)]
+struct Window {
+    lo: u64,
+    hi: u64,
+}
+
+impl Window {
+    /// Do the two windows share a cycle?
+    fn meets(self, other: Window) -> bool {
+        self.lo <= other.hi && other.lo <= self.hi
+    }
 }
 
 /// The trees of one run that take the closed form, with their timing.
@@ -69,14 +110,6 @@ pub(crate) struct ClosedForm {
     order: TreeOrder,
     /// Peak receiver occupancy over the closed-form trees' live streams.
     max_vc_occupancy: u64,
-}
-
-/// Does stream phase `phase` carry flits under `kind`?
-fn phase_runs(kind: Collective, phase: Phase) -> bool {
-    match phase {
-        Phase::Reduce => kind.reduces(),
-        Phase::Broadcast => kind.broadcasts(),
-    }
 }
 
 impl ClosedForm {
@@ -92,67 +125,115 @@ impl ClosedForm {
             return None;
         }
         let (emb, cfg) = (sim.emb, sim.cfg);
-        let live = |s: u32| {
-            let s = &emb.streams[s as usize];
-            emb.trees[s.tree as usize].len > 0 && phase_runs(kind, s.phase)
+        let (l, vc) = (u64::from(cfg.link_latency), cfg.vc_buffer as u64);
+        let fits = |ti: usize| {
+            let len = emb.trees[ti].len;
+            len > 0 && len.min(l) <= vc
         };
-        let mut alone: Vec<bool> = emb.trees.iter().map(|t| t.len > 0).collect();
-        for members in &emb.channel_streams {
-            if members.iter().filter(|&&s| live(s)).count() > 1 {
-                for &s in members.iter().filter(|&&s| live(s)) {
-                    alone[emb.streams[s as usize].tree as usize] = false;
-                }
-            }
-        }
-        if !alone.contains(&true) {
+        if !(0..emb.trees.len()).any(fits) {
             return None;
         }
 
-        let mut release = vec![0u64; emb.trees.len()];
-        for b in bindings.unwrap_or_default() {
-            release[b.trees.clone()].fill(b.release);
-        }
-        let order = TreeOrder::new(emb, |ti| alone[ti]);
+        let order = TreeOrder::new(emb, fits);
         let n = emb.num_nodes as usize;
-        let (l, vc) = (u64::from(cfg.link_latency), cfg.vc_buffer as u64);
-        let mut height = vec![0u64; n];
+        // Per node of the tree at hand: height·L and the latest fire
+        // offset ψ. Per (tree, node) pair: the windows of the node's
+        // reduce stream and of its broadcast streams.
+        let mut node = vec![(0u64, 0u64); n];
+        let mut win = vec![[Window::default(); 2]; emb.trees.len() * n];
         let mut timing = vec![None; emb.trees.len()];
-        let mut max_vc_occupancy = 0;
+        let mut binding = bindings.unwrap_or_default().iter().peekable();
         for (ti, t) in emb.trees.iter().enumerate() {
-            if !alone[ti] {
+            while binding.next_if(|b| b.trees.end <= ti).is_some() {}
+            if !fits(ti) {
                 continue;
             }
             let span = order.span(ti);
             for i in span.clone() {
                 let v = order.nodes[i] as usize;
-                height[v] =
-                    order.children(i).iter().map(|&c| height[c as usize] + 1).max().unwrap_or(0);
-            }
-            // Peak occupancy of the tree's live streams: `min(len, slack·L)`.
-            let mut occupancy = 0;
-            for i in span.clone() {
-                let v = order.nodes[i] as usize;
-                for &c in order.children(i) {
-                    if kind.reduces() {
-                        let slack = height[v] - height[c as usize];
-                        occupancy = occupancy.max(t.len.min(slack * l));
-                    }
-                    if kind.broadcasts() {
-                        occupancy = occupancy.max(t.len.min(l));
-                    }
-                }
+                node[v].0 =
+                    order.children(i).iter().map(|&c| node[c as usize].0 + l).max().unwrap_or(0);
             }
             // Element 0 climbs the tree (H·L) before the root delivers it,
             // then descends to the deepest sink (H·L) when it broadcasts.
-            let hl = height[t.root as usize] * l;
-            let first = release[ti].max(1).saturating_add(if kind.reduces() { hl } else { 0 });
-            let last0 = first.saturating_add(if kind.broadcasts() { hl } else { 0 });
-            if occupancy <= vc && last0.saturating_add(t.len - 1) <= cfg.max_cycles {
-                timing[ti] = Some(Timing { first, last0 });
-                max_vc_occupancy = max_vc_occupancy.max(occupancy);
+            let root = t.root as usize;
+            let hl_root = node[root].0;
+            let s = binding.peek().map_or(0, |b| b.release).max(1);
+            let first = s.saturating_add(if kind.reduces() { hl_root } else { 0 });
+            let last0 = first.saturating_add(if kind.broadcasts() { hl_root } else { 0 });
+            if last0.saturating_add(t.len - 1) > cfg.max_cycles {
+                continue;
+            }
+
+            // Parents before children: ψ and the broadcast's arrival times
+            // flow down the tree.
+            let (base, last) = (ti * n, t.len - 1);
+            let turn = if kind == Collective::Allreduce { hl_root } else { 0 };
+            node[root].1 = hl_root;
+            win[base + root][1] = Window { lo: s + turn, hi: s + turn + last };
+            let mut peak = 0;
+            for i in span.rev() {
+                let v = order.nodes[i] as usize;
+                let (hl_v, psi_v) = node[v];
+                let below = win[base + v][1].lo + l;
+                for &c in order.children(i) {
+                    let c = c as usize;
+                    let hl_c = node[c].0;
+                    let psi_c = if t.len > vc { hl_c.max(psi_v.saturating_sub(vc)) } else { hl_c };
+                    node[c].1 = psi_c;
+                    win[base + c] = [
+                        Window { lo: s + hl_c, hi: s + last + psi_c },
+                        Window { lo: below, hi: below + last },
+                    ];
+                    if kind.reduces() {
+                        peak = peak.max(t.len.min(hl_v - hl_c).min(vc));
+                    }
+                    if kind.broadcasts() {
+                        peak = peak.max(t.len.min(l));
+                    }
+                }
+            }
+            timing[ti] = Some(Timing { first, last0, peak });
+        }
+
+        // A component with a refused tree steps whole; so does one where
+        // two live streams on a channel may hold flits in the same cycle.
+        let comp = tree_components(emb, kind);
+        let mut refused = vec![false; emb.trees.len()];
+        for (ti, t) in emb.trees.iter().enumerate() {
+            if t.len > 0 && timing[ti].is_none() {
+                refused[comp[ti] as usize] = true;
             }
         }
-        timing.iter().any(Option::is_some).then_some(ClosedForm { timing, order, max_vc_occupancy })
+        // The window of a live stream of a tree still in the running.
+        let window = |s: u32| {
+            let s = &emb.streams[s as usize];
+            let ti = s.tree as usize;
+            let phase = usize::from(s.phase == Phase::Broadcast);
+            let live = timing[ti].is_some() && kind.runs(s.phase);
+            live.then(|| (ti, win[ti * n + s.src as usize][phase]))
+        };
+        for members in &emb.channel_streams {
+            for (i, &a) in members.iter().enumerate() {
+                let Some((ti, wa)) = window(a) else { continue };
+                let mut later = members[i + 1..].iter().filter_map(|&b| window(b));
+                if later.any(|(_, wb)| wa.meets(wb)) {
+                    refused[comp[ti] as usize] = true;
+                    break;
+                }
+            }
+        }
+
+        let mut max_vc_occupancy = 0;
+        for (ti, tm) in timing.iter_mut().enumerate() {
+            if refused[comp[ti] as usize] {
+                *tm = None;
+            } else if let Some(tm) = tm {
+                max_vc_occupancy = max_vc_occupancy.max(tm.peak);
+            }
+        }
+        let any = timing.iter().any(Option::is_some);
+        any.then_some(ClosedForm { timing, order, max_vc_occupancy })
     }
 
     /// Does tree `ti` take the closed form?
@@ -236,7 +317,7 @@ impl ClosedForm {
                 members
                     .iter()
                     .map(|&s| &emb.streams[s as usize])
-                    .filter(|s| self.takes(s.tree as usize) && phase_runs(kind, s.phase))
+                    .filter(|s| self.takes(s.tree as usize) && kind.runs(s.phase))
                     .map(|s| emb.trees[s.tree as usize].len)
                     .sum()
             })

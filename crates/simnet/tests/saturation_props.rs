@@ -11,26 +11,34 @@
 //! throughput cliff.
 //!
 //! `single_tree` plans are balanced BFS trees, which the engine reports in
-//! closed form without stepping. Each case therefore also runs on
-//! `low_depth(q).tree_subset(&[0])`: its siblings differ in height, so the
-//! earlier child waits on credits, the closed form refuses it, and it
-//! still exercises the stepper's bookkeeping.
+//! closed form without stepping; so is an unbalanced low-depth tree alone,
+//! because a shorter child that waits on credits never delays its parent.
+//! Each case therefore also runs on two copies of
+//! `low_depth(q).tree_subset(&[0])` that split the vector. Every channel
+//! then carries one stream of each copy with the same transmit window, so
+//! the closed form refuses them: the arbiter alternates the copies, their
+//! shorter children still wait on credits, and together they must still
+//! fill every link — the stepper's bookkeeping under test.
 
-use pf_allreduce::AllreducePlan;
+use pf_allreduce::{AllreducePlan, Solution};
 use pf_graph::RootedTree;
-use pf_simnet::{MultiTreeEmbedding, SimConfig, Simulator, Workload};
+use pf_simnet::{Collective, MultiTreeEmbedding, SimConfig, Simulator, Workload};
 use proptest::prelude::*;
 
-/// The two one-tree plans of radix `q`: the balanced BFS tree and the
-/// first low-depth tree. One stream per directed channel each, so the only
-/// throughput limiter is the flow-control window.
-fn one_tree_plans(q: u64) -> [AllreducePlan; 2] {
-    let unbalanced = AllreducePlan::low_depth(q).expect("odd prime power").tree_subset(&[0]);
-    assert!(
-        has_unequal_sibling_heights(&unbalanced.trees[0]),
-        "q={q}: low-depth tree 0 must keep the stepper"
+/// The two plans of radix `q` that saturate one stream per link: the
+/// balanced BFS tree, which takes the closed form, and two copies of the
+/// first low-depth tree, which step.
+fn saturating_plans(q: u64) -> [AllreducePlan; 2] {
+    let low_depth = AllreducePlan::low_depth(q).expect("odd prime power");
+    let tree = low_depth.trees[0].clone();
+    assert!(has_unequal_sibling_heights(&tree), "q={q}: low-depth tree 0 must be unbalanced");
+    let twins = AllreducePlan::from_tree_set(
+        q,
+        Solution::Constructed("twin low-depth"),
+        low_depth.graph.clone(),
+        vec![tree.clone(), tree],
     );
-    [AllreducePlan::single_tree(q).expect("odd prime power"), unbalanced]
+    [AllreducePlan::single_tree(q).expect("odd prime power"), twins]
 }
 
 /// Does some node have two children whose subtrees differ in height?
@@ -60,25 +68,32 @@ fn run(plan: &AllreducePlan, m: u64, cfg: SimConfig) -> (u64, f64) {
 }
 
 /// Bandwidth with exactly the latency–bandwidth product of buffering: the
-/// smallest buffer that can sustain link rate.
+/// smallest buffer that can sustain link rate. The one-tree plan must take
+/// the closed form and the twins must step: their windows coincide on
+/// every channel they use.
 fn minimal_buffer_bandwidth(plan: &AllreducePlan, m: u64, link_latency: u32) -> f64 {
     let cfg = SimConfig { link_latency, vc_buffer: link_latency as usize, ..Default::default() };
+    let emb = MultiTreeEmbedding::new(&plan.graph, &plan.trees, &plan.split(m));
+    let closed =
+        Simulator::new(&plan.graph, &emb, cfg).closed_form_trees(Collective::Allreduce, &[]);
+    assert_eq!(closed, vec![plan.trees.len() == 1; plan.trees.len()], "L={link_latency}");
     run(plan, m, cfg).1
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// With `vc_buffer = link_latency`, one uncongested tree sustains
-    /// ≥ 0.95 elements/cycle across radixes and link latencies — the
-    /// minimal-buffer saturation claim, measured end to end through the
-    /// optimized engine, balanced and unbalanced.
+    /// With `vc_buffer = link_latency`, one uncongested tree — or two
+    /// copies sharing every link — sustains ≥ 0.95 elements/cycle across
+    /// radixes and link latencies: the minimal-buffer saturation claim,
+    /// measured end to end through the optimized engine, in closed form
+    /// and stepped.
     #[test]
     fn minimal_buffer_sustains_link_rate(
         q in prop::sample::select(vec![3u64, 7, 11]),
         link_latency in 1u32..6,
     ) {
-        for plan in &one_tree_plans(q) {
+        for plan in &saturating_plans(q) {
             let bw = minimal_buffer_bandwidth(plan, 4_000, link_latency);
             prop_assert!(
                 bw >= 0.95,
@@ -94,7 +109,7 @@ proptest! {
 #[test]
 fn minimal_buffer_sustains_link_rate_default_latency() {
     for q in [3u64, 7, 11] {
-        for plan in &one_tree_plans(q) {
+        for plan in &saturating_plans(q) {
             let bw = minimal_buffer_bandwidth(plan, 4_000, SimConfig::default().link_latency);
             assert!(
                 bw >= 0.95,

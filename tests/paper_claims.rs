@@ -445,6 +445,44 @@ fn theorem_5_1_pipeline_model_predicts_simulated_cycles() {
 }
 
 #[test]
+fn figure_5b_low_depth_short_vectors_meet_the_pipeline_model_exactly() {
+    // Figure 5b's regime: a few elements per tree. The low-depth trees
+    // share links, but a short slice holds each link only for a few
+    // cycles, and the engine proves no two streams on a link ever hold a
+    // flit in the same cycle. Every tree then runs at its contention-free
+    // rate, so the Theorem 5.1 model is exact per tree — completion one
+    // cycle before `predicted_tree_cycles(depth, L, m_t, 1)` — and element
+    // 0 reaches every node after one fill, three hops up and three down.
+    use pf_allreduce::perf::predicted_tree_cycles;
+    use pf_allreduce::rational::Rational;
+    use pf_allreduce::AllreducePlan;
+    use pf_simnet::{MultiTreeEmbedding, SimConfig, Simulator, Workload};
+
+    let cfg = SimConfig::default();
+    let hop = cfg.link_latency as u64;
+    for q in [7u64, 11] {
+        let plan = AllreducePlan::low_depth(q).unwrap();
+        assert_eq!(plan.depth, 3, "q={q}");
+        for per_tree in [1u64, 2, 5] {
+            let m = per_tree * plan.trees.len() as u64;
+            let sizes = plan.split(m);
+            let emb = MultiTreeEmbedding::new(&plan.graph, &plan.trees, &sizes);
+            let w = Workload::new(plan.graph.num_vertices(), m);
+            let r = Simulator::new(&plan.graph, &emb, cfg).run(&w);
+            assert!(r.completed && r.mismatches == 0, "q={q} m={m}");
+            assert_eq!(r.first_element_latency, 2 * 3 * hop + 1, "q={q} m={m}");
+            for (t, (tree, &m_t)) in plan.trees.iter().zip(&sizes).enumerate() {
+                assert_eq!(
+                    r.tree_completion[t] + 1,
+                    predicted_tree_cycles(tree.depth(), hop, m_t, Rational::ONE),
+                    "q={q} m={m} low-depth tree {t}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
 fn every_construction_respects_the_exact_rate_bound() {
     // The standing rate-optimality invariant (docs/RATES.md): on every
     // catalog substrate, the Algorithm 1 aggregate of every construction
