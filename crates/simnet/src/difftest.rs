@@ -16,9 +16,9 @@
 //! per-router / per-node caps, tracing on/off, and fault schedules
 //! (permanent, transient-healing, degraded, router) — the cases where
 //! cycle skipping, active sets and lazy budgets could plausibly diverge
-//! from the per-cycle full-scan semantics — and the closed form that
-//! reports trees that never meet without stepping, with each of its
-//! fallbacks.
+//! from the per-cycle full-scan semantics — the closed form that reports
+//! trees that never meet without stepping, with each of its fallbacks,
+//! and the batch replay on the fabric's long, contended waves.
 
 use crate::embedding::MultiTreeEmbedding;
 use crate::engine::{Collective, SimConfig, Simulator};
@@ -769,6 +769,28 @@ fn fabric_plans(q: u64) -> Vec<(AllreducePlan, String)> {
     vec![degraded(vec![a]), degraded(vec![a, b]), (plan.clone(), format!("low_depth({q})"))]
 }
 
+/// Every collective of every [`fabric_plans`] shape at radix `q` and each
+/// length of `ms`, at threads 1 and 2, against the reference.
+fn fabric_shapes_match_reference(q: u64, ms: impl IntoIterator<Item = u64> + Clone) {
+    for (plan, label) in fabric_plans(q) {
+        let n = plan.graph.num_vertices();
+        for m in ms.clone() {
+            let mut case = Case::new(plan.clone(), m);
+            let emb = case.embedding();
+            let w = Workload::new(n, m);
+            for kind in COLLECTIVES {
+                case.cfg.threads = 1;
+                let refr = case.sim(&emb).run_reference(&w, kind).report;
+                for threads in [1usize, 2] {
+                    case.cfg.threads = threads;
+                    let opt = case.sim(&emb).run_jobs_collective(&w, &[], kind).report;
+                    assert_eq!(opt, refr, "{label} m={m} threads={threads} {kind:?}");
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn closed_form_fabric_shapes_match_reference() {
     // Every fabric wave runs one of these plans on a short vector, where
@@ -777,23 +799,7 @@ fn closed_form_fabric_shapes_match_reference() {
     // closed form, the stepper and the sharded mode must all reproduce
     // the reference at every size the short-job stream draws.
     for q in [5u64, 7] {
-        for (plan, label) in fabric_plans(q) {
-            let n = plan.graph.num_vertices();
-            for m in 16u64..=64 {
-                let mut case = Case::new(plan.clone(), m);
-                let emb = case.embedding();
-                let w = Workload::new(n, m);
-                for kind in COLLECTIVES {
-                    case.cfg.threads = 1;
-                    let refr = case.sim(&emb).run_reference(&w, kind).report;
-                    for threads in [1usize, 2] {
-                        case.cfg.threads = threads;
-                        let opt = case.sim(&emb).run_jobs_collective(&w, &[], kind).report;
-                        assert_eq!(opt, refr, "{label} m={m} threads={threads} {kind:?}");
-                    }
-                }
-            }
-        }
+        fabric_shapes_match_reference(q, 16u64..=64);
     }
 }
 
@@ -826,16 +832,44 @@ fn closed_form_stalled_subtrees_match_reference() {
     }
 }
 
+/// A multi-tenant wave of `plan` at each length of `ms`: `bindings` under
+/// every collective, at threads 1 and 2. Traced stepping is the oracle, as
+/// the reference has no releases.
+fn wave_matches_traced_stepping(
+    plan: &AllreducePlan,
+    label: &str,
+    bindings: &[crate::engine::JobBinding],
+    ms: &[u64],
+) {
+    let n = plan.graph.num_vertices();
+    for &m in ms {
+        let emb = Case::new(plan.clone(), m).embedding();
+        let w = Workload::new(n, m);
+        for kind in COLLECTIVES {
+            let traced = Simulator::new(&plan.graph, &emb, SimConfig::default())
+                .with_trace(TraceConfig::counters())
+                .run_jobs_collective(&w, bindings, kind);
+            assert!(traced.report.completed && traced.report.mismatches == 0, "{label} m={m}");
+            for threads in [1usize, 2] {
+                let cfg = SimConfig { threads, ..SimConfig::default() };
+                let run =
+                    Simulator::new(&plan.graph, &emb, cfg).run_jobs_collective(&w, bindings, kind);
+                let at = format!("{label} m={m} threads={threads} {kind:?}");
+                assert_eq!(run.report, traced.report, "{at}: report diverged");
+                assert_eq!(run.jobs, traced.jobs, "{at}: job outcomes diverged");
+            }
+        }
+    }
+}
+
 #[test]
 fn closed_form_fabric_shapes_with_releases_match_traced_stepping() {
     // A multi-tenant wave: three jobs on consecutive tree ranges, released
     // at staggered cycles, so the windows of different jobs shift against
-    // each other. Traced stepping is the oracle, as the reference has no
-    // releases.
+    // each other.
     use crate::engine::JobBinding;
     for q in [5u64, 7] {
         for (plan, label) in fabric_plans(q) {
-            let n = plan.graph.num_vertices();
             let (t, mid) = (plan.trees.len(), (plan.trees.len() / 2).max(2));
             assert!(t > mid, "{label}: {t} trees");
             let bindings = [
@@ -843,23 +877,7 @@ fn closed_form_fabric_shapes_with_releases_match_traced_stepping() {
                 JobBinding { trees: 1..mid, release: 7 },
                 JobBinding { trees: mid..t, release: 23 },
             ];
-            for m in [16u64, 40, 64] {
-                let emb = Case::new(plan.clone(), m).embedding();
-                let w = Workload::new(n, m);
-                for kind in COLLECTIVES {
-                    let traced = Simulator::new(&plan.graph, &emb, SimConfig::default())
-                        .with_trace(TraceConfig::counters())
-                        .run_jobs_collective(&w, &bindings, kind);
-                    for threads in [1usize, 2] {
-                        let cfg = SimConfig { threads, ..SimConfig::default() };
-                        let run = Simulator::new(&plan.graph, &emb, cfg)
-                            .run_jobs_collective(&w, &bindings, kind);
-                        let at = format!("{label} m={m} threads={threads} {kind:?}");
-                        assert_eq!(run.report, traced.report, "{at}: report diverged");
-                        assert_eq!(run.jobs, traced.jobs, "{at}: job outcomes diverged");
-                    }
-                }
-            }
+            wave_matches_traced_stepping(&plan, &label, &bindings, &[16, 40, 64]);
         }
     }
 }
@@ -1051,6 +1069,96 @@ fn closed_form_window_of_a_stalled_parents_child_is_exact() {
     }
 }
 
+// -- batch replay on the fabric's bulk shapes --------------------------------
+//
+// Long fabric jobs saturate the plans' shared channels, so their runs
+// step until the batch detector (engine.rs `batch_step`) finds the shape's
+// period and replays it. A repair reshapes trees, and on a degraded plan
+// the fill transient outlasts one period: the detector retakes its
+// snapshot at doubling windows (Brent's cycle detection) to lock on once
+// the transient ends. These are the shapes the replay now covers most.
+
+/// Lengths of the bulk cases: both ends of the fabric's 1 024..4 096
+/// element job stream and one length between.
+const BULK_MS: [u64; 3] = [1_024, 2_500, 4_096];
+
+#[test]
+fn batched_fabric_shapes_match_reference() {
+    for q in [5u64, 7] {
+        fabric_shapes_match_reference(q, BULK_MS);
+    }
+}
+
+/// Two- and three-job waves on the degraded plans at radix `q`, each later
+/// job released while the earlier ones stream in steady state: a replay
+/// window must end before every release, and the detector must lock on
+/// again after the new job's fill.
+fn bulk_waves_match_traced_stepping(q: u64, ms: &[u64]) {
+    use crate::engine::JobBinding;
+    for (plan, label) in fabric_plans(q).into_iter().take(2) {
+        let (t, mid) = (plan.trees.len(), (plan.trees.len() / 2).max(2));
+        assert!(t > mid, "{label}: {t} trees");
+        let two = [
+            JobBinding { trees: 0..mid, release: 0 },
+            JobBinding { trees: mid..t, release: 300 },
+        ];
+        let three = [
+            JobBinding { trees: 0..1, release: 0 },
+            JobBinding { trees: 1..mid, release: 150 },
+            JobBinding { trees: mid..t, release: 700 },
+        ];
+        wave_matches_traced_stepping(&plan, &format!("{label} two jobs"), &two, ms);
+        wave_matches_traced_stepping(&plan, &format!("{label} three jobs"), &three, ms);
+    }
+}
+
+#[test]
+fn batched_fabric_waves_with_releases_match_traced_stepping() {
+    for q in [5u64, 7] {
+        bulk_waves_match_traced_stepping(q, &BULK_MS[..1]);
+    }
+}
+
+#[test]
+#[ignore = "nightly: the bulk matrix at every length and q = 9, about two minutes in debug"]
+fn batched_fabric_shapes_match_at_every_bulk_length() {
+    for q in [3u64, 5, 7, 9] {
+        fabric_shapes_match_reference(q, (1_000u64..=4_096).step_by(387));
+    }
+    for q in [5u64, 7, 9] {
+        bulk_waves_match_traced_stepping(q, &BULK_MS);
+    }
+}
+
+#[test]
+fn batch_detector_locks_on_after_the_fill() {
+    // Stepped cycles of bulk allreduces, with their cycle counts pinned.
+    // A detector comparing against its first snapshot only steps 1 194 of
+    // the first case's 1 396 cycles and all 692 of the second's. What the
+    // doubling windows still step is the fill before the detector arms and
+    // the drain after the last whole period: 120 and 104 cycles.
+    let steps = |plan: &AllreducePlan, m: u64| {
+        let emb = Case::new(plan.clone(), m).embedding();
+        let w = Workload::new(plan.graph.num_vertices(), m);
+        let (report, stepped) = Simulator::new(&plan.graph, &emb, SimConfig::default())
+            .run_counting_steps(&w, Collective::Allreduce);
+        assert!(report.completed && report.mismatches == 0);
+        (report.cycles, stepped)
+    };
+    let (plan, label) = fabric_plans(7).swap_remove(0);
+    let (cycles, stepped) = steps(&plan, 4_096);
+    assert_eq!(cycles, 1_396, "{label}");
+    assert!(stepped * 10 <= cycles, "{label}: stepped {stepped} of {cycles} cycles");
+    let (plan, label) = fabric_plans(13).swap_remove(0);
+    let (cycles, stepped) = steps(&plan, 4_000);
+    assert_eq!(cycles, 692, "{label}");
+    assert!(stepped * 5 <= cycles, "{label}: stepped {stepped} of {cycles} cycles");
+    // The healthy plan's first snapshot already recurs; it steps 68.
+    let (cycles, stepped) = steps(&AllreducePlan::low_depth(7).unwrap(), 4_096);
+    assert_eq!(cycles, 1_184);
+    assert!(stepped <= 68, "low_depth(7): stepped {stepped} of {cycles} cycles");
+}
+
 mod closed_form_props {
     use super::*;
     use pf_graph::{builders, RootedTree};
@@ -1070,33 +1178,33 @@ mod closed_form_props {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
-        /// One or two random trees on a complete graph. Random shapes and
-        /// roots make sibling heights differ, so shorter children stall on
-        /// credits as L, the buffer and the slice lengths vary; a second
-        /// tree shares some channels with the first, and its windows on
-        /// them overlap or not. Whichever path the gate picks, the report
-        /// must be the reference's. The gate ignores the source queue: a
-        /// flit staged in a cycle leaves in it.
+        /// One to three random trees on a complete graph. Random shapes
+        /// and roots make sibling heights differ, so shorter children stall
+        /// on credits as L, the buffer and the slice lengths vary; further
+        /// trees share some channels with the first, and their windows on
+        /// them overlap or not. Long contended slices reach a steady state
+        /// the batch replay covers. Whichever path the gate picks, the
+        /// report must be the reference's. The gate ignores the source
+        /// queue: a flit staged in a cycle leaves in it.
         #[test]
         fn random_trees_match_the_reference_on_both_sides_of_the_gate(
             n in 1u32..12,
-            picks in prop::collection::vec(any::<u32>(), 22),
-            shifts in (0u32..12, 0u32..12),
-            second in any::<bool>(),
+            picks in prop::collection::vec(any::<u32>(), 33),
+            shifts in prop::collection::vec(0u32..12, 3),
+            extra in 0usize..3,
             link_latency in 1u32..6,
             vc_buffer in 1usize..16,
             source_queue in 1usize..3,
-            lens in (1u64..300, 0u64..300),
+            lens in (1u64..1_500, 0u64..1_500, 0u64..1_500),
             kind in prop::sample::select(COLLECTIVES.to_vec()),
         ) {
-            let mut trees = vec![random_tree(n, &picks[..11], shifts.0)];
-            let mut sizes = vec![lens.0];
-            if second {
-                trees.push(random_tree(n, &picks[11..], shifts.1));
-                sizes.push(lens.1);
-            }
+            let lens = [lens.0, lens.1, lens.2];
+            let trees: Vec<RootedTree> = (0..=extra)
+                .map(|i| random_tree(n, &picks[11 * i..11 * (i + 1)], shifts[i]))
+                .collect();
+            let sizes = &lens[..=extra];
             let g = builders::complete(n);
-            let emb = MultiTreeEmbedding::new(&g, &trees, &sizes);
+            let emb = MultiTreeEmbedding::new(&g, &trees, sizes);
             let w = Workload::new(n, sizes.iter().sum());
             let cfg = SimConfig { link_latency, vc_buffer, source_queue, ..SimConfig::default() };
             let opt = Simulator::new(&g, &emb, cfg).run_jobs_collective(&w, &[], kind).report;

@@ -56,16 +56,19 @@
 //! * **Batch spans** — when the run is in steady state, consecutive cycles
 //!   repeat the same fire/drain/arrival pattern exactly. The engine arms a
 //!   full *shape* snapshot (queue lengths, active sets, round-robin
-//!   cursors, relative in-flight arrival offsets), detects the period `P`
-//!   at which the shape recurs, bounds the largest whole number of periods
-//!   `j` containing no event boundary (no slice end, fault transition, job
-//!   release or cycle cap), and replays all `j·P` cycles in closed form:
-//!   ring heads advance by `j·rate`, arrival stamps are re-based, counters
-//!   get bulk adds, and delivered values (digests, validation, surviving
-//!   queue contents) are recomputed per element with the reduction combine
-//!   vectorized over contiguous element runs. This extends idle-skip from
-//!   "skip when nothing happens" to "skip when the same thing happens
-//!   every cycle".
+//!   cursors, relative in-flight arrival offsets) and finds the period `P`
+//!   at which the shape recurs by Brent's cycle detection: a snapshot that
+//!   has not recurred within its window is retaken with twice the window
+//!   (2, 4, …, 1024 cycles), so a fill transient longer than one period
+//!   delays the lock by about its own length. It then bounds the largest
+//!   whole number of periods `j` containing no event boundary (no slice
+//!   end, fault transition, job release or cycle cap), and replays all
+//!   `j·P` cycles in closed form: ring heads advance by `j·rate`, arrival
+//!   stamps are re-based, counters get bulk adds, and delivered values
+//!   (digests, validation, surviving queue contents) are recomputed per
+//!   element with the reduction combine vectorized over contiguous element
+//!   runs. This extends idle-skip from "skip when nothing happens" to
+//!   "skip when the same thing happens every cycle".
 //! * **Deterministic sharding** ([`SimConfig::threads`]) — trees that share
 //!   no live directed channel have fully independent state, so connected
 //!   components of the tree/channel sharing graph are simulated on worker
@@ -432,8 +435,22 @@ impl<'a> Simulator<'a> {
             "job bindings must cover every embedded tree"
         );
         let bindings = (!bindings.is_empty()).then_some(bindings);
-        let (report, trace, faults, jobs) = self.run_inner_jobs(w, kind, bindings);
-        RunReport { report, trace, faults: faults.unwrap_or_else(FaultReport::quiet), jobs }
+        let run = self.run_inner_jobs(w, kind, bindings);
+        RunReport {
+            report: run.report,
+            trace: run.trace,
+            faults: run.faults.unwrap_or_else(FaultReport::quiet),
+            jobs: run.jobs,
+        }
+    }
+
+    /// The report of one untracked run of `kind`, with the number of
+    /// cycles its parts stepped one at a time (neither skipped idle nor
+    /// replayed in a batch window), summed over the parts.
+    #[cfg(test)]
+    pub(crate) fn run_counting_steps(self, w: &Workload, kind: Collective) -> (SimReport, u64) {
+        let run = self.run_inner_jobs(w, kind, None);
+        (run.report, run.stepped)
     }
 
     /// Runs `w` on the retained pre-optimization stepper (see
@@ -465,7 +482,7 @@ impl<'a> Simulator<'a> {
         w: &Workload,
         kind: Collective,
         bindings: Option<&[JobBinding]>,
-    ) -> (SimReport, Option<TraceReport>, Option<FaultReport>, Vec<JobOutcome>) {
+    ) -> SingleRun {
         assert_eq!(w.nodes(), self.emb.num_nodes);
         assert!(
             w.len() >= self.emb.elem_end(),
@@ -489,8 +506,7 @@ impl<'a> Simulator<'a> {
             .collect();
         let shards = if coupled { None } else { shard_masks(emb, kind, cfg.threads, &stepped) };
         if closed.is_none() && shards.is_none() {
-            let single = run_single(emb, cfg, tracer, faults, w, kind, bindings, None);
-            return (single.report, single.trace, single.faults, single.jobs);
+            return run_single(emb, cfg, tracer, faults, w, kind, bindings, None);
         }
         // The stepped trees run as shards, or as one masked run beside the
         // closed form (none at all when every tree takes it).
@@ -503,7 +519,14 @@ impl<'a> Simulator<'a> {
             parts.push(cf.run(emb, w, kind, bindings));
         }
         let (report, jobs) = merge(emb, kind, bindings, &parts);
-        (report, None, None, jobs)
+        SingleRun {
+            report,
+            trace: None,
+            faults: None,
+            jobs,
+            live_pairs: parts.iter().map(|p| p.live_pairs).sum(),
+            stepped: parts.iter().map(|p| p.stepped).sum(),
+        }
     }
 
     /// Does anything attached couple the trees' timing? A tracer keeps one
@@ -528,6 +551,9 @@ struct SingleRun {
     /// needs it to reconstruct `first_element_latency` (a part that owns
     /// no live pairs reports 0 without meaning "incomplete").
     live_pairs: u64,
+    /// Cycles this part stepped one at a time: neither skipped idle nor
+    /// replayed in a batch window (0 in closed form).
+    stepped: u64,
 }
 
 /// The simulation loop proper: one `RunState`, stepped to completion.
@@ -562,11 +588,13 @@ fn run_single(
         && cfg.max_reductions_per_router.is_none()
         && cfg.max_injections_per_node.is_none();
     let mut cycle = 0u64;
+    let mut stepped = 0u64;
     while st.deliveries < st.total_deliveries
         && cycle < cfg.max_cycles
         && !faults.as_ref().is_some_and(|f| f.should_abort())
     {
         cycle += 1;
+        stepped += 1;
         if let Some(fs) = faults.as_mut() {
             fs.begin_cycle(cycle);
         }
@@ -669,7 +697,7 @@ fn run_single(
             mismatches: st.job_mismatches[j],
         })
         .collect();
-    SingleRun { report, trace, faults: fault_report, jobs, live_pairs: st.live_pairs }
+    SingleRun { report, trace, faults: fault_report, jobs, live_pairs: st.live_pairs, stepped }
 }
 
 /// The components of the channel-sharing graph: two trees are linked when
@@ -888,11 +916,13 @@ pub fn delivery_digest_entry(node: u64, elem: u64, val: u64) -> u64 {
 /// Sentinel for "no stream wired here" in the flat dataflow arrays.
 const NONE: u32 = u32::MAX;
 
-/// Longest shape period the batch detector tolerates before dropping an
-/// armed snapshot. Periods are LCMs of the round-robin rotation lengths of
-/// the congested channels, so they grow fast with member-count diversity;
-/// 1024 covers every period observed across the bench regimes with room
-/// to spare while bounding the worst-case compare cost.
+/// Largest window of the batch detector, and so the longest shape period
+/// it finds: its windows double from 2 up to this, and a snapshot that has
+/// not recurred within it is dropped (re-arming then backs off). Periods
+/// are LCMs of the round-robin rotation lengths of the congested channels,
+/// so they grow fast with member-count diversity; 1024 covers every period
+/// observed across the bench regimes with room to spare while bounding
+/// the worst-case compare cost.
 const BATCH_PMAX: u64 = 1024;
 /// Consecutive progress cycles required before arming a snapshot. Runs
 /// that never saturate (latency tails, fault-frozen stretches) never pay
@@ -910,13 +940,17 @@ const BATCH_BACKOFF_MAX: u64 = 8192;
 
 /// Controller for the batch-span fast-forward: arms a full shape snapshot
 /// after a streak of progress cycles, compares every subsequent cycle
-/// against it, and on a recurrence replays `j` whole periods in closed
-/// form (see `docs/PERFORMANCE.md` for the invariance argument).
+/// against it, retakes it at doubling windows until it recurs (Brent's
+/// cycle detection), and on a recurrence replays `j` whole periods in
+/// closed form (see `docs/PERFORMANCE.md` for the invariance argument).
 struct BatchCtl {
     /// A snapshot is armed and being compared against.
     armed: bool,
     /// Cycle the armed snapshot was taken at.
     c0: u64,
+    /// Cycles the armed snapshot waits for a recurrence before it is
+    /// retaken: 2, 4, …, `BATCH_PMAX` (Brent's cycle detection).
+    window: u64,
     /// Earliest cycle at which a new snapshot may be armed (backoff).
     next_try: u64,
     backoff: u64,
@@ -1479,6 +1513,7 @@ impl RunState {
             bat: BatchCtl {
                 armed: false,
                 c0: 0,
+                window: 2,
                 next_try: 0,
                 backoff: BATCH_BACKOFF0,
                 streak: 0,
@@ -2102,12 +2137,13 @@ impl RunState {
     // fire/drain/arrival pattern with some short period P (the LCM of the
     // congested channels' round-robin rotations). The controller snapshots
     // the *shape* of the run (everything arbitration depends on), waits for
-    // it to recur, and then replays as many whole periods as provably
-    // contain no event boundary in closed form. Values are recomputed, not
-    // snapshotted: every value the engine moves is a pure function of its
-    // element index (deterministic workload inputs combined in CSR order),
-    // so the bulk pass rebuilds exactly the bits the per-cycle path would
-    // have produced.
+    // it to recur — retaking the snapshot at doubling windows, since a
+    // shape from the fill transient never recurs — and then replays as
+    // many whole periods as provably contain no event boundary in closed
+    // form. Values are recomputed, not snapshotted: every value the engine
+    // moves is a pure function of its element index (deterministic
+    // workload inputs combined in CSR order), so the bulk pass rebuilds
+    // exactly the bits the per-cycle path would have produced.
 
     /// Per-cycle driver: maintains the progress streak, arms/compares the
     /// snapshot, and on a match fast-forwards `cycle`.
@@ -2138,12 +2174,20 @@ impl RunState {
                         self.bat.backoff = (self.bat.backoff * 2).min(BATCH_BACKOFF_MAX);
                     }
                 }
-            } else if *cycle - self.bat.c0 >= BATCH_PMAX {
-                // No recurrence within the tolerated period: stop paying
-                // the per-cycle compare for a while.
-                self.bat.armed = false;
-                self.bat.next_try = *cycle + self.bat.backoff;
-                self.bat.backoff = (self.bat.backoff * 2).min(BATCH_BACKOFF_MAX);
+            } else if *cycle - self.bat.c0 >= self.bat.window {
+                if self.bat.window >= BATCH_PMAX {
+                    // No recurrence within the largest window: stop
+                    // paying the per-cycle compare for a while.
+                    self.bat.armed = false;
+                    self.bat.next_try = *cycle + self.bat.backoff;
+                    self.bat.backoff = (self.bat.backoff * 2).min(BATCH_BACKOFF_MAX);
+                } else {
+                    // Brent: the fill transient may outlast the window, so
+                    // the old snapshot may never recur. Snapshot again here
+                    // and wait twice as long.
+                    self.capture_shape(*cycle);
+                    self.bat.window *= 2;
+                }
             }
             return;
         }
@@ -2154,14 +2198,15 @@ impl RunState {
             && self.first_done_pairs == self.live_pairs
         {
             self.capture_shape(*cycle);
-            self.bat.c0 = *cycle;
+            self.bat.window = 2;
             self.bat.armed = true;
         }
     }
 
     /// Copies everything shape-relevant (and the progress counters whose
-    /// deltas become rates) into the armed snapshot.
+    /// deltas become rates) into the armed snapshot, taken at `cycle`.
     fn capture_shape(&mut self, cycle: u64) {
+        self.bat.c0 = cycle;
         let snap = &mut self.bat.snap;
         snap.sendq_len.copy_from_slice(&self.sendq_len);
         snap.vc_arrived.copy_from_slice(&self.vc_arrived);

@@ -337,6 +337,6 @@ impl ClosedForm {
             max_channel_utilization,
             max_vc_occupancy: self.max_vc_occupancy as usize,
         };
-        SingleRun { report, trace: None, faults: None, jobs, live_pairs }
+        SingleRun { report, trace: None, faults: None, jobs, live_pairs, stepped: 0 }
     }
 }
