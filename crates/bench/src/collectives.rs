@@ -7,7 +7,7 @@
 //!
 //! * the Theorem 5.1 / Algorithm 1 cycle prediction (allreduce fills the
 //!   pipe over two phases, the single-phase collectives over one — see
-//!   `pf_allreduce::perf::predicted_tree_phase_cycles`), and
+//!   `pf_allreduce::perf::predicted_tree_cycles`), and
 //! * the host-based ring model on the same fabric (`2(N-1)` rounds for
 //!   the allreduce, `N-1` for each half, so `rs + ag == allreduce`
 //!   exactly — see `pf_simnet::hostbased`).
@@ -76,13 +76,10 @@ pub fn collect(qs: &[u64], m: u64) -> Vec<CollectivePoint> {
                 "collectives q={q} {}: run must complete cleanly",
                 kind.name()
             );
-            // The allreduce runs both ring phases, either half one.
-            let (predicted, ring_phases) = match kind {
-                Collective::Allreduce => (plan.predicted_cycles(m, hop), 2),
-                Collective::ReduceScatter => (plan.predicted_reduce_scatter_cycles(m, hop), 1),
-                _ => (plan.predicted_allgather_cycles(m, hop), 1),
-            };
-            let ring = hostbased::ring(plan.graph.num_vertices(), m, ring_phases);
+            // The ring runs the phases the trees run: both for the
+            // allreduce, one for either half.
+            let predicted = plan.predicted_collective_cycles(kind, m, hop);
+            let ring = hostbased::ring(plan.graph.num_vertices(), m, kind.phases());
             let host = hostbased::price(&plan.graph, &routing, &ring, hp).total;
             assert!(
                 r.cycles <= predicted,
@@ -107,7 +104,7 @@ pub fn collect(qs: &[u64], m: u64) -> Vec<CollectivePoint> {
 impl CollectivePoint {
     /// The row as a JSON object — shared by the standalone file and the
     /// `BENCH_simnet.json` embedding, so the two agree.
-    pub(crate) fn to_value(&self) -> Value {
+    pub fn to_value(&self) -> Value {
         Value::object([
             ("q", self.q.into()), ("m", self.m.into()), ("collective", self.collective.into()),
             ("cycles", self.cycles.into()), ("predicted_cycles", self.predicted_cycles.into()),

@@ -7,9 +7,12 @@
 //!   `experiments fabric-sweep` defaults (q = 7, 400 jobs, seed 2026) and
 //!   compared as values. The soak is too long for a test; CI double-runs a
 //!   scaled-down one instead.
+//! * The `collectives` cells of `BENCH_simnet.json` are recomputed the
+//!   same way: the simulated and predicted cycles of all three
+//!   sharded-training collectives. The wall-clock cells are not.
 
 use pf_allreduce::AllreducePlan;
-use pf_bench::fabric_sweep;
+use pf_bench::{collectives, fabric_sweep};
 use pf_simnet::json::{self, Value};
 use std::path::Path;
 
@@ -48,4 +51,26 @@ fn fabric_points_reproduce_the_committed_cells() {
     let cells = fabric_sweep::collect(&plan, jobs as usize, seed);
     let want = Value::Array(doc.get_array("points").unwrap().to_vec());
     assert_eq!(fabric_sweep::points_value(&cells), want);
+}
+
+#[test]
+fn collective_cells_reproduce_the_committed_cells() {
+    let committed = json::parse(&read("BENCH_simnet.json")).expect("BENCH_simnet.json parses");
+    let doc = committed.document("pf-bench-simnet-perf-v2").expect("simnet bench schema");
+    let cells = doc.get_array("collectives").unwrap();
+    let (mut qs, mut ms) = (Vec::new(), Vec::new());
+    for cell in cells {
+        let cell = cell.as_object().expect("a collectives cell is an object");
+        let (q, m) = (cell.get_u64("q").unwrap(), cell.get_u64("m").unwrap());
+        if qs.last() != Some(&q) {
+            qs.push(q);
+        }
+        if !ms.contains(&m) {
+            ms.push(m);
+        }
+    }
+    assert_eq!((qs.as_slice(), ms.as_slice()), ([5, 7, 9, 11, 13].as_slice(), [4000].as_slice()));
+    let points = collectives::collect(&qs, ms[0]);
+    let got: Vec<Value> = points.iter().map(collectives::CollectivePoint::to_value).collect();
+    assert_eq!(Value::Array(got), Value::Array(cells.to_vec()));
 }

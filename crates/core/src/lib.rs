@@ -15,6 +15,8 @@
 //!   set of embedded trees, in exact rational arithmetic;
 //! * [`perf`] — the Theorem 5.1 performance model: optimal sub-vector
 //!   split, aggregate bandwidth, optimal bounds (Corollary 7.1);
+//! * [`collective`] — the collectives a plan runs and which tree phases
+//!   each traverses, for the model and the simulator alike;
 //! * [`verify`] — executable statements of the paper's theorems, used by
 //!   tests, benches and the simulator;
 //! * [`fingerprint`] — deterministic FNV-1a structural fingerprints for
@@ -56,6 +58,7 @@
 //! ```
 
 pub mod baselines;
+pub mod collective;
 pub mod congestion;
 pub mod construction;
 pub mod disjoint;
@@ -73,6 +76,7 @@ pub mod starprod;
 pub mod substrates;
 pub mod verify;
 
+pub use collective::Collective;
 pub use construction::{
     Budget, BfsSingle, ConstructError, GreedyPeel, KaryMultitree, PolarFlyHamiltonian,
     PolarFlyLowDepth, TreeConstruction,

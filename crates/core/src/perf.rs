@@ -8,6 +8,7 @@
 //! trees; Theorem 7.19 gives `t·B` for `t` edge-disjoint Hamiltonian
 //! trees.
 
+use crate::collective::Collective;
 use crate::rational::Rational;
 
 /// Corollary 7.7: the low-depth solution's guaranteed aggregate bandwidth,
@@ -86,29 +87,23 @@ pub fn tree_latency(depth: u32, hop_latency: Rational) -> Rational {
     Rational::from_int(2 * depth as i64) * hop_latency
 }
 
-/// Cycle-accurate pipeline model of one tree's allreduce, matching the
-/// `pf-simnet` engine to within a cycle: a fill of `2·depth·L + 1` cycles
-/// (reduce up, broadcast down, plus the leaf's inject cycle), then a
-/// steady-state drain of `m_i` elements at the Algorithm 1 rate `b_i`.
-/// This is the per-tree prediction the observability layer compares
-/// against measured `tree_completion` cycles.
-pub fn predicted_tree_cycles(depth: u32, hop_latency: u64, m_i: u64, b_i: Rational) -> u64 {
-    predicted_tree_phase_cycles(2, depth, hop_latency, m_i, b_i)
-}
-
-/// The phase-parameterized pipeline model behind [`predicted_tree_cycles`]:
-/// a fill of `phases·depth·L + 1` cycles, then a steady-state drain of
-/// `m_i` elements. An allreduce traverses the tree twice (`phases = 2`:
-/// reduce up, broadcast down) and drains at the Algorithm 1 rate `b_i` —
-/// the Theorem 7.6 / 7.19 congestion-bounded share with both phases
-/// counter-flowing on every link. The single-phase collectives — reduce,
-/// broadcast, and the sharded-training reduce-scatter / allgather pair —
-/// traverse it once (`phases = 1`): they move half an allreduce's volume,
-/// and with the opposite direction idle each link's counter-flow share
-/// comes back, so the drain rate doubles to `min(2·b_i, 1)` (capped at
-/// link capacity; exact for the paper's congestion ≤ 2 plans).
-pub fn predicted_tree_phase_cycles(
-    phases: u64,
+/// Cycle-accurate pipeline model of one tree's slice under collective
+/// `kind`, matching the `pf-simnet` engine to within a cycle: a fill of
+/// `phases·depth·L + 1` cycles (the leaf's inject cycle plus `depth` hops
+/// per phase), then a steady-state drain of `m_i` elements. An allreduce
+/// traverses the tree twice (reduce up, broadcast down) and drains at the
+/// Algorithm 1 rate `b_i` — the Theorem 7.6 / 7.19 congestion-bounded
+/// share with both phases counter-flowing on every link. The
+/// single-phase collectives — reduce, broadcast, and the sharded-training
+/// reduce-scatter / allgather pair — traverse it once
+/// ([`Collective::phases`]): they move half an allreduce's volume, and
+/// with the opposite direction idle each link's counter-flow share comes
+/// back, so the drain rate doubles to `min(2·b_i, 1)` (capped at link
+/// capacity; exact for the paper's congestion ≤ 2 plans). This is the
+/// per-tree prediction the observability layer compares against measured
+/// `tree_completion` cycles.
+pub fn predicted_tree_cycles(
+    kind: Collective,
     depth: u32,
     hop_latency: u64,
     m_i: u64,
@@ -118,35 +113,12 @@ pub fn predicted_tree_phase_cycles(
         return 0;
     }
     assert!(b_i.is_positive(), "tree bandwidth must be positive");
+    let phases = kind.phases();
     let fill = phases * depth as u64 * hop_latency + 1;
     let rate = if phases == 1 { (b_i + b_i).min(Rational::ONE) } else { b_i };
     let drain = Rational::from_int(m_i as i64) / rate;
     // Ceiling of a non-negative rational (numer >= 0, denom > 0).
     fill + ((drain.numer() + drain.denom() - 1) / drain.denom()) as u64
-}
-
-/// Cycle prediction for one tree's reduce-scatter slice: the reduce-up
-/// phase alone (`depth·L + 1` fill, then the drain at the recovered
-/// single-direction rate `min(2·b_i, 1)`).
-pub fn predicted_reduce_scatter_tree_cycles(
-    depth: u32,
-    hop_latency: u64,
-    m_i: u64,
-    b_i: Rational,
-) -> u64 {
-    predicted_tree_phase_cycles(1, depth, hop_latency, m_i, b_i)
-}
-
-/// Cycle prediction for one tree's allgather slice: the broadcast-down
-/// phase alone — the mirror of
-/// [`predicted_reduce_scatter_tree_cycles`], with the identical formula.
-pub fn predicted_allgather_tree_cycles(
-    depth: u32,
-    hop_latency: u64,
-    m_i: u64,
-    b_i: Rational,
-) -> u64 {
-    predicted_tree_phase_cycles(1, depth, hop_latency, m_i, b_i)
 }
 
 #[cfg(test)]
@@ -242,41 +214,39 @@ mod tests {
 
     #[test]
     fn predicted_cycles_fill_plus_drain() {
+        let all = Collective::Allreduce;
         // depth 28, L = 4, 2500 elements at full rate: 2·28·4 + 1 + 2500.
-        assert_eq!(predicted_tree_cycles(28, 4, 2500, Rational::ONE), 2725);
+        assert_eq!(predicted_tree_cycles(all, 28, 4, 2500, Rational::ONE), 2725);
         // Half rate doubles the drain.
-        assert_eq!(predicted_tree_cycles(2, 4, 100, Rational::new(1, 2)), 17 + 200);
+        assert_eq!(predicted_tree_cycles(all, 2, 4, 100, Rational::new(1, 2)), 17 + 200);
         // Fractional drains round up.
-        assert_eq!(predicted_tree_cycles(0, 4, 10, Rational::new(3, 2)), 1 + 7);
-        assert_eq!(predicted_tree_cycles(5, 4, 0, Rational::ONE), 0);
+        assert_eq!(predicted_tree_cycles(all, 0, 4, 10, Rational::new(3, 2)), 1 + 7);
+        assert_eq!(predicted_tree_cycles(all, 5, 4, 0, Rational::ONE), 0);
     }
 
     #[test]
     fn single_phase_collectives_halve_the_fill_and_recover_the_rate() {
+        let (rs, ag) = (Collective::ReduceScatter, Collective::Allgather);
         // depth 28, L = 4, 2500 elements at full rate: 28·4 + 1 + 2500 —
         // same drain as the allreduce, half the pipeline fill.
-        assert_eq!(predicted_reduce_scatter_tree_cycles(28, 4, 2500, Rational::ONE), 2613);
-        assert_eq!(predicted_allgather_tree_cycles(28, 4, 2500, Rational::ONE), 2613);
-        // The two halves always agree: the allgather mirrors the
-        // reduce-scatter hop for hop.
+        assert_eq!(predicted_tree_cycles(rs, 28, 4, 2500, Rational::ONE), 2613);
+        assert_eq!(predicted_tree_cycles(ag, 28, 4, 2500, Rational::ONE), 2613);
+        // Every one-phase collective agrees: the allgather mirrors the
+        // reduce-scatter hop for hop, and reduce / broadcast run the same
+        // dataflow.
         for (depth, m, b) in [(2u32, 100u64, Rational::new(1, 2)), (7, 999, Rational::new(3, 2))] {
-            assert_eq!(
-                predicted_reduce_scatter_tree_cycles(depth, 4, m, b),
-                predicted_allgather_tree_cycles(depth, 4, m, b),
-            );
+            let rs_cycles = predicted_tree_cycles(rs, depth, 4, m, b);
+            for kind in [Collective::Reduce, Collective::Broadcast, ag] {
+                assert_eq!(predicted_tree_cycles(kind, depth, 4, m, b), rs_cycles, "{kind:?}");
+            }
         }
         // A congestion-2 share (b = 1/2) drains at the recovered full
         // rate: fill 2·4 + 1 = 9, drain 100/1 — half the allreduce's
         // 17 + 200 on the same tree.
-        assert_eq!(predicted_reduce_scatter_tree_cycles(2, 4, 100, Rational::new(1, 2)), 109);
+        assert_eq!(predicted_tree_cycles(rs, 2, 4, 100, Rational::new(1, 2)), 109);
         // The recovered rate caps at link capacity: b = 3/2 stays at 1.
-        assert_eq!(predicted_allgather_tree_cycles(0, 4, 10, Rational::new(3, 2)), 1 + 10);
-        // And the phase-parameterized form reproduces the allreduce model.
-        assert_eq!(
-            predicted_tree_phase_cycles(2, 28, 4, 2500, Rational::ONE),
-            predicted_tree_cycles(28, 4, 2500, Rational::ONE),
-        );
-        assert_eq!(predicted_reduce_scatter_tree_cycles(5, 4, 0, Rational::ONE), 0);
+        assert_eq!(predicted_tree_cycles(ag, 0, 4, 10, Rational::new(3, 2)), 1 + 10);
+        assert_eq!(predicted_tree_cycles(rs, 5, 4, 0, Rational::ONE), 0);
     }
 
     #[test]

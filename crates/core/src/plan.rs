@@ -6,6 +6,7 @@
 //! performance model (optimal sub-vector split, predicted time). It is the
 //! type the examples, the benchmarks and the simulator consume.
 
+use crate::collective::Collective;
 use crate::congestion::assign_unit_bandwidth;
 use crate::construction::{Budget, ConstructError, TreeConstruction};
 use crate::disjoint::find_edge_disjoint;
@@ -69,7 +70,17 @@ pub struct AllreducePlan {
 }
 
 impl AllreducePlan {
-    fn from_parts(q: u64, solution: Solution, graph: Graph, trees: Vec<RootedTree>) -> Self {
+    /// Assembles a plan from a substrate graph and a spanning tree set,
+    /// deriving bandwidths and congestion with Algorithm 1. Every plan is
+    /// priced here, once: the constructors below, tree subsets, and the
+    /// degraded plans [`crate::recovery`] builds on a surviving subgraph.
+    /// The caller vouches that every tree spans `graph`.
+    pub fn from_tree_set(
+        q: u64,
+        solution: Solution,
+        graph: Graph,
+        trees: Vec<RootedTree>,
+    ) -> Self {
         let a = assign_unit_bandwidth(&graph, &trees);
         let aggregate = a.aggregate();
         let depth = trees.iter().map(|t| t.depth()).max().unwrap_or(0);
@@ -86,25 +97,11 @@ impl AllreducePlan {
         }
     }
 
-    /// Assembles a plan from a substrate graph and a ready-made spanning
-    /// tree set, re-deriving bandwidths and congestion with Algorithm 1.
-    /// This is how a rebuilt [`crate::recovery::DegradedPlan`] is promoted
-    /// back into a schedulable plan; the caller vouches that every tree
-    /// spans `graph`.
-    pub fn from_tree_set(
-        q: u64,
-        solution: Solution,
-        graph: Graph,
-        trees: Vec<RootedTree>,
-    ) -> Self {
-        Self::from_parts(q, solution, graph, trees)
-    }
-
     /// Builds the low-depth plan (Algorithm 3). Odd prime powers only.
     pub fn low_depth(q: u64) -> Result<Self, String> {
         let pf = PolarFly::new(q);
         let out = low_depth_trees(&pf, None)?;
-        Ok(Self::from_parts(q, Solution::LowDepth, pf.graph().clone(), out.trees))
+        Ok(Self::from_tree_set(q, Solution::LowDepth, pf.graph().clone(), out.trees))
     }
 
     /// Builds the edge-disjoint Hamiltonian plan (§7.2) with the paper's
@@ -115,7 +112,7 @@ impl AllreducePlan {
         if sol.trees.is_empty() {
             return Err(format!("no edge-disjoint Hamiltonian paths found for q = {q}"));
         }
-        Ok(Self::from_parts(q, Solution::EdgeDisjoint, s.graph().clone(), sol.trees))
+        Ok(Self::from_tree_set(q, Solution::EdgeDisjoint, s.graph().clone(), sol.trees))
     }
 
     /// Builds the single-tree baseline: one BFS tree rooted at vertex 0 of
@@ -125,7 +122,7 @@ impl AllreducePlan {
         let pf = PolarFly::new(q);
         let (_, parents) = bfs::tree(pf.graph(), 0);
         let t = RootedTree::from_parents(0, parents).map_err(|e| e.to_string())?;
-        Ok(Self::from_parts(q, Solution::SingleTree, pf.graph().clone(), vec![t]))
+        Ok(Self::from_tree_set(q, Solution::SingleTree, pf.graph().clone(), vec![t]))
     }
 
     /// Builds a plan over an arbitrary substrate through a pluggable
@@ -149,7 +146,7 @@ impl AllreducePlan {
             // a buggy backend cannot reach the congestion model.
             t.validate_spanning(g).map_err(|e| ConstructError::NoTrees(e.to_string()))?;
         }
-        Ok(Self::from_parts(0, Solution::Constructed(backend.name()), g.clone(), trees))
+        Ok(Self::from_tree_set(0, Solution::Constructed(backend.name()), g.clone(), trees))
     }
 
     /// Number of routers. For the PolarFly constructors this is
@@ -201,7 +198,7 @@ impl AllreducePlan {
             "tree index out of range"
         );
         let trees = indices.iter().map(|&i| self.trees[i].clone()).collect();
-        Self::from_parts(self.q, self.solution, self.graph.clone(), trees)
+        Self::from_tree_set(self.q, self.solution, self.graph.clone(), trees)
     }
 
     /// Corollary 7.1 optimum for this radix (unit link bandwidth), or
@@ -232,45 +229,30 @@ impl AllreducePlan {
     }
 
     /// Cycle-level prediction of the simulator's run time for an
-    /// `m`-element allreduce at integer hop latency: the slowest tree's
+    /// `m`-element collective `kind` at integer hop latency: every tree
+    /// gets its Algorithm 1 slice of the one split, and the slowest tree's
     /// pipeline fill plus steady-state drain
-    /// ([`perf::predicted_tree_cycles`]). The observability examples print
-    /// this next to the measured cycle count (`docs/OBSERVABILITY.md`
-    /// walks through why measured bandwidth lands below the Theorem 5.1
-    /// asymptote at finite `m`).
-    pub fn predicted_cycles(&self, m: u64, hop_latency: u64) -> u64 {
-        self.predicted_phase_cycles(m, hop_latency, 2)
-    }
-
-    /// Cycle-level prediction of an `m`-element reduce-scatter: the same
-    /// Algorithm 1 split as the allreduce, but each tree runs only the
-    /// reduce-up phase ([`perf::predicted_reduce_scatter_tree_cycles`]) —
-    /// half the allreduce's traffic volume, half its pipeline fill, and a
-    /// drain at the recovered single-direction rate `min(2·b_i, 1)`
-    /// (the Theorem 7.6/7.19 share with the down-direction idle).
-    pub fn predicted_reduce_scatter_cycles(&self, m: u64, hop_latency: u64) -> u64 {
-        self.predicted_phase_cycles(m, hop_latency, 1)
-    }
-
-    /// Cycle-level prediction of an `m`-element allgather: the
-    /// broadcast-down mirror of
-    /// [`AllreducePlan::predicted_reduce_scatter_cycles`], with the
-    /// identical formula (each tree moves its slice down once).
-    pub fn predicted_allgather_cycles(&self, m: u64, hop_latency: u64) -> u64 {
-        self.predicted_phase_cycles(m, hop_latency, 1)
-    }
-
-    fn predicted_phase_cycles(&self, m: u64, hop_latency: u64, phases: u64) -> u64 {
+    /// ([`perf::predicted_tree_cycles`]) is the answer. The observability
+    /// examples print this next to the measured cycle count
+    /// (`docs/OBSERVABILITY.md` walks through why measured bandwidth lands
+    /// below the Theorem 5.1 asymptote at finite `m`; `docs/COLLECTIVES.md`
+    /// covers the one-phase collectives).
+    pub fn predicted_collective_cycles(&self, kind: Collective, m: u64, hop_latency: u64) -> u64 {
         let sizes = self.split(m);
         self.trees
             .iter()
             .zip(&sizes)
             .zip(&self.bandwidths)
             .map(|((t, &mi), &bi)| {
-                perf::predicted_tree_phase_cycles(phases, t.depth(), hop_latency, mi, bi)
+                perf::predicted_tree_cycles(kind, t.depth(), hop_latency, mi, bi)
             })
             .max()
             .unwrap_or(0)
+    }
+
+    /// [`AllreducePlan::predicted_collective_cycles`] for the allreduce.
+    pub fn predicted_cycles(&self, m: u64, hop_latency: u64) -> u64 {
+        self.predicted_collective_cycles(Collective::Allreduce, m, hop_latency)
     }
 
     /// Picks the faster of the paper's two solutions for the given message
@@ -362,6 +344,45 @@ mod tests {
         // only exceed it (pipeline fill + integer rounding).
         let model = p.predicted_time(10_000, Rational::from_int(4));
         assert!(Rational::from_int(p.predicted_cycles(10_000, 4) as i64) >= model);
+    }
+
+    #[test]
+    fn predicted_collective_cycles_follow_the_phase_rule() {
+        let hop = 4;
+        let plans =
+            [AllreducePlan::low_depth(7).unwrap(), AllreducePlan::edge_disjoint(7, 30, 9).unwrap()];
+        for plan in &plans {
+            for m in [0u64, 1, 999, 10_000] {
+                // The one-phase model, tree by tree: fill depth·L + 1, drain
+                // at the recovered rate min(2·b, 1).
+                let sizes = plan.split(m);
+                let one_phase = plan
+                    .trees
+                    .iter()
+                    .zip(&sizes)
+                    .zip(&plan.bandwidths)
+                    .filter(|&((_, &mi), _)| mi > 0)
+                    .map(|((t, &mi), &bi)| {
+                        let drain = Rational::from_int(mi as i64) / (bi + bi).min(Rational::ONE);
+                        let drain = (drain.numer() + drain.denom() - 1) / drain.denom();
+                        t.depth() as u64 * hop + 1 + drain as u64
+                    })
+                    .max()
+                    .unwrap_or(0);
+                let label = plan.solution.label();
+                for kind in [Collective::Reduce, Collective::Broadcast] {
+                    let got = plan.predicted_collective_cycles(kind, m, hop);
+                    assert_eq!(got, one_phase, "{label} m={m} {kind:?}");
+                }
+                let all = plan.predicted_collective_cycles(Collective::Allreduce, m, hop);
+                assert_eq!(all, plan.predicted_cycles(m, hop), "{label} m={m}");
+            }
+        }
+        // The edge-disjoint plan at m = 10 000: four depth-28 trees at
+        // B = 1 with slices of 2500 — 28·4 + 1 + 2500 for one phase.
+        let ham = &plans[1];
+        assert_eq!(ham.predicted_collective_cycles(Collective::Broadcast, 10_000, hop), 2613);
+        assert_eq!(ham.predicted_collective_cycles(Collective::Allreduce, 10_000, hop), 2725);
     }
 
     #[test]

@@ -20,19 +20,18 @@
 //! 4. If nothing survives, a single BFS spanning tree of the subgraph is
 //!    used (congestion 1 on any connected graph).
 //!
-//! Bandwidth on the degraded plan is re-derived with Algorithm 1, so the
-//! loss relative to the healthy aggregate is quantified exactly (in
-//! rational arithmetic). Router faults shrink the vertex set: the
-//! collective then runs among the survivors, and the [`DegradedPlan`]
-//! carries the id maps between the two labelings.
+//! The degraded plan is an ordinary [`AllreducePlan`] on the surviving
+//! subgraph, priced once by Algorithm 1, so the loss relative to the
+//! healthy aggregate is quantified exactly (in rational arithmetic).
+//! Router faults shrink the vertex set: the collective then runs among the
+//! survivors, and the [`DegradedPlan`] carries the id maps between the two
+//! labelings.
 //!
 //! Everything here is deterministic: same plan + same fault set gives the
 //! identical degraded plan, which the fault-injection property suites rely
 //! on.
 
-use crate::congestion::assign_unit_bandwidth;
-use crate::perf;
-use crate::plan::AllreducePlan;
+use crate::plan::{AllreducePlan, Solution};
 use crate::rational::Rational;
 use pf_graph::dsu::Dsu;
 use pf_graph::{bfs, subgraph, EdgeId, Graph, RootedTree, VertexId};
@@ -102,33 +101,27 @@ pub enum TreeOrigin {
     Fallback,
 }
 
-/// A rebuilt allreduce plan on the surviving subgraph.
+/// A rebuilt allreduce plan on the surviving subgraph: an
+/// [`AllreducePlan`] plus its provenance. It dereferences to the plan, so
+/// `d.graph`, `d.trees`, `d.bandwidths`, `d.split(m)` and
+/// `d.predicted_cycles(m, hop)` read the degraded plan directly.
 #[derive(Debug, Clone)]
 pub struct DegradedPlan {
-    /// The surviving topology (renumbered ids; see the maps below).
-    pub graph: Graph,
-    /// Spanning trees of [`DegradedPlan::graph`], Algorithm 1-weighted.
-    pub trees: Vec<RootedTree>,
-    /// Provenance of each tree, parallel to `trees`.
+    /// The surviving topology (renumbered ids; see the maps below) and its
+    /// spanning trees, priced once by Algorithm 1. Labelled
+    /// `Constructed("degraded")`, carrying the healthy plan's `q`; its
+    /// `max_congestion` is guaranteed `<= congestion_bound`.
+    pub plan: AllreducePlan,
+    /// Provenance of each tree, parallel to `plan.trees`.
     pub origins: Vec<TreeOrigin>,
     /// Healthy-plan trees dropped because their repair would exceed the
     /// congestion bound.
     pub dropped: usize,
-    /// Per-tree bandwidth from Algorithm 1 on the degraded graph.
-    pub bandwidths: Vec<Rational>,
-    /// Aggregate degraded bandwidth `Σ B_i`.
-    pub aggregate: Rational,
     /// The healthy plan's aggregate, for loss accounting.
     pub healthy_aggregate: Rational,
     /// Worst-case link congestion bound inherited from the healthy plan
     /// (Theorem 7.6 / 7.19); the rebuild never exceeds it.
     pub congestion_bound: u32,
-    /// Per-edge congestion on the degraded graph (degraded edge ids).
-    pub edge_congestion: Vec<u32>,
-    /// `max(edge_congestion)` — guaranteed `<= congestion_bound`.
-    pub max_congestion: u32,
-    /// Maximum tree depth of the degraded plan.
-    pub depth: u32,
     /// `orig_vertex[new] = old` for surviving routers.
     pub orig_vertex: Vec<VertexId>,
     /// `new_vertex[old] = Some(new)` for survivors, `None` for dead routers.
@@ -137,6 +130,14 @@ pub struct DegradedPlan {
     pub orig_edge: Vec<EdgeId>,
     /// `new_edge[old] = Some(new)` for survivors, `None` for dead links.
     pub new_edge: Vec<Option<EdgeId>>,
+}
+
+impl std::ops::Deref for DegradedPlan {
+    type Target = AllreducePlan;
+
+    fn deref(&self) -> &AllreducePlan {
+        &self.plan
+    }
 }
 
 impl DegradedPlan {
@@ -149,25 +150,6 @@ impl DegradedPlan {
         self.aggregate / self.healthy_aggregate
     }
 
-    /// Theorem 5.1 optimal sub-vector split of an `m`-element vector over
-    /// the degraded trees.
-    pub fn split(&self, m: u64) -> Vec<u64> {
-        perf::optimal_split(m, &self.bandwidths)
-    }
-
-    /// Cycle-level runtime prediction on the degraded plan (the same
-    /// fill-plus-drain model as `AllreducePlan::predicted_cycles`).
-    pub fn predicted_cycles(&self, m: u64, hop_latency: u64) -> u64 {
-        let sizes = self.split(m);
-        self.trees
-            .iter()
-            .zip(&sizes)
-            .zip(&self.bandwidths)
-            .map(|((t, &mi), &bi)| perf::predicted_tree_cycles(t.depth(), hop_latency, mi, bi))
-            .max()
-            .unwrap_or(0)
-    }
-
     /// Number of healthy-plan trees that survived untouched.
     pub fn intact(&self) -> usize {
         self.origins.iter().filter(|o| matches!(o, TreeOrigin::Intact(_))).count()
@@ -178,17 +160,11 @@ impl DegradedPlan {
         self.origins.iter().filter(|o| matches!(o, TreeOrigin::Repaired(_))).count()
     }
 
-    /// Re-packages the degraded graph and tree set as a schedulable
-    /// [`AllreducePlan`] (Algorithm 1 re-derives the same bandwidths).
-    /// `q` is carried over from the healthy plan for labeling only; the
-    /// fabric manager uses this to run waves on the surviving subgraph.
+    /// The degraded plan as an owned [`AllreducePlan`] labelled with `q`
+    /// — a copy, not a second pricing. The fabric manager caches it to run
+    /// waves on the surviving subgraph.
     pub fn to_plan(&self, q: u64) -> AllreducePlan {
-        AllreducePlan::from_tree_set(
-            q,
-            crate::plan::Solution::Constructed("degraded"),
-            self.graph.clone(),
-            self.trees.clone(),
-        )
+        AllreducePlan { q, ..self.plan.clone() }
     }
 }
 
@@ -368,21 +344,17 @@ fn degrade(
         origins.push(TreeOrigin::Fallback);
     }
 
-    let a = assign_unit_bandwidth(&degraded, &trees);
-    let aggregate = a.aggregate();
-    let depth = trees.iter().map(|t| t.depth()).max().unwrap_or(0);
     Ok(DegradedPlan {
-        graph: degraded,
-        trees,
+        plan: AllreducePlan::from_tree_set(
+            plan.q,
+            Solution::Constructed("degraded"),
+            degraded,
+            trees,
+        ),
         origins,
         dropped,
-        bandwidths: a.per_tree,
-        aggregate,
         healthy_aggregate: plan.aggregate,
         congestion_bound: bound,
-        edge_congestion: a.per_edge,
-        max_congestion: a.max_congestion,
-        depth,
         orig_vertex,
         new_vertex,
         orig_edge,
@@ -513,6 +485,57 @@ mod tests {
             .collect();
         let err = rebuild_degraded(&plan, &FaultSet::links(incident)).unwrap_err();
         assert!(matches!(err, RebuildError::Partitioned { .. }), "{err}");
+    }
+
+    /// Field-by-field equality of two plans (`AllreducePlan` has no
+    /// `PartialEq`).
+    fn assert_same_plan(a: &AllreducePlan, b: &AllreducePlan, case: &str) {
+        assert_eq!((a.q, a.solution), (b.q, b.solution), "{case}");
+        assert!(a.graph.edges().eq(b.graph.edges()), "{case}");
+        assert_eq!(a.graph.num_vertices(), b.graph.num_vertices(), "{case}");
+        assert_eq!(a.trees, b.trees, "{case}");
+        assert_eq!(a.bandwidths, b.bandwidths, "{case}");
+        assert_eq!(a.aggregate, b.aggregate, "{case}");
+        assert_eq!(a.depth, b.depth, "{case}");
+        assert_eq!(a.edge_congestion, b.edge_congestion, "{case}");
+        assert_eq!(a.max_congestion, b.max_congestion, "{case}");
+    }
+
+    #[test]
+    fn degraded_plans_are_priced_once() {
+        // Rebuilt and extended plans after one link fault, two link
+        // faults and one router fault: the promoted plan is exactly what
+        // pricing the surviving tree set from scratch gives.
+        for q in [5u64, 7] {
+            let plan = AllreducePlan::low_depth(q).unwrap();
+            let used: Vec<u32> = (0..plan.graph.num_edges())
+                .filter(|&e| plan.edge_congestion[e as usize] > 0)
+                .collect();
+            let (a, b) = (FaultSet::links(vec![used[0]]), FaultSet::links(vec![used[3]]));
+            let router = FaultSet { edges: vec![], routers: vec![3] };
+            let mut cases = vec![
+                ("one link", rebuild_degraded(&plan, &a).unwrap()),
+                ("two links", rebuild_degraded(&plan, &a.union(&b)).unwrap()),
+                ("one router", rebuild_degraded(&plan, &router).unwrap()),
+            ];
+            let none = rebuild_degraded(&plan, &FaultSet::none()).unwrap();
+            let first = extend_degraded(&plan, &FaultSet::none(), &none, &a).unwrap();
+            let second = extend_degraded(&plan, &a, &first, &b).unwrap();
+            cases.push(("one link, extended", first));
+            cases.push(("two links, extended", second));
+            for (label, d) in &cases {
+                let case = format!("q={q} {label}");
+                assert_eq!((d.q, d.solution), (q, Solution::Constructed("degraded")), "{case}");
+                let priced = AllreducePlan::from_tree_set(
+                    q,
+                    Solution::Constructed("degraded"),
+                    d.graph.clone(),
+                    d.trees.clone(),
+                );
+                assert_same_plan(&d.to_plan(q), &priced, &case);
+                assert!(d.max_congestion <= d.congestion_bound, "{case}");
+            }
+        }
     }
 
     #[test]

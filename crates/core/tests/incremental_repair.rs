@@ -14,6 +14,8 @@ use proptest::prelude::*;
 /// Field-by-field structural equality (DegradedPlan has no PartialEq; the
 /// point here is to enumerate everything so a future field is noticed).
 fn assert_same(a: &DegradedPlan, b: &DegradedPlan) {
+    assert_eq!(a.q, b.q);
+    assert_eq!(a.solution, b.solution);
     assert_eq!(a.graph.num_vertices(), b.graph.num_vertices());
     assert_eq!(a.graph.num_edges(), b.graph.num_edges());
     assert_eq!(

@@ -315,6 +315,30 @@ fn faulted_sharded_collectives_match() {
 }
 
 #[test]
+fn healed_routers_wake_their_engines() {
+    // With deep buffers (10 flits at L = 3) and one-flit staging queues, a
+    // reduce leaf drains its queue every cycle, so when its router goes
+    // down it has nothing staged and nothing in flight toward it: no flit
+    // wakes it when the router heals, yet it must fire on the first
+    // cycle after the heal, as the reference does.
+    let plan = AllreducePlan::low_depth(5).unwrap();
+    let mut case = Case::new(plan, 600);
+    case.cfg = SimConfig { link_latency: 3, vc_buffer: 10, source_queue: 1, ..Default::default() };
+    case.faults = Some(FaultSchedule {
+        events: vec![FaultEvent {
+            cycle: 50,
+            target: FaultTarget::Router(3),
+            kind: FaultKind::Down,
+            duration: Some(30),
+        }],
+        detection: DetectionConfig::default(),
+    });
+    for kind in COLLECTIVES {
+        case.assert_identical(kind, &format!("transient router {kind:?}"));
+    }
+}
+
+#[test]
 fn traced_faulted_runs_match() {
     // The full stack: tracer rows, fault rows, and the fault table folded
     // into the trace must all serialize to the same bytes.

@@ -7,6 +7,7 @@
 //! with a direction and phase) and assigns each to its directed physical
 //! channel — the structure the cycle engine executes.
 
+use pf_allreduce::Collective;
 use pf_graph::{Graph, RootedTree, VertexId};
 
 /// Direction/phase of a logical stream.
@@ -16,6 +17,16 @@ pub enum Phase {
     Reduce,
     /// Parent → child reduced results.
     Broadcast,
+}
+
+impl Phase {
+    /// Does a stream of this phase carry flits under collective `kind`?
+    pub(crate) fn runs_under(self, kind: Collective) -> bool {
+        match self {
+            Phase::Reduce => kind.reduces(),
+            Phase::Broadcast => kind.broadcasts(),
+        }
+    }
 }
 
 /// One logical stream: a directed tree edge in one phase.

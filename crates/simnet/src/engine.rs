@@ -82,14 +82,20 @@
 //! differential suite (`src/difftest.rs`) asserts byte-identical
 //! [`SimReport`]s, trace bytes and [`FaultReport`]s across collectives,
 //! radixes, caps, tracing and fault schedules. Tracing pins per-cycle
-//! stepping (no skip, full scans) so observed stall attribution is identical
-//! to the reference stepper's.
+//! stepping (no closed form, skip or batch window) and a full compute scan,
+//! so observed stall attribution is identical to the reference stepper's;
+//! arrivals and transmit walk the active sets whether traced, faulted or
+//! neither.
 
 use crate::embedding::{MultiTreeEmbedding, Phase};
 use crate::faults::{FaultReport, FaultSchedule, FaultState};
 use crate::trace::{EngineStall, TraceConfig, TraceReport, Tracer};
 use crate::workload::Workload;
 use pf_graph::Graph;
+
+/// Which collective the engines execute over the embedded trees (defined
+/// next to the plan model that prices it).
+pub use pf_allreduce::Collective;
 
 pub(crate) mod closed_form;
 #[cfg(any(test, feature = "reference-engine"))]
@@ -145,105 +151,6 @@ impl Default for SimConfig {
             max_injections_per_node: None,
             threads: 1,
         }
-    }
-}
-
-/// Which collective the engines execute over the embedded trees.
-///
-/// The sharded-training pair decomposes an allreduce the way ZeRO/FSDP
-/// decomposes a training step: [`Collective::ReduceScatter`] runs the
-/// reduce-up phase and leaves each tree's reduced slice with its owner
-/// shard (the tree root), [`Collective::Allgather`] broadcasts each
-/// shard's already-reduced slice back down to every node. Composing the
-/// two delivers exactly what one [`Collective::Allreduce`] delivers
-/// (property-tested via [`SimReport::value_digest`] in
-/// `tests/collective_props.rs`; semantics in `docs/COLLECTIVES.md`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Collective {
-    /// Reduce up + broadcast down: every node gets the global reduction.
-    Allreduce,
-    /// Reduce up only: the tree roots get the global reduction.
-    Reduce,
-    /// Broadcast down only: the roots' own slices reach every node.
-    Broadcast,
-    /// Reduce up only, sharded delivery: each tree's slice of the global
-    /// reduction ends at that tree's root — the shard that owns it. Same
-    /// dataflow as [`Collective::Reduce`]; a distinct collective because
-    /// it is priced, traced and scheduled as half of a sharded allreduce.
-    ReduceScatter,
-    /// Broadcast down of per-shard *reduced* contributions: each root
-    /// injects its slice of the global reduction (the state a preceding
-    /// reduce-scatter left it with) and every node receives it.
-    Allgather,
-}
-
-impl Collective {
-    /// Every collective the engines implement, in a stable order.
-    pub const ALL: [Collective; 5] = [
-        Collective::Allreduce,
-        Collective::Reduce,
-        Collective::Broadcast,
-        Collective::ReduceScatter,
-        Collective::Allgather,
-    ];
-
-    /// Does this collective run the reduce-up phase (reduction engines
-    /// fire, child streams are combined toward the root)?
-    #[must_use]
-    pub fn reduces(self) -> bool {
-        matches!(self, Collective::Allreduce | Collective::Reduce | Collective::ReduceScatter)
-    }
-
-    /// Does this collective run the broadcast-down phase (relays forward
-    /// values from parent to children)?
-    #[must_use]
-    pub fn broadcasts(self) -> bool {
-        matches!(self, Collective::Allreduce | Collective::Broadcast | Collective::Allgather)
-    }
-
-    /// Does the tree root *originate* the down phase from local state
-    /// (rather than turning the reduction around, as allreduce does)?
-    #[must_use]
-    pub fn root_sources_broadcast(self) -> bool {
-        matches!(self, Collective::Broadcast | Collective::Allgather)
-    }
-
-    /// Does stream phase `phase` carry flits under this collective?
-    pub(crate) fn runs(self, phase: Phase) -> bool {
-        match phase {
-            Phase::Reduce => self.reduces(),
-            Phase::Broadcast => self.broadcasts(),
-        }
-    }
-
-    /// How many sinks each tree's slice is delivered to: every node, or
-    /// only the root shard.
-    #[must_use]
-    pub fn sinks_per_tree(self, n: u64) -> u64 {
-        if self.broadcasts() {
-            n
-        } else {
-            1
-        }
-    }
-
-    /// The stable snake_case name used by the `pf-simnet-trace-v1` schema
-    /// (`collective` fields) and the bench tables.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            Collective::Allreduce => "allreduce",
-            Collective::Reduce => "reduce",
-            Collective::Broadcast => "broadcast",
-            Collective::ReduceScatter => "reduce_scatter",
-            Collective::Allgather => "allgather",
-        }
-    }
-
-    /// Inverse of [`Collective::name`].
-    #[must_use]
-    pub fn from_name(name: &str) -> Option<Collective> {
-        Collective::ALL.into_iter().find(|k| k.name() == name)
     }
 }
 
@@ -574,13 +481,7 @@ fn run_single(
     let mut st = RunState::new(emb, cfg, kind, bindings, tree_mask);
 
     let traced = tracer.is_some();
-    // `fast` fuses transmit and wire advancement into one pass: the flits
-    // staged at cycle `c` are advanced toward (and into) the arrival state
-    // for `c + 1` immediately, so the next iteration starts with zero
-    // wire-scan work. A tracer or fault layer needs the classic split
-    // stepping (per-cycle freeze checks and stall attribution).
-    let fast = !traced && faults.is_none();
-    // Batch spans additionally require uncapped budgets (a per-node budget
+    // Batch spans require no tracer and uncapped budgets (a per-node budget
     // is consumed *within* a cycle; replaying j·P cycles in closed form
     // would need per-cycle budget accounting). A quiet attached fault
     // layer is fine — spans are bounded by its next transition.
@@ -601,21 +502,21 @@ fn run_single(
         st.progress = st.pending_arrivals;
         st.pending_arrivals = false;
 
-        if !fast {
-            st.step_arrivals(cycle, &faults);
-        } else if cycle > st.arrivals_done {
-            // Catch-up after a skip (or on the first cycle): arrivals due
-            // by `cycle` that the fused pass could not know about yet.
-            st.step_arrivals_fast(cycle, false);
+        if cycle > st.arrivals_done {
+            // Catch-up after a skip, on the first cycle, or at a fault
+            // transition: arrivals due by `cycle` that the fused pass
+            // could not complete yet.
+            st.step_arrivals(cycle, false, &faults);
         }
         st.step_compute(cycle, w, &mut tracer, &faults);
-        st.step_transmit(cycle, traced, &mut tracer, &mut faults);
-        if fast {
-            // Fused wire advancement: complete next cycle's arrivals in
-            // the same pass over the active words (a flit stamped
-            // `cycle + 1`, i.e. link latency 1, arrives here instead of
-            // via a second full scan at the top of the next iteration).
-            st.step_arrivals_fast(cycle + 1, true);
+        st.step_transmit(cycle, &mut tracer, &mut faults);
+        // Fused wire advancement: complete next cycle's arrivals now, so
+        // the next iteration starts with zero wire-scan work. Not across
+        // a fault transition: a link that fails or heals at `cycle + 1`
+        // freezes or releases its wires there, which the catch-up sees
+        // after `begin_cycle`.
+        if faults.as_ref().is_none_or(|f| f.next_transition() != Some(cycle + 1)) {
+            st.step_arrivals(cycle + 1, true, &faults);
             st.arrivals_done = cycle + 1;
         }
 
@@ -718,7 +619,7 @@ fn tree_components(emb: &MultiTreeEmbedding, kind: Collective) -> Vec<u32> {
     for members in &emb.channel_streams {
         let mut first: Option<u32> = None;
         for s in members.iter().map(|&s| &emb.streams[s as usize]) {
-            if emb.trees[s.tree as usize].len == 0 || !kind.runs(s.phase) {
+            if emb.trees[s.tree as usize].len == 0 || !s.phase.runs_under(kind) {
                 continue;
             }
             let r = find(&mut parent, s.tree);
@@ -1265,9 +1166,9 @@ struct RunState {
     max_vc_occupancy: usize,
     progress: bool,
 
-    // Fused transmit/arrival bookkeeping (fast path only): arrivals have
-    // been completed through this cycle, and the fused pass advanced at
-    // least one flit into the arrived state for the *next* cycle.
+    // Fused transmit/arrival bookkeeping: arrivals have been completed
+    // through this cycle, and the fused pass advanced at least one flit
+    // into the arrived state for the *next* cycle.
     arrivals_done: u64,
     pending_arrivals: bool,
 
@@ -1585,10 +1486,14 @@ impl RunState {
 
     // -- cycle sub-steps ----------------------------------------------------
 
-    /// Step 1: deliver in-flight flits whose latency elapsed. Flits on a
-    /// dead channel are stuck on the wire: they arrive only after the
-    /// fault heals (transient outages delay, they never drop data).
-    fn step_arrivals(&mut self, cycle: u64, faults: &Option<FaultState>) {
+    /// Step 1: deliver in-flight flits whose latency elapsed by `cycle`.
+    /// Flits on a dead channel are stuck on the wire: they arrive only
+    /// after the fault heals (transient outages delay, they never drop
+    /// data). With `pending` the call is the fused end-of-cycle pass
+    /// completing *next* cycle's arrivals: advancement is recorded in
+    /// `pending_arrivals` (consumed as next cycle's initial progress)
+    /// instead of `progress`.
+    fn step_arrivals(&mut self, cycle: u64, pending: bool, faults: &Option<FaultState>) {
         for wi in 0..self.wire_active.len() {
             let mut word = self.wire_active[wi];
             if word == 0 {
@@ -1601,51 +1506,6 @@ impl RunState {
                 if faults.as_ref().is_some_and(|f| f.arrivals_frozen(s)) {
                     continue;
                 }
-                let base = s << self.vc_shift;
-                let was_empty = self.vc_arrived[s] == 0;
-                let mut advanced = false;
-                while self.vc_inflight[s] > 0 {
-                    let idx = ((self.vc_head[s] + self.vc_arrived[s]) & self.vc_mask) as usize;
-                    if self.vc_arr[base + idx] > cycle {
-                        break;
-                    }
-                    self.vc_arrived[s] += 1;
-                    self.vc_inflight[s] -= 1;
-                    advanced = true;
-                }
-                if advanced {
-                    self.progress = true;
-                    self.pair_active[self.wake_dst_word[s] as usize] |= self.wake_dst_mask[s];
-                    if was_empty {
-                        let slot = self.ready_slot[s];
-                        if slot != NONE {
-                            self.ready_in[slot as usize] += 1;
-                        }
-                    }
-                }
-                if self.vc_inflight[s] == 0 {
-                    keep &= !(1u64 << (s % 64));
-                }
-            }
-            self.wire_active[wi] = keep;
-        }
-    }
-
-    /// [`RunState::step_arrivals`] minus the per-stream fault checks, for
-    /// the fused fast path (no fault layer attached). With `pending` the
-    /// call is the fused end-of-cycle pass completing *next* cycle's
-    /// arrivals: advancement is recorded in `pending_arrivals` (consumed
-    /// as next cycle's initial progress) instead of `progress`.
-    fn step_arrivals_fast(&mut self, cycle: u64, pending: bool) {
-        for wi in 0..self.wire_active.len() {
-            let mut word = self.wire_active[wi];
-            if word == 0 {
-                continue;
-            }
-            let mut keep = word;
-            while word != 0 {
-                let s = wi * 64 + word.trailing_zeros() as usize;
-                word &= word - 1;
                 let base = s << self.vc_shift;
                 let was_empty = self.vc_arrived[s] == 0;
                 let mut advanced = false;
@@ -1744,9 +1604,12 @@ impl RunState {
         tracer: &mut Option<Tracer>,
         faults: &Option<FaultState>,
     ) -> bool {
-        // A dead router's engines and relays are halted.
+        // A dead router's engines and relays are halted. They stay armed:
+        // one with nothing staged and nothing in flight toward it (a
+        // reduce leaf between injections) gets no flit to wake it when
+        // the router heals.
         if faults.as_ref().is_some_and(|f| f.router_is_down(v)) {
-            return false;
+            return true;
         }
         let p = ti * self.n + v;
         let len = self.tree_len[ti];
@@ -1985,30 +1848,23 @@ impl RunState {
     fn step_transmit(
         &mut self,
         cycle: u64,
-        traced: bool,
         tracer: &mut Option<Tracer>,
         faults: &mut Option<FaultState>,
     ) {
-        if traced {
-            for c in 0..self.rr.len() {
-                self.process_channel(c, cycle, tracer, faults);
+        for wi in 0..self.chan_active.len() {
+            let mut word = self.chan_active[wi];
+            if word == 0 {
+                continue;
             }
-        } else {
-            for wi in 0..self.chan_active.len() {
-                let mut word = self.chan_active[wi];
-                if word == 0 {
-                    continue;
+            let mut keep = word;
+            while word != 0 {
+                let c = wi * 64 + word.trailing_zeros() as usize;
+                word &= word - 1;
+                if !self.process_channel(c, cycle, tracer, faults) {
+                    keep &= !(1u64 << (c % 64));
                 }
-                let mut keep = word;
-                while word != 0 {
-                    let c = wi * 64 + word.trailing_zeros() as usize;
-                    word &= word - 1;
-                    if !self.process_channel(c, cycle, tracer, faults) {
-                        keep &= !(1u64 << (c % 64));
-                    }
-                }
-                self.chan_active[wi] = keep;
             }
+            self.chan_active[wi] = keep;
         }
     }
 
@@ -2299,8 +2155,11 @@ impl RunState {
         // terminal value).
         let mut j = (self.cfg.max_cycles - c1) / period;
         if let Some(t) = faults.as_ref().and_then(|f| f.next_transition()) {
+            // The fused arrival pass has already completed the cycle
+            // after the window, so that cycle must precede the transition
+            // too.
             debug_assert!(t > c1);
-            j = j.min((t - 1 - c1) / period);
+            j = j.min(t.saturating_sub(c1 + 2) / period);
         }
         if let Some(r) = self.next_release(c1) {
             j = j.min((r - 1 - c1) / period);
@@ -2634,11 +2493,9 @@ impl RunState {
         for c in 0..self.channel_flits.len() {
             self.channel_flits[c] += j * (self.channel_flits[c] - snap.channel_flits[c]);
         }
-        // The fused fast path has already completed arrivals for the cycle
-        // after the cut; the restamped wires preserve that at the new cut.
-        if self.arrivals_done != 0 {
-            self.arrivals_done = c_end + 1;
-        }
+        // The fused arrival pass has already completed the cycle after
+        // the cut; the restamped wires preserve that at the new cut.
+        self.arrivals_done = c_end + 1;
     }
 }
 #[cfg(test)]

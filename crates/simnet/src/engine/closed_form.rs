@@ -210,7 +210,7 @@ impl ClosedForm {
             let s = &emb.streams[s as usize];
             let ti = s.tree as usize;
             let phase = usize::from(s.phase == Phase::Broadcast);
-            let live = timing[ti].is_some() && kind.runs(s.phase);
+            let live = timing[ti].is_some() && s.phase.runs_under(kind);
             live.then(|| (ti, win[ti * n + s.src as usize][phase]))
         };
         for members in &emb.channel_streams {
@@ -317,7 +317,7 @@ impl ClosedForm {
                 members
                     .iter()
                     .map(|&s| &emb.streams[s as usize])
-                    .filter(|s| self.takes(s.tree as usize) && kind.runs(s.phase))
+                    .filter(|s| self.takes(s.tree as usize) && s.phase.runs_under(kind))
                     .map(|s| emb.trees[s.tree as usize].len)
                     .sum()
             })

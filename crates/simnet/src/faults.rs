@@ -706,15 +706,15 @@ pub fn run_with_recovery(
     let max_rounds = schedule.events.len() + 2;
 
     for _ in 0..max_rounds {
-        // Current topology / trees / schedule, in this round's labeling.
-        let (graph, trees, sizes, round_schedule) = match &degraded {
-            None => (&plan.graph, &plan.trees, plan.split(m), schedule.clone()),
-            Some(d) => (&d.graph, &d.trees, d.split(m), translate_schedule(schedule, d)),
-        };
-        let emb = MultiTreeEmbedding::new(graph, trees, &sizes);
-        let w = Workload::new(graph.num_vertices(), m);
-        let run = Simulator::new(graph, &emb, cfg)
-            .with_faults(graph, round_schedule)
+        // This round's plan and schedule, in this round's labeling.
+        let current = degraded.as_ref().map_or(plan, |d| &d.plan);
+        let round_schedule =
+            degraded.as_ref().map_or_else(|| schedule.clone(), |d| translate_schedule(schedule, d));
+        let g = &current.graph;
+        let emb = MultiTreeEmbedding::new(g, &current.trees, &current.split(m));
+        let w = Workload::new(g.num_vertices(), m);
+        let run = Simulator::new(g, &emb, cfg)
+            .with_faults(g, round_schedule)
             .run_jobs_collective(&w, &[], kind);
 
         total_cycles += run.report.cycles;

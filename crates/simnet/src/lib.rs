@@ -21,7 +21,8 @@
 //!
 //! The same machinery executes the full collective family — allreduce,
 //! reduce, broadcast, and the sharded-training pair reduce-scatter /
-//! allgather ([`engine::Collective`]; semantics and pricing in
+//! allgather ([`engine::Collective`], defined next to the plan model in
+//! `pf_allreduce::collective`; semantics and pricing in
 //! `docs/COLLECTIVES.md`).
 //!
 //! The simulator checks numerical correctness of every delivered element

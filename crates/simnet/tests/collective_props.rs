@@ -135,8 +135,8 @@ fn conformance_case(q: u64, m: u64) -> Result<(), TestCaseError> {
     // The model charges the full pipeline fill before any drain; real
     // pipelines overlap them, so prediction bounds measurement.
     prop_assert!(ar.cycles <= plan.predicted_cycles(m, hop));
-    prop_assert!(rs.cycles <= plan.predicted_reduce_scatter_cycles(m, hop));
-    prop_assert!(ag.cycles <= plan.predicted_allgather_cycles(m, hop));
+    prop_assert!(rs.cycles <= plan.predicted_collective_cycles(Collective::ReduceScatter, m, hop));
+    prop_assert!(ag.cycles <= plan.predicted_collective_cycles(Collective::Allgather, m, hop));
     // The mirrored halves cost the same, and each strictly less than the
     // two-phase allreduce.
     prop_assert_eq!(rs.cycles, ag.cycles);

@@ -25,8 +25,8 @@
 use pf_allreduce::{AllreducePlan, Budget, KaryMultitree};
 use pf_simnet::engine::Collective;
 use pf_simnet::{
-    DetectionConfig, FaultEvent, FaultKind, FaultSchedule, FaultTarget, MultiTreeEmbedding, SimConfig, Simulator,
-    TraceConfig, TraceReport, Workload,
+    DetectionConfig, FaultEvent, FaultKind, FaultSchedule, FaultTarget, MultiTreeEmbedding,
+    SimConfig, Simulator, TraceConfig, TraceReport, Workload,
 };
 use std::path::{Path, PathBuf};
 

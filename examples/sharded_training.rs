@@ -53,12 +53,12 @@ fn main() {
     println!(
         "  reduce-scatter {:>9} cycles (model {:>9})",
         rs.cycles,
-        plan.predicted_reduce_scatter_cycles(m, hop)
+        plan.predicted_collective_cycles(Collective::ReduceScatter, m, hop)
     );
     println!(
         "  allgather      {:>9} cycles (model {:>9})",
         ag.cycles,
-        plan.predicted_allgather_cycles(m, hop)
+        plan.predicted_collective_cycles(Collective::Allgather, m, hop)
     );
     println!("  FSDP step      {:>9} cycles", step);
     println!(

@@ -398,16 +398,18 @@ fn theorem_5_1_pipeline_model_predicts_simulated_cycles() {
     // On the edge-disjoint plan the model is exact per tree: every channel
     // carries one stream and each Hamiltonian path's midpoint root has two
     // equal arms, so nothing waits on arbitration or credits. Tree t then
-    // completes one cycle before `predicted_tree_cycles(depth, L, m_t, 1)`
-    // (the model counts the first element in both the fill and the
-    // drain), and element 0 lands everywhere after exactly one fill.
+    // completes one cycle before
+    // `predicted_tree_cycles(Allreduce, depth, L, m_t, 1)` (the model
+    // counts the first element in both the fill and the drain), and
+    // element 0 lands everywhere after exactly one fill.
     use pf_allreduce::perf::predicted_tree_cycles;
     use pf_allreduce::rational::Rational;
-    use pf_allreduce::{AllreducePlan, Solution};
+    use pf_allreduce::{AllreducePlan, Collective, Solution};
     use pf_simnet::{MultiTreeEmbedding, SimConfig, Simulator, Workload};
 
     let cfg = SimConfig::default();
     let hop = cfg.link_latency as u64;
+    let allreduce = Collective::Allreduce;
     let m = 2000;
     for q in [3u64, 7, 11] {
         let plans =
@@ -431,11 +433,9 @@ fn theorem_5_1_pipeline_model_predicts_simulated_cycles() {
             if plan.solution == Solution::EdgeDisjoint {
                 for (t, (tree, &m_t)) in plan.trees.iter().zip(&sizes).enumerate() {
                     if m_t > 0 {
-                        assert_eq!(
-                            r.tree_completion[t] + 1,
-                            predicted_tree_cycles(tree.depth(), hop, m_t, Rational::ONE),
-                            "q={q} edge-disjoint tree {t}"
-                        );
+                        let model =
+                            predicted_tree_cycles(allreduce, tree.depth(), hop, m_t, Rational::ONE);
+                        assert_eq!(r.tree_completion[t] + 1, model, "q={q} edge-disjoint tree {t}");
                     }
                 }
                 assert_eq!(r.first_element_latency, 2 * plan.depth as u64 * hop + 1, "q={q}");
@@ -451,15 +451,17 @@ fn figure_5b_low_depth_short_vectors_meet_the_pipeline_model_exactly() {
     // cycles, and the engine proves no two streams on a link ever hold a
     // flit in the same cycle. Every tree then runs at its contention-free
     // rate, so the Theorem 5.1 model is exact per tree — completion one
-    // cycle before `predicted_tree_cycles(depth, L, m_t, 1)` — and element
-    // 0 reaches every node after one fill, three hops up and three down.
+    // cycle before `predicted_tree_cycles(Allreduce, depth, L, m_t, 1)` —
+    // and element 0 reaches every node after one fill, three hops up and
+    // three down.
     use pf_allreduce::perf::predicted_tree_cycles;
     use pf_allreduce::rational::Rational;
-    use pf_allreduce::AllreducePlan;
+    use pf_allreduce::{AllreducePlan, Collective};
     use pf_simnet::{MultiTreeEmbedding, SimConfig, Simulator, Workload};
 
     let cfg = SimConfig::default();
     let hop = cfg.link_latency as u64;
+    let allreduce = Collective::Allreduce;
     for q in [7u64, 11] {
         let plan = AllreducePlan::low_depth(q).unwrap();
         assert_eq!(plan.depth, 3, "q={q}");
@@ -474,7 +476,7 @@ fn figure_5b_low_depth_short_vectors_meet_the_pipeline_model_exactly() {
             for (t, (tree, &m_t)) in plan.trees.iter().zip(&sizes).enumerate() {
                 assert_eq!(
                     r.tree_completion[t] + 1,
-                    predicted_tree_cycles(tree.depth(), hop, m_t, Rational::ONE),
+                    predicted_tree_cycles(allreduce, tree.depth(), hop, m_t, Rational::ONE),
                     "q={q} m={m} low-depth tree {t}"
                 );
             }
