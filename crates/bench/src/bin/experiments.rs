@@ -112,7 +112,6 @@ fn main() {
             let opts = pf_bench::perf_snapshot::SnapshotOptions {
                 scaling: flag("--scaling"),
                 gate: flag("--gate"),
-                max_threads: opt_u64("--threads", 8) as usize,
                 max_q,
             };
             if let Err(e) = pf_bench::perf_snapshot::print_perf_snapshot(

@@ -27,7 +27,7 @@ pub fn write_all(dir: &Path, max_q: u64) -> std::io::Result<Vec<PathBuf>> {
 
     // Figure 5a/5b series.
     let qs = prime_powers_in(3, max_q);
-    let points = pf_simnet::par::parallel_map(&qs, |&q| fig5_point(q, 30, 0x5EED ^ q));
+    let points = crate::par::parallel_map(&qs, |&q| fig5_point(q, 30, 0x5EED ^ q));
     let fig5a: Vec<Vec<String>> = qs
         .iter()
         .zip(&points)
@@ -158,7 +158,7 @@ mod tests {
                 })
                 .collect()
         };
-        let parallel = pf_simnet::par::parallel_map(&qs, |&q| fig5_point(q, 30, 0x5EED ^ q));
+        let parallel = crate::par::parallel_map(&qs, |&q| fig5_point(q, 30, 0x5EED ^ q));
         let serial: Vec<_> = qs.iter().map(|&q| fig5_point(q, 30, 0x5EED ^ q)).collect();
         assert_eq!(render(&parallel).into_bytes(), render(&serial).into_bytes());
     }

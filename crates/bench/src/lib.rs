@@ -11,6 +11,7 @@ pub mod csv;
 pub mod fabric_sweep;
 pub mod faults;
 pub mod figures;
+pub mod par;
 pub mod perf_snapshot;
 pub mod sched_sweep;
 pub mod sims;

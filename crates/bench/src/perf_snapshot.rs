@@ -404,20 +404,16 @@ pub fn regime_geomeans(points: &[PerfPoint]) -> Vec<(&'static str, f64)> {
 }
 
 /// One cell of the routers-per-second scaling curve: an edge-disjoint
-/// plan of radix `q` run saturated through the sharded engine at a given
-/// thread count.
+/// plan of radix `q` run saturated.
 #[derive(Debug, Clone)]
 pub struct ScalingPoint {
     /// PolarFly radix.
     pub q: u64,
     /// Routers in the fabric (`q² + q + 1`).
     pub routers: u32,
-    /// `SimConfig::threads` for this cell.
-    pub threads: usize,
     /// Vector length.
     pub m: u64,
-    /// Simulated cycles (identical across thread counts by the
-    /// determinism guarantee — asserted here).
+    /// Simulated cycles.
     pub cycles: u64,
     /// Best-of-runs wall time, seconds.
     pub wall_seconds: f64,
@@ -426,11 +422,10 @@ pub struct ScalingPoint {
     pub routers_per_sec: f64,
 }
 
-/// Measures the scaling curve: edge-disjoint plans (channel-disjoint
-/// trees, so the sharded mode has independent components to distribute)
-/// across radixes and thread counts. Cycle counts are asserted invariant
-/// across the thread ladder.
-pub fn collect_scaling(qs: &[u64], threads: &[usize], m: u64) -> Vec<ScalingPoint> {
+/// Measures the scaling curve: one saturated edge-disjoint plan per radix.
+/// Its trees never share a channel, so at the default config the engine
+/// reports them in closed form.
+pub fn collect_scaling(qs: &[u64], m: u64) -> Vec<ScalingPoint> {
     let mut out = Vec::new();
     for &q in qs {
         let Ok(plan) = AllreducePlan::edge_disjoint(q, 30, 1) else {
@@ -440,43 +435,27 @@ pub fn collect_scaling(qs: &[u64], threads: &[usize], m: u64) -> Vec<ScalingPoin
         let sizes = plan.split(m);
         let emb = MultiTreeEmbedding::new(&plan.graph, &plan.trees, &sizes);
         let w = Workload::new(routers, m);
-        let mut base_cycles = None;
-        for &t in threads {
-            let cfg = SimConfig { threads: t, ..SimConfig::default() };
-            let meas = measure("optimized", 2, || {
-                let r = Simulator::new(&plan.graph, &emb, cfg).run(&w);
-                assert!(
-                    r.completed && r.mismatches == 0,
-                    "scaling q={q} threads={t}: run must complete cleanly"
-                );
-                r.cycles
-            });
-            match base_cycles {
-                None => base_cycles = Some(meas.cycles),
-                Some(c) => assert_eq!(
-                    c, meas.cycles,
-                    "scaling q={q} threads={t}: thread count changed simulated cycles"
-                ),
-            }
-            out.push(ScalingPoint {
-                q,
-                routers,
-                threads: t,
-                m,
-                cycles: meas.cycles,
-                wall_seconds: meas.wall_seconds,
-                routers_per_sec: routers as f64 * meas.cycles as f64
-                    / meas.wall_seconds.max(1e-12),
-            });
-        }
+        let meas = measure("optimized", 2, || {
+            let r = Simulator::new(&plan.graph, &emb, SimConfig::default()).run(&w);
+            assert!(r.completed && r.mismatches == 0, "scaling q={q}: run must complete cleanly");
+            r.cycles
+        });
+        out.push(ScalingPoint {
+            q,
+            routers,
+            m,
+            cycles: meas.cycles,
+            wall_seconds: meas.wall_seconds,
+            routers_per_sec: routers as f64 * meas.cycles as f64 / meas.wall_seconds.max(1e-12),
+        });
     }
     out
 }
 
-/// Serializes the sweep as `pf-bench-simnet-perf-v2` JSON (schema in
-/// `docs/PERFORMANCE.md`; every v1 key is unchanged, v2 adds the
-/// `regime_geomeans` and `scaling` arrays). `collectives` is the
-/// byte-deterministic sharded-training regime (see
+/// Serializes the sweep as `pf-bench-simnet-perf-v3` JSON (schema in
+/// `docs/PERFORMANCE.md`; v2 added the `regime_geomeans` and `scaling`
+/// arrays to v1, and v3 drops the scaling cells' `threads` key).
+/// `collectives` is the byte-deterministic sharded-training regime (see
 /// [`crate::collectives`]), embedded under its own key so the wall-clock
 /// points stay separate from the cycle-exact rows.
 pub fn to_json(
@@ -507,14 +486,14 @@ pub fn to_json(
     };
     let scaling_cell = |s: &ScalingPoint| {
         Value::object([
-            ("q", s.q.into()), ("routers", s.routers.into()), ("threads", s.threads.into()),
-            ("m", s.m.into()), ("cycles", s.cycles.into()),
+            ("q", s.q.into()), ("routers", s.routers.into()), ("m", s.m.into()),
+            ("cycles", s.cycles.into()),
             ("wall_seconds", Value::fixed(s.wall_seconds, 6)),
             ("routers_per_sec", Value::fixed(s.routers_per_sec, 0)),
         ])
     };
     Value::object([
-        ("schema", "pf-bench-simnet-perf-v2".into()),
+        ("schema", "pf-bench-simnet-perf-v3".into()),
         ("summary", summarize(points).iter().map(summary).collect()),
         ("points", points.iter().map(point).collect()),
         ("regime_geomeans", regime_geomeans(points).iter().map(geomean).collect()),
@@ -525,19 +504,16 @@ pub fn to_json(
 }
 
 /// Options for [`print_perf_snapshot`], wired from the `experiments`
-/// CLI (`--scaling`, `--gate`, `--threads`).
+/// CLI (`--scaling`, `--gate`).
 #[derive(Debug, Clone, Default)]
 pub struct SnapshotOptions {
     /// Also measure the routers-per-second scaling curve (edge-disjoint
-    /// plans, q up to 31, the thread ladder) and embed it in the JSON.
+    /// plans, q up to 31) and embed it in the JSON.
     pub scaling: bool,
     /// After measuring, fail (return `Err`) if any regime's geomean
     /// speedup over the reference drops below 1.0× — the CI perf
     /// regression gate.
     pub gate: bool,
-    /// Thread ladder ceiling for the scaling sweep: cells are measured
-    /// at threads ∈ {1, 2, 4, 8} filtered to ≤ this value.
-    pub max_threads: usize,
     /// Radix ceiling for the scaling sweep ([`SCALING_QS`] entries above
     /// this are skipped) — wired from the CLI's `--max-q`.
     pub max_q: u64,
@@ -546,9 +522,6 @@ pub struct SnapshotOptions {
 /// Radixes of the scaling curve (edge-disjoint plans; the PolarFly
 /// grows to 993 routers at q = 31).
 pub const SCALING_QS: [u64; 5] = [11, 13, 19, 23, 31];
-
-/// Thread ladder of the scaling curve.
-pub const SCALING_THREADS: [usize; 4] = [1, 2, 4, 8];
 
 /// The `experiments perf-snapshot` entry point: measures, prints a table,
 /// and writes `out`. Returns `Err` with a description when the `--gate`
@@ -586,25 +559,17 @@ pub fn print_perf_snapshot(
         println!("regime {regime:<16} speedup (geomean over q): {g:.2}x");
     }
     let scaling = if opts.scaling {
-        let threads: Vec<usize> = SCALING_THREADS
-            .iter()
-            .copied()
-            .filter(|&t| t <= opts.max_threads.max(1))
-            .collect();
         let scaling_qs: Vec<u64> = SCALING_QS
             .iter()
             .copied()
             .filter(|&q| q <= opts.max_q)
             .collect();
-        let sc = collect_scaling(&scaling_qs, &threads, m.max(20_000));
-        println!(
-            "{:<5} {:>8} {:>8} {:>8} {:>9} {:>16}",
-            "q", "routers", "threads", "m", "cycles", "routers/sec"
-        );
+        let sc = collect_scaling(&scaling_qs, m.max(20_000));
+        println!("{:<5} {:>8} {:>8} {:>9} {:>16}", "q", "routers", "m", "cycles", "routers/sec");
         for s in &sc {
             println!(
-                "{:<5} {:>8} {:>8} {:>8} {:>9} {:>16.0}",
-                s.q, s.routers, s.threads, s.m, s.cycles, s.routers_per_sec
+                "{:<5} {:>8} {:>8} {:>9} {:>16.0}",
+                s.q, s.routers, s.m, s.cycles, s.routers_per_sec
             );
         }
         sc
@@ -659,21 +624,19 @@ mod tests {
         keys.push(EDGE_DISJOINT_SATURATED);
         assert_eq!(geo.iter().map(|&(k, _)| k).collect::<Vec<_>>(), keys);
         assert!(geo.iter().all(|&(_, g)| g > 0.0));
-        let scaling = collect_scaling(&[3], &[1, 2], 400);
-        assert_eq!(scaling.len(), 2);
-        for s in &scaling {
-            assert_eq!(s.q, 3);
-            assert!(s.routers_per_sec > 0.0);
-            assert_eq!(s.cycles, scaling[0].cycles, "cycles must not depend on threads");
-        }
+        let scaling = collect_scaling(&[3], 400);
+        assert_eq!(scaling.len(), 1);
+        assert_eq!((scaling[0].q, scaling[0].routers), (3, 13));
+        assert!(scaling[0].cycles > 0 && scaling[0].routers_per_sec > 0.0);
         let collectives = crate::collectives::collect(&[3], 400);
         let json = to_json(&points, &collectives, &scaling);
-        assert!(json.contains("pf-bench-simnet-perf-v2"));
+        assert!(json.contains("pf-bench-simnet-perf-v3"));
         assert!(json.contains("\"regime\": \"latency\""));
         assert!(json.contains("\"allreduce_speedup\""));
         assert!(json.contains("\"regime_geomeans\": ["));
         assert!(json.contains("\"scaling\": ["));
         assert!(json.contains("\"routers_per_sec\""));
+        assert!(!json.contains("\"threads\""));
         assert!(json.contains("\"collectives\": ["));
         assert!(json.contains("\"collective\": \"allgather\""));
     }

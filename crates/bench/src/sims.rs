@@ -445,7 +445,7 @@ pub fn print_ablation_logical(qs: &[u64]) {
                 route_usage(g, &LogicalTree::kary(n, q as u32 + 1, (i * (n / q as u32).max(1)) % n))
             })
             .collect();
-        let a = assign_bandwidth_weighted(g, &usages, Rational::ONE);
+        let a = assign_bandwidth_weighted(g, &usages);
         println!(
             "{:>4} {:>22} {:>7} {:>11} {:>12.4} {:>9}",
             q,

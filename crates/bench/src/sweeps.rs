@@ -67,7 +67,7 @@ pub fn print_fig5a(lo: u64, hi: u64) {
         "q", "radix", "low-depth (norm)", "Hamiltonian (norm)"
     );
     let qs = prime_powers_in(lo, hi);
-    let points = pf_simnet::par::parallel_map(&qs, |&q| fig5_point(q, 30, 0x5EED ^ q));
+    let points = crate::par::parallel_map(&qs, |&q| fig5_point(q, 30, 0x5EED ^ q));
     for (q, p) in qs.iter().copied().zip(points) {
         let tag = if p.low_depth_formula { " (formula)" } else { "" };
         println!(
@@ -140,7 +140,7 @@ pub fn print_disjoint_sweep(lo: u64, hi: u64, exact: bool) {
     );
     let mut all_optimal = true;
     let qs = prime_powers_in(lo, hi);
-    let results = pf_simnet::par::parallel_map(&qs, |&q| {
+    let results = crate::par::parallel_map(&qs, |&q| {
         if exact {
             let s = Singer::new(q);
             let sol = find_edge_disjoint_exact(&s);

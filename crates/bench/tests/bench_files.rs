@@ -56,7 +56,7 @@ fn fabric_points_reproduce_the_committed_cells() {
 #[test]
 fn collective_cells_reproduce_the_committed_cells() {
     let committed = json::parse(&read("BENCH_simnet.json")).expect("BENCH_simnet.json parses");
-    let doc = committed.document("pf-bench-simnet-perf-v2").expect("simnet bench schema");
+    let doc = committed.document("pf-bench-simnet-perf-v3").expect("simnet bench schema");
     let cells = doc.get_array("collectives").unwrap();
     let (mut qs, mut ms) = (Vec::new(), Vec::new());
     for cell in cells {

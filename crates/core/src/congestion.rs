@@ -8,7 +8,7 @@
 //! bottleneck candidates; we break ties deterministically by edge id.
 
 use crate::rational::Rational;
-use pf_graph::{Graph, RootedTree};
+use pf_graph::{EdgeId, Graph, RootedTree};
 
 /// Per-tree bandwidth assignment computed by Algorithm 1.
 #[derive(Debug, Clone)]
@@ -37,50 +37,55 @@ impl BandwidthAssignment {
     }
 }
 
-/// Runs Algorithm 1: computes the bandwidth of each tree in `trees` when
-/// embedded concurrently in `g` with uniform link bandwidth
-/// `link_bandwidth`.
+/// Runs Algorithm 1 on weighted embeddings: `trees[i]` lists the
+/// `(edge, w)` pairs of tree `i`, each edge once with `w ≥ 1`, and the
+/// tree consumes `w · B_i` of unit link bandwidth on each such edge;
+/// `C(e)` is the sum of the weights on `e`. Each round takes the
+/// bottleneck edge, `argmin L(e)/C(e)` with ties to the lowest edge id,
+/// and assigns that ratio to its unassigned trees in index order. A tree
+/// that touches no edge (a one-vertex network) streams at the full link
+/// bandwidth.
 ///
-/// Every tree must be a validated spanning tree of `g` (panics otherwise —
-/// validate with [`RootedTree::validate_spanning`] first).
+/// A physical tree has weight 1 on each of its edges
+/// ([`assign_unit_bandwidth`]); a logical tree routed over the topology
+/// may cross an edge more than once
+/// ([`crate::logical::assign_bandwidth_weighted`]).
 ///
 /// ```
-/// use pf_allreduce::congestion::assign_unit_bandwidth;
-/// use pf_graph::{Graph, RootedTree};
+/// use pf_allreduce::congestion::assign_bandwidth;
+/// use pf_graph::Graph;
 /// let mut g = Graph::new(3);
 /// g.add_edge(0, 1); g.add_edge(1, 2); g.add_edge(0, 2);
-/// let t = RootedTree::from_path(&[0, 1, 2], 0).unwrap();
-/// // Two copies of the same tree share every link: 1/2 each.
-/// let a = assign_unit_bandwidth(&g, &[t.clone(), t]);
+/// // Two copies of the path 0-1-2 share every link: 1/2 each.
+/// let path = vec![(0, 1), (1, 1)];
+/// let a = assign_bandwidth(&g, &[path.clone(), path]);
 /// assert_eq!(a.aggregate().to_string(), "1");
 /// assert_eq!(a.max_congestion, 2);
+/// // One tree crossing link 0 twice gets half of it.
+/// let a = assign_bandwidth(&g, &[vec![(0, 2), (1, 1)]]);
+/// assert_eq!(a.per_tree[0].to_string(), "1/2");
 /// ```
-pub fn assign_bandwidth(
-    g: &Graph,
-    trees: &[RootedTree],
-    link_bandwidth: Rational,
-) -> BandwidthAssignment {
+pub fn assign_bandwidth(g: &Graph, trees: &[Vec<(EdgeId, u32)>]) -> BandwidthAssignment {
     let ne = g.num_edges() as usize;
     let nt = trees.len();
-    // Tree -> edge-id list; edge -> trees containing it.
-    let tree_edges: Vec<Vec<u32>> = trees.iter().map(|t| t.edge_ids(g)).collect();
+    // Edge -> trees crossing it, in index order.
     let mut edge_trees: Vec<Vec<usize>> = vec![Vec::new(); ne];
-    for (ti, ids) in tree_edges.iter().enumerate() {
-        for &e in ids {
+    let mut congestion = vec![0u32; ne]; // C(e)
+    for (ti, edges) in trees.iter().enumerate() {
+        for &(e, w) in edges {
             edge_trees[e as usize].push(ti);
+            congestion[e as usize] += w;
         }
     }
-
-    let mut avail = vec![link_bandwidth; ne]; // L(e)
     // C(e), captured before the water-filling loop decrements it.
-    let per_edge: Vec<u32> = edge_trees.iter().map(|ts| ts.len() as u32).collect();
-    let mut congestion = per_edge.clone();
+    let per_edge = congestion.clone();
     let max_congestion = per_edge.iter().copied().max().unwrap_or(0);
 
-    let mut bw = vec![Rational::ZERO; nt];
-    let mut assigned = vec![false; nt];
+    let mut avail = vec![Rational::ONE; ne]; // L(e)
+    let mut bw = vec![Rational::ONE; nt];
+    let mut assigned: Vec<bool> = trees.iter().map(Vec::is_empty).collect();
     let mut edge_alive: Vec<bool> = congestion.iter().map(|&c| c > 0).collect();
-    let mut remaining = nt;
+    let mut remaining = assigned.iter().filter(|&&a| !a).count();
 
     while remaining > 0 {
         // e_min = argmin L(e) / C(e) over live edges.
@@ -99,19 +104,17 @@ pub fn assign_bandwidth(
 
         // Assign `share` to every unassigned tree through emin, then
         // release that bandwidth on all their links.
-        let through: Vec<usize> = edge_trees[emin]
-            .iter()
-            .copied()
-            .filter(|&ti| !assigned[ti])
-            .collect();
-        debug_assert!(!through.is_empty());
-        for ti in through {
+        for &ti in &edge_trees[emin] {
+            if assigned[ti] {
+                continue;
+            }
             bw[ti] = share;
             assigned[ti] = true;
             remaining -= 1;
-            for &e in &tree_edges[ti] {
-                avail[e as usize] -= share;
-                congestion[e as usize] -= 1;
+            for &(e, w) in &trees[ti] {
+                avail[e as usize] -=
+                    if w == 1 { share } else { share * Rational::from_int(i64::from(w)) };
+                congestion[e as usize] -= w;
             }
         }
         edge_alive[emin] = false;
@@ -120,9 +123,15 @@ pub fn assign_bandwidth(
     BandwidthAssignment { per_tree: bw, per_edge, max_congestion }
 }
 
-/// Convenience wrapper with unit link bandwidth.
+/// Runs Algorithm 1 on physical trees: the bandwidth of each tree in
+/// `trees` when embedded concurrently in `g` with unit link bandwidth.
+///
+/// Every tree must be a validated spanning tree of `g` (panics otherwise —
+/// validate with [`RootedTree::validate_spanning`] first).
 pub fn assign_unit_bandwidth(g: &Graph, trees: &[RootedTree]) -> BandwidthAssignment {
-    assign_bandwidth(g, trees, Rational::ONE)
+    let edges: Vec<Vec<(EdgeId, u32)>> =
+        trees.iter().map(|t| t.edge_ids(g).into_iter().map(|e| (e, 1)).collect()).collect();
+    assign_bandwidth(g, &edges)
 }
 
 #[cfg(test)]
@@ -229,11 +238,15 @@ mod tests {
     }
 
     #[test]
-    fn scales_with_link_bandwidth() {
-        let g = cycle(4);
-        let t = RootedTree::from_path(&[0, 1, 2, 3], 0).unwrap();
-        let a = assign_bandwidth(&g, &[t.clone(), t], Rational::from_int(10));
-        assert_eq!(a.per_tree, vec![Rational::from_int(5); 2]);
+    fn trees_without_links_stream_at_link_rate() {
+        // On a one-vertex network a spanning tree has no edge to share.
+        let g = Graph::new(1);
+        let t = RootedTree::from_parents(0, vec![None]).unwrap();
+        let a = assign_unit_bandwidth(&g, &[t.clone(), t]);
+        assert_eq!(a.per_tree, vec![Rational::ONE; 2]);
+        assert_eq!(a.aggregate(), Rational::from_int(2));
+        assert_eq!(a.max_congestion, 0);
+        assert!(a.per_edge.is_empty());
     }
 
     #[test]

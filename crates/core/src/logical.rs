@@ -8,14 +8,13 @@
 //! a physical link's bandwidth is shared by *every logical edge crossing
 //! it* — including several edges of the same tree.
 //!
-//! [`assign_bandwidth_weighted`] generalizes Algorithm 1 to these weighted
-//! embeddings (a physical tree is the special case with all weights 1),
+//! [`assign_bandwidth_weighted`] prices these weighted embeddings with
+//! Algorithm 1 (a physical tree is the special case with all weights 1),
 //! which makes the paper's physically-embedded solutions directly
 //! comparable against logical trees (the `ablation-logical` experiment).
 
-use crate::congestion::BandwidthAssignment;
-use crate::rational::Rational;
-use pf_graph::{bfs, Graph, VertexId};
+use crate::congestion::{assign_bandwidth, BandwidthAssignment};
+use pf_graph::{bfs, EdgeId, Graph, VertexId};
 
 /// A rooted aggregation tree whose edges need not be physical links.
 #[derive(Debug, Clone)]
@@ -89,69 +88,20 @@ pub fn route_usage(g: &Graph, tree: &LogicalTree) -> Vec<u32> {
 }
 
 /// Weighted water-filling: max–min fair per-tree bandwidth where tree `i`
-/// consumes `w_i(e) · B_i` on physical edge `e`. With all weights in
-/// `{0, 1}` this is exactly Algorithm 1.
-pub fn assign_bandwidth_weighted(
-    g: &Graph,
-    usages: &[Vec<u32>],
-    link_bandwidth: Rational,
-) -> BandwidthAssignment {
+/// consumes `usages[i][e] · B_i` of unit link bandwidth on physical edge
+/// `e` (dense weight vectors, as [`route_usage`] returns them). With all
+/// weights in `{0, 1}` this is exactly Algorithm 1; both run
+/// [`assign_bandwidth`].
+pub fn assign_bandwidth_weighted(g: &Graph, usages: &[Vec<u32>]) -> BandwidthAssignment {
     let ne = g.num_edges() as usize;
-    let nt = usages.len();
-    for u in usages {
-        assert_eq!(u.len(), ne, "one weight per physical edge");
-    }
-    let mut avail = vec![link_bandwidth; ne];
-    let mut weight: Vec<u64> =
-        (0..ne).map(|e| usages.iter().map(|u| u[e] as u64).sum()).collect();
-    // Weighted C(e), captured before water-filling decrements it.
-    let per_edge: Vec<u32> = weight.iter().map(|&w| w as u32).collect();
-    let max_congestion = weight.iter().copied().max().unwrap_or(0) as u32;
-
-    let mut bw = vec![Rational::ZERO; nt];
-    let mut assigned = vec![false; nt];
-    let mut edge_alive: Vec<bool> = weight.iter().map(|&w| w > 0).collect();
-    let mut remaining = usages.iter().filter(|u| u.iter().any(|&w| w > 0)).count();
-    // Trees that touch no physical edge at all (single-node networks)
-    // stream at full link bandwidth by convention.
-    for (i, u) in usages.iter().enumerate() {
-        if u.iter().all(|&w| w == 0) {
-            bw[i] = link_bandwidth;
-            assigned[i] = true;
-        }
-    }
-
-    while remaining > 0 {
-        let mut best: Option<(Rational, usize)> = None;
-        for e in 0..ne {
-            if !edge_alive[e] || weight[e] == 0 {
-                continue;
-            }
-            let ratio = avail[e] / Rational::from_int(weight[e] as i64);
-            match best {
-                Some((b, _)) if b <= ratio => {}
-                _ => best = Some((ratio, e)),
-            }
-        }
-        let (share, emin) = best.expect("live edges must remain while trees are unassigned");
-        for i in 0..nt {
-            if assigned[i] || usages[i][emin] == 0 {
-                continue;
-            }
-            bw[i] = share;
-            assigned[i] = true;
-            remaining -= 1;
-            for (e, &w) in usages[i].iter().enumerate() {
-                if w > 0 {
-                    avail[e] -= share * Rational::from_int(w as i64);
-                    weight[e] -= w as u64;
-                }
-            }
-        }
-        edge_alive[emin] = false;
-    }
-
-    BandwidthAssignment { per_tree: bw, per_edge, max_congestion }
+    let trees: Vec<Vec<(EdgeId, u32)>> = usages
+        .iter()
+        .map(|u| {
+            assert_eq!(u.len(), ne, "one weight per physical edge");
+            (0..ne as EdgeId).zip(u.iter().copied()).filter(|&(_, w)| w > 0).collect()
+        })
+        .collect();
+    assign_bandwidth(g, &trees)
 }
 
 #[cfg(test)]
@@ -159,6 +109,7 @@ mod tests {
     use super::*;
     use crate::congestion::assign_unit_bandwidth;
     use crate::lowdepth::low_depth_trees;
+    use crate::rational::Rational;
     use pf_topo::PolarFly;
 
     #[test]
@@ -206,7 +157,7 @@ mod tests {
             let total: u32 = u.iter().sum();
             assert_eq!(total as usize, t.edges().count());
         }
-        let weighted = assign_bandwidth_weighted(g, &usages, Rational::ONE);
+        let weighted = assign_bandwidth_weighted(g, &usages);
         let classic = assign_unit_bandwidth(g, &out.trees);
         assert_eq!(weighted.per_tree, classic.per_tree);
         assert_eq!(weighted.aggregate(), classic.aggregate());
@@ -224,7 +175,7 @@ mod tests {
         let logical: Vec<Vec<u32>> = (0..7u32)
             .map(|i| route_usage(g, &LogicalTree::kary(n, radix, i * 8 % n)))
             .collect();
-        let a = assign_bandwidth_weighted(g, &logical, Rational::ONE);
+        let a = assign_bandwidth_weighted(g, &logical);
         let structured = low_depth_trees(&pf, None).unwrap();
         let b = assign_unit_bandwidth(g, &structured.trees);
         assert!(
@@ -245,7 +196,7 @@ mod tests {
         let g = pf.graph();
         let t = LogicalTree::kary(g.num_vertices(), 2, 0);
         let u = route_usage(g, &t);
-        let a = assign_bandwidth_weighted(g, std::slice::from_ref(&u), Rational::ONE);
+        let a = assign_bandwidth_weighted(g, std::slice::from_ref(&u));
         if u.iter().any(|&w| w > 1) {
             assert!(a.per_tree[0] < Rational::ONE);
         }
@@ -256,7 +207,7 @@ mod tests {
     fn empty_usage_full_bandwidth() {
         let mut g = Graph::new(2);
         g.add_edge(0, 1);
-        let a = assign_bandwidth_weighted(&g, &[vec![0]], Rational::ONE);
+        let a = assign_bandwidth_weighted(&g, &[vec![0]]);
         assert_eq!(a.per_tree, vec![Rational::ONE]);
     }
 }

@@ -400,9 +400,7 @@ fn constructed_plans_match_under_faults() {
 fn batched_steady_state_matches_at_scale() {
     // Large m drives the run into a long saturated steady state, so the
     // batch replay (engine.rs `batch_step`) covers most of the simulated
-    // cycles — and the deterministic sharded mode must merge back to the
-    // same bytes. Three-way check: reference, optimized single-thread
-    // (batched), optimized sharded.
+    // cycles.
     for q in [5u64, 7, 11] {
         let plan = AllreducePlan::low_depth(q).unwrap();
         let m = 20_000;
@@ -410,27 +408,20 @@ fn batched_steady_state_matches_at_scale() {
         let emb = MultiTreeEmbedding::new(&plan.graph, &plan.trees, &sizes);
         let w = Workload::new(plan.graph.num_vertices(), m);
         let kind = Collective::Allreduce;
-        let ref_report =
-            Simulator::new(&plan.graph, &emb, SimConfig::default()).run_reference(&w, kind).report;
+        let sim = || Simulator::new(&plan.graph, &emb, SimConfig::default());
+        let ref_report = sim().run_reference(&w, kind).report;
         assert!(ref_report.completed && ref_report.mismatches == 0);
-        for threads in [1usize, 2, 4, 8] {
-            let cfg = SimConfig { threads, ..SimConfig::default() };
-            let report =
-                Simulator::new(&plan.graph, &emb, cfg).run_jobs_collective(&w, &[], kind).report;
-            assert_eq!(
-                report, ref_report,
-                "batched saturated q={q} threads={threads}: SimReport diverged"
-            );
-        }
+        let report = sim().run_jobs_collective(&w, &[], kind).report;
+        assert_eq!(report, ref_report, "batched saturated q={q}: SimReport diverged");
     }
 }
 
 #[test]
 fn batched_contention_jobs_match_across_threads() {
     // Two tenants on disjoint tree halves (the perf-snapshot contention
-    // regime): the job accounting path must be byte-deterministic across
-    // thread counts, and the engine decisions must coincide with the
-    // reference running the identical embedding as one plain collective.
+    // regime), both released at cycle 0: the job accounting path must step
+    // exactly as the reference steps the identical embedding as one plain
+    // collective, and each job must deliver every element it owns.
     use crate::engine::JobBinding;
     use crate::workload::{JobSegment, ReduceKind};
 
@@ -474,19 +465,8 @@ fn batched_contention_jobs_match_across_threads() {
         let base = Simulator::new(&plan.graph, &emb, SimConfig::default())
             .run_jobs_collective(&w, &bindings, Collective::Allreduce);
         assert!(base.report.completed && base.report.mismatches == 0);
-        for threads in [2usize, 4, 8] {
-            let cfg = SimConfig { threads, ..SimConfig::default() };
-            let run = Simulator::new(&plan.graph, &emb, cfg)
-                .run_jobs_collective(&w, &bindings, Collective::Allreduce);
-            assert_eq!(
-                run.report, base.report,
-                "contention q={q} threads={threads}: SimReport diverged"
-            );
-            assert_eq!(
-                run.jobs, base.jobs,
-                "contention q={q} threads={threads}: job outcomes diverged"
-            );
-        }
+        let n = u64::from(plan.graph.num_vertices());
+        assert!(base.jobs.iter().all(|j| j.mismatches == 0 && j.deliveries == j.elems * n));
         let ref_report = Simulator::new(&plan.graph, &emb, SimConfig::default())
             .run_reference(&w, Collective::Allreduce)
             .report;
@@ -565,25 +545,19 @@ fn edge_disjoint(q: u64) -> AllreducePlan {
 }
 
 /// Every collective at `m` and link latency 1 and 4 on `plan`: one
-/// reference run each, and the optimized engine at threads 1 and 2 must
-/// reproduce its report byte for byte.
+/// reference run each, and the optimized engine must reproduce its report
+/// byte for byte.
 fn closed_form_matrix(plan: &AllreducePlan, q: u64) {
     for m in [0u64, 1, 2, 13, 4_000] {
         for link_latency in [1u32, 4] {
             let mut case = Case::new(plan.clone(), m);
             let emb = case.embedding();
             let w = Workload::new(plan.graph.num_vertices(), m);
+            case.cfg = SimConfig { link_latency, ..SimConfig::default() };
             for kind in COLLECTIVES {
-                case.cfg = SimConfig { link_latency, ..SimConfig::default() };
                 let refr = case.sim(&emb).run_reference(&w, kind).report;
-                for threads in [1usize, 2] {
-                    case.cfg.threads = threads;
-                    let opt = case.sim(&emb).run_jobs_collective(&w, &[], kind).report;
-                    assert_eq!(
-                        opt, refr,
-                        "closed form q={q} m={m} L={link_latency} threads={threads} {kind:?}"
-                    );
-                }
+                let opt = case.sim(&emb).run_jobs_collective(&w, &[], kind).report;
+                assert_eq!(opt, refr, "closed form q={q} m={m} L={link_latency} {kind:?}");
             }
         }
     }
@@ -645,25 +619,16 @@ fn mixed_embedding(plan: &AllreducePlan, dup: &[usize], m: u64) -> MultiTreeEmbe
 
 #[test]
 fn closed_form_mixed_embeddings_match() {
-    // One shared pair steps single-threaded beside the closed-form trees;
-    // two shared pairs also shard at threads 2. Either way the parts merge
-    // into the reference report.
+    // One or two shared pairs step beside the closed-form trees, and the
+    // two parts merge into the reference report.
     let plan = edge_disjoint(7);
     let m = 4_000;
     let w = Workload::new(plan.graph.num_vertices(), m);
     for dup in [&[0usize][..], &[0, 1]] {
         let emb = mixed_embedding(&plan, dup, m);
+        let case = Case::new(plan.clone(), m);
         for kind in COLLECTIVES {
-            let mut case = Case::new(plan.clone(), m);
-            for threads in [1usize, 2] {
-                case.cfg.threads = threads;
-                case.assert_identical_on(
-                    &emb,
-                    &w,
-                    kind,
-                    &format!("mixed dup={dup:?} threads={threads} {kind:?}"),
-                );
-            }
+            case.assert_identical_on(&emb, &w, kind, &format!("mixed dup={dup:?} {kind:?}"));
         }
     }
 }
@@ -693,14 +658,11 @@ fn closed_form_jobs_with_releases_match_traced_stepping() {
                 .with_trace(TraceConfig::counters())
                 .run_jobs_collective(&w, &bindings, kind);
             assert!(traced.report.completed && traced.report.mismatches == 0);
-            for threads in [1usize, 2] {
-                let cfg = SimConfig { threads, ..SimConfig::default() };
-                let run =
-                    Simulator::new(&plan.graph, emb, cfg).run_jobs_collective(&w, &bindings, kind);
-                let at = format!("{label} threads={threads} {kind:?}");
-                assert_eq!(run.report, traced.report, "{at}: report diverged");
-                assert_eq!(run.jobs, traced.jobs, "{at}: job outcomes diverged");
-            }
+            let run = Simulator::new(&plan.graph, emb, SimConfig::default())
+                .run_jobs_collective(&w, &bindings, kind);
+            let at = format!("{label} {kind:?}");
+            assert_eq!(run.report, traced.report, "{at}: report diverged");
+            assert_eq!(run.jobs, traced.jobs, "{at}: job outcomes diverged");
         }
     }
 }
@@ -794,22 +756,18 @@ fn fabric_plans(q: u64) -> Vec<(AllreducePlan, String)> {
 }
 
 /// Every collective of every [`fabric_plans`] shape at radix `q` and each
-/// length of `ms`, at threads 1 and 2, against the reference.
+/// length of `ms`, against the reference.
 fn fabric_shapes_match_reference(q: u64, ms: impl IntoIterator<Item = u64> + Clone) {
     for (plan, label) in fabric_plans(q) {
         let n = plan.graph.num_vertices();
         for m in ms.clone() {
-            let mut case = Case::new(plan.clone(), m);
+            let case = Case::new(plan.clone(), m);
             let emb = case.embedding();
             let w = Workload::new(n, m);
             for kind in COLLECTIVES {
-                case.cfg.threads = 1;
                 let refr = case.sim(&emb).run_reference(&w, kind).report;
-                for threads in [1usize, 2] {
-                    case.cfg.threads = threads;
-                    let opt = case.sim(&emb).run_jobs_collective(&w, &[], kind).report;
-                    assert_eq!(opt, refr, "{label} m={m} threads={threads} {kind:?}");
-                }
+                let opt = case.sim(&emb).run_jobs_collective(&w, &[], kind).report;
+                assert_eq!(opt, refr, "{label} m={m} {kind:?}");
             }
         }
     }
@@ -820,8 +778,8 @@ fn closed_form_fabric_shapes_match_reference() {
     // Every fabric wave runs one of these plans on a short vector, where
     // the healthy plan takes the closed form whole and a degraded plan
     // often steps (a repair may put two reduce streams on one channel). The
-    // closed form, the stepper and the sharded mode must all reproduce
-    // the reference at every size the short-job stream draws.
+    // closed form and the stepper must both reproduce the reference at
+    // every size the short-job stream draws.
     for q in [5u64, 7] {
         fabric_shapes_match_reference(q, 16u64..=64);
     }
@@ -857,8 +815,8 @@ fn closed_form_stalled_subtrees_match_reference() {
 }
 
 /// A multi-tenant wave of `plan` at each length of `ms`: `bindings` under
-/// every collective, at threads 1 and 2. Traced stepping is the oracle, as
-/// the reference has no releases.
+/// every collective. Traced stepping is the oracle, as the reference has no
+/// releases.
 fn wave_matches_traced_stepping(
     plan: &AllreducePlan,
     label: &str,
@@ -874,14 +832,11 @@ fn wave_matches_traced_stepping(
                 .with_trace(TraceConfig::counters())
                 .run_jobs_collective(&w, bindings, kind);
             assert!(traced.report.completed && traced.report.mismatches == 0, "{label} m={m}");
-            for threads in [1usize, 2] {
-                let cfg = SimConfig { threads, ..SimConfig::default() };
-                let run =
-                    Simulator::new(&plan.graph, &emb, cfg).run_jobs_collective(&w, bindings, kind);
-                let at = format!("{label} m={m} threads={threads} {kind:?}");
-                assert_eq!(run.report, traced.report, "{at}: report diverged");
-                assert_eq!(run.jobs, traced.jobs, "{at}: job outcomes diverged");
-            }
+            let run = Simulator::new(&plan.graph, &emb, SimConfig::default())
+                .run_jobs_collective(&w, bindings, kind);
+            let at = format!("{label} m={m} {kind:?}");
+            assert_eq!(run.report, traced.report, "{at}: report diverged");
+            assert_eq!(run.jobs, traced.jobs, "{at}: job outcomes diverged");
         }
     }
 }
@@ -1234,6 +1189,69 @@ mod closed_form_props {
             let opt = Simulator::new(&g, &emb, cfg).run_jobs_collective(&w, &[], kind).report;
             let refr = Simulator::new(&g, &emb, cfg).run_reference(&w, kind).report;
             prop_assert_eq!(opt, refr);
+        }
+    }
+}
+
+mod segmented_props {
+    use super::*;
+    use crate::workload::{JobSegment, ReduceKind};
+    use proptest::prelude::*;
+
+    /// One random workload segment: length, operator, and an optional
+    /// participant subset (non-participants contribute the identity).
+    fn segment(n: u32) -> impl Strategy<Value = JobSegment> {
+        (
+            1u64..2_000,
+            any::<bool>(),
+            any::<bool>(),
+            prop::collection::vec(0..n, 1..n as usize),
+        )
+            .prop_map(|(elems, float, full, picks)| {
+                let subset: std::collections::BTreeSet<u32> = picks.into_iter().collect();
+                JobSegment {
+                    elems,
+                    kind: if float { ReduceKind::FloatF64 } else { ReduceKind::WrappingU64 },
+                    participants: (!full).then(|| subset.into_iter().collect()),
+                }
+            })
+    }
+
+    /// The low-depth plan at `q` over one to two random segments, run
+    /// through both engines under `kind` (traced when `trace` is set).
+    fn segmented_matches(q: u64, segs: &[JobSegment], kind: Collective, trace: bool) {
+        let plan = AllreducePlan::low_depth(q).expect("odd prime power");
+        let w = Workload::concat(plan.graph.num_vertices(), segs);
+        let mut case = Case::new(plan, segs.iter().map(|s| s.elems).sum());
+        case.trace = trace.then(TraceConfig::counters);
+        let label = format!("segmented q={q} {kind:?} {segs:?}");
+        case.assert_identical_on(&case.embedding(), &w, kind, &label);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        /// Random segmented workloads (u64 and f64 segments, participant
+        /// subsets) through every collective: the report must be the
+        /// reference's, whichever trees take the closed form.
+        #[test]
+        fn segmented_workloads_match_the_reference(
+            q in prop::sample::select(vec![5u64, 7, 11]),
+            segs in prop::collection::vec(segment(24), 1..3),
+            kind in prop::sample::select(COLLECTIVES.to_vec()),
+        ) {
+            segmented_matches(q, &segs, kind, false);
+        }
+
+        /// The same workloads traced: the trace's JSON bytes, every
+        /// per-cycle row included, must be the reference's.
+        #[test]
+        fn segmented_workloads_match_the_reference_trace_bytes(
+            q in prop::sample::select(vec![5u64, 7]),
+            segs in prop::collection::vec(segment(24), 1..3),
+            kind in prop::sample::select(COLLECTIVES.to_vec()),
+        ) {
+            segmented_matches(q, &segs, kind, true);
         }
     }
 }

@@ -37,7 +37,7 @@
 //!   to the earliest in-flight arrival or fault-schedule transition instead
 //!   of ticking idly (latency tails, drain phases, fault-frozen fabrics).
 //!
-//! Three further layers sit on top of the active sets (all introduced for
+//! Two further layers sit on top of the active sets (both introduced for
 //! the saturated/contention regimes, where every cycle makes progress and
 //! idle-skip never fires — see `docs/PERFORMANCE.md` for the derivations):
 //!
@@ -52,7 +52,9 @@
 //!   report follows from that timing plus the blockwise value pass the
 //!   batch replay uses. Edge-disjoint plans take this path at any length,
 //!   low-depth plans while their vectors are short; the other trees step
-//!   as below and the parts merge like shards.
+//!   as below, in one run masked to them, and the two parts merge. Every
+//!   digest is an order-independent wrapping sum, so the merge is
+//!   byte-identical to stepping every tree.
 //! * **Batch spans** — when the run is in steady state, consecutive cycles
 //!   repeat the same fire/drain/arrival pattern exactly. The engine arms a
 //!   full *shape* snapshot (queue lengths, active sets, round-robin
@@ -69,12 +71,6 @@
 //!   element with the reduction combine vectorized over contiguous element
 //!   runs. This extends idle-skip from "skip when nothing happens" to
 //!   "skip when the same thing happens every cycle".
-//! * **Deterministic sharding** ([`SimConfig::threads`]) — trees that share
-//!   no live directed channel have fully independent state, so connected
-//!   components of the tree/channel sharing graph are simulated on worker
-//!   threads and their reports merged in a fixed order; every digest is an
-//!   order-independent wrapping sum, so the merge is byte-identical to the
-//!   single-threaded run. The closed-form trees join the same merge.
 //!
 //! All queue state lives in flat, pre-sized ring-buffer arenas — the steady
 //! state allocates nothing. The pre-optimization stepper is retained as
@@ -129,14 +125,9 @@ pub struct SimConfig {
     /// links at once; multi-tree allreduce needs ~aggregate-bandwidth
     /// injection per node, which this knob makes explicit).
     pub max_injections_per_node: Option<u32>,
-    /// Worker threads for the deterministic sharded mode (`<= 1` =
-    /// single-threaded). When the embedded trees split into two or more
-    /// channel-disjoint components and nothing couples them (no tracer, no
-    /// fault layer, no per-node caps), the components are simulated
-    /// concurrently and merged deterministically: reports, digests and
-    /// per-job outcomes are byte-identical to the single-threaded run
-    /// (difftested and property-tested). When sharding does not apply, the
-    /// run silently falls back to one thread.
+    /// Ignored: a run steps on the calling thread whatever this holds, and
+    /// trees that never meet take the closed form instead. The field stays
+    /// only so that configurations which still set it compile.
     pub threads: usize,
 }
 
@@ -397,34 +388,23 @@ impl<'a> Simulator<'a> {
         );
 
         // Trees that never meet another live stream take the closed form,
-        // and the rest split into channel-disjoint shards when threads
-        // allow: both need trees with fully independent state. Anything
-        // that couples them — a tracer (global timeline), a fault layer
-        // (global detector clock), or per-node caps (budgets shared across
-        // trees) — forces one stepped run over the whole fabric.
-        let closed = ClosedForm::select(&self, kind, bindings);
-        let coupled = self.couples_trees();
-        let Simulator { emb, cfg, tracer, faults } = self;
-        let stepped: Vec<bool> = emb
-            .trees
-            .iter()
-            .enumerate()
-            .map(|(ti, t)| t.len > 0 && !closed.as_ref().is_some_and(|c| c.takes(ti)))
-            .collect();
-        let shards = if coupled { None } else { shard_masks(emb, kind, cfg.threads, &stepped) };
-        if closed.is_none() && shards.is_none() {
+        // and the rest step in one run masked to them. The closed form
+        // needs trees with fully independent state: anything that couples
+        // them — a tracer (global timeline), a fault layer (global
+        // detector clock), or per-node caps (budgets shared across trees)
+        // — refuses it, and one stepped run covers the whole fabric.
+        let Some(closed) = ClosedForm::select(&self, kind, bindings) else {
+            let Simulator { emb, cfg, tracer, faults } = self;
             return run_single(emb, cfg, tracer, faults, w, kind, bindings, None);
+        };
+        let emb = self.emb;
+        let stepped: Vec<bool> =
+            emb.trees.iter().enumerate().map(|(ti, t)| t.len > 0 && !closed.takes(ti)).collect();
+        let mut parts = Vec::with_capacity(2);
+        if stepped.contains(&true) {
+            parts.push(run_single(emb, self.cfg, None, None, w, kind, bindings, Some(&stepped)));
         }
-        // The stepped trees run as shards, or as one masked run beside the
-        // closed form (none at all when every tree takes it).
-        let masks =
-            shards.unwrap_or_else(|| if stepped.contains(&true) { vec![stepped] } else { vec![] });
-        let mut parts = crate::par::parallel_map_workers(cfg.threads, &masks, |mask| {
-            run_single(emb, cfg, None, None, w, kind, bindings, Some(mask))
-        });
-        if let Some(cf) = &closed {
-            parts.push(cf.run(emb, w, kind, bindings));
-        }
+        parts.push(closed.run(emb, w, kind, bindings));
         let (report, jobs) = merge(emb, kind, bindings, &parts);
         SingleRun {
             report,
@@ -447,8 +427,8 @@ impl<'a> Simulator<'a> {
     }
 }
 
-/// Result of one part of a run: a [`run_single`] invocation (one shard,
-/// or the whole fabric) or the closed-form trees.
+/// Result of one part of a run: a [`run_single`] invocation (the whole
+/// fabric, or the trees the closed form leaves) or the closed-form trees.
 struct SingleRun {
     report: SimReport,
     trace: Option<TraceReport>,
@@ -464,9 +444,9 @@ struct SingleRun {
 }
 
 /// The simulation loop proper: one `RunState`, stepped to completion.
-/// `tree_mask` (sharded mode) deactivates the trees a shard does not own —
-/// masked trees behave exactly like `len == 0` trees, contributing nothing
-/// to any counter.
+/// `tree_mask` deactivates the trees the closed form reports — masked
+/// trees behave exactly like `len == 0` trees, contributing nothing to any
+/// counter.
 #[allow(clippy::too_many_arguments)]
 fn run_single(
     emb: &MultiTreeEmbedding,
@@ -605,8 +585,8 @@ fn run_single(
 /// a directed channel carries a live stream of each — a stream of a
 /// non-empty tree in a phase `kind` runs, the only streams that ever hold
 /// a flit. Returns each tree's component representative. Trees in
-/// different components never meet, so they can be stepped apart (the
-/// sharded mode) and reported apart (the closed form).
+/// different components never meet, so the closed form can take one
+/// component whole while another steps.
 fn tree_components(emb: &MultiTreeEmbedding, kind: Collective) -> Vec<u32> {
     fn find(parent: &mut [u32], mut x: u32) -> u32 {
         while parent[x as usize] != x {
@@ -636,64 +616,12 @@ fn tree_components(emb: &MultiTreeEmbedding, kind: Collective) -> Vec<u32> {
     parent
 }
 
-/// Packs the `stepped` trees' components (see [`tree_components`]) into
-/// at most `threads` shard masks (longest processing time first, by total
-/// slice length). Returns `None` when there is one thread or those trees
-/// do not decompose (fewer than two components).
-fn shard_masks(
-    emb: &MultiTreeEmbedding,
-    kind: Collective,
-    threads: usize,
-    stepped: &[bool],
-) -> Option<Vec<Vec<bool>>> {
-    let ntrees = emb.trees.len();
-    if threads < 2 || ntrees < 2 {
-        return None;
-    }
-    let comp = tree_components(emb, kind);
-    let mut comp_idx = vec![usize::MAX; ntrees];
-    let mut components: Vec<Vec<usize>> = Vec::new();
-    let mut weights: Vec<u64> = Vec::new();
-    for (ti, t) in emb.trees.iter().enumerate() {
-        if !stepped[ti] {
-            continue;
-        }
-        let root = comp[ti] as usize;
-        if comp_idx[root] == usize::MAX {
-            comp_idx[root] = components.len();
-            components.push(Vec::new());
-            weights.push(0);
-        }
-        components[comp_idx[root]].push(ti);
-        weights[comp_idx[root]] += t.len;
-    }
-    if components.len() < 2 {
-        return None;
-    }
-    // LPT bin packing: heaviest component into the lightest bucket. The
-    // sort is stable and ties break on the lowest bucket index, so the
-    // assignment — and therefore the merge order — is deterministic.
-    let buckets = threads.min(components.len());
-    let mut order: Vec<usize> = (0..components.len()).collect();
-    order.sort_by_key(|&i| std::cmp::Reverse(weights[i]));
-    let mut loads = vec![0u64; buckets];
-    let mut masks = vec![vec![false; ntrees]; buckets];
-    for &i in &order {
-        let b = (0..buckets).min_by_key(|&b| loads[b]).unwrap();
-        loads[b] += weights[i];
-        for &ti in &components[i] {
-            masks[b][ti] = true;
-        }
-    }
-    Some(masks)
-}
-
-/// Merges the parts of one run — channel-disjoint shards and the
-/// closed-form trees, each owning disjoint trees — into exactly what the
-/// single stepped run would have produced. Every cross-part aggregate is
-/// either a wrapping sum of order-independent digest entries, an
-/// elementwise sum/max over disjoint supports, or recomputed from merged
-/// integers — so the merge is byte-identical regardless of scheduling.
+/// Merges the parts of one run — the stepped trees and the closed-form
+/// trees, owning disjoint trees — into exactly what one stepped run over
+/// every tree would have produced. Every cross-part aggregate is either a
+/// wrapping sum of order-independent digest entries, an elementwise
+/// sum/max over disjoint supports, or recomputed from merged integers —
+/// so the merge is byte-identical whatever the order of the parts.
 fn merge(
     emb: &MultiTreeEmbedding,
     kind: Collective,
@@ -1197,10 +1125,10 @@ impl RunState {
         let nstreams = emb.streams.len();
         let nchans = emb.channel_streams.len();
 
-        // A masked-out tree (sharded mode: some other shard owns it) is
-        // treated exactly like an empty tree — length 0 everywhere, so its
-        // engines never arm, its streams never carry and its deliveries
-        // never count.
+        // A masked-out tree (the closed form reports it) is treated
+        // exactly like an empty tree — length 0 everywhere, so its engines
+        // never arm, its streams never carry and its deliveries never
+        // count.
         let tree_len_eff: Vec<u64> = emb
             .trees
             .iter()

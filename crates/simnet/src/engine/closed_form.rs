@@ -51,8 +51,9 @@
 //! [`ClosedForm::select`] admits a component, whole, when all of these
 //! hold:
 //!
-//! * no tracer, fault layer or per-node cap is attached (they couple the
-//!   trees, exactly as for sharding);
+//! * no tracer, fault layer or per-node cap is attached (a tracer keeps
+//!   one timeline, a fault layer one detector clock, and caps share
+//!   budgets across trees);
 //! * every tree in it has `min(len, L) ≤ vc_buffer` and its last delivery
 //!   fits inside `max_cycles`;
 //! * no two live streams on any of its channels have overlapping transmit
@@ -67,8 +68,8 @@
 //!
 //! A whole component is needed because a stepped tree that contention
 //! delays could move into the window of a closed-form neighbour. Every
-//! other tree steps as before; the closed-form trees join the run as one
-//! more part of the shard merge.
+//! other tree steps as before, in one run masked to the stepped trees,
+//! and the engine merges that run's report with the closed-form part.
 
 use super::{
     hash_entry, tree_components, Collective, JobBinding, JobOutcome, SimReport, Simulator,

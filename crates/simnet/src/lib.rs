@@ -54,7 +54,6 @@ pub mod faults;
 pub mod hostbased;
 pub mod json;
 pub mod p2p;
-pub mod par;
 pub mod routing;
 pub mod stats;
 pub mod trace;
