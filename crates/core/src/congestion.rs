@@ -6,9 +6,35 @@
 //! the link, and subtract the consumed bandwidth from all links those trees
 //! touch. The paper notes the result is independent of tie-breaking among
 //! bottleneck candidates; we break ties deterministically by edge id.
+//!
+//! The bottleneck comes from a min-heap keyed by `(L(e)/C(e), edge id)`,
+//! re-keyed lazily, because a link's ratio only rises. A round assigns the
+//! global minimum `s ≤ L/C` to a tree of weight `w` on link `e`, which
+//! leaves `(L − w·s)/(C − w) ≥ L/C`; so the key a link was pushed at is a
+//! lower bound on its current ratio. Every link a round touches is marked.
+//! A marked link that reaches the top of the heap is re-pushed at its
+//! current key; an unmarked top is the exact argmin, ties to the lowest
+//! edge id. Each re-push answers a mark, and a round marks only the links
+//! of the trees it assigns, so a run costs `O((|E| + Σ|T_i|) log |E|)`
+//! instead of a scan of every live link per round.
+//!
+//! Every link starts at key `1/C(e)`, which packs into one `u64`, so the
+//! links not yet re-keyed wait in a heap of packed keys, the links
+//! re-keyed since in a heap of rational keys, and the next entry is the
+//! smaller of the two tops. Most links are still unmarked when the last
+//! tree is assigned, so the rational heap stays a few entries long.
+//!
+//! A mark also defers the rational arithmetic: a round lowers `C(e)` and
+//! records the weight its trees took on `e`, and `L(e)` absorbs it (one
+//! subtraction per link and round) only when the link surfaces marked or
+//! a later round touches it again. A link that dies first (`C(e) = 0`)
+//! never does, so a plan whose trees share few links prices with a
+//! handful of rational operations per round.
 
 use crate::rational::Rational;
 use pf_graph::{EdgeId, Graph, RootedTree};
+use std::cmp::{Ordering, Reverse};
+use std::collections::BinaryHeap;
 
 /// Per-tree bandwidth assignment computed by Algorithm 1.
 #[derive(Debug, Clone)]
@@ -37,6 +63,63 @@ impl BandwidthAssignment {
     }
 }
 
+/// A heap entry: link `edge` at the ratio `num / den = L(e)/C(e)` it had
+/// when pushed, unreduced (`den > 0`). Ordered by `(ratio, edge id)`.
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    num: i128,
+    den: i128,
+    edge: EdgeId,
+}
+
+impl Entry {
+    /// Link `edge` at `L(e)/C(e)`. The unreduced denominator overflows
+    /// exactly when the division `avail / C` would.
+    fn new(avail: Rational, congestion: u32, edge: EdgeId) -> Self {
+        let den = avail.denom().checked_mul(i128::from(congestion)).expect("rational overflow");
+        Entry { num: avail.numer(), den, edge }
+    }
+}
+
+impl Ord for Entry {
+    /// Checked `i128` cross-multiplication, falling back to the
+    /// overflow-free [`Rational`] order; ties to the lower edge id.
+    fn cmp(&self, other: &Self) -> Ordering {
+        let ratio = match (self.num.checked_mul(other.den), other.num.checked_mul(self.den)) {
+            (Some(a), Some(b)) => a.cmp(&b),
+            _ => Rational::new_i128(self.num, self.den)
+                .cmp(&Rational::new_i128(other.num, other.den)),
+        };
+        ratio.then(self.edge.cmp(&other.edge))
+    }
+}
+
+impl PartialOrd for Entry {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Entry {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Entry {}
+
+/// Packs link `e`'s initial key `1/C(e)` as `(u32::MAX − C(e)) << 32 | e`,
+/// so `u64` order is exactly the `(1/C(e), edge id)` order.
+fn cold_key(congestion: u32, e: EdgeId) -> Reverse<u64> {
+    Reverse((u64::from(u32::MAX - congestion) << 32) | u64::from(e))
+}
+
+/// Takes the weight `w` a link's trees took in `round` out of its `L(e)`.
+fn settle(avail: &mut Rational, (round, w): (u32, u32), shares: &[Rational]) {
+    let share = shares[round as usize];
+    *avail -= if w == 1 { share } else { share * Rational::from_int(i64::from(w)) };
+}
+
 /// Runs Algorithm 1 on weighted embeddings: `trees[i]` lists the
 /// `(edge, w)` pairs of tree `i`, each edge once with `w ≥ 1`, and the
 /// tree consumes `w · B_i` of unit link bandwidth on each such edge;
@@ -45,6 +128,10 @@ impl BandwidthAssignment {
 /// and assigns that ratio to its unassigned trees in index order. A tree
 /// that touches no edge (a one-vertex network) streams at the full link
 /// bandwidth.
+///
+/// The bottleneck comes off a lazily re-keyed min-heap (see the module
+/// docs), so a run costs `O((|E| + Σ|T_i|) log |E|)` for `|E|` links and
+/// trees of `|T_i|` links each.
 ///
 /// A physical tree has weight 1 on each of its edges
 /// ([`assign_unit_bandwidth`]); a logical tree routed over the topology
@@ -67,44 +154,80 @@ impl BandwidthAssignment {
 /// ```
 pub fn assign_bandwidth(g: &Graph, trees: &[Vec<(EdgeId, u32)>]) -> BandwidthAssignment {
     let ne = g.num_edges() as usize;
-    let nt = trees.len();
-    // Edge -> trees crossing it, in index order.
-    let mut edge_trees: Vec<Vec<usize>> = vec![Vec::new(); ne];
-    let mut congestion = vec![0u32; ne]; // C(e)
-    for (ti, edges) in trees.iter().enumerate() {
-        for &(e, w) in edges {
-            edge_trees[e as usize].push(ti);
-            congestion[e as usize] += w;
+    let mut per_edge = vec![0u32; ne]; // C(e)
+    let mut bw = vec![Rational::ONE; trees.len()];
+    // The edge -> tree membership table in CSR form: the trees crossing
+    // `e`, in index order, are `members[start[e]..start[e + 1]]`.
+    let mut start = vec![0u32; ne + 1];
+    for &(e, w) in trees.iter().flatten() {
+        per_edge[e as usize] += w;
+        start[e as usize] += 1;
+    }
+    let max_congestion = per_edge.iter().copied().max().unwrap_or(0);
+    // Running sums leave `start[e]` at the end of row `e`; filling each row
+    // back to front, trees in reverse order, walks it down to the start.
+    let mut end = 0;
+    for s in &mut start {
+        end += *s;
+        *s = end;
+    }
+    let mut members = vec![0u32; end as usize];
+    for (ti, edges) in trees.iter().enumerate().rev() {
+        for &(e, _) in edges {
+            start[e as usize] -= 1;
+            members[start[e as usize] as usize] = ti as u32;
         }
     }
-    // C(e), captured before the water-filling loop decrements it.
-    let per_edge = congestion.clone();
-    let max_congestion = per_edge.iter().copied().max().unwrap_or(0);
 
-    let mut avail = vec![Rational::ONE; ne]; // L(e)
-    let mut bw = vec![Rational::ONE; nt];
+    // C(e) of the trees not yet assigned.
+    let mut congestion = per_edge.clone();
     let mut assigned: Vec<bool> = trees.iter().map(Vec::is_empty).collect();
-    let mut edge_alive: Vec<bool> = congestion.iter().map(|&c| c > 0).collect();
     let mut remaining = assigned.iter().filter(|&&a| !a).count();
+    // Live links (C(e) > 0) each have one entry, at a key no larger than
+    // their current ratio: in `cold` at the initial key `1/C(e)` until
+    // re-keyed, then in `heap`.
+    let mut cold: BinaryHeap<Reverse<u64>> = (per_edge.iter().enumerate())
+        .filter(|&(_, &c)| c > 0)
+        .map(|(e, &c)| cold_key(c, e as EdgeId))
+        .collect();
+    let mut heap: BinaryHeap<Reverse<Entry>> = BinaryHeap::new();
+    // L(e) lags behind by `pending[e] = (round, w)`: the weight `w` its
+    // trees took in `round`, at `shares[round]`. A live link with pending
+    // weight is marked, since its ratio may have risen since it was
+    // pushed; dead links (C(e) = 0) are never settled.
+    let mut avail = vec![Rational::ONE; ne]; // L(e)
+    let mut pending = vec![(0u32, 0u32); ne];
+    let mut shares: Vec<Rational> = Vec::with_capacity(trees.len());
 
     while remaining > 0 {
-        // e_min = argmin L(e) / C(e) over live edges.
-        let mut best: Option<(Rational, usize)> = None;
-        for e in 0..ne {
-            if !edge_alive[e] || congestion[e] == 0 {
-                continue;
+        let cold_top = cold.peek().map(|&Reverse(key)| {
+            let e = key as EdgeId;
+            Entry::new(Rational::ONE, per_edge[e as usize], e)
+        });
+        let top = match cold_top {
+            Some(c) if heap.peek().is_none_or(|Reverse(hot)| c < *hot) => {
+                cold.pop();
+                c
             }
-            let ratio = avail[e] / Rational::from_int(congestion[e] as i64);
-            match best {
-                Some((b, _)) if b <= ratio => {}
-                _ => best = Some((ratio, e)),
-            }
+            _ => heap.pop().expect("unassigned trees must still cover live edges").0,
+        };
+        let emin = top.edge as usize;
+        if congestion[emin] == 0 {
+            continue; // every tree through it is assigned
         }
-        let (share, emin) = best.expect("unassigned trees must still cover live edges");
-
-        // Assign `share` to every unassigned tree through emin, then
+        if pending[emin].1 > 0 {
+            settle(&mut avail[emin], std::mem::take(&mut pending[emin]), &shares);
+            heap.push(Reverse(Entry::new(avail[emin], congestion[emin], top.edge)));
+            continue;
+        }
+        // An unmarked top is current: emin = argmin L(e) / C(e) over live
+        // edges. Assign `share` to every unassigned tree through it, then
         // release that bandwidth on all their links.
-        for &ti in &edge_trees[emin] {
+        let share = Rational::new_i128(top.num, top.den);
+        let round = shares.len() as u32;
+        shares.push(share);
+        for &ti in &members[start[emin] as usize..start[emin + 1] as usize] {
+            let ti = ti as usize;
             if assigned[ti] {
                 continue;
             }
@@ -112,12 +235,21 @@ pub fn assign_bandwidth(g: &Graph, trees: &[Vec<(EdgeId, u32)>]) -> BandwidthAss
             assigned[ti] = true;
             remaining -= 1;
             for &(e, w) in &trees[ti] {
-                avail[e as usize] -=
-                    if w == 1 { share } else { share * Rational::from_int(i64::from(w)) };
-                congestion[e as usize] -= w;
+                let e = e as usize;
+                congestion[e] -= w;
+                if congestion[e] == 0 {
+                    continue;
+                }
+                let p = &mut pending[e];
+                if p.0 != round {
+                    if p.1 > 0 {
+                        settle(&mut avail[e], *p, &shares);
+                    }
+                    *p = (round, 0);
+                }
+                p.1 += w;
             }
         }
-        edge_alive[emin] = false;
     }
 
     BandwidthAssignment { per_tree: bw, per_edge, max_congestion }
@@ -129,15 +261,29 @@ pub fn assign_bandwidth(g: &Graph, trees: &[Vec<(EdgeId, u32)>]) -> BandwidthAss
 /// Every tree must be a validated spanning tree of `g` (panics otherwise —
 /// validate with [`RootedTree::validate_spanning`] first).
 pub fn assign_unit_bandwidth(g: &Graph, trees: &[RootedTree]) -> BandwidthAssignment {
-    let edges: Vec<Vec<(EdgeId, u32)>> =
-        trees.iter().map(|t| t.edge_ids(g).into_iter().map(|e| (e, 1)).collect()).collect();
+    let edges: Vec<Vec<(EdgeId, u32)>> = trees
+        .iter()
+        .map(|t| {
+            t.edges()
+                .map(|(v, p)| (g.edge_id(v, p).expect("tree edge missing from host graph"), 1))
+                .collect()
+        })
+        .collect();
     assign_bandwidth(g, &edges)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pf_graph::Graph;
+    use crate::construction::{Budget, ConstructError};
+    use crate::plan::AllreducePlan;
+    use crate::recovery::{rebuild_degraded, FaultSet};
+    use crate::substrates::{backends_for, erdos_renyi_connected, quick_catalog};
+    use pf_graph::dsu::Dsu;
+    use pf_graph::{builders, Graph};
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn cycle(n: u32) -> Graph {
         let mut g = Graph::new(n);
@@ -145,6 +291,190 @@ mod tests {
             g.add_edge(i, (i + 1) % n);
         }
         g
+    }
+
+    /// Reference for [`assign_bandwidth`]: the scan it replaced, which
+    /// forms `L(e)/C(e)` for every live link each round.
+    fn assign_bandwidth_by_scan(g: &Graph, trees: &[Vec<(EdgeId, u32)>]) -> BandwidthAssignment {
+        let ne = g.num_edges() as usize;
+        let nt = trees.len();
+        // Edge -> trees crossing it, in index order.
+        let mut edge_trees: Vec<Vec<usize>> = vec![Vec::new(); ne];
+        let mut congestion = vec![0u32; ne]; // C(e)
+        for (ti, edges) in trees.iter().enumerate() {
+            for &(e, w) in edges {
+                edge_trees[e as usize].push(ti);
+                congestion[e as usize] += w;
+            }
+        }
+        // C(e), captured before the water-filling loop decrements it.
+        let per_edge = congestion.clone();
+        let max_congestion = per_edge.iter().copied().max().unwrap_or(0);
+
+        let mut avail = vec![Rational::ONE; ne]; // L(e)
+        let mut bw = vec![Rational::ONE; nt];
+        let mut assigned: Vec<bool> = trees.iter().map(Vec::is_empty).collect();
+        let mut edge_alive: Vec<bool> = congestion.iter().map(|&c| c > 0).collect();
+        let mut remaining = assigned.iter().filter(|&&a| !a).count();
+
+        while remaining > 0 {
+            // e_min = argmin L(e) / C(e) over live edges.
+            let mut best: Option<(Rational, usize)> = None;
+            for e in 0..ne {
+                if !edge_alive[e] || congestion[e] == 0 {
+                    continue;
+                }
+                let ratio = avail[e] / Rational::from_int(congestion[e] as i64);
+                match best {
+                    Some((b, _)) if b <= ratio => {}
+                    _ => best = Some((ratio, e)),
+                }
+            }
+            let (share, emin) = best.expect("unassigned trees must still cover live edges");
+
+            // Assign `share` to every unassigned tree through emin, then
+            // release that bandwidth on all their links.
+            for &ti in &edge_trees[emin] {
+                if assigned[ti] {
+                    continue;
+                }
+                bw[ti] = share;
+                assigned[ti] = true;
+                remaining -= 1;
+                for &(e, w) in &trees[ti] {
+                    avail[e as usize] -=
+                        if w == 1 { share } else { share * Rational::from_int(i64::from(w)) };
+                    congestion[e as usize] -= w;
+                }
+            }
+            edge_alive[emin] = false;
+        }
+
+        BandwidthAssignment { per_tree: bw, per_edge, max_congestion }
+    }
+
+    /// The heap and the scan oracle agree bit for bit on `trees`.
+    fn assert_matches_scan(ctx: &str, g: &Graph, trees: &[Vec<(EdgeId, u32)>]) {
+        let heap = assign_bandwidth(g, trees);
+        let scan = assign_bandwidth_by_scan(g, trees);
+        assert_eq!(heap.per_tree, scan.per_tree, "{ctx}: per-tree bandwidth");
+        assert_eq!(heap.per_edge, scan.per_edge, "{ctx}: per-edge congestion");
+        assert_eq!(heap.max_congestion, scan.max_congestion, "{ctx}: max congestion");
+    }
+
+    fn unit(g: &Graph, trees: &[RootedTree]) -> Vec<Vec<(EdgeId, u32)>> {
+        trees.iter().map(|t| t.edge_ids(g).into_iter().map(|e| (e, 1)).collect()).collect()
+    }
+
+    /// The degraded plan, priced by the heap in
+    /// `AllreducePlan::from_tree_set`, against the scan on its trees.
+    fn assert_degraded_matches_scan(plan: &AllreducePlan, faults: Vec<EdgeId>) {
+        let ctx = format!("q={} faults {faults:?}", plan.q);
+        let d = rebuild_degraded(plan, &FaultSet::links(faults)).unwrap();
+        let scan = assign_bandwidth_by_scan(&d.graph, &unit(&d.graph, &d.trees));
+        assert_eq!(d.bandwidths, scan.per_tree, "{ctx}: per-tree bandwidth");
+        assert_eq!(d.edge_congestion, scan.per_edge, "{ctx}: per-edge congestion");
+        assert_eq!(d.max_congestion, scan.max_congestion, "{ctx}: max congestion");
+    }
+
+    #[test]
+    fn heap_matches_the_scan_oracle_on_catalog_plans() {
+        for s in quick_catalog() {
+            for b in backends_for(&s.name) {
+                let trees = match b.build(&s.graph, &Budget::unlimited()) {
+                    Ok(trees) => trees,
+                    Err(ConstructError::UnsupportedSubstrate(_)) => continue,
+                    Err(e) => panic!("{} on {}: {e}", b.name(), s.name),
+                };
+                let ctx = format!("{} on {}", b.name(), s.name);
+                assert_matches_scan(&ctx, &s.graph, &unit(&s.graph, &trees));
+            }
+        }
+    }
+
+    #[test]
+    fn heap_matches_the_scan_oracle_on_paper_plans() {
+        for q in [3u64, 5, 7, 11, 13] {
+            for plan in [AllreducePlan::low_depth(q), AllreducePlan::edge_disjoint(q, 30, 1)] {
+                let plan = plan.unwrap();
+                let ctx = format!("q={q} {}", plan.solution.label());
+                assert_matches_scan(&ctx, &plan.graph, &unit(&plan.graph, &plan.trees));
+            }
+        }
+    }
+
+    #[test]
+    fn heap_matches_the_scan_oracle_on_degraded_plans() {
+        // Every one-link fault on a used edge at q = 5 and 7.
+        for q in [5u64, 7] {
+            let plan = AllreducePlan::low_depth(q).unwrap();
+            for e in 0..plan.graph.num_edges() {
+                if plan.edge_congestion[e as usize] > 0 {
+                    assert_degraded_matches_scan(&plan, vec![e]);
+                }
+            }
+        }
+        // A seeded sample of two-link faults at q = 11 and 13.
+        let mut rng = StdRng::seed_from_u64(0xa1);
+        for q in [11u64, 13] {
+            let plan = AllreducePlan::low_depth(q).unwrap();
+            let used: Vec<EdgeId> = (0..plan.graph.num_edges())
+                .filter(|&e| plan.edge_congestion[e as usize] > 0)
+                .collect();
+            for _ in 0..12 {
+                let a = used[rng.random_range(0..used.len())];
+                let b = used[rng.random_range(0..used.len())];
+                if a != b {
+                    assert_degraded_matches_scan(&plan, vec![a, b]);
+                }
+            }
+        }
+    }
+
+    /// A random spanning tree of the connected graph `g`: Kruskal over a
+    /// shuffled edge order.
+    fn random_spanning_edges(g: &Graph, rng: &mut StdRng) -> Vec<EdgeId> {
+        let mut order: Vec<EdgeId> = (0..g.num_edges()).collect();
+        for i in (1..order.len()).rev() {
+            order.swap(i, rng.random_range(0..=i));
+        }
+        let mut dsu = Dsu::new(g.num_vertices());
+        order.retain(|&e| {
+            let (u, v) = g.endpoints(e);
+            dsu.union(u, v)
+        });
+        order
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn heap_matches_the_scan_oracle_on_random_weighted_tree_sets(
+            n in 2u32..14,
+            extra in 0u32..24,
+            k in 0usize..=8,
+            seed in any::<u64>(),
+        ) {
+            let g = erdos_renyi_connected(n, extra, seed);
+            let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
+            let mut trees: Vec<Vec<(EdgeId, u32)>> = Vec::new();
+            for _ in 0..k {
+                let tree = match rng.random_range(0..8u32) {
+                    0 => Vec::new(),
+                    // A repeat ties with its original on every link.
+                    1 | 2 if !trees.is_empty() => trees[rng.random_range(0..trees.len())].clone(),
+                    // Unit weights tie many links at equal ratios.
+                    3 | 4 => random_spanning_edges(&g, &mut rng).into_iter().map(|e| (e, 1)).collect(),
+                    _ => random_spanning_edges(&g, &mut rng)
+                        .into_iter()
+                        .map(|e| (e, rng.random_range(1..=3u32)))
+                        .collect(),
+                };
+                trees.push(tree);
+            }
+            assert_matches_scan(&format!("n={n} extra={extra} seed={seed}"), &g, &trees);
+        }
     }
 
     #[test]
@@ -159,18 +489,25 @@ mod tests {
 
     #[test]
     fn two_disjoint_trees_get_full_bandwidth_each() {
-        // C4 splits into two edge-disjoint spanning trees (paths).
+        // K4 splits into two edge-disjoint spanning paths: 0-1-2-3 (edges
+        // 01, 12, 23) and 1-3-0-2 (edges 13, 03, 02).
+        let g = builders::complete(4);
+        let t1 = RootedTree::from_path(&[0, 1, 2, 3], 0).unwrap();
+        let t2 = RootedTree::from_path(&[1, 3, 0, 2], 0).unwrap();
+        let a = assign_unit_bandwidth(&g, &[t1, t2]);
+        assert_eq!(a.per_tree, vec![Rational::ONE, Rational::ONE]);
+        assert_eq!(a.aggregate(), Rational::from_int(2));
+        assert_eq!(a.max_congestion, 1);
+    }
+
+    #[test]
+    fn two_copies_of_one_tree_split_every_link() {
         let g = cycle(4);
-        let t1 = RootedTree::from_path(&[0, 1, 2, 3], 0).unwrap(); // edges 01,12,23
-        let t2 = RootedTree::from_path(&[1, 0, 3, 2], 0).unwrap(); // edges 01?? no: 10,03,32
-        // t2 uses edge (0,1) as well — so craft disjoint: star-ish unavailable on C4.
-        // Instead check overlap behavior below; here use two copies of the
-        // SAME path edges reversed, which fully overlap:
-        let a = assign_unit_bandwidth(&g, &[t1.clone(), t1.clone()]);
+        let t = RootedTree::from_path(&[0, 1, 2, 3], 0).unwrap();
+        let a = assign_unit_bandwidth(&g, &[t.clone(), t]);
         assert_eq!(a.per_tree, vec![Rational::new(1, 2), Rational::new(1, 2)]);
         assert_eq!(a.aggregate(), Rational::ONE);
         assert_eq!(a.max_congestion, 2);
-        let _ = t2;
     }
 
     #[test]
@@ -235,6 +572,44 @@ mod tests {
             vec![Rational::new(1, 2), Rational::new(1, 2), Rational::new(1, 2)]
         );
         assert_eq!(a.aggregate(), Rational::new(3, 2));
+    }
+
+    #[test]
+    fn a_link_touched_in_two_rounds_before_it_surfaces_keeps_both_shares() {
+        // Path 0-1-2-3, links a = 0, b = 1, e = 2. Four trees bottleneck on
+        // a at 1/4 and three on b at 1/3; e carries one tree of each, and
+        // its key 1/3 ties with b's but loses on edge id, so both rounds
+        // pass before e surfaces. Its last tree gets 1 − 1/4 − 1/3.
+        let g = builders::path(4);
+        let (a, b, e) = (vec![(0, 1)], vec![(1, 1)], vec![(2, 1)]);
+        let trees = vec![
+            vec![(0, 1), (2, 1)],
+            a.clone(),
+            a.clone(),
+            a,
+            vec![(1, 1), (2, 1)],
+            b.clone(),
+            b,
+            e,
+        ];
+        let got = assign_bandwidth(&g, &trees);
+        let (quarter, third) = (Rational::new(1, 4), Rational::new(1, 3));
+        assert_eq!(got.per_tree[..4], [quarter; 4]);
+        assert_eq!(got.per_tree[4..7], [third; 3]);
+        assert_eq!(got.per_tree[7], Rational::new(5, 12));
+        assert_matches_scan("two rounds", &g, &trees);
+    }
+
+    #[test]
+    fn heap_order_survives_cross_product_overflow() {
+        // Every cross product below overflows i128, so the order falls
+        // back to `Rational`'s: 1/2 both times, then the lower edge id;
+        // and about 1/3 below about 1/2.
+        let half = |edge, k: u32| Entry { num: 1 << (100 + k), den: 1 << (101 + k), edge };
+        assert!(half(3, 0) < half(5, 1));
+        assert_eq!(half(4, 0).cmp(&half(4, 2)), Ordering::Equal);
+        let third = Entry { num: i128::MAX / 3, den: i128::MAX - 1, edge: 9 };
+        assert!(third < half(0, 0));
     }
 
     #[test]

@@ -5,6 +5,11 @@
 //! can mis-tie-break and the paper's exact claims ("aggregate bandwidth is
 //! exactly `q·B/2`") become approximate. A small normalized `i128` rational
 //! keeps the whole model exact.
+//!
+//! Exact means never wrapped: every `i128` operation behind the arithmetic
+//! operators and [`Rational::new_i128`] is checked, and an overflow panics
+//! with the message `rational overflow` in every build profile, release
+//! included.
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -22,8 +27,21 @@ pub struct Rational {
     den: i128,
 }
 
+/// The one panic of an overflowing operation.
+#[cold]
+#[inline(never)]
+fn overflow() -> ! {
+    panic!("rational overflow")
+}
+
+/// The value of a checked `i128` operation, or the overflow panic.
+#[inline]
+fn checked<T>(x: Option<T>) -> T {
+    x.unwrap_or_else(|| overflow())
+}
+
 fn gcd(a: i128, b: i128) -> i128 {
-    let (mut a, mut b) = (a.abs(), b.abs());
+    let (mut a, mut b) = (checked(a.checked_abs()), checked(b.checked_abs()));
     while b != 0 {
         (a, b) = (b, a % b);
     }
@@ -37,12 +55,22 @@ impl Rational {
         Self::new_i128(num as i128, den as i128)
     }
 
-    /// Creates `num / den` from `i128` parts.
+    /// Creates `num / den` from `i128` parts. Panics on a zero denominator,
+    /// and with `rational overflow` when a part is `i128::MIN`.
     pub fn new_i128(num: i128, den: i128) -> Self {
         assert!(den != 0, "zero denominator");
         let g = gcd(num, den).max(1);
         let sign = if den < 0 { -1 } else { 1 };
-        Rational { num: sign * num / g, den: sign * den / g }
+        Rational {
+            num: checked(num.checked_mul(sign).and_then(|n| n.checked_div(g))),
+            den: checked(den.checked_mul(sign).and_then(|d| d.checked_div(g))),
+        }
+    }
+
+    /// Reduces the unreduced parts `(num, den)` of a checked operation.
+    fn reduce(parts: Option<(i128, i128)>) -> Self {
+        let (num, den) = checked(parts);
+        Rational::new_i128(num, den)
     }
 
     /// The integer `n`.
@@ -97,10 +125,21 @@ impl fmt::Display for Rational {
     }
 }
 
+/// `x ± y` as unreduced parts: the cross products joined by `op`
+/// (`i128::checked_add` or `i128::checked_sub`) over the product of the
+/// denominators; `None` on overflow.
+fn cross_parts(
+    x: Rational,
+    y: Rational,
+    op: fn(i128, i128) -> Option<i128>,
+) -> Option<(i128, i128)> {
+    Some((op(x.num.checked_mul(y.den)?, y.num.checked_mul(x.den)?)?, x.den.checked_mul(y.den)?))
+}
+
 impl Add for Rational {
     type Output = Rational;
     fn add(self, rhs: Rational) -> Rational {
-        Rational::new_i128(self.num * rhs.den + rhs.num * self.den, self.den * rhs.den)
+        Rational::reduce(cross_parts(self, rhs, i128::checked_add))
     }
 }
 
@@ -113,7 +152,7 @@ impl AddAssign for Rational {
 impl Sub for Rational {
     type Output = Rational;
     fn sub(self, rhs: Rational) -> Rational {
-        Rational::new_i128(self.num * rhs.den - rhs.num * self.den, self.den * rhs.den)
+        Rational::reduce(cross_parts(self, rhs, i128::checked_sub))
     }
 }
 
@@ -126,7 +165,7 @@ impl SubAssign for Rational {
 impl Mul for Rational {
     type Output = Rational;
     fn mul(self, rhs: Rational) -> Rational {
-        Rational::new_i128(self.num * rhs.num, self.den * rhs.den)
+        Rational::reduce(self.num.checked_mul(rhs.num).zip(self.den.checked_mul(rhs.den)))
     }
 }
 
@@ -134,7 +173,7 @@ impl Div for Rational {
     type Output = Rational;
     fn div(self, rhs: Rational) -> Rational {
         assert!(rhs.num != 0, "division by zero rational");
-        Rational::new_i128(self.num * rhs.den, self.den * rhs.num)
+        Rational::reduce(self.num.checked_mul(rhs.den).zip(self.den.checked_mul(rhs.num)))
     }
 }
 
@@ -189,6 +228,9 @@ impl From<i64> for Rational {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn normalization() {
@@ -271,5 +313,103 @@ mod tests {
         assert!(Rational::from_int(4).is_int(4));
         assert!(!Rational::new(9, 2).is_int(4));
         assert_eq!(x.to_f64(), -0.5);
+    }
+
+    #[test]
+    #[should_panic(expected = "rational overflow")]
+    fn sum_past_i128_max_panics() {
+        let _ = Rational::new_i128(i128::MAX, 1) + Rational::ONE;
+    }
+
+    #[test]
+    #[should_panic(expected = "rational overflow")]
+    fn difference_reaching_i128_min_panics() {
+        let _ = Rational::new_i128(i128::MIN + 1, 1) - Rational::ONE;
+    }
+
+    #[test]
+    #[should_panic(expected = "rational overflow")]
+    fn product_of_coprime_denominators_near_2_pow_64_panics() {
+        // Consecutive odd numbers are coprime: the product's denominator
+        // is about 2^128 and cannot reduce.
+        let _ = Rational::new_i128(1, (1 << 64) + 1) * Rational::new_i128(1, (1 << 64) + 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "rational overflow")]
+    fn quotient_past_i128_max_panics() {
+        let _ = Rational::new_i128(i128::MAX, 1) / Rational::new(1, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "rational overflow")]
+    fn i128_min_part_panics() {
+        let _ = Rational::new_i128(i128::MIN, 1);
+    }
+
+    /// `Some(f())`, or `None` when `f` panicked with the deliberate
+    /// overflow message; any other panic fails the test.
+    fn exact_or_overflow<T>(f: impl FnOnce() -> T + std::panic::UnwindSafe) -> Option<T> {
+        let payload = match std::panic::catch_unwind(f) {
+            Ok(v) => return Some(v),
+            Err(payload) => payload,
+        };
+        let msg = payload.downcast_ref::<&str>().copied();
+        assert_eq!(msg, Some("rational overflow"), "unexpected panic");
+        None
+    }
+
+    /// `x / n` for a numerator of up to 64 bits.
+    fn over(x: u64, n: i128) -> Rational {
+        Rational::new_i128(i128::from(x >> 1) - i128::from(x & 1) * (1 << 62), n)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn rational_ops_on_large_coprime_denominators_are_exact_or_panic(
+            bits in 16u32..64,
+            offset in any::<u64>(),
+            x in any::<u64>(),
+            y in any::<u64>(),
+        ) {
+            // Denominators n and n + 1 (coprime) in [2^bits, 2^(bits+1)]:
+            // every product of two of them either fits or overflows i128.
+            let n = (1i128 << bits) + i128::from(offset) % (1i128 << bits);
+            let (a, b) = (over(x, n), over(y, n + 1));
+            if let Some(back) = exact_or_overflow(move || (a + b) - b) {
+                prop_assert_eq!(back, a);
+            }
+            if let Some(back) = exact_or_overflow(move || (a - b) + b) {
+                prop_assert_eq!(back, a);
+            }
+            if b != Rational::ZERO {
+                if let Some(back) = exact_or_overflow(move || (a * b) / b) {
+                    prop_assert_eq!(back, a);
+                }
+            }
+        }
+
+        #[test]
+        fn many_term_rational_sums_are_exact_or_panic(
+            terms in 64usize..257,
+            den_bits in 1u32..48,
+            seed in any::<u64>(),
+        ) {
+            // Running sums whose denominators grow toward the lcm of up to
+            // 256 random ones, until the deliberate panic ends them.
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut acc = Rational::ZERO;
+            for _ in 0..terms {
+                let den = rng.random_range(1..(1i64 << den_bits) + 1);
+                let t = Rational::new(rng.random_range(-1000..1000), den);
+                let Some(sum) = exact_or_overflow(move || acc + t) else { break };
+                if let Some(back) = exact_or_overflow(move || sum - t) {
+                    prop_assert_eq!(back, acc);
+                }
+                acc = sum;
+            }
+        }
     }
 }
