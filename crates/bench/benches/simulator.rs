@@ -6,8 +6,9 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use pf_allreduce::AllreducePlan;
 use pf_simnet::engine::Collective;
-use pf_simnet::{MultiTreeEmbedding, SimConfig, Simulator, Workload};
+use pf_simnet::{CompiledTrees, MultiTreeEmbedding, SimConfig, Simulator, Workload};
 use std::hint::black_box;
+use std::sync::Arc;
 
 fn simulate(plan: &AllreducePlan, m: u64) -> u64 {
     let sizes = plan.split(m);
@@ -90,12 +91,29 @@ fn bench_engine_scaling(c: &mut Criterion) {
     g.finish();
 }
 
+/// A run's router configuration, in its two parts: compiling a plan's
+/// trees (once per plan) and slicing the compiled form (once per run).
 fn bench_embedding_setup(c: &mut Criterion) {
-    let plan = AllreducePlan::low_depth(11).unwrap();
-    let sizes = plan.split(4000);
-    c.bench_function("embedding_setup_q11", |b| {
-        b.iter(|| MultiTreeEmbedding::new(black_box(&plan.graph), black_box(&plan.trees), &sizes))
-    });
+    let mut g = c.benchmark_group("embedding_setup");
+    for q in [7u64, 11] {
+        let plan = AllreducePlan::low_depth(q).unwrap();
+        let sizes = plan.split(4000);
+        let offsets: Vec<u64> = sizes
+            .iter()
+            .scan(0, |off, &len| {
+                *off += len;
+                Some(*off - len)
+            })
+            .collect();
+        g.bench_with_input(BenchmarkId::new("compile", q), &plan, |b, p| {
+            b.iter(|| CompiledTrees::new(black_box(&p.graph), black_box(&p.trees)))
+        });
+        let compiled = Arc::new(CompiledTrees::new(&plan.graph, &plan.trees));
+        g.bench_with_input(BenchmarkId::new("slice", q), &compiled, |b, c| {
+            b.iter(|| MultiTreeEmbedding::from_compiled(Arc::clone(black_box(c)), &sizes, &offsets))
+        });
+    }
+    g.finish();
 }
 
 criterion_group!(

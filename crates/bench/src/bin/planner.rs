@@ -81,7 +81,7 @@ fn main() {
         let cfg = SimConfig { link_latency: hop as u32, ..SimConfig::default() };
         let emb = MultiTreeEmbedding::new(&plan.graph, &plan.trees, &sizes);
         let w = Workload::new(plan.graph.num_vertices(), m);
-        println!("\nsimulating ({} streams, VC buffer {} flits)...", emb.streams.len(), cfg.vc_buffer);
+        println!("\nsimulating ({} streams, VC buffer {} flits)...", emb.streams().len(), cfg.vc_buffer);
         let r = Simulator::new(&plan.graph, &emb, cfg).run(&w);
         println!("  completed:          {}", r.completed);
         println!("  wrong elements:     {}", r.mismatches);

@@ -479,7 +479,7 @@ pub fn print_torus_compare(m: u64) {
     let emb = MultiTreeEmbedding::new(&plan.graph, &plan.trees, &plan.split(m));
     let bufs_per_router = {
         let mut per_node = vec![0usize; plan.graph.num_vertices() as usize];
-        for s in &emb.streams {
+        for s in emb.streams() {
             per_node[s.dst as usize] += 1;
         }
         per_node.into_iter().max().unwrap_or(0)

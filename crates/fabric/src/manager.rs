@@ -21,7 +21,9 @@
 //! * **Cached planning.** Subset plans come from the [`PlanCache`]
 //!   through a [`CachingProvider`], keyed by *(topology fingerprint,
 //!   fault fingerprint, tree subset)*, so Algorithm 1 re-pricing is
-//!   amortized across the stream.
+//!   amortized across the stream. The current plan's trees are compiled
+//!   once ([`CompiledTrees`]), at the first dispatch on that plan, and
+//!   every wave that runs all of them slices that compiled form.
 //! * **Incremental repair.** Link-fault events patch the degraded plan
 //!   with [`extend_degraded`] — only trees the delta touches are
 //!   recomputed — falling back to the full [`rebuild_degraded`] when the
@@ -44,6 +46,7 @@ use pf_allreduce::fingerprint::FNV_OFFSET;
 use pf_allreduce::recovery::{extend_degraded, rebuild_degraded, DegradedPlan, RebuildError};
 use pf_allreduce::{plan_fingerprint, AllreducePlan, FaultSet};
 use pf_sched::{fold_job_digest, validate_spec, JobSpec, SchedConfig, SchedError, Scheduler};
+use pf_simnet::CompiledTrees;
 use std::collections::{BTreeSet, VecDeque};
 use std::sync::Arc;
 
@@ -166,6 +169,11 @@ pub struct FabricManager {
     /// The degraded-plan state `extend_degraded` patches.
     pub(crate) degraded: Option<DegradedPlan>,
     pub(crate) cache: PlanCache,
+    /// The trees of the plan it holds, compiled at the first dispatch on
+    /// that plan. It serves only while that plan is `current` (`Arc`
+    /// identity), so every reassignment of `current` invalidates it.
+    /// Derived state: never checkpointed.
+    compiled: Option<(Arc<AllreducePlan>, Arc<CompiledTrees>)>,
 
     /// Virtual now: the fabric is idle at `now` between calls.
     pub(crate) now: u64,
@@ -226,6 +234,7 @@ impl FabricManager {
             faults: FaultSet::none(),
             degraded: None,
             cache: PlanCache::new(cfg.cache_capacity),
+            compiled: None,
             now: 0,
             last_event: 0,
             ready: VecDeque::new(),
@@ -489,7 +498,7 @@ impl FabricManager {
             self.ready_elems -= s.elems;
         }
         let plan = Arc::clone(&self.current);
-        let sched = Scheduler::new(&plan, self.cfg.sched);
+        let sched = Scheduler::new(&plan, self.cfg.sched).with_compiled(self.compiled_current());
         let mut provider = CachingProvider {
             cache: &mut self.cache,
             topology: self.topology_fp,
@@ -516,6 +525,20 @@ impl FabricManager {
         }
         self.now = self.now.max(report.makespan);
         self.promote_deferred();
+    }
+
+    /// The current plan's compiled trees: the held ones while they belong
+    /// to `current`, else compiled now (and held).
+    fn compiled_current(&mut self) -> Arc<CompiledTrees> {
+        match &self.compiled {
+            Some((plan, trees)) if Arc::ptr_eq(plan, &self.current) => Arc::clone(trees),
+            _ => {
+                let plan = &self.current;
+                let trees = Arc::new(CompiledTrees::new(&plan.graph, &plan.trees));
+                self.compiled = Some((Arc::clone(plan), Arc::clone(&trees)));
+                trees
+            }
+        }
     }
 
     /// Moves deferred jobs into the ready queue while the caps allow;

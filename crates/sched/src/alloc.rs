@@ -9,6 +9,7 @@
 //! every allocation rather than trusting it.
 
 use pf_allreduce::AllreducePlan;
+use pf_simnet::CompiledTrees;
 
 /// Hands out disjoint tree subsets of a plan and tracks the combined
 /// per-edge congestion of everything currently allocated.
@@ -18,8 +19,8 @@ use pf_allreduce::AllreducePlan;
 /// tree assignment.
 pub struct TreeAllocator<'a> {
     plan: &'a AllreducePlan,
-    /// Edge ids used by each tree, precomputed once.
-    tree_edges: Vec<Vec<u32>>,
+    /// The plan's compiled trees: each tree's edge ids.
+    trees: &'a CompiledTrees,
     /// Free tree indices, kept sorted ascending.
     free: Vec<usize>,
     /// Combined per-edge congestion of all currently allocated trees.
@@ -27,17 +28,15 @@ pub struct TreeAllocator<'a> {
 }
 
 impl<'a> TreeAllocator<'a> {
-    /// A fresh allocator with every tree of `plan` free.
+    /// A fresh allocator with every tree of `plan` free. `trees` is the
+    /// plan's tree list compiled on its graph; the allocator charges each
+    /// granted tree's edge ids from it.
     #[must_use]
-    pub fn new(plan: &'a AllreducePlan) -> Self {
-        let tree_edges = plan
-            .trees
-            .iter()
-            .map(|t| t.edge_ids(&plan.graph))
-            .collect();
+    pub fn new(plan: &'a AllreducePlan, trees: &'a CompiledTrees) -> Self {
+        assert_eq!(trees.num_trees(), plan.trees.len(), "compiled trees must be the plan's");
         TreeAllocator {
             plan,
-            tree_edges,
+            trees,
             free: (0..plan.trees.len()).collect(),
             active: vec![0; plan.graph.num_edges() as usize],
         }
@@ -58,7 +57,7 @@ impl<'a> TreeAllocator<'a> {
         }
         let grant: Vec<usize> = self.free.drain(..want).collect();
         for &ti in &grant {
-            for &e in &self.tree_edges[ti] {
+            for &e in self.trees.tree_edges(ti) {
                 self.active[e as usize] += 1;
             }
         }
@@ -87,7 +86,7 @@ impl<'a> TreeAllocator<'a> {
                 !self.free.contains(&ti),
                 "tree {ti} released twice"
             );
-            for &e in &self.tree_edges[ti] {
+            for &e in self.trees.tree_edges(ti) {
                 let a = &mut self.active[e as usize];
                 assert!(*a > 0, "releasing tree {ti} under-flows edge {e}");
                 *a -= 1;
@@ -98,9 +97,10 @@ impl<'a> TreeAllocator<'a> {
     }
 
     /// Returns every tree to the free pool, as if freshly constructed.
-    /// The fabric manager reuses one allocator across millions of waves,
-    /// so the `tree_edges` precomputation is paid once per plan, not once
-    /// per wave.
+    /// The scheduler builds one allocator per epoch and resets it between
+    /// the epoch's waves. It computes no edge ids of its own: it borrows
+    /// them from the compiled trees, which the fabric manager compiles
+    /// once per plan and a bare scheduler once per epoch.
     pub fn reset(&mut self) {
         self.free.clear();
         self.free.extend(0..self.plan.trees.len());
@@ -128,10 +128,15 @@ mod tests {
         AllreducePlan::low_depth(3).unwrap()
     }
 
+    fn compiled(p: &AllreducePlan) -> CompiledTrees {
+        CompiledTrees::new(&p.graph, &p.trees)
+    }
+
     #[test]
     fn allocates_lowest_free_trees_first() {
         let p = plan();
-        let mut a = TreeAllocator::new(&p);
+        let c = compiled(&p);
+        let mut a = TreeAllocator::new(&p, &c);
         assert_eq!(a.free_trees(), p.trees.len());
         let g1 = a.allocate(2).unwrap();
         assert_eq!(g1, vec![0, 1]);
@@ -143,7 +148,8 @@ mod tests {
     #[test]
     fn refuses_overcommit_without_partial_grants() {
         let p = plan();
-        let mut a = TreeAllocator::new(&p);
+        let c = compiled(&p);
+        let mut a = TreeAllocator::new(&p, &c);
         let n = p.trees.len();
         let all = a.allocate(n).unwrap();
         assert_eq!(a.free_trees(), 0);
@@ -156,7 +162,8 @@ mod tests {
     #[test]
     fn release_reuses_trees_deterministically() {
         let p = plan();
-        let mut a = TreeAllocator::new(&p);
+        let c = compiled(&p);
+        let mut a = TreeAllocator::new(&p, &c);
         let g1 = a.allocate(2).unwrap();
         let g2 = a.allocate(1).unwrap();
         a.release(&g1);
@@ -168,7 +175,8 @@ mod tests {
     #[test]
     fn full_allocation_matches_plan_congestion() {
         let p = plan();
-        let mut a = TreeAllocator::new(&p);
+        let c = compiled(&p);
+        let mut a = TreeAllocator::new(&p, &c);
         let _all = a.allocate(p.trees.len()).unwrap();
         assert_eq!(a.combined_congestion(), &p.edge_congestion[..]);
         assert_eq!(a.max_combined(), p.max_congestion);
@@ -177,7 +185,8 @@ mod tests {
     #[test]
     fn edge_disjoint_partition_never_shares_a_link() {
         let p = AllreducePlan::edge_disjoint(7, 30, 7).unwrap();
-        let mut a = TreeAllocator::new(&p);
+        let c = compiled(&p);
+        let mut a = TreeAllocator::new(&p, &c);
         let half = p.trees.len() / 2;
         let _g1 = a.allocate(half).unwrap();
         let _g2 = a.allocate(p.trees.len() - half).unwrap();
@@ -189,7 +198,8 @@ mod tests {
     #[should_panic(expected = "released twice")]
     fn double_release_is_a_bug() {
         let p = plan();
-        let mut a = TreeAllocator::new(&p);
+        let c = compiled(&p);
+        let mut a = TreeAllocator::new(&p, &c);
         let g = a.allocate(1).unwrap();
         a.release(&g);
         a.release(&g);

@@ -14,11 +14,11 @@
 
 use pf_allreduce::fingerprint::{fnv1a_u64, FNV_OFFSET};
 use pf_allreduce::AllreducePlan;
-use pf_graph::RootedTree;
 use pf_simnet::{
-    run_with_recovery, Collective, FaultSchedule, JobBinding, JobSegment, JobTraceRow, SimConfig,
-    Simulator, TraceConfig, TraceReport, Workload,
+    run_with_recovery, Collective, CompiledTrees, FaultSchedule, JobBinding, JobSegment,
+    JobTraceRow, MultiTreeEmbedding, SimConfig, Simulator, TraceConfig, TraceReport, Workload,
 };
+use std::sync::Arc;
 
 use crate::alloc::TreeAllocator;
 use crate::error::SchedError;
@@ -192,6 +192,9 @@ fn job_trace_row(r: &JobRecord) -> JobTraceRow {
 pub struct Scheduler<'a> {
     plan: &'a AllreducePlan,
     cfg: SchedConfig,
+    /// The plan's trees compiled on its graph, when the caller keeps them
+    /// across epochs ([`Scheduler::with_compiled`]).
+    compiled: Option<Arc<CompiledTrees>>,
 }
 
 /// One admitted-but-not-yet-finished job inside a wave.
@@ -220,7 +223,25 @@ impl<'a> Scheduler<'a> {
     /// A scheduler over `plan`'s fabric and trees.
     #[must_use]
     pub fn new(plan: &'a AllreducePlan, cfg: SchedConfig) -> Self {
-        Scheduler { plan, cfg }
+        Scheduler { plan, cfg, compiled: None }
+    }
+
+    /// Runs every epoch on `compiled`, the plan's trees compiled on its
+    /// graph (`CompiledTrees::new(&plan.graph, &plan.trees)`), instead of
+    /// compiling them at the start of each epoch. A wave whose tree list
+    /// is the plan's full list slices the compiled form; any other wave
+    /// compiles its own list.
+    ///
+    /// Panics if `compiled` has another tree or node count than the plan.
+    #[must_use]
+    pub fn with_compiled(mut self, compiled: Arc<CompiledTrees>) -> Self {
+        assert!(
+            compiled.num_trees() == self.plan.trees.len()
+                && compiled.num_nodes() == self.plan.graph.num_vertices(),
+            "compiled trees must be the plan's"
+        );
+        self.compiled = Some(compiled);
+        self
     }
 
     /// Runs the job stream to completion on a healthy fabric.
@@ -289,9 +310,16 @@ impl<'a> Scheduler<'a> {
         let mut waves: Vec<WaveRecord> = Vec::new();
         let mut now = base;
         let mut max_comb = 0u32;
-        // One allocator for the whole epoch: the per-tree edge lists are
-        // precomputed once and `reset` reclaims everything between waves.
-        let mut alloc = TreeAllocator::new(self.plan);
+        // The plan's trees, compiled once for the epoch unless the caller
+        // keeps them. The allocator charges edge ids from them, and every
+        // full-list wave slices them.
+        let compiled = match &self.compiled {
+            Some(c) => Arc::clone(c),
+            None => Arc::new(CompiledTrees::new(&self.plan.graph, &self.plan.trees)),
+        };
+        // One allocator for the whole epoch: `reset` reclaims everything
+        // between waves.
+        let mut alloc = TreeAllocator::new(self.plan, &compiled);
 
         while !pending.is_empty() {
             // Idle-skip to the next arrival if the queue is empty now.
@@ -311,6 +339,7 @@ impl<'a> Scheduler<'a> {
 
             let wave_cycles = self.execute_wave(
                 &w,
+                &compiled,
                 specs,
                 &global_off,
                 &admission,
@@ -417,6 +446,7 @@ impl<'a> Scheduler<'a> {
     fn execute_wave(
         &self,
         w: &Workload,
+        compiled: &Arc<CompiledTrees>,
         specs: &[JobSpec],
         global_off: &[u64],
         admission: &WaveAdmission,
@@ -443,14 +473,7 @@ impl<'a> Scheduler<'a> {
         wave_job_ids.sort_unstable();
 
         while !to_run.is_empty() {
-            let (emb_trees, sizes, offsets, bindings) =
-                self.wave_embedding(specs, global_off, &to_run, plans);
-            let emb = pf_simnet::MultiTreeEmbedding::with_offsets(
-                &self.plan.graph,
-                &emb_trees,
-                &sizes,
-                &offsets,
-            );
+            let (emb, bindings) = self.wave_embedding(specs, global_off, &to_run, plans, compiled);
             let mut sim = Simulator::new(&self.plan.graph, &emb, cfg.sim).with_trace(cfg.trace);
             if let Some(ws) = &wsched {
                 sim = sim.with_faults(&self.plan.graph, ws.clone());
@@ -490,7 +513,9 @@ impl<'a> Scheduler<'a> {
             let mut hit: Vec<&AdmittedJob> = Vec::new();
             for adm in &to_run {
                 let affected = !detected.routers.is_empty()
-                    || self.job_uses_edge(&adm.trees, &detected.edges);
+                    || adm.trees.iter().any(|&ti| {
+                        compiled.tree_edges(ti).iter().any(|e| detected.edges.contains(e))
+                    });
                 if affected {
                     hit.push(adm);
                 } else {
@@ -545,17 +570,22 @@ impl<'a> Scheduler<'a> {
         Ok(wave_cycles)
     }
 
-    /// Builds the concatenated embedding inputs for one engine run over
-    /// `to_run`: each job's subset plan splits its vector across its
-    /// trees, and the slices address the job's own global element range
-    /// (so a job re-run solo reduces exactly the same elements).
+    /// Builds the embedding of one engine run over `to_run`: each job's
+    /// subset plan splits its vector across its trees, and the slices
+    /// address the job's own global element range (so a job re-run solo
+    /// reduces exactly the same elements). When the jobs' trees,
+    /// concatenated, are the plan's full list, the run slices `compiled`
+    /// (a provider's subset plan holds the plan's own trees, in index
+    /// order); otherwise it compiles the wave's own list.
     fn wave_embedding(
         &self,
         specs: &[JobSpec],
         global_off: &[u64],
         to_run: &[&AdmittedJob],
         plans: &mut dyn PlanProvider,
-    ) -> (Vec<RootedTree>, Vec<u64>, Vec<u64>, Vec<JobBinding>) {
+        compiled: &Arc<CompiledTrees>,
+    ) -> (MultiTreeEmbedding, Vec<JobBinding>) {
+        let full = to_run.iter().flat_map(|a| &a.trees).copied().eq(0..self.plan.trees.len());
         let mut emb_trees = Vec::new();
         let mut sizes = Vec::new();
         let mut offsets = Vec::new();
@@ -563,13 +593,14 @@ impl<'a> Scheduler<'a> {
         let mut tstart = 0usize;
         for adm in to_run {
             let sub = plans.subset(self.plan, &adm.trees);
-            let split = sub.split(specs[adm.idx].elems);
             let mut off = global_off[adm.idx];
-            for (t, &len) in sub.trees.iter().zip(&split) {
-                emb_trees.push(t.clone());
+            for len in sub.split(specs[adm.idx].elems) {
                 sizes.push(len);
                 offsets.push(off);
                 off += len;
+            }
+            if !full {
+                emb_trees.extend_from_slice(&sub.trees);
             }
             bindings.push(JobBinding {
                 trees: tstart..tstart + adm.trees.len(),
@@ -577,17 +608,12 @@ impl<'a> Scheduler<'a> {
             });
             tstart += adm.trees.len();
         }
-        (emb_trees, sizes, offsets, bindings)
-    }
-
-    /// Does any of the job's trees use one of the detected edges?
-    fn job_uses_edge(&self, trees: &[usize], edges: &[u32]) -> bool {
-        trees.iter().any(|&ti| {
-            self.plan.trees[ti]
-                .edge_ids(&self.plan.graph)
-                .iter()
-                .any(|e| edges.contains(e))
-        })
+        let emb = if full {
+            MultiTreeEmbedding::from_compiled(Arc::clone(compiled), &sizes, &offsets)
+        } else {
+            MultiTreeEmbedding::with_offsets(&self.plan.graph, &emb_trees, &sizes, &offsets)
+        };
+        (emb, bindings)
     }
 }
 

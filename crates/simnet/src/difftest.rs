@@ -646,7 +646,7 @@ fn closed_form_jobs_with_releases_match_traced_stepping() {
     let plain = MultiTreeEmbedding::new(&plan.graph, &plan.trees, &plan.split(m));
     let mixed = mixed_embedding(&plan, &[0, 2], m);
     for (emb, label) in [(&plain, "edge-disjoint"), (&mixed, "mixed")] {
-        let t = emb.trees.len();
+        let t = emb.num_trees();
         let bindings = [
             JobBinding { trees: 0..1, release: 0 },
             JobBinding { trees: 1..3, release: 37 },
@@ -872,7 +872,7 @@ fn closed_form_gate_accepts_edge_disjoint_and_refuses_fallbacks() {
             let emb = case.embedding();
             for kind in COLLECTIVES {
                 let cf = case.sim(&emb).closed_form_trees(kind, &[]);
-                for (ti, t) in emb.trees.iter().enumerate() {
+                for (ti, t) in emb.slices().iter().enumerate() {
                     assert_eq!(cf[ti], t.len > 0, "q={q} m={m} {kind:?} tree {ti}");
                 }
             }

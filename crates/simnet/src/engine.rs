@@ -83,7 +83,7 @@
 //! arrivals and transmit walk the active sets whether traced, faulted or
 //! neither.
 
-use crate::embedding::{MultiTreeEmbedding, Phase};
+use crate::embedding::{CompiledTrees, MultiTreeEmbedding, TreeOrder, NONE};
 use crate::faults::{FaultReport, FaultSchedule, FaultState};
 use crate::trace::{EngineStall, TraceConfig, TraceReport, Tracer};
 use crate::workload::Workload;
@@ -192,7 +192,7 @@ pub struct SimReport {
 #[derive(Debug, Clone)]
 pub struct JobBinding {
     /// The half-open range of embedded tree indices this job owns. The
-    /// bindings of one run must partition `0..emb.trees.len()`
+    /// bindings of one run must partition `0..emb.num_trees()`
     /// contiguously and in order.
     pub trees: std::ops::Range<usize>,
     /// First cycle at which this job's engines may fire (`0` = from the
@@ -254,7 +254,7 @@ impl<'a> Simulator<'a> {
     pub fn new(g: &Graph, emb: &'a MultiTreeEmbedding, cfg: SimConfig) -> Self {
         assert!(cfg.link_latency >= 1, "links need at least one cycle of latency");
         assert!(cfg.vc_buffer >= 1 && cfg.source_queue >= 1, "queues must hold at least one flit");
-        assert_eq!(g.num_vertices(), emb.num_nodes);
+        assert_eq!(g.num_vertices(), emb.num_nodes());
         Simulator { emb, cfg, tracer: None, faults: None }
     }
 
@@ -265,9 +265,9 @@ impl<'a> Simulator<'a> {
     pub fn with_trace(mut self, tcfg: TraceConfig) -> Self {
         self.tracer = tcfg.enabled.then(|| {
             Tracer::new(
-                self.emb.streams.len(),
-                self.emb.channel_streams.len(),
-                self.emb.num_nodes as usize,
+                self.emb.streams().len(),
+                self.emb.num_channels(),
+                self.emb.num_nodes() as usize,
                 tcfg,
             )
         });
@@ -280,7 +280,7 @@ impl<'a> Simulator<'a> {
     /// decision is identical to a run without it (property-tested, like
     /// tracing).
     pub fn with_faults(mut self, g: &Graph, schedule: FaultSchedule) -> Self {
-        assert_eq!(g.num_vertices(), self.emb.num_nodes);
+        assert_eq!(g.num_vertices(), self.emb.num_nodes());
         self.faults = Some(FaultState::new(g, self.emb, &schedule));
         self
     }
@@ -299,7 +299,7 @@ impl<'a> Simulator<'a> {
     /// With no `bindings` the whole embedding is one untracked job. With
     /// bindings, several independent jobs run concurrently on one fabric:
     /// each [`JobBinding`] owns a contiguous range of the embedding's
-    /// trees (the bindings must partition `0..emb.trees.len()` in order)
+    /// trees (the bindings must partition `0..emb.num_trees()` in order)
     /// and an optional release cycle, and every job executes the same
     /// `kind` over its own tree range (the scheduler groups admissions so
     /// a wave is homogeneous). The jobs contend for the shared directed
@@ -319,7 +319,7 @@ impl<'a> Simulator<'a> {
         bindings: &[JobBinding],
         kind: Collective,
     ) -> RunReport {
-        let ntrees = self.emb.trees.len();
+        let ntrees = self.emb.num_trees();
         let mut next = 0usize;
         for b in bindings {
             assert!(
@@ -372,7 +372,7 @@ impl<'a> Simulator<'a> {
     #[must_use]
     pub fn closed_form_trees(&self, kind: Collective, bindings: &[JobBinding]) -> Vec<bool> {
         let closed = ClosedForm::select(self, kind, (!bindings.is_empty()).then_some(bindings));
-        (0..self.emb.trees.len()).map(|ti| closed.as_ref().is_some_and(|c| c.takes(ti))).collect()
+        (0..self.emb.num_trees()).map(|ti| closed.as_ref().is_some_and(|c| c.takes(ti))).collect()
     }
 
     fn run_inner_jobs(
@@ -381,7 +381,7 @@ impl<'a> Simulator<'a> {
         kind: Collective,
         bindings: Option<&[JobBinding]>,
     ) -> SingleRun {
-        assert_eq!(w.nodes(), self.emb.num_nodes);
+        assert_eq!(w.nodes(), self.emb.num_nodes());
         assert!(
             w.len() >= self.emb.elem_end(),
             "workload must cover every tree slice's global element range"
@@ -399,7 +399,7 @@ impl<'a> Simulator<'a> {
         };
         let emb = self.emb;
         let stepped: Vec<bool> =
-            emb.trees.iter().enumerate().map(|(ti, t)| t.len > 0 && !closed.takes(ti)).collect();
+            emb.slices().iter().enumerate().map(|(ti, t)| t.len > 0 && !closed.takes(ti)).collect();
         let mut parts = Vec::with_capacity(2);
         if stepped.contains(&true) {
             parts.push(run_single(emb, self.cfg, None, None, w, kind, bindings, Some(&stepped)));
@@ -557,11 +557,11 @@ fn run_single(
     }
     let report = SimReport {
         cycles: cycle,
-        total_elems: emb.total_len,
+        total_elems: emb.total_len(),
         completed,
         mismatches: st.mismatches,
         value_digest: st.value_digest,
-        measured_bandwidth: emb.total_len as f64 / cycle.max(1) as f64,
+        measured_bandwidth: emb.total_len() as f64 / cycle.max(1) as f64,
         tree_completion: st.tree_completion,
         first_element_latency: st.first_element_latency,
         channel_flits: st.channel_flits,
@@ -595,11 +595,11 @@ fn tree_components(emb: &MultiTreeEmbedding, kind: Collective) -> Vec<u32> {
         }
         x
     }
-    let mut parent: Vec<u32> = (0..emb.trees.len() as u32).collect();
-    for members in &emb.channel_streams {
+    let mut parent: Vec<u32> = (0..emb.num_trees() as u32).collect();
+    for c in 0..emb.num_channels() {
         let mut first: Option<u32> = None;
-        for s in members.iter().map(|&s| &emb.streams[s as usize]) {
-            if emb.trees[s.tree as usize].len == 0 || !s.phase.runs_under(kind) {
+        for s in emb.channel_streams(c).iter().map(|&s| &emb.streams()[s as usize]) {
+            if emb.slices()[s.tree as usize].len == 0 || !s.phase.runs_under(kind) {
                 continue;
             }
             let r = find(&mut parent, s.tree);
@@ -628,8 +628,8 @@ fn merge(
     bindings: Option<&[JobBinding]>,
     parts: &[SingleRun],
 ) -> (SimReport, Vec<JobOutcome>) {
-    let ntrees = emb.trees.len();
-    let nchans = emb.channel_streams.len();
+    let ntrees = emb.num_trees();
+    let nchans = emb.num_channels();
     let mut cycles = 0u64;
     let mut completed = true;
     let mut mismatches = 0u64;
@@ -663,11 +663,11 @@ fn merge(
         channel_flits.iter().map(|&f| f as f64 / cycles.max(1) as f64).fold(0.0, f64::max);
     let report = SimReport {
         cycles,
-        total_elems: emb.total_len,
+        total_elems: emb.total_len(),
         completed,
         mismatches,
         value_digest,
-        measured_bandwidth: emb.total_len as f64 / cycles.max(1) as f64,
+        measured_bandwidth: emb.total_len() as f64 / cycles.max(1) as f64,
         tree_completion,
         first_element_latency: if fel_all { fel } else { 0 },
         channel_flits,
@@ -681,12 +681,12 @@ fn merge(
     // only counts once the *merged* deliveries reach the full job total
     // (a part completing its portion is not the job completing).
     let njobs = bindings.map_or(0, <[JobBinding]>::len);
-    let per_tree_sinks = kind.sinks_per_tree(emb.num_nodes as u64);
+    let per_tree_sinks = kind.sinks_per_tree(emb.num_nodes() as u64);
     let mut job_total = vec![0u64; njobs];
     if let Some(bs) = bindings {
         for (j, b) in bs.iter().enumerate() {
             for ti in b.trees.clone() {
-                job_total[j] += emb.trees[ti].len * per_tree_sinks;
+                job_total[j] += emb.slices()[ti].len * per_tree_sinks;
             }
         }
     }
@@ -742,9 +742,6 @@ pub fn delivery_digest_entry(node: u64, elem: u64, val: u64) -> u64 {
     hash_entry(node, hash_entry(elem, val))
 }
 
-/// Sentinel for "no stream wired here" in the flat dataflow arrays.
-const NONE: u32 = u32::MAX;
-
 /// Largest window of the batch detector, and so the longest shape period
 /// it finds: its windows double from 2 up to this, and a snapshot that has
 /// not recurred within it is dropped (re-arming then backs off). Periods
@@ -794,6 +791,7 @@ struct BatchCtl {
 /// rates. Value arrays are deliberately absent: values are pure functions
 /// of the element index (the engine combines deterministic workload
 /// inputs in a deterministic order), so the bulk pass recomputes them.
+#[derive(Default)]
 struct BatchSnap {
     sendq_len: Vec<u32>,
     vc_arrived: Vec<u32>,
@@ -872,64 +870,7 @@ fn two_rows(buf: &mut [u64], a: usize, b: usize, bw: usize) -> (&mut [u64], &[u6
     }
 }
 
-/// Children-first node order of the selected trees, each node with its
-/// children in the engine's reduce-input (CSR) order — the schedule of the
-/// blockwise value pass that the batch replay and the closed form share.
-struct TreeOrder {
-    /// Per tree: its positions in `nodes` (empty when not selected).
-    tree_off: Vec<u32>,
-    /// Nodes, children before parents; a tree's root comes last.
-    nodes: Vec<u32>,
-    /// Per position: its range in `children`.
-    child_off: Vec<u32>,
-    children: Vec<u32>,
-}
-
 impl TreeOrder {
-    /// Orders every tree `select` accepts (a preorder DFS from the root,
-    /// reversed). `TreeConfig::children` lists each node's children in
-    /// the order their reduce streams were created, which is the order the
-    /// per-cycle engine pops them in.
-    fn new(emb: &MultiTreeEmbedding, select: impl Fn(usize) -> bool) -> Self {
-        let n = emb.num_nodes as usize;
-        let selected = (0..emb.trees.len()).filter(|&ti| select(ti)).count();
-        let mut tree_off = vec![0u32; emb.trees.len() + 1];
-        let mut nodes: Vec<u32> = Vec::with_capacity(selected * n);
-        let mut stack: Vec<u32> = Vec::new();
-        for (ti, t) in emb.trees.iter().enumerate() {
-            if select(ti) {
-                let before = nodes.len();
-                stack.push(t.root);
-                while let Some(v) = stack.pop() {
-                    nodes.push(v);
-                    stack.extend_from_slice(&t.children[v as usize]);
-                }
-                nodes[before..].reverse();
-            }
-            tree_off[ti + 1] = nodes.len() as u32;
-        }
-        let mut child_off = Vec::with_capacity(nodes.len() + 1);
-        let mut children = Vec::with_capacity(nodes.len());
-        child_off.push(0);
-        for (ti, t) in emb.trees.iter().enumerate() {
-            for &v in &nodes[tree_off[ti] as usize..tree_off[ti + 1] as usize] {
-                children.extend_from_slice(&t.children[v as usize]);
-                child_off.push(children.len() as u32);
-            }
-        }
-        TreeOrder { tree_off, nodes, child_off, children }
-    }
-
-    /// Tree `ti`'s positions in [`TreeOrder::nodes`].
-    fn span(&self, ti: usize) -> std::ops::Range<usize> {
-        self.tree_off[ti] as usize..self.tree_off[ti + 1] as usize
-    }
-
-    /// The children of the node at position `i`.
-    fn children(&self, i: usize) -> &[u32] {
-        &self.children[self.child_off[i] as usize..self.child_off[i + 1] as usize]
-    }
-
     /// The blockwise value pass over global elements `ge..ge + bw` of
     /// tree `ti`. When the collective reduces, row `v` of `rows` (stride
     /// `BATCH_BLOCK`) becomes R(v), the value node `v` pushes up: its
@@ -978,21 +919,74 @@ impl TreeOrder {
     }
 }
 
+/// The compiled arrays a run reads (see [`CompiledTrees`]), borrowed as
+/// slices held by value in the run state. The hot loops then load each
+/// base from the state they already hold exclusively, so it stays hoisted
+/// across their stores, as with the run state's own arrays.
+#[derive(Clone, Copy)]
+struct Wiring<'a> {
+    roots: &'a [u32],
+    stream_chan: &'a [u32],
+    reduce_in_off: &'a [u32],
+    in_ids: &'a [u32],
+    bcast_out_off: &'a [u32],
+    out_ids: &'a [u32],
+    reduce_out: &'a [u32],
+    bcast_in: &'a [u32],
+    stream_src_pair: &'a [u32],
+    stream_dst_pair: &'a [u32],
+    wake_src_word: &'a [u32],
+    wake_src_mask: &'a [u64],
+    wake_dst_word: &'a [u32],
+    wake_dst_mask: &'a [u64],
+    ready_slot: &'a [u32],
+    chan_off: &'a [u32],
+    chan_members: &'a [u32],
+    order: &'a TreeOrder,
+}
+
+impl<'a> Wiring<'a> {
+    fn new(c: &'a CompiledTrees) -> Self {
+        Wiring {
+            roots: &c.roots,
+            stream_chan: &c.stream_chan,
+            reduce_in_off: &c.reduce_in_off,
+            in_ids: &c.in_ids,
+            bcast_out_off: &c.bcast_out_off,
+            out_ids: &c.out_ids,
+            reduce_out: &c.reduce_out,
+            bcast_in: &c.bcast_in,
+            stream_src_pair: &c.stream_src_pair,
+            stream_dst_pair: &c.stream_dst_pair,
+            wake_src_word: &c.wake_src_word,
+            wake_src_mask: &c.wake_src_mask,
+            wake_dst_word: &c.wake_dst_word,
+            wake_dst_mask: &c.wake_dst_mask,
+            ready_slot: &c.ready_slot,
+            chan_off: &c.chan_off,
+            chan_members: &c.chan_members,
+            order: &c.order,
+        }
+    }
+}
+
 /// All mutable state of one optimized run: flat arenas, active sets, and
 /// the progress counters folded into the final [`SimReport`].
 ///
 /// Engines are addressed by *pair* index `p = tree * n + node`; stream
 /// queues live in pre-sized ring-buffer arenas (`sendq` at the sender,
-/// a combined wire/VC ring at the receiver). The steady-state loop
-/// performs no heap allocation.
-struct RunState {
+/// a combined wire/VC ring at the receiver). The dataflow wiring is
+/// borrowed from the compiled form. The steady-state loop performs no
+/// heap allocation.
+struct RunState<'a> {
     cfg: SimConfig,
     kind: Collective,
     n: usize,
     ntrees: usize,
+    /// The compiled trees' wiring.
+    c: Wiring<'a>,
 
-    // Per-tree metadata (flattened from the embedding).
-    tree_root: Vec<u32>,
+    // Per-tree slices (flattened from the embedding).
     tree_len: Vec<u64>,
     tree_off: Vec<u64>,
 
@@ -1009,13 +1003,7 @@ struct RunState {
     job_hash: Vec<u64>,
     job_mismatches: Vec<u64>,
 
-    // Per-pair dataflow wiring: CSR slices into the id arenas.
-    reduce_in_off: Vec<u32>,
-    bcast_out_off: Vec<u32>,
-    in_ids: Vec<u32>,
-    out_ids: Vec<u32>,
-    reduce_out: Vec<u32>,
-    bcast_in: Vec<u32>,
+    // Per-pair progress.
     reduced: Vec<u64>,
     delivered: Vec<u64>,
 
@@ -1038,33 +1026,13 @@ struct RunState {
     vc_arrived: Vec<u32>,
     vc_inflight: Vec<u32>,
 
-    // Stream -> owning channel (for channel activation on staging).
-    stream_chan: Vec<u32>,
-    // Stream endpoint metadata for the bulk replay: the (tree·n + node)
-    // pair ids of both endpoints.
-    stream_src_pair: Vec<u32>,
-    stream_dst_pair: Vec<u32>,
-    // Per-tree children-first order: the bulk value pass combines each
-    // node after all of its children.
-    order: TreeOrder,
-    // Precomputed wake targets: the absolute `pair_active` word index and
-    // bit mask of each stream's endpoint engines, so a flit event re-arms
-    // an engine with a single indexed OR (no division on the hot path).
-    wake_src_word: Vec<u32>,
-    wake_src_mask: Vec<u64>,
-    wake_dst_word: Vec<u32>,
-    wake_dst_mask: Vec<u64>,
     // Reduction-input readiness: per-pair count of reduce-input streams
-    // with at least one arrived flit, plus a per-stream back-pointer to
-    // the pair whose count the stream feeds (`NONE` for broadcast
-    // streams). Makes `inputs_ready` O(1) instead of a CSR gather per
-    // engine evaluation.
+    // with at least one arrived flit (each stream feeds the count of its
+    // compiled `ready_slot`). Makes `inputs_ready` O(1) instead of a CSR
+    // gather per engine evaluation.
     ready_in: Vec<u32>,
-    ready_slot: Vec<u32>,
 
-    // CSR-flattened channel -> member streams map.
-    chan_off: Vec<u32>,
-    chan_members: Vec<u32>,
+    // Per-channel round-robin cursors.
     rr: Vec<u32>,
 
     // Active sets (bitset words).
@@ -1100,7 +1068,9 @@ struct RunState {
     arrivals_done: u64,
     pending_arrivals: bool,
 
-    // Batch-span machinery (see the module doc and `BatchCtl`).
+    // Batch-span machinery (see the module doc and `BatchCtl`). The
+    // snapshot and the scratch below are sized at the run's first capture:
+    // a run that never saturates never allocates them.
     bat: BatchCtl,
     // Scratch for the bulk value pass: one row of `BATCH_BLOCK` element
     // values per node, plus the row of digest keys.
@@ -1111,95 +1081,33 @@ struct RunState {
     rect_b: Vec<QRect>,
 }
 
-impl RunState {
+impl<'a> RunState<'a> {
     fn new(
-        emb: &MultiTreeEmbedding,
+        emb: &'a MultiTreeEmbedding,
         cfg: SimConfig,
         kind: Collective,
         bindings: Option<&[JobBinding]>,
         tree_mask: Option<&[bool]>,
     ) -> Self {
-        let n = emb.num_nodes as usize;
-        let ntrees = emb.trees.len();
+        let c = emb.compiled();
+        let n = c.num_nodes() as usize;
+        let ntrees = c.num_trees();
         let pairs = ntrees * n;
-        let nstreams = emb.streams.len();
-        let nchans = emb.channel_streams.len();
+        let nstreams = c.streams().len();
+        let nchans = c.num_channels();
 
         // A masked-out tree (the closed form reports it) is treated
         // exactly like an empty tree — length 0 everywhere, so its engines
         // never arm, its streams never carry and its deliveries never
         // count.
         let tree_len_eff: Vec<u64> = emb
-            .trees
+            .slices()
             .iter()
             .enumerate()
             .map(|(ti, t)| if tree_mask.is_none_or(|m| m[ti]) { t.len } else { 0 })
             .collect();
 
-        // Wire the per-pair dataflow (two passes: counts, then fill).
-        let mut in_cnt = vec![0u32; pairs];
-        let mut out_cnt = vec![0u32; pairs];
-        let mut reduce_out = vec![NONE; pairs];
-        let mut bcast_in = vec![NONE; pairs];
-        let mut src_pair = vec![0u32; nstreams];
-        let mut dst_pair = vec![0u32; nstreams];
-        for (si, s) in emb.streams.iter().enumerate() {
-            let sp = s.tree as usize * n + s.src as usize;
-            let dp = s.tree as usize * n + s.dst as usize;
-            src_pair[si] = sp as u32;
-            dst_pair[si] = dp as u32;
-            match s.phase {
-                Phase::Reduce => {
-                    in_cnt[dp] += 1;
-                    reduce_out[sp] = si as u32;
-                }
-                Phase::Broadcast => {
-                    out_cnt[sp] += 1;
-                    bcast_in[dp] = si as u32;
-                }
-            }
-        }
-        let mut reduce_in_off = vec![0u32; pairs + 1];
-        let mut bcast_out_off = vec![0u32; pairs + 1];
-        for p in 0..pairs {
-            reduce_in_off[p + 1] = reduce_in_off[p] + in_cnt[p];
-            bcast_out_off[p + 1] = bcast_out_off[p] + out_cnt[p];
-        }
-        let mut in_ids = vec![0u32; reduce_in_off[pairs] as usize];
-        let mut out_ids = vec![0u32; bcast_out_off[pairs] as usize];
-        let mut in_fill = reduce_in_off.clone();
-        let mut out_fill = bcast_out_off.clone();
-        for (si, s) in emb.streams.iter().enumerate() {
-            match s.phase {
-                Phase::Reduce => {
-                    let dp = dst_pair[si] as usize;
-                    in_ids[in_fill[dp] as usize] = si as u32;
-                    in_fill[dp] += 1;
-                }
-                Phase::Broadcast => {
-                    let sp = src_pair[si] as usize;
-                    out_ids[out_fill[sp] as usize] = si as u32;
-                    out_fill[sp] += 1;
-                }
-            }
-        }
-
-        // CSR-flatten the channel -> streams map.
-        let mut chan_off = vec![0u32; nchans + 1];
-        for (c, members) in emb.channel_streams.iter().enumerate() {
-            chan_off[c + 1] = chan_off[c] + members.len() as u32;
-        }
-        let mut chan_members = vec![0u32; chan_off[nchans] as usize];
-        let mut stream_chan = vec![NONE; nstreams];
-        for (c, members) in emb.channel_streams.iter().enumerate() {
-            let base = chan_off[c] as usize;
-            chan_members[base..base + members.len()].copy_from_slice(members);
-            for &s in members {
-                stream_chan[s as usize] = c as u32;
-            }
-        }
-
-        let per_tree_sinks = kind.sinks_per_tree(emb.num_nodes as u64);
+        let per_tree_sinks = kind.sinks_per_tree(n as u64);
         let total_deliveries: u64 = tree_len_eff.iter().map(|&l| l * per_tree_sinks).sum();
         let live_pairs: u64 =
             tree_len_eff.iter().map(|&l| if l > 0 { per_tree_sinks } else { 0 }).sum();
@@ -1207,23 +1115,6 @@ impl RunState {
         let words_per_tree = n.div_ceil(64);
         let sq_shift = (cfg.source_queue as u32).next_power_of_two().trailing_zeros();
         let vc_shift = (cfg.vc_buffer as u32).next_power_of_two().trailing_zeros();
-
-        // Precompute each stream's wake word/mask and ready-count slot.
-        let mut wake_src_word = vec![0u32; nstreams];
-        let mut wake_src_mask = vec![0u64; nstreams];
-        let mut wake_dst_word = vec![0u32; nstreams];
-        let mut wake_dst_mask = vec![0u64; nstreams];
-        let mut ready_slot = vec![NONE; nstreams];
-        for (si, s) in emb.streams.iter().enumerate() {
-            let base = s.tree as usize * words_per_tree;
-            wake_src_word[si] = (base + s.src as usize / 64) as u32;
-            wake_src_mask[si] = 1u64 << (s.src as usize % 64);
-            wake_dst_word[si] = (base + s.dst as usize / 64) as u32;
-            wake_dst_mask[si] = 1u64 << (s.dst as usize % 64);
-            if matches!(s.phase, Phase::Reduce) {
-                ready_slot[si] = dst_pair[si];
-            }
-        }
 
         // Per-job wiring: which job each tree belongs to, when it is
         // released, and how many deliveries complete each job.
@@ -1242,10 +1133,6 @@ impl RunState {
                 }
             }
         }
-
-        // Only live trees get a value-pass order; an empty/masked tree's
-        // slice stays empty.
-        let order = TreeOrder::new(emb, |ti| tree_len_eff[ti] > 0);
 
         // Every engine of a non-empty tree starts active: leaves can fire
         // on cycle 1, everything else stalls once and deactivates.
@@ -1267,9 +1154,9 @@ impl RunState {
             kind,
             n,
             ntrees,
-            tree_root: emb.trees.iter().map(|t| t.root).collect(),
+            c: Wiring::new(c),
             tree_len: tree_len_eff,
-            tree_off: emb.trees.iter().map(|t| t.offset).collect(),
+            tree_off: emb.slices().iter().map(|t| t.offset).collect(),
             track_jobs: bindings.is_some(),
             njobs,
             tree_release,
@@ -1281,12 +1168,6 @@ impl RunState {
             job_elems,
             job_hash: vec![0; njobs],
             job_mismatches: vec![0; njobs],
-            reduce_in_off,
-            bcast_out_off,
-            in_ids,
-            out_ids,
-            reduce_out,
-            bcast_in,
             reduced: vec![0; pairs],
             delivered: vec![0; pairs],
             sq_cap: cfg.source_queue as u32,
@@ -1303,18 +1184,7 @@ impl RunState {
             vc_head: vec![0; nstreams],
             vc_arrived: vec![0; nstreams],
             vc_inflight: vec![0; nstreams],
-            stream_chan,
-            stream_src_pair: src_pair,
-            stream_dst_pair: dst_pair,
-            order,
-            wake_src_word,
-            wake_src_mask,
-            wake_dst_word,
-            wake_dst_mask,
             ready_in: vec![0; pairs],
-            ready_slot,
-            chan_off,
-            chan_members,
             rr: vec![0; nchans],
             words_per_tree,
             pair_active,
@@ -1346,19 +1216,11 @@ impl RunState {
                 next_try: 0,
                 backoff: BATCH_BACKOFF0,
                 streak: 0,
-                snap: BatchSnap::new(
-                    pairs,
-                    nstreams,
-                    nchans,
-                    ntrees,
-                    njobs,
-                    vc_shift,
-                    words_per_tree,
-                ),
+                snap: BatchSnap::default(),
             },
-            rblock: vec![0; (n + 1) * BATCH_BLOCK],
-            rect_r: vec![QRECT_NONE; n],
-            rect_b: vec![QRECT_NONE; n],
+            rblock: Vec::new(),
+            rect_r: Vec::new(),
+            rect_b: Vec::new(),
         }
     }
 
@@ -1369,7 +1231,7 @@ impl RunState {
         let slot = (self.sendq_head[s] + self.sendq_len[s]) & self.sq_mask;
         self.sendq_val[(s << self.sq_shift) + slot as usize] = v;
         self.sendq_len[s] += 1;
-        let c = self.stream_chan[s] as usize;
+        let c = self.c.stream_chan[s] as usize;
         self.chan_active[c / 64] |= 1u64 << (c % 64);
     }
 
@@ -1389,7 +1251,7 @@ impl RunState {
         self.vc_head[s] = (head + 1) & self.vc_mask;
         self.vc_arrived[s] -= 1;
         if self.vc_arrived[s] == 0 {
-            let slot = self.ready_slot[s];
+            let slot = self.c.ready_slot[s];
             if slot != NONE {
                 self.ready_in[slot as usize] -= 1;
             }
@@ -1452,9 +1314,9 @@ impl RunState {
                     } else {
                         self.progress = true;
                     }
-                    self.pair_active[self.wake_dst_word[s] as usize] |= self.wake_dst_mask[s];
+                    self.pair_active[self.c.wake_dst_word[s] as usize] |= self.c.wake_dst_mask[s];
                     if was_empty {
-                        let slot = self.ready_slot[s];
+                        let slot = self.c.ready_slot[s];
                         if slot != NONE {
                             self.ready_in[slot as usize] += 1;
                         }
@@ -1542,7 +1404,7 @@ impl RunState {
         let p = ti * self.n + v;
         let len = self.tree_len[ti];
         let offset = self.tree_off[ti];
-        let root = self.tree_root[ti] as usize;
+        let root = self.c.roots[ti] as usize;
         let is_root = root == v;
         let kind = self.kind;
         let mut rearm = false;
@@ -1569,20 +1431,20 @@ impl RunState {
                     self.inject_budget[v] > 0
                 }
             };
-            let in_lo = self.reduce_in_off[p] as usize;
-            let in_hi = self.reduce_in_off[p + 1] as usize;
+            let in_lo = self.c.reduce_in_off[p] as usize;
+            let in_hi = self.c.reduce_in_off[p + 1] as usize;
             let inputs_ready = self.ready_in[p] as usize == in_hi - in_lo;
-            let out_ok = match self.reduce_out[p] {
+            let out_ok = match self.c.reduce_out[p] {
                 NONE => true,
                 s => self.sendq_len[s as usize] < self.sq_cap,
             };
-            let out_lo = self.bcast_out_off[p] as usize;
-            let out_hi = self.bcast_out_off[p + 1] as usize;
+            let out_lo = self.c.bcast_out_off[p] as usize;
+            let out_hi = self.c.bcast_out_off[p + 1] as usize;
             // An allreduce root turns the result straight into the
             // broadcast, so it needs space on every down stream.
             let bcast_ok = !(is_root && kind == Collective::Allreduce)
                 || (out_lo..out_hi)
-                    .all(|i| self.sendq_len[self.out_ids[i] as usize] < self.sq_cap);
+                    .all(|i| self.sendq_len[self.c.out_ids[i] as usize] < self.sq_cap);
             let fires = engine_free && inject_free && inputs_ready && out_ok && bcast_ok;
             if let Some(tr) = tracer.as_mut() {
                 if !fires {
@@ -1611,7 +1473,7 @@ impl RunState {
                 self.reduced[p] += 1;
                 let mut acc = w.input(v as u32, offset + elem);
                 for i in in_lo..in_hi {
-                    let s = self.in_ids[i] as usize;
+                    let s = self.c.in_ids[i] as usize;
                     let x = self.recvq_pop(s);
                     acc = w.combine_at(offset + elem, acc, x);
                 }
@@ -1629,13 +1491,13 @@ impl RunState {
                     }
                     if kind == Collective::Allreduce {
                         for i in out_lo..out_hi {
-                            let s = self.out_ids[i] as usize;
+                            let s = self.c.out_ids[i] as usize;
                             self.sendq_push(s, acc);
                         }
                     }
                     self.deliver(ti, p, cycle, acc);
                 } else {
-                    let s = self.reduce_out[p] as usize;
+                    let s = self.c.reduce_out[p] as usize;
                     self.sendq_push(s, acc);
                 }
                 self.progress = true;
@@ -1648,10 +1510,10 @@ impl RunState {
 
         // -- Broadcast source (broadcast / allgather root) --
         if kind.root_sources_broadcast() && is_root && self.delivered[p] < len {
-            let out_lo = self.bcast_out_off[p] as usize;
-            let out_hi = self.bcast_out_off[p + 1] as usize;
+            let out_lo = self.c.bcast_out_off[p] as usize;
+            let out_hi = self.c.bcast_out_off[p + 1] as usize;
             let space = (out_lo..out_hi)
-                .all(|i| self.sendq_len[self.out_ids[i] as usize] < self.sq_cap);
+                .all(|i| self.sendq_len[self.c.out_ids[i] as usize] < self.sq_cap);
             if let Some(tr) = tracer.as_mut() {
                 if space {
                     tr.relay_fired(v);
@@ -1674,7 +1536,7 @@ impl RunState {
                         self.job_hash[j].wrapping_add(hash_entry(offset + elem, val));
                 }
                 for i in out_lo..out_hi {
-                    let s = self.out_ids[i] as usize;
+                    let s = self.c.out_ids[i] as usize;
                     self.sendq_push(s, val);
                 }
                 self.deliver(ti, p, cycle, val);
@@ -1685,14 +1547,14 @@ impl RunState {
 
         // -- Broadcast relay (allreduce / broadcast / allgather) --
         if kind.broadcasts() {
-            let bin = self.bcast_in[p];
+            let bin = self.c.bcast_in[p];
             if bin != NONE {
                 let bin = bin as usize;
                 let input_ready = self.vc_arrived[bin] > 0;
-                let out_lo = self.bcast_out_off[p] as usize;
-                let out_hi = self.bcast_out_off[p + 1] as usize;
+                let out_lo = self.c.bcast_out_off[p] as usize;
+                let out_hi = self.c.bcast_out_off[p + 1] as usize;
                 let out_ok = (out_lo..out_hi)
-                    .all(|i| self.sendq_len[self.out_ids[i] as usize] < self.sq_cap);
+                    .all(|i| self.sendq_len[self.c.out_ids[i] as usize] < self.sq_cap);
                 if self.delivered[p] < len {
                     if let Some(tr) = tracer.as_mut() {
                         if input_ready && out_ok {
@@ -1723,7 +1585,7 @@ impl RunState {
                         }
                     }
                     for i in out_lo..out_hi {
-                        let s = self.out_ids[i] as usize;
+                        let s = self.c.out_ids[i] as usize;
                         self.sendq_push(s, val);
                     }
                     self.deliver(ti, p, cycle, val);
@@ -1806,8 +1668,8 @@ impl RunState {
         tracer: &mut Option<Tracer>,
         faults: &mut Option<FaultState>,
     ) -> bool {
-        let lo = self.chan_off[c] as usize;
-        let hi = self.chan_off[c + 1] as usize;
+        let lo = self.c.chan_off[c] as usize;
+        let hi = self.c.chan_off[c + 1] as usize;
         let k = hi - lo;
         if k == 0 {
             return false;
@@ -1819,7 +1681,7 @@ impl RunState {
         if let Some(fs) = faults.as_mut() {
             if fs.channel_blocked(c, cycle) {
                 if fs.channel_down(c) {
-                    let members = &self.chan_members[lo..hi];
+                    let members = &self.c.chan_members[lo..hi];
                     let sendq_len = &self.sendq_len;
                     fs.observe_outage(c, members, |s| sendq_len[s] > 0, cycle);
                 }
@@ -1832,7 +1694,7 @@ impl RunState {
         if let Some(tr) = tracer.as_mut() {
             let mut idx = start;
             for _ in 0..k {
-                let s = self.chan_members[lo + idx] as usize;
+                let s = self.c.chan_members[lo + idx] as usize;
                 let occupancy = self.occupancy(s) as usize;
                 let has_data = self.sendq_len[s] > 0;
                 let has_credit = occupancy < self.cfg.vc_buffer;
@@ -1858,7 +1720,7 @@ impl RunState {
         } else {
             let mut idx = start;
             for _ in 0..k {
-                let s = self.chan_members[lo + idx] as usize;
+                let s = self.c.chan_members[lo + idx] as usize;
                 let has_data = self.sendq_len[s] > 0;
                 any_data |= has_data;
                 if has_data && self.occupancy(s) < self.vc_cap {
@@ -1881,7 +1743,7 @@ impl RunState {
             if let Some(fs) = faults.as_mut() {
                 fs.note_progress(s);
             }
-            self.pair_active[self.wake_src_word[s] as usize] |= self.wake_src_mask[s];
+            self.pair_active[self.c.wake_src_word[s] as usize] |= self.c.wake_src_mask[s];
             self.progress = true;
             // The popped stream may still hold data, and arbitration losers
             // keep theirs: stay active, re-check next cycle.
@@ -1990,6 +1852,20 @@ impl RunState {
     /// Copies everything shape-relevant (and the progress counters whose
     /// deltas become rates) into the armed snapshot, taken at `cycle`.
     fn capture_shape(&mut self, cycle: u64) {
+        if self.rblock.is_empty() {
+            self.bat.snap = BatchSnap::new(
+                self.reduced.len(),
+                self.sendq_len.len(),
+                self.rr.len(),
+                self.ntrees,
+                self.njobs,
+                self.vc_shift,
+                self.words_per_tree,
+            );
+            self.rblock = vec![0; (self.n + 1) * BATCH_BLOCK];
+            self.rect_r = vec![QRECT_NONE; self.n];
+            self.rect_b = vec![QRECT_NONE; self.n];
+        }
         self.bat.c0 = cycle;
         let snap = &mut self.bat.snap;
         snap.sendq_len.copy_from_slice(&self.sendq_len);
@@ -2126,15 +2002,15 @@ impl RunState {
     /// replays the per-transmit fault-detector reset.
     fn bulk_streams(&mut self, j: u64, c_end: u64, faults: &mut Option<FaultState>) {
         let snap = &self.bat.snap;
-        for s in 0..self.stream_chan.len() {
+        for s in 0..self.c.stream_chan.len() {
             // Per-period transmit rate: for a reduce stream every fire of
             // the destination pair pops exactly one flit from it, and for
             // a broadcast stream every relay/turnaround delivery of the
             // destination does — in steady shape, pushes = transmissions =
             // pops per period (queue lengths and occupancies recur).
-            let dp = self.stream_dst_pair[s] as usize;
-            let sp = self.stream_src_pair[s] as usize;
-            let (dp_c1, sp_c1, dp_c0) = if self.ready_slot[s] != NONE {
+            let dp = self.c.stream_dst_pair[s] as usize;
+            let sp = self.c.stream_src_pair[s] as usize;
+            let (dp_c1, sp_c1, dp_c0) = if self.c.ready_slot[s] != NONE {
                 (self.reduced[dp], self.reduced[sp], snap.reduced[dp])
             } else {
                 (self.delivered[dp], self.delivered[sp], snap.delivered[dp])
@@ -2230,10 +2106,10 @@ impl RunState {
             self.rect_b[v] = QRECT_NONE;
             let p = ti * n + v;
             if kind.reduces() {
-                let s = self.reduce_out[p];
+                let s = self.c.reduce_out[p];
                 if s != NONE {
                     let s = s as usize;
-                    let dp = self.stream_dst_pair[s] as usize;
+                    let dp = self.c.stream_dst_pair[s] as usize;
                     let r = self.reduced[dp] - self.bat.snap.reduced[dp];
                     if r > 0 {
                         debug_assert_eq!(r, self.reduced[p] - self.bat.snap.reduced[p]);
@@ -2256,10 +2132,10 @@ impl RunState {
                 }
             }
             if kind.broadcasts() {
-                let s = self.bcast_in[p];
+                let s = self.c.bcast_in[p];
                 if s != NONE {
                     let s = s as usize;
-                    let sp = self.stream_src_pair[s] as usize;
+                    let sp = self.c.stream_src_pair[s] as usize;
                     let r = self.delivered[p] - self.bat.snap.delivered[p];
                     if r > 0 {
                         debug_assert_eq!(r, self.delivered[sp] - self.bat.snap.delivered[sp]);
@@ -2284,7 +2160,7 @@ impl RunState {
         }
 
         let offset = self.tree_off[ti];
-        let root = self.tree_root[ti] as usize;
+        let root = self.c.roots[ti] as usize;
         let rp = ti * n + root;
         let keys = n * BATCH_BLOCK;
         let track = self.track_jobs;
@@ -2296,7 +2172,7 @@ impl RunState {
         while blk < hi {
             let bw = ((hi - blk) as usize).min(BATCH_BLOCK);
             let b_end = blk + bw as u64;
-            self.order.fill_block(ti, w, kind, offset + blk, bw, &mut self.rblock);
+            self.c.order.fill_block(ti, w, kind, offset + blk, bw, &mut self.rblock);
 
             if kind.reduces() {
                 // Root side effects for fires in this block: validation,
@@ -2766,7 +2642,7 @@ mod tests {
         let m = 300;
         let emb = MultiTreeEmbedding::new(&g, &[t], &[m]);
         let w = Workload::new(6, m);
-        let full = [JobBinding { trees: 0..emb.trees.len(), release: 0 }];
+        let full = [JobBinding { trees: 0..emb.num_trees(), release: 0 }];
         let plain = Simulator::new(&g, &emb, SimConfig::default()).run(&w);
         let jr = Simulator::new(&g, &emb, SimConfig::default())
             .run_jobs_collective(&w, &full, Collective::Allreduce);

@@ -73,7 +73,7 @@
 
 use super::{
     hash_entry, tree_components, Collective, JobBinding, JobOutcome, SimReport, Simulator,
-    SingleRun, TreeOrder, BATCH_BLOCK,
+    SingleRun, BATCH_BLOCK,
 };
 use crate::embedding::{MultiTreeEmbedding, Phase};
 use crate::workload::Workload;
@@ -108,7 +108,6 @@ impl Window {
 pub(crate) struct ClosedForm {
     /// Per embedded tree: `Some` when it takes the closed form.
     timing: Vec<Option<Timing>>,
-    order: TreeOrder,
     /// Peak receiver occupancy over the closed-form trees' live streams.
     max_vc_occupancy: u64,
 }
@@ -127,38 +126,35 @@ impl ClosedForm {
         }
         let (emb, cfg) = (sim.emb, sim.cfg);
         let (l, vc) = (u64::from(cfg.link_latency), cfg.vc_buffer as u64);
+        let slices = emb.slices();
         let fits = |ti: usize| {
-            let len = emb.trees[ti].len;
+            let len = slices[ti].len;
             len > 0 && len.min(l) <= vc
         };
-        if !(0..emb.trees.len()).any(fits) {
+        if !(0..slices.len()).any(fits) {
             return None;
         }
 
-        let order = TreeOrder::new(emb, fits);
-        let n = emb.num_nodes as usize;
-        // Per node of the tree at hand: height·L and the latest fire
-        // offset ψ. Per (tree, node) pair: the windows of the node's
-        // reduce stream and of its broadcast streams.
-        let mut node = vec![(0u64, 0u64); n];
-        let mut win = vec![[Window::default(); 2]; emb.trees.len() * n];
-        let mut timing = vec![None; emb.trees.len()];
+        let order = &emb.order;
+        let n = emb.num_nodes() as usize;
+        // Per node of the tree at hand: the latest fire offset ψ. Per
+        // (tree, node) pair: the windows of the node's reduce stream and
+        // of its broadcast streams.
+        let mut psi = vec![0u64; n];
+        let mut win = vec![[Window::default(); 2]; slices.len() * n];
+        let mut timing = vec![None; slices.len()];
         let mut binding = bindings.unwrap_or_default().iter().peekable();
-        for (ti, t) in emb.trees.iter().enumerate() {
+        for (ti, t) in slices.iter().enumerate() {
             while binding.next_if(|b| b.trees.end <= ti).is_some() {}
             if !fits(ti) {
                 continue;
             }
-            let span = order.span(ti);
-            for i in span.clone() {
-                let v = order.nodes[i] as usize;
-                node[v].0 =
-                    order.children(i).iter().map(|&c| node[c as usize].0 + l).max().unwrap_or(0);
-            }
+            // A node's height·L.
+            let hl = |v: u32| u64::from(emb.height(ti, v)) * l;
             // Element 0 climbs the tree (H·L) before the root delivers it,
             // then descends to the deepest sink (H·L) when it broadcasts.
-            let root = t.root as usize;
-            let hl_root = node[root].0;
+            let root = emb.root(ti);
+            let hl_root = hl(root);
             let s = binding.peek().map_or(0, |b| b.release).max(1);
             let first = s.saturating_add(if kind.reduces() { hl_root } else { 0 });
             let last0 = first.saturating_add(if kind.broadcasts() { hl_root } else { 0 });
@@ -170,18 +166,18 @@ impl ClosedForm {
             // flow down the tree.
             let (base, last) = (ti * n, t.len - 1);
             let turn = if kind == Collective::Allreduce { hl_root } else { 0 };
-            node[root].1 = hl_root;
-            win[base + root][1] = Window { lo: s + turn, hi: s + turn + last };
+            psi[root as usize] = hl_root;
+            win[base + root as usize][1] = Window { lo: s + turn, hi: s + turn + last };
             let mut peak = 0;
-            for i in span.rev() {
-                let v = order.nodes[i] as usize;
-                let (hl_v, psi_v) = node[v];
-                let below = win[base + v][1].lo + l;
+            for i in order.span(ti).rev() {
+                let v = order.nodes[i];
+                let (hl_v, psi_v) = (hl(v), psi[v as usize]);
+                let below = win[base + v as usize][1].lo + l;
                 for &c in order.children(i) {
-                    let c = c as usize;
-                    let hl_c = node[c].0;
+                    let hl_c = hl(c);
                     let psi_c = if t.len > vc { hl_c.max(psi_v.saturating_sub(vc)) } else { hl_c };
-                    node[c].1 = psi_c;
+                    let c = c as usize;
+                    psi[c] = psi_c;
                     win[base + c] = [
                         Window { lo: s + hl_c, hi: s + last + psi_c },
                         Window { lo: below, hi: below + last },
@@ -200,21 +196,22 @@ impl ClosedForm {
         // A component with a refused tree steps whole; so does one where
         // two live streams on a channel may hold flits in the same cycle.
         let comp = tree_components(emb, kind);
-        let mut refused = vec![false; emb.trees.len()];
-        for (ti, t) in emb.trees.iter().enumerate() {
+        let mut refused = vec![false; slices.len()];
+        for (ti, t) in slices.iter().enumerate() {
             if t.len > 0 && timing[ti].is_none() {
                 refused[comp[ti] as usize] = true;
             }
         }
         // The window of a live stream of a tree still in the running.
         let window = |s: u32| {
-            let s = &emb.streams[s as usize];
+            let s = &emb.streams()[s as usize];
             let ti = s.tree as usize;
             let phase = usize::from(s.phase == Phase::Broadcast);
             let live = timing[ti].is_some() && s.phase.runs_under(kind);
             live.then(|| (ti, win[ti * n + s.src as usize][phase]))
         };
-        for members in &emb.channel_streams {
+        for c in 0..emb.num_channels() {
+            let members = emb.channel_streams(c);
             for (i, &a) in members.iter().enumerate() {
                 let Some((ti, wa)) = window(a) else { continue };
                 let mut later = members[i + 1..].iter().filter_map(|&b| window(b));
@@ -234,7 +231,7 @@ impl ClosedForm {
             }
         }
         let any = timing.iter().any(Option::is_some);
-        any.then_some(ClosedForm { timing, order, max_vc_occupancy })
+        any.then_some(ClosedForm { timing, max_vc_occupancy })
     }
 
     /// Does tree `ti` take the closed form?
@@ -251,17 +248,17 @@ impl ClosedForm {
         kind: Collective,
         bindings: Option<&[JobBinding]>,
     ) -> SingleRun {
-        let n = emb.num_nodes as usize;
+        let n = emb.num_nodes() as usize;
         let sinks = kind.sinks_per_tree(n as u64);
         // Every sink validates what it receives except a root that sources
         // the broadcast.
         let validations = sinks - u64::from(kind.root_sources_broadcast());
         let mut rows = vec![0u64; (n + 1) * BATCH_BLOCK];
-        let mut tree_completion = vec![0u64; emb.trees.len()];
+        let mut tree_completion = vec![0u64; emb.num_trees()];
         let (mut cycles, mut fel, mut live_pairs, mut elems) = (0u64, 0u64, 0u64, 0u64);
         let (mut mismatches, mut value_digest) = (0u64, 0u64);
         let mut jobs = vec![JobOutcome::default(); bindings.map_or(0, <[JobBinding]>::len)];
-        for (ti, t) in emb.trees.iter().enumerate() {
+        for (ti, t) in emb.slices().iter().enumerate() {
             let Some(tm) = self.timing[ti] else { continue };
             let completion = tm.last0 + t.len - 1;
             tree_completion[ti] = completion;
@@ -270,19 +267,19 @@ impl ClosedForm {
             live_pairs += sinks;
             elems += t.len;
 
-            let root = t.root as usize;
+            let root = emb.root(ti) as usize;
             let (mut tree_mismatches, mut tree_hash) = (0u64, 0u64);
             let mut e = 0;
             while e < t.len {
                 let bw = ((t.len - e) as usize).min(BATCH_BLOCK);
                 let ge = t.offset + e;
-                self.order.fill_block(ti, w, kind, ge, bw, &mut rows);
+                emb.order.fill_block(ti, w, kind, ge, bw, &mut rows);
                 let vals = &rows[root * BATCH_BLOCK..root * BATCH_BLOCK + bw];
                 let keys = &rows[n * BATCH_BLOCK..n * BATCH_BLOCK + bw];
                 for (k, (&val, &key)) in vals.iter().zip(keys).enumerate() {
                     let g = ge + k as u64;
                     let expect = match kind {
-                        Collective::Broadcast => w.input(t.root, g),
+                        Collective::Broadcast => w.input(root as u32, g),
                         _ => w.expected(g),
                     };
                     if !w.value_close_at(g, val, expect) {
@@ -311,15 +308,13 @@ impl ClosedForm {
             }
         }
 
-        let channel_flits: Vec<u64> = emb
-            .channel_streams
-            .iter()
-            .map(|members| {
-                members
+        let channel_flits: Vec<u64> = (0..emb.num_channels())
+            .map(|c| {
+                emb.channel_streams(c)
                     .iter()
-                    .map(|&s| &emb.streams[s as usize])
+                    .map(|&s| &emb.streams()[s as usize])
                     .filter(|s| self.takes(s.tree as usize) && s.phase.runs_under(kind))
-                    .map(|s| emb.trees[s.tree as usize].len)
+                    .map(|s| emb.slices()[s.tree as usize].len)
                     .sum()
             })
             .collect();

@@ -49,16 +49,14 @@ pub(super) fn run(
     kind: Collective,
 ) -> (SimReport, Option<TraceReport>, Option<FaultReport>) {
     let Simulator { emb, cfg, tracer, faults } = sim;
-    assert_eq!(w.nodes(), emb.num_nodes);
+    assert_eq!(w.nodes(), emb.num_nodes());
     assert!(
         w.len() >= emb.elem_end(),
         "workload must cover every tree slice's global element range"
     );
 
-    let n = emb.num_nodes as usize;
-    let mut engines: Vec<Vec<Engine>> = emb
-        .trees
-        .iter()
+    let n = emb.num_nodes() as usize;
+    let mut engines: Vec<Vec<Engine>> = (0..emb.num_trees())
         .map(|_| {
             (0..n)
                 .map(|_| Engine {
@@ -72,7 +70,7 @@ pub(super) fn run(
                 .collect()
         })
         .collect();
-    for (si, s) in emb.streams.iter().enumerate() {
+    for (si, s) in emb.streams().iter().enumerate() {
         let si = si as u32;
         match s.phase {
             Phase::Reduce => {
@@ -91,18 +89,18 @@ pub(super) fn run(
             inflight: VecDeque::new(),
             recvq: VecDeque::new(),
         };
-        emb.streams.len()
+        emb.streams().len()
     ];
-    let mut rr = vec![0usize; emb.channel_streams.len()];
-    let mut channel_flits = vec![0u64; emb.channel_streams.len()];
+    let mut rr = vec![0usize; emb.num_channels()];
+    let mut channel_flits = vec![0u64; emb.num_channels()];
     let mut max_vc_occupancy = 0usize;
 
     // Deliveries per tree: every node when the collective broadcasts
     // down, the root shard only for reduce / reduce-scatter.
-    let per_tree_sinks = kind.sinks_per_tree(emb.num_nodes as u64);
-    let total_deliveries: u64 = emb.trees.iter().map(|t| t.len * per_tree_sinks).sum();
+    let per_tree_sinks = kind.sinks_per_tree(emb.num_nodes() as u64);
+    let total_deliveries: u64 = emb.slices().iter().map(|t| t.len * per_tree_sinks).sum();
     let live_pairs: u64 = emb
-        .trees
+        .slices()
         .iter()
         .map(|t| if t.len > 0 { per_tree_sinks } else { 0 })
         .sum();
@@ -111,8 +109,8 @@ pub(super) fn run(
     let mut deliveries = 0u64;
     let mut mismatches = 0u64;
     let mut value_digest = 0u64;
-    let mut tree_completion = vec![0u64; emb.trees.len()];
-    let mut tree_deliveries = vec![0u64; emb.trees.len()];
+    let mut tree_completion = vec![0u64; emb.num_trees()];
+    let mut tree_deliveries = vec![0u64; emb.num_trees()];
     let mut engine_budget = vec![0u32; n];
     let mut inject_budget = vec![0u32; n];
     let mut tracer = tracer;
@@ -151,9 +149,10 @@ pub(super) fn run(
         // Rotate tree priority per cycle so shared per-node budgets
         // (engine/injection caps) are served max-min fairly instead of
         // starving high-index trees.
-        let ntrees = emb.trees.len();
+        let ntrees = emb.num_trees();
         for ti in (0..ntrees).map(|i| (i + cycle as usize) % ntrees.max(1)) {
-            let tree = &emb.trees[ti];
+            let tree = emb.slices()[ti];
+            let root = emb.root(ti);
             if tree.len == 0 {
                 continue;
             }
@@ -161,7 +160,7 @@ pub(super) fn run(
             // allreduce/allgather, the root's own input for a pure
             // broadcast.
             let expected = |elem: u64| match kind {
-                Collective::Broadcast => w.input(tree.root, tree.offset + elem),
+                Collective::Broadcast => w.input(root, tree.offset + elem),
                 _ => w.expected(tree.offset + elem),
             };
             let mut deliver = |eng: &mut Engine,
@@ -187,12 +186,12 @@ pub(super) fn run(
                     tree_completion[ti] = cycle;
                 }
             };
-            for v in 0..emb.num_nodes {
+            for v in 0..emb.num_nodes() {
                 // A dead router's engines and relays are halted.
                 if faults.as_ref().is_some_and(|f| f.router_is_down(v as usize)) {
                     continue;
                 }
-                let is_root = tree.root == v;
+                let is_root = root == v;
 
                 // -- Reduction engine (allreduce / reduce / reduce-scatter) --
                 let eng = &engines[ti][v as usize];
@@ -354,7 +353,8 @@ pub(super) fn run(
         // can observe every member without changing arbitration (with
         // tracing off the scan stops at the winner, which is the identical
         // decision).
-        for (c, members) in emb.channel_streams.iter().enumerate() {
+        for c in 0..emb.num_channels() {
+            let members = emb.channel_streams(c);
             if members.is_empty() {
                 continue;
             }
@@ -445,11 +445,11 @@ pub(super) fn run(
     }
     let report = SimReport {
         cycles: cycle,
-        total_elems: emb.total_len,
+        total_elems: emb.total_len(),
         completed,
         mismatches,
         value_digest,
-        measured_bandwidth: emb.total_len as f64 / cycle.max(1) as f64,
+        measured_bandwidth: emb.total_len() as f64 / cycle.max(1) as f64,
         tree_completion,
         first_element_latency,
         channel_flits,

@@ -25,7 +25,7 @@
 //! attached — or an empty one — the engine takes the exact same decisions
 //! as the fault-free build (property-tested, like tracing).
 
-use crate::embedding::MultiTreeEmbedding;
+use crate::embedding::{CompiledTrees, MultiTreeEmbedding};
 use crate::engine::{Collective, SimConfig, SimReport, Simulator};
 use crate::trace::FaultTraceRow;
 use crate::workload::Workload;
@@ -34,6 +34,7 @@ use pf_allreduce::{AllreducePlan, Rational};
 use pf_graph::{EdgeId, Graph, VertexId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 /// Which physical element a fault hits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -226,7 +227,8 @@ pub(crate) struct FaultState {
     // Static topology maps.
     channel_ends: Vec<(VertexId, VertexId)>,
     router_channels: Vec<Vec<u32>>,
-    stream_channel: Vec<u32>,
+    /// The compiled trees, for their stream → channel map.
+    trees: Arc<CompiledTrees>,
     // Live fault state.
     down: Vec<u32>,
     degrade: Vec<u32>,
@@ -279,12 +281,6 @@ impl FaultState {
                 router_channels[v as usize].push(c);
             }
         }
-        let mut stream_channel = vec![u32::MAX; emb.streams.len()];
-        for (c, members) in emb.channel_streams.iter().enumerate() {
-            for &s in members {
-                stream_channel[s as usize] = c as u32;
-            }
-        }
 
         FaultState {
             detection: schedule.detection,
@@ -293,15 +289,15 @@ impl FaultState {
             heals: Vec::new(),
             channel_ends,
             router_channels,
-            stream_channel,
+            trees: Arc::clone(emb.compiled()),
             down: vec![0; num_channels],
             degrade: vec![0; num_channels],
             router_down: vec![false; g.num_vertices() as usize],
             link_down: vec![0; g.num_edges() as usize],
             active_faults: 0,
-            stalled: vec![0; emb.streams.len()],
-            retries: vec![0; emb.streams.len()],
-            stream_dead: vec![false; emb.streams.len()],
+            stalled: vec![0; emb.streams().len()],
+            retries: vec![0; emb.streams().len()],
+            stream_dead: vec![false; emb.streams().len()],
             detected_edge: vec![false; g.num_edges() as usize],
             detected_router: vec![false; g.num_vertices() as usize],
             total_retries: 0,
@@ -416,7 +412,7 @@ impl FaultState {
     /// Flits in flight on a dead channel are stuck on the wire.
     #[inline]
     pub(crate) fn arrivals_frozen(&self, stream: usize) -> bool {
-        self.down[self.stream_channel[stream] as usize] > 0
+        self.down[self.trees.stream_channel(stream) as usize] > 0
     }
 
     /// True while router `v`'s engines are halted.

@@ -59,7 +59,7 @@ pub mod stats;
 pub mod trace;
 pub mod workload;
 
-pub use embedding::MultiTreeEmbedding;
+pub use embedding::{CompiledTrees, MultiTreeEmbedding, TreeSlice};
 pub use engine::{
     delivery_digest_entry, Collective, JobBinding, JobOutcome, RunReport, SimConfig, SimReport,
     Simulator,

@@ -536,20 +536,12 @@ impl Tracer {
 
     /// Folds the counters into the exported report.
     pub(crate) fn finish(self, emb: &MultiTreeEmbedding, cycles: u64) -> TraceReport {
-        // Invert the channel → streams map once.
-        let mut stream_channel = vec![u32::MAX; emb.streams.len()];
-        for (c, members) in emb.channel_streams.iter().enumerate() {
-            for &s in members {
-                stream_channel[s as usize] = c as u32;
-            }
-        }
         let streams: Vec<StreamTrace> = emb
-            .streams
+            .streams()
             .iter()
             .enumerate()
             .map(|(si, s)| {
-                let channel = stream_channel[si];
-                debug_assert_ne!(channel, u32::MAX, "every stream is mapped to a channel");
+                let channel = emb.stream_channel(si);
                 StreamTrace {
                     stream: si as u32,
                     tree: s.tree,
@@ -569,11 +561,9 @@ impl Tracer {
             })
             .collect();
 
-        let channels: Vec<ChannelTrace> = emb
-            .channel_streams
-            .iter()
-            .enumerate()
-            .map(|(c, members)| {
+        let channels: Vec<ChannelTrace> = (0..emb.num_channels())
+            .map(|c| {
+                let members = emb.channel_streams(c);
                 let flits: u64 = members.iter().map(|&s| self.stream_flits[s as usize]).sum();
                 let active =
                     members.iter().filter(|&&s| self.stream_flits[s as usize] > 0).count() as u32;
@@ -585,7 +575,7 @@ impl Tracer {
                 // via the first member or mark src = dst = u32::MAX.
                 let (src, dst) = members
                     .first()
-                    .map(|&s| (emb.streams[s as usize].src, emb.streams[s as usize].dst))
+                    .map(|&s| (emb.streams()[s as usize].src, emb.streams()[s as usize].dst))
                     .unwrap_or((u32::MAX, u32::MAX));
                 ChannelTrace {
                     channel: c as u32,
@@ -603,7 +593,7 @@ impl Tracer {
             })
             .collect();
 
-        let routers: Vec<RouterTrace> = (0..emb.num_nodes as usize)
+        let routers: Vec<RouterTrace> = (0..emb.num_nodes() as usize)
             .map(|v| RouterTrace {
                 router: v as u32,
                 reductions: self.router_reductions[v],
