@@ -116,11 +116,39 @@ fn bench_embedding_setup(c: &mut Criterion) {
     g.finish();
 }
 
+/// The value pass at the Figure 5a bandwidth regime (q = 13, m = 50 000,
+/// the benchmark package's `engine_saturated`): the edge-disjoint plan's
+/// allreduce runs whole in closed form, the low-depth plan's replays all
+/// but its fill and drain in batch windows. Both spend most of their time
+/// recomputing inputs and digests (docs/PERFORMANCE.md, "The value pass").
+fn bench_value_pass(c: &mut Criterion) {
+    let mut g = c.benchmark_group("value_pass");
+    g.sample_size(10);
+    let (q, m) = (13u64, 50_000u64);
+    for (name, plan) in [
+        ("closed_form", AllreducePlan::edge_disjoint(q, 30, 1).unwrap()),
+        ("batch_replay", AllreducePlan::low_depth(q).unwrap()),
+    ] {
+        let emb = MultiTreeEmbedding::new(&plan.graph, &plan.trees, &plan.split(m));
+        let w = Workload::new(plan.graph.num_vertices(), m);
+        g.throughput(Throughput::Elements(m));
+        g.bench_with_input(BenchmarkId::new(name, q), &emb, |b, emb| {
+            b.iter(|| {
+                let r = Simulator::new(&plan.graph, black_box(emb), SimConfig::default()).run(&w);
+                assert!(r.completed && r.mismatches == 0);
+                r.value_digest
+            })
+        });
+    }
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_simulator,
     bench_engine_comparison,
     bench_engine_scaling,
-    bench_embedding_setup
+    bench_embedding_setup,
+    bench_value_pass
 );
 criterion_main!(benches);

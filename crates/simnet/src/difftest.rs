@@ -1138,6 +1138,147 @@ fn batch_detector_locks_on_after_the_fill() {
     assert!(stepped <= 68, "low_depth(7): stepped {stepped} of {cycles} cycles");
 }
 
+/// Elements whose expectation the mismatch tests perturb: a stride
+/// through the vector, the edges of the value pass's first block and the
+/// last element.
+fn perturbed_elements(m: u64) -> Vec<u64> {
+    let mut es: Vec<u64> = (0..m).step_by(97).chain([63, 64, m - 1]).filter(|&e| e < m).collect();
+    es.sort_unstable();
+    es.dedup();
+    es
+}
+
+/// Mismatches one perturbed expectation costs a collective on `n` nodes.
+/// Every sink of an allreduce checks the reduction, and only the root of a
+/// reduce or reduce-scatter does. A broadcast checks against the root's
+/// input, and an allgather's root sources the expectation itself, so
+/// neither counts one.
+fn checks_of_expected(kind: Collective, n: u32) -> u64 {
+    match kind {
+        Collective::Allreduce => u64::from(n),
+        Collective::Reduce | Collective::ReduceScatter => 1,
+        Collective::Broadcast | Collective::Allgather => 0,
+    }
+}
+
+/// The mismatch tests' workloads over `n` nodes and `m` elements, each
+/// with the expectations of `elems` perturbed: `u64`, `f64`, and an `f64`
+/// segment beside a `u64` one that a third of the nodes sit out.
+fn perturbed_workloads(n: u32, m: u64, elems: &[u64]) -> Vec<(&'static str, Workload)> {
+    use crate::workload::{JobSegment, ReduceKind};
+    let subset = JobSegment {
+        elems: m - m / 3,
+        kind: ReduceKind::WrappingU64,
+        participants: Some((0..n).filter(|v| v % 3 != 1).collect()),
+    };
+    let segments = Workload::concat(n, &[JobSegment::full(m / 3, ReduceKind::FloatF64), subset]);
+    let mut out = vec![
+        ("u64", Workload::new(n, m)),
+        ("f64", Workload::new_float(n, m)),
+        ("segments", segments),
+    ];
+    for (_, w) in &mut out {
+        for &e in elems {
+            w.perturb_expected(e);
+        }
+    }
+    out
+}
+
+#[test]
+fn fast_paths_count_perturbed_expectations() {
+    // No other test produces a mismatch, so each of these mutants passed
+    // them all: the closed form never adding `validations` to a tree's
+    // count; the batch replay dropping its root-fire check, or charging a
+    // relay's run nothing instead of `bad_before[hi] - bad_before[lo]`.
+    // The healthy low-depth plan takes the closed form under the one-phase
+    // collectives and the batch replay under allreduce; the degraded plan
+    // steps and replays more of them.
+    /// How each case must have run.
+    #[derive(Clone, Copy, PartialEq)]
+    enum Path {
+        /// Every tree in closed form.
+        ClosedForm,
+        /// Allreduce steps at most a fifth of its cycles.
+        BatchReplay,
+        /// Every cycle stepped.
+        Traced,
+    }
+    let low_depth = AllreducePlan::low_depth(7).unwrap();
+    let (degraded, _) = fabric_plans(7).swap_remove(0);
+    let cases = [
+        ("closed form", Path::ClosedForm, edge_disjoint(7), 2_000),
+        ("batch replay", Path::BatchReplay, low_depth.clone(), 4_096),
+        ("degraded batch replay", Path::BatchReplay, degraded, 4_096),
+        ("traced", Path::Traced, low_depth, 1_024),
+    ];
+    for (name, path, plan, m) in cases {
+        let n = plan.graph.num_vertices();
+        let mut case = Case::new(plan, m);
+        case.trace = (path == Path::Traced).then(TraceConfig::counters);
+        let emb = case.embedding();
+        let elems = perturbed_elements(m);
+        for (label, w) in perturbed_workloads(n, m, &elems) {
+            for kind in COLLECTIVES {
+                let at = format!("{name} {label} {kind:?}");
+                case.assert_identical_on(&emb, &w, kind, &at);
+                let (report, stepped) = case.sim(&emb).run_counting_steps(&w, kind);
+                let want = checks_of_expected(kind, n) * elems.len() as u64;
+                assert_eq!(report.mismatches, want, "{at}");
+                match path {
+                    Path::ClosedForm => {
+                        assert!(case.sim(&emb).closed_form_trees(kind, &[]).iter().all(|&c| c));
+                    }
+                    Path::BatchReplay if kind == Collective::Allreduce => {
+                        assert!(stepped * 5 <= report.cycles, "{at}: stepped {stepped}");
+                    }
+                    Path::BatchReplay => {}
+                    Path::Traced => assert_eq!(stepped, report.cycles, "{at}"),
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn job_mismatches_match_traced_stepping() {
+    // Per-job counts, where the reference stepper has none: the untraced
+    // run takes the closed form (edge-disjoint) or the batch replay
+    // (low-depth allreduce), the traced run steps every cycle. Each job
+    // counts the perturbed elements of its own trees, n per element under
+    // allreduce. Catches either fast path skipping `job_mismatches`.
+    use crate::engine::JobBinding;
+    for (plan, m) in [(edge_disjoint(7), 2_000), (AllreducePlan::low_depth(7).unwrap(), 4_096)] {
+        let n = plan.graph.num_vertices();
+        let t = plan.trees.len();
+        let bindings = [
+            JobBinding { trees: 0..t / 2, release: 0 },
+            JobBinding { trees: t / 2..t, release: 0 },
+        ];
+        let emb = Case::new(plan.clone(), m).embedding();
+        let elems = perturbed_elements(m);
+        for (label, w) in perturbed_workloads(n, m, &elems) {
+            for kind in COLLECTIVES {
+                let traced = Simulator::new(&plan.graph, &emb, SimConfig::default())
+                    .with_trace(TraceConfig::counters())
+                    .run_jobs_collective(&w, &bindings, kind);
+                let run = Simulator::new(&plan.graph, &emb, SimConfig::default())
+                    .run_jobs_collective(&w, &bindings, kind);
+                let at = format!("{} {label} {kind:?}", plan.solution.label());
+                assert_eq!(run.report, traced.report, "{at}: report diverged");
+                assert_eq!(run.jobs, traced.jobs, "{at}: job outcomes diverged");
+                for (b, job) in bindings.iter().zip(&run.jobs) {
+                    let (first, last) = (b.trees.start, b.trees.end - 1);
+                    let own = emb.slices()[first].offset..emb.slices()[last].offset
+                        + emb.slices()[last].len;
+                    let hit = elems.iter().filter(|e| own.contains(e)).count() as u64;
+                    assert_eq!(job.mismatches, checks_of_expected(kind, n) * hit, "{at} {b:?}");
+                }
+            }
+        }
+    }
+}
+
 mod closed_form_props {
     use super::*;
     use pf_graph::{builders, RootedTree};

@@ -68,9 +68,11 @@
 //!   `j·P` cycles in closed form: ring heads advance by `j·rate`, arrival
 //!   stamps are re-based, counters get bulk adds, and delivered values
 //!   (digests, validation, surviving queue contents) are recomputed per
-//!   element with the reduction combine vectorized over contiguous element
-//!   runs. This extends idle-skip from "skip when nothing happens" to
-//!   "skip when the same thing happens every cycle".
+//!   element by the blockwise value pass, whose per-(node, element) loops
+//!   are the vector kernels of `kernels` (portable, or AVX-512 when the
+//!   CPU has it; the same bits either way). This extends idle-skip from
+//!   "skip when nothing happens" to "skip when the same thing happens
+//!   every cycle".
 //!
 //! All queue state lives in flat, pre-sized ring-buffer arenas — the steady
 //! state allocates nothing. The pre-optimization stepper is retained as
@@ -85,6 +87,7 @@
 
 use crate::embedding::{CompiledTrees, MultiTreeEmbedding, TreeOrder, NONE};
 use crate::faults::{FaultReport, FaultSchedule, FaultState};
+use crate::kernels;
 use crate::trace::{EngineStall, TraceConfig, TraceReport, Tracer};
 use crate::workload::Workload;
 use pf_graph::Graph;
@@ -720,7 +723,7 @@ fn merge(
 /// Job digests are the wrapping sum of these entries, so arbitrary
 /// interleaving of element completions leaves the digest unchanged.
 #[inline]
-fn hash_entry(elem: u64, val: u64) -> u64 {
+pub(crate) fn hash_entry(elem: u64, val: u64) -> u64 {
     let mut z = elem.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ val;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -2060,8 +2063,10 @@ impl<'a> RunState<'a> {
     /// Replays the value-carrying side effects of tree `ti` over `j`
     /// periods: root digests/validation, delivery digests, and the values
     /// of elements still queued at the window end — all recomputed per
-    /// element by the blockwise value pass ([`TreeOrder::fill_block`]),
-    /// with the combine vectorized over contiguous runs.
+    /// element by the blockwise value pass ([`TreeOrder::fill_block`]).
+    /// Every broadcast sink receives the root row's value, so each element
+    /// is validated once and each sink's run is digested by one kernel
+    /// call (`kernels::digest`).
     fn bulk_tree(&mut self, ti: usize, j: u64, w: &Workload) {
         let len = self.tree_len[ti];
         if len == 0 {
@@ -2168,11 +2173,15 @@ impl<'a> RunState<'a> {
         let root_fire_lo = self.reduced[rp];
         let root_fire_hi = root_fire_lo + j * (root_fire_lo - self.bat.snap.reduced[rp]);
 
+        // Per block: the number of elements among its first `k` that fail
+        // validation, so each sink's run is charged with one subtraction.
+        let mut bad_before = [0u32; BATCH_BLOCK + 1];
         let mut blk = lo;
         while blk < hi {
             let bw = ((hi - blk) as usize).min(BATCH_BLOCK);
             let b_end = blk + bw as u64;
             self.c.order.fill_block(ti, w, kind, offset + blk, bw, &mut self.rblock);
+            let vals = root * BATCH_BLOCK..root * BATCH_BLOCK + bw;
 
             if kind.reduces() {
                 // Root side effects for fires in this block: validation,
@@ -2180,21 +2189,24 @@ impl<'a> RunState<'a> {
                 // at the fire).
                 let flo = root_fire_lo.max(blk);
                 let fhi = root_fire_hi.min(b_end);
-                for e in flo..fhi {
-                    let ge = offset + e;
-                    let k = (e - blk) as usize;
-                    let (acc, key) = (self.rblock[root * BATCH_BLOCK + k], self.rblock[keys + k]);
-                    if !w.value_close_at(ge, acc, w.expected(ge)) {
-                        self.mismatches += 1;
-                        if track {
-                            self.job_mismatches[job] += 1;
+                if flo < fhi {
+                    let (klo, khi) = ((flo - blk) as usize, (fhi - blk) as usize);
+                    for k in klo..khi {
+                        let ge = offset + blk + k as u64;
+                        if !w.value_close_at(ge, self.rblock[vals.start + k], w.expected(ge)) {
+                            self.mismatches += 1;
+                            if track {
+                                self.job_mismatches[job] += 1;
+                            }
                         }
                     }
+                    let run = &self.rblock[keys + klo..keys + khi];
                     if track {
-                        self.job_hash[job] = self.job_hash[job].wrapping_add(key);
+                        self.job_hash[job] =
+                            run.iter().fold(self.job_hash[job], |h, &key| h.wrapping_add(key));
                     }
                     self.value_digest =
-                        self.value_digest.wrapping_add(hash_entry(root as u64, key));
+                        self.value_digest.wrapping_add(kernels::digest(root as u64, run));
                 }
                 // Reduce-stream queue rewrites: the value a node pushed for
                 // element e is R(node) at e.
@@ -2207,42 +2219,43 @@ impl<'a> RunState<'a> {
             }
 
             if kind.broadcasts() {
-                // The broadcast value B(e) sits in the root's row.
+                // The broadcast value B(e) sits in the root's row, and every
+                // relay checks it against the same expectation: validate
+                // each element once.
+                for (k, &val) in self.rblock[vals].iter().enumerate() {
+                    let ge = offset + blk + k as u64;
+                    let expect = match kind {
+                        Collective::Broadcast => w.input(root as u32, ge),
+                        _ => w.expected(ge),
+                    };
+                    let bad = !w.value_close_at(ge, val, expect);
+                    bad_before[k + 1] = bad_before[k] + u32::from(bad);
+                }
                 for v in 0..n {
                     let p = ti * n + v;
                     let dl = self.delivered[p] - self.bat.snap.delivered[p];
+                    let dlo = self.delivered[p].max(blk);
+                    let dhi = (self.delivered[p] + j * dl).min(b_end);
                     // The allreduce root's deliveries were already replayed
                     // with its fires (it delivers at the fire, not as a
                     // relay).
-                    if dl > 0 && (v != root || kind.root_sources_broadcast()) {
-                        let dlo = self.delivered[p].max(blk);
-                        let dhi = (self.delivered[p] + j * dl).min(b_end);
-                        for e in dlo..dhi {
-                            let ge = offset + e;
-                            let k = (e - blk) as usize;
-                            let key = self.rblock[keys + k];
-                            if v == root {
-                                // Broadcast/allgather source: hash + digest,
-                                // no validation (it emits, it doesn't check).
-                                if track {
-                                    self.job_hash[job] = self.job_hash[job].wrapping_add(key);
-                                }
-                            } else {
-                                let expect = match kind {
-                                    Collective::Broadcast => w.input(root as u32, ge),
-                                    _ => w.expected(ge),
-                                };
-                                let val = self.rblock[root * BATCH_BLOCK + k];
-                                if !w.value_close_at(ge, val, expect) {
-                                    self.mismatches += 1;
-                                    if track {
-                                        self.job_mismatches[job] += 1;
-                                    }
-                                }
+                    if dlo < dhi && (v != root || kind.root_sources_broadcast()) {
+                        let (klo, khi) = ((dlo - blk) as usize, (dhi - blk) as usize);
+                        let run = &self.rblock[keys + klo..keys + khi];
+                        if v != root {
+                            let bad = u64::from(bad_before[khi] - bad_before[klo]);
+                            self.mismatches += bad;
+                            if track {
+                                self.job_mismatches[job] += bad;
                             }
-                            self.value_digest =
-                                self.value_digest.wrapping_add(hash_entry(v as u64, key));
+                        } else if track {
+                            // Broadcast/allgather source: hash + digest, no
+                            // validation (it emits, it doesn't check).
+                            self.job_hash[job] =
+                                run.iter().fold(self.job_hash[job], |h, &key| h.wrapping_add(key));
                         }
+                        self.value_digest =
+                            self.value_digest.wrapping_add(kernels::digest(v as u64, run));
                     }
                     let rect = self.rect_b[v];
                     if rect.stream != NONE {

@@ -72,10 +72,11 @@
 //! and the engine merges that run's report with the closed-form part.
 
 use super::{
-    hash_entry, tree_components, Collective, JobBinding, JobOutcome, SimReport, Simulator,
-    SingleRun, BATCH_BLOCK,
+    tree_components, Collective, JobBinding, JobOutcome, SimReport, Simulator, SingleRun,
+    BATCH_BLOCK,
 };
 use crate::embedding::{MultiTreeEmbedding, Phase};
+use crate::kernels;
 use crate::workload::Workload;
 
 /// One closed-form tree's delivery times.
@@ -289,9 +290,7 @@ impl ClosedForm {
                 }
                 let sink_nodes = if kind.broadcasts() { 0..n } else { root..root + 1 };
                 for v in sink_nodes {
-                    for &key in keys {
-                        value_digest = value_digest.wrapping_add(hash_entry(v as u64, key));
-                    }
+                    value_digest = value_digest.wrapping_add(kernels::digest(v as u64, keys));
                 }
                 e += bw as u64;
             }

@@ -45,6 +45,11 @@
 //! timeout/bounded-retry failure detection, and drives the
 //! `pf_allreduce::recovery` rebuild loop so the collective completes on
 //! the surviving fabric with quantified bandwidth loss (`docs/FAULTS.md`).
+//!
+//! The one `unsafe` operation in the crate is the call into a kernel's
+//! AVX-512 copy once the CPU is known to have it (`kernels`).
+
+#![deny(unsafe_code)]
 
 #[cfg(test)]
 mod difftest;
@@ -53,6 +58,8 @@ pub mod engine;
 pub mod faults;
 pub mod hostbased;
 pub mod json;
+#[allow(unsafe_code)]
+mod kernels;
 pub mod p2p;
 pub mod routing;
 pub mod stats;

@@ -12,6 +12,8 @@
 //! flit leaking from one job's trees into another's is always caught by
 //! the expected-value check.
 
+use crate::kernels;
+
 /// The reduction operator carried by the flits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReduceKind {
@@ -140,30 +142,26 @@ impl Workload {
         }
         let m = end;
         let mut w = Workload { nodes, m, seg_end, seg_kind, seg_members, expected: Vec::new() };
+        // Node-major over blocks of 64 elements: each member's inputs for a
+        // block come from one kernel call and are added into the block in
+        // ascending node order. Every element sees the additions of a
+        // per-element sum from +0.0 in the same order, so f64 sums keep
+        // their bits.
         let mut expected = vec![0u64; m as usize];
-        for (k, slot) in expected.iter_mut().enumerate() {
-            let k = k as u64;
-            let seg = w.seg_index(k);
-            *slot = match w.seg_kind[seg] {
-                ReduceKind::WrappingU64 => {
-                    let mut acc = 0u64;
-                    for v in 0..nodes {
-                        if w.member(seg, v) {
-                            acc = acc.wrapping_add(mix(v, k));
-                        }
-                    }
-                    acc
+        let mut xs = [0u64; 64];
+        let mut start = 0u64;
+        for (seg, &end) in w.seg_end.iter().enumerate() {
+            let kind = w.seg_kind[seg];
+            let members: Vec<u32> = (0..nodes).filter(|&v| w.member(seg, v)).collect();
+            for (b, acc) in expected[start as usize..end as usize].chunks_mut(64).enumerate() {
+                let e = start + 64 * b as u64;
+                let xs = &mut xs[..acc.len()];
+                for &v in &members {
+                    kernels::fill(kind, v, e, xs);
+                    kernels::combine(kind, acc, xs);
                 }
-                ReduceKind::FloatF64 => {
-                    let mut acc = 0.0f64;
-                    for v in 0..nodes {
-                        if w.member(seg, v) {
-                            acc += mix_f64(v, k);
-                        }
-                    }
-                    acc.to_bits()
-                }
-            };
+            }
+            start = end;
         }
         w.expected = expected;
         w
@@ -296,8 +294,8 @@ impl Workload {
     /// the per-element loop: the batched steady-state engine reduces whole
     /// element blocks at once, and calling [`Workload::input`] per element
     /// would re-run the segment search (a binary search on segmented
-    /// workloads) every time. Inside one segment the fill is a tight
-    /// [`mix`] / [`mix_f64`] loop.
+    /// workloads) every time. Inside one segment the fill is one [`mix`] /
+    /// [`mix_f64`] kernel call (`kernels`).
     pub fn input_run(&self, node: u32, start: u64, out: &mut [u64]) {
         let end = start + out.len() as u64;
         debug_assert!(node < self.nodes && end <= self.m);
@@ -308,21 +306,10 @@ impl Workload {
             let stop = self.seg_end[seg].min(end);
             let cnt = (stop - e) as usize;
             let slot = &mut out[i..i + cnt];
-            if !self.member(seg, node) {
-                slot.fill(self.seg_kind[seg].identity());
+            if self.member(seg, node) {
+                kernels::fill(self.seg_kind[seg], node, e, slot);
             } else {
-                match self.seg_kind[seg] {
-                    ReduceKind::WrappingU64 => {
-                        for (k, o) in slot.iter_mut().enumerate() {
-                            *o = mix(node, e + k as u64);
-                        }
-                    }
-                    ReduceKind::FloatF64 => {
-                        for (k, o) in slot.iter_mut().enumerate() {
-                            *o = mix_f64(node, e + k as u64).to_bits();
-                        }
-                    }
-                }
+                slot.fill(self.seg_kind[seg].identity());
             }
             e = stop;
             i += cnt;
@@ -331,10 +318,9 @@ impl Workload {
 
     /// `acc[i] = combine_at(start + i, acc[i], xs[i])` over a contiguous
     /// element run, dispatching the operator once per segment run instead
-    /// of per element — the `u64` case compiles to a vectorizable
-    /// wrapping-add loop. Bit-exact against per-element
-    /// [`Workload::combine_at`] (the f64 path performs the identical
-    /// additions in the identical order).
+    /// of per element: one combine kernel call (`kernels`) per run.
+    /// Bit-exact against per-element [`Workload::combine_at`] (the f64
+    /// path performs the identical additions in the identical order).
     pub fn combine_run(&self, start: u64, acc: &mut [u64], xs: &[u64]) {
         assert_eq!(acc.len(), xs.len());
         let end = start + acc.len() as u64;
@@ -345,21 +331,22 @@ impl Workload {
             let seg = self.seg_index(e);
             let stop = self.seg_end[seg].min(end);
             let cnt = (stop - e) as usize;
-            match self.seg_kind[seg] {
-                ReduceKind::WrappingU64 => {
-                    for k in i..i + cnt {
-                        acc[k] = acc[k].wrapping_add(xs[k]);
-                    }
-                }
-                ReduceKind::FloatF64 => {
-                    for k in i..i + cnt {
-                        acc[k] = (f64::from_bits(acc[k]) + f64::from_bits(xs[k])).to_bits();
-                    }
-                }
-            }
+            kernels::combine(self.seg_kind[seg], &mut acc[i..i + cnt], &xs[i..i + cnt]);
             e = stop;
             i += cnt;
         }
+    }
+
+    /// Makes `expected(elem)` wrong under its operator, so the engines'
+    /// validation must count a mismatch wherever a sink checks it.
+    #[cfg(test)]
+    pub(crate) fn perturb_expected(&mut self, elem: u64) {
+        let kind = self.kind_at(elem);
+        let x = &mut self.expected[elem as usize];
+        *x = match kind {
+            ReduceKind::WrappingU64 => x.wrapping_add(1),
+            ReduceKind::FloatF64 => (f64::from_bits(*x) + 1.0).to_bits(),
+        };
     }
 }
 
@@ -374,6 +361,62 @@ fn combine_kind(kind: ReduceKind, a: u64, b: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The element-major sum `concat` computed before it went node-major:
+    /// per element, each member's scalar input added in ascending node
+    /// order from the identity.
+    fn expected_by_element(w: &Workload) -> Vec<u64> {
+        (0..w.m)
+            .map(|k| {
+                let seg = w.seg_index(k);
+                let members = (0..w.nodes).filter(|&v| w.member(seg, v));
+                match w.seg_kind[seg] {
+                    ReduceKind::WrappingU64 => {
+                        members.fold(0u64, |acc, v| acc.wrapping_add(mix(v, k)))
+                    }
+                    ReduceKind::FloatF64 => {
+                        let mut acc = 0.0f64;
+                        for v in members {
+                            acc += mix_f64(v, k);
+                        }
+                        acc.to_bits()
+                    }
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn node_major_expected_matches_the_element_major_sum() {
+        use ReduceKind::{FloatF64, WrappingU64};
+        let seg = |elems, kind, participants| JobSegment { elems, kind, participants };
+        for nodes in [1u32, 7, 31, 183] {
+            // A third of the nodes left out, or the last node alone.
+            let thirds = |r: u32| Some((0..nodes).filter(|v| v % 3 != r).collect::<Vec<_>>());
+            let last = Some(vec![nodes - 1]);
+            for m in [0u64, 1, 63, 64, 65, 4_097] {
+                let (a, b) = (m / 3, m - m / 3);
+                let cases = [
+                    vec![seg(m, WrappingU64, None)],
+                    vec![seg(m, FloatF64, None)],
+                    vec![seg(a, FloatF64, thirds(1)), seg(b, WrappingU64, thirds(0))],
+                    vec![
+                        seg(b, WrappingU64, last.clone()),
+                        seg(0, FloatF64, None),
+                        seg(a, FloatF64, thirds(2)),
+                    ],
+                ];
+                for segs in cases {
+                    // At one node, a third can leave nobody.
+                    if segs.iter().any(|s| s.participants.as_ref().is_some_and(Vec::is_empty)) {
+                        continue;
+                    }
+                    let w = Workload::concat(nodes, &segs);
+                    assert!(w.expected == expected_by_element(&w), "n={nodes} m={m} {segs:?}");
+                }
+            }
+        }
+    }
 
     #[test]
     fn expected_matches_manual_sum() {
