@@ -34,7 +34,8 @@
 use crate::plan::{AllreducePlan, Solution};
 use crate::rational::Rational;
 use pf_graph::dsu::Dsu;
-use pf_graph::{bfs, subgraph, EdgeId, Graph, RootedTree, VertexId};
+use pf_graph::subgraph::{self, Surviving};
+use pf_graph::{bfs, EdgeId, Graph, RootedTree, VertexId};
 
 /// A set of failed network elements, in the healthy graph's labeling.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -235,32 +236,18 @@ fn degrade(
 ) -> Result<DegradedPlan, RebuildError> {
     let g = &plan.graph;
 
-    // Surviving subgraph: vertices first, then the explicitly failed links
-    // that are still present.
-    let vd = subgraph::vertex_deleted(g, &faults.routers);
-    if vd.graph.num_vertices() == 0 {
+    // The surviving subgraph and its id maps (healthy <-> degraded), built
+    // in one pass. The maps are exact-capacity, so a cached plan's heap
+    // footprint (which the fabric soak's live-bytes gauge records) does
+    // not depend on how they grew.
+    let Surviving { graph: degraded, orig_vertex, new_vertex, orig_edge, new_edge } =
+        subgraph::surviving(g, &faults.routers, &faults.edges);
+    if degraded.num_vertices() == 0 {
         return Err(RebuildError::NoSurvivors);
     }
-    let edges_in_vd: Vec<EdgeId> =
-        faults.edges.iter().filter_map(|&e| vd.new_edge[e as usize]).collect();
-    let ed = subgraph::edge_deleted(&vd.graph, &edges_in_vd);
-    let degraded = ed.graph;
-
     if !bfs::is_connected(&degraded) {
         let (_, components) = bfs::connected_components(&degraded);
         return Err(RebuildError::Partitioned { components });
-    }
-
-    // Compose the id maps (healthy <-> degraded). The clones are
-    // exact-capacity, so a cached plan's heap footprint (which the fabric
-    // soak's live-bytes gauge records) does not depend on how `vd` grew.
-    let orig_vertex = vd.orig_vertex.clone();
-    let new_vertex = vd.new_vertex.clone();
-    let orig_edge: Vec<EdgeId> =
-        ed.orig_edge.iter().map(|&mid| vd.orig_edge[mid as usize]).collect();
-    let mut new_edge = vec![None; g.num_edges() as usize];
-    for (new, &old) in orig_edge.iter().enumerate() {
-        new_edge[old as usize] = Some(new as EdgeId);
     }
 
     let identity_vertices = degraded.num_vertices() == g.num_vertices();

@@ -226,7 +226,7 @@ mod tests {
         assert!(bfs::is_connected(&g));
         // Deleting the bridge disconnects.
         let bridge = g.edge_id(3, 4).unwrap();
-        let cut = pf_graph::edge_deleted(&g, &[bridge]);
+        let cut = pf_graph::surviving(&g, &[], &[bridge]);
         assert!(!bfs::is_connected(&cut.graph));
     }
 

@@ -212,7 +212,7 @@ fn deleted_bridge_is_a_typed_disconnection_everywhere() {
     // the rate module refuses to price it the same way.
     let g = bridged_cliques(5);
     let bridge = g.edge_id(4, 5).expect("bridge edge");
-    let cut = pf_graph::edge_deleted(&g, &[bridge]).graph;
+    let cut = pf_graph::surviving(&g, &[], &[bridge]).graph;
     for b in backends_for("bridged-k5") {
         assert_eq!(
             b.build(&cut, &Budget::unlimited()).unwrap_err(),

@@ -27,5 +27,5 @@ pub mod tree;
 
 pub use graph::{EdgeId, Graph, VertexId};
 pub use product::{cartesian_product, shifted_product, star_product, StarProduct};
-pub use subgraph::{edge_deleted, vertex_deleted, EdgeDeleted, VertexDeleted};
+pub use subgraph::{surviving, Surviving};
 pub use tree::RootedTree;

@@ -1,68 +1,27 @@
-//! Edge- and vertex-deleted subgraph views, for fault modeling.
+//! Surviving subgraphs, for fault modeling.
 //!
 //! A link or router fault turns the healthy topology into a subgraph:
 //! the same network minus the failed elements. Because [`Graph`] assigns
 //! dense edge ids in insertion order, deleting elements renumbers the
-//! surviving edges (and, for vertex deletion, the surviving vertices), so
-//! each view carries explicit id maps in both directions. Recovery code
+//! surviving edges (and, when vertices go, the surviving vertices), so
+//! the view carries explicit id maps in both directions. Recovery code
 //! uses the forward maps to translate a healthy-network plan onto the
 //! surviving fabric and the backward maps to report results in the
 //! original labeling.
 
 use crate::graph::{EdgeId, Graph, VertexId};
 
-/// A subgraph formed by deleting a set of edges. Vertex ids are unchanged;
-/// surviving edges are renumbered densely in original-id order.
+/// A subgraph formed by deleting a set of vertices (with every incident
+/// edge) and a set of edges. Survivors are renumbered densely, preserving
+/// relative order; with no vertex deleted, vertex ids are unchanged.
 ///
-/// The two maps are mutually inverse on survivors:
-/// `new_edge[orig_edge[n]] == Some(n)` for every new id `n`, and
-/// `orig_edge[new_edge[o].unwrap()] == o` for every surviving original id
-/// `o` — the round-trip identity `pf-graph/tests/proptests.rs` pins.
-#[derive(Debug, Clone)]
-pub struct EdgeDeleted {
-    /// The surviving topology.
-    pub graph: Graph,
-    /// `orig_edge[new_id] = old_id` for every surviving edge.
-    pub orig_edge: Vec<EdgeId>,
-    /// `new_edge[old_id] = Some(new_id)` for survivors, `None` for deleted
-    /// edges.
-    pub new_edge: Vec<Option<EdgeId>>,
-}
-
-/// Deletes `removed` (original edge ids; duplicates allowed) from `g`.
-///
-/// Panics if an id is out of range — that indicates a bookkeeping bug in
-/// the caller, consistent with [`Graph::add_edge`]'s contract.
-pub fn edge_deleted(g: &Graph, removed: &[EdgeId]) -> EdgeDeleted {
-    let mut dead = vec![false; g.num_edges() as usize];
-    for &e in removed {
-        assert!((e as usize) < dead.len(), "edge id {e} out of range");
-        dead[e as usize] = true;
-    }
-    let mut graph = Graph::new(g.num_vertices());
-    let mut orig_edge = Vec::new();
-    let mut new_edge = vec![None; g.num_edges() as usize];
-    for (e, u, v) in g.edges() {
-        if dead[e as usize] {
-            continue;
-        }
-        let id = graph.add_edge(u, v);
-        debug_assert_eq!(id as usize, orig_edge.len(), "dense renumbering in original-id order");
-        new_edge[e as usize] = Some(id);
-        orig_edge.push(e);
-    }
-    EdgeDeleted { graph, orig_edge, new_edge }
-}
-
-/// A subgraph formed by deleting a set of vertices (and every incident
-/// edge). Survivors are renumbered densely, preserving relative order.
-///
-/// As with [`EdgeDeleted`], each forward/backward map pair composes to
-/// the identity on survivors: `new_vertex[orig_vertex[n]] == Some(n)`,
+/// Each forward/backward map pair composes to the identity on survivors:
+/// `new_vertex[orig_vertex[n]] == Some(n)`,
 /// `orig_vertex[new_vertex[o].unwrap()] == o`, and likewise for the edge
-/// maps.
+/// maps — the round-trip identity `pf-graph/tests/proptests.rs` pins.
+/// Every map is allocated at exactly its length.
 #[derive(Debug, Clone)]
-pub struct VertexDeleted {
+pub struct Surviving {
     /// The surviving topology.
     pub graph: Graph,
     /// `orig_vertex[new_id] = old_id` for every surviving vertex.
@@ -72,40 +31,50 @@ pub struct VertexDeleted {
     pub new_vertex: Vec<Option<VertexId>>,
     /// `orig_edge[new_id] = old_id` for every surviving edge.
     pub orig_edge: Vec<EdgeId>,
-    /// `new_edge[old_id] = Some(new_id)` for survivors, `None` for edges
-    /// that lost an endpoint.
+    /// `new_edge[old_id] = Some(new_id)` for survivors, `None` for deleted
+    /// edges and edges that lost an endpoint.
     pub new_edge: Vec<Option<EdgeId>>,
 }
 
-/// Deletes `removed` (original vertex ids; duplicates allowed) from `g`.
+/// Deletes the vertices `vertices` and the edges `edges` (original ids;
+/// duplicates allowed, either may be empty) from `g` in one pass. The
+/// surviving edges are inserted in original-id order.
 ///
-/// Panics if an id is out of range.
-pub fn vertex_deleted(g: &Graph, removed: &[VertexId]) -> VertexDeleted {
-    let mut dead = vec![false; g.num_vertices() as usize];
-    for &v in removed {
-        assert!((v as usize) < dead.len(), "vertex id {v} out of range");
-        dead[v as usize] = true;
+/// Panics if an id is out of range — that indicates a bookkeeping bug in
+/// the caller, consistent with [`Graph::add_edge`]'s contract.
+pub fn surviving(g: &Graph, vertices: &[VertexId], edges: &[EdgeId]) -> Surviving {
+    let mut dead_vertex = vec![false; g.num_vertices() as usize];
+    for &v in vertices {
+        assert!((v as usize) < dead_vertex.len(), "vertex id {v} out of range");
+        dead_vertex[v as usize] = true;
     }
-    let mut orig_vertex = Vec::new();
+    let mut dead_edge = vec![false; g.num_edges() as usize];
+    for &e in edges {
+        assert!((e as usize) < dead_edge.len(), "edge id {e} out of range");
+        dead_edge[e as usize] = true;
+    }
+    let alive = dead_vertex.iter().filter(|&&dead| !dead).count();
+    let mut orig_vertex = Vec::with_capacity(alive);
     let mut new_vertex = vec![None; g.num_vertices() as usize];
     for v in g.vertices() {
-        if !dead[v as usize] {
+        if !dead_vertex[v as usize] {
             new_vertex[v as usize] = Some(orig_vertex.len() as VertexId);
             orig_vertex.push(v);
         }
     }
-    let mut graph = Graph::new(orig_vertex.len() as u32);
+    let mut graph = Graph::new(alive as u32);
     let mut orig_edge = Vec::new();
     let mut new_edge = vec![None; g.num_edges() as usize];
     for (e, u, v) in g.edges() {
-        if let (Some(nu), Some(nv)) = (new_vertex[u as usize], new_vertex[v as usize]) {
-            let id = graph.add_edge(nu, nv);
-            debug_assert_eq!(id as usize, orig_edge.len(), "dense renumbering in original-id order");
-            new_edge[e as usize] = Some(id);
+        if let (false, Some(nu), Some(nv)) =
+            (dead_edge[e as usize], new_vertex[u as usize], new_vertex[v as usize])
+        {
+            new_edge[e as usize] = Some(graph.add_edge(nu, nv));
             orig_edge.push(e);
         }
     }
-    VertexDeleted { graph, orig_vertex, new_vertex, orig_edge, new_edge }
+    orig_edge.shrink_to_fit();
+    Surviving { graph, orig_vertex, new_vertex, orig_edge, new_edge }
 }
 
 #[cfg(test)]
@@ -124,7 +93,7 @@ mod tests {
     #[test]
     fn edge_deletion_renumbers_and_maps() {
         let g = cycle(5); // edges 0:(0,1) 1:(1,2) 2:(2,3) 3:(3,4) 4:(0,4)
-        let view = edge_deleted(&g, &[1, 3]);
+        let view = surviving(&g, &[], &[1, 3]);
         assert_eq!(view.graph.num_vertices(), 5);
         assert_eq!(view.graph.num_edges(), 3);
         assert_eq!(view.orig_edge, vec![0, 2, 4]);
@@ -138,9 +107,9 @@ mod tests {
     #[test]
     fn edge_deletion_tolerates_duplicates_and_empty() {
         let g = cycle(4);
-        let view = edge_deleted(&g, &[2, 2, 2]);
+        let view = surviving(&g, &[], &[2, 2, 2]);
         assert_eq!(view.graph.num_edges(), 3);
-        let full = edge_deleted(&g, &[]);
+        let full = surviving(&g, &[], &[]);
         assert_eq!(full.graph.num_edges(), 4);
         assert!(bfs::is_connected(&full.graph));
     }
@@ -151,7 +120,7 @@ mod tests {
         for i in 0..3 {
             g.add_edge(i, i + 1);
         }
-        let view = edge_deleted(&g, &[1]);
+        let view = surviving(&g, &[], &[1]);
         assert!(!bfs::is_connected(&view.graph));
         let (_, k) = bfs::connected_components(&view.graph);
         assert_eq!(k, 2);
@@ -161,13 +130,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of range")]
     fn edge_deletion_rejects_bad_id() {
-        edge_deleted(&cycle(3), &[7]);
+        surviving(&cycle(3), &[], &[7]);
     }
 
     #[test]
     fn vertex_deletion_renumbers_and_maps() {
         let g = cycle(5);
-        let view = vertex_deleted(&g, &[2]);
+        let view = surviving(&g, &[2], &[]);
         assert_eq!(view.graph.num_vertices(), 4);
         assert_eq!(view.orig_vertex, vec![0, 1, 3, 4]);
         assert_eq!(view.new_vertex, vec![Some(0), Some(1), None, Some(2), Some(3)]);
@@ -190,7 +159,7 @@ mod tests {
         for v in 1..5 {
             g.add_edge(0, v);
         }
-        let view = vertex_deleted(&g, &[0]);
+        let view = surviving(&g, &[0], &[]);
         assert_eq!(view.graph.num_vertices(), 4);
         assert_eq!(view.graph.num_edges(), 0);
         assert!(!bfs::is_connected(&view.graph));
@@ -200,6 +169,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of range")]
     fn vertex_deletion_rejects_bad_id() {
-        vertex_deleted(&cycle(3), &[3]);
+        surviving(&cycle(3), &[3], &[]);
     }
 }

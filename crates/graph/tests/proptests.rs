@@ -145,7 +145,7 @@ proptest! {
             .filter(|_| g.num_edges() > 0)
             .map(|&p| (p % g.num_edges() as usize) as u32)
             .collect();
-        let view = subgraph::edge_deleted(&g, &removed);
+        let view = subgraph::surviving(&g, &[], &removed);
         // Forward then backward is the identity on every surviving new id…
         for (new, &old) in view.orig_edge.iter().enumerate() {
             prop_assert_eq!(view.new_edge[old as usize], Some(new as u32));
@@ -167,7 +167,7 @@ proptest! {
         let removed: Vec<u32> = picks.iter().map(|&p| (p % n as usize) as u32).collect();
         // Keep at least one survivor so the view is non-degenerate.
         prop_assume!(removed.iter().collect::<std::collections::HashSet<_>>().len() < n as usize);
-        let view = subgraph::vertex_deleted(&g, &removed);
+        let view = subgraph::surviving(&g, &removed, &[]);
         for (new, &old) in view.orig_vertex.iter().enumerate() {
             prop_assert_eq!(view.new_vertex[old as usize], Some(new as u32));
         }
@@ -190,6 +190,58 @@ proptest! {
                 prop_assert_eq!(view.orig_edge[ne as usize], old as u32);
             }
         }
+    }
+
+    #[test]
+    fn surviving_maps_round_trip(
+        g in any_graph(20),
+        vertex_picks in proptest::collection::vec(0usize..64, 0..6),
+        edge_picks in proptest::collection::vec(0usize..64, 0..8),
+    ) {
+        let n = g.num_vertices();
+        let vertices: Vec<u32> = vertex_picks.iter().map(|&p| (p % n as usize) as u32).collect();
+        let edges: Vec<u32> = edge_picks
+            .iter()
+            .filter(|_| g.num_edges() > 0)
+            .map(|&p| (p % g.num_edges() as usize) as u32)
+            .collect();
+        // Keep at least one survivor so the view is non-degenerate.
+        prop_assume!(vertices.iter().collect::<std::collections::HashSet<_>>().len() < n as usize);
+        let view = subgraph::surviving(&g, &vertices, &edges);
+        // Forward then backward is the identity on every surviving new id…
+        for (new, &old) in view.orig_vertex.iter().enumerate() {
+            prop_assert_eq!(view.new_vertex[old as usize], Some(new as u32));
+        }
+        for (new, &old) in view.orig_edge.iter().enumerate() {
+            prop_assert_eq!(view.new_edge[old as usize], Some(new as u32));
+            // Endpoints are preserved under the vertex map.
+            let (u, v) = g.endpoints(old);
+            let (nu, nv) = view.graph.endpoints(new as u32);
+            prop_assert_eq!(view.orig_vertex[nu as usize], u);
+            prop_assert_eq!(view.orig_vertex[nv as usize], v);
+        }
+        // …and backward then forward on every surviving original id; an
+        // original id maps to nothing exactly when it was deleted.
+        for (old, &new) in view.new_vertex.iter().enumerate() {
+            prop_assert_eq!(new.is_none(), vertices.contains(&(old as u32)));
+            if let Some(nv) = new {
+                prop_assert_eq!(view.orig_vertex[nv as usize], old as u32);
+            }
+        }
+        for (old, &new) in view.new_edge.iter().enumerate() {
+            let (u, v) = g.endpoints(old as u32);
+            let deleted =
+                edges.contains(&(old as u32)) || vertices.contains(&u) || vertices.contains(&v);
+            prop_assert_eq!(new.is_none(), deleted);
+            if let Some(ne) = new {
+                prop_assert_eq!(view.orig_edge[ne as usize], old as u32);
+            }
+        }
+        prop_assert_eq!(view.orig_vertex.len(), view.graph.num_vertices() as usize);
+        prop_assert_eq!(view.orig_edge.len(), view.graph.num_edges() as usize);
+        // Every map is allocated at exactly its length.
+        prop_assert_eq!(view.orig_vertex.capacity(), view.orig_vertex.len());
+        prop_assert_eq!(view.orig_edge.capacity(), view.orig_edge.len());
     }
 
     #[test]

@@ -59,6 +59,32 @@ impl Case {
         MultiTreeEmbedding::new(&self.plan.graph, &self.plan.trees, &self.plan.split(self.m))
     }
 
+    /// For a case that stops before it completes: every collective on the
+    /// workloads of [`perturbed_workloads`], with every expectation
+    /// perturbed, against the reference. Each check a sink makes then
+    /// fails, so the count is the number of checked deliveries, which
+    /// ends mid-block at most sinks: a value pass that validated whole
+    /// blocks or whole slices instead of delivered prefixes would count
+    /// more. An allreduce must count some checks, but not every one.
+    fn assert_prefixes_validated(&self, label: &str) {
+        let n = self.plan.graph.num_vertices();
+        let emb = self.embedding();
+        let elems: Vec<u64> = (0..self.m).collect();
+        let every = checks_of_expected(Collective::Allreduce, n) * self.m;
+        for (workload, w) in perturbed_workloads(n, self.m, &elems) {
+            for kind in COLLECTIVES {
+                let at = format!("{label} {workload} {kind:?}");
+                self.assert_identical_on(&emb, &w, kind, &at);
+                if kind == Collective::Allreduce {
+                    let report = self.sim(&emb).run(&w);
+                    assert!(!report.completed, "{at}: completed");
+                    let got = report.mismatches;
+                    assert!(0 < got && got < every, "{at}: {got} of {every} checks failed");
+                }
+            }
+        }
+    }
+
     /// Runs the case through both engines and asserts byte identity.
     fn assert_identical(&self, kind: Collective, label: &str) {
         let w = Workload::new(self.plan.graph.num_vertices(), self.m);
@@ -201,6 +227,7 @@ fn incomplete_runs_match() {
     let mut case = Case::new(plan, 5_000);
     case.cfg = SimConfig { max_cycles: 700, ..Default::default() };
     case.assert_identical(Collective::Allreduce, "max_cycles backstop");
+    case.assert_prefixes_validated("max_cycles backstop");
 }
 
 #[test]
@@ -268,6 +295,9 @@ fn faulted_runs_match() {
         let mut case = Case::new(plan.clone(), 1_500);
         case.faults = Some(schedule);
         case.assert_identical(Collective::Allreduce, label);
+        if label == "permanent link" {
+            case.assert_prefixes_validated(label);
+        }
     }
 }
 
@@ -518,8 +548,9 @@ fn zero_length_and_tiny_vectors_match() {
 fn batch_replay_leaves_a_staged_tail_out_of_the_ring() {
     // Two copies of one tree contend on every channel with a one-flit
     // buffer, so the batch window is shorter than the source queue: some
-    // flits staged when it opens are still staged when it closes. Their
-    // values must stay in the queue and not wrap into the one-slot ring.
+    // flits staged when it opens are still staged when it closes. They
+    // must stay staged, and not wrap into the one-slot ring, for the
+    // counts and every delivered value to match the reference.
     let plan = AllreducePlan::low_depth(3).unwrap();
     let trees = [plan.trees[0].clone(), plan.trees[0].clone()];
     let emb = MultiTreeEmbedding::new(&plan.graph, &trees, &[16, 15]);
@@ -1106,6 +1137,71 @@ fn batched_fabric_shapes_match_at_every_bulk_length() {
     }
     for q in [5u64, 7, 9] {
         bulk_waves_match_traced_stepping(q, &BULK_MS);
+    }
+}
+
+#[test]
+fn staggered_waves_deliver_what_the_workload_implies() {
+    // The reference stepper has no releases and no job accounting, and a
+    // traced run takes its values from the same value pass as any other,
+    // so the oracle here is the workload alone. Every sink of tree `t`
+    // receives v(e) for each element `e` of its slice: the root's input
+    // under broadcast, the reduction otherwise. A job's hash adds
+    // `hash_entry(e, v(e))` over its elements, and the digest adds
+    // `delivery_digest_entry(sink, e, v(e))` over every sink.
+    use crate::engine::{delivery_digest_entry, hash_entry, JobBinding};
+    for (plan, label) in fabric_plans(7) {
+        let n = plan.graph.num_vertices();
+        let (t, mid) = (plan.trees.len(), (plan.trees.len() / 2).max(2));
+        let waves = [
+            vec![
+                JobBinding { trees: 0..mid, release: 0 },
+                JobBinding { trees: mid..t, release: 300 },
+            ],
+            vec![
+                JobBinding { trees: 0..1, release: 0 },
+                JobBinding { trees: 1..mid, release: 23 },
+                JobBinding { trees: mid..t, release: 700 },
+            ],
+        ];
+        for m in [64, 1_024] {
+            let emb = Case::new(plan.clone(), m).embedding();
+            let w = Workload::new(n, m);
+            for (bindings, kind) in waves.iter().flat_map(|b| COLLECTIVES.map(|k| (b, k))) {
+                let mut digest = 0u64;
+                let mut hashes = vec![0u64; bindings.len()];
+                for (hash, b) in hashes.iter_mut().zip(bindings) {
+                    for ti in b.trees.clone() {
+                        let (root, slice) = (emb.root(ti), emb.slices()[ti]);
+                        let sinks = if kind.broadcasts() { 0..n } else { root..root + 1 };
+                        for e in slice.offset..slice.offset + slice.len {
+                            let v = match kind {
+                                Collective::Broadcast => w.input(root, e),
+                                _ => w.expected(e),
+                            };
+                            *hash = hash.wrapping_add(hash_entry(e, v));
+                            for sink in sinks.clone() {
+                                digest =
+                                    digest.wrapping_add(delivery_digest_entry(sink.into(), e, v));
+                            }
+                        }
+                    }
+                }
+                for traced in [false, true] {
+                    let mut sim = Simulator::new(&plan.graph, &emb, SimConfig::default());
+                    if traced {
+                        sim = sim.with_trace(TraceConfig::counters());
+                    }
+                    let run = sim.run_jobs_collective(&w, bindings, kind);
+                    let jobs = bindings.len();
+                    let at = format!("{label} m={m} {jobs} jobs {kind:?} traced={traced}");
+                    assert!(run.report.completed && run.report.mismatches == 0, "{at}");
+                    assert_eq!(run.report.value_digest, digest, "{at}: value digest");
+                    let got: Vec<u64> = run.jobs.iter().map(|j| j.value_hash).collect();
+                    assert_eq!(got, hashes, "{at}: job hashes");
+                }
+            }
+        }
     }
 }
 

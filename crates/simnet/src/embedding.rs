@@ -71,7 +71,7 @@ pub fn channel_id(g: &Graph, src: VertexId, dst: VertexId) -> u32 {
 
 /// Children-first node order of every tree, each node with its children
 /// in the engine's reduce-input (CSR) order — the schedule of the
-/// blockwise value pass that the batch replay and the closed form share.
+/// blockwise value pass that reports every run's values.
 #[derive(Debug)]
 pub(crate) struct TreeOrder {
     /// Per tree: its positions in `nodes`.

@@ -18,6 +18,21 @@
 //! `receiver-buffer occupancy + in-flight < vc_buffer`, which is exactly
 //! credit-based flow control with `vc_buffer` credits.
 //!
+//! # Timing, then values
+//!
+//! Congestion decides only *when* a flit moves. The value a sink receives
+//! for element `e` is fixed by the tree: each node combines its input with
+//! its children's partial results in CSR order, whenever that happens.
+//! So the stepper is a pure timing model. A staging queue is a count, a
+//! virtual-channel ring holds only the arrival stamps of the flits in
+//! flight, and a fire or a relay moves no payload. Every pair delivers its
+//! slice in element order, so once the run stops, one blockwise value
+//! pass (`value_pass`) computes what each sink received over its
+//! delivered prefix: the validation, the delivery digest and each job's
+//! hash and mismatch count. Its per-(node, element) loops are the vector
+//! kernels of `kernels` (portable, or AVX-512 when the CPU has it; the
+//! same bits either way).
+//!
 //! # Execution strategy
 //!
 //! The model above is what the simulator *computes*; it is not how the hot
@@ -49,12 +64,12 @@
 //!   channels have overlapping transmit windows, and no tracer, fault
 //!   layer or per-node cap is attached. Each delivery's cycle is then an
 //!   affine function of its element index and its sink's depth, so the
-//!   report follows from that timing plus the blockwise value pass the
-//!   batch replay uses. Edge-disjoint plans take this path at any length,
-//!   low-depth plans while their vectors are short; the other trees step
-//!   as below, in one run masked to them, and the two parts merge. Every
-//!   digest is an order-independent wrapping sum, so the merge is
-//!   byte-identical to stepping every tree.
+//!   report follows from that timing plus the value pass, run with every
+//!   sink at its slice length. Edge-disjoint plans take this path at any
+//!   length, low-depth plans while their vectors are short; the other
+//!   trees step as below, in one run masked to them, and the two parts
+//!   merge. Every digest is an order-independent wrapping sum, so the
+//!   merge is byte-identical to stepping every tree.
 //! * **Batch spans** — when the run is in steady state, consecutive cycles
 //!   repeat the same fire/drain/arrival pattern exactly. The engine arms a
 //!   full *shape* snapshot (queue lengths, active sets, round-robin
@@ -65,18 +80,15 @@
 //!   delays the lock by about its own length. It then bounds the largest
 //!   whole number of periods `j` containing no event boundary (no slice
 //!   end, fault transition, job release or cycle cap), and replays all
-//!   `j·P` cycles in closed form: ring heads advance by `j·rate`, arrival
-//!   stamps are re-based, counters get bulk adds, and delivered values
-//!   (digests, validation, surviving queue contents) are recomputed per
-//!   element by the blockwise value pass, whose per-(node, element) loops
-//!   are the vector kernels of `kernels` (portable, or AVX-512 when the
-//!   CPU has it; the same bits either way). This extends idle-skip from
-//!   "skip when nothing happens" to "skip when the same thing happens
-//!   every cycle".
+//!   `j·P` cycles at once: the in-flight arrival stamps are re-based and
+//!   the counters get bulk adds. With no payloads in the queues, nothing
+//!   else changes. This extends idle-skip from "skip when nothing happens"
+//!   to "skip when the same thing happens every cycle".
 //!
 //! All queue state lives in flat, pre-sized ring-buffer arenas — the steady
 //! state allocates nothing. The pre-optimization stepper is retained as
-//! [`mod@reference`] (behind `cfg(test)` / the `reference-engine` feature) and a
+//! [`mod@reference`] (behind `cfg(test)` / the `reference-engine` feature);
+//! it still moves real payloads, so it is the value pass's oracle too. A
 //! differential suite (`src/difftest.rs`) asserts byte-identical
 //! [`SimReport`]s, trace bytes and [`FaultReport`]s across collectives,
 //! radixes, caps, tracing and fault schedules. Tracing pins per-cycle
@@ -446,10 +458,10 @@ struct SingleRun {
     stepped: u64,
 }
 
-/// The simulation loop proper: one `RunState`, stepped to completion.
-/// `tree_mask` deactivates the trees the closed form reports — masked
-/// trees behave exactly like `len == 0` trees, contributing nothing to any
-/// counter.
+/// The simulation loop proper: one `RunState`, stepped to completion,
+/// then the value pass over what its sinks received. `tree_mask`
+/// deactivates the trees the closed form reports — masked trees behave
+/// exactly like `len == 0` trees, contributing nothing to any counter.
 #[allow(clippy::too_many_arguments)]
 fn run_single(
     emb: &MultiTreeEmbedding,
@@ -491,7 +503,7 @@ fn run_single(
             // could not complete yet.
             st.step_arrivals(cycle, false, &faults);
         }
-        st.step_compute(cycle, w, &mut tracer, &faults);
+        st.step_compute(cycle, &mut tracer, &faults);
         st.step_transmit(cycle, &mut tracer, &mut faults);
         // Fused wire advancement: complete next cycle's arrivals now, so
         // the next iteration starts with zero wire-scan work. Not across
@@ -510,7 +522,7 @@ fn run_single(
         }
 
         if batchable && st.deliveries < st.total_deliveries {
-            st.batch_step(&mut cycle, w, &mut faults);
+            st.batch_step(&mut cycle, &mut faults);
         }
 
         // Time skip: if this cycle made no progress at all, nothing can
@@ -558,12 +570,24 @@ fn run_single(
     if let (Some(t), Some(fr)) = (trace.as_mut(), fault_report.as_ref()) {
         t.faults = fr.records.clone();
     }
+    let mut jobs: Vec<JobOutcome> = (0..st.njobs)
+        .map(|j| JobOutcome {
+            first_delivery: st.job_first[j],
+            completion: st.job_completion[j],
+            deliveries: st.job_deliveries[j],
+            elems: st.job_elems[j],
+            ..JobOutcome::default()
+        })
+        .collect();
+    let n = st.n;
+    let (mismatches, value_digest) =
+        value_pass(emb, w, kind, bindings, |ti, v| st.delivered[ti * n + v], &mut jobs);
     let report = SimReport {
         cycles: cycle,
         total_elems: emb.total_len(),
         completed,
-        mismatches: st.mismatches,
-        value_digest: st.value_digest,
+        mismatches,
+        value_digest,
         measured_bandwidth: emb.total_len() as f64 / cycle.max(1) as f64,
         tree_completion: st.tree_completion,
         first_element_latency: st.first_element_latency,
@@ -571,16 +595,6 @@ fn run_single(
         max_channel_utilization: max_util,
         max_vc_occupancy: st.max_vc_occupancy,
     };
-    let jobs = (0..st.njobs)
-        .map(|j| JobOutcome {
-            first_delivery: st.job_first[j],
-            completion: st.job_completion[j],
-            deliveries: st.job_deliveries[j],
-            elems: st.job_elems[j],
-            value_hash: st.job_hash[j],
-            mismatches: st.job_mismatches[j],
-        })
-        .collect();
     SingleRun { report, trace, faults: fault_report, jobs, live_pairs: st.live_pairs, stepped }
 }
 
@@ -757,11 +771,11 @@ const BATCH_PMAX: u64 = 1024;
 /// that never saturate (latency tails, fault-frozen stretches) never pay
 /// for the detector at all.
 const BATCH_STREAK: u32 = 32;
-/// Element block width of the bulk value-recomputation pass: one scratch
-/// row per node, `BATCH_BLOCK` contiguous elements per pass, sized to keep
-/// the whole working set (n rows) in cache while leaving the inner combine
-/// loops long enough to vectorize.
-const BATCH_BLOCK: usize = 64;
+/// Element block width of the value pass: one scratch row per node,
+/// `VALUE_BLOCK` contiguous elements per pass, sized to keep the whole
+/// working set (n rows) in cache while leaving the inner combine loops
+/// long enough to vectorize.
+const VALUE_BLOCK: usize = 64;
 /// Re-arm backoff after a failed match/window (doubles up to the cap): a
 /// run that is *not* periodic stops paying the snapshot cost quickly.
 const BATCH_BACKOFF0: u64 = 64;
@@ -791,9 +805,7 @@ struct BatchCtl {
 /// Everything that must recur for two cycles to be *shape-equal* — i.e.
 /// for the fire/drain/arrival pattern between them to replay verbatim —
 /// plus the progress counters whose per-period deltas become the bulk
-/// rates. Value arrays are deliberately absent: values are pure functions
-/// of the element index (the engine combines deterministic workload
-/// inputs in a deterministic order), so the bulk pass recomputes them.
+/// rates.
 #[derive(Default)]
 struct BatchSnap {
     sendq_len: Vec<u32>,
@@ -840,45 +852,27 @@ impl BatchSnap {
     }
 }
 
-/// One stream's queue-rewrite rectangle for the bulk replay: which element
-/// ranges of the post-window send queue and receive ring must be filled
-/// with recomputed values, and the element id sitting at each ring's head
-/// after the window (`*_first`) so element → slot is a single offset.
-#[derive(Clone, Copy)]
-struct QRect {
-    stream: u32,
-    vc_first: u64,
-    vc_lo: u64,
-    vc_hi: u64,
-    sq_first: u64,
-    sq_lo: u64,
-    sq_hi: u64,
-}
-
-const QRECT_NONE: QRect =
-    QRect { stream: NONE, vc_first: 0, vc_lo: 0, vc_hi: 0, sq_first: 0, sq_lo: 0, sq_hi: 0 };
-
-/// Splits two distinct `BATCH_BLOCK`-strided rows out of the scratch
+/// Splits two distinct `VALUE_BLOCK`-strided rows out of the scratch
 /// matrix: the row being combined into (mutable) and the child row being
 /// read. Free function so the borrows stay field-local at the call site.
 #[inline]
 fn two_rows(buf: &mut [u64], a: usize, b: usize, bw: usize) -> (&mut [u64], &[u64]) {
     debug_assert_ne!(a, b);
     if a < b {
-        let (lo, hi) = buf.split_at_mut(b * BATCH_BLOCK);
-        (&mut lo[a * BATCH_BLOCK..a * BATCH_BLOCK + bw], &hi[..bw])
+        let (lo, hi) = buf.split_at_mut(b * VALUE_BLOCK);
+        (&mut lo[a * VALUE_BLOCK..a * VALUE_BLOCK + bw], &hi[..bw])
     } else {
-        let (lo, hi) = buf.split_at_mut(a * BATCH_BLOCK);
-        (&mut hi[..bw], &lo[b * BATCH_BLOCK..b * BATCH_BLOCK + bw])
+        let (lo, hi) = buf.split_at_mut(a * VALUE_BLOCK);
+        (&mut hi[..bw], &lo[b * VALUE_BLOCK..b * VALUE_BLOCK + bw])
     }
 }
 
 impl TreeOrder {
-    /// The blockwise value pass over global elements `ge..ge + bw` of
-    /// tree `ti`. When the collective reduces, row `v` of `rows` (stride
-    /// `BATCH_BLOCK`) becomes R(v), the value node `v` pushes up: its
+    /// One block of the value pass: global elements `ge..ge + bw` of tree
+    /// `ti`. When the collective reduces, row `v` of `rows` (stride
+    /// `VALUE_BLOCK`) becomes R(v), the value node `v` pushes up: its
     /// input combined with each child's row in CSR order, bit-identical to
-    /// the per-cycle engine, which combines the same inputs in the same
+    /// the reference stepper, which combines the same inputs in the same
     /// order. Either way the root's row ends up holding the value every
     /// sink receives — R(root), the root's own input for a broadcast, the
     /// expected reduction for an allgather. The last row gets each
@@ -899,14 +893,14 @@ impl TreeOrder {
         if kind.reduces() {
             for i in span {
                 let v = self.nodes[i] as usize;
-                w.input_run(v as u32, ge, &mut rows[v * BATCH_BLOCK..v * BATCH_BLOCK + bw]);
+                w.input_run(v as u32, ge, &mut rows[v * VALUE_BLOCK..v * VALUE_BLOCK + bw]);
                 for &c in self.children(i) {
                     let (acc, xs) = two_rows(rows, v, c as usize, bw);
                     w.combine_run(ge, acc, xs);
                 }
             }
         } else {
-            let row = &mut rows[root * BATCH_BLOCK..root * BATCH_BLOCK + bw];
+            let row = &mut rows[root * VALUE_BLOCK..root * VALUE_BLOCK + bw];
             if kind == Collective::Broadcast {
                 w.input_run(root as u32, ge, row);
             } else {
@@ -915,11 +909,83 @@ impl TreeOrder {
                 }
             }
         }
-        let (vals, keys) = rows.split_at_mut(rows.len() - BATCH_BLOCK);
+        let (vals, keys) = rows.split_at_mut(rows.len() - VALUE_BLOCK);
         for (k, key) in keys[..bw].iter_mut().enumerate() {
-            *key = hash_entry(ge + k as u64, vals[root * BATCH_BLOCK + k]);
+            *key = hash_entry(ge + k as u64, vals[root * VALUE_BLOCK + k]);
         }
     }
+}
+
+/// The value pass: everything a run reports about the values it
+/// delivered, from the workload and each sink's delivered prefix alone.
+/// `delivered(ti, v)` is how many elements of tree `ti`'s slice node `v`
+/// received (for a sink; other nodes are not asked), always a prefix, as a
+/// pair delivers its slice in element order. Adds each job's `value_hash`
+/// and `mismatches` into `jobs` and returns the run's mismatch count and
+/// value digest.
+///
+/// Per block of [`TreeOrder::fill_block`], every element is validated once
+/// (`bad_before` counts the failures among a block's first `k` elements)
+/// and each sink's run is digested by one kernel call. The root adds each
+/// element it fires or sources to its job's hash. Every sink validates
+/// what it receives except a root that sources the broadcast, and all of
+/// them check the same value against the same expectation: the root's
+/// input for a broadcast, the reduction otherwise.
+fn value_pass(
+    emb: &MultiTreeEmbedding,
+    w: &Workload,
+    kind: Collective,
+    bindings: Option<&[JobBinding]>,
+    delivered: impl Fn(usize, usize) -> u64,
+    jobs: &mut [JobOutcome],
+) -> (u64, u64) {
+    let n = emb.num_nodes() as usize;
+    let mut rows = vec![0u64; (n + 1) * VALUE_BLOCK];
+    let mut bad_before = [0u32; VALUE_BLOCK + 1];
+    let (mut mismatches, mut digest) = (0u64, 0u64);
+    for (ti, t) in emb.slices().iter().enumerate() {
+        let root = emb.root(ti) as usize;
+        let sinks = if kind.broadcasts() { 0..n } else { root..root + 1 };
+        let hi = sinks.clone().map(|v| delivered(ti, v)).max().unwrap_or(0);
+        let (mut bad, mut hash) = (0u64, 0u64);
+        let mut blk = 0u64;
+        while blk < hi {
+            let bw = ((hi - blk) as usize).min(VALUE_BLOCK);
+            let ge = t.offset + blk;
+            emb.order.fill_block(ti, w, kind, ge, bw, &mut rows);
+            let (vals, keys) = rows.split_at(n * VALUE_BLOCK);
+            let vals = &vals[root * VALUE_BLOCK..root * VALUE_BLOCK + bw];
+            for (k, &val) in vals.iter().enumerate() {
+                let g = ge + k as u64;
+                let expect = match kind {
+                    Collective::Broadcast => w.input(root as u32, g),
+                    _ => w.expected(g),
+                };
+                bad_before[k + 1] = bad_before[k] + u32::from(!w.value_close_at(g, val, expect));
+            }
+            for v in sinks.clone() {
+                let k = delivered(ti, v).saturating_sub(blk).min(bw as u64) as usize;
+                if k == 0 {
+                    continue;
+                }
+                let run = &keys[..k];
+                digest = digest.wrapping_add(kernels::digest(v as u64, run));
+                if v == root {
+                    hash = run.iter().fold(hash, |h, &key| h.wrapping_add(key));
+                }
+                if v != root || kind.reduces() {
+                    bad += u64::from(bad_before[k]);
+                }
+            }
+            blk += bw as u64;
+        }
+        mismatches += bad;
+        if let Some(j) = bindings.and_then(|bs| bs.iter().position(|b| b.trees.contains(&ti))) {
+            jobs[j].value_hash = jobs[j].value_hash.wrapping_add(hash);
+            jobs[j].mismatches += bad;
+        }
+    }
+    (mismatches, digest)
 }
 
 /// The compiled arrays a run reads (see [`CompiledTrees`]), borrowed as
@@ -945,7 +1011,6 @@ struct Wiring<'a> {
     ready_slot: &'a [u32],
     chan_off: &'a [u32],
     chan_members: &'a [u32],
-    order: &'a TreeOrder,
 }
 
 impl<'a> Wiring<'a> {
@@ -968,19 +1033,19 @@ impl<'a> Wiring<'a> {
             ready_slot: &c.ready_slot,
             chan_off: &c.chan_off,
             chan_members: &c.chan_members,
-            order: &c.order,
         }
     }
 }
 
-/// All mutable state of one optimized run: flat arenas, active sets, and
+/// All mutable state of one optimized run: queue counts, active sets, and
 /// the progress counters folded into the final [`SimReport`].
 ///
-/// Engines are addressed by *pair* index `p = tree * n + node`; stream
-/// queues live in pre-sized ring-buffer arenas (`sendq` at the sender,
-/// a combined wire/VC ring at the receiver). The dataflow wiring is
-/// borrowed from the compiled form. The steady-state loop performs no
-/// heap allocation.
+/// Engines are addressed by *pair* index `p = tree * n + node`. A stream's
+/// staging queue at the sender is a count; at the receiver it has a count
+/// of arrived flits and a pre-sized ring of the arrival stamps of the
+/// flits still on the wire. No payload is stored anywhere (see the module
+/// doc). The dataflow wiring is borrowed from the compiled form. The
+/// steady-state loop performs no heap allocation.
 struct RunState<'a> {
     cfg: SimConfig,
     kind: Collective,
@@ -989,9 +1054,8 @@ struct RunState<'a> {
     /// The compiled trees' wiring.
     c: Wiring<'a>,
 
-    // Per-tree slices (flattened from the embedding).
+    // Per-tree slice lengths (0 for a tree the closed form reports).
     tree_len: Vec<u64>,
-    tree_off: Vec<u64>,
 
     // Multi-job bookkeeping (all-zero / inert for single-job runs).
     track_jobs: bool,
@@ -1003,29 +1067,24 @@ struct RunState<'a> {
     job_deliveries: Vec<u64>,
     job_total: Vec<u64>,
     job_elems: Vec<u64>,
-    job_hash: Vec<u64>,
-    job_mismatches: Vec<u64>,
 
     // Per-pair progress.
     reduced: Vec<u64>,
     delivered: Vec<u64>,
 
-    // Stream queues: sender staging ring + combined wire/VC ring. Rings
-    // are strided at the next power of two so slot arithmetic is a mask
-    // and a shift, never a division; the logical capacity stays the
-    // configured value (enforced by the credit/space comparisons).
+    // Stream queues: flits staged at the sender, flits arrived in the VC
+    // buffer, and flits on the wire with their arrival stamps, oldest at
+    // `wire_head`. The stamp rings are strided at the next power of two so
+    // slot arithmetic is a mask and a shift, never a division; the logical
+    // capacities stay the configured values (enforced by the credit/space
+    // comparisons).
     sq_cap: u32,
-    sq_mask: u32,
-    sq_shift: u32,
     vc_cap: u32,
     vc_mask: u32,
     vc_shift: u32,
-    sendq_val: Vec<u64>,
-    sendq_head: Vec<u32>,
     sendq_len: Vec<u32>,
     vc_arr: Vec<u64>,
-    vc_val: Vec<u64>,
-    vc_head: Vec<u32>,
+    wire_head: Vec<u32>,
     vc_arrived: Vec<u32>,
     vc_inflight: Vec<u32>,
 
@@ -1057,8 +1116,6 @@ struct RunState<'a> {
     first_done_pairs: u64,
     first_element_latency: u64,
     deliveries: u64,
-    mismatches: u64,
-    value_digest: u64,
     tree_completion: Vec<u64>,
     tree_deliveries: Vec<u64>,
     channel_flits: Vec<u64>,
@@ -1072,16 +1129,9 @@ struct RunState<'a> {
     pending_arrivals: bool,
 
     // Batch-span machinery (see the module doc and `BatchCtl`). The
-    // snapshot and the scratch below are sized at the run's first capture:
-    // a run that never saturates never allocates them.
+    // snapshot is sized at the run's first capture: a run that never
+    // saturates never allocates it.
     bat: BatchCtl,
-    // Scratch for the bulk value pass: one row of `BATCH_BLOCK` element
-    // values per node, plus the row of digest keys.
-    rblock: Vec<u64>,
-    // Scratch: per-node queue-rewrite rectangles for the tree being bulked
-    // (reduce-out stream / broadcast-in stream of each node).
-    rect_r: Vec<QRect>,
-    rect_b: Vec<QRect>,
 }
 
 impl<'a> RunState<'a> {
@@ -1116,7 +1166,6 @@ impl<'a> RunState<'a> {
             tree_len_eff.iter().map(|&l| if l > 0 { per_tree_sinks } else { 0 }).sum();
 
         let words_per_tree = n.div_ceil(64);
-        let sq_shift = (cfg.source_queue as u32).next_power_of_two().trailing_zeros();
         let vc_shift = (cfg.vc_buffer as u32).next_power_of_two().trailing_zeros();
 
         // Per-job wiring: which job each tree belongs to, when it is
@@ -1159,7 +1208,6 @@ impl<'a> RunState<'a> {
             ntrees,
             c: Wiring::new(c),
             tree_len: tree_len_eff,
-            tree_off: emb.slices().iter().map(|t| t.offset).collect(),
             track_jobs: bindings.is_some(),
             njobs,
             tree_release,
@@ -1169,22 +1217,15 @@ impl<'a> RunState<'a> {
             job_deliveries: vec![0; njobs],
             job_total,
             job_elems,
-            job_hash: vec![0; njobs],
-            job_mismatches: vec![0; njobs],
             reduced: vec![0; pairs],
             delivered: vec![0; pairs],
             sq_cap: cfg.source_queue as u32,
-            sq_mask: (1u32 << sq_shift) - 1,
-            sq_shift,
             vc_cap: cfg.vc_buffer as u32,
             vc_mask: (1u32 << vc_shift) - 1,
             vc_shift,
-            sendq_val: vec![0; nstreams << sq_shift],
-            sendq_head: vec![0; nstreams],
             sendq_len: vec![0; nstreams],
             vc_arr: vec![0; nstreams << vc_shift],
-            vc_val: vec![0; nstreams << vc_shift],
-            vc_head: vec![0; nstreams],
+            wire_head: vec![0; nstreams],
             vc_arrived: vec![0; nstreams],
             vc_inflight: vec![0; nstreams],
             ready_in: vec![0; pairs],
@@ -1203,8 +1244,6 @@ impl<'a> RunState<'a> {
             first_done_pairs: 0,
             first_element_latency: 0,
             deliveries: 0,
-            mismatches: 0,
-            value_digest: 0,
             tree_completion: vec![0; ntrees],
             tree_deliveries: vec![0; ntrees],
             channel_flits: vec![0; nchans],
@@ -1221,37 +1260,40 @@ impl<'a> RunState<'a> {
                 streak: 0,
                 snap: BatchSnap::default(),
             },
-            rblock: Vec::new(),
-            rect_r: Vec::new(),
-            rect_b: Vec::new(),
         }
     }
 
     // -- queue primitives ---------------------------------------------------
 
     #[inline]
-    fn sendq_push(&mut self, s: usize, v: u64) {
-        let slot = (self.sendq_head[s] + self.sendq_len[s]) & self.sq_mask;
-        self.sendq_val[(s << self.sq_shift) + slot as usize] = v;
+    fn sendq_push(&mut self, s: usize) {
         self.sendq_len[s] += 1;
         let c = self.c.stream_chan[s] as usize;
         self.chan_active[c / 64] |= 1u64 << (c % 64);
     }
 
+    /// Pair `p`'s broadcast-out streams, as a range of `out_ids`.
     #[inline]
-    fn sendq_pop(&mut self, s: usize) -> u64 {
-        let head = self.sendq_head[s];
-        let v = self.sendq_val[(s << self.sq_shift) + head as usize];
-        self.sendq_head[s] = (head + 1) & self.sq_mask;
-        self.sendq_len[s] -= 1;
-        v
+    fn bcast_outs(&self, p: usize) -> std::ops::Range<usize> {
+        self.c.bcast_out_off[p] as usize..self.c.bcast_out_off[p + 1] as usize
+    }
+
+    /// Has every broadcast-out stream of pair `p` room to stage a flit?
+    #[inline]
+    fn bcast_room(&self, p: usize) -> bool {
+        self.bcast_outs(p).all(|i| self.sendq_len[self.c.out_ids[i] as usize] < self.sq_cap)
+    }
+
+    /// Stages one flit on each broadcast-out stream of pair `p`.
+    #[inline]
+    fn bcast_push(&mut self, p: usize) {
+        for i in self.bcast_outs(p) {
+            self.sendq_push(self.c.out_ids[i] as usize);
+        }
     }
 
     #[inline]
-    fn recvq_pop(&mut self, s: usize) -> u64 {
-        let head = self.vc_head[s];
-        let v = self.vc_val[(s << self.vc_shift) + head as usize];
-        self.vc_head[s] = (head + 1) & self.vc_mask;
+    fn recvq_pop(&mut self, s: usize) {
         self.vc_arrived[s] -= 1;
         if self.vc_arrived[s] == 0 {
             let slot = self.c.ready_slot[s];
@@ -1259,15 +1301,12 @@ impl<'a> RunState<'a> {
                 self.ready_in[slot as usize] -= 1;
             }
         }
-        v
     }
 
     #[inline]
-    fn wire_push(&mut self, s: usize, arrival: u64, v: u64) {
-        let slot = (self.vc_head[s] + self.vc_arrived[s] + self.vc_inflight[s]) & self.vc_mask;
-        let base = s << self.vc_shift;
-        self.vc_arr[base + slot as usize] = arrival;
-        self.vc_val[base + slot as usize] = v;
+    fn wire_push(&mut self, s: usize, arrival: u64) {
+        let slot = (self.wire_head[s] + self.vc_inflight[s]) & self.vc_mask;
+        self.vc_arr[(s << self.vc_shift) + slot as usize] = arrival;
         self.vc_inflight[s] += 1;
         self.wire_active[s / 64] |= 1u64 << (s % 64);
     }
@@ -1303,10 +1342,11 @@ impl<'a> RunState<'a> {
                 let was_empty = self.vc_arrived[s] == 0;
                 let mut advanced = false;
                 while self.vc_inflight[s] > 0 {
-                    let idx = ((self.vc_head[s] + self.vc_arrived[s]) & self.vc_mask) as usize;
-                    if self.vc_arr[base + idx] > cycle {
+                    let head = self.wire_head[s];
+                    if self.vc_arr[base + head as usize] > cycle {
                         break;
                     }
+                    self.wire_head[s] = (head + 1) & self.vc_mask;
                     self.vc_arrived[s] += 1;
                     self.vc_inflight[s] -= 1;
                     advanced = true;
@@ -1340,7 +1380,6 @@ impl<'a> RunState<'a> {
     fn step_compute(
         &mut self,
         cycle: u64,
-        w: &Workload,
         tracer: &mut Option<Tracer>,
         faults: &Option<FaultState>,
     ) {
@@ -1356,7 +1395,7 @@ impl<'a> RunState<'a> {
                 // is observed every cycle, exactly like the reference
                 // stepper, so stall attribution is identical.
                 for v in 0..self.n {
-                    self.process_pair(ti, v, cycle, w, tracer, faults);
+                    self.process_pair(ti, v, cycle, tracer, faults);
                 }
             } else {
                 let base = ti * self.words_per_tree;
@@ -1374,7 +1413,7 @@ impl<'a> RunState<'a> {
                         let v = wi * 64 + word.trailing_zeros() as usize;
                         let bit = word & word.wrapping_neg();
                         word &= word - 1;
-                        if self.process_pair(ti, v, cycle, w, tracer, faults) {
+                        if self.process_pair(ti, v, cycle, tracer, faults) {
                             rearmed |= bit;
                         }
                     }
@@ -1385,15 +1424,15 @@ impl<'a> RunState<'a> {
     }
 
     /// Evaluates one (tree, node) engine exactly as the reference stepper
-    /// does. Returns `true` when the pair must be re-examined next cycle
-    /// even without an external wake (it fired, or it stalled on a per-node
-    /// budget that refills next cycle).
+    /// does, moving flits without their payloads. Returns `true` when the
+    /// pair must be re-examined next cycle even without an external wake
+    /// (it fired, or it stalled on a per-node budget that refills next
+    /// cycle).
     fn process_pair(
         &mut self,
         ti: usize,
         v: usize,
         cycle: u64,
-        w: &Workload,
         tracer: &mut Option<Tracer>,
         faults: &Option<FaultState>,
     ) -> bool {
@@ -1406,9 +1445,7 @@ impl<'a> RunState<'a> {
         }
         let p = ti * self.n + v;
         let len = self.tree_len[ti];
-        let offset = self.tree_off[ti];
-        let root = self.c.roots[ti] as usize;
-        let is_root = root == v;
+        let is_root = self.c.roots[ti] as usize == v;
         let kind = self.kind;
         let mut rearm = false;
 
@@ -1441,13 +1478,9 @@ impl<'a> RunState<'a> {
                 NONE => true,
                 s => self.sendq_len[s as usize] < self.sq_cap,
             };
-            let out_lo = self.c.bcast_out_off[p] as usize;
-            let out_hi = self.c.bcast_out_off[p + 1] as usize;
             // An allreduce root turns the result straight into the
             // broadcast, so it needs space on every down stream.
-            let bcast_ok = !(is_root && kind == Collective::Allreduce)
-                || (out_lo..out_hi)
-                    .all(|i| self.sendq_len[self.c.out_ids[i] as usize] < self.sq_cap);
+            let bcast_ok = !(is_root && kind == Collective::Allreduce) || self.bcast_room(p);
             let fires = engine_free && inject_free && inputs_ready && out_ok && bcast_ok;
             if let Some(tr) = tracer.as_mut() {
                 if !fires {
@@ -1472,36 +1505,17 @@ impl<'a> RunState<'a> {
                 if self.cfg.max_injections_per_node.is_some() {
                     self.inject_budget[v] -= 1;
                 }
-                let elem = self.reduced[p];
                 self.reduced[p] += 1;
-                let mut acc = w.input(v as u32, offset + elem);
                 for i in in_lo..in_hi {
-                    let s = self.c.in_ids[i] as usize;
-                    let x = self.recvq_pop(s);
-                    acc = w.combine_at(offset + elem, acc, x);
+                    self.recvq_pop(self.c.in_ids[i] as usize);
                 }
                 if is_root {
-                    if !w.value_close_at(offset + elem, acc, w.expected(offset + elem)) {
-                        self.mismatches += 1;
-                        if self.track_jobs {
-                            self.job_mismatches[self.tree_job[ti] as usize] += 1;
-                        }
-                    }
-                    if self.track_jobs {
-                        let j = self.tree_job[ti] as usize;
-                        self.job_hash[j] =
-                            self.job_hash[j].wrapping_add(hash_entry(offset + elem, acc));
-                    }
                     if kind == Collective::Allreduce {
-                        for i in out_lo..out_hi {
-                            let s = self.c.out_ids[i] as usize;
-                            self.sendq_push(s, acc);
-                        }
+                        self.bcast_push(p);
                     }
-                    self.deliver(ti, p, cycle, acc);
+                    self.deliver(ti, p, cycle);
                 } else {
-                    let s = self.c.reduce_out[p] as usize;
-                    self.sendq_push(s, acc);
+                    self.sendq_push(self.c.reduce_out[p] as usize);
                 }
                 self.progress = true;
                 rearm = true;
@@ -1513,10 +1527,7 @@ impl<'a> RunState<'a> {
 
         // -- Broadcast source (broadcast / allgather root) --
         if kind.root_sources_broadcast() && is_root && self.delivered[p] < len {
-            let out_lo = self.c.bcast_out_off[p] as usize;
-            let out_hi = self.c.bcast_out_off[p + 1] as usize;
-            let space = (out_lo..out_hi)
-                .all(|i| self.sendq_len[self.c.out_ids[i] as usize] < self.sq_cap);
+            let space = self.bcast_room(p);
             if let Some(tr) = tracer.as_mut() {
                 if space {
                     tr.relay_fired(v);
@@ -1525,24 +1536,8 @@ impl<'a> RunState<'a> {
                 }
             }
             if space {
-                let elem = self.delivered[p];
-                // A broadcast root sends its own contribution; an allgather
-                // root sends its slice of the global reduction — the state a
-                // preceding reduce-scatter left it with.
-                let val = match kind {
-                    Collective::Broadcast => w.input(v as u32, offset + elem),
-                    _ => w.expected(offset + elem),
-                };
-                if self.track_jobs {
-                    let j = self.tree_job[ti] as usize;
-                    self.job_hash[j] =
-                        self.job_hash[j].wrapping_add(hash_entry(offset + elem, val));
-                }
-                for i in out_lo..out_hi {
-                    let s = self.c.out_ids[i] as usize;
-                    self.sendq_push(s, val);
-                }
-                self.deliver(ti, p, cycle, val);
+                self.bcast_push(p);
+                self.deliver(ti, p, cycle);
                 self.progress = true;
                 rearm = true;
             }
@@ -1554,10 +1549,7 @@ impl<'a> RunState<'a> {
             if bin != NONE {
                 let bin = bin as usize;
                 let input_ready = self.vc_arrived[bin] > 0;
-                let out_lo = self.c.bcast_out_off[p] as usize;
-                let out_hi = self.c.bcast_out_off[p + 1] as usize;
-                let out_ok = (out_lo..out_hi)
-                    .all(|i| self.sendq_len[self.c.out_ids[i] as usize] < self.sq_cap);
+                let out_ok = self.bcast_room(p);
                 if self.delivered[p] < len {
                     if let Some(tr) = tracer.as_mut() {
                         if input_ready && out_ok {
@@ -1575,23 +1567,9 @@ impl<'a> RunState<'a> {
                     }
                 }
                 if self.delivered[p] < len && input_ready && out_ok {
-                    let val = self.recvq_pop(bin);
-                    let elem = self.delivered[p];
-                    let expected = match kind {
-                        Collective::Broadcast => w.input(root as u32, offset + elem),
-                        _ => w.expected(offset + elem),
-                    };
-                    if !w.value_close_at(offset + elem, val, expected) {
-                        self.mismatches += 1;
-                        if self.track_jobs {
-                            self.job_mismatches[self.tree_job[ti] as usize] += 1;
-                        }
-                    }
-                    for i in out_lo..out_hi {
-                        let s = self.c.out_ids[i] as usize;
-                        self.sendq_push(s, val);
-                    }
-                    self.deliver(ti, p, cycle, val);
+                    self.recvq_pop(bin);
+                    self.bcast_push(p);
+                    self.deliver(ti, p, cycle);
                     self.progress = true;
                     rearm = true;
                 }
@@ -1601,14 +1579,9 @@ impl<'a> RunState<'a> {
         rearm
     }
 
-    /// Records one element (carrying `val`) delivered at pair `p` of tree
-    /// `ti`.
+    /// Records one element delivered at pair `p` of tree `ti`.
     #[inline]
-    fn deliver(&mut self, ti: usize, p: usize, cycle: u64, val: u64) {
-        let node = (p - ti * self.n) as u64;
-        let elem = self.tree_off[ti] + self.delivered[p];
-        self.value_digest =
-            self.value_digest.wrapping_add(delivery_digest_entry(node, elem, val));
+    fn deliver(&mut self, ti: usize, p: usize, cycle: u64) {
         self.delivered[p] += 1;
         if self.delivered[p] == 1 {
             self.first_done_pairs += 1;
@@ -1738,8 +1711,8 @@ impl<'a> RunState<'a> {
         }
         if let Some((idx, s)) = winner {
             let occupancy = self.occupancy(s) as usize;
-            let v = self.sendq_pop(s);
-            self.wire_push(s, cycle + self.cfg.link_latency as u64, v);
+            self.sendq_len[s] -= 1;
+            self.wire_push(s, cycle + self.cfg.link_latency as u64);
             self.channel_flits[c] += 1;
             self.max_vc_occupancy = self.max_vc_occupancy.max(occupancy + 1);
             self.rr[c] = (if idx + 1 == k { 0 } else { idx + 1 }) as u32;
@@ -1766,8 +1739,7 @@ impl<'a> RunState<'a> {
                 if self.vc_inflight[s] == 0 {
                     continue;
                 }
-                let idx = ((self.vc_head[s] + self.vc_arrived[s]) & self.vc_mask) as usize;
-                let arr = self.vc_arr[(s << self.vc_shift) + idx];
+                let arr = self.vc_arr[(s << self.vc_shift) + self.wire_head[s] as usize];
                 next = Some(next.map_or(arr, |n| n.min(arr)));
             }
         }
@@ -1789,14 +1761,12 @@ impl<'a> RunState<'a> {
     // it to recur — retaking the snapshot at doubling windows, since a
     // shape from the fill transient never recurs — and then replays as
     // many whole periods as provably contain no event boundary in closed
-    // form. Values are recomputed, not snapshotted: every value the engine
-    // moves is a pure function of its element index (deterministic
-    // workload inputs combined in CSR order), so the bulk pass rebuilds
-    // exactly the bits the per-cycle path would have produced.
+    // form. The queues hold counts and arrival stamps only, so a replay is
+    // counter arithmetic and a re-based stamp per flit in flight.
 
     /// Per-cycle driver: maintains the progress streak, arms/compares the
     /// snapshot, and on a match fast-forwards `cycle`.
-    fn batch_step(&mut self, cycle: &mut u64, w: &Workload, faults: &mut Option<FaultState>) {
+    fn batch_step(&mut self, cycle: &mut u64, faults: &mut Option<FaultState>) {
         // Only a saturated steady state can recur; a cycle without
         // progress (or with a fault actively shaping behavior) resets the
         // streak and drops any armed snapshot.
@@ -1811,7 +1781,7 @@ impl<'a> RunState<'a> {
             if self.shape_matches(*cycle) {
                 let period = *cycle - self.bat.c0;
                 self.bat.armed = false;
-                match self.bulk_apply(*cycle, period, w, faults) {
+                match self.bulk_apply(*cycle, period, faults) {
                     Some(c_end) => {
                         *cycle = c_end;
                         self.progress = true;
@@ -1855,7 +1825,7 @@ impl<'a> RunState<'a> {
     /// Copies everything shape-relevant (and the progress counters whose
     /// deltas become rates) into the armed snapshot, taken at `cycle`.
     fn capture_shape(&mut self, cycle: u64) {
-        if self.rblock.is_empty() {
+        if self.bat.snap.sendq_len.is_empty() {
             self.bat.snap = BatchSnap::new(
                 self.reduced.len(),
                 self.sendq_len.len(),
@@ -1865,9 +1835,6 @@ impl<'a> RunState<'a> {
                 self.vc_shift,
                 self.words_per_tree,
             );
-            self.rblock = vec![0; (self.n + 1) * BATCH_BLOCK];
-            self.rect_r = vec![QRECT_NONE; self.n];
-            self.rect_b = vec![QRECT_NONE; self.n];
         }
         self.bat.c0 = cycle;
         let snap = &mut self.bat.snap;
@@ -1891,11 +1858,9 @@ impl<'a> RunState<'a> {
                 let s = wi * 64 + word.trailing_zeros() as usize;
                 word &= word - 1;
                 let base = s << self.vc_shift;
-                for idx in 0..self.vc_inflight[s] as u64 {
-                    let slot =
-                        ((self.vc_head[s] + self.vc_arrived[s] + idx as u32) & self.vc_mask) as usize;
-                    snap.inflight_off[(s << self.vc_shift) + idx as usize] =
-                        self.vc_arr[base + slot] - cycle;
+                for idx in 0..self.vc_inflight[s] {
+                    let slot = ((self.wire_head[s] + idx) & self.vc_mask) as usize;
+                    snap.inflight_off[base + idx as usize] = self.vc_arr[base + slot] - cycle;
                 }
             }
         }
@@ -1923,12 +1888,9 @@ impl<'a> RunState<'a> {
                 let s = wi * 64 + word.trailing_zeros() as usize;
                 word &= word - 1;
                 let base = s << self.vc_shift;
-                for idx in 0..self.vc_inflight[s] as u64 {
-                    let slot =
-                        ((self.vc_head[s] + self.vc_arrived[s] + idx as u32) & self.vc_mask) as usize;
-                    if self.vc_arr[base + slot] - cycle
-                        != snap.inflight_off[(s << self.vc_shift) + idx as usize]
-                    {
+                for idx in 0..self.vc_inflight[s] {
+                    let slot = ((self.wire_head[s] + idx) & self.vc_mask) as usize;
+                    if self.vc_arr[base + slot] - cycle != snap.inflight_off[base + idx as usize] {
                         return false;
                     }
                 }
@@ -1940,13 +1902,7 @@ impl<'a> RunState<'a> {
     /// The shape at `c1` recurred with period `period`: replay the largest
     /// safe number of whole periods in closed form. Returns the new cycle,
     /// or `None` when not even one period fits inside every margin.
-    fn bulk_apply(
-        &mut self,
-        c1: u64,
-        period: u64,
-        w: &Workload,
-        faults: &mut Option<FaultState>,
-    ) -> Option<u64> {
+    fn bulk_apply(&mut self, c1: u64, period: u64, faults: &mut Option<FaultState>) -> Option<u64> {
         debug_assert!(period >= 1);
         if self.deliveries == self.bat.snap.deliveries {
             // A period that delivers nothing can recur forever (pure
@@ -1992,302 +1948,53 @@ impl<'a> RunState<'a> {
             return None;
         }
         let c_end = c1 + j * period;
-        self.bulk_streams(j, c_end, faults);
-        for ti in 0..self.ntrees {
-            self.bulk_tree(ti, j, w);
-        }
+        self.bulk_streams(c_end, faults);
         self.bulk_counters(j, c_end);
         Some(c_end)
     }
 
-    /// Advances every flowing stream's ring heads by `j` periods, restamps
-    /// the surviving in-flight entries relative to the window end, and
-    /// replays the per-transmit fault-detector reset.
-    fn bulk_streams(&mut self, j: u64, c_end: u64, faults: &mut Option<FaultState>) {
+    /// Re-bases every in-flight arrival stamp on the window end, and
+    /// replays the per-transmit fault-detector reset of every stream that
+    /// flows in the window. Where a stamp sits in its ring carries no
+    /// meaning beyond FIFO order, so no head moves.
+    fn bulk_streams(&mut self, c_end: u64, faults: &mut Option<FaultState>) {
         let snap = &self.bat.snap;
+        for wi in 0..self.wire_active.len() {
+            let mut word = self.wire_active[wi];
+            while word != 0 {
+                let s = wi * 64 + word.trailing_zeros() as usize;
+                word &= word - 1;
+                let base = s << self.vc_shift;
+                for idx in 0..self.vc_inflight[s] {
+                    let slot = ((self.wire_head[s] + idx) & self.vc_mask) as usize;
+                    self.vc_arr[base + slot] = c_end + snap.inflight_off[base + idx as usize];
+                }
+            }
+        }
         for s in 0..self.c.stream_chan.len() {
-            // Per-period transmit rate: for a reduce stream every fire of
-            // the destination pair pops exactly one flit from it, and for
-            // a broadcast stream every relay/turnaround delivery of the
-            // destination does — in steady shape, pushes = transmissions =
-            // pops per period (queue lengths and occupancies recur).
-            let dp = self.c.stream_dst_pair[s] as usize;
-            let sp = self.c.stream_src_pair[s] as usize;
-            let (dp_c1, sp_c1, dp_c0) = if self.c.ready_slot[s] != NONE {
-                (self.reduced[dp], self.reduced[sp], snap.reduced[dp])
+            // In steady shape a live stream's source stages flits exactly
+            // as often as its destination consumes them, and it transmits
+            // that often too: one flit per fire on a reduce stream, one
+            // per delivery on a broadcast stream. (A reduce-family root
+            // also delivers when the collective never broadcasts.)
+            let reduce = self.c.ready_slot[s] != NONE;
+            let (now, then) = if reduce {
+                (&self.reduced, &snap.reduced)
             } else {
-                (self.delivered[dp], self.delivered[sp], snap.delivered[dp])
+                (&self.delivered, &snap.delivered)
             };
-            let r = dp_c1 - dp_c0;
-            if r == 0 {
-                continue;
-            }
-            let adv = j * r;
-            // Flits staged in the source queue at the window start that the
-            // replayed transmits move into the VC ring — and that are still
-            // unconsumed at the window end — must carry their values across
-            // the array boundary, exactly as the per-cycle transmit does.
-            // (Flits produced *during* the window are rewritten later by the
-            // rectangle pass; this covers only pre-window stragglers.) A
-            // window shorter than the queue leaves its tail staged: those
-            // flits keep their queue slots and never reach the ring.
-            let dp_end = dp_c1 + adv;
-            let sq = self.sendq_len[s] as u64;
-            let ring_end = dp_end + u64::from(self.occupancy(s));
-            for e in (sp_c1 - sq).max(dp_end)..sp_c1.min(ring_end) {
-                let sq_slot = ((self.sendq_head[s] as u64 + (e - (sp_c1 - sq)))
-                    & self.sq_mask as u64) as usize;
-                let vc_slot = ((self.vc_head[s] as u64 + adv + (e - dp_end))
-                    & self.vc_mask as u64) as usize;
-                self.vc_val[(s << self.vc_shift) + vc_slot] =
-                    self.sendq_val[(s << self.sq_shift) + sq_slot];
-            }
-            self.sendq_head[s] = (self.sendq_head[s].wrapping_add(adv as u32)) & self.sq_mask;
-            self.vc_head[s] = (self.vc_head[s].wrapping_add(adv as u32)) & self.vc_mask;
-            let base = s << self.vc_shift;
-            for idx in 0..self.vc_inflight[s] as u64 {
-                let slot =
-                    ((self.vc_head[s] + self.vc_arrived[s] + idx as u32) & self.vc_mask) as usize;
-                self.vc_arr[base + slot] =
-                    c_end + snap.inflight_off[(s << self.vc_shift) + idx as usize];
-            }
-            if let Some(fs) = faults.as_mut() {
+            let rate = |p: u32| now[p as usize] - then[p as usize];
+            let r = rate(self.c.stream_dst_pair[s]);
+            debug_assert!(
+                r == rate(self.c.stream_src_pair[s]) || !reduce && !self.kind.broadcasts(),
+                "stream {s} is not in steady shape"
+            );
+            if let Some(fs) = faults.as_mut().filter(|_| r > 0) {
                 // The per-cycle path resets the stream's stall/retry
                 // bookkeeping on every transmit; a stream that flows in
                 // the window must end it reset.
                 fs.note_progress(s);
             }
-        }
-    }
-
-    /// Replays the value-carrying side effects of tree `ti` over `j`
-    /// periods: root digests/validation, delivery digests, and the values
-    /// of elements still queued at the window end — all recomputed per
-    /// element by the blockwise value pass ([`TreeOrder::fill_block`]).
-    /// Every broadcast sink receives the root row's value, so each element
-    /// is validated once and each sink's run is digested by one kernel
-    /// call (`kernels::digest`).
-    fn bulk_tree(&mut self, ti: usize, j: u64, w: &Workload) {
-        let len = self.tree_len[ti];
-        if len == 0 {
-            return;
-        }
-        let n = self.n;
-        let kind = self.kind;
-        // Element bounds of the window: every fire and delivery range.
-        // Queue rewrites fall inside (only elements produced during the
-        // window can still be queued at its end — conservation).
-        let mut lo = u64::MAX;
-        let mut hi = 0u64;
-        {
-            let snap = &self.bat.snap;
-            for v in 0..n {
-                let p = ti * n + v;
-                let fr = self.reduced[p] - snap.reduced[p];
-                if fr > 0 {
-                    lo = lo.min(self.reduced[p]);
-                    hi = hi.max(self.reduced[p] + j * fr);
-                }
-                let dl = self.delivered[p] - snap.delivered[p];
-                if dl > 0 {
-                    lo = lo.min(self.delivered[p]);
-                    hi = hi.max(self.delivered[p] + j * dl);
-                }
-            }
-        }
-        if lo >= hi {
-            return;
-        }
-
-        // Queue-rewrite rectangles per node: which element ranges of each
-        // stream's post-window rings need recomputed values. Surviving
-        // pre-window elements keep their slots and bits (heads advance by
-        // exactly the pop count), so only elements *produced during the
-        // window* and still resident are written — `[produced-start,
-        // ring-end)` clipped per ring by conservation:
-        // `consumed-end + occupancy + staged = produced-end`.
-        for v in 0..n {
-            self.rect_r[v] = QRECT_NONE;
-            self.rect_b[v] = QRECT_NONE;
-            let p = ti * n + v;
-            if kind.reduces() {
-                let s = self.c.reduce_out[p];
-                if s != NONE {
-                    let s = s as usize;
-                    let dp = self.c.stream_dst_pair[s] as usize;
-                    let r = self.reduced[dp] - self.bat.snap.reduced[dp];
-                    if r > 0 {
-                        debug_assert_eq!(r, self.reduced[p] - self.bat.snap.reduced[p]);
-                        let jr = j * r;
-                        let sp_end = self.reduced[p] + jr;
-                        let dp_end = self.reduced[dp] + jr;
-                        let occ = (self.vc_arrived[s] + self.vc_inflight[s]) as u64;
-                        let sq = self.sendq_len[s] as u64;
-                        debug_assert_eq!(dp_end + occ + sq, sp_end);
-                        self.rect_r[v] = QRect {
-                            stream: s as u32,
-                            vc_first: dp_end,
-                            vc_lo: dp_end.max(self.reduced[p]),
-                            vc_hi: dp_end + occ,
-                            sq_first: sp_end - sq,
-                            sq_lo: (sp_end - sq).max(self.reduced[p]),
-                            sq_hi: sp_end,
-                        };
-                    }
-                }
-            }
-            if kind.broadcasts() {
-                let s = self.c.bcast_in[p];
-                if s != NONE {
-                    let s = s as usize;
-                    let sp = self.c.stream_src_pair[s] as usize;
-                    let r = self.delivered[p] - self.bat.snap.delivered[p];
-                    if r > 0 {
-                        debug_assert_eq!(r, self.delivered[sp] - self.bat.snap.delivered[sp]);
-                        let jr = j * r;
-                        let sp_end = self.delivered[sp] + jr;
-                        let dp_end = self.delivered[p] + jr;
-                        let occ = (self.vc_arrived[s] + self.vc_inflight[s]) as u64;
-                        let sq = self.sendq_len[s] as u64;
-                        debug_assert_eq!(dp_end + occ + sq, sp_end);
-                        self.rect_b[v] = QRect {
-                            stream: s as u32,
-                            vc_first: dp_end,
-                            vc_lo: dp_end.max(self.delivered[sp]),
-                            vc_hi: dp_end + occ,
-                            sq_first: sp_end - sq,
-                            sq_lo: (sp_end - sq).max(self.delivered[sp]),
-                            sq_hi: sp_end,
-                        };
-                    }
-                }
-            }
-        }
-
-        let offset = self.tree_off[ti];
-        let root = self.c.roots[ti] as usize;
-        let rp = ti * n + root;
-        let keys = n * BATCH_BLOCK;
-        let track = self.track_jobs;
-        let job = self.tree_job[ti] as usize;
-        let root_fire_lo = self.reduced[rp];
-        let root_fire_hi = root_fire_lo + j * (root_fire_lo - self.bat.snap.reduced[rp]);
-
-        // Per block: the number of elements among its first `k` that fail
-        // validation, so each sink's run is charged with one subtraction.
-        let mut bad_before = [0u32; BATCH_BLOCK + 1];
-        let mut blk = lo;
-        while blk < hi {
-            let bw = ((hi - blk) as usize).min(BATCH_BLOCK);
-            let b_end = blk + bw as u64;
-            self.c.order.fill_block(ti, w, kind, offset + blk, bw, &mut self.rblock);
-            let vals = root * BATCH_BLOCK..root * BATCH_BLOCK + bw;
-
-            if kind.reduces() {
-                // Root side effects for fires in this block: validation,
-                // job hash, delivery digest (reduce-family roots deliver
-                // at the fire).
-                let flo = root_fire_lo.max(blk);
-                let fhi = root_fire_hi.min(b_end);
-                if flo < fhi {
-                    let (klo, khi) = ((flo - blk) as usize, (fhi - blk) as usize);
-                    for k in klo..khi {
-                        let ge = offset + blk + k as u64;
-                        if !w.value_close_at(ge, self.rblock[vals.start + k], w.expected(ge)) {
-                            self.mismatches += 1;
-                            if track {
-                                self.job_mismatches[job] += 1;
-                            }
-                        }
-                    }
-                    let run = &self.rblock[keys + klo..keys + khi];
-                    if track {
-                        self.job_hash[job] =
-                            run.iter().fold(self.job_hash[job], |h, &key| h.wrapping_add(key));
-                    }
-                    self.value_digest =
-                        self.value_digest.wrapping_add(kernels::digest(root as u64, run));
-                }
-                // Reduce-stream queue rewrites: the value a node pushed for
-                // element e is R(node) at e.
-                for v in 0..n {
-                    let rect = self.rect_r[v];
-                    if rect.stream != NONE {
-                        self.write_rect_from_row(&rect, blk, b_end, v);
-                    }
-                }
-            }
-
-            if kind.broadcasts() {
-                // The broadcast value B(e) sits in the root's row, and every
-                // relay checks it against the same expectation: validate
-                // each element once.
-                for (k, &val) in self.rblock[vals].iter().enumerate() {
-                    let ge = offset + blk + k as u64;
-                    let expect = match kind {
-                        Collective::Broadcast => w.input(root as u32, ge),
-                        _ => w.expected(ge),
-                    };
-                    let bad = !w.value_close_at(ge, val, expect);
-                    bad_before[k + 1] = bad_before[k] + u32::from(bad);
-                }
-                for v in 0..n {
-                    let p = ti * n + v;
-                    let dl = self.delivered[p] - self.bat.snap.delivered[p];
-                    let dlo = self.delivered[p].max(blk);
-                    let dhi = (self.delivered[p] + j * dl).min(b_end);
-                    // The allreduce root's deliveries were already replayed
-                    // with its fires (it delivers at the fire, not as a
-                    // relay).
-                    if dlo < dhi && (v != root || kind.root_sources_broadcast()) {
-                        let (klo, khi) = ((dlo - blk) as usize, (dhi - blk) as usize);
-                        let run = &self.rblock[keys + klo..keys + khi];
-                        if v != root {
-                            let bad = u64::from(bad_before[khi] - bad_before[klo]);
-                            self.mismatches += bad;
-                            if track {
-                                self.job_mismatches[job] += bad;
-                            }
-                        } else if track {
-                            // Broadcast/allgather source: hash + digest, no
-                            // validation (it emits, it doesn't check).
-                            self.job_hash[job] =
-                                run.iter().fold(self.job_hash[job], |h, &key| h.wrapping_add(key));
-                        }
-                        self.value_digest =
-                            self.value_digest.wrapping_add(kernels::digest(v as u64, run));
-                    }
-                    let rect = self.rect_b[v];
-                    if rect.stream != NONE {
-                        self.write_rect_from_row(&rect, blk, b_end, root);
-                    }
-                }
-            }
-
-            blk = b_end;
-        }
-    }
-
-    /// Writes the block-clipped portions of one rewrite rectangle from
-    /// scratch row `row` into the stream's (already advanced) rings.
-    #[inline]
-    fn write_rect_from_row(&mut self, rect: &QRect, blk: u64, b_end: u64, row: usize) {
-        let s = rect.stream as usize;
-        let vlo = rect.vc_lo.max(blk);
-        let vhi = rect.vc_hi.min(b_end);
-        for e in vlo..vhi {
-            let slot =
-                ((self.vc_head[s] as u64 + (e - rect.vc_first)) & self.vc_mask as u64) as usize;
-            self.vc_val[(s << self.vc_shift) + slot] =
-                self.rblock[row * BATCH_BLOCK + (e - blk) as usize];
-        }
-        let qlo = rect.sq_lo.max(blk);
-        let qhi = rect.sq_hi.min(b_end);
-        for e in qlo..qhi {
-            let slot =
-                ((self.sendq_head[s] as u64 + (e - rect.sq_first)) & self.sq_mask as u64) as usize;
-            self.sendq_val[(s << self.sq_shift) + slot] =
-                self.rblock[row * BATCH_BLOCK + (e - blk) as usize];
         }
     }
 

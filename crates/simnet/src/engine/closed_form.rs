@@ -20,8 +20,8 @@
 //! follows from these times: a tree completes at the last delivery of its
 //! last element, the first-element latency is the latest delivery of an
 //! element 0, every live stream carries the slice once, and values come
-//! from the blockwise value pass the batch replay uses, run over the whole
-//! slice.
+//! from the value pass every stepped run ends with, run with every sink at
+//! the slice's length.
 //!
 //! # Stalled children never delay their parent
 //!
@@ -72,11 +72,10 @@
 //! and the engine merges that run's report with the closed-form part.
 
 use super::{
-    tree_components, Collective, JobBinding, JobOutcome, SimReport, Simulator, SingleRun,
-    BATCH_BLOCK,
+    tree_components, value_pass, Collective, JobBinding, JobOutcome, SimReport, Simulator,
+    SingleRun,
 };
 use crate::embedding::{MultiTreeEmbedding, Phase};
-use crate::kernels;
 use crate::workload::Workload;
 
 /// One closed-form tree's delivery times.
@@ -249,15 +248,9 @@ impl ClosedForm {
         kind: Collective,
         bindings: Option<&[JobBinding]>,
     ) -> SingleRun {
-        let n = emb.num_nodes() as usize;
-        let sinks = kind.sinks_per_tree(n as u64);
-        // Every sink validates what it receives except a root that sources
-        // the broadcast.
-        let validations = sinks - u64::from(kind.root_sources_broadcast());
-        let mut rows = vec![0u64; (n + 1) * BATCH_BLOCK];
+        let sinks = kind.sinks_per_tree(u64::from(emb.num_nodes()));
         let mut tree_completion = vec![0u64; emb.num_trees()];
         let (mut cycles, mut fel, mut live_pairs, mut elems) = (0u64, 0u64, 0u64, 0u64);
-        let (mut mismatches, mut value_digest) = (0u64, 0u64);
         let mut jobs = vec![JobOutcome::default(); bindings.map_or(0, <[JobBinding]>::len)];
         for (ti, t) in emb.slices().iter().enumerate() {
             let Some(tm) = self.timing[ti] else { continue };
@@ -267,34 +260,6 @@ impl ClosedForm {
             fel = fel.max(tm.last0);
             live_pairs += sinks;
             elems += t.len;
-
-            let root = emb.root(ti) as usize;
-            let (mut tree_mismatches, mut tree_hash) = (0u64, 0u64);
-            let mut e = 0;
-            while e < t.len {
-                let bw = ((t.len - e) as usize).min(BATCH_BLOCK);
-                let ge = t.offset + e;
-                emb.order.fill_block(ti, w, kind, ge, bw, &mut rows);
-                let vals = &rows[root * BATCH_BLOCK..root * BATCH_BLOCK + bw];
-                let keys = &rows[n * BATCH_BLOCK..n * BATCH_BLOCK + bw];
-                for (k, (&val, &key)) in vals.iter().zip(keys).enumerate() {
-                    let g = ge + k as u64;
-                    let expect = match kind {
-                        Collective::Broadcast => w.input(root as u32, g),
-                        _ => w.expected(g),
-                    };
-                    if !w.value_close_at(g, val, expect) {
-                        tree_mismatches += validations;
-                    }
-                    tree_hash = tree_hash.wrapping_add(key);
-                }
-                let sink_nodes = if kind.broadcasts() { 0..n } else { root..root + 1 };
-                for v in sink_nodes {
-                    value_digest = value_digest.wrapping_add(kernels::digest(v as u64, keys));
-                }
-                e += bw as u64;
-            }
-            mismatches += tree_mismatches;
             if let Some(j) = bindings.and_then(|bs| bs.iter().position(|b| b.trees.contains(&ti))) {
                 let o = &mut jobs[j];
                 o.first_delivery =
@@ -302,10 +267,10 @@ impl ClosedForm {
                 o.completion = o.completion.max(completion);
                 o.deliveries += t.len * sinks;
                 o.elems += t.len;
-                o.value_hash = o.value_hash.wrapping_add(tree_hash);
-                o.mismatches += tree_mismatches;
             }
         }
+        let delivered = |ti: usize, _| if self.takes(ti) { emb.slices()[ti].len } else { 0 };
+        let (mismatches, value_digest) = value_pass(emb, w, kind, bindings, delivered, &mut jobs);
 
         let channel_flits: Vec<u64> = (0..emb.num_channels())
             .map(|c| {

@@ -1,7 +1,9 @@
 //! The value pass's per-(node, element) loops, compiled twice.
 //!
-//! The blockwise value pass (`TreeOrder::fill_block`, the batch replay's
-//! `bulk_tree` and the closed form's digests) and
+//! The simulator's stepper moves flits without payloads; every value a
+//! run reports comes from one blockwise value pass after stepping
+//! (`engine::value_pass` over `TreeOrder::fill_block`), which the closed
+//! form calls too. That pass and
 //! [`Workload::concat`](crate::Workload::concat) spend nearly all their
 //! time in three loops: per (node, element) one input [`mix`] and one
 //! combine, and per (sink, element) one digest [`hash_entry`]. `mix` and

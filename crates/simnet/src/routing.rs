@@ -23,12 +23,12 @@ impl Routing {
     }
 
     /// Minimal routes avoiding `dead_edges` — routing on the degraded
-    /// fabric after link faults. Vertex ids are unchanged (an edge-deleted
-    /// subgraph keeps the vertex set), so paths come back in the original
+    /// fabric after link faults. Vertex ids are unchanged (deleting no
+    /// vertex keeps the vertex set), so paths come back in the original
     /// labeling; pairs the faults disconnect have no route
     /// ([`Routing::try_path`] returns `None`).
     pub fn new_avoiding(g: &Graph, dead_edges: &[EdgeId]) -> Self {
-        Routing::new(&subgraph::edge_deleted(g, dead_edges).graph)
+        Routing::new(&subgraph::surviving(g, &[], dead_edges).graph)
     }
 
     /// The vertex path from `src` to `dst` (inclusive), or `None` when

@@ -5,7 +5,9 @@
 //! and per-node inputs whose global reduction we can check exactly, so the
 //! simulator reduces `u64` values with wrapping addition. Inputs come from
 //! a splittable hash of `(node, element)` — every element of every node is
-//! distinct, so misrouted or dropped flits are always detected. That
+//! distinct, so a flit the reference stepper misroutes or drops, carrying
+//! its payload, is always detected (the optimized engine moves no payloads
+//! and is held to the reference by the differential suite). That
 //! distinctness is also what makes the *multi-tenant* workloads safe: a
 //! segmented workload ([`Workload::concat`]) carves the element space into
 //! per-job ranges, and because no two `(node, element)` inputs collide, a
@@ -184,27 +186,11 @@ impl Workload {
         bits.is_empty() || bits[node as usize / 64] >> (node % 64) & 1 == 1
     }
 
-    /// The reduction operator of the *first* segment. Single-segment
-    /// workloads (the common case) have one uniform operator; segmented
-    /// workloads should use [`Workload::kind_at`].
-    #[must_use]
-    pub fn kind(&self) -> ReduceKind {
-        self.seg_kind[0]
-    }
-
     /// The reduction operator governing global element `elem`.
     #[inline]
     #[must_use]
     pub fn kind_at(&self, elem: u64) -> ReduceKind {
         self.seg_kind[self.seg_index(elem)]
-    }
-
-    /// Combines two flit payloads under the first segment's operator (see
-    /// [`Workload::kind`]); the engines use [`Workload::combine_at`].
-    #[inline]
-    #[must_use]
-    pub fn combine(&self, a: u64, b: u64) -> u64 {
-        combine_kind(self.seg_kind[0], a, b)
     }
 
     /// Combines two flit payloads of global element `elem` under its
@@ -215,27 +201,14 @@ impl Workload {
         combine_kind(self.kind_at(elem), a, b)
     }
 
-    /// Whether a delivered payload matches an expected one under the first
-    /// segment's operator (see [`Workload::value_close_at`]): exact for
-    /// `u64`, relative tolerance for `f64` (tree association order differs
-    /// from the reference sum's).
-    #[inline]
-    #[must_use]
-    pub fn value_close(&self, got: u64, want: u64) -> bool {
-        self.close_kind(self.seg_kind[0], got, want)
-    }
-
     /// Whether a delivered payload of global element `elem` matches an
-    /// expected one under its segment's operator.
+    /// expected one under its segment's operator: exact for `u64`, relative
+    /// tolerance for `f64` (tree association order differs from the
+    /// reference sum's).
     #[inline]
     #[must_use]
     pub fn value_close_at(&self, elem: u64, got: u64, want: u64) -> bool {
-        self.close_kind(self.kind_at(elem), got, want)
-    }
-
-    #[inline]
-    fn close_kind(&self, kind: ReduceKind, got: u64, want: u64) -> bool {
-        match kind {
+        match self.kind_at(elem) {
             ReduceKind::WrappingU64 => got == want,
             ReduceKind::FloatF64 => {
                 let (g, w) = (f64::from_bits(got), f64::from_bits(want));
@@ -448,15 +421,15 @@ mod tests {
     #[test]
     fn float_workload_expected_and_tolerance() {
         let w = Workload::new_float(9, 32);
-        assert_eq!(w.kind(), ReduceKind::FloatF64);
         for k in 0..32u64 {
+            assert_eq!(w.kind_at(k), ReduceKind::FloatF64);
             let manual: f64 = (0..9).map(|v| mix_f64(v, k)).sum();
-            assert!(w.value_close(manual.to_bits(), w.expected(k)));
+            assert!(w.value_close_at(k, manual.to_bits(), w.expected(k)));
             // A permuted-order sum is also accepted (associativity slack).
             let permuted: f64 = (0..9).rev().map(|v| mix_f64(v, k)).sum();
-            assert!(w.value_close(permuted.to_bits(), w.expected(k)));
+            assert!(w.value_close_at(k, permuted.to_bits(), w.expected(k)));
             // A grossly wrong value is not.
-            assert!(!w.value_close((manual + 1.0).to_bits(), w.expected(k)));
+            assert!(!w.value_close_at(k, (manual + 1.0).to_bits(), w.expected(k)));
         }
     }
 
@@ -473,11 +446,11 @@ mod tests {
     #[test]
     fn combine_dispatch() {
         let wu = Workload::new(2, 1);
-        assert_eq!(wu.combine(u64::MAX, 1), 0); // wrapping
+        assert_eq!(wu.combine_at(0, u64::MAX, 1), 0); // wrapping
         let wf = Workload::new_float(2, 1);
         let a = 1.5f64.to_bits();
         let b = 2.25f64.to_bits();
-        assert_eq!(f64::from_bits(wf.combine(a, b)), 3.75);
+        assert_eq!(f64::from_bits(wf.combine_at(0, a, b)), 3.75);
     }
 
     #[test]

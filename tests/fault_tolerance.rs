@@ -239,7 +239,7 @@ fn partitioned_er_q_is_an_error_in_pf_graph() {
     let cut: Vec<EdgeId> = g.neighbors_with_edges(0).iter().map(|&(_, e)| e).collect();
     assert_eq!(cut.len() as u64, 3 + 1, "ER_3 is (q+1)-regular");
 
-    let ed = subgraph::edge_deleted(g, &cut);
+    let ed = subgraph::surviving(g, &[], &cut);
     assert!(!bfs::is_connected(&ed.graph));
     let (_, components) = bfs::connected_components(&ed.graph);
     assert_eq!(components, 2, "isolating one router splits off exactly itself");
@@ -250,7 +250,7 @@ fn partitioned_er_q_is_an_error_in_pf_graph() {
     // A healthy spanning tree no longer validates against the survivor
     // graph (vertex count changed), and against the edge-cut graph its
     // tree edges are gone — both are Errs, not panics.
-    let vd = subgraph::vertex_deleted(g, &[0]);
+    let vd = subgraph::surviving(g, &[0], &[]);
     assert!(plan.trees[0].validate_spanning(&vd.graph).is_err());
     assert!(plan.trees.iter().any(|t| t.validate_spanning(&ed.graph).is_err()));
 }
