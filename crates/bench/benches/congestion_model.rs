@@ -1,13 +1,17 @@
 //! Algorithm 1 (water-filling bandwidth assignment) benchmarks — the
-//! analytic model behind every Figure 5 point.
+//! analytic model behind every Figure 5 point — and the plan repairs that
+//! price a degraded plan with it.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pf_allreduce::congestion::assign_unit_bandwidth;
 use pf_allreduce::disjoint::find_edge_disjoint;
 use pf_allreduce::lowdepth::low_depth_trees;
 use pf_allreduce::perf::optimal_split;
-use pf_allreduce::{rebuild_degraded, AllreducePlan, FaultSet, Rational};
+use pf_allreduce::{extend_degraded, rebuild_degraded, AllreducePlan, FaultSet, Rational};
+use pf_graph::EdgeId;
 use pf_topo::{PolarFly, Singer};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::hint::black_box;
 
 fn bench_algorithm1(c: &mut Criterion) {
@@ -37,6 +41,43 @@ fn bench_algorithm1(c: &mut Criterion) {
     g.finish();
 }
 
+/// Two distinct links the plan routes a tree over, drawn from `seed`.
+fn two_used_links(plan: &AllreducePlan, seed: u64) -> [EdgeId; 2] {
+    let used: Vec<EdgeId> = (0..plan.graph.num_edges())
+        .filter(|&e| plan.edge_congestion[e as usize] > 0)
+        .collect();
+    let mut rng = StdRng::seed_from_u64(seed);
+    let first = used[rng.random_range(0..used.len())];
+    loop {
+        let second = used[rng.random_range(0..used.len())];
+        if second != first {
+            return [first, second];
+        }
+    }
+}
+
+/// A whole plan repair: the low-depth plan rebuilt around two seeded link
+/// faults, and the same state reached incrementally from the one-fault
+/// rebuild.
+fn bench_recovery(c: &mut Criterion) {
+    let mut g = c.benchmark_group("recovery");
+    g.sample_size(10);
+    for q in [11u64, 31] {
+        let plan = AllreducePlan::low_depth(q).unwrap();
+        let [a, b] = two_used_links(&plan, 2026 ^ q);
+        let (first, second) = (FaultSet::links(vec![a]), FaultSet::links(vec![b]));
+        let both = first.union(&second);
+        let prev = rebuild_degraded(&plan, &first).unwrap();
+        g.bench_with_input(BenchmarkId::new("rebuild", q), &q, |bch, _| {
+            bch.iter(|| rebuild_degraded(black_box(&plan), black_box(&both)))
+        });
+        g.bench_with_input(BenchmarkId::new("extend", q), &q, |bch, _| {
+            bch.iter(|| extend_degraded(black_box(&plan), &first, black_box(&prev), &second))
+        });
+    }
+    g.finish();
+}
+
 fn bench_split(c: &mut Criterion) {
     let bw: Vec<Rational> = (1..=64).map(|i| Rational::new(i, i + 1)).collect();
     c.bench_function("optimal_split_64_trees", |b| {
@@ -44,5 +85,5 @@ fn bench_split(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_algorithm1, bench_split);
+criterion_group!(benches, bench_algorithm1, bench_recovery, bench_split);
 criterion_main!(benches);

@@ -153,13 +153,25 @@ fn settle(avail: &mut Rational, (round, w): (u32, u32), shares: &[Rational]) {
 /// assert_eq!(a.per_tree[0].to_string(), "1/2");
 /// ```
 pub fn assign_bandwidth(g: &Graph, trees: &[Vec<(EdgeId, u32)>]) -> BandwidthAssignment {
+    water_fill(g, trees, |link| link)
+}
+
+/// Algorithm 1 over trees whose links `link` reads as `(edge, w)` pairs:
+/// the one body behind [`assign_bandwidth`] and
+/// [`assign_unit_bandwidth_ids`].
+fn water_fill<L: Copy>(
+    g: &Graph,
+    trees: &[Vec<L>],
+    link: impl Fn(L) -> (EdgeId, u32),
+) -> BandwidthAssignment {
     let ne = g.num_edges() as usize;
     let mut per_edge = vec![0u32; ne]; // C(e)
     let mut bw = vec![Rational::ONE; trees.len()];
     // The edge -> tree membership table in CSR form: the trees crossing
     // `e`, in index order, are `members[start[e]..start[e + 1]]`.
     let mut start = vec![0u32; ne + 1];
-    for &(e, w) in trees.iter().flatten() {
+    for &l in trees.iter().flatten() {
+        let (e, w) = link(l);
         per_edge[e as usize] += w;
         start[e as usize] += 1;
     }
@@ -173,7 +185,8 @@ pub fn assign_bandwidth(g: &Graph, trees: &[Vec<(EdgeId, u32)>]) -> BandwidthAss
     }
     let mut members = vec![0u32; end as usize];
     for (ti, edges) in trees.iter().enumerate().rev() {
-        for &(e, _) in edges {
+        for &l in edges {
+            let (e, _) = link(l);
             start[e as usize] -= 1;
             members[start[e as usize] as usize] = ti as u32;
         }
@@ -234,7 +247,8 @@ pub fn assign_bandwidth(g: &Graph, trees: &[Vec<(EdgeId, u32)>]) -> BandwidthAss
             bw[ti] = share;
             assigned[ti] = true;
             remaining -= 1;
-            for &(e, w) in &trees[ti] {
+            for &l in &trees[ti] {
+                let (e, w) = link(l);
                 let e = e as usize;
                 congestion[e] -= w;
                 if congestion[e] == 0 {
@@ -261,15 +275,22 @@ pub fn assign_bandwidth(g: &Graph, trees: &[Vec<(EdgeId, u32)>]) -> BandwidthAss
 /// Every tree must be a validated spanning tree of `g` (panics otherwise —
 /// validate with [`RootedTree::validate_spanning`] first).
 pub fn assign_unit_bandwidth(g: &Graph, trees: &[RootedTree]) -> BandwidthAssignment {
-    let edges: Vec<Vec<(EdgeId, u32)>> = trees
-        .iter()
-        .map(|t| {
-            t.edges()
-                .map(|(v, p)| (g.edge_id(v, p).expect("tree edge missing from host graph"), 1))
-                .collect()
-        })
-        .collect();
-    assign_bandwidth(g, &edges)
+    assign_unit_bandwidth_ids(g, &tree_edge_ids(g, trees))
+}
+
+/// [`assign_unit_bandwidth`] on trees given by their edge ids:
+/// `trees[i]` lists the links of tree `i` in `g`, each once, in any
+/// order. A caller that already holds the ids (a plan repair learns them
+/// while it builds the trees) skips the per-edge lookups.
+pub(crate) fn assign_unit_bandwidth_ids(g: &Graph, trees: &[Vec<EdgeId>]) -> BandwidthAssignment {
+    water_fill(g, trees, |e| (e, 1))
+}
+
+/// Each tree's edge ids in `g`, one adjacency lookup per edge, in the
+/// tree's child order. Panics if an edge is not in `g`.
+pub(crate) fn tree_edge_ids(g: &Graph, trees: &[RootedTree]) -> Vec<Vec<EdgeId>> {
+    let id = |(v, p)| g.edge_id(v, p).expect("tree edge missing from host graph");
+    trees.iter().map(|t| t.edges().map(id).collect()).collect()
 }
 
 #[cfg(test)]

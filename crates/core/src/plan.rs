@@ -7,13 +7,13 @@
 //! type the examples, the benchmarks and the simulator consume.
 
 use crate::collective::Collective;
-use crate::congestion::assign_unit_bandwidth;
+use crate::congestion::{assign_unit_bandwidth_ids, tree_edge_ids};
 use crate::construction::{Budget, ConstructError, TreeConstruction};
 use crate::disjoint::find_edge_disjoint;
 use crate::lowdepth::low_depth_trees;
 use crate::perf;
 use crate::rational::Rational;
-use pf_graph::{bfs, Graph, RootedTree};
+use pf_graph::{bfs, EdgeId, Graph, RootedTree};
 use pf_topo::{PolarFly, Singer};
 
 /// Which of the paper's two solutions (plus baselines) a plan embodies.
@@ -71,9 +71,8 @@ pub struct AllreducePlan {
 
 impl AllreducePlan {
     /// Assembles a plan from a substrate graph and a spanning tree set,
-    /// deriving bandwidths and congestion with Algorithm 1. Every plan is
-    /// priced here, once: the constructors below, tree subsets, and the
-    /// degraded plans [`crate::recovery`] builds on a surviving subgraph.
+    /// deriving bandwidths and congestion with Algorithm 1: it looks up
+    /// each tree's edge ids and prices them as `from_tree_ids` does.
     /// The caller vouches that every tree spans `graph`.
     pub fn from_tree_set(
         q: u64,
@@ -81,7 +80,26 @@ impl AllreducePlan {
         graph: Graph,
         trees: Vec<RootedTree>,
     ) -> Self {
-        let a = assign_unit_bandwidth(&graph, &trees);
+        let ids = tree_edge_ids(&graph, &trees);
+        Self::from_tree_ids(q, solution, graph, trees, &ids)
+    }
+
+    /// [`AllreducePlan::from_tree_set`] for a caller that already holds
+    /// the trees' edge ids: `ids[i]` lists the links of `trees[i]` in
+    /// `graph`, each once, in any order. Every plan is priced here, once:
+    /// the constructors below, tree subsets, and the degraded plans
+    /// [`crate::recovery`] builds on a surviving subgraph, which hands
+    /// down the ids it learned while building the trees.
+    pub(crate) fn from_tree_ids(
+        q: u64,
+        solution: Solution,
+        graph: Graph,
+        trees: Vec<RootedTree>,
+        ids: &[Vec<EdgeId>],
+    ) -> Self {
+        debug_assert_eq!(ids.len(), trees.len(), "one id list per tree");
+        debug_assert!(ids.iter().zip(&trees).all(|(e, t)| e.len() + 1 == t.num_vertices()));
+        let a = assign_unit_bandwidth_ids(&graph, ids);
         let aggregate = a.aggregate();
         let depth = trees.iter().map(|t| t.depth()).max().unwrap_or(0);
         AllreducePlan {

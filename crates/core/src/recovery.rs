@@ -23,9 +23,21 @@
 //! The degraded plan is an ordinary [`AllreducePlan`] on the surviving
 //! subgraph, priced once by Algorithm 1, so the loss relative to the
 //! healthy aggregate is quantified exactly (in rational arithmetic).
+//!
 //! Router faults shrink the vertex set: the collective then runs among the
 //! survivors, and the [`DegradedPlan`] carries the id maps between the two
 //! labelings.
+//!
+//! A repair finds each tree edge's id once and hands it down.
+//! Classification looks up each healthy tree's edge ids in the healthy
+//! graph and maps them through the surviving view's `new_edge`; an intact
+//! tree keeps that list as its ids in the degraded graph. A repaired tree
+//! takes the ids `complete_forest` selects, and a repair that
+//! [`extend_degraded`] reuses takes the ids its survival check found.
+//! Acceptance counts congestion on those ids and moves the accepted trees
+//! into the plan, and `AllreducePlan::from_tree_ids` prices them, so no
+//! id is looked up or sorted again. The unit tests hold every repair to
+//! [`AllreducePlan::from_tree_set`], which looks each id up anew.
 //!
 //! Everything here is deterministic: same plan + same fault set gives the
 //! identical degraded plan, which the fault-injection property suites rely
@@ -261,11 +273,14 @@ fn degrade(
         }
     }
 
-    // Classify and translate each healthy tree.
-    let mut candidates: Vec<(RootedTree, TreeOrigin)> = Vec::new();
+    // Classify and translate each healthy tree. Every candidate carries
+    // its edge ids in the degraded graph, learned here once and handed on
+    // to acceptance and pricing.
+    let mut intact: Vec<Candidate> = Vec::new();
+    let mut repairs: Vec<Candidate> = Vec::new();
     for (ti, tree) in plan.trees.iter().enumerate() {
         // Surviving tree edges, as degraded edge ids.
-        let mut forest: Vec<EdgeId> = Vec::new();
+        let mut forest: Vec<EdgeId> = Vec::with_capacity(tree.num_vertices());
         let mut broken = !identity_vertices; // router loss breaks every spanning tree
         for (child, parent) in tree.edges() {
             let old = g.edge_id(child, parent).expect("plan tree edge must be physical");
@@ -275,7 +290,7 @@ fn degrade(
             }
         }
         if !broken {
-            candidates.push((tree.clone(), TreeOrigin::Intact(ti)));
+            intact.push((tree.clone(), forest, TreeOrigin::Intact(ti)));
             continue;
         }
         // A previous candidate whose edges all survive is reused verbatim
@@ -284,16 +299,18 @@ fn degrade(
         // physical in the previous degraded graph, and the new graph is
         // the previous one minus the new faults.
         if let Some(pt) = prev_tree[ti] {
-            if pt.edges().all(|(c, p)| degraded.edge_id(c, p).is_some()) {
-                candidates.push((pt.clone(), TreeOrigin::Repaired(ti)));
+            let ids: Option<Vec<EdgeId>> =
+                pt.edges().map(|(c, p)| degraded.edge_id(c, p)).collect();
+            if let Some(ids) = ids {
+                repairs.push((pt.clone(), ids, TreeOrigin::Repaired(ti)));
                 continue;
             }
         }
         // Repair: complete the surviving forest to a spanning tree, rooted
         // at the original root when it survived.
         let root = new_vertex[tree.root() as usize].unwrap_or(0);
-        let repaired = complete_forest(&degraded, &forest, root);
-        candidates.push((repaired, TreeOrigin::Repaired(ti)));
+        let (repaired, ids) = complete_forest(&degraded, &forest, root);
+        repairs.push((repaired, ids, TreeOrigin::Repaired(ti)));
     }
 
     // Greedy acceptance under the healthy congestion bound: intact trees
@@ -302,24 +319,20 @@ fn degrade(
     let bound = plan.max_congestion.max(1);
     let mut congestion = vec![0u32; degraded.num_edges() as usize];
     let mut trees: Vec<RootedTree> = Vec::new();
+    let mut tree_ids: Vec<Vec<EdgeId>> = Vec::new();
     let mut origins: Vec<TreeOrigin> = Vec::new();
     let mut dropped = 0usize;
-    for pass in [true, false] {
-        for (tree, origin) in &candidates {
-            if matches!(origin, TreeOrigin::Intact(_)) != pass {
-                continue;
-            }
-            let ids = tree.edge_ids(&degraded);
-            if ids.iter().any(|&e| congestion[e as usize] + 1 > bound) {
-                dropped += 1;
-                continue;
-            }
-            for &e in &ids {
-                congestion[e as usize] += 1;
-            }
-            trees.push(tree.clone());
-            origins.push(*origin);
+    for (tree, ids, origin) in intact.into_iter().chain(repairs) {
+        if ids.iter().any(|&e| congestion[e as usize] + 1 > bound) {
+            dropped += 1;
+            continue;
         }
+        for &e in &ids {
+            congestion[e as usize] += 1;
+        }
+        trees.push(tree);
+        tree_ids.push(ids);
+        origins.push(origin);
     }
 
     // Last resort: a fresh BFS spanning tree (congestion 1 fits any bound).
@@ -327,16 +340,18 @@ fn degrade(
         let (_, parents) = bfs::tree(&degraded, 0);
         let t = RootedTree::from_parents(0, parents)
             .expect("BFS of a connected graph yields a spanning tree");
+        tree_ids.push(t.edge_ids(&degraded));
         trees.push(t);
         origins.push(TreeOrigin::Fallback);
     }
 
     Ok(DegradedPlan {
-        plan: AllreducePlan::from_tree_set(
+        plan: AllreducePlan::from_tree_ids(
             plan.q,
             Solution::Constructed("degraded"),
             degraded,
             trees,
+            &tree_ids,
         ),
         origins,
         dropped,
@@ -349,10 +364,16 @@ fn degrade(
     })
 }
 
+/// A candidate tree of a repair: the tree on the degraded graph, its edge
+/// ids there, and where it came from.
+type Candidate = (RootedTree, Vec<EdgeId>, TreeOrigin);
+
 /// Completes `forest` (edge ids of `g`, guaranteed acyclic) to a spanning
 /// tree of the connected graph `g`, preferring the forest edges and then
-/// the smallest-id edges, and returns it rooted at `root`.
-fn complete_forest(g: &Graph, forest: &[EdgeId], root: VertexId) -> RootedTree {
+/// the smallest-id edges, and returns it rooted at `root` together with
+/// the ids of the edges it selected, sorted (its
+/// [`RootedTree::edge_ids`]).
+fn complete_forest(g: &Graph, forest: &[EdgeId], root: VertexId) -> (RootedTree, Vec<EdgeId>) {
     let mut dsu = Dsu::new(g.num_vertices());
     let mut selected = vec![false; g.num_edges() as usize];
     for &e in forest {
@@ -373,10 +394,12 @@ fn complete_forest(g: &Graph, forest: &[EdgeId], root: VertexId) -> RootedTree {
 
     // Orient the selected edges away from the root.
     let mut adj: Vec<Vec<VertexId>> = vec![Vec::new(); g.num_vertices() as usize];
+    let mut ids = Vec::with_capacity(g.num_vertices() as usize - 1);
     for (e, u, v) in g.edges() {
         if selected[e as usize] {
             adj[u as usize].push(v);
             adj[v as usize].push(u);
+            ids.push(e);
         }
     }
     let mut parent = vec![None; g.num_vertices() as usize];
@@ -392,13 +415,18 @@ fn complete_forest(g: &Graph, forest: &[EdgeId], root: VertexId) -> RootedTree {
             }
         }
     }
-    RootedTree::from_parents(root, parent).expect("selected edges span the graph")
+    let tree = RootedTree::from_parents(root, parent).expect("selected edges span the graph");
+    (tree, ids)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::construction::{Budget, ConstructError};
     use crate::plan::AllreducePlan;
+    use crate::substrates::{backends_for, quick_catalog};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn no_faults_keeps_every_tree_intact() {
@@ -488,16 +516,41 @@ mod tests {
         assert_eq!(a.max_congestion, b.max_congestion, "{case}");
     }
 
+    /// Checks a degraded plan against the lookup path: pricing its own
+    /// graph and trees through `from_tree_set`, which looks every edge id
+    /// up again, must give what the handed-down ids gave. Also re-runs
+    /// `complete_forest` on every healthy tree's surviving forest and
+    /// holds the ids it returns to the returned tree's `edge_ids`.
+    fn assert_priced_once(plan: &AllreducePlan, d: &DegradedPlan, case: &str) {
+        assert_eq!((d.q, d.solution), (plan.q, Solution::Constructed("degraded")), "{case}");
+        let oracle =
+            AllreducePlan::from_tree_set(d.q, d.solution, d.graph.clone(), d.trees.clone());
+        assert_same_plan(&d.to_plan(d.q), &oracle, case);
+        assert!(d.max_congestion <= d.congestion_bound, "{case}");
+        for (ti, tree) in plan.trees.iter().enumerate() {
+            let forest: Vec<EdgeId> = tree
+                .edges()
+                .filter_map(|(c, p)| d.new_edge[plan.graph.edge_id(c, p).unwrap() as usize])
+                .collect();
+            let root = d.new_vertex[tree.root() as usize].unwrap_or(0);
+            let (t, ids) = complete_forest(&d.graph, &forest, root);
+            assert_eq!(ids, t.edge_ids(&d.graph), "{case}: complete_forest ids, tree {ti}");
+        }
+    }
+
+    /// The links `plan` routes a tree over.
+    fn used_edges(plan: &AllreducePlan) -> Vec<EdgeId> {
+        (0..plan.graph.num_edges()).filter(|&e| plan.edge_congestion[e as usize] > 0).collect()
+    }
+
     #[test]
     fn degraded_plans_are_priced_once() {
         // Rebuilt and extended plans after one link fault, two link
-        // faults and one router fault: the promoted plan is exactly what
-        // pricing the surviving tree set from scratch gives.
+        // faults and one router fault at q = 5 and 7: the promoted plan is
+        // exactly what pricing the surviving tree set from scratch gives.
         for q in [5u64, 7] {
             let plan = AllreducePlan::low_depth(q).unwrap();
-            let used: Vec<u32> = (0..plan.graph.num_edges())
-                .filter(|&e| plan.edge_congestion[e as usize] > 0)
-                .collect();
+            let used = used_edges(&plan);
             let (a, b) = (FaultSet::links(vec![used[0]]), FaultSet::links(vec![used[3]]));
             let router = FaultSet { edges: vec![], routers: vec![3] };
             let mut cases = vec![
@@ -511,16 +564,60 @@ mod tests {
             cases.push(("one link, extended", first));
             cases.push(("two links, extended", second));
             for (label, d) in &cases {
-                let case = format!("q={q} {label}");
-                assert_eq!((d.q, d.solution), (q, Solution::Constructed("degraded")), "{case}");
-                let priced = AllreducePlan::from_tree_set(
-                    q,
-                    Solution::Constructed("degraded"),
-                    d.graph.clone(),
-                    d.trees.clone(),
-                );
-                assert_same_plan(&d.to_plan(q), &priced, &case);
-                assert!(d.max_congestion <= d.congestion_bound, "{case}");
+                assert_priced_once(&plan, d, &format!("q={q} {label}"));
+            }
+        }
+        // Every one-link fault on a used edge at q = 3, 5, 7.
+        for q in [3u64, 5, 7] {
+            let plan = AllreducePlan::low_depth(q).unwrap();
+            for e in used_edges(&plan) {
+                let d = rebuild_degraded(&plan, &FaultSet::links(vec![e])).unwrap();
+                assert_priced_once(&plan, &d, &format!("q={q} link {e}"));
+            }
+        }
+        // Seeded two-link faults at q = 11, 13, rebuilt and extended: an
+        // extension reuses earlier repairs, whose ids come from the
+        // survival check.
+        let mut rng = StdRng::seed_from_u64(0x1d5);
+        for q in [11u64, 13] {
+            let plan = AllreducePlan::low_depth(q).unwrap();
+            let used = used_edges(&plan);
+            for _ in 0..12 {
+                let a = FaultSet::links(vec![used[rng.random_range(0..used.len())]]);
+                let b = FaultSet::links(vec![used[rng.random_range(0..used.len())]]);
+                let case = format!("q={q} links {:?} then {:?}", a.edges, b.edges);
+                let first = rebuild_degraded(&plan, &a).unwrap();
+                let both = rebuild_degraded(&plan, &a.union(&b)).unwrap();
+                let extended = extend_degraded(&plan, &a, &first, &b).unwrap();
+                assert_priced_once(&plan, &both, &case);
+                assert_priced_once(&plan, &extended, &format!("{case}, extended"));
+            }
+        }
+        // Every router fault at q = 3: every tree is repaired on a
+        // renumbered vertex set.
+        let plan = AllreducePlan::low_depth(3).unwrap();
+        for r in plan.graph.vertices() {
+            let d = rebuild_degraded(&plan, &FaultSet { edges: vec![], routers: vec![r] }).unwrap();
+            assert_priced_once(&plan, &d, &format!("q=3 router {r}"));
+        }
+        // Every plan of the quick catalog, under every one-link fault on a
+        // used edge that leaves its substrate connected.
+        for s in quick_catalog() {
+            for b in backends_for(&s.name) {
+                let built = AllreducePlan::construct(&s.graph, b.as_ref(), &Budget::unlimited());
+                let plan = match built {
+                    Ok(plan) => plan,
+                    Err(ConstructError::UnsupportedSubstrate(_)) => continue,
+                    Err(e) => panic!("{} on {}: {e}", b.name(), s.name),
+                };
+                for e in used_edges(&plan) {
+                    let case = format!("{} on {} link {e}", b.name(), s.name);
+                    match rebuild_degraded(&plan, &FaultSet::links(vec![e])) {
+                        Ok(d) => assert_priced_once(&plan, &d, &case),
+                        Err(RebuildError::Partitioned { .. }) => {}
+                        Err(err) => panic!("{case}: {err}"),
+                    }
+                }
             }
         }
     }

@@ -288,14 +288,16 @@ impl FabricManager {
     /// Submits one job at `spec.arrival`. Events must be fed in
     /// nondecreasing virtual time; the clock first advances to the
     /// arrival (dispatching any epochs that start before it), then
-    /// admission control decides.
+    /// admission control decides. A job arriving before the latest event
+    /// is refused as [`SchedError::OutOfOrder`] and counted as submitted
+    /// and invalid; the clock and the queues stay as they were.
     pub fn submit(&mut self, spec: JobSpec) -> Admission {
         let at = spec.arrival;
-        assert!(
-            at >= self.last_event,
-            "events must be fed in nondecreasing virtual time ({at} < {})",
-            self.last_event
-        );
+        if at < self.last_event {
+            self.submitted += 1;
+            self.invalid += 1;
+            return Admission::Invalid(SchedError::OutOfOrder { at, last: self.last_event });
+        }
         self.last_event = at;
         self.advance_to(at);
         self.submitted += 1;
@@ -665,6 +667,22 @@ mod tests {
         ));
         let rep = m.drain();
         assert_eq!((rep.invalid, rep.completed), (2, 1));
+    }
+
+    #[test]
+    fn out_of_order_arrivals_are_refused_not_fatal() {
+        let mut m = FabricManager::new(plan(), FabricConfig::default());
+        assert_eq!(m.submit(JobSpec::new(0, 100, 64)), Admission::Accepted);
+        let (now, queued) = (m.now(), m.queued());
+        assert_eq!(
+            m.submit(JobSpec::new(1, 99, 64)),
+            Admission::Invalid(SchedError::OutOfOrder { at: 99, last: 100 })
+        );
+        assert_eq!((m.now(), m.queued()), (now, queued), "clock and queues untouched");
+        // The refused job's id was never queued, so it can come again.
+        assert_eq!(m.submit(JobSpec::new(1, 100, 64)), Admission::Accepted);
+        let rep = m.drain();
+        assert_eq!((rep.submitted, rep.accepted, rep.invalid, rep.completed), (3, 2, 1, 2));
     }
 
     #[test]

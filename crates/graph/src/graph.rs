@@ -34,6 +34,27 @@ impl Graph {
         Graph { n, edges: Vec::new(), adj: vec![Vec::new(); n as usize] }
     }
 
+    /// A graph from parts the caller already holds in [`Graph`]'s own
+    /// form: `edges[id] = (u, v)` with `u < v`, and `adj[u]` sorted by
+    /// neighbor, listing `(v, id)` for every edge at `u`. Checked in debug
+    /// builds only.
+    pub(crate) fn from_sorted_parts(
+        edges: Vec<(VertexId, VertexId)>,
+        adj: Vec<Vec<(VertexId, EdgeId)>>,
+    ) -> Self {
+        debug_assert!(edges.iter().all(|&(u, v)| u < v && (v as usize) < adj.len()));
+        debug_assert!(adj.iter().all(|a| a.windows(2).all(|w| w[0].0 < w[1].0)));
+        debug_assert_eq!(adj.iter().map(Vec::len).sum::<usize>(), 2 * edges.len());
+        Graph { n: adj.len() as u32, edges, adj }
+    }
+
+    /// The heap capacities of the edge list and of each adjacency list,
+    /// which a cached plan's footprint counts.
+    #[cfg(test)]
+    pub(crate) fn capacities(&self) -> (usize, Vec<usize>) {
+        (self.edges.capacity(), self.adj.iter().map(Vec::capacity).collect())
+    }
+
     /// Number of vertices.
     #[inline]
     pub fn num_vertices(&self) -> u32 {

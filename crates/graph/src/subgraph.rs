@@ -8,6 +8,16 @@
 //! uses the forward maps to translate a healthy-network plan onto the
 //! surviving fabric and the backward maps to report results in the
 //! original labeling.
+//!
+//! [`surviving`] does not insert the surviving edges one by one: it maps
+//! the edge list and filters each surviving vertex's sorted adjacency
+//! list, which stays sorted because renumbering preserves order. The
+//! result still equals the graph [`Graph::add_edge`] builds, down to the
+//! heap capacity of every list: each is allocated at the capacity that
+//! one-at-a-time insertion leaves (a power of two, at least 4), because a
+//! degraded plan keeps this graph, and the fabric soak's `live_bytes_*`
+//! gauges count a cached plan's heap capacity. The unit tests hold both
+//! constructions equal, capacities included.
 
 use crate::graph::{EdgeId, Graph, VertexId};
 
@@ -38,7 +48,8 @@ pub struct Surviving {
 
 /// Deletes the vertices `vertices` and the edges `edges` (original ids;
 /// duplicates allowed, either may be empty) from `g` in one pass. The
-/// surviving edges are inserted in original-id order.
+/// surviving edges keep their original relative order, so the result is
+/// the graph [`Graph::add_edge`] builds from them in original-id order.
 ///
 /// Panics if an id is out of range — that indicates a bookkeeping bug in
 /// the caller, consistent with [`Graph::add_edge`]'s contract.
@@ -62,25 +73,142 @@ pub fn surviving(g: &Graph, vertices: &[VertexId], edges: &[EdgeId]) -> Survivin
             orig_vertex.push(v);
         }
     }
-    let mut graph = Graph::new(alive as u32);
     let mut orig_edge = Vec::new();
     let mut new_edge = vec![None; g.num_edges() as usize];
+    let mut degree = vec![0usize; alive];
     for (e, u, v) in g.edges() {
         if let (false, Some(nu), Some(nv)) =
             (dead_edge[e as usize], new_vertex[u as usize], new_vertex[v as usize])
         {
-            new_edge[e as usize] = Some(graph.add_edge(nu, nv));
+            new_edge[e as usize] = Some(orig_edge.len() as EdgeId);
             orig_edge.push(e);
+            degree[nu as usize] += 1;
+            degree[nv as usize] += 1;
         }
     }
     orig_edge.shrink_to_fit();
+
+    // Renumbering is monotone, so mapping an edge keeps `u < v` and
+    // filtering a survivor's sorted adjacency list keeps it sorted.
+    let renumber = |v: VertexId| new_vertex[v as usize].expect("survivors keep their endpoints");
+    let mut kept = Vec::with_capacity(pushed_capacity(orig_edge.len()));
+    kept.extend(orig_edge.iter().map(|&e| {
+        let (u, v) = g.endpoints(e);
+        (renumber(u), renumber(v))
+    }));
+    let adj = orig_vertex
+        .iter()
+        .zip(&degree)
+        .map(|(&u, &d)| {
+            let mut a = Vec::with_capacity(pushed_capacity(d));
+            a.extend(g.neighbors_with_edges(u).iter().filter_map(|&(w, e)| {
+                Some((new_vertex[w as usize]?, new_edge[e as usize]?))
+            }));
+            a
+        })
+        .collect();
+    let graph = Graph::from_sorted_parts(kept, adj);
     Surviving { graph, orig_vertex, new_vertex, orig_edge, new_edge }
+}
+
+/// The capacity a `Vec` of 8-byte entries reaches when `len` entries are
+/// pushed or inserted into it one at a time: none when empty, else the
+/// next power of two, at least 4.
+fn pushed_capacity(len: usize) -> usize {
+    if len == 0 {
+        0
+    } else {
+        len.next_power_of_two().max(4)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bfs;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
+    use rand::{Rng, SeedableRng};
+
+    /// A graph on `n` vertices holding each pair with probability
+    /// `density` percent, inserted in a seeded random order and
+    /// orientation, so edge ids do not follow vertex order.
+    fn random_graph(n: u32, density: u32, seed: u64) -> Graph {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut pairs: Vec<(u32, u32)> =
+            (0..n).flat_map(|u| (u + 1..n).map(move |v| (u, v))).collect();
+        pairs.shuffle(&mut rng);
+        let mut g = Graph::new(n);
+        for (u, v) in pairs {
+            if rng.random_range(0..100u32) < density {
+                if rng.random_range(0..2u32) == 0 {
+                    g.add_edge(u, v);
+                } else {
+                    g.add_edge(v, u);
+                }
+            }
+        }
+        g
+    }
+
+    /// The surviving graph as [`Graph::add_edge`] builds it: survivors
+    /// renumbered in order, surviving edges inserted in original-id order.
+    fn by_insertion(g: &Graph, vertices: &[VertexId], edges: &[EdgeId]) -> Graph {
+        let alive: Vec<VertexId> = g.vertices().filter(|v| !vertices.contains(v)).collect();
+        let renumber = |v: VertexId| alive.binary_search(&v).ok().map(|i| i as VertexId);
+        let mut h = Graph::new(alive.len() as u32);
+        for (e, u, v) in g.edges() {
+            if let (false, Some(a), Some(b)) = (edges.contains(&e), renumber(u), renumber(v)) {
+                h.add_edge(a, b);
+            }
+        }
+        h
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn surviving_equals_the_graph_add_edge_builds(
+            n in 1u32..40,
+            density in 0u32..=100,
+            seed in any::<u64>(),
+            vertex_picks in proptest::collection::vec(0usize..64, 0..6),
+            edge_picks in proptest::collection::vec(0usize..1024, 0..24),
+        ) {
+            let g = random_graph(n, density, seed);
+            let vertices: Vec<VertexId> =
+                vertex_picks.iter().map(|&p| (p % n as usize) as VertexId).collect();
+            let edges: Vec<EdgeId> = edge_picks
+                .iter()
+                .filter(|_| g.num_edges() > 0)
+                .map(|&p| (p % g.num_edges() as usize) as EdgeId)
+                .collect();
+            let got = surviving(&g, &vertices, &edges).graph;
+            let want = by_insertion(&g, &vertices, &edges);
+            prop_assert_eq!(got.num_vertices(), want.num_vertices());
+            prop_assert!(got.edges().eq(want.edges()));
+            for v in want.vertices() {
+                prop_assert_eq!(got.neighbors_with_edges(v), want.neighbors_with_edges(v));
+            }
+            // The footprint a cached degraded plan keeps: every list at
+            // the capacity one-at-a-time insertion leaves.
+            prop_assert_eq!(got.capacities(), want.capacities());
+        }
+    }
+
+    #[test]
+    fn pushed_capacity_matches_one_at_a_time_growth() {
+        // Up to the edge list of ER_31 (15 872 edges), beyond what the
+        // proptest's graphs reach.
+        let mut v: Vec<(VertexId, EdgeId)> = Vec::new();
+        assert_eq!(pushed_capacity(0), v.capacity());
+        for len in 1..=40_000 {
+            v.push((len, len));
+            assert_eq!(pushed_capacity(len as usize), v.capacity(), "len {len}");
+        }
+    }
 
     fn cycle(n: u32) -> Graph {
         let mut g = Graph::new(n);

@@ -50,6 +50,14 @@ pub enum SchedError {
         /// The aborted wave's index.
         wave: u32,
     },
+    /// An event arrived earlier in virtual time than one already fed to
+    /// the fabric manager, whose events must come in nondecreasing time.
+    OutOfOrder {
+        /// The refused event's virtual time.
+        at: u64,
+        /// The latest virtual time fed so far.
+        last: u64,
+    },
     /// A tenant's solo recovery run failed.
     Recovery {
         /// The job whose recovery failed.
@@ -83,6 +91,9 @@ impl std::fmt::Display for SchedError {
             }
             SchedError::PhantomFault { wave } => {
                 write!(f, "wave {wave} aborted on a fault no tenant's trees use")
+            }
+            SchedError::OutOfOrder { at, last } => {
+                write!(f, "event at cycle {at} arrived after one at cycle {last}")
             }
             SchedError::Recovery { job, source } => {
                 write!(f, "recovery of job {job} failed: {source}")
@@ -128,6 +139,10 @@ mod tests {
             (
                 SchedError::PhantomFault { wave: 1 },
                 "wave 1 aborted on a fault no tenant's trees use",
+            ),
+            (
+                SchedError::OutOfOrder { at: 99, last: 100 },
+                "event at cycle 99 arrived after one at cycle 100",
             ),
             (
                 SchedError::Recovery { job: 8, source: RecoveryError::Undetected },
