@@ -1,7 +1,11 @@
-//! Construction micro-benchmarks: fields, topologies, layouts.
+//! Construction micro-benchmarks: fields, topologies, layouts, and the
+//! min cut of the rate certificate.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use pf_allreduce::global_min_cut;
 use pf_galois::{CubicExt, Gf};
+use pf_graph::{builders, Graph};
+use pf_topo::torus::Torus;
 use pf_topo::{Layout, PolarFly, Singer};
 use std::hint::black_box;
 
@@ -48,5 +52,25 @@ fn bench_layout(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_field, bench_topology, bench_layout);
+/// `λ(G)` as the rate bound computes it. `ER_31` and `S_31` have diameter
+/// 2 and take the degree certificate; the torus and the hypercube take
+/// contraction.
+fn bench_min_cut(c: &mut Criterion) {
+    let mut g = c.benchmark_group("rate");
+    g.sample_size(10);
+    let graphs: [(&str, Graph); 4] = [
+        ("er_31", PolarFly::new(31).graph().clone()),
+        ("singer_31", Singer::new(31).graph().clone()),
+        ("torus_32x32", Torus::new(&[32, 32]).graph().clone()),
+        ("hypercube_10", builders::hypercube(10)),
+    ];
+    for (name, graph) in &graphs {
+        g.bench_with_input(BenchmarkId::new("min_cut", name), graph, |b, graph| {
+            b.iter(|| global_min_cut(black_box(graph)))
+        });
+    }
+    g.finish();
+}
+
+criterion_group!(benches, bench_field, bench_topology, bench_layout, bench_min_cut);
 criterion_main!(benches);

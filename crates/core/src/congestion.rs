@@ -32,7 +32,7 @@
 //! handful of rational operations per round.
 
 use crate::rational::Rational;
-use pf_graph::{EdgeId, Graph, RootedTree};
+use pf_graph::{EdgeId, Graph, RootedTree, VertexId};
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
@@ -286,11 +286,35 @@ pub(crate) fn assign_unit_bandwidth_ids(g: &Graph, trees: &[Vec<EdgeId>]) -> Ban
     water_fill(g, trees, |e| (e, 1))
 }
 
-/// Each tree's edge ids in `g`, one adjacency lookup per edge, in the
-/// tree's child order. Panics if an edge is not in `g`.
+/// Each tree's edge ids in `g`, in the tree's child order, from one sweep
+/// over the vertices: vertex `v`'s adjacency fills a scratch slot per
+/// neighbour with the edge id, and every tree in which `v` has a parent
+/// reads its id from the parent's slot. That is `O(|E| + Σ|T_i|)` with no
+/// search. Panics if an edge is not in `g`.
 pub(crate) fn tree_edge_ids(g: &Graph, trees: &[RootedTree]) -> Vec<Vec<EdgeId>> {
-    let id = |(v, p)| g.edge_id(v, p).expect("tree edge missing from host graph");
-    trees.iter().map(|t| t.edges().map(id).collect()).collect()
+    const NO_EDGE: EdgeId = EdgeId::MAX;
+    let mut slot = vec![NO_EDGE; g.num_vertices() as usize];
+    let mut ids: Vec<Vec<EdgeId>> =
+        trees.iter().map(|t| Vec::with_capacity(t.num_vertices().saturating_sub(1))).collect();
+    let span = trees.iter().map(RootedTree::num_vertices).max().unwrap_or(0);
+    for v in 0..span as VertexId {
+        let adj = if v < g.num_vertices() { g.neighbors_with_edges(v) } else { &[] };
+        for &(u, e) in adj {
+            slot[u as usize] = e;
+        }
+        let spanned = trees.iter().zip(&mut ids).filter(|(t, _)| (v as usize) < t.num_vertices());
+        for (t, out) in spanned {
+            if let Some(p) = t.parent(v) {
+                let e = slot.get(p as usize).copied().unwrap_or(NO_EDGE);
+                assert!(e != NO_EDGE, "tree edge missing from host graph");
+                out.push(e);
+            }
+        }
+        for &(u, _) in adj {
+            slot[u as usize] = NO_EDGE;
+        }
+    }
+    ids
 }
 
 #[cfg(test)]
@@ -450,6 +474,62 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The per-edge lookup [`tree_edge_ids`] replaced: one adjacency
+    /// binary search per tree edge, in the tree's child order.
+    fn tree_edge_ids_by_lookup(g: &Graph, trees: &[RootedTree]) -> Vec<Vec<EdgeId>> {
+        let id = |(v, p)| g.edge_id(v, p).expect("tree edge missing from host graph");
+        trees.iter().map(|t| t.edges().map(id).collect()).collect()
+    }
+
+    #[test]
+    fn id_sweep_matches_the_lookup() {
+        let mut cases: Vec<(String, Graph, Vec<RootedTree>)> = Vec::new();
+        for s in quick_catalog() {
+            for b in backends_for(&s.name) {
+                if let Ok(trees) = b.build(&s.graph, &Budget::unlimited()) {
+                    cases.push((format!("{} on {}", b.name(), s.name), s.graph.clone(), trees));
+                }
+            }
+        }
+        for q in [3u64, 5, 7, 11, 13, 31] {
+            for plan in [AllreducePlan::low_depth(q), AllreducePlan::edge_disjoint(q, 30, 1)] {
+                let plan = plan.unwrap();
+                cases.push((format!("q={q} {}", plan.solution.label()), plan.graph, plan.trees));
+            }
+        }
+        let plan = AllreducePlan::low_depth(7).unwrap();
+        let d = rebuild_degraded(&plan, &FaultSet { edges: vec![3, 40], routers: vec![5] });
+        let d = d.unwrap();
+        cases.push(("q=7 degraded".into(), d.graph.clone(), d.trees.clone()));
+        // Trees of different orders: the sweep runs to the largest.
+        let g = builders::complete(5);
+        let small = RootedTree::from_parents(1, vec![Some(1), None, Some(0)]).unwrap();
+        let full = RootedTree::from_path(&[4, 2, 0, 3, 1], 2).unwrap();
+        cases.push(("mixed orders".into(), g, vec![small, full]));
+        for (ctx, g, trees) in &cases {
+            assert_eq!(tree_edge_ids(g, trees), tree_edge_ids_by_lookup(g, trees), "{ctx}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "tree edge missing from host graph")]
+    fn id_sweep_panics_on_a_missing_edge() {
+        // The path 0-1-2-3 on a graph without {2, 3}.
+        let tree = RootedTree::from_path(&[0, 1, 2, 3], 0).unwrap();
+        let mut g = Graph::new(4);
+        for (u, v) in [(0, 1), (1, 2), (0, 3)] {
+            g.add_edge(u, v);
+        }
+        tree_edge_ids(&g, &[tree]);
+    }
+
+    #[test]
+    #[should_panic(expected = "tree edge missing from host graph")]
+    fn id_sweep_panics_on_a_tree_larger_than_the_graph() {
+        let tree = RootedTree::from_path(&[0, 1, 2, 3], 0).unwrap();
+        tree_edge_ids(&builders::complete(3), &[tree]);
     }
 
     /// A random spanning tree of the connected graph `g`: Kruskal over a

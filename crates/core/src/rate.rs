@@ -19,10 +19,11 @@
 //!   vertex sees (see `lopsided_barbell_cut_beats_the_degree_bound`).
 //!
 //! [`allreduce_rate_bound`] computes `min` of the two in exact rationals
-//! ([`Rational`]) via an exact contraction-based min cut ([`global_min_cut`]).
-//! Since `λ(G) ≤ δ_min`, it is never above the degree-based
-//! `min(|E|/(n−1), δ_min)`, and it is the one aggregate-bandwidth ceiling
-//! the repo asserts.
+//! ([`Rational`]) via an exact min cut ([`global_min_cut`]): `δ_min` on a
+//! graph of diameter at most 2, where it equals `λ(G)` (Plesník), and
+//! contraction everywhere else. Since `λ(G) ≤ δ_min`, it is never above
+//! the degree-based `min(|E|/(n−1), δ_min)`, and it is the one
+//! aggregate-bandwidth ceiling the repo asserts.
 //!
 //! Known substrate families have closed forms ([`polarfly_bound`],
 //! [`torus_bound`], [`hypercube_bound`], [`complete_bound`]); the property
@@ -151,8 +152,37 @@ pub fn allreduce_rate_bound(g: &Graph) -> Result<RateBound, RateError> {
 }
 
 /// Global minimum edge cut `λ(G)` of a connected graph with unit
-/// capacities, by Nagamochi–Ono–Ibaraki contraction over sparse
-/// adjacency lists (exact integer arithmetic).
+/// capacities (exact integer arithmetic).
+///
+/// A graph of diameter at most 2 has `λ(G) = δ_min` (J. Plesník, 1975),
+/// and PolarFly `ER_q` has diameter 2 (§6), so such a graph gets `δ_min`
+/// with no contraction: a cut of `k < δ_min` edges leaves more than
+/// `δ_min` vertices on each side, so each side has a vertex with no
+/// neighbour across it, and those two are at distance at least 3
+/// (`docs/RATES.md` spells out the proof). The diameter check
+/// ([`bfs::diameter_at_most_two`]) runs only where the Moore bound
+/// `n ≤ Δ_max² + 1` admits diameter 2, so a sparse graph skips it in
+/// O(n). Every other graph takes Nagamochi–Ono–Ibaraki contraction
+/// (`contraction_min_cut`), the only exact path there.
+///
+/// Callers must hand in a connected graph with at least two vertices
+/// (checked by [`allreduce_rate_bound`]); on a disconnected graph the
+/// result is 0, which this module treats as an error upstream.
+#[must_use]
+pub fn global_min_cut(g: &Graph) -> u64 {
+    assert!(g.num_vertices() >= 2, "min cut needs at least two vertices");
+    certified_min_cut(g).unwrap_or_else(|| contraction_min_cut(g))
+}
+
+/// `δ_min`, which is `λ(G)`, when `g` has diameter at most 2; `None`
+/// otherwise, including on every graph the Moore bound rules out.
+fn certified_min_cut(g: &Graph) -> Option<u64> {
+    let (n, dmax) = (u64::from(g.num_vertices()), u64::from(g.max_degree()));
+    (n <= dmax * dmax + 1 && bfs::diameter_at_most_two(g)).then(|| u64::from(g.min_degree()))
+}
+
+/// `λ(G)` by Nagamochi–Ono–Ibaraki contraction over sparse adjacency
+/// lists: the exact path for graphs [`global_min_cut`] cannot certify.
 ///
 /// `λ̂` starts at `δ_min` and only ever holds the value of a real cut.
 /// Each round runs one maximum-adjacency scan over a bucket queue capped
@@ -164,14 +194,10 @@ pub fn allreduce_rate_bound(g: &Graph) -> Result<RateBound, RateError> {
 /// minimum weighted degree. A round costs O(m + n) for the scan plus an
 /// O(m log m) sort to merge parallel edges; the last pair bounds the
 /// rounds by `n − 1`, and in practice far fewer run (102 on PolarFly
-/// `ER_31`, `n = 993`). The result is the exact `λ(G)`, so it does not
-/// depend on how the scan breaks ties.
-///
-/// Callers must hand in a connected graph with at least two vertices
-/// (checked by [`allreduce_rate_bound`]); on a disconnected graph the
-/// result is 0, which this module treats as an error upstream.
-#[must_use]
-pub fn global_min_cut(g: &Graph) -> u64 {
+/// `ER_31`, `n = 993`, which [`global_min_cut`] certifies without
+/// contracting). The result is the exact `λ(G)`, so it does not depend on
+/// how the scan breaks ties. Returns 0 on a disconnected graph.
+fn contraction_min_cut(g: &Graph) -> u64 {
     let mut n = g.num_vertices();
     assert!(n >= 2, "min cut needs at least two vertices");
     let mut edges: Vec<(u32, u32, u64)> = g.edges().map(|(_, u, v)| (u, v, 1)).collect();
@@ -470,6 +496,81 @@ mod tests {
         }
         for (name, g) in &graphs {
             assert_eq!(global_min_cut(g), stoer_wagner_oracle(g), "{name}");
+        }
+    }
+
+    /// The labelled graph on `n` vertices whose edges are the pairs
+    /// `u < v` selected by `mask`, one bit per pair in lexicographic order.
+    fn labelled_graph(n: u32, mask: u32) -> Graph {
+        let mut g = Graph::new(n);
+        let pairs = (0..n).flat_map(|u| (u + 1..n).map(move |v| (u, v)));
+        for (bit, (u, v)) in pairs.enumerate() {
+            if mask >> bit & 1 == 1 {
+                g.add_edge(u, v);
+            }
+        }
+        g
+    }
+
+    #[test]
+    fn every_graph_on_two_to_six_vertices() {
+        // (n, graphs, connected, certified) per vertex count.
+        let mut counts = Vec::new();
+        for n in 2u32..=6 {
+            let (mut connected, mut certified) = (0u32, 0u32);
+            let graphs = 1u32 << (n * (n - 1) / 2);
+            for mask in 0..graphs {
+                let g = labelled_graph(n, mask);
+                let case = format!("n={n} edges={mask:#x}");
+                let lambda = stoer_wagner_oracle(&g);
+                assert_eq!(global_min_cut(&g), lambda, "{case}");
+                let diameter_two = matches!(bfs::diameter(&g), Some(d) if d <= 2);
+                assert_eq!(certified_min_cut(&g).is_some(), diameter_two, "{case}");
+                certified += u32::from(diameter_two);
+                let mut dsu = Dsu::new(n);
+                for (_, u, v) in g.edges() {
+                    dsu.union(u, v);
+                }
+                let components = dsu.components();
+                match allreduce_rate_bound(&g) {
+                    Ok(b) => {
+                        assert_eq!(components, 1, "{case}");
+                        assert_eq!(contraction_min_cut(&g), lambda, "{case}");
+                        assert_eq!((b.min_cut, b.min_degree), (lambda, g.min_degree()), "{case}");
+                        assert_eq!(b.bound, b.edge_budget.min(Rational::from_int(lambda as i64)));
+                        connected += 1;
+                    }
+                    Err(e) => {
+                        assert!(components > 1, "{case}: {e}");
+                        assert_eq!(e, RateError::Disconnected { components }, "{case}");
+                    }
+                }
+            }
+            counts.push((n, graphs, connected, certified));
+        }
+        assert_eq!(allreduce_rate_bound(&Graph::new(1)), Err(RateError::SingleVertex));
+        for (n, graphs, connected, certified) in &counts {
+            println!("n={n}: {graphs} graphs, {connected} connected, {certified} of diameter <= 2");
+        }
+        let total: u32 = counts.iter().map(|c| c.1).sum();
+        println!("{total} graphs on 2-6 vertices");
+        assert_eq!(total, 33_866);
+        // Connected labelled graphs on 2..6 vertices (OEIS A001187).
+        let connected: Vec<u32> = counts.iter().map(|c| c.2).collect();
+        assert_eq!(connected, [1, 4, 38, 728, 26_704]);
+    }
+
+    #[test]
+    fn contraction_finds_lambda_q_on_polarfly() {
+        // The certificate answers for ER_q and S_q; contraction must still
+        // get λ = q (the quadric degree) on them by itself.
+        for q in [2u64, 3, 4, 5, 7, 8, 9, 11, 13] {
+            let pf = pf_topo::PolarFly::new(q);
+            assert_eq!(certified_min_cut(pf.graph()), Some(q), "q={q}");
+            assert_eq!(contraction_min_cut(pf.graph()), q, "q={q}");
+            let s = pf_topo::Singer::new(q);
+            assert_eq!(certified_min_cut(s.graph()), Some(q), "singer q={q}");
+            assert_eq!(contraction_min_cut(s.graph()), q, "singer q={q}");
         }
     }
 

@@ -29,9 +29,10 @@
 //! labelings.
 //!
 //! A repair finds each tree edge's id once and hands it down.
-//! Classification looks up each healthy tree's edge ids in the healthy
-//! graph and maps them through the surviving view's `new_edge`; an intact
-//! tree keeps that list as its ids in the degraded graph. A repaired tree
+//! Classification finds every healthy tree's edge ids in the healthy
+//! graph in one sweep over its adjacency (`congestion::tree_edge_ids`) and
+//! maps them through the surviving view's `new_edge`; an intact tree keeps
+//! that list as its ids in the degraded graph. A repaired tree
 //! takes the ids `complete_forest` selects, and a repair that
 //! [`extend_degraded`] reuses takes the ids its survival check found.
 //! Acceptance counts congestion on those ids and moves the accepted trees
@@ -43,6 +44,7 @@
 //! identical degraded plan, which the fault-injection property suites rely
 //! on.
 
+use crate::congestion::tree_edge_ids;
 use crate::plan::{AllreducePlan, Solution};
 use crate::rational::Rational;
 use pf_graph::dsu::Dsu;
@@ -278,17 +280,20 @@ fn degrade(
     // to acceptance and pricing.
     let mut intact: Vec<Candidate> = Vec::new();
     let mut repairs: Vec<Candidate> = Vec::new();
-    for (ti, tree) in plan.trees.iter().enumerate() {
-        // Surviving tree edges, as degraded edge ids.
-        let mut forest: Vec<EdgeId> = Vec::with_capacity(tree.num_vertices());
+    let healthy_ids = tree_edge_ids(g, &plan.trees);
+    for (ti, (tree, mut forest)) in plan.trees.iter().zip(healthy_ids).enumerate() {
+        // Surviving tree edges, mapped in place to degraded edge ids.
         let mut broken = !identity_vertices; // router loss breaks every spanning tree
-        for (child, parent) in tree.edges() {
-            let old = g.edge_id(child, parent).expect("plan tree edge must be physical");
-            match new_edge[old as usize] {
-                Some(id) => forest.push(id),
-                None => broken = true,
+        forest.retain_mut(|e| match new_edge[*e as usize] {
+            Some(id) => {
+                *e = id;
+                true
             }
-        }
+            None => {
+                broken = true;
+                false
+            }
+        });
         if !broken {
             intact.push((tree.clone(), forest, TreeOrigin::Intact(ti)));
             continue;
@@ -392,26 +397,40 @@ fn complete_forest(g: &Graph, forest: &[EdgeId], root: VertexId) -> (RootedTree,
     }
     debug_assert_eq!(dsu.components(), 1, "caller guarantees g is connected");
 
-    // Orient the selected edges away from the root.
-    let mut adj: Vec<Vec<VertexId>> = vec![Vec::new(); g.num_vertices() as usize];
-    let mut ids = Vec::with_capacity(g.num_vertices() as usize - 1);
-    for (e, u, v) in g.edges() {
-        if selected[e as usize] {
-            adj[u as usize].push(v);
-            adj[v as usize].push(u);
-            ids.push(e);
-        }
+    // Orient the selected edges away from the root: their adjacency in
+    // CSR form (degree count, prefix sums, fill), then one BFS. In a tree
+    // every neighbour of `u` but its parent is a child, so the BFS needs
+    // no visited set.
+    let n = g.num_vertices() as usize;
+    let ids: Vec<EdgeId> = (0..g.num_edges()).filter(|&e| selected[e as usize]).collect();
+    let mut start = vec![0usize; n + 1];
+    for &e in &ids {
+        let (u, v) = g.endpoints(e);
+        start[u as usize + 1] += 1;
+        start[v as usize + 1] += 1;
     }
-    let mut parent = vec![None; g.num_vertices() as usize];
-    let mut seen = vec![false; g.num_vertices() as usize];
-    let mut queue = std::collections::VecDeque::from([root]);
-    seen[root as usize] = true;
-    while let Some(u) = queue.pop_front() {
-        for &v in &adj[u as usize] {
-            if !seen[v as usize] {
-                seen[v as usize] = true;
+    for i in 0..n {
+        start[i + 1] += start[i];
+    }
+    let mut fill = start.clone();
+    let mut adj = vec![0 as VertexId; 2 * ids.len()];
+    for &e in &ids {
+        let (u, v) = g.endpoints(e);
+        adj[fill[u as usize]] = v;
+        fill[u as usize] += 1;
+        adj[fill[v as usize]] = u;
+        fill[v as usize] += 1;
+    }
+    let mut parent = vec![None; n];
+    let mut queue = Vec::with_capacity(n);
+    queue.push(root);
+    let mut head = 0;
+    while let Some(&u) = queue.get(head) {
+        head += 1;
+        for &v in &adj[start[u as usize]..start[u as usize + 1]] {
+            if parent[u as usize] != Some(v) {
                 parent[v as usize] = Some(u);
-                queue.push_back(v);
+                queue.push(v);
             }
         }
     }

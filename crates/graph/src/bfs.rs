@@ -98,6 +98,56 @@ pub fn diameter(g: &Graph) -> Option<u16> {
     Some(best)
 }
 
+/// `true` iff every two vertices are at distance at most 2, i.e.
+/// [`diameter`] is `Some(d)` with `d ≤ 2` (so `false` on a disconnected
+/// graph, vacuously `true` for `n ≤ 1`).
+///
+/// Vertex `v` reaches every vertex within two hops iff its adjacency row
+/// ORed with its neighbours' rows, plus `v` itself, covers all of `V`.
+/// Rows are bitsets of `⌈n/64⌉` words, so the check costs
+/// `Σ_v deg(v) · ⌈n/64⌉` word operations and `n²/8` bytes, where the
+/// all-pairs BFS of [`diameter`] walks every edge once per vertex. It stops
+/// at the first vertex that misses one.
+///
+/// ```
+/// use pf_graph::{bfs, builders};
+/// assert!(bfs::diameter_at_most_two(&builders::petersen()));
+/// assert!(!bfs::diameter_at_most_two(&builders::cycle(6)));
+/// ```
+pub fn diameter_at_most_two(g: &Graph) -> bool {
+    let n = g.num_vertices() as usize;
+    let words = n.div_ceil(64);
+    let bit = |v: usize| (v / 64, 1u64 << (v % 64));
+    let mut rows = vec![0u64; n * words];
+    for (_, u, v) in g.edges() {
+        let (u, v) = (u as usize, v as usize);
+        let (w, b) = bit(v);
+        rows[u * words + w] |= b;
+        let (w, b) = bit(u);
+        rows[v * words + w] |= b;
+    }
+    let mut full = vec![u64::MAX; words];
+    if let Some(last) = full.last_mut() {
+        *last >>= 64 * words - n;
+    }
+    let mut reach = vec![0u64; words];
+    for v in 0..n {
+        reach.copy_from_slice(&rows[v * words..(v + 1) * words]);
+        let (w, b) = bit(v);
+        reach[w] |= b;
+        for u in g.neighbors(v as VertexId) {
+            let row = &rows[u as usize * words..(u as usize + 1) * words];
+            for (r, &x) in reach.iter_mut().zip(row) {
+                *r |= x;
+            }
+        }
+        if reach != full {
+            return false;
+        }
+    }
+    true
+}
+
 /// All-pairs shortest-path distances (`n` BFS passes).
 pub fn all_pairs_distances(g: &Graph) -> Vec<Vec<u16>> {
     g.vertices().map(|v| distances(g, v)).collect()
@@ -194,6 +244,45 @@ mod tests {
         assert_eq!(labels[6], 3);
         let (_, one) = connected_components(&cycle(5));
         assert_eq!(one, 1);
+    }
+
+    #[test]
+    fn diameter_at_most_two_matches_all_pairs_bfs() {
+        use crate::builders;
+        // A star on `n` vertices whose last leaf hangs off the one before
+        // it instead: diameter 3, with the far vertex in the last word.
+        let tailed_star = |n: u32| {
+            let mut g = Graph::new(n);
+            for v in 1..n - 1 {
+                g.add_edge(0, v);
+            }
+            g.add_edge(n - 2, n - 1);
+            g
+        };
+        let mut graphs = vec![
+            Graph::new(0),
+            Graph::new(1),
+            Graph::new(2),
+            builders::path(2),
+            builders::path(3),
+            builders::path(4),
+            cycle(4),
+            cycle(5),
+            cycle(6),
+            builders::petersen(),
+            builders::hypercube(3),
+            builders::complete(7),
+            builders::torus2d(3, 3),
+        ];
+        for n in [63u32, 64, 65, 128, 129] {
+            graphs.push(builders::star(n));
+            graphs.push(tailed_star(n));
+        }
+        for g in &graphs {
+            let want = matches!(diameter(g), Some(d) if d <= 2);
+            let (n, m) = (g.num_vertices(), g.num_edges());
+            assert_eq!(diameter_at_most_two(g), want, "n={n} |E|={m}");
+        }
     }
 
     #[test]

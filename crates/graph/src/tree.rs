@@ -54,10 +54,19 @@ impl RootedTree {
     /// (single root, acyclic, fully connected to the root). Host-graph
     /// membership of the edges is checked separately by
     /// [`RootedTree::validate_spanning`].
+    ///
+    /// Each vertex not yet resolved walks its parent chain up to a resolved
+    /// one, and the walk resolves the whole chain, so every vertex is
+    /// walked once: `O(n)` with one reused chain buffer. A vertex on the
+    /// current chain is stamped `ON_CHAIN` in the depth array, so meeting
+    /// it again is a cycle. Errors name the first failing vertex in the
+    /// order the walks meet them, from vertex 0 up.
     pub fn from_parents(
         root: VertexId,
         parent: Vec<Option<VertexId>>,
     ) -> Result<Self, TreeError> {
+        const UNRESOLVED: u32 = u32::MAX;
+        const ON_CHAIN: u32 = u32::MAX - 1;
         let n = parent.len();
         if (root as usize) >= n {
             return Err(TreeError::MissingParent(root));
@@ -65,37 +74,29 @@ impl RootedTree {
         if parent[root as usize].is_some() {
             return Err(TreeError::RootHasParent(root));
         }
-        // Resolve depths iteratively, detecting cycles and orphans.
-        let mut depth = vec![u32::MAX; n];
+        let mut depth = vec![UNRESOLVED; n];
         depth[root as usize] = 0;
+        let mut chain = Vec::new();
         for v0 in 0..n as u32 {
-            if depth[v0 as usize] != u32::MAX {
+            if depth[v0 as usize] != UNRESOLVED {
                 continue;
             }
-            // Walk up until a resolved vertex, recording the chain.
-            let mut chain = Vec::new();
+            chain.clear();
             let mut cur = v0;
-            loop {
-                if depth[cur as usize] != u32::MAX {
-                    break;
+            let base = loop {
+                match depth[cur as usize] {
+                    UNRESOLVED => {}
+                    ON_CHAIN => return Err(TreeError::Cycle(cur)),
+                    d => break d,
                 }
-                if chain.contains(&cur) {
-                    return Err(TreeError::Cycle(cur));
-                }
+                depth[cur as usize] = ON_CHAIN;
                 chain.push(cur);
                 match parent[cur as usize] {
-                    Some(p) => {
-                        if (p as usize) >= n {
-                            return Err(TreeError::MissingParent(cur));
-                        }
-                        cur = p;
-                    }
-                    None => return Err(TreeError::MissingParent(cur)),
+                    Some(p) if (p as usize) < n => cur = p,
+                    _ => return Err(TreeError::MissingParent(cur)),
                 }
-            }
-            let mut d = depth[cur as usize];
-            for &v in chain.iter().rev() {
-                d += 1;
+            };
+            for (d, &v) in (base + 1..).zip(chain.iter().rev()) {
                 depth[v as usize] = d;
             }
         }
@@ -251,6 +252,126 @@ pub fn edge_congestion(trees: &[RootedTree], g: &Graph) -> Vec<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The chain walk `from_parents` replaced: a fresh chain per unresolved
+    /// vertex and a linear scan of it for cycles. Kept as the oracle the
+    /// linear walk must match, `Ok` trees and `Err` variants alike.
+    fn from_parents_by_chain_scan(
+        root: VertexId,
+        parent: Vec<Option<VertexId>>,
+    ) -> Result<RootedTree, TreeError> {
+        let n = parent.len();
+        if (root as usize) >= n {
+            return Err(TreeError::MissingParent(root));
+        }
+        if parent[root as usize].is_some() {
+            return Err(TreeError::RootHasParent(root));
+        }
+        let mut depth = vec![u32::MAX; n];
+        depth[root as usize] = 0;
+        for v0 in 0..n as u32 {
+            if depth[v0 as usize] != u32::MAX {
+                continue;
+            }
+            let mut chain = Vec::new();
+            let mut cur = v0;
+            loop {
+                if depth[cur as usize] != u32::MAX {
+                    break;
+                }
+                if chain.contains(&cur) {
+                    return Err(TreeError::Cycle(cur));
+                }
+                chain.push(cur);
+                match parent[cur as usize] {
+                    Some(p) => {
+                        if (p as usize) >= n {
+                            return Err(TreeError::MissingParent(cur));
+                        }
+                        cur = p;
+                    }
+                    None => return Err(TreeError::MissingParent(cur)),
+                }
+            }
+            let mut d = depth[cur as usize];
+            for &v in chain.iter().rev() {
+                d += 1;
+                depth[v as usize] = d;
+            }
+        }
+        Ok(RootedTree { root, parent, depth })
+    }
+
+    /// A root and parent vector: a random tree on `n` vertices (position
+    /// `i > 0` of a random labelling hangs off an earlier position), with
+    /// up to three edits. An edit makes a vertex an orphan, its own
+    /// parent, or the child of any vertex or of one up to two past the end
+    /// (a cycle, a re-hang or an out-of-range parent); gives the root such
+    /// a parent; or moves the root to any vertex or past the end.
+    fn parent_vectors() -> impl Strategy<Value = (VertexId, Vec<Option<VertexId>>)> {
+        (1u32..24)
+            .prop_flat_map(|n| {
+                let keys = proptest::collection::vec(any::<u64>(), n as usize);
+                let ups = proptest::collection::vec(0u32..n, n as usize);
+                let edits = proptest::collection::vec((0u32..n, 0u32..5, 0u32..n + 3), 0..4usize);
+                (Just(n), keys, ups, edits)
+            })
+            .prop_map(|(n, keys, ups, edits)| {
+                let mut label: Vec<VertexId> = (0..n).collect();
+                label.sort_by_key(|&v| keys[v as usize]);
+                let mut parent = vec![None; n as usize];
+                for i in 1..n as usize {
+                    parent[label[i] as usize] = Some(label[ups[i] as usize % i]);
+                }
+                let mut root = label[0];
+                for (x, kind, to) in edits {
+                    match kind {
+                        0 => parent[x as usize] = None,
+                        1 => parent[x as usize] = Some(x),
+                        2 => parent[x as usize] = Some(to),
+                        3 => {
+                            if let Some(p) = parent.get_mut(root as usize) {
+                                *p = Some(to);
+                            }
+                        }
+                        _ => root = to,
+                    }
+                }
+                (root, parent)
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        #[test]
+        fn from_parents_matches_the_chain_scan(case in parent_vectors()) {
+            let (root, parent) = case;
+            let got = RootedTree::from_parents(root, parent.clone());
+            prop_assert_eq!(got, from_parents_by_chain_scan(root, parent));
+        }
+    }
+
+    #[test]
+    fn parent_vectors_cover_every_outcome() {
+        // The strategy reaches valid trees and every error variant.
+        let mut rng = proptest::test_runner::TestRng::from_name("parent_vectors");
+        let mut seen = [0usize; 5];
+        for _ in 0..2048 {
+            let (root, parent) = parent_vectors().generate(&mut rng);
+            let n = parent.len();
+            seen[match RootedTree::from_parents(root, parent) {
+                Ok(_) => 0,
+                Err(TreeError::Cycle(_)) => 1,
+                Err(TreeError::MissingParent(v)) if (v as usize) < n => 2,
+                Err(TreeError::MissingParent(_)) => 3,
+                Err(TreeError::RootHasParent(_)) => 4,
+                Err(e) => panic!("from_parents never returns {e:?}"),
+            }] += 1;
+        }
+        assert!(seen.iter().all(|&c| c > 0), "{seen:?}");
+    }
 
     fn star(n: u32) -> Graph {
         let mut g = Graph::new(n);

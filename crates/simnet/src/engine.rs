@@ -99,7 +99,7 @@
 
 use crate::embedding::{CompiledTrees, MultiTreeEmbedding, TreeOrder, NONE};
 use crate::faults::{FaultReport, FaultSchedule, FaultState};
-use crate::kernels;
+use crate::kernels::{self, LineBuf};
 use crate::trace::{EngineStall, TraceConfig, TraceReport, Tracer};
 use crate::workload::Workload;
 use pf_graph::Graph;
@@ -940,7 +940,8 @@ fn value_pass(
     jobs: &mut [JobOutcome],
 ) -> (u64, u64) {
     let n = emb.num_nodes() as usize;
-    let mut rows = vec![0u64; (n + 1) * VALUE_BLOCK];
+    // Rows of `VALUE_BLOCK` words each start on a 64-byte line.
+    let mut rows = LineBuf::zeroed((n + 1) * VALUE_BLOCK);
     let mut bad_before = [0u32; VALUE_BLOCK + 1];
     let (mut mismatches, mut digest) = (0u64, 0u64);
     for (ti, t) in emb.slices().iter().enumerate() {

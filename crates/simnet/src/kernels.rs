@@ -127,6 +127,59 @@ kernels! {
     }
 }
 
+/// A zeroed `u64` buffer that starts on a 64-byte cache line, for the
+/// arrays the kernels sweep: a buffer that starts mid-line makes every
+/// AVX-512 load and store straddle two lines, and malloc only promises 16
+/// bytes. It over-allocates 7 words and starts at the first aligned one,
+/// found with the safe `align_offset`. A clone is aligned anew; the
+/// default is empty and allocates nothing.
+#[derive(Default)]
+pub(crate) struct LineBuf {
+    buf: Vec<u64>,
+    start: usize,
+    len: usize,
+}
+
+impl LineBuf {
+    /// `len` zeroed words, the first one 64-byte aligned.
+    pub(crate) fn zeroed(len: usize) -> Self {
+        const SPARE: usize = 64 / std::mem::size_of::<u64>() - 1;
+        let buf = vec![0u64; len + SPARE];
+        // `align_offset` may in principle decline (`usize::MAX`); the
+        // buffer then starts where malloc put it.
+        let start = Some(buf.as_ptr().align_offset(64)).filter(|&s| s <= SPARE).unwrap_or(0);
+        LineBuf { buf, start, len }
+    }
+}
+
+impl std::ops::Deref for LineBuf {
+    type Target = [u64];
+
+    fn deref(&self) -> &[u64] {
+        &self.buf[self.start..self.start + self.len]
+    }
+}
+
+impl std::ops::DerefMut for LineBuf {
+    fn deref_mut(&mut self) -> &mut [u64] {
+        &mut self.buf[self.start..self.start + self.len]
+    }
+}
+
+impl Clone for LineBuf {
+    fn clone(&self) -> Self {
+        let mut copy = LineBuf::zeroed(self.len);
+        copy.copy_from_slice(self);
+        copy
+    }
+}
+
+impl std::fmt::Debug for LineBuf {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        (**self).fmt(f)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

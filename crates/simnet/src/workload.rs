@@ -14,7 +14,7 @@
 //! flit leaking from one job's trees into another's is always caught by
 //! the expected-value check.
 
-use crate::kernels;
+use crate::kernels::{self, LineBuf};
 
 /// The reduction operator carried by the flits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -73,7 +73,10 @@ pub struct Workload {
     seg_kind: Vec<ReduceKind>,
     /// Per-segment participant bitset words (empty = every node).
     seg_members: Vec<Vec<u64>>,
-    expected: Vec<u64>,
+    /// The expected reduction per element, on a 64-byte line so the input
+    /// and combine kernels that build it run at the same speed wherever
+    /// malloc puts it.
+    expected: LineBuf,
 }
 
 /// SplitMix64 finalizer — a cheap, high-quality mixing function.
@@ -143,13 +146,14 @@ impl Workload {
             seg_members.push(members);
         }
         let m = end;
-        let mut w = Workload { nodes, m, seg_end, seg_kind, seg_members, expected: Vec::new() };
+        let mut w =
+            Workload { nodes, m, seg_end, seg_kind, seg_members, expected: LineBuf::default() };
         // Node-major over blocks of 64 elements: each member's inputs for a
         // block come from one kernel call and are added into the block in
         // ascending node order. Every element sees the additions of a
         // per-element sum from +0.0 in the same order, so f64 sums keep
         // their bits.
-        let mut expected = vec![0u64; m as usize];
+        let mut expected = LineBuf::zeroed(m as usize);
         let mut xs = [0u64; 64];
         let mut start = 0u64;
         for (seg, &end) in w.seg_end.iter().enumerate() {
@@ -385,7 +389,7 @@ mod tests {
                         continue;
                     }
                     let w = Workload::concat(nodes, &segs);
-                    assert!(w.expected == expected_by_element(&w), "n={nodes} m={m} {segs:?}");
+                    assert!(*w.expected == expected_by_element(&w), "n={nodes} m={m} {segs:?}");
                 }
             }
         }
@@ -542,6 +546,18 @@ mod tests {
             for k in 0..64 {
                 assert!(seen.insert(w.input(v, k)), "collision at ({v},{k})");
             }
+        }
+    }
+
+    #[test]
+    fn expected_starts_on_a_cache_line() {
+        for m in [1u64, 63, 64, 65, 49_974] {
+            let w = Workload::new(7, m);
+            assert_eq!(w.expected.as_ptr() as usize % 64, 0, "m={m}");
+            assert_eq!(w.expected.len() as u64, m);
+            let copy = w.clone();
+            assert_eq!(copy.expected.as_ptr() as usize % 64, 0, "clone, m={m}");
+            assert_eq!(*copy.expected, *w.expected);
         }
     }
 
