@@ -27,6 +27,7 @@
 //! honest is `crates/core/tests/tree_harness.rs` (see
 //! `docs/CONSTRUCTIONS.md`).
 
+use pf_graph::tree::spanning_edge_ids;
 use pf_graph::{bfs, EdgeId, Graph, RootedTree, VertexId};
 use pf_topo::{PolarFly, Singer};
 use rand::rngs::StdRng;
@@ -317,8 +318,8 @@ impl TreeConstruction for GreedyPeel {
         let mut rng = StdRng::seed_from_u64(self.seed);
         let mut used = vec![false; g.num_edges() as usize];
         let mut trees = Vec::new();
-        while let Some(t) = random_kruskal_avoiding(g, &used, &mut rng) {
-            for id in t.edge_ids(g) {
+        while let Some((t, ids)) = random_kruskal_avoiding(g, &used, &mut rng) {
+            for id in ids {
                 used[id as usize] = true;
             }
             trees.push(t);
@@ -327,45 +328,20 @@ impl TreeConstruction for GreedyPeel {
     }
 }
 
-/// Randomized Kruskal spanning tree over the unused edges, or `None` if
-/// the residual graph is disconnected.
-fn random_kruskal_avoiding(g: &Graph, used: &[bool], rng: &mut impl Rng) -> Option<RootedTree> {
-    let n = g.num_vertices();
-    let mut edges: Vec<(u32, VertexId, VertexId)> = g
-        .edges()
-        .filter(|&(e, _, _)| !used[e as usize])
-        .collect();
-    edges.shuffle(rng);
-    let mut dsu = pf_graph::dsu::Dsu::new(n);
-    let mut adj: Vec<Vec<VertexId>> = vec![Vec::new(); n as usize];
-    for (_, u, v) in edges {
-        if dsu.union(u, v) {
-            adj[u as usize].push(v);
-            adj[v as usize].push(u);
-            if dsu.components() == 1 {
-                break;
-            }
-        }
-    }
-    if dsu.components() != 1 {
-        return None;
-    }
-    // Orient the forest into a rooted tree at a random root.
-    let root = rng.random_range(0..n);
-    let mut parent: Vec<Option<VertexId>> = vec![None; n as usize];
-    let mut seen = vec![false; n as usize];
-    seen[root as usize] = true;
-    let mut stack = vec![root];
-    while let Some(u) = stack.pop() {
-        for &v in &adj[u as usize] {
-            if !seen[v as usize] {
-                seen[v as usize] = true;
-                parent[v as usize] = Some(u);
-                stack.push(v);
-            }
-        }
-    }
-    RootedTree::from_parents(root, parent).ok()
+/// Randomized Kruskal spanning tree over the unused edges, rooted at a
+/// random vertex, with its edge ids; `None` if the residual graph is
+/// disconnected.
+fn random_kruskal_avoiding(
+    g: &Graph,
+    used: &[bool],
+    rng: &mut impl Rng,
+) -> Option<(RootedTree, Vec<EdgeId>)> {
+    let mut order: Vec<EdgeId> = (0..g.num_edges()).filter(|&e| !used[e as usize]).collect();
+    order.shuffle(rng);
+    let ids = spanning_edge_ids(g, order)?;
+    let root = rng.random_range(0..g.num_vertices());
+    let tree = RootedTree::from_edges(g, root, &ids).expect("Kruskal edges span g");
+    Some((tree, ids))
 }
 
 /// Iterative kary multitree construction for arbitrary substrates.

@@ -512,12 +512,51 @@ mod tests {
         g
     }
 
+    /// Every set partition of `0..n` as a restricted growth string
+    /// (`a[0] = 0`, `a[i] ≤ 1 + max a[..i]`), given as its part count and
+    /// the mask of vertex pairs it separates, in [`labelled_graph`]'s bit
+    /// order.
+    fn set_partitions(n: u32) -> Vec<(u32, u32)> {
+        let n = n as usize;
+        let mut a = vec![0u32; n];
+        let mut out = Vec::new();
+        loop {
+            let pairs = (0..n).flat_map(|u| (u + 1..n).map(move |v| (u, v)));
+            let separated = pairs
+                .enumerate()
+                .filter(|&(_, (u, v))| a[u] != a[v])
+                .fold(0u32, |m, (bit, _)| m | 1 << bit);
+            out.push((a.iter().max().map_or(0, |&p| p + 1), separated));
+            // The next string: bump the last position that may grow and
+            // zero the tail behind it.
+            let Some(i) = (1..n).rev().find(|&i| a[i] <= *a[..i].iter().max().unwrap()) else {
+                return out;
+            };
+            a[i] += 1;
+            a[i + 1..].fill(0);
+        }
+    }
+
+    /// The graph strength σ(G) = min over partitions P with |P| ≥ 2 of
+    /// |δ(P)| / (|P| − 1), by brute force over `partitions` (those of
+    /// [`set_partitions`]): the fractional tree-packing number.
+    fn strength(mask: u32, partitions: &[(u32, u32)]) -> Rational {
+        let (cut, parts) = partitions
+            .iter()
+            .filter(|&&(parts, _)| parts >= 2)
+            .map(|&(parts, separated)| ((mask & separated).count_ones(), parts - 1))
+            .min_by(|&(c1, p1), &(c2, p2)| (c1 * p2).cmp(&(c2 * p1)))
+            .expect("n >= 2 has a two-part partition");
+        Rational::new(cut as i64, parts as i64)
+    }
+
     #[test]
     fn every_graph_on_two_to_six_vertices() {
-        // (n, graphs, connected, certified) per vertex count.
+        // (n, graphs, connected, certified, bound above σ) per vertex count.
         let mut counts = Vec::new();
         for n in 2u32..=6 {
-            let (mut connected, mut certified) = (0u32, 0u32);
+            let (mut connected, mut certified, mut gaps) = (0u32, 0u32, 0u32);
+            let partitions = set_partitions(n);
             let graphs = 1u32 << (n * (n - 1) / 2);
             for mask in 0..graphs {
                 let g = labelled_graph(n, mask);
@@ -538,6 +577,9 @@ mod tests {
                         assert_eq!(contraction_min_cut(&g), lambda, "{case}");
                         assert_eq!((b.min_cut, b.min_degree), (lambda, g.min_degree()), "{case}");
                         assert_eq!(b.bound, b.edge_budget.min(Rational::from_int(lambda as i64)));
+                        let sigma = strength(mask, &partitions);
+                        assert!(b.bound >= sigma, "{case}: bound {} below σ = {sigma}", b.bound);
+                        gaps += u32::from(b.bound > sigma);
                         connected += 1;
                     }
                     Err(e) => {
@@ -546,11 +588,16 @@ mod tests {
                     }
                 }
             }
-            counts.push((n, graphs, connected, certified));
+            counts.push((n, graphs, connected, certified, gaps));
+            // Bell numbers: every set partition, once.
+            assert_eq!(partitions.len(), [2, 5, 15, 52, 203][n as usize - 2]);
         }
         assert_eq!(allreduce_rate_bound(&Graph::new(1)), Err(RateError::SingleVertex));
-        for (n, graphs, connected, certified) in &counts {
-            println!("n={n}: {graphs} graphs, {connected} connected, {certified} of diameter <= 2");
+        for (n, graphs, connected, certified, gaps) in &counts {
+            println!(
+                "n={n}: {graphs} graphs, {connected} connected, {certified} of diameter <= 2, \
+                 {gaps} with bound > σ"
+            );
         }
         let total: u32 = counts.iter().map(|c| c.1).sum();
         println!("{total} graphs on 2-6 vertices");
@@ -558,6 +605,9 @@ mod tests {
         // Connected labelled graphs on 2..6 vertices (OEIS A001187).
         let connected: Vec<u32> = counts.iter().map(|c| c.2).collect();
         assert_eq!(connected, [1, 4, 38, 728, 26_704]);
+        // The first strict gaps between the bound and σ appear at n = 6.
+        let gaps: Vec<u32> = counts.iter().map(|c| c.4).collect();
+        assert_eq!(gaps, [0, 0, 0, 0, 2_220]);
     }
 
     #[test]

@@ -47,8 +47,8 @@
 use crate::congestion::tree_edge_ids;
 use crate::plan::{AllreducePlan, Solution};
 use crate::rational::Rational;
-use pf_graph::dsu::Dsu;
 use pf_graph::subgraph::{self, Surviving};
+use pf_graph::tree::spanning_edge_ids;
 use pf_graph::{bfs, EdgeId, Graph, RootedTree, VertexId};
 
 /// A set of failed network elements, in the healthy graph's labeling.
@@ -379,62 +379,9 @@ type Candidate = (RootedTree, Vec<EdgeId>, TreeOrigin);
 /// the ids of the edges it selected, sorted (its
 /// [`RootedTree::edge_ids`]).
 fn complete_forest(g: &Graph, forest: &[EdgeId], root: VertexId) -> (RootedTree, Vec<EdgeId>) {
-    let mut dsu = Dsu::new(g.num_vertices());
-    let mut selected = vec![false; g.num_edges() as usize];
-    for &e in forest {
-        let (u, v) = g.endpoints(e);
-        if dsu.union(u, v) {
-            selected[e as usize] = true;
-        }
-    }
-    for (e, u, v) in g.edges() {
-        if dsu.components() == 1 {
-            break;
-        }
-        if dsu.union(u, v) {
-            selected[e as usize] = true;
-        }
-    }
-    debug_assert_eq!(dsu.components(), 1, "caller guarantees g is connected");
-
-    // Orient the selected edges away from the root: their adjacency in
-    // CSR form (degree count, prefix sums, fill), then one BFS. In a tree
-    // every neighbour of `u` but its parent is a child, so the BFS needs
-    // no visited set.
-    let n = g.num_vertices() as usize;
-    let ids: Vec<EdgeId> = (0..g.num_edges()).filter(|&e| selected[e as usize]).collect();
-    let mut start = vec![0usize; n + 1];
-    for &e in &ids {
-        let (u, v) = g.endpoints(e);
-        start[u as usize + 1] += 1;
-        start[v as usize + 1] += 1;
-    }
-    for i in 0..n {
-        start[i + 1] += start[i];
-    }
-    let mut fill = start.clone();
-    let mut adj = vec![0 as VertexId; 2 * ids.len()];
-    for &e in &ids {
-        let (u, v) = g.endpoints(e);
-        adj[fill[u as usize]] = v;
-        fill[u as usize] += 1;
-        adj[fill[v as usize]] = u;
-        fill[v as usize] += 1;
-    }
-    let mut parent = vec![None; n];
-    let mut queue = Vec::with_capacity(n);
-    queue.push(root);
-    let mut head = 0;
-    while let Some(&u) = queue.get(head) {
-        head += 1;
-        for &v in &adj[start[u as usize]..start[u as usize + 1]] {
-            if parent[u as usize] != Some(v) {
-                parent[v as usize] = Some(u);
-                queue.push(v);
-            }
-        }
-    }
-    let tree = RootedTree::from_parents(root, parent).expect("selected edges span the graph");
+    let ids = spanning_edge_ids(g, forest.iter().copied().chain(0..g.num_edges()))
+        .expect("caller guarantees g is connected");
+    let tree = RootedTree::from_edges(g, root, &ids).expect("selected edges span the graph");
     (tree, ids)
 }
 

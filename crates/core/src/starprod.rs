@@ -32,7 +32,7 @@
 //! additional disjoint trees from the unused edges.
 
 use crate::construction::{check_substrate, Budget, ConstructError, GreedyPeel, TreeConstruction};
-use pf_graph::dsu::Dsu;
+use pf_graph::tree::spanning_edge_ids;
 use pf_graph::{Graph, RootedTree, StarProduct, VertexId};
 
 /// The star-product edge-disjoint construction as a
@@ -108,31 +108,6 @@ impl TreeConstruction for StarProductDisjoint {
         }
         Ok(trees)
     }
-}
-
-/// Re-roots `tree` (a tree over some graph's vertices) at `new_root` by
-/// reorienting its edges.
-fn reroot(tree: &RootedTree, new_root: VertexId) -> RootedTree {
-    let n = tree.num_vertices();
-    let mut adj: Vec<Vec<VertexId>> = vec![Vec::new(); n];
-    for (c, p) in tree.edges() {
-        adj[c as usize].push(p);
-        adj[p as usize].push(c);
-    }
-    let mut parent = vec![None; n];
-    let mut seen = vec![false; n];
-    seen[new_root as usize] = true;
-    let mut stack = vec![new_root];
-    while let Some(u) = stack.pop() {
-        for &v in &adj[u as usize] {
-            if !seen[v as usize] {
-                seen[v as usize] = true;
-                parent[v as usize] = Some(u);
-                stack.push(v);
-            }
-        }
-    }
-    RootedTree::from_parents(new_root, parent).expect("re-rooting preserves tree structure")
 }
 
 /// For a G-tree re-rooted at supernode `b`, the H-coordinate each
@@ -218,7 +193,7 @@ pub fn star_product_disjoint_trees(
     // A-trees: full lift of T_G^j + copy of T_H^t at supernode b_j = j.
     for (j, g_tree) in g_trees.iter().take(a_count).enumerate() {
         let b = j as VertexId;
-        let gt = reroot(g_tree, b);
+        let gt = g_tree.rerooted(b);
         let mut parent: Vec<Option<VertexId>> = vec![None; n];
         // The H-copy at supernode b, rooted at T_H^t's own root.
         for (c, p) in h_last.edges() {
@@ -254,7 +229,7 @@ pub fn star_product_disjoint_trees(
         // T_H^i at every supernode, re-rooted at the component's vertex.
         for gv in 0..ng {
             let local_root = coord[gv as usize];
-            let ht = reroot(h_tree, local_root);
+            let ht = h_tree.rerooted(local_root);
             for (c, p) in ht.edges() {
                 parent[sp.vertex(gv, c) as usize] = Some(sp.vertex(gv, p));
             }
@@ -275,41 +250,11 @@ pub fn star_product_disjoint_trees(
             used[e as usize] = true;
         }
     }
-    loop {
-        let mut dsu = Dsu::new(g.num_vertices());
-        let mut adj: Vec<Vec<VertexId>> = vec![Vec::new(); g.num_vertices() as usize];
-        let mut picked = Vec::new();
-        for (e, u, v) in g.edges() {
-            if !used[e as usize] && dsu.union(u, v) {
-                adj[u as usize].push(v);
-                adj[v as usize].push(u);
-                picked.push(e);
-                if dsu.components() == 1 {
-                    break;
-                }
-            }
+    while let Some(ids) = spanning_edge_ids(g, (0..g.num_edges()).filter(|&e| !used[e as usize])) {
+        trees.push(RootedTree::from_edges(g, 0, &ids).expect("Kruskal edges span"));
+        for e in ids {
+            used[e as usize] = true;
         }
-        if dsu.components() != 1 {
-            break;
-        }
-        let mut parent = vec![None; g.num_vertices() as usize];
-        let mut seen = vec![false; g.num_vertices() as usize];
-        seen[0] = true;
-        let mut stack = vec![0u32];
-        while let Some(u) = stack.pop() {
-            for &v in &adj[u as usize] {
-                if !seen[v as usize] {
-                    seen[v as usize] = true;
-                    parent[v as usize] = Some(u);
-                    stack.push(v);
-                }
-            }
-        }
-        let tr = RootedTree::from_parents(0, parent).expect("Kruskal forest spans");
-        for e in &picked {
-            used[*e as usize] = true;
-        }
-        trees.push(tr);
     }
 
     Ok(trees)

@@ -23,12 +23,18 @@
 //! (`full_catalog`, all paper radices `q ∈ {3, 5, 7, 9, 11}` plus both
 //! labelings) is `#[ignore]`d and runs in the nightly
 //! `--include-ignored` job.
+//!
+//! The `tree_identity_*` tests pin every tree the backends and the
+//! low-depth repairs build by digest, so a change to how trees are
+//! assembled must leave them byte-identical. Their full tier is
+//! `#[ignore]`d too; CI runs it in release on every push.
 
 use pf_allreduce::congestion::assign_unit_bandwidth;
+use pf_allreduce::fingerprint::{fnv1a_u64, FNV_OFFSET};
 use pf_allreduce::plan::AllreducePlan;
 use pf_allreduce::rational::Rational;
 use pf_allreduce::rate::{allreduce_rate_bound, RateError};
-use pf_allreduce::recovery::{rebuild_degraded, FaultSet};
+use pf_allreduce::recovery::{extend_degraded, rebuild_degraded, FaultSet};
 use pf_allreduce::substrates::{
     backends_for, bridged_cliques, closed_form_rate_bound, erdos_renyi_connected, full_catalog,
     quick_catalog, Substrate,
@@ -37,6 +43,8 @@ use pf_allreduce::{Budget, ConstructError, GreedyPeel, KaryMultitree, TreeConstr
 use pf_graph::dsu::Dsu;
 use pf_graph::tree::pairwise_edge_disjoint;
 use pf_graph::{builders, Graph, RootedTree};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// Independent spanning re-check: count, membership, connectivity (DSU),
 /// and depth consistency — none of it via `validate_spanning`.
@@ -323,4 +331,243 @@ fn constructed_plans_rebuild_after_faults() {
         t.validate_spanning(&degraded.graph).unwrap();
     }
     assert!(degraded.aggregate.is_positive());
+}
+
+// ---------------------------------------------------------------------
+// Tree identity: every tree the constructions and repairs build, pinned
+// by digest. A rooted tree is fixed by its edge set and its root, so a
+// change to how trees are assembled (Kruskal selection, orientation,
+// re-rooting) must leave every digest below as it is.
+// ---------------------------------------------------------------------
+
+/// FNV-1a over a tree set: the tree count, then per tree its root, its
+/// order and every vertex's parent (`u64::MAX` at the root) and depth.
+fn fold_trees(mut h: u64, trees: &[RootedTree]) -> u64 {
+    h = fnv1a_u64(h, trees.len() as u64);
+    for t in trees {
+        h = fnv1a_u64(h, u64::from(t.root()));
+        h = fnv1a_u64(h, t.num_vertices() as u64);
+        for v in 0..t.num_vertices() as u32 {
+            h = fnv1a_u64(h, t.parent(v).map_or(u64::MAX, u64::from));
+            h = fnv1a_u64(h, u64::from(t.depth_of(v)));
+        }
+    }
+    h
+}
+
+/// Folds a build or repair outcome: its trees, or a marker for an error
+/// (an unsupported substrate, a partition, a declined extension).
+fn fold_outcome(h: u64, trees: Option<&[RootedTree]>) -> u64 {
+    match trees {
+        Some(t) => fold_trees(fnv1a_u64(h, 1), t),
+        None => fnv1a_u64(h, 0),
+    }
+}
+
+/// One digest per catalog substrate over the tree sets of every backend
+/// `backends_for` lists, then one over `GreedyPeel` at seeds 0..4; with
+/// the number of tree sets folded.
+fn construction_digests(cat: Vec<Substrate>) -> (Vec<(String, u64)>, usize) {
+    let mut out = Vec::new();
+    let mut sets = 0;
+    for sub in &cat {
+        let mut h = FNV_OFFSET;
+        for b in backends_for(&sub.name) {
+            let built = b.build(&sub.graph, &Budget::unlimited()).ok();
+            sets += usize::from(built.is_some());
+            h = fold_outcome(h, built.as_deref());
+        }
+        out.push((format!("backends {}", sub.name), h));
+        let mut h = FNV_OFFSET;
+        for seed in 0..4 {
+            let built = GreedyPeel { seed }.build(&sub.graph, &Budget::unlimited()).ok();
+            sets += usize::from(built.is_some());
+            h = fold_outcome(h, built.as_deref());
+        }
+        out.push((format!("greedy-peel {}", sub.name), h));
+    }
+    (out, sets)
+}
+
+/// The degraded trees of low-depth repairs at radix `q`: every one-link
+/// fault (`one_link`), `pairs` seeded fault pairs each rebuilt, extended
+/// from the first fault's plan and rebuilt as a union, and every router
+/// fault (`routers`); with the number of repairs folded.
+fn repair_digest(q: u64, one_link: bool, pairs: usize, routers: bool) -> (u64, usize) {
+    let plan = AllreducePlan::low_depth(q).expect("odd q");
+    let m = plan.graph.num_edges();
+    let degraded = |f: &FaultSet| rebuild_degraded(&plan, f).ok();
+    let mut h = FNV_OFFSET;
+    let mut repairs = 0;
+    if one_link {
+        for e in 0..m {
+            let d = degraded(&FaultSet::links(vec![e]));
+            h = fold_outcome(h, d.as_ref().map(|d| d.trees.as_slice()));
+            repairs += 1;
+        }
+    }
+    let mut rng = StdRng::seed_from_u64(0x7ee5 ^ q);
+    for _ in 0..pairs {
+        let a = FaultSet::links(vec![rng.random_range(0..m)]);
+        let b = FaultSet::links(vec![rng.random_range(0..m)]);
+        let first = degraded(&a).expect("one link never partitions ER_q");
+        let extended = extend_degraded(&plan, &a, &first, &b);
+        let union = degraded(&a.union(&b));
+        h = fold_outcome(h, Some(&first.trees));
+        h = fold_outcome(h, extended.as_ref().map(|d| d.trees.as_slice()));
+        h = fold_outcome(h, union.as_ref().map(|d| d.trees.as_slice()));
+        repairs += 3;
+    }
+    if routers {
+        for r in plan.graph.vertices() {
+            let d = degraded(&FaultSet { edges: vec![], routers: vec![r] });
+            h = fold_outcome(h, d.as_ref().map(|d| d.trees.as_slice()));
+            repairs += 1;
+        }
+    }
+    (h, repairs)
+}
+
+/// Compares `got` with the pinned table, printing every digest so a
+/// deliberate change can re-pin them in one pass.
+fn assert_digests(got: &[(String, u64)], pinned: &[(&str, u64)]) {
+    for (name, h) in got {
+        println!("    (\"{name}\", {h:#018x}),");
+    }
+    let got: Vec<(&str, u64)> = got.iter().map(|(n, h)| (n.as_str(), *h)).collect();
+    assert_eq!(got, pinned, "tree digests moved; the table above is what this build gives");
+}
+
+const QUICK_CONSTRUCTIONS: &[(&str, u64)] = &[
+    ("backends er-n20", 0x96f1aadb3f5d8e58),
+    ("greedy-peel er-n20", 0x09ebfec398bf321d),
+    ("backends torus-4x4", 0x53f0729a4e291af8),
+    ("greedy-peel torus-4x4", 0xe39ce397179a867a),
+    ("backends star-c4xk4", 0x0322dee6911c92c6),
+    ("greedy-peel star-c4xk4", 0xf75129d9e0747b0b),
+    ("backends polarfly-q5", 0x86abd1cc1d93ee69),
+    ("greedy-peel polarfly-q5", 0x78153f927b441881),
+    ("backends hypercube-4", 0x0ba3b4bfb74d9037),
+    ("greedy-peel hypercube-4", 0x0c3d51395e826e7b),
+    ("backends complete-k8", 0x5c7a927ecffeea64),
+    ("greedy-peel complete-k8", 0x8e49f531d4b3fbc2),
+];
+const FULL_CONSTRUCTIONS: &[(&str, u64)] = &[
+    ("backends er-n8-e6-s1", 0xaddf5f54e02e5467),
+    ("greedy-peel er-n8-e6-s1", 0x69daa21bb2363ee7),
+    ("backends er-n16-e20-s2", 0x375a79bca0d325a3),
+    ("greedy-peel er-n16-e20-s2", 0xe067c401b4e129f4),
+    ("backends er-n24-e40-s3", 0x32437e61d32ece29),
+    ("greedy-peel er-n24-e40-s3", 0xf0a881b957592d30),
+    ("backends er-n32-e24-s4", 0x933c8ced6e1a90f1),
+    ("greedy-peel er-n32-e24-s4", 0xf2b2877727ac4ea9),
+    ("backends er-n40-e90-s5", 0x66b8cc1d0e6b087e),
+    ("greedy-peel er-n40-e90-s5", 0x51a896caac38d3ca),
+    ("backends torus-3x3", 0x62be7fe709789842),
+    ("greedy-peel torus-3x3", 0xcc0c0a56e8697570),
+    ("backends torus-4x4", 0x53f0729a4e291af8),
+    ("greedy-peel torus-4x4", 0xe39ce397179a867a),
+    ("backends torus-3x4", 0xff97077fb7243695),
+    ("greedy-peel torus-3x4", 0x6de5a8fb10395fd3),
+    ("backends torus-3x3x3", 0xb4c6fe9ad7644aa9),
+    ("greedy-peel torus-3x3x3", 0xe79c24ffa9772762),
+    ("backends cart-c5xk4", 0x02a3277fa11bbe92),
+    ("greedy-peel cart-c5xk4", 0xee52a9c11fc2fd54),
+    ("backends star-k5xk4", 0x9c1ddd5974d59829),
+    ("greedy-peel star-k5xk4", 0x53cf351f77741fd0),
+    ("backends star-c6xc4", 0xe036afff93521a76),
+    ("greedy-peel star-c6xc4", 0x1de6b3eafe5a5b6d),
+    ("backends polarfly-q3", 0x5a995ff5211316b2),
+    ("greedy-peel polarfly-q3", 0xd81f85878b288acd),
+    ("backends singer-q3", 0xceb3fd3a159f215c),
+    ("greedy-peel singer-q3", 0x16687a1f0f30eb47),
+    ("backends polarfly-q5", 0x86abd1cc1d93ee69),
+    ("greedy-peel polarfly-q5", 0x78153f927b441881),
+    ("backends singer-q5", 0xc2b11569028ca452),
+    ("greedy-peel singer-q5", 0x8522653cffc1241e),
+    ("backends polarfly-q7", 0xfd45c79a67e75042),
+    ("greedy-peel polarfly-q7", 0x12d832c2c801d4ef),
+    ("backends singer-q7", 0xdc9aefed83515ae2),
+    ("greedy-peel singer-q7", 0x38e036d93d596dcf),
+    ("backends polarfly-q9", 0x5c9f48802311acff),
+    ("greedy-peel polarfly-q9", 0xf17533f2c65e87ef),
+    ("backends singer-q9", 0xeb400f15b4eeca09),
+    ("greedy-peel singer-q9", 0xc31493bf821173dd),
+    ("backends polarfly-q11", 0x91289dbf2324562c),
+    ("greedy-peel polarfly-q11", 0xc0c388b32f440b5d),
+    ("backends singer-q11", 0x329545fcb2895a05),
+    ("greedy-peel singer-q11", 0x1c1d26e2eccedd15),
+    ("backends hypercube-5", 0x3d19cf8eb1a5e97b),
+    ("greedy-peel hypercube-5", 0xcae70936202a29c9),
+    ("backends petersen", 0x066e4adc74b0fd29),
+    ("greedy-peel petersen", 0xdf1d32044df079a1),
+    ("backends complete-k12", 0xd61f20f4990a31ad),
+    ("greedy-peel complete-k12", 0xb6917f6c53972f84),
+    ("backends bridged-k5", 0x71481e04b0d5d8a9),
+    ("greedy-peel bridged-k5", 0x4258702df84325ab),
+];
+const QUICK_REPAIRS: &[(&str, u64)] = &[
+    ("low-depth repairs q=3", 0xe625f18f9f7665d3),
+    ("low-depth repairs q=5", 0xb225e0a7dc65c2aa),
+    ("low-depth repairs q=7", 0x6fbd1b26d985296a),
+];
+const FULL_REPAIRS: &[(&str, u64)] = &[
+    ("low-depth repairs q=9", 0x32d5af893e899c8b),
+    ("low-depth repairs q=11", 0xdfa3aa167c479362),
+    ("low-depth repairs q=13", 0xb985b140c283b769),
+    ("low-depth repairs q=19", 0xcaaeb8d5c2af0e09),
+    ("low-depth repairs q=23", 0x1c438603a2427723),
+    ("low-depth repairs q=31", 0xae6f15c5b88170cb),
+];
+
+/// One digest per radix over the repair cases of one tier, each `(q, every
+/// one-link fault, seeded pairs, every router fault)`; with the number of
+/// repairs folded.
+fn repair_digests(cases: &[(u64, bool, usize, bool)]) -> (Vec<(String, u64)>, usize) {
+    let mut out = Vec::new();
+    let mut total = 0;
+    for &(q, one_link, pairs, routers) in cases {
+        let (h, n) = repair_digest(q, one_link, pairs, routers);
+        out.push((format!("low-depth repairs q={q}"), h));
+        total += n;
+    }
+    (out, total)
+}
+
+#[test]
+fn tree_identity_quick_constructions() {
+    let (got, sets) = construction_digests(quick_catalog());
+    println!("{sets} tree sets");
+    assert_digests(&got, QUICK_CONSTRUCTIONS);
+}
+
+#[test]
+#[ignore = "slow in debug: the full catalog; CI runs it in release"]
+fn tree_identity_full_constructions() {
+    let (got, sets) = construction_digests(full_catalog());
+    println!("{sets} tree sets");
+    assert_digests(&got, FULL_CONSTRUCTIONS);
+}
+
+#[test]
+fn tree_identity_quick_repairs() {
+    let (got, repairs) =
+        repair_digests(&[(3, true, 40, true), (5, true, 40, true), (7, true, 40, true)]);
+    println!("{repairs} repairs");
+    assert_digests(&got, QUICK_REPAIRS);
+}
+
+#[test]
+#[ignore = "slow in debug: repairs up to q = 31; CI runs it in release"]
+fn tree_identity_full_repairs() {
+    let (got, repairs) = repair_digests(&[
+        (9, true, 0, false),
+        (11, true, 40, false),
+        (13, false, 40, false),
+        (19, false, 40, false),
+        (23, false, 40, false),
+        (31, false, 40, false),
+    ]);
+    println!("{repairs} repairs");
+    assert_digests(&got, FULL_REPAIRS);
 }

@@ -7,7 +7,7 @@
 //!   totient ([`prime`]),
 //! * modular arithmetic helpers over `u64` ([`zmod`]),
 //! * table-driven finite fields `GF(p^a)` for small orders ([`gf::Gf`]),
-//! * dense polynomial arithmetic over such fields ([`poly::Poly`]),
+//!   with the irreducible modulus of §6.1 found by trial division,
 //! * degree-3 extension fields `GF(q^3)` over `GF(q)` with primitive
 //!   polynomial search ([`ext3::CubicExt`]) — the machinery behind the
 //!   Singer difference-set construction of the paper's §6.2.
@@ -19,11 +19,9 @@
 
 pub mod ext3;
 pub mod gf;
-pub mod poly;
 pub mod prime;
 pub mod zmod;
 
 pub use ext3::CubicExt;
 pub use gf::Gf;
-pub use poly::Poly;
 pub use prime::{euler_totient, factorize, is_prime, prime_power, prime_powers_in};

@@ -1,6 +1,6 @@
 //! Property-based tests for the finite-field substrate.
 
-use pf_galois::{euler_totient, factorize, is_prime, prime_power, Gf, Poly};
+use pf_galois::{euler_totient, factorize, is_prime, prime_power, Gf};
 use proptest::prelude::*;
 
 /// The field orders the library targets (all prime powers ≤ 32 plus a few
@@ -51,32 +51,6 @@ proptest! {
         for d in 1..ord.min(40) {
             prop_assert_ne!(gf.pow(x, d), 1);
         }
-    }
-
-    #[test]
-    fn poly_divmod_roundtrip(q in field_order(), a in proptest::collection::vec(0u16..49, 0..8), b in proptest::collection::vec(0u16..49, 1..5)) {
-        let gf = Gf::new(q).unwrap();
-        let a = Poly::from_coeffs(a.into_iter().map(|c| c % q as u16).collect::<Vec<_>>());
-        let b = Poly::from_coeffs(b.into_iter().map(|c| c % q as u16).collect::<Vec<_>>());
-        prop_assume!(!b.is_zero());
-        let (quot, rem) = a.divmod(&b, &gf);
-        prop_assert_eq!(quot.mul(&b, &gf).add(&rem, &gf), a);
-        if let (Some(dr), Some(db)) = (rem.degree(), b.degree()) {
-            prop_assert!(dr < db);
-        }
-    }
-
-    #[test]
-    fn poly_gcd_divides_both(q in field_order(), a in proptest::collection::vec(0u16..49, 1..6), b in proptest::collection::vec(0u16..49, 1..6)) {
-        let gf = Gf::new(q).unwrap();
-        let a = Poly::from_coeffs(a.into_iter().map(|c| c % q as u16).collect::<Vec<_>>());
-        let b = Poly::from_coeffs(b.into_iter().map(|c| c % q as u16).collect::<Vec<_>>());
-        prop_assume!(!a.is_zero() && !b.is_zero());
-        let g = a.gcd(&b, &gf);
-        prop_assert!(!g.is_zero());
-        prop_assert!(a.rem(&g, &gf).is_zero());
-        prop_assert!(b.rem(&g, &gf).is_zero());
-        prop_assert!(g.is_monic());
     }
 
     #[test]

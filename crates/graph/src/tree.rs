@@ -1,11 +1,18 @@
-//! Rooted spanning trees and their validation.
+//! Rooted spanning trees: assembly, validation and re-rooting.
 //!
 //! The paper's allreduce embeddings are rooted spanning trees of the
 //! physical topology: reduction traffic flows leaf→root, broadcast traffic
 //! root→leaf. [`RootedTree`] is the shared representation used by the
 //! low-depth construction (Algorithm 3), the Hamiltonian-path construction
 //! (§7.2), the congestion model (Algorithm 1), and the simulator.
+//!
+//! A rooted tree is fixed by its edge set and its root. Constructions that
+//! pick edges rather than parents (Kruskal peeling, star-product residual
+//! trees, fault repair) select them with [`spanning_edge_ids`] and orient
+//! them with [`RootedTree::from_edges`]; [`RootedTree::rerooted`] moves
+//! the root of a tree already built.
 
+use crate::dsu::Dsu;
 use crate::graph::{EdgeId, Graph, VertexId};
 
 /// Validation failures for a would-be spanning tree.
@@ -126,6 +133,79 @@ impl RootedTree {
         RootedTree::from_parents(path[root_index], parent)
     }
 
+    /// The spanning tree of `g` made of the edges `ids` (in any order),
+    /// rooted at `root`: their adjacency in CSR form (degree count, prefix
+    /// sums, fill), then one BFS that records each vertex's parent and
+    /// depth. Errors when `root` is not a vertex of `g`
+    /// ([`TreeError::MissingParent`]), when `ids` are not `n − 1` edges
+    /// ([`TreeError::WrongOrder`]), or when they do not span `g`: the BFS
+    /// meets a vertex twice ([`TreeError::Cycle`]) or leaves one unreached
+    /// ([`TreeError::MissingParent`], as does an id outside `0..m`).
+    pub fn from_edges(g: &Graph, root: VertexId, ids: &[EdgeId]) -> Result<Self, TreeError> {
+        const UNREACHED: u32 = u32::MAX;
+        let n = g.num_vertices() as usize;
+        if (root as usize) >= n {
+            return Err(TreeError::MissingParent(root));
+        }
+        if ids.len() + 1 != n {
+            return Err(TreeError::WrongOrder { tree: ids.len() + 1, graph: n });
+        }
+        let m = g.num_edges();
+        let mut start = vec![0usize; n + 1];
+        for &e in ids.iter().filter(|&&e| e < m) {
+            let (u, v) = g.endpoints(e);
+            start[u as usize + 1] += 1;
+            start[v as usize + 1] += 1;
+        }
+        for i in 0..n {
+            start[i + 1] += start[i];
+        }
+        let mut fill = start.clone();
+        let mut adj = vec![0 as VertexId; start[n]];
+        for &e in ids.iter().filter(|&&e| e < m) {
+            let (u, v) = g.endpoints(e);
+            adj[fill[u as usize]] = v;
+            fill[u as usize] += 1;
+            adj[fill[v as usize]] = u;
+            fill[v as usize] += 1;
+        }
+        let mut parent = vec![None; n];
+        let mut depth = vec![UNREACHED; n];
+        depth[root as usize] = 0;
+        let mut queue = Vec::with_capacity(n);
+        queue.push(root);
+        let mut head = 0;
+        while let Some(&u) = queue.get(head) {
+            head += 1;
+            for &v in &adj[start[u as usize]..start[u as usize + 1]] {
+                if depth[v as usize] == UNREACHED {
+                    parent[v as usize] = Some(u);
+                    depth[v as usize] = depth[u as usize] + 1;
+                    queue.push(v);
+                } else if parent[u as usize] != Some(v) {
+                    return Err(TreeError::Cycle(v));
+                }
+            }
+        }
+        if let Some(v) = depth.iter().position(|&d| d == UNREACHED) {
+            return Err(TreeError::MissingParent(v as VertexId));
+        }
+        Ok(RootedTree { root, parent, depth })
+    }
+
+    /// The same tree rooted at `new_root`: the parent pointers on the path
+    /// from `new_root` to the old root turn around, and every depth is
+    /// recomputed. Panics if `new_root` is not a vertex of the tree.
+    pub fn rerooted(&self, new_root: VertexId) -> RootedTree {
+        let mut parent = self.parent.clone();
+        let (mut prev, mut cur) = (None, Some(new_root));
+        while let Some(v) = cur {
+            cur = std::mem::replace(&mut parent[v as usize], prev);
+            prev = Some(v);
+        }
+        RootedTree::from_parents(new_root, parent).expect("re-rooting keeps a spanning tree")
+    }
+
     /// The root vertex.
     #[inline]
     pub fn root(&self) -> VertexId {
@@ -220,6 +300,27 @@ impl RootedTree {
         ids.sort_unstable();
         ids
     }
+}
+
+/// Kruskal over `order`: keeps each edge that joins two components of the
+/// edges kept so far, and stops once they span `g`. Returns the kept ids
+/// in ascending order (read off a kept-mask, not sorted), or `None` when
+/// the edges of `order` leave `g` disconnected. Panics if an id is not an
+/// edge of `g`.
+pub fn spanning_edge_ids(
+    g: &Graph,
+    order: impl IntoIterator<Item = EdgeId>,
+) -> Option<Vec<EdgeId>> {
+    let mut dsu = Dsu::new(g.num_vertices());
+    let mut kept = vec![false; g.num_edges() as usize];
+    for e in order {
+        if dsu.components() <= 1 {
+            break;
+        }
+        let (u, v) = g.endpoints(e);
+        kept[e as usize] |= dsu.union(u, v);
+    }
+    (dsu.components() <= 1).then(|| (0..g.num_edges()).filter(|&e| kept[e as usize]).collect())
 }
 
 /// Returns `true` if the trees are pairwise edge-disjoint in `g`.
@@ -351,6 +452,203 @@ mod tests {
             let got = RootedTree::from_parents(root, parent.clone());
             prop_assert_eq!(got, from_parents_by_chain_scan(root, parent));
         }
+    }
+
+    /// A connected graph on `n` vertices, one of its spanning trees as edge
+    /// ids in a random order, and a root. The graph is a random tree under
+    /// a random labelling plus random extra edges, inserted in a random
+    /// order so the tree's ids are scattered over `0..m`.
+    fn trees_in_graphs() -> impl Strategy<Value = (Graph, Vec<EdgeId>, VertexId)> {
+        (1u32..20)
+            .prop_flat_map(|n| {
+                let keys = proptest::collection::vec(any::<u64>(), n as usize);
+                let ups = proptest::collection::vec(0u32..n, n as usize);
+                let extra = proptest::collection::vec((0u32..n, 0u32..n), 0..2 * n as usize);
+                let shuffle = proptest::collection::vec(any::<u64>(), 3 * n as usize);
+                ((Just(n), keys, ups), (extra, shuffle, 0u32..n))
+            })
+            .prop_map(|((n, keys, ups), (extra, shuffle, root))| {
+                let mut label: Vec<VertexId> = (0..n).collect();
+                label.sort_by_key(|&v| keys[v as usize]);
+                let tree: Vec<(VertexId, VertexId)> = (1..n as usize)
+                    .map(|i| (label[i], label[ups[i] as usize % i]))
+                    .collect();
+                let mut pairs: Vec<(VertexId, VertexId)> = tree.clone();
+                pairs.extend(extra.into_iter().filter(|&(u, v)| u != v));
+                let mut slots: Vec<usize> = (0..pairs.len()).collect();
+                slots.sort_by_key(|&i| shuffle[i]);
+                let mut g = Graph::new(n);
+                for i in slots {
+                    let (u, v) = pairs[i];
+                    if !g.has_edge(u, v) {
+                        g.add_edge(u, v);
+                    }
+                }
+                let mut ids: Vec<EdgeId> =
+                    tree.iter().map(|&(u, v)| g.edge_id(u, v).unwrap()).collect();
+                ids.sort_by_key(|&e| shuffle[e as usize]);
+                (g, ids, root)
+            })
+    }
+
+    /// The orientation `from_edges` replaced: adjacency lists of the
+    /// chosen edges, a BFS with a visited set, then `from_parents`.
+    fn from_edges_by_bfs(g: &Graph, root: VertexId, ids: &[EdgeId]) -> RootedTree {
+        let n = g.num_vertices() as usize;
+        let mut adj = vec![Vec::new(); n];
+        for &e in ids {
+            let (u, v) = g.endpoints(e);
+            adj[u as usize].push(v);
+            adj[v as usize].push(u);
+        }
+        let mut parent = vec![None; n];
+        let mut seen = vec![false; n];
+        seen[root as usize] = true;
+        let mut queue = std::collections::VecDeque::from([root]);
+        while let Some(u) = queue.pop_front() {
+            for &v in &adj[u as usize] {
+                if !seen[v as usize] {
+                    seen[v as usize] = true;
+                    parent[v as usize] = Some(u);
+                    queue.push_back(v);
+                }
+            }
+        }
+        RootedTree::from_parents(root, parent).expect("a spanning tree orients")
+    }
+
+    /// Kruskal by component labels (relabel the smaller side on a merge):
+    /// the oracle for [`spanning_edge_ids`], which uses a union-find.
+    fn kruskal_by_labels(g: &Graph, order: &[EdgeId]) -> Option<Vec<EdgeId>> {
+        let n = g.num_vertices() as usize;
+        let mut label: Vec<usize> = (0..n).collect();
+        let mut kept = Vec::new();
+        for &e in order {
+            let (u, v) = g.endpoints(e);
+            let (a, b) = (label[u as usize], label[v as usize]);
+            if a != b {
+                label.iter_mut().filter(|l| **l == b).for_each(|l| *l = a);
+                kept.push(e);
+            }
+        }
+        kept.sort_unstable();
+        (kept.len() + 1 >= n).then_some(kept)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn from_edges_matches_a_bfs_orientation(case in trees_in_graphs()) {
+            let (g, ids, root) = case;
+            let t = RootedTree::from_edges(&g, root, &ids).unwrap();
+            prop_assert_eq!(&t, &from_edges_by_bfs(&g, root, &ids));
+            prop_assert!(t.validate_spanning(&g).is_ok());
+            let mut sorted = ids.clone();
+            sorted.sort_unstable();
+            prop_assert_eq!(t.edge_ids(&g), sorted);
+        }
+
+        #[test]
+        fn rerooting_equals_building_at_the_new_root(case in trees_in_graphs()) {
+            let (g, ids, root) = case;
+            let t = RootedTree::from_edges(&g, root, &ids).unwrap();
+            for r in g.vertices() {
+                prop_assert_eq!(t.rerooted(r), RootedTree::from_edges(&g, r, &ids).unwrap());
+            }
+        }
+
+        #[test]
+        fn spanning_edge_ids_is_kruskal_over_the_order(
+            case in trees_in_graphs(),
+            keep in proptest::collection::vec(0u32..4, 64),
+        ) {
+            // Any sub-order of the edges, in the strategy's shuffled id
+            // order: each edge survives with probability 3/4.
+            let (g, ids, _) = case;
+            let order: Vec<EdgeId> = ids
+                .iter()
+                .copied()
+                .chain(0..g.num_edges())
+                .filter(|&e| keep[e as usize % keep.len()] != 0)
+                .collect();
+            let mut sub = Graph::new(g.num_vertices());
+            for &e in &order {
+                let (u, v) = g.endpoints(e);
+                if !sub.has_edge(u, v) {
+                    sub.add_edge(u, v);
+                }
+            }
+            let got = spanning_edge_ids(&g, order.iter().copied());
+            prop_assert_eq!(got.is_none(), !crate::bfs::is_connected(&sub));
+            prop_assert_eq!(&got, &kruskal_by_labels(&g, &order));
+            if let Some(kept) = got {
+                prop_assert!(RootedTree::from_edges(&g, 0, &kept).is_ok());
+            }
+        }
+
+        #[test]
+        fn id_lists_that_are_not_spanning_trees_are_errors(
+            case in trees_in_graphs(),
+            edit in 0u32..6,
+            at in any::<u32>(),
+            with in any::<u32>(),
+        ) {
+            let (g, mut ids, mut root) = case;
+            let (n, m) = (g.num_vertices(), g.num_edges());
+            match edit {
+                // A non-tree edge in place of a tree edge closes a cycle.
+                0 => {
+                    let spare: Vec<EdgeId> = (0..m).filter(|e| !ids.contains(e)).collect();
+                    prop_assume!(!ids.is_empty() && !spare.is_empty());
+                    let i = at as usize % ids.len();
+                    ids[i] = spare[with as usize % spare.len()];
+                    prop_assume!(spanning_edge_ids(&g, ids.iter().copied()).is_none());
+                }
+                1 => {
+                    prop_assume!(!ids.is_empty());
+                    ids.remove(at as usize % ids.len());
+                }
+                2 => ids.push(with % m.max(1)),
+                3 => {
+                    prop_assume!(!ids.is_empty());
+                    let i = at as usize % ids.len();
+                    ids[i] = m + with % 3;
+                }
+                4 => {
+                    prop_assume!(ids.len() >= 2);
+                    let (i, j) = (at as usize % ids.len(), with as usize % ids.len());
+                    prop_assume!(i != j);
+                    ids[i] = ids[j];
+                }
+                _ => root = n + with % 3,
+            }
+            let got = RootedTree::from_edges(&g, root, &ids);
+            prop_assert!(got.is_err(), "{:?}", got);
+        }
+    }
+
+    #[test]
+    fn from_edges_errors_name_the_fault() {
+        // Path 0-1-2-3 plus the chord (0, 2): ids 0:(0,1) 1:(1,2) 2:(2,3) 3:(0,2).
+        let mut g = Graph::new(4);
+        for (u, v) in [(0, 1), (1, 2), (2, 3), (0, 2)] {
+            g.add_edge(u, v);
+        }
+        assert!(RootedTree::from_edges(&g, 0, &[0, 1, 2]).is_ok());
+        assert_eq!(RootedTree::from_edges(&g, 4, &[0, 1, 2]), Err(TreeError::MissingParent(4)));
+        assert_eq!(
+            RootedTree::from_edges(&g, 0, &[0, 1]),
+            Err(TreeError::WrongOrder { tree: 3, graph: 4 })
+        );
+        assert_eq!(RootedTree::from_edges(&g, 0, &[0, 1, 3]), Err(TreeError::Cycle(2)));
+        assert_eq!(RootedTree::from_edges(&g, 0, &[0, 1, 9]), Err(TreeError::MissingParent(3)));
+        assert_eq!(RootedTree::from_edges(&g, 0, &[0, 0, 2]), Err(TreeError::Cycle(1)));
+        let lone = Graph::new(1);
+        assert_eq!(RootedTree::from_edges(&lone, 0, &[]).unwrap().num_vertices(), 1);
+        assert_eq!(spanning_edge_ids(&lone, []), Some(vec![]));
+        assert_eq!(spanning_edge_ids(&Graph::new(0), []), Some(vec![]));
+        assert_eq!(spanning_edge_ids(&Graph::new(2), []), None);
     }
 
     #[test]

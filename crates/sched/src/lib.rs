@@ -43,6 +43,6 @@ pub use job::{JobRecord, JobSpec};
 pub use policy::Policy;
 pub use provider::{DirectPlans, PlanProvider};
 pub use sched::{
-    fold_job_digest, validate_spec, AdmittedJob, FairnessStats, SchedConfig, SchedReport,
-    Scheduler, WaveAdmission, WaveRecord,
+    fold_job_digest, validate_spec, FairnessStats, SchedConfig, SchedReport, Scheduler,
+    WaveRecord,
 };

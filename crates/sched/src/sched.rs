@@ -199,24 +199,24 @@ pub struct Scheduler<'a> {
 
 /// One admitted-but-not-yet-finished job inside a wave.
 #[derive(Debug, Clone)]
-pub struct AdmittedJob {
+struct AdmittedJob {
     /// Index into the spec slice.
-    pub idx: usize,
+    idx: usize,
     /// Full-plan tree indices it owns (sorted ascending).
-    pub trees: Vec<usize>,
+    trees: Vec<usize>,
     /// Release cycle relative to the wave base.
-    pub release: u64,
+    release: u64,
 }
 
 /// The outcome of planning one wave: who runs, on which trees, and the
 /// combined congestion of the allocation.
 #[derive(Debug, Clone)]
-pub struct WaveAdmission {
+struct WaveAdmission {
     /// The admitted jobs, in admission order.
-    pub jobs: Vec<AdmittedJob>,
+    jobs: Vec<AdmittedJob>,
     /// Peak combined per-edge congestion of this wave's allocation
     /// (≤ the plan's bound, asserted by the allocator).
-    pub max_combined_congestion: u32,
+    max_combined_congestion: u32,
 }
 
 impl<'a> Scheduler<'a> {
@@ -380,10 +380,10 @@ impl<'a> Scheduler<'a> {
     /// the wave's kind (one engine run executes one collective), and
     /// jobs of other kinds stay pending for a later wave.
     ///
-    /// Admitted indices are removed from `pending`. This is the
-    /// wave-admission hook the fabric manager drives directly; calling it
-    /// never executes anything.
-    pub fn plan_wave(
+    /// Admitted indices are removed from `pending`. Only
+    /// [`Scheduler::run_epoch`] calls it, once per wave; it executes
+    /// nothing.
+    fn plan_wave(
         &self,
         specs: &[JobSpec],
         pending: &mut Vec<usize>,

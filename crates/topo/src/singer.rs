@@ -40,9 +40,15 @@ impl Singer {
     }
 
     /// Builds `S_q` from an explicit difference set, validating the perfect
-    /// difference-set property first.
+    /// difference-set property first. Errors when `N = q² + q + 1` does not
+    /// fit a [`VertexId`], or when `D` is not a perfect difference set of
+    /// `Z_N` (an empty `D` included).
     pub fn from_difference_set(q: u64, mut dset: Vec<u64>) -> Result<Self, String> {
-        let n = q * q + q + 1;
+        let n = q
+            .checked_mul(q)
+            .and_then(|qq| qq.checked_add(q + 1))
+            .filter(|&n| n <= u64::from(VertexId::MAX))
+            .ok_or_else(|| format!("q = {q} gives more than {} vertices", VertexId::MAX))?;
         dset.sort_unstable();
         dset.dedup();
         verify_difference_set(&dset, n)?;
@@ -133,8 +139,11 @@ impl Singer {
 /// elements of `Z_N` whose pairwise ordered differences hit every nonzero
 /// residue exactly once.
 pub fn verify_difference_set(dset: &[u64], n: u64) -> Result<(), String> {
+    if dset.is_empty() || n == 0 {
+        return Err(format!("|D| = {} cannot be a perfect difference set of Z_{n}", dset.len()));
+    }
     let k = dset.len() as u64;
-    if k * (k - 1) != n - 1 {
+    if k.checked_mul(k - 1) != Some(n - 1) {
         return Err(format!(
             "|D| = {k} gives {} ordered differences; Z_{n} needs {}",
             k * (k - 1),
@@ -250,6 +259,29 @@ mod tests {
         assert!(Singer::from_difference_set(3, vec![0, 1, 2, 3]).is_err()); // not perfect
         assert!(Singer::from_difference_set(3, vec![0, 1, 3]).is_err()); // wrong size
         assert!(Singer::from_difference_set(3, vec![0, 1, 3, 13]).is_err()); // out of range
+    }
+
+    #[test]
+    fn from_difference_set_rejects_empty_sets() {
+        // With k = |D| = 0, k·(k − 1) underflows: a panic in debug, and a
+        // one-vertex "Singer graph" for q = 0 in release.
+        for q in [0u64, 1, 2, 3] {
+            assert!(Singer::from_difference_set(q, vec![]).is_err(), "q={q}");
+        }
+        assert!(verify_difference_set(&[], 7).is_err());
+        assert!(verify_difference_set(&[0], 0).is_err());
+    }
+
+    #[test]
+    fn from_difference_set_rejects_orders_past_vertex_ids() {
+        // N = q² + q + 1 must fit a VertexId: 65 535 is the largest such q.
+        // The check comes before any allocation, so these fail fast.
+        for q in [65_536u64, 1 << 32, u64::MAX] {
+            let err = Singer::from_difference_set(q, vec![0, 1]).unwrap_err();
+            assert!(err.contains("vertices"), "q={q}: {err}");
+        }
+        let err = Singer::from_difference_set(65_535, vec![0, 1]).unwrap_err();
+        assert!(err.contains("|D| = 2"), "{err}");
     }
 
     #[test]
