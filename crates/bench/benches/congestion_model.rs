@@ -7,7 +7,7 @@ use pf_allreduce::congestion::assign_unit_bandwidth;
 use pf_allreduce::disjoint::find_edge_disjoint;
 use pf_allreduce::lowdepth::low_depth_trees;
 use pf_allreduce::perf::optimal_split;
-use pf_allreduce::{extend_degraded, rebuild_degraded, AllreducePlan, FaultSet, Rational};
+use pf_allreduce::{rebuild_degraded, AllreducePlan, FaultSet, Rational};
 use pf_graph::EdgeId;
 use pf_topo::{PolarFly, Singer};
 use rand::rngs::StdRng;
@@ -57,22 +57,15 @@ fn two_used_links(plan: &AllreducePlan, seed: u64) -> [EdgeId; 2] {
 }
 
 /// A whole plan repair: the low-depth plan rebuilt around two seeded link
-/// faults, and the same state reached incrementally from the one-fault
-/// rebuild.
+/// faults.
 fn bench_recovery(c: &mut Criterion) {
     let mut g = c.benchmark_group("recovery");
     g.sample_size(10);
     for q in [11u64, 31] {
         let plan = AllreducePlan::low_depth(q).unwrap();
-        let [a, b] = two_used_links(&plan, 2026 ^ q);
-        let (first, second) = (FaultSet::links(vec![a]), FaultSet::links(vec![b]));
-        let both = first.union(&second);
-        let prev = rebuild_degraded(&plan, &first).unwrap();
+        let both = FaultSet::links(two_used_links(&plan, 2026 ^ q).to_vec());
         g.bench_with_input(BenchmarkId::new("rebuild", q), &q, |bch, _| {
             bch.iter(|| rebuild_degraded(black_box(&plan), black_box(&both)))
-        });
-        g.bench_with_input(BenchmarkId::new("extend", q), &q, |bch, _| {
-            bch.iter(|| extend_degraded(black_box(&plan), &first, black_box(&prev), &second))
         });
     }
     g.finish();

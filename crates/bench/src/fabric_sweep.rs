@@ -7,8 +7,8 @@
 //! * **Sweep** — a seeded Poisson job stream at the three standard
 //!   offered-load levels (the same `mean_gap`s as `sched-sweep`), each
 //!   cell with a link fault a third of the way in, a second fault at the
-//!   half (taking the incremental repair path on the already-degraded
-//!   fabric) and a heal at two thirds. Reports sustained throughput
+//!   half (a repair of the already-degraded fabric) and a heal at two
+//!   thirds. Reports sustained throughput
 //!   (jobs per kilocycle), the
 //!   latency distribution from the manager's log2 histogram, the
 //!   admission ledger and the plan-cache hit rate.
@@ -82,8 +82,8 @@ pub struct SoakResult {
 
 /// Builds the standard trace for one cell: `n` Poisson jobs, link 2
 /// failing at the one-third mark, link 5 at the half — a second burst on
-/// an already-degraded fabric, so it exercises the incremental repair
-/// path — and a heal at two thirds.
+/// an already-degraded fabric, which `incremental_repairs` counts — and a
+/// heal at two thirds.
 fn cell_events(seed: u64, mean_gap: u64, n: usize) -> Vec<FabricEvent> {
     let mut events: Vec<FabricEvent> =
         PoissonJobs::new(seed, mean_gap, 32, 256).take(n).map(FabricEvent::Submit).collect();
@@ -295,8 +295,8 @@ mod tests {
             assert_eq!(c.report.mismatches, 0);
             assert!(c.report.epochs >= 1);
             assert!(c.report.p50_latency <= c.report.p99_latency);
-            // The second burst lands on a degraded fabric, so the
-            // committed benchmark records the incremental repair path.
+            // The second burst lands on a degraded fabric, which the
+            // committed benchmark records as `incremental_repairs`.
             assert_eq!(c.report.incremental_repairs, 1);
             assert_eq!(c.report.full_rebuilds, 1);
         }

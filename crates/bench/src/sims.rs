@@ -30,14 +30,6 @@ pub fn simulate_plan_traced(plan: &AllreducePlan, m: u64, cfg: SimConfig) -> (Si
     (run.report, run.trace.expect("tracing was enabled"))
 }
 
-/// Runs a plan with an explicit (possibly suboptimal) split.
-pub fn simulate_with_split(plan: &AllreducePlan, sizes: &[u64], cfg: SimConfig) -> SimReport {
-    let emb = MultiTreeEmbedding::new(&plan.graph, &plan.trees, sizes);
-    let m: u64 = sizes.iter().sum();
-    let w = Workload::new(plan.graph.num_vertices(), m);
-    Simulator::new(&plan.graph, &emb, cfg).run(&w)
-}
-
 /// SIM1: measured vs Algorithm 1-predicted aggregate bandwidth.
 pub fn print_sim_bandwidth(qs: &[u64], m: u64) {
     crate::print_header("SIM1: simulated vs analytic aggregate bandwidth (elements/cycle)");

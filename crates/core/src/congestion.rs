@@ -56,11 +56,6 @@ impl BandwidthAssignment {
     pub fn aggregate(&self) -> Rational {
         self.per_tree.iter().copied().fold(Rational::ZERO, |a, b| a + b)
     }
-
-    /// Minimum per-tree bandwidth.
-    pub fn min_tree(&self) -> Rational {
-        self.per_tree.iter().copied().min().unwrap_or(Rational::ZERO)
-    }
 }
 
 /// A heap entry: link `edge` at the ratio `num / den = L(e)/C(e)` it had

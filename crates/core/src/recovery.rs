@@ -17,8 +17,9 @@
 //!    degraded plan's worst-case link congestion stays within the healthy
 //!    plan's Theorem 7.6 / 7.19 bound — a repair that would oversubscribe
 //!    a link is dropped instead ("falling back to fewer trees").
-//! 4. If nothing survives, a single BFS spanning tree of the subgraph is
-//!    used (congestion 1 on any connected graph).
+//! 4. Acceptance always takes the first candidate: congestion starts at 0
+//!    and the bound is at least 1. So a plan with trees keeps at least
+//!    one, and a plan with no trees degrades to a plan with no trees.
 //!
 //! The degraded plan is an ordinary [`AllreducePlan`] on the surviving
 //! subgraph, priced once by Algorithm 1, so the loss relative to the
@@ -28,16 +29,20 @@
 //! survivors, and the [`DegradedPlan`] carries the id maps between the two
 //! labelings.
 //!
+//! Every repair starts from the healthy plan and the whole fault set; no
+//! earlier repair is reused. Completing a forest is linear (Kruskal over
+//! the edge order, then one BFS), so re-deriving a repaired tree costs
+//! what checking that an earlier repair survived would.
+//!
 //! A repair finds each tree edge's id once and hands it down.
 //! Classification finds every healthy tree's edge ids in the healthy
 //! graph in one sweep over its adjacency (`congestion::tree_edge_ids`) and
 //! maps them through the surviving view's `new_edge`; an intact tree keeps
-//! that list as its ids in the degraded graph. A repaired tree
-//! takes the ids `complete_forest` selects, and a repair that
-//! [`extend_degraded`] reuses takes the ids its survival check found.
-//! Acceptance counts congestion on those ids and moves the accepted trees
-//! into the plan, and `AllreducePlan::from_tree_ids` prices them, so no
-//! id is looked up or sorted again. The unit tests hold every repair to
+//! that list as its ids in the degraded graph. A repaired tree takes the
+//! ids `complete_forest` selects. Acceptance counts congestion on those
+//! ids and moves the accepted trees into the plan, and
+//! `AllreducePlan::from_tree_ids` prices them, so no id is looked up or
+//! sorted again. The unit tests hold every repair to
 //! [`AllreducePlan::from_tree_set`], which looks each id up anew.
 //!
 //! Everything here is deterministic: same plan + same fault set gives the
@@ -112,8 +117,6 @@ pub enum TreeOrigin {
     /// The healthy plan's tree at this index was re-completed from its
     /// surviving edge forest.
     Repaired(usize),
-    /// A fresh BFS spanning tree (used only when nothing else survived).
-    Fallback,
 }
 
 /// A rebuilt allreduce plan on the surviving subgraph: an
@@ -192,62 +195,6 @@ pub fn rebuild_degraded(
     plan: &AllreducePlan,
     faults: &FaultSet,
 ) -> Result<DegradedPlan, RebuildError> {
-    degrade(plan, faults, None)
-}
-
-/// Incrementally extends a previous degraded plan with a new batch of
-/// link faults, recomputing only the trees `delta` actually touches.
-///
-/// `prev` must be `rebuild_degraded(plan, prev_faults)` (or a previous
-/// `extend_degraded` result, which is the same thing by induction). The
-/// result is **structurally identical** to
-/// `rebuild_degraded(plan, &prev_faults.union(delta))` — the incremental
-/// path is an optimization, never a semantic fork — which the equivalence
-/// suite in `tests/incremental_repair.rs` asserts field by field.
-///
-/// Returns `None` when the patch would be unsound and the caller must fall
-/// back to the full rebuild:
-///
-/// * `delta` kills routers — the vertex labeling changes, so no previous
-///   tree can be reused verbatim;
-/// * `prev` resorted to the BFS fallback — there is no per-tree candidate
-///   structure to patch;
-/// * the combined faults disconnect (or would fully rebuild) the subgraph —
-///   the full path owns error reporting.
-///
-/// Why reuse is sound: with an unchanged router set the surviving vertex
-/// labeling is unchanged, and a previously repaired tree was built by
-/// Kruskal-style completion (forest first, then smallest-id edges). If all
-/// of its edges survive `delta`, re-running the completion on the smaller
-/// graph walks the same edges in the same relative order and selects the
-/// same set — deleting never-selected edges cannot change a greedy
-/// smallest-id selection — so cloning the previous tree equals recomputing
-/// it. A candidate that lost an edge is recomputed from the healthy tree's
-/// surviving forest, exactly as the full rebuild would.
-pub fn extend_degraded(
-    plan: &AllreducePlan,
-    prev_faults: &FaultSet,
-    prev: &DegradedPlan,
-    delta: &FaultSet,
-) -> Option<DegradedPlan> {
-    if !delta.routers.is_empty() || !prev_faults.routers.is_empty() {
-        return None;
-    }
-    if prev.origins.iter().any(|o| matches!(o, TreeOrigin::Fallback)) {
-        return None;
-    }
-    degrade(plan, &prev_faults.union(delta), Some(prev)).ok()
-}
-
-/// The one repair path behind [`rebuild_degraded`] and
-/// [`extend_degraded`]: degrade `plan` under `faults`, reusing a repaired
-/// tree from `prev` (same router set, fewer faults) whenever all its edges
-/// survive.
-fn degrade(
-    plan: &AllreducePlan,
-    faults: &FaultSet,
-    prev: Option<&DegradedPlan>,
-) -> Result<DegradedPlan, RebuildError> {
     let g = &plan.graph;
 
     // The surviving subgraph and its id maps (healthy <-> degraded), built
@@ -265,15 +212,6 @@ fn degrade(
     }
 
     let identity_vertices = degraded.num_vertices() == g.num_vertices();
-
-    // Previous candidate per healthy tree index. Trees the previous round
-    // dropped have no candidate and are recomputed from scratch below.
-    let mut prev_tree: Vec<Option<&RootedTree>> = vec![None; plan.trees.len()];
-    for (t, o) in prev.into_iter().flat_map(|p| p.trees.iter().zip(&p.origins)) {
-        if let TreeOrigin::Intact(i) | TreeOrigin::Repaired(i) = *o {
-            prev_tree[i] = Some(t);
-        }
-    }
 
     // Classify and translate each healthy tree. Every candidate carries
     // its edge ids in the degraded graph, learned here once and handed on
@@ -298,19 +236,6 @@ fn degrade(
             intact.push((tree.clone(), forest, TreeOrigin::Intact(ti)));
             continue;
         }
-        // A previous candidate whose edges all survive is reused verbatim
-        // (see `extend_degraded` for why). `edge_id` on the degraded graph
-        // doubles as the survival check because a candidate tree edge is
-        // physical in the previous degraded graph, and the new graph is
-        // the previous one minus the new faults.
-        if let Some(pt) = prev_tree[ti] {
-            let ids: Option<Vec<EdgeId>> =
-                pt.edges().map(|(c, p)| degraded.edge_id(c, p)).collect();
-            if let Some(ids) = ids {
-                repairs.push((pt.clone(), ids, TreeOrigin::Repaired(ti)));
-                continue;
-            }
-        }
         // Repair: complete the surviving forest to a spanning tree, rooted
         // at the original root when it survived.
         let root = new_vertex[tree.root() as usize].unwrap_or(0);
@@ -320,7 +245,8 @@ fn degrade(
 
     // Greedy acceptance under the healthy congestion bound: intact trees
     // first (their combined congestion is a sub-sum of the healthy plan's,
-    // hence within the bound), then repairs in tree order.
+    // hence within the bound), then repairs in tree order. The first
+    // candidate always fits, since the bound is at least 1.
     let bound = plan.max_congestion.max(1);
     let mut congestion = vec![0u32; degraded.num_edges() as usize];
     let mut trees: Vec<RootedTree> = Vec::new();
@@ -340,16 +266,6 @@ fn degrade(
         origins.push(origin);
     }
 
-    // Last resort: a fresh BFS spanning tree (congestion 1 fits any bound).
-    if trees.is_empty() {
-        let (_, parents) = bfs::tree(&degraded, 0);
-        let t = RootedTree::from_parents(0, parents)
-            .expect("BFS of a connected graph yields a spanning tree");
-        tree_ids.push(t.edge_ids(&degraded));
-        trees.push(t);
-        origins.push(TreeOrigin::Fallback);
-    }
-
     Ok(DegradedPlan {
         plan: AllreducePlan::from_tree_ids(
             plan.q,
@@ -367,6 +283,21 @@ fn degrade(
         orig_edge,
         new_edge,
     })
+}
+
+/// The degraded plan for `prev_faults` plus `delta`:
+/// `rebuild_degraded(plan, &prev_faults.union(delta)).ok()`, `None` where
+/// that rebuild fails. `prev` is not read.
+///
+/// The request-path benchmark (`crates/bench/src/bin/benchmark`) still
+/// calls this; the function goes with that package's next change.
+pub fn extend_degraded(
+    plan: &AllreducePlan,
+    prev_faults: &FaultSet,
+    _prev: &DegradedPlan,
+    delta: &FaultSet,
+) -> Option<DegradedPlan> {
+    rebuild_degraded(plan, &prev_faults.union(delta)).ok()
 }
 
 /// A candidate tree of a repair: the tree on the degraded graph, its edge
@@ -486,9 +417,11 @@ mod tests {
     /// graph and trees through `from_tree_set`, which looks every edge id
     /// up again, must give what the handed-down ids gave. Also re-runs
     /// `complete_forest` on every healthy tree's surviving forest and
-    /// holds the ids it returns to the returned tree's `edge_ids`.
+    /// holds the ids it returns to the returned tree's `edge_ids`. Every
+    /// healthy plan here has trees, so its repair keeps at least one.
     fn assert_priced_once(plan: &AllreducePlan, d: &DegradedPlan, case: &str) {
         assert_eq!((d.q, d.solution), (plan.q, Solution::Constructed("degraded")), "{case}");
+        assert!(!d.trees.is_empty(), "{case}: a plan with trees lost them all");
         let oracle =
             AllreducePlan::from_tree_set(d.q, d.solution, d.graph.clone(), d.trees.clone());
         assert_same_plan(&d.to_plan(d.q), &oracle, case);
@@ -511,24 +444,19 @@ mod tests {
 
     #[test]
     fn degraded_plans_are_priced_once() {
-        // Rebuilt and extended plans after one link fault, two link
-        // faults and one router fault at q = 5 and 7: the promoted plan is
-        // exactly what pricing the surviving tree set from scratch gives.
+        // Rebuilt plans after one link fault, two link faults and one
+        // router fault at q = 5 and 7: the promoted plan is exactly what
+        // pricing the surviving tree set from scratch gives.
         for q in [5u64, 7] {
             let plan = AllreducePlan::low_depth(q).unwrap();
             let used = used_edges(&plan);
             let (a, b) = (FaultSet::links(vec![used[0]]), FaultSet::links(vec![used[3]]));
             let router = FaultSet { edges: vec![], routers: vec![3] };
-            let mut cases = vec![
+            let cases = [
                 ("one link", rebuild_degraded(&plan, &a).unwrap()),
                 ("two links", rebuild_degraded(&plan, &a.union(&b)).unwrap()),
                 ("one router", rebuild_degraded(&plan, &router).unwrap()),
             ];
-            let none = rebuild_degraded(&plan, &FaultSet::none()).unwrap();
-            let first = extend_degraded(&plan, &FaultSet::none(), &none, &a).unwrap();
-            let second = extend_degraded(&plan, &a, &first, &b).unwrap();
-            cases.push(("one link, extended", first));
-            cases.push(("two links, extended", second));
             for (label, d) in &cases {
                 assert_priced_once(&plan, d, &format!("q={q} {label}"));
             }
@@ -541,9 +469,7 @@ mod tests {
                 assert_priced_once(&plan, &d, &format!("q={q} link {e}"));
             }
         }
-        // Seeded two-link faults at q = 11, 13, rebuilt and extended: an
-        // extension reuses earlier repairs, whose ids come from the
-        // survival check.
+        // Seeded one- and two-link faults at q = 11, 13.
         let mut rng = StdRng::seed_from_u64(0x1d5);
         for q in [11u64, 13] {
             let plan = AllreducePlan::low_depth(q).unwrap();
@@ -551,12 +477,11 @@ mod tests {
             for _ in 0..12 {
                 let a = FaultSet::links(vec![used[rng.random_range(0..used.len())]]);
                 let b = FaultSet::links(vec![used[rng.random_range(0..used.len())]]);
-                let case = format!("q={q} links {:?} then {:?}", a.edges, b.edges);
+                let case = format!("q={q} links {:?} and {:?}", a.edges, b.edges);
                 let first = rebuild_degraded(&plan, &a).unwrap();
                 let both = rebuild_degraded(&plan, &a.union(&b)).unwrap();
-                let extended = extend_degraded(&plan, &a, &first, &b).unwrap();
+                assert_priced_once(&plan, &first, &case);
                 assert_priced_once(&plan, &both, &case);
-                assert_priced_once(&plan, &extended, &format!("{case}, extended"));
             }
         }
         // Every router fault at q = 3: every tree is repaired on a
@@ -585,6 +510,26 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn a_plan_without_trees_degrades_to_a_plan_without_trees() {
+        let healthy = AllreducePlan::low_depth(5).unwrap();
+        let plan = AllreducePlan::from_tree_set(5, healthy.solution, healthy.graph, Vec::new());
+        let cases = [
+            FaultSet::none(),
+            FaultSet::links(vec![0, 7]),
+            FaultSet { edges: vec![], routers: vec![3] },
+        ];
+        for faults in &cases {
+            let d = rebuild_degraded(&plan, faults).unwrap();
+            assert!(d.trees.is_empty() && d.origins.is_empty(), "{faults:?}");
+            assert_eq!((d.dropped, d.congestion_bound, d.max_congestion), (0, 1, 0), "{faults:?}");
+            assert_eq!((d.aggregate, d.depth), (Rational::ZERO, 0), "{faults:?}");
+            assert_eq!(d.bandwidth_retention(), Rational::ONE, "{faults:?}");
+            assert_eq!(d.graph.num_vertices() as usize, d.orig_vertex.len(), "{faults:?}");
+            assert!(d.split(100).is_empty(), "{faults:?}");
         }
     }
 

@@ -1,11 +1,10 @@
 //! Equivalence suite: `extend_degraded` must be structurally identical to
 //! a full `rebuild_degraded` on the accumulated fault set.
 //!
-//! The fabric manager patches degraded plans incrementally as link faults
-//! arrive one batch at a time; the whole scheme rests on the incremental
-//! path being an *optimization* of the full rebuild, never a semantic
-//! fork. These tests walk random fault sequences and compare every field
-//! of the two plans after each step.
+//! `extend_degraded` is a full rebuild of the union of its two fault
+//! sets; the request-path benchmark still calls it. These tests walk
+//! random fault sequences and compare every field of the two plans after
+//! each step, router faults included.
 
 use pf_allreduce::recovery::{extend_degraded, rebuild_degraded, DegradedPlan, FaultSet};
 use pf_allreduce::AllreducePlan;
@@ -87,21 +86,39 @@ fn edge_disjoint_plan_steps_match_full_rebuild() {
     replay(&plan, &batches);
 }
 
-#[test]
-fn router_delta_refuses_incremental() {
-    let plan = AllreducePlan::low_depth(5).unwrap();
-    let prev = rebuild_degraded(&plan, &FaultSet::none()).unwrap();
-    let delta = FaultSet { edges: vec![], routers: vec![3] };
-    assert!(extend_degraded(&plan, &FaultSet::none(), &prev, &delta).is_none());
+/// Extends `prev` (the rebuild for `prior`) by `delta` and holds the
+/// result to the rebuild of the union.
+fn assert_extends_to_union(plan: &AllreducePlan, prior: &FaultSet, delta: &FaultSet) {
+    let prev = rebuild_degraded(plan, prior).unwrap();
+    let want = rebuild_degraded(plan, &prior.union(delta)).unwrap();
+    let got = extend_degraded(plan, prior, &prev, delta).expect("the union rebuild succeeds");
+    assert_same(&got, &want);
 }
 
 #[test]
-fn prior_router_faults_refuse_incremental() {
+fn router_delta_extends_to_the_union_rebuild() {
+    // Every router of ER_5 lost on a healthy fabric and on one that
+    // already lost a link.
+    let plan = AllreducePlan::low_depth(5).unwrap();
+    for r in plan.graph.vertices() {
+        let delta = FaultSet { edges: vec![], routers: vec![r] };
+        assert_extends_to_union(&plan, &FaultSet::none(), &delta);
+        assert_extends_to_union(&plan, &FaultSet::links(vec![0]), &delta);
+    }
+}
+
+#[test]
+fn prior_router_faults_extend_to_the_union_rebuild() {
+    // A link, a second router, and both, lost after router 3.
     let plan = AllreducePlan::low_depth(5).unwrap();
     let prior = FaultSet { edges: vec![], routers: vec![3] };
-    let prev = rebuild_degraded(&plan, &prior).unwrap();
-    let delta = FaultSet::links(vec![0]);
-    assert!(extend_degraded(&plan, &prior, &prev, &delta).is_none());
+    for delta in [
+        FaultSet::links(vec![0]),
+        FaultSet { edges: vec![], routers: vec![10] },
+        FaultSet { edges: vec![17], routers: vec![10] },
+    ] {
+        assert_extends_to_union(&plan, &prior, &delta);
+    }
 }
 
 #[test]

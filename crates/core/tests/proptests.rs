@@ -120,8 +120,7 @@ proptest! {
     ) {
         // Fault random links, rebuild, and recompute the rate bound on
         // the surviving subgraph: the degraded plan must respect it. Then
-        // extend with one more fault and check again on the incremental
-        // path.
+        // extend with one more fault and check again.
         use rand::{Rng, SeedableRng};
         let plan = AllreducePlan::low_depth(q).unwrap();
         let ne = plan.graph.num_edges();

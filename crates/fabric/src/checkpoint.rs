@@ -11,9 +11,9 @@
 //! What is saved: the virtual clock, every aggregate counter (by name),
 //! the latency histogram, the rolling digest, the active fault set, and
 //! both job queues (full specs, ingestion order). What is deliberately
-//! *not* saved: the plan cache and the degraded plan. Both are pure
-//! functions of `(healthy plan, fault set)` — restore re-derives the
-//! degraded plan from the saved fault set (without counting a repair
+//! *not* saved: the plan cache and the current plan. Both are pure
+//! functions of `(healthy plan, fault set)` — restore rebuilds the
+//! current plan from the saved fault set (without counting a repair
 //! event; the saved counters already account for it) and starts with a
 //! cold cache, whose stats are the only report fields a restored manager
 //! may differ in.
@@ -154,7 +154,7 @@ impl FabricManager {
     }
 
     /// Reconstructs a manager from a checkpoint taken on the same healthy
-    /// plan. The degraded plan is re-derived from the saved fault set;
+    /// plan. The current plan is rebuilt from the saved fault set;
     /// the cache starts cold (its stats are the only report fields that
     /// may differ from the checkpointed manager's).
     pub fn restore(
@@ -181,7 +181,6 @@ impl FabricManager {
             let degraded = rebuild_degraded(&m.healthy, &faults)
                 .map_err(|_| CheckpointError::FaultMismatch)?;
             m.current = Arc::new(degraded.to_plan(m.healthy.q));
-            m.degraded = Some(degraded);
             m.fault_fp = faults.fingerprint();
             m.faults = faults;
         }

@@ -5,9 +5,9 @@
 //! cost?". A [`FabricManager`] owns one PolarFly allreduce plan for the
 //! life of the process and serves an open-ended stream of collective
 //! jobs under admission control, amortizing plan construction in a
-//! deterministic LRU [`PlanCache`] and absorbing link faults with
-//! incremental degraded-plan repair — all in seeded virtual time, so the
-//! same trace always produces a byte-identical [`FabricReport`].
+//! deterministic LRU [`PlanCache`] and absorbing link faults by
+//! rebuilding a degraded plan — all in seeded virtual time, so the same
+//! trace always produces a byte-identical [`FabricReport`].
 //!
 //! Module map:
 //!

@@ -24,10 +24,10 @@
 //!   amortized across the stream. The current plan's trees are compiled
 //!   once ([`CompiledTrees`]), at the first dispatch on that plan, and
 //!   every wave that runs all of them slices that compiled form.
-//! * **Incremental repair.** Link-fault events patch the degraded plan
-//!   with [`extend_degraded`] — only trees the delta touches are
-//!   recomputed — falling back to the full [`rebuild_degraded`] when the
-//!   patch is unsound. The two are property-tested equivalent.
+//! * **Fault repair.** Each link-fault event rebuilds the plan from the
+//!   healthy plan and the accumulated fault set with
+//!   [`rebuild_degraded`], and caches the result under the fault set's
+//!   fingerprint. The manager keeps no degraded plan between events.
 //! * **Flat memory.** The manager keeps aggregates only: counters, a
 //!   64-bucket log2 latency histogram, and a rolling FNV digest folded
 //!   with the scheduler's own [`fold_job_digest`] formula. Nothing grows
@@ -43,7 +43,7 @@
 use crate::cache::{CacheKey, CacheStats, CachingProvider, PlanCache};
 use crate::events::FabricEvent;
 use pf_allreduce::fingerprint::FNV_OFFSET;
-use pf_allreduce::recovery::{extend_degraded, rebuild_degraded, DegradedPlan, RebuildError};
+use pf_allreduce::recovery::{rebuild_degraded, RebuildError};
 use pf_allreduce::{plan_fingerprint, AllreducePlan, FaultSet};
 use pf_sched::{fold_job_digest, validate_spec, JobSpec, SchedConfig, SchedError, Scheduler};
 use pf_simnet::CompiledTrees;
@@ -140,9 +140,11 @@ pub struct FabricReport {
     pub digest: u64,
     /// Plan-cache counters.
     pub cache: CacheStats,
-    /// Fault events that patched the degraded plan incrementally.
+    /// Link-fault events applied to an already-degraded fabric. Every
+    /// repair is a full rebuild; the name is kept because checkpoints and
+    /// bench files read it.
     pub incremental_repairs: u64,
-    /// Fault events that fell back to (or started with) a full rebuild.
+    /// Link-fault events applied to a healthy fabric.
     pub full_rebuilds: u64,
     /// Heal events.
     pub heals: u64,
@@ -166,8 +168,6 @@ pub struct FabricManager {
     /// Accumulated permanent link faults (healthy edge ids, sorted).
     pub(crate) faults: FaultSet,
     pub(crate) fault_fp: u64,
-    /// The degraded-plan state `extend_degraded` patches.
-    pub(crate) degraded: Option<DegradedPlan>,
     pub(crate) cache: PlanCache,
     /// The trees of the plan it holds, compiled at the first dispatch on
     /// that plan. It serves only while that plan is `current` (`Arc`
@@ -232,7 +232,6 @@ impl FabricManager {
             topology_fp,
             fault_fp: FaultSet::none().fingerprint(),
             faults: FaultSet::none(),
-            degraded: None,
             cache: PlanCache::new(cfg.cache_capacity),
             compiled: None,
             now: 0,
@@ -285,6 +284,13 @@ impl FabricManager {
         &self.faults
     }
 
+    /// The plan epochs run on now: the healthy plan, or the degraded plan
+    /// for [`FabricManager::faults`].
+    #[must_use]
+    pub fn current_plan(&self) -> &AllreducePlan {
+        &self.current
+    }
+
     /// Submits one job at `spec.arrival`. Events must be fed in
     /// nondecreasing virtual time; the clock first advances to the
     /// arrival (dispatching any epochs that start before it), then
@@ -332,10 +338,11 @@ impl FabricManager {
     }
 
     /// Reports a batch of link outages (healthy edge ids) at virtual time
-    /// `at`. The degraded plan is patched incrementally when sound, else
-    /// fully rebuilt; epochs already dispatched are unaffected (faults
-    /// quiesce at epoch boundaries — an in-flight wave's transient faults
-    /// are the scheduler's own fault layer's concern).
+    /// `at`. The plan is rebuilt from the healthy plan and every fault so
+    /// far; epochs already dispatched are unaffected (faults quiesce at
+    /// epoch boundaries — an in-flight wave's transient faults are the
+    /// scheduler's own fault layer's concern). Links already dead are
+    /// ignored, and a batch of only those is no event.
     ///
     /// On `Err` (the combined faults would partition the fabric) the
     /// manager's state is unchanged — the event is refused, exactly like
@@ -356,25 +363,17 @@ impl FabricManager {
             return Ok(());
         }
         let combined = self.faults.union(&delta);
-        let (next, incremental) = match &self.degraded {
-            Some(prev) => match extend_degraded(&self.healthy, &self.faults, prev, &delta) {
-                Some(d) => (d, true),
-                None => (rebuild_degraded(&self.healthy, &combined)?, false),
-            },
-            None => (rebuild_degraded(&self.healthy, &combined)?, false),
-        };
-        if incremental {
-            self.incremental_repairs += 1;
-        } else {
+        let d = rebuild_degraded(&self.healthy, &combined)?;
+        if self.faults.is_empty() {
             self.full_rebuilds += 1;
+        } else {
+            self.incremental_repairs += 1;
         }
         self.fault_events += 1;
         self.faults = combined;
         self.fault_fp = self.faults.fingerprint();
-        self.degraded = Some(next);
         // The executable plan is cached under the empty subset, so
-        // re-entering a previously seen fault state re-uses the pricing.
-        let d = self.degraded.as_ref().expect("just set");
+        // re-entering a previously seen fault state re-uses its copy.
         let q = self.healthy.q;
         let key =
             CacheKey { topology: self.topology_fp, faults: self.fault_fp, trees: Vec::new() };
@@ -396,7 +395,6 @@ impl FabricManager {
         self.heals += 1;
         self.faults = FaultSet::none();
         self.fault_fp = self.faults.fingerprint();
-        self.degraded = None;
         self.current = Arc::clone(&self.healthy);
     }
 
@@ -700,8 +698,8 @@ mod tests {
         assert_eq!(rep.completed, 4);
         assert_eq!(rep.mismatches, 0);
         assert_eq!(rep.fault_events, 2);
-        assert_eq!(rep.full_rebuilds, 1, "first fault has no degraded state to extend");
-        assert_eq!(rep.incremental_repairs, 1, "second fault patches incrementally");
+        assert_eq!(rep.full_rebuilds, 1, "the first fault hits a healthy fabric");
+        assert_eq!(rep.incremental_repairs, 1, "the second hits a degraded one");
         assert_eq!(rep.heals, 1);
     }
 

@@ -98,11 +98,11 @@ fn fault_epoch_entries_equal_cold_rebuild_and_rehit() {
     assert!(rep.cache.hits > 0);
 }
 
-/// Incremental repair vs cold rebuild, end to end: a fabric that lost
-/// links {2} then {5} (incremental `extend_degraded` patch) serves jobs
-/// with outcomes byte-identical to a fabric that lost {2,5} at once
-/// (full `rebuild_degraded`) — the cached degraded plan is the same plan
-/// either way, and a cold out-of-band rebuild agrees with both.
+/// Faults one batch at a time vs all at once, end to end: a fabric that
+/// lost links {2} then {5} (a repair on a healthy and then on a degraded
+/// fabric) serves jobs with outcomes byte-identical to a fabric that lost
+/// {2,5} at once — the cached degraded plan is the same plan either way,
+/// and a cold out-of-band rebuild agrees with both.
 #[test]
 fn incremental_fault_state_serves_same_outcomes_as_cold_rebuild() {
     let healthy = AllreducePlan::low_depth(7).expect("q=7");

@@ -86,8 +86,9 @@ proptest! {
     }
 }
 
-/// A restored manager keeps absorbing faults: the re-derived degraded
-/// state supports incremental extension exactly like the original's.
+/// A restored manager keeps absorbing faults: a fault on the restored
+/// degraded fabric counts as a repair of a degraded fabric, exactly like
+/// the original's.
 #[test]
 fn restored_manager_extends_faults_incrementally() {
     let (mut orig, _) = mid_stream(11, 8);
@@ -100,7 +101,7 @@ fn restored_manager_extends_faults_incrementally() {
     let (ra, rb) = (orig.drain(), restored.drain());
     assert_eq!(
         ra.incremental_repairs, rb.incremental_repairs,
-        "the restored degraded plan is extendable, not a dead end"
+        "the restored fabric is degraded, like the original"
     );
     assert_equal_modulo_cache(ra, rb);
 }

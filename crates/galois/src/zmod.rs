@@ -63,11 +63,6 @@ pub fn sub_mod(a: u64, b: u64, m: u64) -> u64 {
     }
 }
 
-/// `a + b mod m`.
-pub fn add_mod(a: u64, b: u64, m: u64) -> u64 {
-    ((a as u128 + b as u128) % m as u128) as u64
-}
-
 /// `a * b mod m`.
 pub fn mul_mod(a: u64, b: u64, m: u64) -> u64 {
     (a as u128 * b as u128 % m as u128) as u64

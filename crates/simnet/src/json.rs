@@ -287,11 +287,6 @@ impl<'a> Obj<'a> {
         self.get(key)
     }
 
-    /// A number member.
-    pub fn get_f64(&self, key: &str) -> Result<f64, JsonError> {
-        self.get(key)
-    }
-
     /// A string member.
     pub fn get_str(&self, key: &str) -> Result<&'a str, JsonError> {
         self.get(key)

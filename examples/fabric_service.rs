@@ -1,8 +1,8 @@
 //! The fabric-manager service end to end: a seeded Poisson job stream
 //! pours into an always-on [`pf_fabric::FabricManager`], two link faults
-//! land in separate bursts mid-stream — the second repaired incrementally
-//! on the already-degraded plan — and the fabric keeps serving, then
-//! heals.
+//! land in separate bursts mid-stream — the second on the already-degraded
+//! fabric, where the plan is rebuilt for both — and the fabric keeps
+//! serving, then heals.
 //!
 //! ```text
 //! cargo run --release --example fabric_service -- [q] [jobs] [seed]
@@ -41,8 +41,8 @@ fn main() {
     let mut fabric = FabricManager::new(plan, cfg);
 
     // The trace: `jobs` Poisson arrivals; link 2 dies a third of the way
-    // in, link 5 at the half (a second burst on the degraded fabric — the
-    // incremental repair path), and the fabric heals at two thirds.
+    // in, link 5 at the half (a second burst on the degraded fabric, which
+    // `incremental_repairs` counts), and the fabric heals at two thirds.
     let stream: Vec<FabricEvent> =
         PoissonJobs::new(seed, 250, 32, 512).take(jobs).map(FabricEvent::Submit).collect();
     let fault_at = stream[jobs / 3].at();

@@ -11,7 +11,6 @@
 //! detection and degraded-plan rebuild are documented in
 //! `docs/FAULTS.md`.
 
-use pf_allreduce::recovery::TreeOrigin;
 use pf_allreduce::AllreducePlan;
 use pf_simnet::{run_with_recovery, Collective, FaultSchedule, SimConfig};
 
@@ -63,10 +62,8 @@ fn main() {
         None => println!("no used link failed: the healthy plan ran to completion"),
         Some(d) => {
             let (intact, repaired) = (d.intact(), d.repaired());
-            let fallback =
-                d.origins.iter().filter(|o| matches!(o, TreeOrigin::Fallback)).count();
             println!(
-                "degraded plan: {} trees ({intact} intact, {repaired} repaired, {fallback} fallback, {} dropped)",
+                "degraded plan: {} trees ({intact} intact, {repaired} repaired, {} dropped)",
                 d.trees.len(),
                 d.dropped
             );
