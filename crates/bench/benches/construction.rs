@@ -1,8 +1,8 @@
-//! Construction micro-benchmarks: fields, topologies, layouts, and the
-//! min cut of the rate certificate.
+//! Construction micro-benchmarks: fields, topologies, layouts, the kary
+//! multitree, and the min cut of the rate certificate.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use pf_allreduce::global_min_cut;
+use pf_allreduce::{global_min_cut, Budget, KaryMultitree, TreeConstruction};
 use pf_galois::{CubicExt, Gf};
 use pf_graph::{builders, Graph};
 use pf_topo::torus::Torus;
@@ -30,7 +30,7 @@ fn bench_field(c: &mut Criterion) {
 fn bench_topology(c: &mut Criterion) {
     let mut g = c.benchmark_group("topology");
     g.sample_size(20);
-    for q in [11u64, 19, 27] {
+    for q in [11u64, 19, 27, 31] {
         g.bench_with_input(BenchmarkId::new("er_projective", q), &q, |b, &q| {
             b.iter(|| PolarFly::new(black_box(q)))
         });
@@ -47,6 +47,20 @@ fn bench_layout(c: &mut Criterion) {
         let pf = PolarFly::new(q);
         g.bench_with_input(BenchmarkId::new("algorithm2", q), &pf, |b, pf| {
             b.iter(|| Layout::new(black_box(pf), None).unwrap())
+        });
+    }
+    g.finish();
+}
+
+/// The kary multitree (`k = 3`, `δ_min` trees) on `ER_q`, as plan
+/// bring-up builds it.
+fn bench_kary(c: &mut Criterion) {
+    let mut g = c.benchmark_group("construction");
+    g.sample_size(10);
+    for q in [19u64, 31] {
+        let pf = PolarFly::new(q);
+        g.bench_with_input(BenchmarkId::new("kary", format!("er_{q}")), pf.graph(), |b, graph| {
+            b.iter(|| KaryMultitree { k: 3 }.build(black_box(graph), &Budget::unlimited()).unwrap())
         });
     }
     g.finish();
@@ -72,5 +86,5 @@ fn bench_min_cut(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_field, bench_topology, bench_layout, bench_min_cut);
+criterion_group!(benches, bench_field, bench_topology, bench_layout, bench_kary, bench_min_cut);
 criterion_main!(benches);

@@ -33,8 +33,6 @@ use pf_topo::{PolarFly, Singer};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// Resource budget handed to a construction.
 #[derive(Debug, Clone, Copy, Default)]
@@ -391,93 +389,232 @@ impl KaryMultitree {
     }
 }
 
-/// Packs a frontier candidate as `(link use << 32) | edge id`, so `u64`
-/// order is exactly the `(use, edge id)` preference order.
-fn frontier_key(uses: u32, e: EdgeId) -> Reverse<u64> {
-    Reverse((u64::from(uses) << 32) | u64::from(e))
+/// What the growing trees share: link use, and every tree's membership
+/// and frontier, kept exact. For tree `t` and link-use level `l`, a
+/// bitset over edge ids holds exactly the cut edges of `t` (one endpoint
+/// an open member, one with spare child capacity, the other not yet
+/// covered) whose link `l` trees use so far. A summary word per 64 words
+/// marks the non-empty words, so the first set bit of the lowest
+/// non-empty level, the `(link use, edge id)` minimum, is a few word
+/// reads away.
+struct Frontiers {
+    /// How many trees use each link so far.
+    link_use: Vec<u32>,
+    /// Per level, `words` words per tree; a level is allocated when some
+    /// link's use first reaches it.
+    bits: Vec<Vec<u64>>,
+    /// Per level, `summaries` words per tree: bit `i` of word `j` is set
+    /// iff word `64 j + i` of the tree's bitset is non-zero.
+    summary: Vec<Vec<u64>>,
+    /// Per vertex, `stride` words with one bit per tree it belongs to.
+    member: Vec<u64>,
+    /// Per vertex, one bit per tree in which it may adopt another child.
+    /// The trees whose frontier holds edge `{a, b}` are those in which
+    /// one endpoint is open and the other no member.
+    open: Vec<u64>,
+    trees: usize,
+    words: usize,
+    summaries: usize,
+    stride: usize,
 }
 
-/// One tree under construction, with its frontier: a min-heap of
-/// candidate edges from members to non-members, keyed by the link use
-/// recorded when the entry was pushed.
-struct GrowingTree {
-    root: VertexId,
-    parents: Vec<Option<VertexId>>,
-    in_tree: Vec<bool>,
-    members: Vec<VertexId>,
-    children: Vec<u32>,
-    /// Whether the `k − 1` children cap still applies.
-    capped: bool,
-    frontier: BinaryHeap<Reverse<u64>>,
-}
-
-impl GrowingTree {
-    fn new(g: &Graph, root: VertexId, link_use: &[u32]) -> Self {
+impl Frontiers {
+    fn new(g: &Graph, trees: usize) -> Self {
+        let words = (g.num_edges() as usize).div_ceil(64);
+        let stride = trees.div_ceil(64);
         let n = g.num_vertices() as usize;
-        let mut t = GrowingTree {
-            root,
-            parents: vec![None; n],
-            in_tree: vec![false; n],
-            members: Vec::new(),
-            children: vec![0; n],
-            capped: true,
-            frontier: BinaryHeap::new(),
+        let mut f = Frontiers {
+            link_use: vec![0; g.num_edges() as usize],
+            bits: Vec::new(),
+            summary: Vec::new(),
+            member: vec![0; n * stride],
+            open: vec![0; n * stride],
+            trees,
+            words,
+            summaries: words.div_ceil(64),
+            stride,
         };
-        t.in_tree[root as usize] = true;
-        t.members.push(root);
-        t.push_edges(g, root, link_use);
-        t
+        f.add_level();
+        f
     }
 
-    fn is_spanning(&self) -> bool {
-        self.members.len() == self.in_tree.len()
+    fn add_level(&mut self) {
+        self.bits.push(vec![0; self.trees * self.words]);
+        self.summary.push(vec![0; self.trees * self.summaries]);
     }
 
-    fn push_edges(&mut self, g: &Graph, u: VertexId, link_use: &[u32]) {
-        for &(v, e) in g.neighbors_with_edges(u) {
-            if !self.in_tree[v as usize] {
-                self.frontier.push(frontier_key(link_use[e as usize], e));
+    /// The word of a per-vertex mask and the bit in it that stand for
+    /// vertex `v` in tree `t`.
+    fn slot(&self, t: usize, v: VertexId) -> (usize, u64) {
+        (v as usize * self.stride + t / 64, 1 << (t % 64))
+    }
+
+    fn is_member(&self, t: usize, v: VertexId) -> bool {
+        let (i, bit) = self.slot(t, v);
+        self.member[i] & bit != 0
+    }
+
+    fn is_open(&self, t: usize, v: VertexId) -> bool {
+        let (i, bit) = self.slot(t, v);
+        self.open[i] & bit != 0
+    }
+
+    /// Makes `v` a member of tree `t`, open to children.
+    fn join(&mut self, t: usize, v: VertexId) {
+        let (i, bit) = self.slot(t, v);
+        self.member[i] |= bit;
+        self.open[i] |= bit;
+    }
+
+    /// Marks member `v` of tree `t` open to children or not.
+    fn set_open(&mut self, t: usize, v: VertexId, open: bool) {
+        let (i, bit) = self.slot(t, v);
+        if open {
+            self.open[i] |= bit;
+        } else {
+            self.open[i] &= !bit;
+        }
+    }
+
+    /// Puts `e` into tree `t`'s frontier at its link's current use.
+    fn insert(&mut self, t: usize, e: EdgeId) {
+        self.set(t, self.link_use[e as usize] as usize, e);
+    }
+
+    /// Takes `e` out of tree `t`'s frontier.
+    fn remove(&mut self, t: usize, e: EdgeId) {
+        self.clear(t, self.link_use[e as usize] as usize, e);
+    }
+
+    /// Counts one more tree on link `e = {a, b}`: every frontier that
+    /// holds it moves it up one level.
+    fn bump(&mut self, e: EdgeId, a: VertexId, b: VertexId) {
+        let l = self.link_use[e as usize] as usize;
+        if l + 1 == self.bits.len() {
+            self.add_level();
+        }
+        self.link_use[e as usize] += 1;
+        let (a, b) = (a as usize * self.stride, b as usize * self.stride);
+        for j in 0..self.stride {
+            let mut holders = (self.open[a + j] & !self.member[b + j])
+                | (self.open[b + j] & !self.member[a + j]);
+            while holders != 0 {
+                let t = j * 64 + holders.trailing_zeros() as usize;
+                self.clear(t, l, e);
+                self.set(t, l + 1, e);
+                holders &= holders - 1;
             }
         }
     }
 
-    /// Pops the frontier edge with the lowest current `(link use, edge
-    /// id)` among members with spare child capacity, as
-    /// `(edge, member, non-member)`. Link use only grows, so a stored key
-    /// never exceeds the current one: an entry whose key is current is the
-    /// true minimum, and a stale one is re-pushed at its current use.
-    fn pop_best(
-        &mut self,
-        g: &Graph,
-        k: u32,
-        link_use: &[u32],
-    ) -> Option<(EdgeId, VertexId, VertexId)> {
-        while let Some(Reverse(key)) = self.frontier.pop() {
-            let (uses, e) = ((key >> 32) as u32, key as EdgeId);
-            let (a, b) = g.endpoints(e);
-            let (u, v) = if self.in_tree[a as usize] { (a, b) } else { (b, a) };
-            let cap = if u == self.root { k } else { k - 1 };
-            // Both checks only ever turn true (until the cap is lifted,
-            // which rebuilds the frontier), so dropped entries stay dead.
-            if self.in_tree[v as usize] || (self.capped && self.children[u as usize] >= cap) {
-                continue;
+    /// The first edge of the lowest non-empty level of tree `t`'s
+    /// frontier: its least-used link, ties to the lowest edge id.
+    fn first(&self, t: usize) -> Option<EdgeId> {
+        for (bits, summary) in self.bits.iter().zip(&self.summary) {
+            let s = &summary[t * self.summaries..(t + 1) * self.summaries];
+            if let Some(j) = s.iter().position(|&w| w != 0) {
+                let i = j * 64 + s[j].trailing_zeros() as usize;
+                let w = bits[t * self.words + i];
+                return Some((i * 64 + w.trailing_zeros() as usize) as EdgeId);
             }
-            if uses != link_use[e as usize] {
-                self.frontier.push(frontier_key(link_use[e as usize], e));
-                continue;
-            }
-            return Some((e, u, v));
         }
         None
     }
 
-    /// Lifts the children cap and refills the frontier from every member.
-    fn lift_cap(&mut self, g: &Graph, link_use: &[u32]) {
-        self.capped = false;
-        self.frontier.clear();
-        for i in 0..self.members.len() {
-            self.push_edges(g, self.members[i], link_use);
+    fn set(&mut self, t: usize, l: usize, e: EdgeId) {
+        let i = e as usize / 64;
+        let w = &mut self.bits[l][t * self.words + i];
+        debug_assert_eq!(*w & 1 << (e % 64), 0, "edge {e} already in tree {t}'s frontier");
+        *w |= 1 << (e % 64);
+        self.summary[l][t * self.summaries + i / 64] |= 1 << (i % 64);
+    }
+
+    fn clear(&mut self, t: usize, l: usize, e: EdgeId) {
+        let i = e as usize / 64;
+        let w = &mut self.bits[l][t * self.words + i];
+        debug_assert_ne!(*w & 1 << (e % 64), 0, "edge {e} not in tree {t}'s frontier");
+        *w &= !(1 << (e % 64));
+        if *w == 0 {
+            self.summary[l][t * self.summaries + i / 64] &= !(1 << (i % 64));
         }
+    }
+}
+
+/// One tree under construction; its membership and frontier live in
+/// [`Frontiers`].
+struct GrowingTree {
+    root: VertexId,
+    parents: Vec<Option<VertexId>>,
+    members: Vec<VertexId>,
+    children: Vec<u32>,
+    /// Whether the `k − 1` children cap still applies.
+    capped: bool,
+}
+
+impl GrowingTree {
+    fn new(n: usize, root: VertexId) -> Self {
+        GrowingTree {
+            root,
+            parents: vec![None; n],
+            members: Vec::new(),
+            children: vec![0; n],
+            capped: true,
+        }
+    }
+
+    fn is_spanning(&self) -> bool {
+        self.members.len() == self.parents.len()
+    }
+
+    /// Whether member `u` may adopt another child.
+    fn has_room(&self, u: VertexId, k: u32) -> bool {
+        let cap = if u == self.root { k } else { k - 1 };
+        !self.capped || self.children[u as usize] < cap
+    }
+
+    /// Makes `v` (tree `t`) a member, open since it has no children yet:
+    /// its links to open members leave the frontier, and its links to
+    /// non-members enter it.
+    fn admit(&mut self, g: &Graph, f: &mut Frontiers, t: usize, v: VertexId) {
+        f.join(t, v);
+        self.members.push(v);
+        for &(w, e) in g.neighbors_with_edges(v) {
+            if !f.is_member(t, w) {
+                f.insert(t, e);
+            } else if f.is_open(t, w) {
+                f.remove(t, e);
+            }
+        }
+    }
+
+    /// Records one more child of `u`; at the cap, `u` closes and its
+    /// links to non-members leave the frontier.
+    fn adopt(&mut self, g: &Graph, k: u32, f: &mut Frontiers, t: usize, u: VertexId) {
+        self.children[u as usize] += 1;
+        if !self.has_room(u, k) {
+            f.set_open(t, u, false);
+            for &(w, e) in g.neighbors_with_edges(u) {
+                if !f.is_member(t, w) {
+                    f.remove(t, e);
+                }
+            }
+        }
+    }
+
+    /// Lifts the children cap: every member at its cap opens, and its
+    /// links to non-members enter the frontier.
+    fn lift_cap(&mut self, g: &Graph, k: u32, f: &mut Frontiers, t: usize) {
+        for &u in &self.members {
+            if !self.has_room(u, k) {
+                f.set_open(t, u, true);
+                for &(w, e) in g.neighbors_with_edges(u) {
+                    if !f.is_member(t, w) {
+                        f.insert(t, e);
+                    }
+                }
+            }
+        }
+        self.capped = false;
     }
 }
 
@@ -485,24 +622,29 @@ impl GrowingTree {
 /// tree attaches the non-member reachable over the least-used link (ties
 /// to the lowest edge id) from a member under the children cap, or lifts
 /// the cap if it wedged the tree. Returns each tree's parent array.
+/// `k >= 2`, so every member joins with room for a child.
 fn grow_trees(g: &Graph, k: u32, roots: &[VertexId]) -> Vec<Vec<Option<VertexId>>> {
-    let mut link_use = vec![0u32; g.num_edges() as usize];
-    let mut trees: Vec<GrowingTree> =
-        roots.iter().map(|&r| GrowingTree::new(g, r, &link_use)).collect();
+    debug_assert!(k >= 2, "arity {k} leaves a joining member no room");
+    let n = g.num_vertices() as usize;
+    let mut f = Frontiers::new(g, roots.len());
+    let mut trees: Vec<GrowingTree> = roots.iter().map(|&r| GrowingTree::new(n, r)).collect();
+    for (t, tree) in trees.iter_mut().enumerate() {
+        tree.admit(g, &mut f, t, tree.root);
+    }
     while trees.iter().any(|t| !t.is_spanning()) {
-        for t in trees.iter_mut().filter(|t| !t.is_spanning()) {
-            match t.pop_best(g, k, &link_use) {
-                Some((e, u, v)) => {
-                    t.parents[v as usize] = Some(u);
-                    t.in_tree[v as usize] = true;
-                    t.members.push(v);
-                    t.children[u as usize] += 1;
-                    link_use[e as usize] += 1;
-                    t.push_edges(g, v, &link_use);
+        for (t, tree) in trees.iter_mut().enumerate().filter(|(_, t)| !t.is_spanning()) {
+            match f.first(t) {
+                Some(e) => {
+                    let (a, b) = g.endpoints(e);
+                    let (u, v) = if f.is_member(t, a) { (a, b) } else { (b, a) };
+                    f.bump(e, a, b);
+                    tree.parents[v as usize] = Some(u);
+                    tree.admit(g, &mut f, t, v);
+                    tree.adopt(g, k, &mut f, t, u);
                 }
                 // The children cap wedged this tree: lift it and let the
                 // next round finish the job.
-                None if t.capped => t.lift_cap(g, &link_use),
+                None if tree.capped => tree.lift_cap(g, k, &mut f, t),
                 None => unreachable!("connected substrate: some frontier edge must exist"),
             }
         }
@@ -692,8 +834,18 @@ mod tests {
         parents
     }
 
-    /// The heap builder and the scan oracle agree tree for tree on `g`
-    /// under every arity and budget shape the backend distinguishes.
+    /// The frontier builder and the scan oracle agree tree for tree on
+    /// `g` with arity `k` under `budget`.
+    fn assert_kary_matches_scan_at(name: &str, g: &Graph, k: u32, budget: &Budget) {
+        let kary = KaryMultitree { k };
+        let (arity, roots) = kary.arity_and_roots(g, budget);
+        let oracle = rooted(roots.clone(), grow_trees_by_scan(g, arity, &roots)).unwrap();
+        let built = kary.build(g, budget).unwrap();
+        assert_eq!(built, oracle, "{name} k={k} {budget:?}");
+    }
+
+    /// [`assert_kary_matches_scan_at`] under every arity and budget shape
+    /// the backend distinguishes.
     fn assert_kary_matches_scan(name: &str, g: &Graph) {
         let n = g.num_vertices();
         let mut budgets = vec![Budget::unlimited()];
@@ -701,18 +853,14 @@ mod tests {
         budgets.push(Budget { max_trees: None, root: Some(n / 2) });
         budgets.push(Budget { max_trees: Some(2), root: Some(n - 1) });
         for k in [2u32, 3, 4] {
-            let kary = KaryMultitree { k };
             for budget in &budgets {
-                let (arity, roots) = kary.arity_and_roots(g, budget);
-                let oracle = rooted(roots.clone(), grow_trees_by_scan(g, arity, &roots)).unwrap();
-                let built = kary.build(g, budget).unwrap();
-                assert_eq!(built, oracle, "{name} k={k} {budget:?}");
+                assert_kary_matches_scan_at(name, g, k, budget);
             }
         }
     }
 
     #[test]
-    fn kary_heap_growth_matches_the_scan_oracle() {
+    fn kary_frontier_growth_matches_the_scan_oracle() {
         for s in crate::substrates::quick_catalog() {
             assert_kary_matches_scan(&s.name, &s.graph);
         }
@@ -721,13 +869,17 @@ mod tests {
         assert_kary_matches_scan("star-8", &builders::star(8));
         assert_kary_matches_scan("path-9", &builders::path(9));
         assert_kary_matches_scan("bridged-k4", &crate::substrates::bridged_cliques(4));
+        // 66 trees: each vertex's member and open masks span two words
+        // (stride 2).
+        let k67 = builders::complete(67);
+        assert_kary_matches_scan_at("complete-67", &k67, 3, &Budget::unlimited());
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
         #[test]
-        fn kary_heap_growth_matches_the_scan_oracle_on_random_graphs(
+        fn kary_frontier_growth_matches_the_scan_oracle_on_random_graphs(
             n in 2u32..40,
             density in 0u32..6,
             seed in any::<u64>(),

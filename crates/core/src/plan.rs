@@ -13,6 +13,7 @@ use crate::disjoint::find_edge_disjoint;
 use crate::lowdepth::low_depth_trees;
 use crate::perf;
 use crate::rational::Rational;
+use pf_galois::gf::check_order;
 use pf_graph::{bfs, EdgeId, Graph, RootedTree};
 use pf_topo::{PolarFly, Singer};
 
@@ -117,6 +118,7 @@ impl AllreducePlan {
 
     /// Builds the low-depth plan (Algorithm 3). Odd prime powers only.
     pub fn low_depth(q: u64) -> Result<Self, String> {
+        check_radix(q)?;
         let pf = PolarFly::new(q);
         let out = low_depth_trees(&pf, None)?;
         Ok(Self::from_tree_set(q, Solution::LowDepth, pf.graph().clone(), out.trees))
@@ -125,6 +127,7 @@ impl AllreducePlan {
     /// Builds the edge-disjoint Hamiltonian plan (§7.2) with the paper's
     /// randomized independent-set protocol (`attempts` tries, seeded).
     pub fn edge_disjoint(q: u64, attempts: usize, seed: u64) -> Result<Self, String> {
+        check_radix(q)?;
         let s = Singer::new(q);
         let sol = find_edge_disjoint(&s, attempts, seed);
         if sol.trees.is_empty() {
@@ -137,6 +140,7 @@ impl AllreducePlan {
     /// `ER_q` (depth 2 thanks to diameter 2) — the "current practice" the
     /// paper's multi-tree solutions are compared against.
     pub fn single_tree(q: u64) -> Result<Self, String> {
+        check_radix(q)?;
         let pf = PolarFly::new(q);
         let (_, parents) = bfs::tree(pf.graph(), 0);
         let t = RootedTree::from_parents(0, parents).map_err(|e| e.to_string())?;
@@ -294,9 +298,33 @@ impl AllreducePlan {
     }
 }
 
+/// Refuses, before anything is built, a `q` whose field `GF(q)` the
+/// crate does not build (not a prime power, or above the table cap).
+fn check_radix(q: u64) -> Result<(), String> {
+    check_order(q).map(drop).map_err(|e| format!("no plan for q = {q}: {e}"))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn radices_without_a_polarfly_are_errors() {
+        let hop = Rational::from_int(4);
+        // 4099 is prime but above the field tables' cap; the check runs
+        // before anything is allocated.
+        for q in [0u64, 1, 6, 10, 12, 4099] {
+            let errs = [
+                AllreducePlan::low_depth(q).unwrap_err(),
+                AllreducePlan::edge_disjoint(q, 30, 0).unwrap_err(),
+                AllreducePlan::single_tree(q).unwrap_err(),
+                AllreducePlan::recommend(q, 1000, hop).unwrap_err(),
+            ];
+            for e in errs {
+                assert!(e.starts_with(&format!("no plan for q = {q}: ")), "{e}");
+            }
+        }
+    }
 
     #[test]
     fn low_depth_plan_summary() {

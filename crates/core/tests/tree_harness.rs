@@ -25,9 +25,10 @@
 //! `--include-ignored` job.
 //!
 //! The `tree_identity_*` tests pin every tree the backends and the
-//! low-depth repairs build by digest, so a change to how trees are
-//! assembled must leave them byte-identical. Their full tier is
-//! `#[ignore]`d too; CI runs it in release on every push.
+//! low-depth repairs build by digest, and the kary trees on `ER_q` and
+//! `S_q` at q ∈ {13, 19, 23, 31}, so a change to how trees are assembled
+//! must leave them byte-identical. Their full tier is `#[ignore]`d too;
+//! CI runs it in release on every push.
 
 use pf_allreduce::congestion::assign_unit_bandwidth;
 use pf_allreduce::fingerprint::{fnv1a_u64, FNV_OFFSET};
@@ -43,6 +44,7 @@ use pf_allreduce::{Budget, ConstructError, GreedyPeel, KaryMultitree, TreeConstr
 use pf_graph::dsu::Dsu;
 use pf_graph::tree::pairwise_edge_disjoint;
 use pf_graph::{builders, Graph, RootedTree};
+use pf_topo::{PolarFly, Singer};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -520,6 +522,17 @@ const FULL_REPAIRS: &[(&str, u64)] = &[
     ("low-depth repairs q=31", 0xae6f15c5b88170cb),
 ];
 
+const FULL_KARY: &[(&str, u64)] = &[
+    ("kary polarfly-q13", 0xa6664867579205d6),
+    ("kary singer-q13", 0x21b0f2e50ad67d70),
+    ("kary polarfly-q19", 0x3d432a33fde10074),
+    ("kary singer-q19", 0x209d3cadc3350d16),
+    ("kary polarfly-q23", 0x758293cef864a9a2),
+    ("kary singer-q23", 0x328ced5729290139),
+    ("kary polarfly-q31", 0x15dfa4f3fc418533),
+    ("kary singer-q31", 0xe84392d2ff7cd360),
+];
+
 /// One digest per radix over the repair cases of one tier, each `(q, every
 /// one-link fault, seeded pairs, every router fault)`; with the number of
 /// repairs folded.
@@ -570,4 +583,23 @@ fn tree_identity_full_repairs() {
     ]);
     println!("{repairs} repairs");
     assert_digests(&got, FULL_REPAIRS);
+}
+
+#[test]
+#[ignore = "slow in debug: kary up to q = 31; CI runs it in release"]
+fn tree_identity_full_kary() {
+    // The kary trees plan bring-up builds at the benchmark's radices, on
+    // both labelings.
+    let mut got = Vec::new();
+    for q in [13u64, 19, 23, 31] {
+        let graphs = [
+            ("polarfly", PolarFly::new(q).graph().clone()),
+            ("singer", Singer::new(q).graph().clone()),
+        ];
+        for (name, g) in &graphs {
+            let built = KaryMultitree { k: 3 }.build(g, &Budget::unlimited()).ok();
+            got.push((format!("kary {name}-q{q}"), fold_outcome(FNV_OFFSET, built.as_deref())));
+        }
+    }
+    assert_digests(&got, FULL_KARY);
 }

@@ -230,24 +230,24 @@ impl CubicExt {
     /// assert_eq!(ext.singer_exponents(), vec![0, 1, 3, 9]); // paper Fig. 2a
     /// ```
     ///
-    /// `D = {0} ∪ {ℓ mod N : ζ^ℓ = ζ + k for some k ∈ F_q}`. The resulting
-    /// set has `q + 1` elements and every nonzero residue of `Z_N` occurs
-    /// exactly once as a difference (verified by `pf-topo`'s Singer module
-    /// and by tests here).
+    /// `D = {0} ∪ {ℓ mod N : ζ^ℓ = ζ + k for some k ∈ F_q}`, which is
+    /// `{ℓ ∈ [0, N) : ζ^ℓ has no ζ² coordinate}`: `ζ^N` generates
+    /// `F_q^*`, so `ζ^ℓ` and `ζ^(ℓ + jN)` differ by a scalar, and scaling
+    /// keeps a zero `ζ²` coordinate zero. One walk over `N` powers finds
+    /// it. The set has `q + 1` elements and every nonzero residue of `Z_N`
+    /// occurs exactly once as a difference (verified by `pf-topo`'s Singer
+    /// module and by tests here).
     pub fn singer_exponents(&self) -> Vec<u64> {
         let q = self.q();
         let n = q * q + q + 1;
-        let group = self.order() - 1;
-        let mut d = vec![0u64];
+        let mut d = Vec::with_capacity(q as usize + 1);
         let mut power = ONE;
-        for ell in 0..group {
-            if power[1] == 1 && power[2] == 0 {
-                d.push(ell % n);
+        for ell in 0..n {
+            if power[2] == 0 {
+                d.push(ell);
             }
             power = self.mul_zeta(power);
         }
-        d.sort_unstable();
-        d.dedup();
         d
     }
 }
@@ -285,6 +285,32 @@ mod tests {
     fn singer_set_q4_matches_paper() {
         // Figure 2b: D = {0, 1, 4, 14, 16} over Z_21.
         assert_eq!(ext(4).singer_exponents(), vec![0, 1, 4, 14, 16]);
+    }
+
+    /// The definition walked over all `q³ − 1` powers of `ζ`: `0` and
+    /// every `ℓ mod N` with `ζ^ℓ = ζ + k`.
+    fn singer_exponents_by_group_walk(e: &CubicExt) -> Vec<u64> {
+        let q = e.q();
+        let n = q * q + q + 1;
+        let mut d = vec![0u64];
+        let mut power = ONE;
+        for ell in 0..e.order() - 1 {
+            if power[1] == 1 && power[2] == 0 {
+                d.push(ell % n);
+            }
+            power = e.mul_zeta(power);
+        }
+        d.sort_unstable();
+        d.dedup();
+        d
+    }
+
+    #[test]
+    fn singer_set_matches_the_group_walk() {
+        for q in crate::prime_powers_in(2, 32) {
+            let e = ext(q);
+            assert_eq!(e.singer_exponents(), singer_exponents_by_group_walk(&e), "q={q}");
+        }
     }
 
     #[test]

@@ -32,6 +32,16 @@ impl std::error::Error for GfError {}
 /// Largest supported field order (tables are `O(q^2)`).
 pub const MAX_ORDER: u64 = 4096;
 
+/// Checks that [`Gf::new`] builds `GF(q)`: `q` is a prime power `p^a`
+/// no larger than [`MAX_ORDER`]. Returns `(p, a)`.
+pub fn check_order(q: u64) -> Result<(u64, u32), GfError> {
+    let (p, a) = prime_power(q).ok_or(GfError::NotPrimePower(q))?;
+    if q > MAX_ORDER {
+        return Err(GfError::TooLarge(q));
+    }
+    Ok((p, a))
+}
+
 /// A finite field `GF(p^a)` with fully materialized operation tables.
 #[derive(Debug, Clone)]
 pub struct Gf {
@@ -64,10 +74,7 @@ impl Gf {
     /// assert!(Gf::new(6).is_err());            // 6 is not a prime power
     /// ```
     pub fn new(q: u64) -> Result<Self, GfError> {
-        let (p, a) = prime_power(q).ok_or(GfError::NotPrimePower(q))?;
-        if q > MAX_ORDER {
-            return Err(GfError::TooLarge(q));
-        }
+        let (p, a) = check_order(q)?;
         let qu = q as usize;
         let p16 = p as u16;
 

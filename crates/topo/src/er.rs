@@ -44,12 +44,15 @@ impl PolarFly {
         debug_assert_eq!(n as u64, q * q + q + 1);
 
         let quadric: Vec<bool> = points.iter().map(|&p| gf.norm3(p) == 0).collect();
+        // Each point's neighbors are the other points of its polar line.
+        // Edges go in as ascending `(u, v)`, `u < v`: edge ids and the
+        // adjacency lists' capacities follow from that order.
         let mut graph = Graph::new(n);
+        let mut line = Vec::with_capacity(q as usize + 1);
         for u in 0..n {
-            for v in u + 1..n {
-                if gf.dot3(points[u as usize], points[v as usize]) == 0 {
-                    graph.add_edge(u, v);
-                }
+            polar_line(&gf, points[u as usize], &mut line);
+            for &v in line.iter().filter(|&&v| v > u) {
+                graph.add_edge(u, v);
             }
         }
         PolarFly { q, gf, points, graph, quadric }
@@ -112,6 +115,35 @@ fn normalize(gf: &Gf, v: [u16; 3]) -> Option<[u16; 3]> {
     let lead = v.iter().position(|&c| c != 0)?;
     let inv = gf.inv(v[lead]);
     Some([gf.mul(v[0], inv), gf.mul(v[1], inv), gf.mul(v[2], inv)])
+}
+
+/// Fills `line` with the `q + 1` points `v` of the polar line of `u`
+/// (`u·v = 0`), as vertex ids in ascending order: each normalized form's
+/// equation is solved for its last free coordinate.
+fn polar_line(gf: &Gf, [a, b, c]: [u16; 3], line: &mut Vec<VertexId>) {
+    let q = u32::from(gf.order());
+    line.clear();
+    // [1, y, z]: a + b·y + c·z = 0.
+    if c != 0 {
+        for y in 0..gf.order() {
+            let z = gf.div(gf.neg(gf.add(a, gf.mul(b, y))), c);
+            line.push(u32::from(y) * q + u32::from(z));
+        }
+    } else if b != 0 {
+        let y = u32::from(gf.div(gf.neg(a), b));
+        line.extend((0..q).map(|z| y * q + z));
+    }
+    // [0, 1, z]: b + c·z = 0.
+    if c != 0 {
+        line.push(q * q + u32::from(gf.div(gf.neg(b), c)));
+    } else if b == 0 {
+        line.extend((0..q).map(|z| q * q + z));
+    }
+    // [0, 0, 1]: c = 0.
+    if c == 0 {
+        line.push(q * q + q);
+    }
+    debug_assert_eq!(line.len() as u32, q + 1);
 }
 
 /// Enumerates the canonical point order: `[1,y,z]` (lexicographic in `y,z`
@@ -182,6 +214,37 @@ mod tests {
                         assert_eq!(paths, 1, "q={q}: non-adjacent {u},{v} need a 2-path");
                     }
                 }
+            }
+        }
+    }
+
+    /// `ER_q` by testing every pair of points for orthogonality.
+    fn graph_by_scan(pf: &PolarFly) -> Graph {
+        let gf = pf.field();
+        let n = pf.num_vertices() as u32;
+        let mut g = Graph::new(n);
+        for u in 0..n {
+            for v in u + 1..n {
+                if gf.dot3(pf.point(u), pf.point(v)) == 0 {
+                    g.add_edge(u, v);
+                }
+            }
+        }
+        g
+    }
+
+    #[test]
+    fn polar_lines_build_the_orthogonality_scan_graph() {
+        // Equal edge lists mean the same `add_edge` calls in the same
+        // order, so the edge ids and the adjacency lists' capacities match
+        // too.
+        for q in pf_galois::prime_powers_in(2, 32) {
+            let pf = PolarFly::new(q);
+            let scan = graph_by_scan(&pf);
+            let g = pf.graph();
+            assert!(g.edges().eq(scan.edges()), "q={q}: edge lists differ");
+            for u in g.vertices() {
+                assert_eq!(g.neighbors_with_edges(u), scan.neighbors_with_edges(u), "q={q} u={u}");
             }
         }
     }
