@@ -52,7 +52,7 @@
 use crate::print_header;
 use pf_allreduce::AllreducePlan;
 use pf_simnet::engine::Collective;
-use pf_simnet::faults::{DetectionConfig, FaultEvent, FaultKind, FaultTarget};
+use pf_simnet::faults::{FaultEvent, FaultTarget};
 use pf_simnet::json::Value;
 use pf_simnet::{FaultSchedule, MultiTreeEmbedding, SimConfig, Simulator, Workload};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -340,10 +340,9 @@ pub fn collect(qs: &[u64], m: u64) -> Vec<PerfPoint> {
             events: vec![FaultEvent {
                 cycle: 10,
                 target: FaultTarget::Link(used_edge(&plan)),
-                kind: FaultKind::Down,
                 duration: Some(3_000),
             }],
-            detection: DetectionConfig { timeout: 32, max_retries: 3, abort_on_detection: false },
+            abort_on_detection: false,
         };
         points.push(measure_point(
             "low_depth",

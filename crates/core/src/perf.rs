@@ -23,11 +23,6 @@ pub fn edge_disjoint_bandwidth(t: usize, b: Rational) -> Rational {
     Rational::from_int(t as i64) * b
 }
 
-/// Lemma 7.18 upper bound on edge-disjoint Hamiltonian paths: `⌊(q+1)/2⌋`.
-pub fn hamiltonian_upper_bound(q: u64) -> usize {
-    q.div_ceil(2) as usize
-}
-
 /// Theorem 5.1's optimal sub-vector split: `m_i = m·B_i / Σ B_j`, rounded
 /// to integers by largest remainder so the sizes sum exactly to `m`.
 /// Returns an empty vector when there are no trees.
@@ -124,6 +119,7 @@ pub fn predicted_tree_cycles(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::disjoint::DisjointSolution;
 
     #[test]
     fn optimal_bandwidth_values() {
@@ -136,7 +132,7 @@ mod tests {
         for q in [3u64, 5, 7, 9, 11] {
             for b in [Rational::ONE, Rational::new(5, 2), Rational::from_int(100)] {
                 let opt = optimum(q, b);
-                let ham = edge_disjoint_bandwidth(hamiltonian_upper_bound(q), b);
+                let ham = edge_disjoint_bandwidth(DisjointSolution::upper_bound(q), b);
                 assert_eq!(ham, opt, "q={q}");
                 let low = low_depth_bound(q, b);
                 assert_eq!(low, opt * Rational::new(q as i64, q as i64 + 1), "q={q}");
@@ -152,10 +148,10 @@ mod tests {
 
     #[test]
     fn hamiltonian_bounds() {
-        assert_eq!(hamiltonian_upper_bound(3), 2);
-        assert_eq!(hamiltonian_upper_bound(4), 2);
-        assert_eq!(hamiltonian_upper_bound(7), 4);
-        assert_eq!(hamiltonian_upper_bound(8), 4);
+        assert_eq!(DisjointSolution::upper_bound(3), 2);
+        assert_eq!(DisjointSolution::upper_bound(4), 2);
+        assert_eq!(DisjointSolution::upper_bound(7), 4);
+        assert_eq!(DisjointSolution::upper_bound(8), 4);
         assert_eq!(edge_disjoint_bandwidth(4, Rational::ONE), Rational::from_int(4));
     }
 

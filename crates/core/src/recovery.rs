@@ -198,9 +198,9 @@ pub fn rebuild_degraded(
     let g = &plan.graph;
 
     // The surviving subgraph and its id maps (healthy <-> degraded), built
-    // in one pass. The maps are exact-capacity, so a cached plan's heap
-    // footprint (which the fabric soak's live-bytes gauge records) does
-    // not depend on how they grew.
+    // in one pass. A cached plan is a `to_plan` copy, which allocates every
+    // list at its length, so the fabric soak's live-bytes gauge never sees
+    // how these grew.
     let Surviving { graph: degraded, orig_vertex, new_vertex, orig_edge, new_edge } =
         subgraph::surviving(g, &faults.routers, &faults.edges);
     if degraded.num_vertices() == 0 {

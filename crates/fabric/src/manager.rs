@@ -223,8 +223,15 @@ impl std::fmt::Debug for FabricManager {
 
 impl FabricManager {
     /// A manager serving `plan`'s fabric.
+    ///
+    /// Panics on a configuration no epoch could run under, naming the
+    /// field: a zero `epoch_max_jobs` or `sched.max_concurrent`, or a plan
+    /// with no trees. A zero `cache_capacity` panics in [`PlanCache::new`].
     #[must_use]
     pub fn new(plan: AllreducePlan, cfg: FabricConfig) -> Self {
+        assert!(cfg.epoch_max_jobs >= 1, "epoch_max_jobs must be at least 1");
+        assert!(cfg.sched.max_concurrent >= 1, "sched.max_concurrent must be at least 1");
+        assert!(!plan.trees.is_empty(), "plan.trees must not be empty");
         let healthy = Arc::new(plan);
         let topology_fp = plan_fingerprint(&healthy);
         FabricManager {
@@ -665,6 +672,29 @@ mod tests {
         ));
         let rep = m.drain();
         assert_eq!((rep.invalid, rep.completed), (2, 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "epoch_max_jobs must be at least 1")]
+    fn zero_epoch_max_jobs_is_refused() {
+        let cfg = FabricConfig { epoch_max_jobs: 0, ..FabricConfig::default() };
+        let _ = FabricManager::new(plan(), cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "sched.max_concurrent must be at least 1")]
+    fn zero_max_concurrent_is_refused() {
+        let mut cfg = FabricConfig::default();
+        cfg.sched.max_concurrent = 0;
+        let _ = FabricManager::new(plan(), cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "plan.trees must not be empty")]
+    fn a_plan_without_trees_is_refused() {
+        let p = plan();
+        let bare = AllreducePlan::from_tree_set(p.q, p.solution, p.graph, Vec::new());
+        let _ = FabricManager::new(bare, FabricConfig::default());
     }
 
     #[test]

@@ -48,13 +48,6 @@ impl Graph {
         Graph { n: adj.len() as u32, edges, adj }
     }
 
-    /// The heap capacities of the edge list and of each adjacency list,
-    /// which a cached plan's footprint counts.
-    #[cfg(test)]
-    pub(crate) fn capacities(&self) -> (usize, Vec<usize>) {
-        (self.edges.capacity(), self.adj.iter().map(Vec::capacity).collect())
-    }
-
     /// Number of vertices.
     #[inline]
     pub fn num_vertices(&self) -> u32 {

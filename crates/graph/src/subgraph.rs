@@ -12,12 +12,9 @@
 //! [`surviving`] does not insert the surviving edges one by one: it maps
 //! the edge list and filters each surviving vertex's sorted adjacency
 //! list, which stays sorted because renumbering preserves order. The
-//! result still equals the graph [`Graph::add_edge`] builds, down to the
-//! heap capacity of every list: each is allocated at the capacity that
-//! one-at-a-time insertion leaves (a power of two, at least 4), because a
-//! degraded plan keeps this graph, and the fabric soak's `live_bytes_*`
-//! gauges count a cached plan's heap capacity. The unit tests hold both
-//! constructions equal, capacities included.
+//! result equals the graph [`Graph::add_edge`] builds (the unit tests
+//! hold both constructions equal); every list is allocated at exactly
+//! its length.
 
 use crate::graph::{EdgeId, Graph, VertexId};
 
@@ -91,16 +88,18 @@ pub fn surviving(g: &Graph, vertices: &[VertexId], edges: &[EdgeId]) -> Survivin
     // Renumbering is monotone, so mapping an edge keeps `u < v` and
     // filtering a survivor's sorted adjacency list keeps it sorted.
     let renumber = |v: VertexId| new_vertex[v as usize].expect("survivors keep their endpoints");
-    let mut kept = Vec::with_capacity(pushed_capacity(orig_edge.len()));
-    kept.extend(orig_edge.iter().map(|&e| {
-        let (u, v) = g.endpoints(e);
-        (renumber(u), renumber(v))
-    }));
+    let kept = orig_edge
+        .iter()
+        .map(|&e| {
+            let (u, v) = g.endpoints(e);
+            (renumber(u), renumber(v))
+        })
+        .collect();
     let adj = orig_vertex
         .iter()
         .zip(&degree)
         .map(|(&u, &d)| {
-            let mut a = Vec::with_capacity(pushed_capacity(d));
+            let mut a = Vec::with_capacity(d);
             a.extend(g.neighbors_with_edges(u).iter().filter_map(|&(w, e)| {
                 Some((new_vertex[w as usize]?, new_edge[e as usize]?))
             }));
@@ -109,17 +108,6 @@ pub fn surviving(g: &Graph, vertices: &[VertexId], edges: &[EdgeId]) -> Survivin
         .collect();
     let graph = Graph::from_sorted_parts(kept, adj);
     Surviving { graph, orig_vertex, new_vertex, orig_edge, new_edge }
-}
-
-/// The capacity a `Vec` of 8-byte entries reaches when `len` entries are
-/// pushed or inserted into it one at a time: none when empty, else the
-/// next power of two, at least 4.
-fn pushed_capacity(len: usize) -> usize {
-    if len == 0 {
-        0
-    } else {
-        len.next_power_of_two().max(4)
-    }
 }
 
 #[cfg(test)]
@@ -192,21 +180,6 @@ mod tests {
             for v in want.vertices() {
                 prop_assert_eq!(got.neighbors_with_edges(v), want.neighbors_with_edges(v));
             }
-            // The footprint a cached degraded plan keeps: every list at
-            // the capacity one-at-a-time insertion leaves.
-            prop_assert_eq!(got.capacities(), want.capacities());
-        }
-    }
-
-    #[test]
-    fn pushed_capacity_matches_one_at_a_time_growth() {
-        // Up to the edge list of ER_31 (15 872 edges), beyond what the
-        // proptest's graphs reach.
-        let mut v: Vec<(VertexId, EdgeId)> = Vec::new();
-        assert_eq!(pushed_capacity(0), v.capacity());
-        for len in 1..=40_000 {
-            v.push((len, len));
-            assert_eq!(pushed_capacity(len as usize), v.capacity(), "len {len}");
         }
     }
 

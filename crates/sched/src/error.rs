@@ -17,11 +17,8 @@ pub enum SchedError {
     NoJobs,
     /// `max_concurrent` was 0.
     ZeroConcurrency,
-    /// `min_trees` was 0 or exceeded the plan's tree count.
-    BadMinTrees {
-        /// The plan's tree count (the inclusive upper bound).
-        max: usize,
-    },
+    /// The plan has no trees to allocate.
+    NoTrees,
     /// Two specs shared a job id.
     DuplicateJobId(u32),
     /// A job submitted a zero-length vector.
@@ -72,9 +69,7 @@ impl std::fmt::Display for SchedError {
         match self {
             SchedError::NoJobs => write!(f, "no jobs submitted"),
             SchedError::ZeroConcurrency => write!(f, "max_concurrent must be at least 1"),
-            SchedError::BadMinTrees { max } => {
-                write!(f, "min_trees must be in 1..={max} (the plan's tree count)")
-            }
+            SchedError::NoTrees => write!(f, "the plan has no trees"),
             SchedError::DuplicateJobId(id) => write!(f, "duplicate job id {id}"),
             SchedError::EmptyVector(id) => write!(f, "job {id} has an empty vector"),
             SchedError::EmptyParticipants(id) => {
@@ -121,10 +116,7 @@ mod tests {
         let cases: Vec<(SchedError, &str)> = vec![
             (SchedError::NoJobs, "no jobs submitted"),
             (SchedError::ZeroConcurrency, "max_concurrent must be at least 1"),
-            (
-                SchedError::BadMinTrees { max: 7 },
-                "min_trees must be in 1..=7 (the plan's tree count)",
-            ),
+            (SchedError::NoTrees, "the plan has no trees"),
             (SchedError::DuplicateJobId(3), "duplicate job id 3"),
             (SchedError::EmptyVector(4), "job 4 has an empty vector"),
             (SchedError::EmptyParticipants(5), "job 5 has an empty participant set"),

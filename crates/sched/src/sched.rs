@@ -16,7 +16,7 @@ use pf_allreduce::fingerprint::{fnv1a_u64, FNV_OFFSET};
 use pf_allreduce::AllreducePlan;
 use pf_simnet::{
     run_with_recovery, Collective, CompiledTrees, FaultSchedule, JobBinding, JobSegment,
-    JobTraceRow, MultiTreeEmbedding, SimConfig, Simulator, TraceConfig, TraceReport, Workload,
+    JobTraceRow, MultiTreeEmbedding, SimConfig, Simulator, Workload,
 };
 use std::sync::Arc;
 
@@ -35,15 +35,10 @@ pub struct SchedConfig {
     pub sim: SimConfig,
     /// Maximum jobs running concurrently in one wave (≥ 1).
     pub max_concurrent: usize,
-    /// Minimum trees a job must receive (≥ 1). Admission stops for the
-    /// wave when fewer trees are free.
-    pub min_trees: usize,
     /// A job arriving within `lookahead` cycles of a wave's start may be
     /// admitted into it with a deferred release (0 = only jobs that have
     /// already arrived).
     pub lookahead: u64,
-    /// Per-wave observability (see [`pf_simnet::trace`]).
-    pub trace: TraceConfig,
 }
 
 impl Default for SchedConfig {
@@ -52,9 +47,7 @@ impl Default for SchedConfig {
             policy: Policy::Fifo,
             sim: SimConfig::default(),
             max_concurrent: 4,
-            min_trees: 1,
             lookahead: 2048,
-            trace: TraceConfig::off(),
         }
     }
 }
@@ -74,9 +67,6 @@ pub struct WaveRecord {
     /// Peak combined per-edge congestion of the wave's tree allocation
     /// (≤ the plan's `max_congestion`, asserted by the allocator).
     pub max_combined_congestion: u32,
-    /// The wave's primary engine trace, when tracing is enabled. Its
-    /// `jobs` table holds this wave's [`JobTraceRow`]s.
-    pub trace: Option<TraceReport>,
 }
 
 /// Cross-tenant fairness summary.
@@ -116,8 +106,8 @@ pub struct SchedReport {
 }
 
 impl SchedReport {
-    /// The per-job trace rows (also embedded per-wave in
-    /// [`WaveRecord::trace`] when tracing is on).
+    /// The per-job trace rows, for a trace's `jobs` table
+    /// ([`pf_simnet::TraceReport::jobs`]).
     #[must_use]
     pub fn trace_rows(&self) -> Vec<JobTraceRow> {
         self.jobs.iter().map(job_trace_row).collect()
@@ -373,8 +363,8 @@ impl<'a> Scheduler<'a> {
     /// trees from `alloc` (reset by the caller) as it goes. Tree shares
     /// rebalance to the visible queue depth: with `k` admission slots
     /// still open and `f` free trees, the next job receives
-    /// `max(min_trees, f / k)` trees, so a lone job gets the whole fabric
-    /// and a full queue splits it evenly.
+    /// `max(1, f / k)` trees, so a lone job gets the whole fabric and a
+    /// full queue splits it evenly.
     ///
     /// Waves are homogeneous in collective: the first job admitted fixes
     /// the wave's kind (one engine run executes one collective), and
@@ -395,7 +385,7 @@ impl<'a> Scheduler<'a> {
         let horizon = now.saturating_add(cfg.lookahead);
         let mut wave_kind: Option<Collective> = None;
 
-        while admitted.len() < cfg.max_concurrent && alloc.free_trees() >= cfg.min_trees {
+        while admitted.len() < cfg.max_concurrent && alloc.free_trees() > 0 {
             let wk = wave_kind;
             let fits = move |i: usize| wk.is_none_or(|k| specs[i].collective == k);
             // Prefer jobs that have arrived (policy order); otherwise pull
@@ -427,7 +417,7 @@ impl<'a> Scheduler<'a> {
                 .filter(|&&i| specs[i].arrival <= horizon && fits(i))
                 .count();
             let slots = (cfg.max_concurrent - admitted.len()).min(visible).max(1);
-            let want = (alloc.free_trees() / slots).max(cfg.min_trees);
+            let want = (alloc.free_trees() / slots).max(1);
             let trees = alloc.allocate(want).expect("want ≤ free by construction");
 
             pending.retain(|&i| i != chosen);
@@ -468,20 +458,16 @@ impl<'a> Scheduler<'a> {
         // untouched (same trees, same releases, same time base).
         let mut to_run: Vec<&AdmittedJob> = admitted.iter().collect();
         let mut wave_cycles = 0u64;
-        let mut wave_trace: Option<TraceReport> = None;
         let mut wave_job_ids: Vec<u32> = admitted.iter().map(|a| specs[a.idx].id).collect();
         wave_job_ids.sort_unstable();
 
         while !to_run.is_empty() {
             let (emb, bindings) = self.wave_embedding(specs, global_off, &to_run, plans, compiled);
-            let mut sim = Simulator::new(&self.plan.graph, &emb, cfg.sim).with_trace(cfg.trace);
+            let mut sim = Simulator::new(&self.plan.graph, &emb, cfg.sim);
             if let Some(ws) = &wsched {
                 sim = sim.with_faults(&self.plan.graph, ws.clone());
             }
             let run = sim.run_jobs_collective(w, &bindings, kind);
-            if wave_trace.is_none() {
-                wave_trace = run.trace;
-            }
 
             if run.report.completed {
                 wave_cycles = wave_cycles.max(run.report.cycles);
@@ -552,20 +538,12 @@ impl<'a> Scheduler<'a> {
             to_run = survivors;
         }
 
-        if let Some(tr) = &mut wave_trace {
-            tr.jobs = admitted
-                .iter()
-                .filter_map(|a| records[a.idx].as_ref())
-                .map(job_trace_row)
-                .collect();
-        }
         waves.push(WaveRecord {
             index: wave_index,
             base,
             cycles: wave_cycles,
             jobs: wave_job_ids,
             max_combined_congestion: max_comb_wave,
-            trace: wave_trace,
         });
         Ok(wave_cycles)
     }
@@ -649,8 +627,8 @@ fn validate(specs: &[JobSpec], cfg: &SchedConfig, plan: &AllreducePlan) -> Resul
     if cfg.max_concurrent == 0 {
         return Err(SchedError::ZeroConcurrency);
     }
-    if cfg.min_trees == 0 || cfg.min_trees > plan.trees.len() {
-        return Err(SchedError::BadMinTrees { max: plan.trees.len() });
+    if plan.trees.is_empty() {
+        return Err(SchedError::NoTrees);
     }
     let mut ids = std::collections::BTreeSet::new();
     for s in specs {
@@ -690,7 +668,7 @@ fn rebase_schedule(s: &FaultSchedule, base: u64) -> FaultSchedule {
             }
         })
         .collect();
-    FaultSchedule { events, detection: s.detection }
+    FaultSchedule { events, abort_on_detection: s.abort_on_detection }
 }
 
 /// Jain's index and latency percentiles over the finished jobs.
@@ -841,29 +819,34 @@ mod tests {
     }
 
     #[test]
+    fn refuses_a_plan_without_trees() {
+        let p = plan();
+        let bare = AllreducePlan::from_tree_set(p.q, p.solution, p.graph, Vec::new());
+        let s = Scheduler::new(&bare, SchedConfig::default());
+        assert_eq!(s.run(&[JobSpec::new(0, 0, 8)]).unwrap_err(), SchedError::NoTrees);
+    }
+
+    #[test]
     fn rebase_translates_fault_cycles() {
         let sched = FaultSchedule {
             events: vec![
                 pf_simnet::FaultEvent {
                     cycle: 100,
                     target: pf_simnet::FaultTarget::Link(3),
-                    kind: pf_simnet::FaultKind::Down,
                     duration: None,
                 },
                 pf_simnet::FaultEvent {
                     cycle: 50,
                     target: pf_simnet::FaultTarget::Link(4),
-                    kind: pf_simnet::FaultKind::Down,
                     duration: Some(30),
                 },
                 pf_simnet::FaultEvent {
                     cycle: 60,
                     target: pf_simnet::FaultTarget::Link(5),
-                    kind: pf_simnet::FaultKind::Down,
                     duration: Some(500),
                 },
             ],
-            detection: Default::default(),
+            abort_on_detection: true,
         };
         let r = rebase_schedule(&sched, 90);
         // Future permanent: shifted. Healed transient (50+30 ≤ 90):

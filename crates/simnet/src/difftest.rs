@@ -13,8 +13,8 @@
 //! The matrix spans the paper's radixes (q ∈ {3, 5, 7, 9, 11}), all five
 //! collectives (allreduce, reduce, broadcast and the sharded-training
 //! reduce-scatter / allgather pair), low-depth and edge-disjoint plans,
-//! per-router / per-node caps, tracing on/off, and fault schedules
-//! (permanent, transient-healing, degraded, router) — the cases where
+//! per-node injection caps, tracing on/off, and fault schedules
+//! (permanent, transient-healing, router) — the cases where
 //! cycle skipping, active sets and lazy budgets could plausibly diverge
 //! from the per-cycle full-scan semantics — the closed form that reports
 //! trees that never meet without stepping, with each of its fallbacks,
@@ -22,9 +22,7 @@
 
 use crate::embedding::MultiTreeEmbedding;
 use crate::engine::{Collective, SimConfig, Simulator};
-use crate::faults::{
-    DetectionConfig, FaultEvent, FaultKind, FaultSchedule, FaultTarget,
-};
+use crate::faults::{FaultEvent, FaultSchedule, FaultTarget};
 use crate::trace::TraceConfig;
 use crate::workload::Workload;
 use pf_allreduce::AllreducePlan;
@@ -147,31 +145,18 @@ fn edge_disjoint_plans_match() {
 
 #[test]
 fn capped_runs_match() {
-    // Per-router and per-node caps exercise the lazy epoch-stamped budget
+    // A per-node injection cap exercises the lazy epoch-stamped budget
     // refill against the reference's eager per-cycle memset, including the
     // budget-stall rearm path of the active set.
     let plan = AllreducePlan::low_depth(7).unwrap();
-    for (caps, label) in [
-        (SimConfig { max_reductions_per_router: Some(1), ..Default::default() }, "engine cap"),
-        (SimConfig { max_injections_per_node: Some(1), ..Default::default() }, "inject cap"),
-        (
-            SimConfig {
-                max_reductions_per_router: Some(2),
-                max_injections_per_node: Some(1),
-                ..Default::default()
-            },
-            "both caps",
-        ),
-    ] {
-        let mut case = Case::new(plan.clone(), 400);
-        case.cfg = caps;
-        case.assert_identical(Collective::Allreduce, label);
-        // The sharded pair splits the cap pressure: reduce-scatter leans
-        // on the engine/injection budgets, allgather on neither (no
-        // reductions) — both must still match cycle-for-cycle.
-        case.assert_identical(Collective::ReduceScatter, &format!("{label} reduce_scatter"));
-        case.assert_identical(Collective::Allgather, &format!("{label} allgather"));
-    }
+    let mut case = Case::new(plan, 400);
+    case.cfg = SimConfig { max_injections_per_node: Some(1), ..Default::default() };
+    case.assert_identical(Collective::Allreduce, "inject cap");
+    // The sharded pair splits the cap pressure: reduce-scatter leans on the
+    // injection budgets, allgather not at all (no reductions) — both must
+    // still match cycle-for-cycle.
+    case.assert_identical(Collective::ReduceScatter, "inject cap reduce_scatter");
+    case.assert_identical(Collective::Allgather, "inject cap allgather");
 }
 
 #[test]
@@ -214,9 +199,9 @@ fn traced_capped_runs_match() {
     // the lazy refill: pin them against the reference.
     let plan = AllreducePlan::low_depth(7).unwrap();
     let mut case = Case::new(plan, 300);
-    case.cfg = SimConfig { max_reductions_per_router: Some(1), ..Default::default() };
+    case.cfg = SimConfig { max_injections_per_node: Some(1), ..Default::default() };
     case.trace = Some(TraceConfig::counters());
-    case.assert_identical(Collective::Allreduce, "traced + engine cap");
+    case.assert_identical(Collective::Allreduce, "traced + injection cap");
 }
 
 #[test]
@@ -241,34 +226,20 @@ fn faulted_runs_match() {
                 events: vec![FaultEvent {
                     cycle: 50,
                     target: FaultTarget::Link(e),
-                    kind: FaultKind::Down,
                     duration: Some(40),
                 }],
-                detection: DetectionConfig::default(),
+                abort_on_detection: true,
             },
             "transient link",
         ),
         (
             FaultSchedule {
                 events: vec![FaultEvent {
-                    cycle: 1,
-                    target: FaultTarget::Link(e),
-                    kind: FaultKind::Degraded { period: 4 },
-                    duration: None,
-                }],
-                detection: DetectionConfig::default(),
-            },
-            "degraded link",
-        ),
-        (
-            FaultSchedule {
-                events: vec![FaultEvent {
                     cycle: 30,
                     target: FaultTarget::Router(3),
-                    kind: FaultKind::Down,
                     duration: None,
                 }],
-                detection: DetectionConfig::default(),
+                abort_on_detection: true,
             },
             "router down",
         ),
@@ -277,14 +248,9 @@ fn faulted_runs_match() {
                 events: vec![FaultEvent {
                     cycle: 40,
                     target: FaultTarget::Link(e),
-                    kind: FaultKind::Down,
                     duration: Some(200),
                 }],
-                detection: DetectionConfig {
-                    timeout: 16,
-                    max_retries: 4,
-                    abort_on_detection: false,
-                },
+                abort_on_detection: false,
             },
             "no-abort detection",
         ),
@@ -314,10 +280,9 @@ fn faulted_sharded_collectives_match() {
                 events: vec![FaultEvent {
                     cycle: 50,
                     target: FaultTarget::Link(e),
-                    kind: FaultKind::Down,
                     duration: Some(40),
                 }],
-                detection: DetectionConfig::default(),
+                abort_on_detection: true,
             },
             "transient link",
         ),
@@ -327,10 +292,9 @@ fn faulted_sharded_collectives_match() {
                 events: vec![FaultEvent {
                     cycle: 30,
                     target: FaultTarget::Router(3),
-                    kind: FaultKind::Down,
                     duration: None,
                 }],
-                detection: DetectionConfig::default(),
+                abort_on_detection: true,
             },
             "router down",
         ),
@@ -358,10 +322,9 @@ fn healed_routers_wake_their_engines() {
         events: vec![FaultEvent {
             cycle: 50,
             target: FaultTarget::Router(3),
-            kind: FaultKind::Down,
             duration: Some(30),
         }],
-        detection: DetectionConfig::default(),
+        abort_on_detection: true,
     });
     for kind in COLLECTIVES {
         case.assert_identical(kind, &format!("transient router {kind:?}"));
@@ -520,10 +483,9 @@ fn fault_transitions_break_batch_spans() {
         events: vec![FaultEvent {
             cycle: 2_000,
             target: FaultTarget::Link(e),
-            kind: FaultKind::Down,
             duration: Some(500),
         }],
-        detection: DetectionConfig { timeout: 32, max_retries: 3, abort_on_detection: false },
+        abort_on_detection: false,
     };
     let mut case = Case::new(plan.clone(), 20_000);
     case.faults = Some(schedule.clone());
@@ -723,9 +685,6 @@ fn closed_form_fallbacks() -> Vec<(Case, String, &'static [Collective])> {
     let mut c = base();
     c.faults = Some(FaultSchedule::none());
     out.push((c, "quiet fault layer".into(), &COLLECTIVES));
-    let mut c = base();
-    c.cfg.max_reductions_per_router = Some(2);
-    out.push((c, "engine cap".into(), &COLLECTIVES));
     let mut c = base();
     c.cfg.max_injections_per_node = Some(2);
     out.push((c, "injection cap".into(), &COLLECTIVES));

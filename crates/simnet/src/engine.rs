@@ -130,11 +130,6 @@ pub struct SimConfig {
     /// Hard cycle cap: the run aborts (with `completed = false`) if
     /// exceeded — a deadlock/livelock backstop.
     pub max_cycles: u64,
-    /// Reduction-engine capacity per router per cycle, across all trees
-    /// (`None` = unbounded, the paper's "multiple reductions at link rate"
-    /// assumption; small values model compute-bound routers — the engine
-    /// ablation).
-    pub max_reductions_per_router: Option<u32>,
     /// Local-port injection capacity per node per cycle, across all trees
     /// (`None` = unbounded — §4.1's assumption that a node drives all its
     /// links at once; multi-tree allreduce needs ~aggregate-bandwidth
@@ -153,7 +148,6 @@ impl Default for SimConfig {
             vc_buffer: 6,
             source_queue: 2,
             max_cycles: 50_000_000,
-            max_reductions_per_router: None,
             max_injections_per_node: None,
             threads: 1,
         }
@@ -406,8 +400,8 @@ impl<'a> Simulator<'a> {
         // and the rest step in one run masked to them. The closed form
         // needs trees with fully independent state: anything that couples
         // them — a tracer (global timeline), a fault layer (global
-        // detector clock), or per-node caps (budgets shared across trees)
-        // — refuses it, and one stepped run covers the whole fabric.
+        // detector clock), or an injection cap (budgets shared across
+        // trees) — refuses it, and one stepped run covers the whole fabric.
         let Some(closed) = ClosedForm::select(&self, kind, bindings) else {
             let Simulator { emb, cfg, tracer, faults } = self;
             return run_single(emb, cfg, tracer, faults, w, kind, bindings, None);
@@ -432,13 +426,10 @@ impl<'a> Simulator<'a> {
     }
 
     /// Does anything attached couple the trees' timing? A tracer keeps one
-    /// global timeline, a fault layer one detector clock, and per-node
-    /// caps share budgets across trees.
+    /// global timeline, a fault layer one detector clock, and an injection
+    /// cap shares each node's budget across trees.
     fn couples_trees(&self) -> bool {
-        self.tracer.is_some()
-            || self.faults.is_some()
-            || self.cfg.max_reductions_per_router.is_some()
-            || self.cfg.max_injections_per_node.is_some()
+        self.tracer.is_some() || self.faults.is_some() || self.cfg.max_injections_per_node.is_some()
     }
 }
 
@@ -476,13 +467,11 @@ fn run_single(
     let mut st = RunState::new(emb, cfg, kind, bindings, tree_mask);
 
     let traced = tracer.is_some();
-    // Batch spans require no tracer and uncapped budgets (a per-node budget
-    // is consumed *within* a cycle; replaying j·P cycles in closed form
-    // would need per-cycle budget accounting). A quiet attached fault
-    // layer is fine — spans are bounded by its next transition.
-    let batchable = !traced
-        && cfg.max_reductions_per_router.is_none()
-        && cfg.max_injections_per_node.is_none();
+    // Batch spans require no tracer and an uncapped injection budget (a
+    // per-node budget is consumed *within* a cycle; replaying j·P cycles in
+    // closed form would need per-cycle budget accounting). A quiet attached
+    // fault layer is fine — spans are bounded by its next transition.
+    let batchable = !traced && cfg.max_injections_per_node.is_none();
     let mut cycle = 0u64;
     let mut stepped = 0u64;
     while st.deliveries < st.total_deliveries
@@ -529,8 +518,8 @@ fn run_single(
         // change until the next in-flight arrival (or the next fault
         // activation / heal). Jump there instead of ticking idly.
         // Tracing pins per-cycle stepping; an actively faulted fabric
-        // (downed or degraded channels) needs per-cycle stall/degrade
-        // accounting, so skipping pauses until it is quiet again.
+        // (downed channels) needs per-cycle stall accounting, so skipping
+        // pauses until it is quiet again.
         if !st.progress
             && !st.pending_arrivals
             && !traced
@@ -1104,9 +1093,7 @@ struct RunState<'a> {
     chan_active: Vec<u64>,
     wire_active: Vec<u64>,
 
-    // Lazily refilled per-node budgets (epoch-stamped; see docs).
-    engine_budget: Vec<u32>,
-    engine_epoch: Vec<u64>,
+    // Lazily refilled per-node injection budgets (epoch-stamped; see docs).
     inject_budget: Vec<u32>,
     inject_epoch: Vec<u64>,
 
@@ -1235,8 +1222,6 @@ impl<'a> RunState<'a> {
             pair_active,
             chan_active: vec![0u64; nchans.div_ceil(64)],
             wire_active: vec![0u64; nstreams.div_ceil(64)],
-            engine_budget: vec![0; n],
-            engine_epoch: vec![0; n],
             inject_budget: vec![0; n],
             inject_epoch: vec![0; n],
             per_tree_sinks,
@@ -1375,9 +1360,9 @@ impl<'a> RunState<'a> {
     }
 
     /// Step 2: advance reduction engines and broadcast relays. Trees are
-    /// visited in an order rotated per cycle so shared per-node budgets
-    /// (engine/injection caps) are served max-min fairly instead of
-    /// starving high-index trees; within a tree, nodes ascend.
+    /// visited in an order rotated per cycle so shared per-node injection
+    /// budgets are served max-min fairly instead of starving high-index
+    /// trees; within a tree, nodes ascend.
     fn step_compute(
         &mut self,
         cycle: u64,
@@ -1452,16 +1437,6 @@ impl<'a> RunState<'a> {
 
         // -- Reduction engine (allreduce / reduce / reduce-scatter) --
         if kind.reduces() && self.reduced[p] < len {
-            let engine_free = match self.cfg.max_reductions_per_router {
-                None => true,
-                Some(cap) => {
-                    if self.engine_epoch[v] != cycle {
-                        self.engine_epoch[v] = cycle;
-                        self.engine_budget[v] = cap;
-                    }
-                    self.engine_budget[v] > 0
-                }
-            };
             let inject_free = match self.cfg.max_injections_per_node {
                 None => true,
                 Some(cap) => {
@@ -1482,14 +1457,14 @@ impl<'a> RunState<'a> {
             // An allreduce root turns the result straight into the
             // broadcast, so it needs space on every down stream.
             let bcast_ok = !(is_root && kind == Collective::Allreduce) || self.bcast_room(p);
-            let fires = engine_free && inject_free && inputs_ready && out_ok && bcast_ok;
+            let fires = inject_free && inputs_ready && out_ok && bcast_ok;
             if let Some(tr) = tracer.as_mut() {
                 if !fires {
                     // Attribute the stall: missing inputs first (most
                     // fundamental), then budget, then a blocked output path.
                     let why = if !inputs_ready {
                         EngineStall::InputStarved
-                    } else if !engine_free || !inject_free {
+                    } else if !inject_free {
                         EngineStall::Budget
                     } else {
                         EngineStall::OutputBlocked
@@ -1500,9 +1475,6 @@ impl<'a> RunState<'a> {
                 }
             }
             if fires {
-                if self.cfg.max_reductions_per_router.is_some() {
-                    self.engine_budget[v] -= 1;
-                }
                 if self.cfg.max_injections_per_node.is_some() {
                     self.inject_budget[v] -= 1;
                 }
@@ -1520,7 +1492,7 @@ impl<'a> RunState<'a> {
                 }
                 self.progress = true;
                 rearm = true;
-            } else if !engine_free || !inject_free {
+            } else if !inject_free {
                 // Budgets refill next cycle without any queue event.
                 rearm = true;
             }
@@ -1651,17 +1623,15 @@ impl<'a> RunState<'a> {
         if k == 0 {
             return false;
         }
-        // A faulted channel transmits nothing this cycle. Full outages
-        // additionally charge a stall to every resident stream with staged
-        // data — the timeout/retry detector. (Tracer channel/stream hooks
-        // are skipped: the channel is physically dead, not arbitrating.)
+        // A downed channel transmits nothing this cycle, and charges a
+        // stall to every resident stream with staged data — the
+        // timeout/retry detector. (Tracer channel/stream hooks are skipped:
+        // the channel is physically dead, not arbitrating.)
         if let Some(fs) = faults.as_mut() {
-            if fs.channel_blocked(c, cycle) {
-                if fs.channel_down(c) {
-                    let members = &self.c.chan_members[lo..hi];
-                    let sendq_len = &self.sendq_len;
-                    fs.observe_outage(c, members, |s| sendq_len[s] > 0, cycle);
-                }
+            if fs.channel_down(c) {
+                let members = &self.c.chan_members[lo..hi];
+                let sendq_len = &self.sendq_len;
+                fs.observe_outage(c, members, |s| sendq_len[s] > 0, cycle);
                 return true;
             }
         }
@@ -2164,45 +2134,6 @@ mod tests {
         assert_eq!(r.mismatches, 0);
         // Streams at link rate like the reduce direction.
         assert!(r.measured_bandwidth > 0.8, "measured {}", r.measured_bandwidth);
-    }
-
-    #[test]
-    fn engine_cap_throttles_multi_tree_routers() {
-        // Two edge-disjoint trees both stream at link rate, so routers
-        // need two reductions per cycle; capping the engine at 1 halves
-        // throughput. (Overlapping congestion-2 trees only need ~1
-        // reduction per router per cycle on average, and the fair rotation
-        // covers that — which is itself the Lemma 7.8 engine story.)
-        let mut g = Graph::new(4);
-        for u in 0..4 {
-            for v in u + 1..4 {
-                g.add_edge(u, v);
-            }
-        }
-        let t1 = RootedTree::from_path(&[0, 1, 2, 3], 1).unwrap();
-        let t2 = RootedTree::from_path(&[2, 0, 3, 1], 1).unwrap();
-        let m = 2000;
-        let emb = MultiTreeEmbedding::new(&g, &[t1, t2], &[m / 2, m / 2]);
-        let w = Workload::new(4, m);
-        let free = Simulator::new(&g, &emb, SimConfig::default()).run(&w);
-        let capped = Simulator::new(
-            &g,
-            &emb,
-            SimConfig { max_reductions_per_router: Some(1), ..Default::default() },
-        )
-        .run(&w);
-        assert!(free.completed && capped.completed);
-        assert_eq!(capped.mismatches, 0);
-        assert!(
-            free.measured_bandwidth > 1.8,
-            "uncapped streams both trees: {}",
-            free.measured_bandwidth
-        );
-        assert!(
-            capped.measured_bandwidth < 1.2,
-            "engine cap 1 halves throughput: {}",
-            capped.measured_bandwidth
-        );
     }
 
     #[test]

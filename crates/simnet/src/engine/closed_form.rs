@@ -51,9 +51,9 @@
 //! [`ClosedForm::select`] admits a component, whole, when all of these
 //! hold:
 //!
-//! * no tracer, fault layer or per-node cap is attached (a tracer keeps
-//!   one timeline, a fault layer one detector clock, and caps share
-//!   budgets across trees);
+//! * no tracer, fault layer or per-node injection cap is attached (a
+//!   tracer keeps one timeline, a fault layer one detector clock, and the
+//!   cap shares each node's budget across trees);
 //! * every tree in it has `min(len, L) ≤ vc_buffer` and its last delivery
 //!   fits inside `max_cycles`;
 //! * no two live streams on any of its channels have overlapping transmit

@@ -111,7 +111,6 @@ pub(super) fn run(
     let mut value_digest = 0u64;
     let mut tree_completion = vec![0u64; emb.num_trees()];
     let mut tree_deliveries = vec![0u64; emb.num_trees()];
-    let mut engine_budget = vec![0u32; n];
     let mut inject_budget = vec![0u32; n];
     let mut tracer = tracer;
     let mut faults = faults;
@@ -124,9 +123,6 @@ pub(super) fn run(
         cycle += 1;
         if let Some(fs) = faults.as_mut() {
             fs.begin_cycle(cycle);
-        }
-        if let Some(cap) = cfg.max_reductions_per_router {
-            engine_budget.fill(cap);
         }
         if let Some(cap) = cfg.max_injections_per_node {
             inject_budget.fill(cap);
@@ -146,9 +142,9 @@ pub(super) fn run(
         }
 
         // 2. Compute.
-        // Rotate tree priority per cycle so shared per-node budgets
-        // (engine/injection caps) are served max-min fairly instead of
-        // starving high-index trees.
+        // Rotate tree priority per cycle so shared per-node injection
+        // budgets are served max-min fairly instead of starving
+        // high-index trees.
         let ntrees = emb.num_trees();
         for ti in (0..ntrees).map(|i| (i + cycle as usize) % ntrees.max(1)) {
             let tree = emb.slices()[ti];
@@ -196,8 +192,6 @@ pub(super) fn run(
                 // -- Reduction engine (allreduce / reduce / reduce-scatter) --
                 let eng = &engines[ti][v as usize];
                 if kind.reduces() && eng.reduced < tree.len {
-                    let engine_free =
-                        cfg.max_reductions_per_router.is_none() || engine_budget[v as usize] > 0;
                     let inject_free =
                         cfg.max_injections_per_node.is_none() || inject_budget[v as usize] > 0;
                     let inputs_ready =
@@ -214,13 +208,13 @@ pub(super) fn run(
                             .iter()
                             .all(|&s| streams[s as usize].sendq.len() < cfg.source_queue);
                     if let Some(tr) = tracer.as_mut() {
-                        if !(engine_free && inject_free && inputs_ready && out_ok && bcast_ok) {
+                        if !(inject_free && inputs_ready && out_ok && bcast_ok) {
                             // Attribute the stall: missing inputs first
                             // (most fundamental), then budget, then a
                             // blocked output path.
                             let why = if !inputs_ready {
                                 EngineStall::InputStarved
-                            } else if !engine_free || !inject_free {
+                            } else if !inject_free {
                                 EngineStall::Budget
                             } else {
                                 EngineStall::OutputBlocked
@@ -230,10 +224,7 @@ pub(super) fn run(
                             tr.reduction_fired(v as usize);
                         }
                     }
-                    if engine_free && inject_free && inputs_ready && out_ok && bcast_ok {
-                        if cfg.max_reductions_per_router.is_some() {
-                            engine_budget[v as usize] -= 1;
-                        }
+                    if inject_free && inputs_ready && out_ok && bcast_ok {
                         if cfg.max_injections_per_node.is_some() {
                             inject_budget[v as usize] -= 1;
                         }
@@ -358,17 +349,14 @@ pub(super) fn run(
             if members.is_empty() {
                 continue;
             }
-            // A faulted channel transmits nothing this cycle. Full outages
-            // additionally charge a stall to every resident stream with
-            // staged data — the timeout/retry detector. (Tracer
-            // channel/stream hooks are skipped: the channel is physically
-            // dead, not arbitrating.)
+            // A downed channel transmits nothing this cycle, and charges a
+            // stall to every resident stream with staged data — the
+            // timeout/retry detector. (Tracer channel/stream hooks are
+            // skipped: the channel is physically dead, not arbitrating.)
             if let Some(fs) = faults.as_mut() {
-                if fs.channel_blocked(c, cycle) {
-                    if fs.channel_down(c) {
-                        let streams = &streams;
-                        fs.observe_outage(c, members, |s| !streams[s].sendq.is_empty(), cycle);
-                    }
+                if fs.channel_down(c) {
+                    let streams = &streams;
+                    fs.observe_outage(c, members, |s| !streams[s].sendq.is_empty(), cycle);
                     continue;
                 }
             }

@@ -1,16 +1,15 @@
 //! Deterministic fault injection and degraded-tree recovery.
 //!
-//! A [`FaultSchedule`] kills or degrades links and routers at scheduled
-//! cycles, permanently or transiently. The engine models an outage as a
-//! frozen channel: nothing crosses it (flits already in flight are stuck
-//! on the wire and delivered only if the fault heals), and upstream
-//! streams with staged data accrue *stall* cycles. Every
-//! [`DetectionConfig::timeout`] stalled cycles counts as one failed
-//! transmission attempt (a retry); after [`DetectionConfig::max_retries`]
-//! failed attempts the channel is declared dead, the owning link or
-//! router is recorded in the [`FaultReport`], and (by default) the run
-//! aborts so a fabric manager can re-plan. Transient faults that heal
-//! before the retry budget runs out only delay the collective.
+//! A [`FaultSchedule`] kills links and routers at scheduled cycles,
+//! permanently or transiently. The engine models an outage as a frozen
+//! channel: nothing crosses it (flits already in flight are stuck on the
+//! wire and delivered only if the fault heals), and upstream streams with
+//! staged data accrue *stall* cycles. Every 32 stalled cycles count as one
+//! failed transmission attempt (a retry); after 3 failed attempts the
+//! channel is declared dead, the owning link or router is recorded in the
+//! [`FaultReport`], and (unless [`FaultSchedule::abort_on_detection`] is
+//! off) the run aborts so a fabric manager can re-plan. Transient faults
+//! that heal before the retry budget runs out only delay the collective.
 //!
 //! [`run_with_recovery`] is that fabric manager: it runs the collective
 //! under a schedule, and on detection rebuilds a degraded plan on the
@@ -45,59 +44,32 @@ pub enum FaultTarget {
     Router(VertexId),
 }
 
-/// What the fault does to its target.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultKind {
-    /// Full outage: nothing crosses the affected channels.
-    Down,
-    /// Degraded link: the affected channels may transmit only on cycles
-    /// divisible by `period` — bandwidth drops to `1/period`. Degraded
-    /// channels make (slow) progress, so they never trip detection.
-    Degraded {
-        /// Transmit-gate period (≥ 2 to mean an actual slowdown).
-        period: u32,
-    },
-}
-
-/// One scheduled fault.
+/// One scheduled fault: a full outage of its target — nothing crosses
+/// the affected channels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultEvent {
     /// Cycle the fault activates (first affected cycle).
     pub cycle: u64,
     /// What fails.
     pub target: FaultTarget,
-    /// How it fails.
-    pub kind: FaultKind,
     /// `None` = permanent; `Some(d)` = transient, healing at `cycle + d`.
     pub duration: Option<u64>,
 }
 
-/// Per-channel timeout / bounded-retry semantics (see module docs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DetectionConfig {
-    /// Stalled cycles per failed transmission attempt (≥ 1).
-    pub timeout: u64,
-    /// Failed attempts before the channel is declared dead (≥ 1).
-    pub max_retries: u32,
-    /// Abort the run on the first declared-dead channel (the fabric
-    /// manager re-plans). With `false` the run keeps going until
-    /// `max_cycles` — useful to observe transient faults healing.
-    pub abort_on_detection: bool,
-}
+/// Stalled cycles per failed transmission attempt (see module docs).
+const TIMEOUT: u64 = 32;
+/// Failed attempts before a channel is declared dead.
+const MAX_RETRIES: u32 = 3;
 
-impl Default for DetectionConfig {
-    fn default() -> Self {
-        DetectionConfig { timeout: 32, max_retries: 3, abort_on_detection: true }
-    }
-}
-
-/// A full injection plan: events plus detection semantics.
+/// A full injection plan: events plus what detection does.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultSchedule {
     /// The faults, in any order (the engine sorts by activation cycle).
     pub events: Vec<FaultEvent>,
-    /// Timeout/retry semantics used by the engine.
-    pub detection: DetectionConfig,
+    /// Abort the run on the first declared-dead channel (the fabric
+    /// manager re-plans). With `false` the run keeps going until
+    /// `max_cycles` — useful to observe transient faults healing.
+    pub abort_on_detection: bool,
 }
 
 impl Default for FaultSchedule {
@@ -110,7 +82,7 @@ impl FaultSchedule {
     /// No faults. Attaching this schedule is property-tested to leave the
     /// simulation bit-identical.
     pub fn none() -> Self {
-        FaultSchedule { events: Vec::new(), detection: DetectionConfig::default() }
+        FaultSchedule { events: Vec::new(), abort_on_detection: true }
     }
 
     /// True when there is nothing to inject.
@@ -123,14 +95,9 @@ impl FaultSchedule {
         FaultSchedule {
             events: edges
                 .iter()
-                .map(|&e| FaultEvent {
-                    cycle,
-                    target: FaultTarget::Link(e),
-                    kind: FaultKind::Down,
-                    duration: None,
-                })
+                .map(|&e| FaultEvent { cycle, target: FaultTarget::Link(e), duration: None })
                 .collect(),
-            detection: DetectionConfig::default(),
+            abort_on_detection: true,
         }
     }
 
@@ -160,13 +127,8 @@ impl FaultSchedule {
         let cycle = rng.random_range(cycle_lo..=cycle_hi);
         let v = rng.random_range(0..g.num_vertices());
         FaultSchedule {
-            events: vec![FaultEvent {
-                cycle,
-                target: FaultTarget::Router(v),
-                kind: FaultKind::Down,
-                duration: None,
-            }],
-            detection: DetectionConfig::default(),
+            events: vec![FaultEvent { cycle, target: FaultTarget::Router(v), duration: None }],
+            abort_on_detection: true,
         }
     }
 }
@@ -185,7 +147,8 @@ pub struct FaultReport {
     pub first_detection_cycle: Option<u64>,
     /// Total failed transmission attempts (retry expirations).
     pub retries: u64,
-    /// True when the run was cut short by `abort_on_detection`.
+    /// True when the run was cut short by
+    /// [`FaultSchedule::abort_on_detection`].
     pub aborted: bool,
     /// Every fault-layer action, in order (also exported into the trace's
     /// `faults` table).
@@ -217,7 +180,7 @@ impl FaultReport {
 /// attached; every hook is a no-op-equivalent when it is absent.
 #[derive(Debug, Clone)]
 pub(crate) struct FaultState {
-    detection: DetectionConfig,
+    abort_on_detection: bool,
     /// Events sorted by activation cycle (stable, so schedule order breaks
     /// ties deterministically).
     events: Vec<FaultEvent>,
@@ -231,7 +194,6 @@ pub(crate) struct FaultState {
     trees: Arc<CompiledTrees>,
     // Live fault state.
     down: Vec<u32>,
-    degrade: Vec<u32>,
     router_down: Vec<bool>,
     link_down: Vec<u32>,
     /// Activated-but-not-healed events — nonzero means per-cycle stepping
@@ -252,8 +214,6 @@ pub(crate) struct FaultState {
 
 impl FaultState {
     pub(crate) fn new(g: &Graph, emb: &MultiTreeEmbedding, schedule: &FaultSchedule) -> Self {
-        assert!(schedule.detection.timeout >= 1, "detection timeout must be at least 1 cycle");
-        assert!(schedule.detection.max_retries >= 1, "at least one retry is required");
         for ev in &schedule.events {
             match ev.target {
                 FaultTarget::Link(e) => {
@@ -262,9 +222,6 @@ impl FaultState {
                 FaultTarget::Router(v) => {
                     assert!(v < g.num_vertices(), "fault targets unknown router {v}")
                 }
-            }
-            if let FaultKind::Degraded { period } = ev.kind {
-                assert!(period >= 1, "degrade period must be at least 1");
             }
         }
         let mut events = schedule.events.clone();
@@ -283,7 +240,7 @@ impl FaultState {
         }
 
         FaultState {
-            detection: schedule.detection,
+            abort_on_detection: schedule.abort_on_detection,
             events,
             next_event: 0,
             heals: Vec::new(),
@@ -291,7 +248,6 @@ impl FaultState {
             router_channels,
             trees: Arc::clone(emb.compiled()),
             down: vec![0; num_channels],
-            degrade: vec![0; num_channels],
             router_down: vec![false; g.num_vertices() as usize],
             link_down: vec![0; g.num_edges() as usize],
             active_faults: 0,
@@ -315,8 +271,8 @@ impl FaultState {
         } else {
             self.active_faults -= 1;
         }
-        match (ev.target, ev.kind) {
-            (FaultTarget::Link(e), FaultKind::Down) => {
+        match ev.target {
+            FaultTarget::Link(e) => {
                 for c in [2 * e as usize, 2 * e as usize + 1] {
                     if activate {
                         self.down[c] += 1;
@@ -330,13 +286,7 @@ impl FaultState {
                     self.link_down[e as usize] -= 1;
                 }
             }
-            (FaultTarget::Link(e), FaultKind::Degraded { period }) => {
-                let p = if activate { period } else { 0 };
-                self.degrade[2 * e as usize] = p;
-                self.degrade[2 * e as usize + 1] = p;
-            }
-            (FaultTarget::Router(v), _) => {
-                // Router faults are full outages regardless of kind.
+            FaultTarget::Router(v) => {
                 self.router_down[v as usize] = activate;
                 for ci in 0..self.router_channels[v as usize].len() {
                     let c = self.router_channels[v as usize][ci] as usize;
@@ -382,28 +332,15 @@ impl FaultState {
             }
             self.records.push(FaultTraceRow {
                 cycle,
-                action: match ev.kind {
-                    FaultKind::Down => "fail".to_string(),
-                    FaultKind::Degraded { .. } => "degrade".to_string(),
-                },
+                action: "fail".to_string(),
                 target_kind: target_kind(ev.target).to_string(),
                 target: target_id(ev.target),
-                detail: match ev.kind {
-                    FaultKind::Down => ev.duration.unwrap_or(0),
-                    FaultKind::Degraded { period } => period as u64,
-                },
+                detail: ev.duration.unwrap_or(0),
             });
         }
     }
 
-    /// True while any activated fault keeps channel `c` from transmitting
-    /// at `cycle`.
-    #[inline]
-    pub(crate) fn channel_blocked(&self, c: usize, cycle: u64) -> bool {
-        self.down[c] > 0 || (self.degrade[c] > 0 && !cycle.is_multiple_of(self.degrade[c] as u64))
-    }
-
-    /// True while channel `c` is fully down (outage, not mere degrade).
+    /// True while an activated fault keeps channel `c` from transmitting.
     #[inline]
     pub(crate) fn channel_down(&self, c: usize) -> bool {
         self.down[c] > 0
@@ -437,7 +374,7 @@ impl FaultState {
                 continue;
             }
             self.stalled[s] += 1;
-            if self.stalled[s] < self.detection.timeout {
+            if self.stalled[s] < TIMEOUT {
                 continue;
             }
             self.stalled[s] = 0;
@@ -450,7 +387,7 @@ impl FaultState {
                 target: s as u32,
                 detail: self.retries[s] as u64,
             });
-            if self.retries[s] < self.detection.max_retries {
+            if self.retries[s] < MAX_RETRIES {
                 continue;
             }
             self.stream_dead[s] = true;
@@ -473,7 +410,7 @@ impl FaultState {
             ("link", e)
         };
         self.first_detection.get_or_insert(cycle);
-        if self.detection.abort_on_detection {
+        if self.abort_on_detection {
             self.abort = true;
         }
         self.records.push(FaultTraceRow {
@@ -500,8 +437,7 @@ impl FaultState {
 
     /// True while idle cycles may be skipped as far as the fault layer is
     /// concerned: no fault is currently active. Downed channels need
-    /// per-cycle stall/retry accounting and degraded channels gate
-    /// transmission on the cycle number, so any active fault pins the
+    /// per-cycle stall/retry accounting, so any active fault pins the
     /// engine to per-cycle stepping until it heals.
     #[inline]
     pub(crate) fn skip_safe(&self) -> bool {
@@ -621,7 +557,7 @@ fn translate_schedule(schedule: &FaultSchedule, d: &DegradedPlan) -> FaultSchedu
                 Some(FaultEvent { target, ..*ev })
             })
             .collect(),
-        detection: schedule.detection,
+        abort_on_detection: schedule.abort_on_detection,
     }
 }
 
@@ -747,12 +683,7 @@ pub fn run_with_recovery(
         if newly.is_empty() {
             return Err(RecoveryError::Undetected);
         }
-        fault_set.edges.extend(&newly.edges);
-        fault_set.routers.extend(&newly.routers);
-        fault_set.edges.sort_unstable();
-        fault_set.edges.dedup();
-        fault_set.routers.sort_unstable();
-        fault_set.routers.dedup();
+        fault_set = fault_set.union(newly);
         degraded = Some(rebuild_degraded(plan, &fault_set)?);
     }
     Err(RecoveryError::NoConvergence { attempts: max_rounds })
@@ -824,10 +755,9 @@ mod tests {
         assert_eq!(run.faults.failed_edges, vec![e]);
         assert!(run.faults.failed_routers.is_empty());
         let detect = run.faults.first_detection_cycle.unwrap();
-        // Detection takes at least timeout * max_retries stalled cycles.
-        let d = schedule.detection;
-        assert!(detect >= 50 + d.timeout * (d.max_retries as u64 - 1));
-        assert!(run.faults.retries >= d.max_retries as u64);
+        // Detection takes at least TIMEOUT * MAX_RETRIES stalled cycles.
+        assert!(detect >= 50 + TIMEOUT * (MAX_RETRIES as u64 - 1));
+        assert!(run.faults.retries >= MAX_RETRIES as u64);
     }
 
     #[test]
@@ -843,10 +773,9 @@ mod tests {
             events: vec![FaultEvent {
                 cycle: 50,
                 target: FaultTarget::Link(e),
-                kind: FaultKind::Down,
                 duration: Some(40),
             }],
-            detection: DetectionConfig::default(),
+            abort_on_detection: true,
         };
         let plain = run_plain(&plan, m);
         let run = Simulator::new(&plan.graph, &emb, SimConfig::default())
@@ -858,33 +787,6 @@ mod tests {
         assert!(!run.faults.aborted);
         // The outage can only slow the run down.
         assert!(run.report.cycles >= plain.cycles);
-    }
-
-    #[test]
-    fn degraded_link_slows_but_completes() {
-        let plan = low7();
-        let m = 2000;
-        let sizes = plan.split(m);
-        let emb = MultiTreeEmbedding::new(&plan.graph, &plan.trees, &sizes);
-        let w = Workload::new(plan.graph.num_vertices(), m);
-        let e = plan.edge_congestion.iter().position(|&c| c > 0).unwrap() as u32;
-        let schedule = FaultSchedule {
-            events: vec![FaultEvent {
-                cycle: 1,
-                target: FaultTarget::Link(e),
-                kind: FaultKind::Degraded { period: 4 },
-                duration: None,
-            }],
-            detection: DetectionConfig::default(),
-        };
-        let plain = run_plain(&plan, m);
-        let run = Simulator::new(&plan.graph, &emb, SimConfig::default())
-            .with_faults(&plan.graph, schedule)
-            .run_jobs_collective(&w, &[], Collective::Allreduce);
-        assert!(run.report.completed);
-        assert_eq!(run.report.mismatches, 0);
-        assert!(run.faults.failed_edges.is_empty(), "degrades never trip detection");
-        assert!(run.report.cycles > plain.cycles, "quarter-rate link must cost cycles");
     }
 
     #[test]
@@ -912,13 +814,8 @@ mod tests {
         let plan = AllreducePlan::low_depth(5).unwrap();
         let m = 1000;
         let schedule = FaultSchedule {
-            events: vec![FaultEvent {
-                cycle: 30,
-                target: FaultTarget::Router(7),
-                kind: FaultKind::Down,
-                duration: None,
-            }],
-            detection: DetectionConfig::default(),
+            events: vec![FaultEvent { cycle: 30, target: FaultTarget::Router(7), duration: None }],
+            abort_on_detection: true,
         };
         let out =
             run_with_recovery(&plan, m, SimConfig::default(), &schedule, Collective::Allreduce)

@@ -72,8 +72,8 @@ pub use engine::{
     Simulator,
 };
 pub use faults::{
-    run_with_recovery, DetectionConfig, FaultEvent, FaultKind,
-    FaultReport, FaultSchedule, FaultTarget, RecoveryError, RecoveryOutcome, RecoveryRound,
+    run_with_recovery, FaultEvent, FaultReport, FaultSchedule, FaultTarget, RecoveryError,
+    RecoveryOutcome, RecoveryRound,
 };
 pub use trace::{FaultTraceRow, JobTraceRow, TraceConfig, TraceReport};
 pub use workload::{JobSegment, ReduceKind, Workload};

@@ -190,8 +190,8 @@ trace_rows! {
         pub input_starved_cycles: u64,
         /// Engine-cycles stalled on a full output staging queue.
         pub output_blocked_cycles: u64,
-        /// Engine-cycles stalled on the router's shared reduction/injection
-        /// budget (`max_reductions_per_router` / `max_injections_per_node`).
+        /// Engine-cycles stalled on the node's shared injection budget
+        /// (`max_injections_per_node`).
         pub budget_stall_cycles: u64,
     }
 
@@ -204,20 +204,20 @@ trace_rows! {
     pub struct FaultTraceRow {
         /// Cycle the action happened at.
         pub cycle: u64,
-        /// `"fail"`, `"degrade"`, `"heal"`, `"retry"`, or `"detected"`.
+        /// `"fail"`, `"heal"`, `"retry"`, or `"detected"`.
         pub action: String,
         /// `"link"`, `"router"`, or `"stream"` (retries are per stream).
         pub target_kind: String,
         /// Edge, router, or stream id, per `target_kind`.
         pub target: u32,
         /// Action-specific payload: fault duration (0 = permanent) for
-        /// `"fail"`, degrade period for `"degrade"`, the retry ordinal for
-        /// `"retry"`, 0 otherwise.
+        /// `"fail"`, the retry ordinal for `"retry"`, 0 otherwise.
         pub detail: u64,
     }
 
-    /// One tenant's scheduling record in a multi-job run, as filled in by the
-    /// `pf-sched` scheduler. Appears in the trace's `jobs` table; like the
+    /// One tenant's scheduling record in a multi-job run, as `pf-sched`'s
+    /// `SchedReport::trace_rows` yields it. Appears in the trace's `jobs`
+    /// table, which the engine leaves empty for the caller to fill; like the
     /// `faults` table it postdates the original v1 writer, is absent from
     /// single-job traces and optional on parse, so the `pf-simnet-trace-v1`
     /// schema tag is unchanged.
@@ -288,8 +288,8 @@ pub struct TraceReport {
     /// Fault-layer actions (empty unless faults were injected; see
     /// [`crate::faults`] and `docs/FAULTS.md`).
     pub faults: Vec<FaultTraceRow>,
-    /// Per-tenant scheduling records (empty unless the trace came from a
-    /// `pf-sched` multi-job wave; see `docs/SCHEDULER.md`).
+    /// Per-tenant scheduling records (the engine leaves it empty; a caller
+    /// fills it from a `pf-sched` run; see `docs/SCHEDULER.md`).
     pub jobs: Vec<JobTraceRow>,
 }
 
@@ -434,7 +434,7 @@ pub(crate) enum EngineStall {
     InputStarved,
     /// The output (or broadcast fan-out) staging queue was full.
     OutputBlocked,
-    /// The router's shared engine/injection budget was exhausted.
+    /// The node's shared injection budget was exhausted.
     Budget,
 }
 

@@ -18,7 +18,7 @@
 use pf_allreduce::recovery::{rebuild_degraded, FaultSet};
 use pf_allreduce::AllreducePlan;
 use pf_simnet::engine::Collective;
-use pf_simnet::faults::{DetectionConfig, FaultEvent, FaultKind, FaultSchedule, FaultTarget};
+use pf_simnet::faults::{FaultEvent, FaultSchedule, FaultTarget};
 use pf_simnet::{
     CompiledTrees, JobBinding, JobSegment, MultiTreeEmbedding, ReduceKind, RunReport, SimConfig,
     Simulator, TraceConfig, Workload,
@@ -123,10 +123,9 @@ fn schedule(fx: &Fixture, fault: u32, edge: u32, at: u64) -> Option<FaultSchedul
         events: vec![FaultEvent {
             cycle: at,
             target: FaultTarget::Link(edge % fx.plan.graph.num_edges()),
-            kind: FaultKind::Down,
             duration,
         }],
-        detection: DetectionConfig::default(),
+        abort_on_detection: true,
     })
 }
 

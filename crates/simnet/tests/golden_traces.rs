@@ -25,8 +25,8 @@
 use pf_allreduce::{AllreducePlan, Budget, KaryMultitree};
 use pf_simnet::engine::Collective;
 use pf_simnet::{
-    DetectionConfig, FaultEvent, FaultKind, FaultSchedule, FaultTarget, MultiTreeEmbedding,
-    SimConfig, Simulator, TraceConfig, TraceReport, Workload,
+    FaultEvent, FaultSchedule, FaultTarget, MultiTreeEmbedding, SimConfig, Simulator,
+    TraceConfig, TraceReport, Workload,
 };
 use std::path::{Path, PathBuf};
 
@@ -69,10 +69,9 @@ fn golden_faulted_trace(duration: Option<u64>) -> TraceReport {
         events: vec![FaultEvent {
             cycle: 10,
             target: FaultTarget::Link(e),
-            kind: FaultKind::Down,
             duration,
         }],
-        detection: DetectionConfig::default(),
+        abort_on_detection: true,
     };
     let sizes = plan.split(M);
     let emb = MultiTreeEmbedding::new(&plan.graph, &plan.trees, &sizes);
