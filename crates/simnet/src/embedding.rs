@@ -20,7 +20,7 @@
 
 use pf_allreduce::Collective;
 use pf_graph::{Graph, RootedTree, VertexId};
-use std::ops::{Deref, Range};
+use std::ops::Deref;
 use std::sync::Arc;
 
 /// Sentinel for "no stream wired here" in the flat dataflow arrays.
@@ -77,7 +77,7 @@ pub(crate) struct TreeOrder {
     /// Per tree: its positions in `nodes`.
     tree_off: Vec<u32>,
     /// Nodes, children before parents; a tree's root comes last.
-    pub(crate) nodes: Vec<u32>,
+    nodes: Vec<u32>,
     /// Per position: its range in `children`.
     child_off: Vec<u32>,
     children: Vec<u32>,
@@ -114,13 +114,37 @@ impl TreeOrder {
         TreeOrder { tree_off, nodes, child_off, children: kids }
     }
 
-    /// Tree `ti`'s positions in [`TreeOrder::nodes`].
-    pub(crate) fn span(&self, ti: usize) -> Range<usize> {
-        self.tree_off[ti] as usize..self.tree_off[ti + 1] as usize
+    /// Tree `ti`, children first.
+    pub(crate) fn tree(&self, ti: usize) -> OrderedTree<'_> {
+        let (start, end) = (self.tree_off[ti] as usize, self.tree_off[ti + 1] as usize);
+        OrderedTree {
+            nodes: &self.nodes[start..end],
+            child_off: &self.child_off[start..=end],
+            children: &self.children,
+        }
+    }
+}
+
+/// One tree of a [`TreeOrder`]: its nodes, children before parents and the
+/// root last, and node `i`'s children at
+/// `children[child_off[i]..child_off[i + 1]]`, in reduce-input order.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct OrderedTree<'a> {
+    pub(crate) nodes: &'a [u32],
+    /// One entry per node, then one past the last node's children.
+    child_off: &'a [u32],
+    children: &'a [u32],
+}
+
+impl<'a> OrderedTree<'a> {
+    /// The tree of `node` alone, with no children.
+    pub(crate) fn lone(node: &'a u32) -> Self {
+        OrderedTree { nodes: std::slice::from_ref(node), child_off: &[0, 0], children: &[] }
     }
 
     /// The children of the node at position `i`.
-    pub(crate) fn children(&self, i: usize) -> &[u32] {
+    #[inline(always)]
+    pub(crate) fn children(&self, i: usize) -> &'a [u32] {
         &self.children[self.child_off[i] as usize..self.child_off[i + 1] as usize]
     }
 }
@@ -286,9 +310,9 @@ impl CompiledTrees {
         });
         let mut height = vec![0u32; pairs];
         for ti in 0..ntrees {
-            for i in order.span(ti) {
-                let v = order.nodes[i] as usize;
-                height[ti * n + v] = order
+            let tree = order.tree(ti);
+            for (i, &v) in tree.nodes.iter().enumerate() {
+                height[ti * n + v as usize] = tree
                     .children(i)
                     .iter()
                     .map(|&c| height[ti * n + c as usize] + 1)

@@ -29,9 +29,12 @@
 //! slice in element order, so once the run stops, one blockwise value
 //! pass (`value_pass`) computes what each sink received over its
 //! delivered prefix: the validation, the delivery digest and each job's
-//! hash and mismatch count. Its per-(node, element) loops are the vector
-//! kernels of `kernels` (portable, or AVX-512 when the CPU has it; the
-//! same bits either way).
+//! hash and mismatch count. It reduces each block of 64 elements of a
+//! tree with one call of the tree kernel of `kernels` per segment run
+//! (portable, or AVX-512 when the CPU has it; the same bits either way),
+//! then validates and hashes each element once. The delivery digest is
+//! linear in the sink ([`delivery_digest_entry`]), so a sink's delivered
+//! prefix of a tree costs one multiply, not one hash per element.
 //!
 //! # Execution strategy
 //!
@@ -97,9 +100,9 @@
 //! arrivals and transmit walk the active sets whether traced, faulted or
 //! neither.
 
-use crate::embedding::{CompiledTrees, MultiTreeEmbedding, TreeOrder, NONE};
+use crate::embedding::{CompiledTrees, MultiTreeEmbedding, OrderedTree, TreeOrder, NONE};
 use crate::faults::{FaultReport, FaultSchedule, FaultState};
-use crate::kernels::{self, LineBuf};
+use crate::kernels::{self, LineBuf, VALUE_BLOCK};
 use crate::trace::{EngineStall, TraceConfig, TraceReport, Tracer};
 use crate::workload::Workload;
 use pf_graph::Graph;
@@ -172,10 +175,15 @@ pub struct SimReport {
     pub mismatches: u64,
     /// Order-independent digest of every `(sink node, global element,
     /// delivered value)` triple — the wrapping sum of
-    /// [`delivery_digest_entry`] over all deliveries. Two collectives
-    /// delivering the same values to the same sinks produce the same
-    /// digest regardless of timing, which is how the composition suite
-    /// proves reduce-scatter∘allgather ≡ allreduce.
+    /// [`delivery_digest_entry`] over all deliveries,
+    /// `Σ w(sink) · hash_entry(element, value)` modulo 2^64 with an odd
+    /// weight `w` per sink. Two collectives delivering the same values to
+    /// the same sinks produce the same digest regardless of timing, which
+    /// is how the composition suite proves reduce-scatter∘allgather ≡
+    /// allreduce. Being linear in the sink, it costs the value pass one
+    /// multiply per sink and tree; it still changes when a value, an
+    /// element or the sink of a delivery does (see
+    /// [`delivery_digest_entry`]).
     pub value_digest: u64,
     /// Aggregate goodput in elements/cycle: `total_elems / cycles`.
     pub measured_bandwidth: f64,
@@ -733,10 +741,30 @@ pub(crate) fn hash_entry(elem: u64, val: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// Sink `node`'s weight in [`SimReport::value_digest`]: `hash_entry(node,
+/// 0)` with its low bit set. Odd, so multiplying by it is one-to-one
+/// modulo 2^64.
+#[inline]
+pub(crate) fn sink_weight(node: u64) -> u64 {
+    hash_entry(node, 0) | 1
+}
+
 /// The digest entry one delivery contributes to
-/// [`SimReport::value_digest`]: a nested `hash_entry` over the sink
-/// node, the global element id, and the delivered value (raw `u64`
-/// payload — float workloads contribute their bit patterns).
+/// [`SimReport::value_digest`]: `w(node) · hash_entry(elem, val)`, a
+/// wrapping multiply of the sink's odd weight `w` (a hash of the node id)
+/// by the hash of the global element id and the delivered value (raw
+/// `u64` payload — float workloads contribute their bit patterns).
+///
+/// The entry is linear in the sink: a sink's entries over the elements it
+/// received sum to `w(node)` times the sum of their element hashes, which
+/// is how the value pass digests a sink's whole prefix with one multiply.
+/// It still tells deliveries apart. A changed value or element changes
+/// the element hash. An odd weight is invertible modulo 2^64, so a sink's
+/// term is zero only when its hash sum is. The same delivery at another
+/// sink differs by `(w(a) − w(b)) · hash_entry(elem, val)`, which is zero
+/// only when the trailing zero bits of the two factors add up to 64 (the
+/// weights of node ids below 2^16 are distinct, so the first factor is
+/// never zero).
 ///
 /// Exposed so tests can reconstruct the digest a collective *should*
 /// produce (e.g. a reduce-scatter delivers `(root(t), offset+e,
@@ -745,7 +773,7 @@ pub(crate) fn hash_entry(elem: u64, val: u64) -> u64 {
 #[inline]
 #[must_use]
 pub fn delivery_digest_entry(node: u64, elem: u64, val: u64) -> u64 {
-    hash_entry(node, hash_entry(elem, val))
+    sink_weight(node).wrapping_mul(hash_entry(elem, val))
 }
 
 /// Largest window of the batch detector, and so the longest shape period
@@ -760,11 +788,6 @@ const BATCH_PMAX: u64 = 1024;
 /// that never saturate (latency tails, fault-frozen stretches) never pay
 /// for the detector at all.
 const BATCH_STREAK: u32 = 32;
-/// Element block width of the value pass: one scratch row per node,
-/// `VALUE_BLOCK` contiguous elements per pass, sized to keep the whole
-/// working set (n rows) in cache while leaving the inner combine loops
-/// long enough to vectorize.
-const VALUE_BLOCK: usize = 64;
 /// Re-arm backoff after a failed match/window (doubles up to the cap): a
 /// run that is *not* periodic stops paying the snapshot cost quickly.
 const BATCH_BACKOFF0: u64 = 64;
@@ -841,33 +864,17 @@ impl BatchSnap {
     }
 }
 
-/// Splits two distinct `VALUE_BLOCK`-strided rows out of the scratch
-/// matrix: the row being combined into (mutable) and the child row being
-/// read. Free function so the borrows stay field-local at the call site.
-#[inline]
-fn two_rows(buf: &mut [u64], a: usize, b: usize, bw: usize) -> (&mut [u64], &[u64]) {
-    debug_assert_ne!(a, b);
-    if a < b {
-        let (lo, hi) = buf.split_at_mut(b * VALUE_BLOCK);
-        (&mut lo[a * VALUE_BLOCK..a * VALUE_BLOCK + bw], &hi[..bw])
-    } else {
-        let (lo, hi) = buf.split_at_mut(a * VALUE_BLOCK);
-        (&mut hi[..bw], &lo[b * VALUE_BLOCK..b * VALUE_BLOCK + bw])
-    }
-}
-
 impl TreeOrder {
     /// One block of the value pass: global elements `ge..ge + bw` of tree
-    /// `ti`. When the collective reduces, row `v` of `rows` (stride
-    /// `VALUE_BLOCK`) becomes R(v), the value node `v` pushes up: its
+    /// `ti`, leaving in the root's row of `rows` (stride `VALUE_BLOCK`)
+    /// the value every sink of the tree receives. When the collective
+    /// reduces, row `v` becomes R(v), the value node `v` pushes up: its
     /// input combined with each child's row in CSR order, bit-identical to
     /// the reference stepper, which combines the same inputs in the same
-    /// order. Either way the root's row ends up holding the value every
-    /// sink receives — R(root), the root's own input for a broadcast, the
-    /// expected reduction for an allgather. The last row gets each
-    /// element's digest key `hash_entry(element, root value)`: the job
-    /// hash adds it once, and each sink's delivery digest nests it once
-    /// more.
+    /// order. A broadcast's root row is the root's own input, an
+    /// allgather's the expected reduction. The tree kernel runs once per
+    /// segment run of the block: once, unless the block crosses a job
+    /// boundary.
     fn fill_block(
         &self,
         ti: usize,
@@ -877,30 +884,18 @@ impl TreeOrder {
         bw: usize,
         rows: &mut [u64],
     ) {
-        let span = self.span(ti);
-        let root = self.nodes[span.end - 1] as usize;
-        if kind.reduces() {
-            for i in span {
-                let v = self.nodes[i] as usize;
-                w.input_run(v as u32, ge, &mut rows[v * VALUE_BLOCK..v * VALUE_BLOCK + bw]);
-                for &c in self.children(i) {
-                    let (acc, xs) = two_rows(rows, v, c as usize, bw);
-                    w.combine_run(ge, acc, xs);
-                }
+        let tree = self.tree(ti);
+        let root = tree.nodes.last().expect("a tree has a root");
+        if kind.reduces() || kind == Collective::Broadcast {
+            let tree = if kind.reduces() { tree } else { OrderedTree::lone(root) };
+            for run in w.runs(ge, bw) {
+                kernels::reduce_tree(&run, ge, tree, rows);
             }
         } else {
-            let row = &mut rows[root * VALUE_BLOCK..root * VALUE_BLOCK + bw];
-            if kind == Collective::Broadcast {
-                w.input_run(root as u32, ge, row);
-            } else {
-                for (k, x) in row.iter_mut().enumerate() {
-                    *x = w.expected(ge + k as u64);
-                }
+            let at = *root as usize * VALUE_BLOCK;
+            for (k, x) in rows[at..at + bw].iter_mut().enumerate() {
+                *x = w.expected(ge + k as u64);
             }
-        }
-        let (vals, keys) = rows.split_at_mut(rows.len() - VALUE_BLOCK);
-        for (k, key) in keys[..bw].iter_mut().enumerate() {
-            *key = hash_entry(ge + k as u64, vals[root * VALUE_BLOCK + k]);
         }
     }
 }
@@ -913,13 +908,19 @@ impl TreeOrder {
 /// and `mismatches` into `jobs` and returns the run's mismatch count and
 /// value digest.
 ///
-/// Per block of [`TreeOrder::fill_block`], every element is validated once
-/// (`bad_before` counts the failures among a block's first `k` elements)
-/// and each sink's run is digested by one kernel call. The root adds each
-/// element it fires or sources to its job's hash. Every sink validates
-/// what it receives except a root that sources the broadcast, and all of
-/// them check the same value against the same expectation: the root's
-/// input for a broadcast, the reduction otherwise.
+/// Per block of [`TreeOrder::fill_block`], every element is validated and
+/// hashed once: `bad_before[k]` counts the failures among a block's first
+/// `k` elements, and `prefix[k]` sums their digest keys `hash_entry(e,
+/// root value)`. Each sink is charged once per tree, in the block where
+/// its delivered prefix ends: with `keys` and `fails` the digest keys and
+/// failures of the tree's earlier blocks, a sink that received `k` of the
+/// block's elements adds `fails + bad_before[k]` mismatches and, since
+/// [`delivery_digest_entry`] is linear in the sink, `w(v) · (keys +
+/// prefix[k])` to the digest: one multiply per sink and tree. The root's
+/// prefix sum is its job's hash. Every sink validates what it receives
+/// except a root that sources the broadcast, and all of them check the
+/// same value against the same expectation: the root's input for a
+/// broadcast, the reduction otherwise.
 fn value_pass(
     emb: &MultiTreeEmbedding,
     w: &Workload,
@@ -930,44 +931,53 @@ fn value_pass(
 ) -> (u64, u64) {
     let n = emb.num_nodes() as usize;
     // Rows of `VALUE_BLOCK` words each start on a 64-byte line.
-    let mut rows = LineBuf::zeroed((n + 1) * VALUE_BLOCK);
+    let mut rows = LineBuf::zeroed(n * VALUE_BLOCK);
     let mut bad_before = [0u32; VALUE_BLOCK + 1];
+    let mut prefix = [0u64; VALUE_BLOCK + 1];
     let (mut mismatches, mut digest) = (0u64, 0u64);
     for (ti, t) in emb.slices().iter().enumerate() {
         let root = emb.root(ti) as usize;
         let sinks = if kind.broadcasts() { 0..n } else { root..root + 1 };
-        let hi = sinks.clone().map(|v| delivered(ti, v)).max().unwrap_or(0);
-        let (mut bad, mut hash) = (0u64, 0u64);
+        let (lo, hi) = sinks
+            .clone()
+            .map(|v| delivered(ti, v))
+            .fold((u64::MAX, 0), |(lo, hi), d| (lo.min(d), hi.max(d)));
+        let (mut keys, mut fails, mut bad, mut hash) = (0u64, 0u64, 0u64, 0u64);
         let mut blk = 0u64;
         while blk < hi {
             let bw = ((hi - blk) as usize).min(VALUE_BLOCK);
-            let ge = t.offset + blk;
+            let (ge, end) = (t.offset + blk, blk + bw as u64);
             emb.order.fill_block(ti, w, kind, ge, bw, &mut rows);
-            let (vals, keys) = rows.split_at(n * VALUE_BLOCK);
-            let vals = &vals[root * VALUE_BLOCK..root * VALUE_BLOCK + bw];
-            for (k, &val) in vals.iter().enumerate() {
+            for (k, &val) in rows[root * VALUE_BLOCK..root * VALUE_BLOCK + bw].iter().enumerate() {
                 let g = ge + k as u64;
                 let expect = match kind {
                     Collective::Broadcast => w.input(root as u32, g),
                     _ => w.expected(g),
                 };
                 bad_before[k + 1] = bad_before[k] + u32::from(!w.value_close_at(g, val, expect));
+                prefix[k + 1] = prefix[k].wrapping_add(hash_entry(g, val));
             }
-            for v in sinks.clone() {
-                let k = delivered(ti, v).saturating_sub(blk).min(bw as u64) as usize;
-                if k == 0 {
-                    continue;
-                }
-                let run = &keys[..k];
-                digest = digest.wrapping_add(kernels::digest(v as u64, run));
-                if v == root {
-                    hash = run.iter().fold(hash, |h, &key| h.wrapping_add(key));
-                }
-                if v != root || kind.reduces() {
-                    bad += u64::from(bad_before[k]);
+            // No sink's prefix ends before `lo`.
+            if end >= lo {
+                for v in sinks.clone() {
+                    let d = delivered(ti, v);
+                    if d <= blk || d > end {
+                        continue;
+                    }
+                    let k = (d - blk) as usize;
+                    let sum = keys.wrapping_add(prefix[k]);
+                    digest = digest.wrapping_add(sink_weight(v as u64).wrapping_mul(sum));
+                    if v == root {
+                        hash = sum;
+                    }
+                    if v != root || kind.reduces() {
+                        bad += fails + u64::from(bad_before[k]);
+                    }
                 }
             }
-            blk += bw as u64;
+            keys = keys.wrapping_add(prefix[bw]);
+            fails += u64::from(bad_before[bw]);
+            blk = end;
         }
         mismatches += bad;
         if let Some(j) = bindings.and_then(|bs| bs.iter().position(|b| b.trees.contains(&ti))) {
@@ -2418,5 +2428,263 @@ mod tests {
                 &[JobBinding { trees: 1..2, release: 0 }],
                 Collective::Allreduce,
             );
+    }
+}
+
+#[cfg(test)]
+mod value_pass_tests {
+    use super::*;
+    use crate::workload::{JobSegment, ReduceKind};
+    use pf_allreduce::AllreducePlan;
+
+    /// [`TreeOrder::fill_block`] as it was before the tree kernel: node by
+    /// node in the tree's order, each node's inputs element by element,
+    /// then each child's row combined in, in CSR order.
+    fn fill_block_per_node(
+        order: &TreeOrder,
+        ti: usize,
+        w: &Workload,
+        kind: Collective,
+        ge: u64,
+        bw: usize,
+        rows: &mut [u64],
+    ) {
+        let tree = order.tree(ti);
+        let root = *tree.nodes.last().unwrap();
+        let elems = (0..bw).map(|k| (k, ge + k as u64));
+        if kind.reduces() {
+            for (i, &v) in tree.nodes.iter().enumerate() {
+                let v = v as usize;
+                for (k, e) in elems.clone() {
+                    rows[v * VALUE_BLOCK + k] = w.input(v as u32, e);
+                }
+                for &c in tree.children(i) {
+                    let c = c as usize;
+                    for (k, e) in elems.clone() {
+                        let (acc, x) = (rows[v * VALUE_BLOCK + k], rows[c * VALUE_BLOCK + k]);
+                        rows[v * VALUE_BLOCK + k] = w.combine_at(e, acc, x);
+                    }
+                }
+            }
+        } else {
+            for (k, e) in elems {
+                rows[root as usize * VALUE_BLOCK + k] = match kind {
+                    Collective::Broadcast => w.input(root, e),
+                    _ => w.expected(e),
+                };
+            }
+        }
+    }
+
+    /// The plans of the block-kernel suite: `low_depth(7)`, its repair
+    /// after one link fault, and a kary plan on the 4 × 4 torus.
+    fn plans() -> Vec<(AllreducePlan, &'static str)> {
+        use pf_allreduce::{rebuild_degraded, Budget, FaultSet, KaryMultitree};
+        let low = AllreducePlan::low_depth(7).unwrap();
+        let used = (0..low.edge_congestion.len() as u32)
+            .find(|&e| low.edge_congestion[e as usize] > 0)
+            .unwrap();
+        let repaired = rebuild_degraded(&low, &FaultSet::links(vec![used])).unwrap().to_plan(7);
+        let torus = pf_topo::torus::Torus::new(&[4, 4]).graph().clone();
+        let kary = KaryMultitree { k: 3 };
+        let kary = AllreducePlan::construct(&torus, &kary, &Budget::unlimited()).unwrap();
+        vec![
+            (low, "low_depth(7)"),
+            (repaired, "low_depth(7) less one link"),
+            (kary, "kary torus 4x4"),
+        ]
+    }
+
+    /// A `u64`, an `f64` and a segmented workload of 256 elements. The
+    /// segments change at elements 100 and 130, and two of them leave a
+    /// third of the nodes out.
+    fn workloads(n: u32) -> Vec<(Workload, &'static str)> {
+        let thirds = |r: u32| Some((0..n).filter(|v| v % 3 != r).collect::<Vec<_>>());
+        let segs = [
+            JobSegment::full(100, ReduceKind::WrappingU64),
+            JobSegment { elems: 30, kind: ReduceKind::FloatF64, participants: thirds(0) },
+            JobSegment { elems: 126, kind: ReduceKind::WrappingU64, participants: thirds(1) },
+        ];
+        vec![
+            (Workload::new(n, 256), "u64"),
+            (Workload::new_float(n, 256), "f64"),
+            (Workload::concat(n, &segs), "segmented"),
+        ]
+    }
+
+    #[test]
+    fn tree_blocks_match_the_per_node_path_and_the_portable_body() {
+        let kinds = [Collective::Allreduce, Collective::Broadcast, Collective::Allgather];
+        for (plan, label) in plans() {
+            let n = plan.graph.num_vertices();
+            let emb = MultiTreeEmbedding::new(&plan.graph, &plan.trees, &plan.split(256));
+            for (w, wl) in workloads(n) {
+                for (ti, kind) in (0..emb.num_trees()).flat_map(|ti| kinds.map(|k| (ti, k))) {
+                    // Blocks inside one segment, and blocks across 100, 130
+                    // or both.
+                    for (ge, bw) in [0u64, 60, 95, 99, 100, 125, 129, 192]
+                        .into_iter()
+                        .flat_map(|ge| [1usize, 7, 63, 64].map(|bw| (ge, bw)))
+                    {
+                        let at = format!("{label} {wl} tree {ti} {kind:?} [{ge}; {bw}]");
+                        let block = |fill: &dyn Fn(&mut [u64])| {
+                            let mut rows = vec![0u64; n as usize * VALUE_BLOCK];
+                            fill(&mut rows);
+                            rows
+                        };
+                        let want = block(&|rows| {
+                            fill_block_per_node(&emb.order, ti, &w, kind, ge, bw, rows)
+                        });
+                        let got = block(&|rows| emb.order.fill_block(ti, &w, kind, ge, bw, rows));
+                        assert!(got == want, "{at}: dispatched kernel");
+                        let portable = block(&|rows| {
+                            kernels::portable_only(|| {
+                                emb.order.fill_block(ti, &w, kind, ge, bw, rows);
+                            });
+                        });
+                        assert!(portable == want, "{at}: portable body");
+                    }
+                }
+            }
+        }
+    }
+
+    /// What a value pass over `emb` must return when sink `v` of tree `ti`
+    /// received the first `delivered(ti, v)` elements of its slice, on an
+    /// exact (`u64`) workload: each delivery's
+    /// [`delivery_digest_entry`] summed, and per job the root's
+    /// `hash_entry` over its prefix.
+    fn digest_oracle(
+        emb: &MultiTreeEmbedding,
+        w: &Workload,
+        kind: Collective,
+        bindings: &[JobBinding],
+        delivered: &dyn Fn(usize, usize) -> u64,
+    ) -> (u64, Vec<u64>) {
+        let n = emb.num_nodes() as usize;
+        let mut digest = 0u64;
+        let mut hashes = vec![0u64; bindings.len()];
+        for (ti, t) in emb.slices().iter().enumerate() {
+            let root = emb.root(ti) as usize;
+            let value = |e: u64| match kind {
+                Collective::Broadcast => w.input(root as u32, e),
+                _ => w.expected(e),
+            };
+            let sinks = if kind.broadcasts() { 0..n } else { root..root + 1 };
+            for v in sinks {
+                for e in t.offset..t.offset + delivered(ti, v) {
+                    digest = digest.wrapping_add(delivery_digest_entry(v as u64, e, value(e)));
+                }
+            }
+            let j = bindings.iter().position(|b| b.trees.contains(&ti)).unwrap();
+            for e in t.offset..t.offset + delivered(ti, root) {
+                hashes[j] = hashes[j].wrapping_add(hash_entry(e, value(e)));
+            }
+        }
+        (digest, hashes)
+    }
+
+    /// Runs the value pass over hand-set delivered counts.
+    fn pass(
+        emb: &MultiTreeEmbedding,
+        w: &Workload,
+        kind: Collective,
+        bindings: &[JobBinding],
+        delivered: &dyn Fn(usize, usize) -> u64,
+    ) -> (u64, u64, Vec<u64>) {
+        let mut jobs = vec![JobOutcome::default(); bindings.len()];
+        let (mismatches, digest) = value_pass(emb, w, kind, Some(bindings), delivered, &mut jobs);
+        let bad: u64 = jobs.iter().map(|j| j.mismatches).sum();
+        assert_eq!(bad, mismatches);
+        (mismatches, digest, jobs.iter().map(|j| j.value_hash).collect())
+    }
+
+    #[test]
+    fn digest_sums_each_delivery_over_uneven_prefixes() {
+        // Slices of 150 elements: prefixes end before, inside and at the
+        // end of the first block, and in the second and third.
+        let plan = AllreducePlan::low_depth(3).unwrap();
+        let n = plan.graph.num_vertices();
+        let ntrees = plan.trees.len();
+        let emb = MultiTreeEmbedding::new(&plan.graph, &plan.trees, &vec![150; ntrees]);
+        let segs = [
+            JobSegment::full(2 * 150, ReduceKind::WrappingU64),
+            JobSegment {
+                elems: 150 * (ntrees as u64 - 2),
+                kind: ReduceKind::WrappingU64,
+                participants: Some((0..n).step_by(2).collect()),
+            },
+        ];
+        let w = Workload::concat(n, &segs);
+        let bindings = [
+            JobBinding { trees: 0..2, release: 0 },
+            JobBinding { trees: 2..ntrees, release: 0 },
+        ];
+        let prefixes = [0u64, 1, 17, 63, 64, 65, 128, 150];
+        let delivered = |ti: usize, v: usize| prefixes[(3 * ti + v) % prefixes.len()];
+        // Wrong expectations at a few elements of every slice, for the
+        // mismatch counts: a sink that checks one inside its prefix counts
+        // it once. Only a reduction's sinks check against `expected`.
+        let mut bent = w.clone();
+        let wrong = [0u64, 16, 63, 64, 100, 149];
+        for t in emb.slices() {
+            for k in wrong {
+                bent.perturb_expected(t.offset + k);
+            }
+        }
+        for kind in Collective::ALL {
+            let (bad, digest, hashes) = pass(&emb, &w, kind, &bindings, &delivered);
+            let (want_digest, want_hashes) = digest_oracle(&emb, &w, kind, &bindings, &delivered);
+            assert_eq!(bad, 0, "{kind:?}");
+            assert_eq!(digest, want_digest, "{kind:?}: digest");
+            assert_eq!(hashes, want_hashes, "{kind:?}: job hashes");
+            let checked = |ti: usize| {
+                let root = emb.root(ti) as usize;
+                let sinks = if kind.broadcasts() { 0..n as usize } else { root..root + 1 };
+                let wrong_in = |v| wrong.iter().filter(|&&k| k < delivered(ti, v)).count() as u64;
+                sinks.map(wrong_in).sum::<u64>()
+            };
+            let want_bad = if kind.reduces() { (0..ntrees).map(checked).sum() } else { 0 };
+            assert_eq!(pass(&emb, &bent, kind, &bindings, &delivered).0, want_bad, "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn sink_weights_are_odd_and_distinct() {
+        let ids = (0..1u64 << 16).chain([(1 << 20) - 1, 1 << 20, u32::MAX.into(), u64::MAX]);
+        let mut weights: Vec<u64> = ids.map(sink_weight).collect();
+        assert!(weights.iter().all(|w| w % 2 == 1));
+        let count = weights.len();
+        weights.sort_unstable();
+        weights.dedup();
+        assert_eq!(weights.len(), count, "two sinks share a weight");
+    }
+
+    #[test]
+    fn moving_one_delivery_to_another_sink_changes_the_digest() {
+        // Sink `a` holds element k − 1 of tree 0's slice and `b` does not;
+        // then `b` holds it and `a` does not. Every other delivery stays.
+        let plan = AllreducePlan::low_depth(3).unwrap();
+        let n = plan.graph.num_vertices() as usize;
+        let emb = MultiTreeEmbedding::new(&plan.graph, &plan.trees, &plan.split(400));
+        let w = Workload::new(n as u32, 400);
+        let bindings = [JobBinding { trees: 0..emb.num_trees(), release: 0 }];
+        for k in [1u64, 40, 64, 65] {
+            for (a, b) in (0..n).flat_map(|a| (0..n).map(move |b| (a, b))).filter(|(a, b)| a != b) {
+                let before = |ti: usize, v: usize| match (ti, v) {
+                    (0, v) if v == a => k,
+                    (0, v) if v == b => k - 1,
+                    _ => 30,
+                };
+                let after = |ti: usize, v: usize| match (ti, v) {
+                    (0, v) if v == a => k - 1,
+                    (0, v) if v == b => k,
+                    _ => 30,
+                };
+                let (_, d0, _) = pass(&emb, &w, Collective::Allreduce, &bindings, &before);
+                let (_, d1, _) = pass(&emb, &w, Collective::Allreduce, &bindings, &after);
+                assert_ne!(d0, d1, "element {} moved from sink {a} to sink {b}", k - 1);
+            }
+        }
     }
 }

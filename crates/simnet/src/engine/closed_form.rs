@@ -169,11 +169,11 @@ impl ClosedForm {
             psi[root as usize] = hl_root;
             win[base + root as usize][1] = Window { lo: s + turn, hi: s + turn + last };
             let mut peak = 0;
-            for i in order.span(ti).rev() {
-                let v = order.nodes[i];
+            let tree = order.tree(ti);
+            for (i, &v) in tree.nodes.iter().enumerate().rev() {
                 let (hl_v, psi_v) = (hl(v), psi[v as usize]);
                 let below = win[base + v as usize][1].lo + l;
-                for &c in order.children(i) {
+                for &c in tree.children(i) {
                     let hl_c = hl(c);
                     let psi_c = if t.len > vc { hl_c.max(psi_v.saturating_sub(vc)) } else { hl_c };
                     let c = c as usize;

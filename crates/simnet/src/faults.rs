@@ -195,7 +195,6 @@ pub(crate) struct FaultState {
     // Live fault state.
     down: Vec<u32>,
     router_down: Vec<bool>,
-    link_down: Vec<u32>,
     /// Activated-but-not-healed events — nonzero means per-cycle stepping
     /// is required (see [`FaultState::skip_safe`]).
     active_faults: u32,
@@ -249,7 +248,6 @@ impl FaultState {
             trees: Arc::clone(emb.compiled()),
             down: vec![0; num_channels],
             router_down: vec![false; g.num_vertices() as usize],
-            link_down: vec![0; g.num_edges() as usize],
             active_faults: 0,
             stalled: vec![0; emb.streams().len()],
             retries: vec![0; emb.streams().len()],
@@ -279,11 +277,6 @@ impl FaultState {
                     } else {
                         self.down[c] -= 1;
                     }
-                }
-                if activate {
-                    self.link_down[e as usize] += 1;
-                } else {
-                    self.link_down[e as usize] -= 1;
                 }
             }
             FaultTarget::Router(v) => {

@@ -2,18 +2,26 @@
 //!
 //! The simulator's stepper moves flits without payloads; every value a
 //! run reports comes from one blockwise value pass after stepping
-//! (`engine::value_pass` over `TreeOrder::fill_block`), which the closed
-//! form calls too. That pass and
+//! (`engine::value_pass`), which the closed form calls too. That pass and
 //! [`Workload::concat`](crate::Workload::concat) spend nearly all their
-//! time in three loops: per (node, element) one input [`mix`] and one
-//! combine, and per (sink, element) one digest [`hash_entry`]. `mix` and
-//! `hash_entry` are chains of two and three 64-bit multiplies, with shifts
-//! and xors, and no dependence between elements, so they vectorize, but
-//! only on a target with a 64-bit vector multiply. The x86-64 baseline has
-//! none; AVX-512DQ has one (`vpmullq`), and AVX-512F the 64-bit lanes
-//! around it. The combine is one add, and gains from the wider lanes.
+//! time on per (node, element) work: one input [`mix`] and one combine.
+//! `mix` is a chain of two 64-bit multiplies, with shifts and xors, and no
+//! dependence between elements, so it vectorizes, but only on a target
+//! with a 64-bit vector multiply. The x86-64 baseline has none;
+//! AVX-512DQ has one (`vpmullq`), and AVX-512F the 64-bit lanes around
+//! it. The combine is one add, and gains from the wider lanes.
 //!
-//! Each kernel therefore has one `#[inline(always)]` body compiled twice:
+//! Three kernels cover that work. [`fill`] writes one node's inputs for a
+//! run of elements and [`combine`] adds one row into another; `concat`
+//! calls them per participant. [`reduce_tree`] is the value pass's whole
+//! tree block in one call: it walks a tree children first and, per node,
+//! writes its input and adds its children's rows, so a block costs one
+//! dispatch per segment run instead of one per node and one per child.
+//! The value pass then hashes each element once; its delivery digest is
+//! linear in the sink (`engine::delivery_digest_entry`), so no sink
+//! re-hashes what it received and no digest kernel is needed.
+//!
+//! Each kernel has one `#[inline(always)]` body compiled twice:
 //! once as the portable function for the build's target, and once inside
 //! a `#[target_feature(enable = "avx512f,avx512dq")]` wrapper that only
 //! calls it. The dispatcher runs the wrapper when
@@ -21,23 +29,52 @@
 //! answer, so a call pays a load and a branch), and the portable body
 //! otherwise; other targets compile only the portable body. No intrinsic
 //! is written by hand: the compiler vectorizes the same scalar code for
-//! each feature set.
+//! each feature set. A body may call another body (`reduce_tree` calls
+//! `fill` and `combine`); inside each copy that resolves to the same
+//! copy's inlined body.
 //!
 //! The two copies produce the same bits. Integer lanes run the same
-//! wrapping arithmetic, and the digest is a wrapping sum, which any
-//! association order leaves unchanged. For `f64` a lane performs the same
-//! i64→f64 conversion, the same scaling by 2^-63 and the same addition,
-//! each rounded once to nearest by IEEE 754, and Rust never contracts a
+//! wrapping arithmetic. For `f64` a lane performs the same i64→f64
+//! conversion, the same scaling by 2^-63 and the same addition, each
+//! rounded once to nearest by IEEE 754, and Rust never contracts a
 //! multiply and an add into a fused multiply-add. The combine keeps each
 //! element's addition order. The tests below hold each dispatched kernel
-//! to its portable body and to the scalar functions.
+//! to its portable body and to the scalar functions; the engine's tests
+//! hold `reduce_tree` to the node-by-node fill it replaced.
 
-use crate::engine::hash_entry;
-use crate::workload::{mix, mix_f64, ReduceKind};
+use crate::embedding::OrderedTree;
+use crate::workload::{mix, mix_f64, ReduceKind, SegmentRun};
+use std::ops::Range;
+
+/// Element block width of the value pass: one scratch row per node,
+/// `VALUE_BLOCK` contiguous elements per pass, sized to keep the whole
+/// working set (n rows) in cache while leaving the inner loops long
+/// enough to vectorize. The row stride of [`reduce_tree`]'s matrix.
+pub(crate) const VALUE_BLOCK: usize = 64;
+
+#[cfg(test)]
+thread_local! {
+    /// Set inside [`portable_only`]: every dispatch takes the portable body.
+    static PORTABLE_ONLY: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+/// Runs `f` with every kernel this thread calls dispatched to its portable
+/// body, so a test can hold a whole value pass to the portable copies.
+#[cfg(test)]
+pub(crate) fn portable_only<R>(f: impl FnOnce() -> R) -> R {
+    PORTABLE_ONLY.set(true);
+    let out = f();
+    PORTABLE_ONLY.set(false);
+    out
+}
 
 /// Does the CPU have every feature the accelerated copies enable?
 #[cfg(target_arch = "x86_64")]
 fn has_avx512() -> bool {
+    #[cfg(test)]
+    if PORTABLE_ONLY.get() {
+        return false;
+    }
     is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512dq")
 }
 
@@ -120,10 +157,43 @@ kernels! {
         }
     }
 
-    /// `Σ hash_entry(node, key)` over a run of digest keys (wrapping): the
-    /// delivery digest of one sink receiving the run's elements.
-    fn digest(node: u64, keys: &[u64]) -> u64 {
-        keys.iter().fold(0u64, |acc, &key| acc.wrapping_add(hash_entry(node, key)))
+    /// One block of the value pass over one segment run: for each node of
+    /// `tree` in order, its row of `rows` (stride [`VALUE_BLOCK`]) at the
+    /// run's columns becomes its input, or the identity when it does not
+    /// participate, and then each child's row is combined into it in CSR
+    /// order. Column `k` holds element `first + k`.
+    fn reduce_tree(run: &SegmentRun<'_>, first: u64, tree: OrderedTree<'_>, rows: &mut [u64]) {
+        let cols = run.cols.clone();
+        let e = first + cols.start as u64;
+        for (i, &v) in tree.nodes.iter().enumerate() {
+            let at = v as usize * VALUE_BLOCK;
+            let row = &mut rows[at + cols.start..at + cols.end];
+            if run.member(v) {
+                fill(run.kind, v, e, row);
+            } else {
+                row.fill(run.kind.identity());
+            }
+            for &c in tree.children(i) {
+                let (acc, xs) = two_rows(rows, v as usize, c as usize, cols.clone());
+                combine(run.kind, acc, xs);
+            }
+        }
+    }
+}
+
+/// Rows `a` (combined into) and `b` (read) of a matrix of
+/// [`VALUE_BLOCK`]-word rows, at columns `cols`. Two distinct rows, so the
+/// borrows split.
+#[inline(always)]
+fn two_rows(rows: &mut [u64], a: usize, b: usize, cols: Range<usize>) -> (&mut [u64], &[u64]) {
+    debug_assert_ne!(a, b);
+    let (a0, b0) = (a * VALUE_BLOCK, b * VALUE_BLOCK);
+    if a < b {
+        let (lo, hi) = rows.split_at_mut(b0);
+        (&mut lo[a0 + cols.start..a0 + cols.end], &hi[cols])
+    } else {
+        let (lo, hi) = rows.split_at_mut(a0);
+        (&mut hi[cols.clone()], &lo[b0 + cols.start..b0 + cols.end])
     }
 }
 
@@ -251,26 +321,6 @@ mod tests {
                         }
                     };
                     assert_eq!(want[k], scalar, "{kind:?} len {len} at {k}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn digest_matches_its_portable_body_and_scalar_hash() {
-        note_if_unaccelerated();
-        // Keys from both input kinds, plus values a reduction can reach.
-        let mut keys: Vec<u64> = (0..130u64).map(|k| mix(7, k)).collect();
-        keys.extend((0..130u64).map(|k| mix_f64(3, 1 << 40 | k).to_bits()));
-        keys.extend([0, 1, u64::MAX, 1 << 63, f64::MIN_POSITIVE.to_bits()]);
-        for node in NODES.iter().map(|&v| u64::from(v)).chain([u64::MAX]) {
-            for lo in [0usize, 1, 130, 255] {
-                for len in 0..=130.min(keys.len() - lo) {
-                    let run = &keys[lo..lo + len];
-                    let scalar =
-                        run.iter().fold(0u64, |acc, &key| acc.wrapping_add(hash_entry(node, key)));
-                    assert_eq!(portable::digest(node, run), scalar, "node {node} [{lo}; {len}]");
-                    assert_eq!(digest(node, run), scalar, "node {node} [{lo}; {len}]");
                 }
             }
         }

@@ -62,6 +62,30 @@ impl JobSegment {
     }
 }
 
+/// One segment's part of a run of elements ([`Workload::runs`]).
+pub(crate) struct SegmentRun<'a> {
+    /// The offsets into the run that the segment covers.
+    pub(crate) cols: std::ops::Range<usize>,
+    /// The segment's operator.
+    pub(crate) kind: ReduceKind,
+    /// The segment's participant bitset words (empty = every node).
+    members: &'a [u64],
+}
+
+impl SegmentRun<'_> {
+    /// Does `node` contribute its input, rather than the identity?
+    #[inline(always)]
+    pub(crate) fn member(&self, node: u32) -> bool {
+        participates(self.members, node)
+    }
+}
+
+/// Is `node` in the participant bitset `members` (empty = every node)?
+#[inline(always)]
+fn participates(members: &[u64], node: u32) -> bool {
+    members.is_empty() || members[node as usize / 64] >> (node % 64) & 1 == 1
+}
+
 /// A deterministic allreduce input: `m` elements per node, partitioned
 /// into one or more segments (one per tenant in multi-job runs).
 #[derive(Debug, Clone)]
@@ -186,8 +210,7 @@ impl Workload {
     /// Whether `node` participates in segment `seg`.
     #[inline]
     fn member(&self, seg: usize, node: u32) -> bool {
-        let bits = &self.seg_members[seg];
-        bits.is_empty() || bits[node as usize / 64] >> (node % 64) & 1 == 1
+        participates(&self.seg_members[seg], node)
     }
 
     /// The reduction operator governing global element `elem`.
@@ -266,52 +289,24 @@ impl Workload {
         self.expected[elem as usize]
     }
 
-    /// Fills `out[i] = input(node, start + i)` for a contiguous element
-    /// run with the segment lookup and operator dispatch hoisted out of
-    /// the per-element loop: the batched steady-state engine reduces whole
-    /// element blocks at once, and calling [`Workload::input`] per element
-    /// would re-run the segment search (a binary search on segmented
-    /// workloads) every time. Inside one segment the fill is one [`mix`] /
-    /// [`mix_f64`] kernel call (`kernels`).
-    pub fn input_run(&self, node: u32, start: u64, out: &mut [u64]) {
-        let end = start + out.len() as u64;
-        debug_assert!(node < self.nodes && end <= self.m);
-        let mut e = start;
-        let mut i = 0usize;
-        while e < end {
-            let seg = self.seg_index(e);
-            let stop = self.seg_end[seg].min(end);
-            let cnt = (stop - e) as usize;
-            let slot = &mut out[i..i + cnt];
-            if self.member(seg, node) {
-                kernels::fill(self.seg_kind[seg], node, e, slot);
-            } else {
-                slot.fill(self.seg_kind[seg].identity());
-            }
-            e = stop;
-            i += cnt;
-        }
-    }
-
-    /// `acc[i] = combine_at(start + i, acc[i], xs[i])` over a contiguous
-    /// element run, dispatching the operator once per segment run instead
-    /// of per element: one combine kernel call (`kernels`) per run.
-    /// Bit-exact against per-element [`Workload::combine_at`] (the f64
-    /// path performs the identical additions in the identical order).
-    pub fn combine_run(&self, start: u64, acc: &mut [u64], xs: &[u64]) {
-        assert_eq!(acc.len(), xs.len());
-        let end = start + acc.len() as u64;
+    /// The segments that elements `start..start + len` fall in, in order:
+    /// per segment, the offsets into the run it covers, its operator and
+    /// its participants. The value pass computes a block's inputs and
+    /// combines one segment run at a time, with the segment lookup and
+    /// operator dispatch hoisted out of the per-element loops.
+    pub(crate) fn runs(&self, start: u64, len: usize) -> impl Iterator<Item = SegmentRun<'_>> {
+        let end = start + len as u64;
         debug_assert!(end <= self.m);
         let mut e = start;
-        let mut i = 0usize;
-        while e < end {
-            let seg = self.seg_index(e);
-            let stop = self.seg_end[seg].min(end);
-            let cnt = (stop - e) as usize;
-            kernels::combine(self.seg_kind[seg], &mut acc[i..i + cnt], &xs[i..i + cnt]);
-            e = stop;
-            i += cnt;
-        }
+        std::iter::from_fn(move || {
+            (e < end).then(|| {
+                let seg = self.seg_index(e);
+                let stop = self.seg_end[seg].min(end);
+                let cols = (e - start) as usize..(stop - start) as usize;
+                e = stop;
+                SegmentRun { cols, kind: self.seg_kind[seg], members: &self.seg_members[seg] }
+            })
+        })
     }
 
     /// Makes `expected(elem)` wrong under its operator, so the engines'
