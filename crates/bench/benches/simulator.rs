@@ -143,12 +143,27 @@ fn bench_value_pass(c: &mut Criterion) {
     g.finish();
 }
 
+/// The workload set-up of the same regime: `Workload::new` on q = 13's
+/// 183 nodes at m = 50 000 sums every node's input for every element into
+/// `expected`, the benchmark package's `engine_saturated` set-up.
+fn bench_workload(c: &mut Criterion) {
+    let mut g = c.benchmark_group("workload");
+    g.sample_size(10);
+    let (q, nodes, m) = (13u64, 183u32, 50_000u64);
+    g.throughput(Throughput::Elements(m));
+    g.bench_with_input(BenchmarkId::new("concat", q), &m, |b, &m| {
+        b.iter(|| Workload::new(black_box(nodes), m).expected(m - 1))
+    });
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_simulator,
     bench_engine_comparison,
     bench_engine_scaling,
     bench_embedding_setup,
-    bench_value_pass
+    bench_value_pass,
+    bench_workload
 );
 criterion_main!(benches);

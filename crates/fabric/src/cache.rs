@@ -117,6 +117,13 @@ impl PlanCache {
         plan
     }
 
+    /// True when `key` is cached. Not a lookup: the counters and the LRU
+    /// order stay as they were.
+    #[must_use]
+    pub fn contains(&self, key: &CacheKey) -> bool {
+        self.map.contains_key(key)
+    }
+
     /// Current entry count.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -172,7 +179,9 @@ mod tests {
     fn hits_and_misses_count() {
         let plan = AllreducePlan::low_depth(3).unwrap();
         let mut c = PlanCache::new(4);
+        assert!(!c.contains(&key(&[0])));
         let a = c.get_or_insert_with(key(&[0]), || Arc::new(plan.tree_subset(&[0])));
+        assert!(c.contains(&key(&[0])));
         let b = c.get_or_insert_with(key(&[0]), || panic!("must hit"));
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(c.stats(), CacheStats { hits: 1, misses: 1, evictions: 0 });

@@ -24,10 +24,11 @@
 //!   amortized across the stream. The current plan's trees are compiled
 //!   once ([`CompiledTrees`]), at the first dispatch on that plan, and
 //!   every wave that runs all of them slices that compiled form.
-//! * **Fault repair.** Each link-fault event rebuilds the plan from the
-//!   healthy plan and the accumulated fault set with
-//!   [`rebuild_degraded`], and caches the result under the fault set's
-//!   fingerprint. The manager keeps no degraded plan between events.
+//! * **Fault repair.** Each link-fault event looks the accumulated fault
+//!   set's fingerprint up in the cache, and on a miss rebuilds the plan
+//!   from the healthy plan and that fault set with [`rebuild_degraded`]
+//!   and caches the result. The manager keeps no degraded plan between
+//!   events.
 //! * **Flat memory.** The manager keeps aggregates only: counters, a
 //!   64-bucket log2 latency histogram, and a rolling FNV digest folded
 //!   with the scheduler's own [`fold_job_digest`] formula. Nothing grows
@@ -346,10 +347,11 @@ impl FabricManager {
 
     /// Reports a batch of link outages (healthy edge ids) at virtual time
     /// `at`. The plan is rebuilt from the healthy plan and every fault so
-    /// far; epochs already dispatched are unaffected (faults quiesce at
-    /// epoch boundaries — an in-flight wave's transient faults are the
-    /// scheduler's own fault layer's concern). Links already dead are
-    /// ignored, and a batch of only those is no event.
+    /// far, unless the cache holds it from an earlier visit to the same
+    /// fault state; epochs already dispatched are unaffected (faults
+    /// quiesce at epoch boundaries — an in-flight wave's transient faults
+    /// are the scheduler's own fault layer's concern). Links already dead
+    /// are ignored, and a batch of only those is no event.
     ///
     /// On `Err` (the combined faults would partition the fabric) the
     /// manager's state is unchanged — the event is refused, exactly like
@@ -370,7 +372,16 @@ impl FabricManager {
             return Ok(());
         }
         let combined = self.faults.union(&delta);
-        let d = rebuild_degraded(&self.healthy, &combined)?;
+        // The executable plan is cached under the empty subset, so
+        // re-entering a previously seen fault state re-uses its copy
+        // without a rebuild: a cached state is known not to partition.
+        let fault_fp = combined.fingerprint();
+        let key = CacheKey { topology: self.topology_fp, faults: fault_fp, trees: Vec::new() };
+        let rebuilt = if self.cache.contains(&key) {
+            None
+        } else {
+            Some(rebuild_degraded(&self.healthy, &combined)?)
+        };
         if self.faults.is_empty() {
             self.full_rebuilds += 1;
         } else {
@@ -378,13 +389,11 @@ impl FabricManager {
         }
         self.fault_events += 1;
         self.faults = combined;
-        self.fault_fp = self.faults.fingerprint();
-        // The executable plan is cached under the empty subset, so
-        // re-entering a previously seen fault state re-uses its copy.
+        self.fault_fp = fault_fp;
         let q = self.healthy.q;
-        let key =
-            CacheKey { topology: self.topology_fp, faults: self.fault_fp, trees: Vec::new() };
-        self.current = self.cache.get_or_insert_with(key, || Arc::new(d.to_plan(q)));
+        self.current = self.cache.get_or_insert_with(key, || {
+            Arc::new(rebuilt.expect("a fault state not cached was rebuilt").to_plan(q))
+        });
         Ok(())
     }
 

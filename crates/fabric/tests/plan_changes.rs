@@ -183,7 +183,19 @@ fn a_fault_a_heal_and_the_same_fault_again_reach_the_engine() {
         100,
         &[(20, Some(vec![2])), (35, Some(vec![5])), (50, None), (75, Some(vec![2]))],
     );
-    let report = FabricManager::new(plan.clone(), FabricConfig::default()).play(events.clone());
+    let mut manager = FabricManager::new(plan.clone(), FabricConfig::default());
+    // The current plan after each fault event: re-entering link 2's state
+    // runs on the copy cached at its first visit.
+    let mut after_faults = Vec::new();
+    for ev in &events {
+        feed(&mut manager, ev);
+        if let FabricEvent::LinkFaults { .. } = ev {
+            after_faults.push(manager.current_plan() as *const AllreducePlan);
+        }
+    }
+    assert_eq!(after_faults[2], after_faults[0], "the same fault again runs on the cached plan");
+    assert_ne!(after_faults[1], after_faults[0]);
+    let report = manager.drain();
     assert_eq!(counters(&report), (3, 2, 1, 1));
     assert_matches_redrive(&report, &plan, &events);
 }

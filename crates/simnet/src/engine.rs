@@ -866,37 +866,37 @@ impl BatchSnap {
 
 impl TreeOrder {
     /// One block of the value pass: global elements `ge..ge + bw` of tree
-    /// `ti`, leaving in the root's row of `rows` (stride `VALUE_BLOCK`)
-    /// the value every sink of the tree receives. When the collective
-    /// reduces, row `v` becomes R(v), the value node `v` pushes up: its
-    /// input combined with each child's row in CSR order, bit-identical to
-    /// the reference stepper, which combines the same inputs in the same
-    /// order. A broadcast's root row is the root's own input, an
-    /// allgather's the expected reduction. The tree kernel runs once per
-    /// segment run of the block: once, unless the block crosses a job
-    /// boundary.
-    fn fill_block(
+    /// `ti`. Returns, from row 0 of the scratch `rows` (stride
+    /// `VALUE_BLOCK`), the value every sink of the tree receives. When the
+    /// collective reduces, that is R(root), where R(v), the value node `v`
+    /// pushes up, is its input combined with each child's R in CSR order,
+    /// bit-identical to the reference stepper, which combines the same
+    /// inputs in the same order. A broadcast's value is the root's own
+    /// input, an allgather's the expected reduction. The tree kernel runs
+    /// once per segment run of the block: once, unless the block crosses a
+    /// job boundary.
+    fn fill_block<'r>(
         &self,
         ti: usize,
         w: &Workload,
         kind: Collective,
         ge: u64,
         bw: usize,
-        rows: &mut [u64],
-    ) {
+        rows: &'r mut [u64],
+    ) -> &'r [u64] {
         let tree = self.tree(ti);
-        let root = tree.nodes.last().expect("a tree has a root");
         if kind.reduces() || kind == Collective::Broadcast {
+            let root = tree.nodes.last().expect("a tree has a root");
             let tree = if kind.reduces() { tree } else { OrderedTree::lone(root) };
             for run in w.runs(ge, bw) {
                 kernels::reduce_tree(&run, ge, tree, rows);
             }
         } else {
-            let at = *root as usize * VALUE_BLOCK;
-            for (k, x) in rows[at..at + bw].iter_mut().enumerate() {
+            for (k, x) in rows[..bw].iter_mut().enumerate() {
                 *x = w.expected(ge + k as u64);
             }
         }
+        &rows[..bw]
     }
 }
 
@@ -930,7 +930,8 @@ fn value_pass(
     jobs: &mut [JobOutcome],
 ) -> (u64, u64) {
     let n = emb.num_nodes() as usize;
-    // Rows of `VALUE_BLOCK` words each start on a 64-byte line.
+    // A tree block's stack of rows: at most one per node, each of
+    // `VALUE_BLOCK` words starting on a 64-byte line.
     let mut rows = LineBuf::zeroed(n * VALUE_BLOCK);
     let mut bad_before = [0u32; VALUE_BLOCK + 1];
     let mut prefix = [0u64; VALUE_BLOCK + 1];
@@ -945,10 +946,14 @@ fn value_pass(
         let (mut keys, mut fails, mut bad, mut hash) = (0u64, 0u64, 0u64, 0u64);
         let mut blk = 0u64;
         while blk < hi {
-            let bw = ((hi - blk) as usize).min(VALUE_BLOCK);
-            let (ge, end) = (t.offset + blk, blk + bw as u64);
-            emb.order.fill_block(ti, w, kind, ge, bw, &mut rows);
-            for (k, &val) in rows[root * VALUE_BLOCK..root * VALUE_BLOCK + bw].iter().enumerate() {
+            // Blocks end on global groups of `VALUE_BLOCK` elements, so a
+            // node's inputs in a block share one table row (see
+            // `kernels`); a slice's first block may be short.
+            let ge = t.offset + blk;
+            let bw = ((hi - blk) as usize).min(VALUE_BLOCK - (ge % VALUE_BLOCK as u64) as usize);
+            let end = blk + bw as u64;
+            let vals = emb.order.fill_block(ti, w, kind, ge, bw, &mut rows);
+            for (k, &val) in vals.iter().enumerate() {
                 let g = ge + k as u64;
                 let expect = match kind {
                     Collective::Broadcast => w.input(root as u32, g),
@@ -2512,6 +2517,10 @@ mod value_pass_tests {
         ]
     }
 
+    /// What a kernel's rows hold before it runs: a word no input, sum or
+    /// identity in these tests equals, so a column left unwritten shows.
+    const POISON: u64 = 0xDEAD_BEEF_DEAD_BEEF;
+
     #[test]
     fn tree_blocks_match_the_per_node_path_and_the_portable_body() {
         let kinds = [Collective::Allreduce, Collective::Broadcast, Collective::Allgather];
@@ -2520,27 +2529,27 @@ mod value_pass_tests {
             let emb = MultiTreeEmbedding::new(&plan.graph, &plan.trees, &plan.split(256));
             for (w, wl) in workloads(n) {
                 for (ti, kind) in (0..emb.num_trees()).flat_map(|ti| kinds.map(|k| (ti, k))) {
-                    // Blocks inside one segment, and blocks across 100, 130
-                    // or both.
+                    // Blocks inside one segment, blocks across 100, 130 or
+                    // both, and blocks across a 64-element group, which the
+                    // pass itself never asks for.
                     for (ge, bw) in [0u64, 60, 95, 99, 100, 125, 129, 192]
                         .into_iter()
                         .flat_map(|ge| [1usize, 7, 63, 64].map(|bw| (ge, bw)))
                     {
                         let at = format!("{label} {wl} tree {ti} {kind:?} [{ge}; {bw}]");
-                        let block = |fill: &dyn Fn(&mut [u64])| {
-                            let mut rows = vec![0u64; n as usize * VALUE_BLOCK];
-                            fill(&mut rows);
-                            rows
-                        };
-                        let want = block(&|rows| {
-                            fill_block_per_node(&emb.order, ti, &w, kind, ge, bw, rows)
-                        });
-                        let got = block(&|rows| emb.order.fill_block(ti, &w, kind, ge, bw, rows));
+                        let mut rows = vec![0u64; n as usize * VALUE_BLOCK];
+                        fill_block_per_node(&emb.order, ti, &w, kind, ge, bw, &mut rows);
+                        // The pass reads only the root's values. It reuses
+                        // its rows from block to block, so each call here
+                        // starts on rows that hold none of them.
+                        let root = emb.root(ti) as usize * VALUE_BLOCK;
+                        let want = &rows[root..root + bw];
+                        let mut scratch = vec![POISON; rows.len()];
+                        let got = emb.order.fill_block(ti, &w, kind, ge, bw, &mut scratch);
                         assert!(got == want, "{at}: dispatched kernel");
-                        let portable = block(&|rows| {
-                            kernels::portable_only(|| {
-                                emb.order.fill_block(ti, &w, kind, ge, bw, rows);
-                            });
+                        scratch.fill(POISON);
+                        let portable = kernels::portable_only(|| {
+                            emb.order.fill_block(ti, &w, kind, ge, bw, &mut scratch).to_vec()
                         });
                         assert!(portable == want, "{at}: portable body");
                     }

@@ -189,7 +189,10 @@ pub(crate) struct FaultState {
     heals: Vec<(u64, usize)>,
     // Static topology maps.
     channel_ends: Vec<(VertexId, VertexId)>,
-    router_channels: Vec<Vec<u32>>,
+    /// Router `v`'s channels, both directions of each of its links, at
+    /// `router_chans[router_chan_off[v]..router_chan_off[v + 1]]`.
+    router_chan_off: Vec<u32>,
+    router_chans: Vec<u32>,
     /// The compiled trees, for their stream → channel map.
     trees: Arc<CompiledTrees>,
     // Live fault state.
@@ -228,14 +231,19 @@ impl FaultState {
 
         let num_channels = 2 * g.num_edges() as usize;
         let mut channel_ends = vec![(0, 0); num_channels];
-        let mut router_channels = vec![Vec::new(); g.num_vertices() as usize];
         for (e, u, v) in g.edges() {
             channel_ends[2 * e as usize] = (u, v);
             channel_ends[2 * e as usize + 1] = (v, u);
-            for c in [2 * e, 2 * e + 1] {
-                router_channels[u as usize].push(c);
-                router_channels[v as usize].push(c);
+        }
+        // Each link's two channels listed at both its ends.
+        let mut router_chan_off = Vec::with_capacity(g.num_vertices() as usize + 1);
+        let mut router_chans = Vec::with_capacity(2 * num_channels);
+        router_chan_off.push(0);
+        for v in g.vertices() {
+            for &(_, e) in g.neighbors_with_edges(v) {
+                router_chans.extend([2 * e, 2 * e + 1]);
             }
+            router_chan_off.push(router_chans.len() as u32);
         }
 
         FaultState {
@@ -244,7 +252,8 @@ impl FaultState {
             next_event: 0,
             heals: Vec::new(),
             channel_ends,
-            router_channels,
+            router_chan_off,
+            router_chans,
             trees: Arc::clone(emb.compiled()),
             down: vec![0; num_channels],
             router_down: vec![false; g.num_vertices() as usize],
@@ -281,8 +290,10 @@ impl FaultState {
             }
             FaultTarget::Router(v) => {
                 self.router_down[v as usize] = activate;
-                for ci in 0..self.router_channels[v as usize].len() {
-                    let c = self.router_channels[v as usize][ci] as usize;
+                let chans = self.router_chan_off[v as usize] as usize
+                    ..self.router_chan_off[v as usize + 1] as usize;
+                for &c in &self.router_chans[chans] {
+                    let c = c as usize;
                     if activate {
                         self.down[c] += 1;
                     } else {

@@ -98,18 +98,29 @@ pub struct Workload {
     /// Per-segment participant bitset words (empty = every node).
     seg_members: Vec<Vec<u64>>,
     /// The expected reduction per element, on a 64-byte line so the input
-    /// and combine kernels that build it run at the same speed wherever
-    /// malloc puts it.
+    /// kernel that builds it runs at the same speed wherever malloc puts
+    /// it.
     expected: LineBuf,
 }
+
+/// The constant [`mix`] xors into every key.
+pub(crate) const MIX_SEED: u64 = 0x9E37_79B9_7F4A_7C15;
+/// [`mix`]'s first multiplier.
+pub(crate) const MIX_M1: u64 = 0xBF58_476D_1CE4_E5B9;
 
 /// SplitMix64 finalizer — a cheap, high-quality mixing function.
 #[inline]
 #[must_use]
 pub fn mix(node: u32, elem: u64) -> u64 {
-    let mut z = (node as u64) << 40 ^ elem ^ 0x9E37_79B9_7F4A_7C15;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    let z = (node as u64) << 40 ^ elem ^ MIX_SEED;
+    mix_tail((z ^ (z >> 30)).wrapping_mul(MIX_M1))
+}
+
+/// [`mix`] after its first multiply: the second multiply and the last
+/// shift.
+#[inline(always)]
+pub(crate) fn mix_tail(z: u64) -> u64 {
+    let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
 }
 
@@ -117,7 +128,13 @@ pub fn mix(node: u32, elem: u64) -> u64 {
 #[inline]
 #[must_use]
 pub fn mix_f64(node: u32, elem: u64) -> f64 {
-    (mix(node, elem) as i64 as f64) / (i64::MAX as f64 + 1.0)
+    unit_f64(mix(node, elem))
+}
+
+/// A [`mix`] output as the value in `[-1, 1)` that [`mix_f64`] returns.
+#[inline(always)]
+pub(crate) fn unit_f64(x: u64) -> f64 {
+    (x as i64 as f64) / (i64::MAX as f64 + 1.0)
 }
 
 impl Workload {
@@ -172,25 +189,17 @@ impl Workload {
         let m = end;
         let mut w =
             Workload { nodes, m, seg_end, seg_kind, seg_members, expected: LineBuf::default() };
-        // Node-major over blocks of 64 elements: each member's inputs for a
-        // block come from one kernel call and are added into the block in
-        // ascending node order. Every element sees the additions of a
-        // per-element sum from +0.0 in the same order, so f64 sums keep
-        // their bits.
+        // Node-major per global 64-element group: one kernel call per
+        // segment adds each member's inputs into a group in ascending node
+        // order before it moves to the next group. Every element sees the
+        // additions of a per-element sum from +0.0 in the same order, so
+        // f64 sums keep their bits.
         let mut expected = LineBuf::zeroed(m as usize);
-        let mut xs = [0u64; 64];
         let mut start = 0u64;
         for (seg, &end) in w.seg_end.iter().enumerate() {
-            let kind = w.seg_kind[seg];
             let members: Vec<u32> = (0..nodes).filter(|&v| w.member(seg, v)).collect();
-            for (b, acc) in expected[start as usize..end as usize].chunks_mut(64).enumerate() {
-                let e = start + 64 * b as u64;
-                let xs = &mut xs[..acc.len()];
-                for &v in &members {
-                    kernels::fill(kind, v, e, xs);
-                    kernels::combine(kind, acc, xs);
-                }
-            }
+            let acc = &mut expected[start as usize..end as usize];
+            kernels::add_inputs(w.seg_kind[seg], &members, start, acc);
             start = end;
         }
         w.expected = expected;
@@ -386,6 +395,28 @@ mod tests {
                     let w = Workload::concat(nodes, &segs);
                     assert!(*w.expected == expected_by_element(&w), "n={nodes} m={m} {segs:?}");
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn concat_copies_agree_across_group_boundaries() {
+        // Segments that start on either side of a 64-element group, one of
+        // them over the odd nodes only, on the dispatched and the portable
+        // kernel copies.
+        use ReduceKind::{FloatF64, WrappingU64};
+        let odd = Some((1..9).step_by(2).collect::<Vec<u32>>());
+        for first in [63u64, 64, 65] {
+            for kind in [WrappingU64, FloatF64] {
+                let segs = [
+                    JobSegment::full(first, kind),
+                    JobSegment { elems: 130, kind, participants: odd.clone() },
+                    JobSegment::full(1, WrappingU64),
+                ];
+                let w = Workload::concat(9, &segs);
+                let portable = kernels::portable_only(|| Workload::concat(9, &segs));
+                assert!(*w.expected == *portable.expected, "{first} {kind:?}: portable copy");
+                assert!(*w.expected == expected_by_element(&w), "{first} {kind:?}: scalar sum");
             }
         }
     }

@@ -45,16 +45,15 @@ impl PolarFly {
 
         let quadric: Vec<bool> = points.iter().map(|&p| gf.norm3(p) == 0).collect();
         // Each point's neighbors are the other points of its polar line.
-        // Edges go in as ascending `(u, v)`, `u < v`: edge ids and the
-        // adjacency lists' capacities follow from that order.
-        let mut graph = Graph::new(n);
+        // Edges go in as ascending `(u, v)`, `u < v`: edge ids follow from
+        // that order.
+        let mut edges = Vec::new();
         let mut line = Vec::with_capacity(q as usize + 1);
         for u in 0..n {
             polar_line(&gf, points[u as usize], &mut line);
-            for &v in line.iter().filter(|&&v| v > u) {
-                graph.add_edge(u, v);
-            }
+            edges.extend(line.iter().filter(|&&v| v > u).map(|&v| (u, v)));
         }
+        let graph = Graph::from_edges(n, edges);
         PolarFly { q, gf, points, graph, quadric }
     }
 
@@ -235,9 +234,8 @@ mod tests {
 
     #[test]
     fn polar_lines_build_the_orthogonality_scan_graph() {
-        // Equal edge lists mean the same `add_edge` calls in the same
-        // order, so the edge ids and the adjacency lists' capacities match
-        // too.
+        // Equal edge lists mean the same edges in the same order, so the
+        // edge ids match too.
         for q in pf_galois::prime_powers_in(2, 32) {
             let pf = PolarFly::new(q);
             let scan = graph_by_scan(&pf);

@@ -61,19 +61,19 @@ impl Singer {
             v
         };
         // O(N·|D|): each edge {i, (d - i) mod N} with i < partner.
-        let mut graph = Graph::new(n as u32);
+        let mut edges = Vec::new();
         let mut edge_sum = Vec::new();
         for i in 0..n {
             for &d in &dset {
                 let j = (d + n - i % n) % n;
                 if j > i {
-                    let id = graph.add_edge(i as VertexId, j as VertexId);
-                    debug_assert_eq!(id as usize, edge_sum.len());
                     debug_assert!(in_d[((i + j) % n) as usize]);
+                    edges.push((i as VertexId, j as VertexId));
                     edge_sum.push(d);
                 }
             }
         }
+        let graph = Graph::from_edges(n as u32, edges);
         let reflection: Vec<bool> =
             (0..n).map(|i| in_d[((2 * i) % n) as usize]).collect();
         Ok(Singer { q, n, dset, graph, reflection, edge_sum })
