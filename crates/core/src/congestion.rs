@@ -29,7 +29,9 @@
 //! subtraction per link and round) only when the link surfaces marked or
 //! a later round touches it again. A link that dies first (`C(e) = 0`)
 //! never does, so a plan whose trees share few links prices with a
-//! handful of rational operations per round.
+//! handful of rational operations per round. Only the links that absorb
+//! a share keep an `L(e)` of their own, in a list as long as they are
+//! few; every other link still has all of its unit bandwidth.
 
 use crate::rational::Rational;
 use pf_graph::{EdgeId, Graph, RootedTree, VertexId};
@@ -109,10 +111,34 @@ fn cold_key(congestion: u32, e: EdgeId) -> Reverse<u64> {
     Reverse((u64::from(u32::MAX - congestion) << 32) | u64::from(e))
 }
 
-/// Takes the weight `w` a link's trees took in `round` out of its `L(e)`.
-fn settle(avail: &mut Rational, (round, w): (u32, u32), shares: &[Rational]) {
-    let share = shares[round as usize];
-    *avail -= if w == 1 { share } else { share * Rational::from_int(i64::from(w)) };
+/// `L(e)` of every link. Only links a round has settled ever leave 1,
+/// and few do, so each gets a slot in a short list the first time.
+struct Avail {
+    /// Link -> slot in `settled`, or [`Avail::WHOLE`] while `L(e) = 1`.
+    /// Edge ids are `u32`, so there are fewer slots than `u32::MAX`.
+    slot: Vec<u32>,
+    settled: Vec<Rational>,
+}
+
+impl Avail {
+    const WHOLE: u32 = u32::MAX;
+
+    fn new(links: usize) -> Self {
+        Avail { slot: vec![Self::WHOLE; links], settled: Vec::new() }
+    }
+
+    /// Takes the weight `w` link `e`'s trees took in `round` out of its
+    /// `L(e)`, and returns what is left.
+    fn settle(&mut self, e: usize, (round, w): (u32, u32), shares: &[Rational]) -> Rational {
+        let share = shares[round as usize];
+        if self.slot[e] == Self::WHOLE {
+            self.slot[e] = self.settled.len() as u32;
+            self.settled.push(Rational::ONE);
+        }
+        let avail = &mut self.settled[self.slot[e] as usize];
+        *avail -= if w == 1 { share } else { share * Rational::from_int(i64::from(w)) };
+        *avail
+    }
 }
 
 /// Runs Algorithm 1 on weighted embeddings: `trees[i]` lists the
@@ -203,7 +229,7 @@ fn water_fill<L: Copy>(
     // trees took in `round`, at `shares[round]`. A live link with pending
     // weight is marked, since its ratio may have risen since it was
     // pushed; dead links (C(e) = 0) are never settled.
-    let mut avail = vec![Rational::ONE; ne]; // L(e)
+    let mut avail = Avail::new(ne);
     let mut pending = vec![(0u32, 0u32); ne];
     let mut shares: Vec<Rational> = Vec::with_capacity(trees.len());
 
@@ -224,8 +250,8 @@ fn water_fill<L: Copy>(
             continue; // every tree through it is assigned
         }
         if pending[emin].1 > 0 {
-            settle(&mut avail[emin], std::mem::take(&mut pending[emin]), &shares);
-            heap.push(Reverse(Entry::new(avail[emin], congestion[emin], top.edge)));
+            let left = avail.settle(emin, std::mem::take(&mut pending[emin]), &shares);
+            heap.push(Reverse(Entry::new(left, congestion[emin], top.edge)));
             continue;
         }
         // An unmarked top is current: emin = argmin L(e) / C(e) over live
@@ -252,7 +278,7 @@ fn water_fill<L: Copy>(
                 let p = &mut pending[e];
                 if p.0 != round {
                     if p.1 > 0 {
-                        settle(&mut avail[e], *p, &shares);
+                        avail.settle(e, *p, &shares);
                     }
                     *p = (round, 0);
                 }

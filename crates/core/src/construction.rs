@@ -394,24 +394,27 @@ impl KaryMultitree {
 /// bitset over edge ids holds exactly the cut edges of `t` (one endpoint
 /// an open member, one with spare child capacity, the other not yet
 /// covered) whose link `l` trees use so far. A summary word per 64 words
-/// marks the non-empty words, so the first set bit of the lowest
-/// non-empty level, the `(link use, edge id)` minimum, is a few word
-/// reads away.
+/// has a bit set for every non-empty word, and maybe for some words that
+/// have emptied since: only setting a bit marks its word, and
+/// [`Frontiers::first`] drops the marks it finds stale. So the first set
+/// bit of the lowest non-empty level, the `(link use, edge id)` minimum,
+/// is a few word reads away.
 struct Frontiers {
     /// How many trees use each link so far.
     link_use: Vec<u32>,
-    /// Per level, `words` words per tree; a level is allocated when some
-    /// link's use first reaches it.
-    bits: Vec<Vec<u64>>,
-    /// Per level, `summaries` words per tree: bit `i` of word `j` is set
-    /// iff word `64 j + i` of the tree's bitset is non-zero.
-    summary: Vec<Vec<u64>>,
+    /// `levels` levels of `trees` bitsets of `words` words each, level by
+    /// level; a level is appended when some link's use first reaches it.
+    bits: Vec<u64>,
+    /// The same for the summaries, `summaries` words per bitset: bit `i`
+    /// of word `j` is set if word `64 j + i` of its bitset is non-zero.
+    summary: Vec<u64>,
     /// Per vertex, `stride` words with one bit per tree it belongs to.
     member: Vec<u64>,
     /// Per vertex, one bit per tree in which it may adopt another child.
     /// The trees whose frontier holds edge `{a, b}` are those in which
     /// one endpoint is open and the other no member.
     open: Vec<u64>,
+    levels: usize,
     trees: usize,
     words: usize,
     summaries: usize,
@@ -429,6 +432,7 @@ impl Frontiers {
             summary: Vec::new(),
             member: vec![0; n * stride],
             open: vec![0; n * stride],
+            levels: 0,
             trees,
             words,
             summaries: words.div_ceil(64),
@@ -439,8 +443,18 @@ impl Frontiers {
     }
 
     fn add_level(&mut self) {
-        self.bits.push(vec![0; self.trees * self.words]);
-        self.summary.push(vec![0; self.trees * self.summaries]);
+        for (v, per_tree) in [(&mut self.bits, self.words), (&mut self.summary, self.summaries)] {
+            v.reserve_exact(self.trees * per_tree);
+            v.resize(v.len() + self.trees * per_tree, 0);
+        }
+        self.levels += 1;
+    }
+
+    /// Where word `i` of tree `t`'s bitset at level `l` sits in `bits`,
+    /// and where the summary word that marks it sits in `summary`.
+    fn at(&self, t: usize, l: usize, i: usize) -> (usize, usize) {
+        let set = l * self.trees + t;
+        (set * self.words + i, set * self.summaries + i / 64)
     }
 
     /// The word of a per-vertex mask and the bit in it that stand for
@@ -452,11 +466,6 @@ impl Frontiers {
     fn is_member(&self, t: usize, v: VertexId) -> bool {
         let (i, bit) = self.slot(t, v);
         self.member[i] & bit != 0
-    }
-
-    fn is_open(&self, t: usize, v: VertexId) -> bool {
-        let (i, bit) = self.slot(t, v);
-        self.open[i] & bit != 0
     }
 
     /// Makes `v` a member of tree `t`, open to children.
@@ -481,16 +490,35 @@ impl Frontiers {
         self.set(t, self.link_use[e as usize] as usize, e);
     }
 
-    /// Takes `e` out of tree `t`'s frontier.
-    fn remove(&mut self, t: usize, e: EdgeId) {
-        self.clear(t, self.link_use[e as usize] as usize, e);
+    /// Link `e = {v, w}` of a vertex `v` that just joined tree `t`: it is
+    /// in the frontier exactly when `w` is no member. One masked write
+    /// sets its bit then and clears it otherwise, with no branch on
+    /// membership. Clearing is right for both kinds of member: the link
+    /// left the frontier if `w` is open, and was never in it if `w` is
+    /// closed.
+    fn admit_link(&mut self, t: usize, w: VertexId, e: EdgeId) {
+        let (m, tree_bit) = self.slot(t, w);
+        let outside = u64::from(self.member[m] & tree_bit == 0);
+        let i = e as usize / 64;
+        let (word, mark) = self.at(t, self.link_use[e as usize] as usize, i);
+        let bit = 1 << (e % 64);
+        self.bits[word] = (self.bits[word] & !bit) | (bit & outside.wrapping_neg());
+        self.summary[mark] |= outside << (i % 64);
+    }
+
+    /// Link `e` of a member of tree `t` that just closed: it leaves the
+    /// frontier. One masked write clears its bit whatever the other end
+    /// is, since a link between two members is never in the frontier.
+    fn close_link(&mut self, t: usize, e: EdgeId) {
+        let (word, _) = self.at(t, self.link_use[e as usize] as usize, e as usize / 64);
+        self.bits[word] &= !(1 << (e % 64));
     }
 
     /// Counts one more tree on link `e = {a, b}`: every frontier that
     /// holds it moves it up one level.
     fn bump(&mut self, e: EdgeId, a: VertexId, b: VertexId) {
         let l = self.link_use[e as usize] as usize;
-        if l + 1 == self.bits.len() {
+        if l + 1 == self.levels {
             self.add_level();
         }
         self.link_use[e as usize] += 1;
@@ -508,14 +536,20 @@ impl Frontiers {
     }
 
     /// The first edge of the lowest non-empty level of tree `t`'s
-    /// frontier: its least-used link, ties to the lowest edge id.
-    fn first(&self, t: usize) -> Option<EdgeId> {
-        for (bits, summary) in self.bits.iter().zip(&self.summary) {
-            let s = &summary[t * self.summaries..(t + 1) * self.summaries];
-            if let Some(j) = s.iter().position(|&w| w != 0) {
-                let i = j * 64 + s[j].trailing_zeros() as usize;
-                let w = bits[t * self.words + i];
-                return Some((i * 64 + w.trailing_zeros() as usize) as EdgeId);
+    /// frontier: its least-used link, ties to the lowest edge id. Summary
+    /// bits of words found empty are dropped on the way.
+    fn first(&mut self, t: usize) -> Option<EdgeId> {
+        for l in 0..self.levels {
+            let (word, mark) = self.at(t, l, 0);
+            let bits = &self.bits[word..word + self.words];
+            for (j, s) in self.summary[mark..mark + self.summaries].iter_mut().enumerate() {
+                while *s != 0 {
+                    let i = j * 64 + s.trailing_zeros() as usize;
+                    if bits[i] != 0 {
+                        return Some((i * 64 + bits[i].trailing_zeros() as usize) as EdgeId);
+                    }
+                    *s &= *s - 1;
+                }
             }
         }
         None
@@ -523,19 +557,47 @@ impl Frontiers {
 
     fn set(&mut self, t: usize, l: usize, e: EdgeId) {
         let i = e as usize / 64;
-        let w = &mut self.bits[l][t * self.words + i];
+        let (word, mark) = self.at(t, l, i);
+        let w = &mut self.bits[word];
         debug_assert_eq!(*w & 1 << (e % 64), 0, "edge {e} already in tree {t}'s frontier");
         *w |= 1 << (e % 64);
-        self.summary[l][t * self.summaries + i / 64] |= 1 << (i % 64);
+        self.summary[mark] |= 1 << (i % 64);
     }
 
+    /// Takes `e` out of tree `t`'s bitset at level `l`; its summary bit
+    /// stays until [`Frontiers::first`] finds the word empty.
     fn clear(&mut self, t: usize, l: usize, e: EdgeId) {
-        let i = e as usize / 64;
-        let w = &mut self.bits[l][t * self.words + i];
+        let (word, _) = self.at(t, l, e as usize / 64);
+        let w = &mut self.bits[word];
         debug_assert_ne!(*w & 1 << (e % 64), 0, "edge {e} not in tree {t}'s frontier");
         *w &= !(1 << (e % 64));
-        if *w == 0 {
-            self.summary[l][t * self.summaries + i / 64] &= !(1 << (i % 64));
+    }
+
+    /// Checks tree `t`'s frontier against one rebuilt from the member and
+    /// open masks and the link use: every level's bitset must equal it,
+    /// and every non-zero word must have its summary bit.
+    #[cfg(test)]
+    fn audit(&self, t: usize, g: &Graph) {
+        let open = |v| {
+            let (i, bit) = self.slot(t, v);
+            self.open[i] & bit != 0
+        };
+        let holds = |a, b| open(a) && !self.is_member(t, b);
+        let mut want = vec![0u64; self.levels * self.words];
+        for (e, a, b) in g.edges() {
+            if holds(a, b) || holds(b, a) {
+                let l = self.link_use[e as usize] as usize;
+                want[l * self.words + e as usize / 64] |= 1 << (e % 64);
+            }
+        }
+        for (l, want) in want.chunks(self.words).enumerate() {
+            let (word, mark) = self.at(t, l, 0);
+            let got = &self.bits[word..word + self.words];
+            assert_eq!(got, want, "tree {t}, link-use level {l}");
+            for (i, &w) in got.iter().enumerate() {
+                let marked = self.summary[mark + i / 64] & 1 << (i % 64) != 0;
+                assert!(w == 0 || marked, "tree {t}, level {l}: word {i} has no summary bit");
+            }
         }
     }
 }
@@ -579,11 +641,7 @@ impl GrowingTree {
         f.join(t, v);
         self.members.push(v);
         for &(w, e) in g.neighbors_with_edges(v) {
-            if !f.is_member(t, w) {
-                f.insert(t, e);
-            } else if f.is_open(t, w) {
-                f.remove(t, e);
-            }
+            f.admit_link(t, w, e);
         }
     }
 
@@ -593,10 +651,8 @@ impl GrowingTree {
         self.children[u as usize] += 1;
         if !self.has_room(u, k) {
             f.set_open(t, u, false);
-            for &(w, e) in g.neighbors_with_edges(u) {
-                if !f.is_member(t, w) {
-                    f.remove(t, e);
-                }
+            for &(_, e) in g.neighbors_with_edges(u) {
+                f.close_link(t, e);
             }
         }
     }
@@ -622,14 +678,22 @@ impl GrowingTree {
 /// tree attaches the non-member reachable over the least-used link (ties
 /// to the lowest edge id) from a member under the children cap, or lifts
 /// the cap if it wedged the tree. Returns each tree's parent array.
+/// `joined(f, t)` sees the frontiers after each vertex joins tree `t`,
+/// its root included.
 /// `k >= 2`, so every member joins with room for a child.
-fn grow_trees(g: &Graph, k: u32, roots: &[VertexId]) -> Vec<Vec<Option<VertexId>>> {
+fn grow_trees(
+    g: &Graph,
+    k: u32,
+    roots: &[VertexId],
+    mut joined: impl FnMut(&Frontiers, usize),
+) -> Vec<Vec<Option<VertexId>>> {
     debug_assert!(k >= 2, "arity {k} leaves a joining member no room");
     let n = g.num_vertices() as usize;
     let mut f = Frontiers::new(g, roots.len());
     let mut trees: Vec<GrowingTree> = roots.iter().map(|&r| GrowingTree::new(n, r)).collect();
     for (t, tree) in trees.iter_mut().enumerate() {
         tree.admit(g, &mut f, t, tree.root);
+        joined(&f, t);
     }
     while trees.iter().any(|t| !t.is_spanning()) {
         for (t, tree) in trees.iter_mut().enumerate().filter(|(_, t)| !t.is_spanning()) {
@@ -641,6 +705,7 @@ fn grow_trees(g: &Graph, k: u32, roots: &[VertexId]) -> Vec<Vec<Option<VertexId>
                     tree.parents[v as usize] = Some(u);
                     tree.admit(g, &mut f, t, v);
                     tree.adopt(g, k, &mut f, t, u);
+                    joined(&f, t);
                 }
                 // The children cap wedged this tree: lift it and let the
                 // next round finish the job.
@@ -674,7 +739,7 @@ impl TreeConstruction for KaryMultitree {
     fn build(&self, g: &Graph, budget: &Budget) -> Result<Vec<RootedTree>, ConstructError> {
         check_substrate(g)?;
         let (k, roots) = self.arity_and_roots(g, budget);
-        let parents = grow_trees(g, k, &roots);
+        let parents = grow_trees(g, k, &roots, |_, _| {});
         rooted(roots, parents)
     }
 }
@@ -835,13 +900,16 @@ mod tests {
     }
 
     /// The frontier builder and the scan oracle agree tree for tree on
-    /// `g` with arity `k` under `budget`.
+    /// `g` with arity `k` under `budget`, and the growing tree's frontier
+    /// passes [`Frontiers::audit`] after every join.
     fn assert_kary_matches_scan_at(name: &str, g: &Graph, k: u32, budget: &Budget) {
         let kary = KaryMultitree { k };
         let (arity, roots) = kary.arity_and_roots(g, budget);
-        let oracle = rooted(roots.clone(), grow_trees_by_scan(g, arity, &roots)).unwrap();
+        let oracle = grow_trees_by_scan(g, arity, &roots);
+        let audited = grow_trees(g, arity, &roots, |f, t| f.audit(t, g));
+        assert_eq!(audited, oracle, "{name} k={k} {budget:?}");
         let built = kary.build(g, budget).unwrap();
-        assert_eq!(built, oracle, "{name} k={k} {budget:?}");
+        assert_eq!(built, rooted(roots, oracle).unwrap(), "{name} k={k} {budget:?}");
     }
 
     /// [`assert_kary_matches_scan_at`] under every arity and budget shape
