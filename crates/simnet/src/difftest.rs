@@ -90,6 +90,9 @@ impl Case {
     }
 
     /// [`Case::assert_identical`] on an explicit embedding and workload.
+    /// Also holds the closed-form gate to the run: a run whose trees
+    /// [`Simulator::closed_form_trees`] marks steps no cycle and marks
+    /// every non-empty tree, and any other run with a non-empty tree steps.
     fn assert_identical_on(
         &self,
         emb: &MultiTreeEmbedding,
@@ -97,8 +100,17 @@ impl Case {
         kind: Collective,
         label: &str,
     ) {
-        let opt = self.sim(emb).run_jobs_collective(w, &[], kind);
+        let (opt, stepped) = self.sim(emb).run_counting_steps(w, kind);
         let refr = self.sim(emb).run_reference(w, kind);
+
+        let marked = self.sim(emb).closed_form_trees(kind, &[]);
+        let live: Vec<bool> = emb.slices().iter().map(|t| t.len > 0).collect();
+        if marked.contains(&true) {
+            assert_eq!(marked, live, "{label}: the closed form took part of the run");
+            assert_eq!(stepped, 0, "{label}: a closed-form run stepped");
+        } else if live.contains(&true) {
+            assert!(stepped > 0, "{label}: an unmarked run stepped no cycle");
+        }
 
         assert_eq!(opt.report, refr.report, "{label}: SimReport diverged");
         match (&opt.trace, &refr.trace) {
@@ -600,8 +612,8 @@ fn closed_form_float_and_participant_workloads_match() {
 }
 
 /// An edge-disjoint plan's trees plus copies of the trees in `dup`: each
-/// copy shares every channel with its original, so those trees step and
-/// the rest take the closed form.
+/// copy shares every channel with its original, so the gate refuses those
+/// trees, and with them the whole run, which steps every tree.
 fn mixed_embedding(plan: &AllreducePlan, dup: &[usize], m: u64) -> MultiTreeEmbedding {
     let mut trees = plan.trees.clone();
     trees.extend(dup.iter().map(|&t| plan.trees[t].clone()));
@@ -612,8 +624,8 @@ fn mixed_embedding(plan: &AllreducePlan, dup: &[usize], m: u64) -> MultiTreeEmbe
 
 #[test]
 fn closed_form_mixed_embeddings_match() {
-    // One or two shared pairs step beside the closed-form trees, and the
-    // two parts merge into the reference report.
+    // One or two shared pairs beside trees that never meet: one refused
+    // tree makes the whole run step, byte-identical to the reference.
     let plan = edge_disjoint(7);
     let m = 4_000;
     let w = Workload::new(plan.graph.num_vertices(), m);
@@ -631,7 +643,7 @@ fn closed_form_jobs_with_releases_match_traced_stepping() {
     // The reference stepper has no job accounting and no releases; a
     // tracer pins every tree to the stepper and only observes, so the
     // traced run is the oracle for staggered bindings. The mixed
-    // embedding splits jobs across the stepped and closed-form parts.
+    // embedding's shared pairs make the whole run, and so every job, step.
     use crate::engine::JobBinding;
     let plan = edge_disjoint(9);
     let m = 2_000;
@@ -973,10 +985,10 @@ fn closed_form_overlap_condition_is_exact() {
 
 #[test]
 fn closed_form_cycle_cap_is_exact() {
-    // A tree takes the closed form iff its last delivery fits inside
-    // max_cycles: at the run's own length every tree does; one cycle less
-    // refuses exactly the trees finishing last, which then step to the
-    // same incomplete report as the reference.
+    // A run takes the closed form only when every tree's last delivery
+    // fits inside max_cycles: at the run's own length every tree does; one
+    // cycle less, the trees finishing last do not, so no tree takes it and
+    // the whole run steps to the same incomplete report as the reference.
     let case = Case::new(edge_disjoint(5), 4_000);
     let emb = case.embedding();
     let w = Workload::new(case.plan.graph.num_vertices(), case.m);
@@ -984,15 +996,14 @@ fn closed_form_cycle_cap_is_exact() {
         let full = Simulator::new(&case.plan.graph, &emb, SimConfig::default())
             .run_reference(&w, kind)
             .report;
-        for max_cycles in [full.cycles, full.cycles - 1] {
+        for (max_cycles, takes) in [(full.cycles, true), (full.cycles - 1, false)] {
             let mut capped = Case::new(case.plan.clone(), case.m);
             capped.cfg.max_cycles = max_cycles;
+            let at = format!("{kind:?} cap {max_cycles}");
             let cf = capped.sim(&emb).closed_form_trees(kind, &[]);
-            for (ti, &done) in full.tree_completion.iter().enumerate() {
-                let at = format!("{kind:?} cap {max_cycles} tree {ti}");
-                assert_eq!(cf[ti], done <= max_cycles, "{at}");
-            }
-            capped.assert_identical_on(&emb, &w, kind, &format!("{kind:?} cap {max_cycles}"));
+            let want: Vec<bool> = emb.slices().iter().map(|t| takes && t.len > 0).collect();
+            assert_eq!(cf, want, "{at}");
+            capped.assert_identical_on(&emb, &w, kind, &at);
         }
     }
 }
@@ -1174,10 +1185,10 @@ fn batch_detector_locks_on_after_the_fill() {
     let steps = |plan: &AllreducePlan, m: u64| {
         let emb = Case::new(plan.clone(), m).embedding();
         let w = Workload::new(plan.graph.num_vertices(), m);
-        let (report, stepped) = Simulator::new(&plan.graph, &emb, SimConfig::default())
+        let (run, stepped) = Simulator::new(&plan.graph, &emb, SimConfig::default())
             .run_counting_steps(&w, Collective::Allreduce);
-        assert!(report.completed && report.mismatches == 0);
-        (report.cycles, stepped)
+        assert!(run.report.completed && run.report.mismatches == 0);
+        (run.report.cycles, stepped)
     };
     let (plan, label) = fabric_plans(7).swap_remove(0);
     let (cycles, stepped) = steps(&plan, 4_096);
@@ -1277,7 +1288,8 @@ fn fast_paths_count_perturbed_expectations() {
             for kind in COLLECTIVES {
                 let at = format!("{name} {label} {kind:?}");
                 case.assert_identical_on(&emb, &w, kind, &at);
-                let (report, stepped) = case.sim(&emb).run_counting_steps(&w, kind);
+                let (run, stepped) = case.sim(&emb).run_counting_steps(&w, kind);
+                let report = run.report;
                 let want = checks_of_expected(kind, n) * elems.len() as u64;
                 assert_eq!(report.mismatches, want, "{at}");
                 match path {

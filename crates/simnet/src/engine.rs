@@ -59,20 +59,17 @@
 //! the saturated/contention regimes, where every cycle makes progress and
 //! idle-skip never fires — see `docs/PERFORMANCE.md` for the derivations):
 //!
-//! * **Closed form** (`engine/closed_form.rs`) — trees that never meet
-//!   another live stream in time are never stepped. Trees linked by a
-//!   shared channel form a component; a component takes the closed form
-//!   whole when every tree in it has `min(len, L) ≤ vc_buffer` and
-//!   completes inside `max_cycles`, no two live streams on any of its
-//!   channels have overlapping transmit windows, and no tracer, fault
-//!   layer or per-node cap is attached. Each delivery's cycle is then an
-//!   affine function of its element index and its sink's depth, so the
-//!   report follows from that timing plus the value pass, run with every
-//!   sink at its slice length. Edge-disjoint plans take this path at any
-//!   length, low-depth plans while their vectors are short; the other
-//!   trees step as below, in one run masked to them, and the two parts
-//!   merge. Every digest is an order-independent wrapping sum, so the
-//!   merge is byte-identical to stepping every tree.
+//! * **Closed form** (`engine/closed_form.rs`) — a run whose trees never
+//!   meet another live stream in time is never stepped. A run takes the
+//!   closed form, whole, when every non-empty tree has
+//!   `min(len, L) ≤ vc_buffer` and completes inside `max_cycles`, no two
+//!   live streams on any channel have overlapping transmit windows, and
+//!   no tracer, fault layer or per-node cap is attached. Each delivery's
+//!   cycle is then an affine function of its element index and its
+//!   sink's depth, so the report follows from that timing plus the value
+//!   pass, run with every sink at its slice length. Edge-disjoint plans
+//!   take this path at any length, low-depth plans while their vectors
+//!   are short; any other run steps every tree as below.
 //! * **Batch spans** — when the run is in steady state, consecutive cycles
 //!   repeat the same fire/drain/arrival pattern exactly. The engine arms a
 //!   full *shape* snapshot (queue lengths, active sets, round-robin
@@ -350,22 +347,15 @@ impl<'a> Simulator<'a> {
             "job bindings must cover every embedded tree"
         );
         let bindings = (!bindings.is_empty()).then_some(bindings);
-        let run = self.run_inner_jobs(w, kind, bindings);
-        RunReport {
-            report: run.report,
-            trace: run.trace,
-            faults: run.faults.unwrap_or_else(FaultReport::quiet),
-            jobs: run.jobs,
-        }
+        self.run_inner_jobs(w, kind, bindings).0
     }
 
-    /// The report of one untracked run of `kind`, with the number of
-    /// cycles its parts stepped one at a time (neither skipped idle nor
-    /// replayed in a batch window), summed over the parts.
+    /// One untracked run of `kind`, with the number of cycles it stepped
+    /// one at a time: neither skipped idle nor replayed in a batch window
+    /// (0 in closed form).
     #[cfg(test)]
-    pub(crate) fn run_counting_steps(self, w: &Workload, kind: Collective) -> (SimReport, u64) {
-        let run = self.run_inner_jobs(w, kind, None);
-        (run.report, run.stepped)
+    pub(crate) fn run_counting_steps(self, w: &Workload, kind: Collective) -> (RunReport, u64) {
+        self.run_inner_jobs(w, kind, None)
     }
 
     /// Runs `w` on the retained pre-optimization stepper (see
@@ -381,56 +371,43 @@ impl<'a> Simulator<'a> {
 
     /// Which trees a run of `kind` under `bindings` (as for
     /// [`Simulator::run_jobs_collective`]) reports in closed form instead
-    /// of stepping: the trees whose flits provably never wait for
-    /// arbitration (`docs/PERFORMANCE.md`, "Trees that never meet"). All
-    /// `false` while a tracer, fault layer or per-node cap is attached.
-    /// The report is the same either way; this only says how it is
-    /// computed.
+    /// of stepping. The closed form takes a run whole or not at all: when
+    /// no flit of any tree can ever wait for arbitration
+    /// (`docs/PERFORMANCE.md`, "Trees that never meet"), every non-empty
+    /// tree is `true`; otherwise every tree is `false`, as always while a
+    /// tracer, fault layer or per-node cap is attached. The report is the
+    /// same either way; this only says how it is computed.
     #[must_use]
     pub fn closed_form_trees(&self, kind: Collective, bindings: &[JobBinding]) -> Vec<bool> {
         let closed = ClosedForm::select(self, kind, (!bindings.is_empty()).then_some(bindings));
-        (0..self.emb.num_trees()).map(|ti| closed.as_ref().is_some_and(|c| c.takes(ti))).collect()
+        self.emb.slices().iter().map(|t| closed.is_some() && t.len > 0).collect()
     }
 
+    /// The run's report, with the number of cycles it stepped one at a
+    /// time (0 in closed form).
     fn run_inner_jobs(
         self,
         w: &Workload,
         kind: Collective,
         bindings: Option<&[JobBinding]>,
-    ) -> SingleRun {
+    ) -> (RunReport, u64) {
         assert_eq!(w.nodes(), self.emb.num_nodes());
         assert!(
             w.len() >= self.emb.elem_end(),
             "workload must cover every tree slice's global element range"
         );
 
-        // Trees that never meet another live stream take the closed form,
-        // and the rest step in one run masked to them. The closed form
-        // needs trees with fully independent state: anything that couples
-        // them — a tracer (global timeline), a fault layer (global
-        // detector clock), or an injection cap (budgets shared across
-        // trees) — refuses it, and one stepped run covers the whole fabric.
-        let Some(closed) = ClosedForm::select(&self, kind, bindings) else {
-            let Simulator { emb, cfg, tracer, faults } = self;
-            return run_single(emb, cfg, tracer, faults, w, kind, bindings, None);
-        };
-        let emb = self.emb;
-        let stepped: Vec<bool> =
-            emb.slices().iter().enumerate().map(|(ti, t)| t.len > 0 && !closed.takes(ti)).collect();
-        let mut parts = Vec::with_capacity(2);
-        if stepped.contains(&true) {
-            parts.push(run_single(emb, self.cfg, None, None, w, kind, bindings, Some(&stepped)));
+        // A run whose trees never meet another live stream takes the
+        // closed form; any other steps every tree. The closed form needs
+        // trees with fully independent state: anything that couples them —
+        // a tracer (global timeline), a fault layer (global detector
+        // clock), or an injection cap (budgets shared across trees) —
+        // refuses it.
+        if let Some(closed) = ClosedForm::select(&self, kind, bindings) {
+            return (closed.run(self.emb, w, kind, bindings), 0);
         }
-        parts.push(closed.run(emb, w, kind, bindings));
-        let (report, jobs) = merge(emb, kind, bindings, &parts);
-        SingleRun {
-            report,
-            trace: None,
-            faults: None,
-            jobs,
-            live_pairs: parts.iter().map(|p| p.live_pairs).sum(),
-            stepped: parts.iter().map(|p| p.stepped).sum(),
-        }
+        let Simulator { emb, cfg, tracer, faults } = self;
+        run_single(emb, cfg, tracer, faults, w, kind, bindings)
     }
 
     /// Does anything attached couple the trees' timing? A tracer keeps one
@@ -441,27 +418,9 @@ impl<'a> Simulator<'a> {
     }
 }
 
-/// Result of one part of a run: a [`run_single`] invocation (the whole
-/// fabric, or the trees the closed form leaves) or the closed-form trees.
-struct SingleRun {
-    report: SimReport,
-    trace: Option<TraceReport>,
-    faults: Option<FaultReport>,
-    jobs: Vec<JobOutcome>,
-    /// Pairs that must deliver a first element in this part — the merge
-    /// needs it to reconstruct `first_element_latency` (a part that owns
-    /// no live pairs reports 0 without meaning "incomplete").
-    live_pairs: u64,
-    /// Cycles this part stepped one at a time: neither skipped idle nor
-    /// replayed in a batch window (0 in closed form).
-    stepped: u64,
-}
-
 /// The simulation loop proper: one `RunState`, stepped to completion,
-/// then the value pass over what its sinks received. `tree_mask`
-/// deactivates the trees the closed form reports — masked trees behave
-/// exactly like `len == 0` trees, contributing nothing to any counter.
-#[allow(clippy::too_many_arguments)]
+/// then the value pass over what its sinks received. Returns the report
+/// with the number of cycles stepped one at a time.
 fn run_single(
     emb: &MultiTreeEmbedding,
     cfg: SimConfig,
@@ -470,9 +429,8 @@ fn run_single(
     w: &Workload,
     kind: Collective,
     bindings: Option<&[JobBinding]>,
-    tree_mask: Option<&[bool]>,
-) -> SingleRun {
-    let mut st = RunState::new(emb, cfg, kind, bindings, tree_mask);
+) -> (RunReport, u64) {
+    let mut st = RunState::new(emb, cfg, kind, bindings);
 
     let traced = tracer.is_some();
     // Batch spans require no tracer and an uncapped injection budget (a
@@ -556,17 +514,14 @@ fn run_single(
         .iter()
         .map(|&f| f as f64 / cycle.max(1) as f64)
         .fold(0.0, f64::max);
-    let fault_report = faults.map(|f| f.finish(completed));
-    let mut trace = tracer.map(|mut tr| {
+    let faults = faults.map_or_else(FaultReport::quiet, |f| f.finish(completed));
+    let trace = tracer.map(|mut tr| {
         tr.sample_timeline(cycle, st.deliveries); // final sample (timeline runs only)
-        tr.finish(emb, cycle)
-    });
-    if let Some(t) = trace.as_mut() {
+        let mut t = tr.finish(emb, cycle);
         t.collective = kind.name().to_string();
-    }
-    if let (Some(t), Some(fr)) = (trace.as_mut(), fault_report.as_ref()) {
-        t.faults = fr.records.clone();
-    }
+        t.faults = faults.records.clone();
+        t
+    });
     let mut jobs: Vec<JobOutcome> = (0..st.njobs)
         .map(|j| JobOutcome {
             first_delivery: st.job_first[j],
@@ -592,141 +547,7 @@ fn run_single(
         max_channel_utilization: max_util,
         max_vc_occupancy: st.max_vc_occupancy,
     };
-    SingleRun { report, trace, faults: fault_report, jobs, live_pairs: st.live_pairs, stepped }
-}
-
-/// The components of the channel-sharing graph: two trees are linked when
-/// a directed channel carries a live stream of each — a stream of a
-/// non-empty tree in a phase `kind` runs, the only streams that ever hold
-/// a flit. Returns each tree's component representative. Trees in
-/// different components never meet, so the closed form can take one
-/// component whole while another steps.
-fn tree_components(emb: &MultiTreeEmbedding, kind: Collective) -> Vec<u32> {
-    fn find(parent: &mut [u32], mut x: u32) -> u32 {
-        while parent[x as usize] != x {
-            parent[x as usize] = parent[parent[x as usize] as usize];
-            x = parent[x as usize];
-        }
-        x
-    }
-    let mut parent: Vec<u32> = (0..emb.num_trees() as u32).collect();
-    for c in 0..emb.num_channels() {
-        let mut first: Option<u32> = None;
-        for s in emb.channel_streams(c).iter().map(|&s| &emb.streams()[s as usize]) {
-            if emb.slices()[s.tree as usize].len == 0 || !s.phase.runs_under(kind) {
-                continue;
-            }
-            let r = find(&mut parent, s.tree);
-            match first {
-                None => first = Some(r),
-                Some(f) if r != f => parent[r as usize] = f,
-                Some(_) => {}
-            }
-        }
-    }
-    for t in 0..parent.len() {
-        parent[t] = find(&mut parent, t as u32);
-    }
-    parent
-}
-
-/// Merges the parts of one run — the stepped trees and the closed-form
-/// trees, owning disjoint trees — into exactly what one stepped run over
-/// every tree would have produced. Every cross-part aggregate is either a
-/// wrapping sum of order-independent digest entries, an elementwise
-/// sum/max over disjoint supports, or recomputed from merged integers —
-/// so the merge is byte-identical whatever the order of the parts.
-fn merge(
-    emb: &MultiTreeEmbedding,
-    kind: Collective,
-    bindings: Option<&[JobBinding]>,
-    parts: &[SingleRun],
-) -> (SimReport, Vec<JobOutcome>) {
-    let ntrees = emb.num_trees();
-    let nchans = emb.num_channels();
-    let mut cycles = 0u64;
-    let mut completed = true;
-    let mut mismatches = 0u64;
-    let mut value_digest = 0u64;
-    let mut tree_completion = vec![0u64; ntrees];
-    let mut channel_flits = vec![0u64; nchans];
-    let mut max_vc_occupancy = 0usize;
-    let mut fel = 0u64;
-    let mut fel_all = true;
-    for part in parts {
-        cycles = cycles.max(part.report.cycles);
-        completed &= part.report.completed;
-        mismatches += part.report.mismatches;
-        value_digest = value_digest.wrapping_add(part.report.value_digest);
-        for (tc, &pc) in tree_completion.iter_mut().zip(&part.report.tree_completion) {
-            *tc = (*tc).max(pc);
-        }
-        for (cf, &pf) in channel_flits.iter_mut().zip(&part.report.channel_flits) {
-            *cf += pf;
-        }
-        max_vc_occupancy = max_vc_occupancy.max(part.report.max_vc_occupancy);
-        if part.live_pairs > 0 {
-            if part.report.first_element_latency == 0 {
-                fel_all = false;
-            } else {
-                fel = fel.max(part.report.first_element_latency);
-            }
-        }
-    }
-    let max_util =
-        channel_flits.iter().map(|&f| f as f64 / cycles.max(1) as f64).fold(0.0, f64::max);
-    let report = SimReport {
-        cycles,
-        total_elems: emb.total_len(),
-        completed,
-        mismatches,
-        value_digest,
-        measured_bandwidth: emb.total_len() as f64 / cycles.max(1) as f64,
-        tree_completion,
-        first_element_latency: if fel_all { fel } else { 0 },
-        channel_flits,
-        max_channel_utilization: max_util,
-        max_vc_occupancy,
-    };
-
-    // Per-job merge. A job's deliveries/elems/hash/mismatches are plain
-    // sums over the parts that own its trees; first delivery is the
-    // earliest nonzero; completion is the latest part completion, and
-    // only counts once the *merged* deliveries reach the full job total
-    // (a part completing its portion is not the job completing).
-    let njobs = bindings.map_or(0, <[JobBinding]>::len);
-    let per_tree_sinks = kind.sinks_per_tree(emb.num_nodes() as u64);
-    let mut job_total = vec![0u64; njobs];
-    if let Some(bs) = bindings {
-        for (j, b) in bs.iter().enumerate() {
-            for ti in b.trees.clone() {
-                job_total[j] += emb.slices()[ti].len * per_tree_sinks;
-            }
-        }
-    }
-    let mut jobs = vec![JobOutcome::default(); njobs];
-    for part in parts {
-        for (j, o) in part.jobs.iter().enumerate() {
-            jobs[j].deliveries += o.deliveries;
-            jobs[j].elems += o.elems;
-            jobs[j].value_hash = jobs[j].value_hash.wrapping_add(o.value_hash);
-            jobs[j].mismatches += o.mismatches;
-            if o.first_delivery > 0 {
-                jobs[j].first_delivery = if jobs[j].first_delivery == 0 {
-                    o.first_delivery
-                } else {
-                    jobs[j].first_delivery.min(o.first_delivery)
-                };
-            }
-        }
-    }
-    for j in 0..njobs {
-        if job_total[j] > 0 && jobs[j].deliveries == job_total[j] {
-            jobs[j].completion =
-                parts.iter().map(|part| part.jobs[j].completion).max().unwrap_or(0);
-        }
-    }
-    (report, jobs)
+    (RunReport { report, trace, faults, jobs }, stepped)
 }
 
 /// Order-independent digest entry for one root-reduced element: a
@@ -1143,7 +964,6 @@ impl<'a> RunState<'a> {
         cfg: SimConfig,
         kind: Collective,
         bindings: Option<&[JobBinding]>,
-        tree_mask: Option<&[bool]>,
     ) -> Self {
         let c = emb.compiled();
         let n = c.num_nodes() as usize;
@@ -1152,21 +972,12 @@ impl<'a> RunState<'a> {
         let nstreams = c.streams().len();
         let nchans = c.num_channels();
 
-        // A masked-out tree (the closed form reports it) is treated
-        // exactly like an empty tree — length 0 everywhere, so its engines
-        // never arm, its streams never carry and its deliveries never
-        // count.
-        let tree_len_eff: Vec<u64> = emb
-            .slices()
-            .iter()
-            .enumerate()
-            .map(|(ti, t)| if tree_mask.is_none_or(|m| m[ti]) { t.len } else { 0 })
-            .collect();
+        let tree_len: Vec<u64> = emb.slices().iter().map(|t| t.len).collect();
 
         let per_tree_sinks = kind.sinks_per_tree(n as u64);
-        let total_deliveries: u64 = tree_len_eff.iter().map(|&l| l * per_tree_sinks).sum();
+        let total_deliveries: u64 = tree_len.iter().map(|&l| l * per_tree_sinks).sum();
         let live_pairs: u64 =
-            tree_len_eff.iter().map(|&l| if l > 0 { per_tree_sinks } else { 0 }).sum();
+            tree_len.iter().map(|&l| if l > 0 { per_tree_sinks } else { 0 }).sum();
 
         let words_per_tree = n.div_ceil(64);
         let vc_shift = (cfg.vc_buffer as u32).next_power_of_two().trailing_zeros();
@@ -1183,8 +994,8 @@ impl<'a> RunState<'a> {
                 for ti in b.trees.clone() {
                     tree_release[ti] = b.release;
                     tree_job[ti] = j as u32;
-                    job_total[j] += tree_len_eff[ti] * per_tree_sinks;
-                    job_elems[j] += tree_len_eff[ti];
+                    job_total[j] += tree_len[ti] * per_tree_sinks;
+                    job_elems[j] += tree_len[ti];
                 }
             }
         }
@@ -1192,8 +1003,8 @@ impl<'a> RunState<'a> {
         // Every engine of a non-empty tree starts active: leaves can fire
         // on cycle 1, everything else stalls once and deactivates.
         let mut pair_active = vec![0u64; ntrees * words_per_tree];
-        for (ti, &len_eff) in tree_len_eff.iter().enumerate() {
-            if len_eff == 0 {
+        for (ti, &len) in tree_len.iter().enumerate() {
+            if len == 0 {
                 continue;
             }
             let base = ti * words_per_tree;
@@ -1210,7 +1021,7 @@ impl<'a> RunState<'a> {
             n,
             ntrees,
             c: Wiring::new(c),
-            tree_len: tree_len_eff,
+            tree_len,
             track_jobs: bindings.is_some(),
             njobs,
             tree_release,

@@ -46,18 +46,16 @@
 //!
 //! # The gate
 //!
-//! Trees linked by a channel that carries a live stream of each (a stream
-//! of a non-empty tree in a phase the collective runs) form a component.
-//! [`ClosedForm::select`] admits a component, whole, when all of these
-//! hold:
+//! [`ClosedForm::select`] admits a run, whole, when all of these hold:
 //!
 //! * no tracer, fault layer or per-node injection cap is attached (a
 //!   tracer keeps one timeline, a fault layer one detector clock, and the
 //!   cap shares each node's budget across trees);
-//! * every tree in it has `min(len, L) ≤ vc_buffer` and its last delivery
-//!   fits inside `max_cycles`;
-//! * no two live streams on any of its channels have overlapping transmit
-//!   windows. A reduce stream from `c` holds flits only within
+//! * every non-empty tree has `min(len, L) ≤ vc_buffer` and its last
+//!   delivery fits inside `max_cycles`;
+//! * no two live streams (streams of a non-empty tree in a phase the
+//!   collective runs) on any channel have overlapping transmit windows. A
+//!   reduce stream from `c` holds flits only within
 //!   `[s + h(c)·L, s + len − 1 + ψ(c)]`, exact for a child on a longest
 //!   path. A broadcast stream from a node at depth `d` holds them within
 //!   `[s + b + d·L, s + len − 1 + b + d·L]`, with `b = H·L` under
@@ -66,28 +64,22 @@
 //!   one cycle, so arbitration never runs and each tree moves as if
 //!   alone.
 //!
-//! A whole component is needed because a stepped tree that contention
-//! delays could move into the window of a closed-form neighbour. Every
-//! other tree steps as before, in one run masked to the stepped trees,
-//! and the engine merges that run's report with the closed-form part.
+//! Any other run steps every tree, exactly as if the closed form did not
+//! exist; the closed form never takes part of a run.
 
-use super::{
-    tree_components, value_pass, Collective, JobBinding, JobOutcome, SimReport, Simulator,
-    SingleRun,
-};
+use super::{value_pass, Collective, JobBinding, JobOutcome, RunReport, SimReport, Simulator};
 use crate::embedding::{MultiTreeEmbedding, Phase};
+use crate::faults::FaultReport;
 use crate::workload::Workload;
 
-/// One closed-form tree's delivery times.
-#[derive(Debug, Clone, Copy)]
+/// One tree's delivery times.
+#[derive(Debug, Clone, Copy, Default)]
 struct Timing {
     /// Cycle of the tree's first delivery (element 0 at the root).
     first: u64,
     /// Cycle of element 0's last delivery; element `e`'s last delivery
     /// is `e` cycles later.
     last0: u64,
-    /// Peak receiver occupancy over the tree's live streams.
-    peak: u64,
 }
 
 /// The first and last cycle in which a stream can hold a staged flit.
@@ -104,18 +96,18 @@ impl Window {
     }
 }
 
-/// The trees of one run that take the closed form, with their timing.
+/// A run that takes the closed form, with its trees' timing.
 pub(crate) struct ClosedForm {
-    /// Per embedded tree: `Some` when it takes the closed form.
-    timing: Vec<Option<Timing>>,
-    /// Peak receiver occupancy over the closed-form trees' live streams.
+    /// Per embedded tree (unused for an empty one).
+    timing: Vec<Timing>,
+    /// Peak receiver occupancy over the run's live streams.
     max_vc_occupancy: u64,
 }
 
 impl ClosedForm {
-    /// The gate (see the module doc): the trees of `sim`'s embedding that
-    /// take the closed form under `kind` and `bindings`, or `None` when no
-    /// tree does.
+    /// The gate (see the module doc): the closed form of a run of `kind`
+    /// under `bindings` on `sim`'s embedding, or `None` when the run steps.
+    /// A run with no non-empty tree steps too.
     pub(crate) fn select(
         sim: &Simulator<'_>,
         kind: Collective,
@@ -127,11 +119,7 @@ impl ClosedForm {
         let (emb, cfg) = (sim.emb, sim.cfg);
         let (l, vc) = (u64::from(cfg.link_latency), cfg.vc_buffer as u64);
         let slices = emb.slices();
-        let fits = |ti: usize| {
-            let len = slices[ti].len;
-            len > 0 && len.min(l) <= vc
-        };
-        if !(0..slices.len()).any(fits) {
+        if slices.iter().all(|t| t.len == 0) {
             return None;
         }
 
@@ -142,12 +130,16 @@ impl ClosedForm {
         // of its broadcast streams.
         let mut psi = vec![0u64; n];
         let mut win = vec![[Window::default(); 2]; slices.len() * n];
-        let mut timing = vec![None; slices.len()];
+        let mut timing = vec![Timing::default(); slices.len()];
+        let mut max_vc_occupancy = 0;
         let mut binding = bindings.unwrap_or_default().iter().peekable();
         for (ti, t) in slices.iter().enumerate() {
             while binding.next_if(|b| b.trees.end <= ti).is_some() {}
-            if !fits(ti) {
+            if t.len == 0 {
                 continue;
+            }
+            if t.len.min(l) > vc {
+                return None;
             }
             // A node's height·L.
             let hl = |v: u32| u64::from(emb.height(ti, v)) * l;
@@ -159,7 +151,7 @@ impl ClosedForm {
             let first = s.saturating_add(if kind.reduces() { hl_root } else { 0 });
             let last0 = first.saturating_add(if kind.broadcasts() { hl_root } else { 0 });
             if last0.saturating_add(t.len - 1) > cfg.max_cycles {
-                continue;
+                return None;
             }
 
             // Parents before children: ψ and the broadcast's arrival times
@@ -168,7 +160,6 @@ impl ClosedForm {
             let turn = if kind == Collective::Allreduce { hl_root } else { 0 };
             psi[root as usize] = hl_root;
             win[base + root as usize][1] = Window { lo: s + turn, hi: s + turn + last };
-            let mut peak = 0;
             let tree = order.tree(ti);
             for (i, &v) in tree.nodes.iter().enumerate().rev() {
                 let (hl_v, psi_v) = (hl(v), psi[v as usize]);
@@ -183,83 +174,57 @@ impl ClosedForm {
                         Window { lo: below, hi: below + last },
                     ];
                     if kind.reduces() {
-                        peak = peak.max(t.len.min(hl_v - hl_c).min(vc));
+                        max_vc_occupancy = max_vc_occupancy.max(t.len.min(hl_v - hl_c).min(vc));
                     }
                     if kind.broadcasts() {
-                        peak = peak.max(t.len.min(l));
+                        max_vc_occupancy = max_vc_occupancy.max(t.len.min(l));
                     }
                 }
             }
-            timing[ti] = Some(Timing { first, last0, peak });
+            timing[ti] = Timing { first, last0 };
         }
 
-        // A component with a refused tree steps whole; so does one where
-        // two live streams on a channel may hold flits in the same cycle.
-        let comp = tree_components(emb, kind);
-        let mut refused = vec![false; slices.len()];
-        for (ti, t) in slices.iter().enumerate() {
-            if t.len > 0 && timing[ti].is_none() {
-                refused[comp[ti] as usize] = true;
-            }
-        }
-        // The window of a live stream of a tree still in the running.
+        // The window of a live stream, the only kind that holds a flit.
         let window = |s: u32| {
             let s = &emb.streams()[s as usize];
             let ti = s.tree as usize;
             let phase = usize::from(s.phase == Phase::Broadcast);
-            let live = timing[ti].is_some() && s.phase.runs_under(kind);
-            live.then(|| (ti, win[ti * n + s.src as usize][phase]))
+            let live = slices[ti].len > 0 && s.phase.runs_under(kind);
+            live.then(|| win[ti * n + s.src as usize][phase])
         };
         for c in 0..emb.num_channels() {
             let members = emb.channel_streams(c);
             for (i, &a) in members.iter().enumerate() {
-                let Some((ti, wa)) = window(a) else { continue };
-                let mut later = members[i + 1..].iter().filter_map(|&b| window(b));
-                if later.any(|(_, wb)| wa.meets(wb)) {
-                    refused[comp[ti] as usize] = true;
-                    break;
+                let Some(wa) = window(a) else { continue };
+                if members[i + 1..].iter().filter_map(|&b| window(b)).any(|wb| wa.meets(wb)) {
+                    return None;
                 }
             }
         }
-
-        let mut max_vc_occupancy = 0;
-        for (ti, tm) in timing.iter_mut().enumerate() {
-            if refused[comp[ti] as usize] {
-                *tm = None;
-            } else if let Some(tm) = tm {
-                max_vc_occupancy = max_vc_occupancy.max(tm.peak);
-            }
-        }
-        let any = timing.iter().any(Option::is_some);
-        any.then_some(ClosedForm { timing, max_vc_occupancy })
+        Some(ClosedForm { timing, max_vc_occupancy })
     }
 
-    /// Does tree `ti` take the closed form?
-    pub(crate) fn takes(&self, ti: usize) -> bool {
-        self.timing[ti].is_some()
-    }
-
-    /// The closed-form trees' part of the run: their report and per-job
-    /// outcomes, exactly what stepping them would have produced.
+    /// The run's report and per-job outcomes, exactly what stepping it
+    /// would have produced.
     pub(super) fn run(
         &self,
         emb: &MultiTreeEmbedding,
         w: &Workload,
         kind: Collective,
         bindings: Option<&[JobBinding]>,
-    ) -> SingleRun {
+    ) -> RunReport {
         let sinks = kind.sinks_per_tree(u64::from(emb.num_nodes()));
         let mut tree_completion = vec![0u64; emb.num_trees()];
-        let (mut cycles, mut fel, mut live_pairs, mut elems) = (0u64, 0u64, 0u64, 0u64);
+        let (mut cycles, mut fel) = (0u64, 0u64);
         let mut jobs = vec![JobOutcome::default(); bindings.map_or(0, <[JobBinding]>::len)];
-        for (ti, t) in emb.slices().iter().enumerate() {
-            let Some(tm) = self.timing[ti] else { continue };
+        for (ti, (t, tm)) in emb.slices().iter().zip(&self.timing).enumerate() {
+            if t.len == 0 {
+                continue;
+            }
             let completion = tm.last0 + t.len - 1;
             tree_completion[ti] = completion;
             cycles = cycles.max(completion);
             fel = fel.max(tm.last0);
-            live_pairs += sinks;
-            elems += t.len;
             if let Some(j) = bindings.and_then(|bs| bs.iter().position(|b| b.trees.contains(&ti))) {
                 let o = &mut jobs[j];
                 o.first_delivery =
@@ -269,7 +234,7 @@ impl ClosedForm {
                 o.elems += t.len;
             }
         }
-        let delivered = |ti: usize, _| if self.takes(ti) { emb.slices()[ti].len } else { 0 };
+        let delivered = |ti: usize, _| emb.slices()[ti].len;
         let (mismatches, value_digest) = value_pass(emb, w, kind, bindings, delivered, &mut jobs);
 
         let channel_flits: Vec<u64> = (0..emb.num_channels())
@@ -277,13 +242,14 @@ impl ClosedForm {
                 emb.channel_streams(c)
                     .iter()
                     .map(|&s| &emb.streams()[s as usize])
-                    .filter(|s| self.takes(s.tree as usize) && s.phase.runs_under(kind))
+                    .filter(|s| s.phase.runs_under(kind))
                     .map(|s| emb.slices()[s.tree as usize].len)
                     .sum()
             })
             .collect();
         let max_channel_utilization =
             channel_flits.iter().map(|&f| f as f64 / cycles.max(1) as f64).fold(0.0, f64::max);
+        let elems = emb.total_len();
         let report = SimReport {
             cycles,
             total_elems: elems,
@@ -297,6 +263,6 @@ impl ClosedForm {
             max_channel_utilization,
             max_vc_occupancy: self.max_vc_occupancy as usize,
         };
-        SingleRun { report, trace: None, faults: None, jobs, live_pairs, stepped: 0 }
+        RunReport { report, trace: None, faults: FaultReport::quiet(), jobs }
     }
 }

@@ -104,7 +104,7 @@ impl FaultSchedule {
     /// `k` distinct random links of `g` failing permanently at one random
     /// cycle in `[cycle_lo, cycle_hi]`. Pure function of `seed`.
     pub fn random_links(g: &Graph, k: usize, cycle_lo: u64, cycle_hi: u64, seed: u64) -> Self {
-        assert!(k as u32 <= g.num_edges(), "cannot fail {k} of {} links", g.num_edges());
+        assert!(k <= g.num_edges() as usize, "cannot fail {k} of {} links", g.num_edges());
         assert!(cycle_lo <= cycle_hi);
         let mut rng = StdRng::seed_from_u64(seed);
         let cycle = rng.random_range(cycle_lo..=cycle_hi);
@@ -850,6 +850,16 @@ mod tests {
             }
             assert_eq!(a.total_cycles, b.total_cycles);
         }
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    #[should_panic(expected = "cannot fail")]
+    fn random_links_refuses_more_links_than_the_graph_has() {
+        // 2^32 + 2 truncates to 2 as a u32; the check must see the full
+        // count before anything is allocated or drawn.
+        let g = pf_graph::builders::complete(4);
+        let _ = FaultSchedule::random_links(&g, (1 << 32) + 2, 10, 400, 1);
     }
 
     #[test]

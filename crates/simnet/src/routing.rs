@@ -7,7 +7,7 @@
 //! essentially unique — the deterministic BFS tie-break below is exact, not
 //! an approximation, on `ER_q`.
 
-use pf_graph::{bfs, subgraph, EdgeId, Graph, VertexId};
+use pf_graph::{bfs, Graph, VertexId};
 
 /// All-pairs minimal routes, precomputed.
 #[derive(Debug, Clone)]
@@ -22,33 +22,18 @@ impl Routing {
         Routing { parents }
     }
 
-    /// Minimal routes avoiding `dead_edges` — routing on the degraded
-    /// fabric after link faults. Vertex ids are unchanged (deleting no
-    /// vertex keeps the vertex set), so paths come back in the original
-    /// labeling; pairs the faults disconnect have no route
-    /// ([`Routing::try_path`] returns `None`).
-    pub fn new_avoiding(g: &Graph, dead_edges: &[EdgeId]) -> Self {
-        Routing::new(&subgraph::surviving(g, &[], dead_edges).graph)
-    }
-
-    /// The vertex path from `src` to `dst` (inclusive), or `None` when
-    /// `dst` is unreachable (possible after faults).
-    pub fn try_path(&self, src: VertexId, dst: VertexId) -> Option<Vec<VertexId>> {
+    /// The vertex path from `src` to `dst` (inclusive). Panics if
+    /// unreachable (PolarFly is connected).
+    pub fn path(&self, src: VertexId, dst: VertexId) -> Vec<VertexId> {
         // parents[src] is the BFS tree rooted at src; walk dst -> src.
         let mut rev = vec![dst];
         let mut cur = dst;
         while cur != src {
-            cur = self.parents[src as usize][cur as usize]?;
+            cur = self.parents[src as usize][cur as usize].expect("network must be connected");
             rev.push(cur);
         }
         rev.reverse();
-        Some(rev)
-    }
-
-    /// The vertex path from `src` to `dst` (inclusive). Panics if
-    /// unreachable (PolarFly is connected).
-    pub fn path(&self, src: VertexId, dst: VertexId) -> Vec<VertexId> {
-        self.try_path(src, dst).expect("network must be connected")
+        rev
     }
 
     /// Number of hops from `src` to `dst`.
@@ -195,30 +180,6 @@ mod tests {
         let r = Routing::new(&g);
         assert_eq!(phase_profile(&g, &r, &[], 5).time(), 0);
         assert_eq!(phase_profile(&g, &r, &[(1, 1, 50)], 5).time(), 0);
-    }
-
-    #[test]
-    fn routing_avoids_dead_edges() {
-        let g = cycle(6);
-        // Kill edge 0 = (0, 1): the only route 0 -> 1 is now the long way.
-        let r = Routing::new_avoiding(&g, &[0]);
-        let p = r.try_path(0, 1).unwrap();
-        assert_eq!(p.len(), 6, "must route the long way around");
-        for w in p.windows(2) {
-            assert!(!(w[0].min(w[1]) == 0 && w[0].max(w[1]) == 1));
-        }
-    }
-
-    #[test]
-    fn disconnected_pairs_have_no_route() {
-        let mut g = Graph::new(4); // path 0-1-2-3
-        for i in 0..3 {
-            g.add_edge(i, i + 1);
-        }
-        let r = Routing::new_avoiding(&g, &[1]); // cut (1, 2)
-        assert!(r.try_path(0, 3).is_none());
-        assert!(r.try_path(0, 1).is_some());
-        assert!(r.try_path(2, 3).is_some());
     }
 
     #[test]
